@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "ComputeGraph",
     "NonFiniteLossError",
     "evaluate_with_gradients",
     "evaluate_value",
@@ -409,44 +408,34 @@ def backward(loss: Tensor) -> None:
             node._vjp(node.grad)
 
 
-class ComputeGraph:
-    """A scalar-valued differentiable function of (params, inputs).
-
-    The wrapped builder receives lists of leaf `Tensor`s and must return a
-    scalar `Tensor`; every invocation re-records the tape, so the graph may
-    contain data-dependent Python control flow.
-    """
-
-    def __init__(self, build: Callable[[list[Tensor], list[Tensor]], Tensor]):
-        self._build = build
-
-    def __call__(self, params: list[Tensor], inputs: list[Tensor]) -> Tensor:
-        return self._build(params, inputs)
+# loss_fn(param leaves, input leaves) -> scalar Tensor; each call re-records
+# the tape, so it may contain data-dependent Python control flow
+LossFn = Callable[[list[Tensor], list[Tensor]], Tensor]
 
 
-def evaluate_value(graph: ComputeGraph, params, inputs) -> float:
+def evaluate_value(loss_fn: LossFn, params, inputs) -> float:
     """Forward-only scalar evaluation (no tape replay, same finiteness checks)."""
-    out = graph([leaf(p, requires_grad=False) for p in params],
-                [leaf(x, requires_grad=False) for x in inputs])
+    out = loss_fn([leaf(p, requires_grad=False) for p in params],
+                  [leaf(x, requires_grad=False) for x in inputs])
     if out.value.shape != ():
-        raise ValueError(f"graph output must be scalar, got shape {out.value.shape}")
+        raise ValueError(f"loss output must be scalar, got shape {out.value.shape}")
     loss = float(out.value)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss is non-finite: {loss}")
     return loss
 
 
-def evaluate_with_gradients(graph: ComputeGraph, params, inputs):
-    """Evaluate a scalar graph and return (loss, gradients w.r.t. params).
+def evaluate_with_gradients(loss_fn: LossFn, params, inputs):
+    """Evaluate a scalar loss function and return (loss, gradients w.r.t. params).
 
     Raises NonFiniteLossError when the loss is NaN/inf (diverged training)
     and ValueError on malformed inputs or a non-scalar output.
     """
     param_leaves = [leaf(p, requires_grad=True) for p in params]
     input_leaves = [leaf(x, requires_grad=False) for x in inputs]
-    out = graph(param_leaves, input_leaves)
+    out = loss_fn(param_leaves, input_leaves)
     if out.value.shape != ():
-        raise ValueError(f"graph output must be scalar, got shape {out.value.shape}")
+        raise ValueError(f"loss output must be scalar, got shape {out.value.shape}")
     loss = float(out.value)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss is non-finite: {loss}")
@@ -456,7 +445,7 @@ def evaluate_with_gradients(graph: ComputeGraph, params, inputs):
     return loss, grads
 
 
-def grad_check(graph: ComputeGraph, params, inputs, step: float = 1e-6) -> float:
+def grad_check(loss_fn: LossFn, params, inputs, step: float = 1e-6) -> float:
     """Max relative error between tape gradients and central differences.
 
     Relative error per entry is |analytic - numeric| / max(1e-8,
@@ -465,11 +454,11 @@ def grad_check(graph: ComputeGraph, params, inputs, step: float = 1e-6) -> float
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     params = [np.asarray(p, dtype=np.float64) for p in params]
-    _, grads = evaluate_with_gradients(graph, params, inputs)
+    _, grads = evaluate_with_gradients(loss_fn, params, inputs)
 
     def value_at(ps):
-        out = graph([leaf(p, requires_grad=False) for p in ps],
-                    [leaf(x, requires_grad=False) for x in inputs])
+        out = loss_fn([leaf(p, requires_grad=False) for p in ps],
+                      [leaf(x, requires_grad=False) for x in inputs])
         return float(out.value)
 
     worst = 0.0

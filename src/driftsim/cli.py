@@ -1,31 +1,33 @@
 """Command-line entry point: dataset generation, pipeline runs, parameter
 sweeps, and exhaustive verification of the correlation-shift bound.
 
-Exit codes: 0 success, 1 verified property violation, 2 usage or config
-error, 3 numeric failure (non-finite training loss). All file outputs are
-written atomically (temp file + rename). The default output directory is
-"." unless the DRIFTSIM_OUT environment variable overrides it.
+Exit codes: 0 success, 1 verified property violation, 2 usage, config or
+input-data error, 3 numeric failure (non-finite training loss or gradient).
+All file outputs are written atomically (temp file + rename). The default
+output directory is "." unless the DRIFTSIM_OUT environment variable
+overrides it.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NonFiniteLossError
 from .bounds import check_moment_deltas, random_distribution_pair, verify_bound
 from .correlation import pearson_matrix
 from .datasets import (CLASSIFICATION, REGRESSION, CsvSchema, load_csv_stream,
                        make_moons_stream, save_domain_csv,
                        fit_apply_normalization)
 from .harness import (METHODS, DownstreamConfig, ExperimentConfig,
-                      _assemble_training_set, run_experiment, sweep)
+                      ExperimentReport, run_experiment, sweep)
 from .predictor import PredictorConfig
 from .simulator import SimulatorConfig
 
@@ -36,13 +38,17 @@ GENERATIVE = ("coda", "coda-without-C", "prelim")
 
 # -- atomic file output ------------------------------------------------------
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, write) -> None:
+    """Run write(tmp) on a temp file beside `path`, then rename it onto `path`.
+
+    On any failure the temp file is removed and the error re-raised.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -50,8 +56,16 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _write_text(path: str, text: str) -> None:
+    _write_atomic(path, lambda tmp: Path(tmp).write_text(text))
+
+
+def _write_csv(path: str, dataset) -> None:
+    _write_atomic(path, lambda tmp: save_domain_csv(dataset, tmp))
+
+
 def _write_json(path: str, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(flag_value: str | None) -> str:
@@ -85,10 +99,8 @@ def _build_stream(block: dict):
         fields = _take(block, "dataset", {
             "kind": "moons", "domains": 10, "n_per_domain": 200,
             "noise_std": 0.15, "seed": 0})
-        return make_moons_stream(domains=fields["domains"],
-                                 n_per_domain=fields["n_per_domain"],
-                                 noise_std=fields["noise_std"],
-                                 seed=fields["seed"])
+        return _moons_stream(fields["domains"], fields["n_per_domain"],
+                             fields["noise_std"], fields["seed"])
     if kind == "csv":
         fields = _take(block, "dataset", {
             "kind": "csv", "path": None, "domain_col": "t", "label_col": "y",
@@ -97,12 +109,30 @@ def _build_stream(block: dict):
             raise ConfigError("dataset: csv kind requires a path")
         if fields["task"] not in (CLASSIFICATION, REGRESSION):
             raise ConfigError(f"dataset: unknown task {fields['task']!r}")
-        schema = CsvSchema(domain_col=fields["domain_col"],
-                           label_col=fields["label_col"],
-                           feature_cols=tuple(fields["feature_cols"]),
-                           task=fields["task"])
-        return load_csv_stream(fields["path"], schema)
+        try:
+            schema = CsvSchema(domain_col=fields["domain_col"],
+                               label_col=fields["label_col"],
+                               feature_cols=tuple(fields["feature_cols"]),
+                               task=fields["task"])
+            stream = load_csv_stream(fields["path"], schema)
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"dataset: {exc}") from None
+        if schema.task == CLASSIFICATION:
+            for dom in (*stream.sources, stream.target):
+                if np.unique(dom.labels).size < 2:
+                    raise ConfigError(
+                        f"dataset: domain {dom.domain_index} holds a single "
+                        "class; every classification domain needs both labels")
+        return stream
     raise ConfigError(f"dataset: unknown kind {kind!r}; expected moons or csv")
+
+
+def _moons_stream(domains, n_per_domain, noise_std, seed):
+    try:
+        return make_moons_stream(domains=domains, n_per_domain=n_per_domain,
+                                 noise_std=noise_std, seed=seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"moons: {exc}") from None
 
 
 def load_run_config(path: str):
@@ -125,6 +155,17 @@ def load_run_config(path: str):
         "seeds": [0, 1, 2, 3, 4], "sample_rate": 1.0,
         "normalization": "minmax", "output_dir": None,
         "predictor": {}, "simulator": {}, "downstream": {}})
+    if not isinstance(top["methods"], list):
+        raise ConfigError("methods: expected a list of method names")
+    seeds, rate = top["seeds"], top["sample_rate"]
+    if not (isinstance(seeds, list) and all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0
+            for s in seeds)):
+        raise ConfigError(f"seeds: expected a list of non-negative integers, "
+                          f"got {seeds!r}")
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
+            or not math.isfinite(rate):
+        raise ConfigError(f"sample_rate: expected a finite number, got {rate!r}")
     for method in top["methods"]:
         if method not in METHODS:
             raise ConfigError(f"methods: unknown method {method!r}; "
@@ -151,17 +192,11 @@ def load_run_config(path: str):
 
 def cmd_gen_moons(args) -> int:
     out = _out_dir(args.out)
-    stream = make_moons_stream(domains=args.domains, n_per_domain=args.n,
-                               noise_std=args.noise, seed=args.seed)
-    os.makedirs(out, exist_ok=True)
+    stream = _moons_stream(args.domains, args.n, args.noise, args.seed)
     files = []
     for dom in (*stream.sources, stream.target):
         name = f"moons_domain_{dom.domain_index:02d}.csv"
-        tmp_target = os.path.join(out, name)
-        fd, tmp = tempfile.mkstemp(dir=out, suffix=".tmp")
-        os.close(fd)
-        save_domain_csv(dom, tmp)
-        os.replace(tmp, tmp_target)
+        _write_csv(os.path.join(out, name), dom)
         files.append(name)
     _write_json(os.path.join(out, "moons_manifest.json"), {
         "domains": args.domains, "n_per_domain": args.n, "noise_std": args.noise,
@@ -170,17 +205,20 @@ def cmd_gen_moons(args) -> int:
     return 0
 
 
-def _dump_artifacts(stream, method: str, config: ExperimentConfig,
+def _dump_artifacts(stream, report: ExperimentReport, config: ExperimentConfig,
                     out: str) -> list:
-    """Correlation CSV + generated-data CSV for the first configured seed."""
-    seed = config.seeds[0]
+    """Correlation CSV + generated-data CSV for the first configured seed,
+    taken from the models the run already trained."""
+    method, seed = report.method, config.seeds[0]
+    if method not in GENERATIVE:
+        return []
+    train_set, extra = report.train_sets[0], report.extras[0]
     normalized, stats = fit_apply_normalization(stream, config.normalization)
     written = []
     if method == "coda":
         lines = ["matrix,row,col,value"]
         mats = [(f"C{s.domain_index}", pearson_matrix(s))
                 for s in normalized.sources]
-        train_set, extra = _assemble_training_set(normalized, method, config, seed)
         mats.append(("predicted", extra["predicted_corr"]))
         for name, mat in mats:
             m = mat.entries
@@ -188,12 +226,8 @@ def _dump_artifacts(stream, method: str, config: ExperimentConfig,
                 for j in range(mat.dim):
                     lines.append(f"{name},{i},{j},{m[i, j]!r}")
         corr_path = os.path.join(out, "correlations.csv")
-        _write_atomic(corr_path, "\n".join(lines) + "\n")
+        _write_text(corr_path, "\n".join(lines) + "\n")
         written.append(corr_path)
-    elif method in GENERATIVE:
-        train_set, _ = _assemble_training_set(normalized, method, config, seed)
-    else:
-        return written
     features = stats.invert_features(train_set.features)
     labels = (train_set.labels if train_set.task == CLASSIFICATION
               else stats.invert_label(train_set.labels))
@@ -201,10 +235,7 @@ def _dump_artifacts(stream, method: str, config: ExperimentConfig,
     restored = replace(train_set, features=features, labels=labels,
                        feature_names=names)
     gen_path = os.path.join(out, f"generated_{method}_seed{seed}.csv")
-    fd, tmp = tempfile.mkstemp(dir=out, suffix=".tmp")
-    os.close(fd)
-    save_domain_csv(restored, tmp)
-    os.replace(tmp, gen_path)
+    _write_csv(gen_path, restored)
     written.append(gen_path)
     return written
 
@@ -214,16 +245,15 @@ def cmd_run(args) -> int:
     out = _out_dir(args.out or cfg_out)
     os.makedirs(out, exist_ok=True)
     reports = []
+    artifacts = []
     for method in methods:
         report = run_experiment(stream, method, config)
         reports.append(report.to_dict())
         print(f"{method:16s} {report.metric:12s} "
               f"mean={report.mean:8.3f}  std={report.std:7.3f}  "
               f"seeds={[round(v, 3) for v in report.seed_values]}")
-    artifacts = []
-    if args.artifacts:
-        for method in methods:
-            artifacts += _dump_artifacts(stream, method, config, out)
+        if args.artifacts:
+            artifacts += _dump_artifacts(stream, report, config, out)
     report_path = os.path.join(out, "report.json")
     _write_json(report_path, {"reports": reports, "artifacts": artifacts})
     print(f"report written to {report_path}")
@@ -292,7 +322,7 @@ def cmd_sweep(args) -> int:
         print(f"{args.param}={point.value:g}: mean={point.test.mean:.3f} "
               f"std={point.test.std:.3f}")
     csv_path = os.path.join(out, f"sweep_{args.param}.csv")
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    _write_text(csv_path, "\n".join(lines) + "\n")
     _write_json(os.path.join(out, f"sweep_{args.param}.json"), rows)
     print(f"curve written to {csv_path}")
     return 0
@@ -321,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None)
     run.add_argument("--artifacts", action="store_true",
                      help="also write correlation and generated-data CSVs "
-                          "for the first seed")
-    run.add_argument("--threads", type=int, default=1)
+                          "for the first seed, from the run's own models")
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify-bound", help="stress the correlation-shift "
@@ -358,7 +387,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteLossError as exc:
+    except ArithmeticError as exc:  # NonFiniteLossError or Adam's gradient check
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

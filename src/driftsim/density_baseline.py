@@ -9,14 +9,14 @@ two-stage pipeline is built to avoid.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .datasets import CLASSIFICATION, DomainDataset, DomainStream
-from .optim import Adam
+from .nn import glorot, lstm_cell
+from .optim import fit
 
 __all__ = ["DensityGrid", "PrelimConfig", "default_grid", "kde_density",
            "kl_grid", "prelim_loss", "train_prelim"]
@@ -143,21 +143,17 @@ def _summaries(domains) -> np.ndarray:
 
 
 def _init_prelim(d: int, n_rows: int, config: PrelimConfig, rng) -> list:
-    def glorot(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
     in_dim = 2 * d + 1
     hd = config.hidden_dim
-    w_x = glorot(in_dim, 4 * hd)
-    w_h = glorot(hd, 4 * hd)
+    w_x = glorot(rng, in_dim, 4 * hd)
+    w_h = glorot(rng, hd, 4 * hd)
     b = np.zeros((1, 4 * hd))
     b[0, hd:2 * hd] = 1.0  # forget-gate bias
     embed = rng.standard_normal((n_rows, config.embed_dim))
-    w_e = glorot(config.embed_dim, hd)
-    w_s = glorot(hd, hd)
+    w_e = glorot(rng, config.embed_dim, hd)
+    w_s = glorot(rng, hd, hd)
     b_mix = np.zeros((1, hd))
-    w_out = glorot(hd, d)
+    w_out = glorot(rng, hd, d)
     b_out = np.zeros((1, d))
     return [w_x, w_h, b, embed, w_e, w_s, b_mix, w_out, b_out]
 
@@ -171,13 +167,7 @@ def _lstm_states(params, summaries):
     states = []
     for t in range(summaries.shape[0]):
         row = ad.constant(summaries[t:t + 1])
-        gates = row @ w_x + h @ w_h + b
-        i = ad.sigmoid(gates[:, 0:hd])
-        f = ad.sigmoid(gates[:, hd:2 * hd])
-        g = ad.tanh(gates[:, 2 * hd:3 * hd])
-        o = ad.sigmoid(gates[:, 3 * hd:4 * hd])
-        c = f * c + i * g
-        h = o * ad.tanh(c)
+        h, c = lstm_cell(row @ w_x + h @ w_h + b, c, hd)
         states.append(h)
     return states
 
@@ -244,20 +234,7 @@ def train_prelim(stream: DomainStream, config: PrelimConfig) -> DomainDataset:
             loss = term if loss is None else loss + term
         return loss * (1.0 / (len(sources) - 1))
 
-    graph = ad.ComputeGraph(build)
-    opt = Adam([p.shape for p in params], lr=config.learning_rate)
-    best = np.inf
-    best_params = copy.deepcopy(params)
-    stale = 0
-    for _ in range(config.max_epochs):
-        loss, grads = ad.evaluate_with_gradients(graph, params, [])
-        opt.step(params, grads)
-        if loss < best - config.tol:
-            best, best_params, stale = loss, copy.deepcopy(params), 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+    best_params, _ = fit(build, params, [], config)
 
     frozen = [ad.constant(p) for p in best_params]
     states = _lstm_states(frozen, summaries)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,8 @@ from . import autodiff as ad
 from .correlation import pearson_matrix
 from .datasets import (CLASSIFICATION, REGRESSION, DomainDataset, DomainStream,
                        NormalizationStats, fit_apply_normalization)
-from .optim import Adam
+from .nn import glorot
+from .optim import fit
 from .predictor import PredictorConfig, predict_next, train_predictor
 from .simulator import SimulatorConfig, sample, train_simulator
 
@@ -75,50 +76,23 @@ def _mlp_loss(params, x, y, task):
     return ad.reduce_mean(diff * diff)
 
 
-def _init_mlp(d: int, hidden_dims, rng) -> list:
-    params = []
-    in_dim = d
-    for h in (*hidden_dims, 1):
-        limit = np.sqrt(6.0 / (in_dim + h))
-        params += [rng.uniform(-limit, limit, size=(in_dim, h)), np.zeros((1, h))]
-        in_dim = h
-    return params
-
-
-def _fit_mlp(data: DomainDataset, config: DownstreamConfig,
-             init_params: list | None = None,
-             learning_rate: float | None = None) -> DownstreamModel:
-    rng = np.random.default_rng(config.seed)
-    params = (copy.deepcopy(init_params) if init_params is not None
-              else _init_mlp(data.d, config.hidden_dims, rng))
-    lr = config.learning_rate if learning_rate is None else learning_rate
-    x = data.features
-    y = data.labels.reshape(-1, 1)
-    graph = ad.ComputeGraph(
-        lambda ps, ins: _mlp_loss(ps, ins[0], ins[1], data.task))
-    opt = Adam([p.shape for p in params], lr=lr)
-    best_loss = np.inf
-    best_params = copy.deepcopy(params)
-    stale = 0
-    history = []
-    for _ in range(config.max_epochs):
-        loss, grads = ad.evaluate_with_gradients(graph, params, [x, y])
-        history.append(loss)
-        if loss < best_loss - config.tol:
-            best_loss, best_params, stale = loss, copy.deepcopy(params), 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-        opt.step(params, grads)
-    return DownstreamModel(task=data.task, config=config, params=best_params,
+def train_downstream(train_data: DomainDataset, config: DownstreamConfig,
+                     init_params: list | None = None) -> DownstreamModel:
+    """Adam-fit a ReLU feedforward net to one training domain, from a fresh
+    Glorot init or, for fine-tuning, from a copy of `init_params`."""
+    if init_params is None:
+        rng = np.random.default_rng(config.seed)
+        params, in_dim = [], train_data.d
+        for h in (*config.hidden_dims, 1):
+            params += [glorot(rng, in_dim, h), np.zeros((1, h))]
+            in_dim = h
+    else:
+        params = copy.deepcopy(init_params)
+    params, history = fit(
+        lambda ps, ins: _mlp_loss(ps, ins[0], ins[1], train_data.task), params,
+        [train_data.features, train_data.labels.reshape(-1, 1)], config)
+    return DownstreamModel(task=train_data.task, config=config, params=params,
                            loss_history=history)
-
-
-def train_downstream(train_data: DomainDataset,
-                     config: DownstreamConfig) -> DownstreamModel:
-    """Adam-fit a ReLU feedforward net to one training domain."""
-    return _fit_mlp(train_data, config)
 
 
 def evaluate(model: DownstreamModel, test: DomainDataset,
@@ -159,6 +133,10 @@ class ExperimentReport:
     std: float
     config_snapshot: dict
     wall_clock_s: float
+    # per seed: the set the downstream model trained on (None for
+    # incfinetune) and method artifacts such as "predicted_corr"
+    train_sets: tuple = field(default=(), repr=False, compare=False)
+    extras: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"method": self.method, "metric": self.metric,
@@ -206,20 +184,20 @@ def _assemble_training_set(stream: DomainStream, method: str,
 
 
 def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,
-                seed: int) -> float:
+                seed: int):
+    """(score, training set, extras) for one seed."""
     normalized, stats = fit_apply_normalization(stream, config.normalization)
     down_cfg = replace(config.downstream, seed=seed)
     if method == "incfinetune":
-        model = None
-        base_lr = down_cfg.learning_rate
-        for i, src in enumerate(normalized.sources):
-            model = _fit_mlp(src, down_cfg,
-                             init_params=None if model is None else model.params,
-                             learning_rate=base_lr if i == 0 else 0.1 * base_lr)
-        return evaluate(model, normalized.target, stats)
-    train_set, _ = _assemble_training_set(normalized, method, config, seed)
+        sources = normalized.sources
+        model = train_downstream(sources[0], down_cfg)
+        slow = replace(down_cfg, learning_rate=0.1 * down_cfg.learning_rate)
+        for src in sources[1:]:
+            model = train_downstream(src, slow, init_params=model.params)
+        return evaluate(model, normalized.target, stats), None, {}
+    train_set, extra = _assemble_training_set(normalized, method, config, seed)
     model = train_downstream(train_set, down_cfg)
-    return evaluate(model, normalized.target, stats)
+    return evaluate(model, normalized.target, stats), train_set, extra
 
 
 def run_experiment(stream, method: str, config: ExperimentConfig) -> ExperimentReport:
@@ -231,17 +209,19 @@ def run_experiment(stream, method: str, config: ExperimentConfig) -> ExperimentR
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     t0 = time.perf_counter()
-    values = []
+    runs = []
     for seed in config.seeds:
         concrete = stream(seed) if callable(stream) else stream
-        values.append(_run_single(concrete, method, config, seed))
+        runs.append(_run_single(concrete, method, config, seed))
+    values, train_sets, extras = zip(*runs)
     metric = "mce_percent" if _task_of(stream) == CLASSIFICATION else "mae"
     arr = np.array(values)
     std = float(arr.std(ddof=1)) if len(values) > 1 else 0.0
     return ExperimentReport(
-        method=method, metric=metric, seed_values=tuple(values),
+        method=method, metric=metric, seed_values=values,
         mean=float(arr.mean()), std=std,
-        config_snapshot=_snapshot(config), wall_clock_s=time.perf_counter() - t0)
+        config_snapshot=_snapshot(config), wall_clock_s=time.perf_counter() - t0,
+        train_sets=train_sets, extras=extras)
 
 
 def _task_of(stream) -> str:

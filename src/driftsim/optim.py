@@ -1,9 +1,14 @@
-"""Adam optimizer for lists of float64 parameter arrays."""
+"""Adam optimizer for lists of float64 parameter arrays, and the full-batch
+early-stopping loop that the predictor, prelim and downstream models share."""
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
-__all__ = ["Adam"]
+from . import autodiff as ad
+
+__all__ = ["Adam", "fit"]
 
 
 class Adam:
@@ -48,3 +53,28 @@ class Adam:
             v_hat = self.v[i] / c2
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return params
+
+
+def fit(loss_fn, params: list, inputs: list, config):
+    """Full-batch Adam on `loss_fn(params, inputs)`, updating `params` in place.
+
+    Each epoch scores the params, keeps a copy if the loss beats the best by
+    more than `config.tol`, then steps; it stops after `config.patience`
+    epochs without such a gain. Returns (kept params, every scored loss).
+    """
+    opt = Adam([p.shape for p in params], lr=config.learning_rate)
+    best_loss = np.inf
+    best_params = copy.deepcopy(params)
+    stale = 0
+    history = []
+    for _ in range(config.max_epochs):
+        loss, grads = ad.evaluate_with_gradients(loss_fn, params, inputs)
+        history.append(loss)
+        if loss < best_loss - config.tol:
+            best_loss, best_params, stale = loss, copy.deepcopy(params), 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+        opt.step(params, grads)
+    return best_params, history

@@ -9,14 +9,14 @@ entries affinely mapped from [-1, 1] to [0, 1].
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .correlation import CorrelationMatrix, flatten_upper, unflatten_upper
-from .optim import Adam
+from .nn import glorot, lstm_cell
+from .optim import fit
 
 __all__ = ["PredictorConfig", "PredictorModel", "predict_next", "cp_loss",
            "train_predictor"]
@@ -66,20 +66,15 @@ def _init_params(m: int, config: PredictorConfig, rng) -> list:
     """Glorot-uniform weights, zero biases except forget gates at +1."""
     p = m * (m - 1) // 2
     h, lat = config.hidden_dim, config.latent_dim
-
-    def glorot(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    params = [glorot(p, lat), np.zeros((1, lat))]
+    params = [glorot(rng, p, lat), np.zeros((1, lat))]
     in_dim = lat
     for _ in range(config.layers):
-        params.append(glorot(in_dim + h, 4 * h))
+        params.append(glorot(rng, in_dim + h, 4 * h))
         bias = np.zeros((1, 4 * h))
         bias[0, h:2 * h] = 1.0  # forget gate opens at init
         params.append(bias)
         in_dim = h
-    params.append(glorot(h, p))
+    params.append(glorot(rng, h, p))
     params.append(np.zeros((1, p)))
     return params
 
@@ -88,26 +83,16 @@ def _forward_sequence(params: list, rows: list, layers: int, hidden: int) -> lis
     """Head outputs (pre-unflatten, post-tanh) for every step of the sequence."""
     w_embed, b_embed = params[0], params[1]
     w_head, b_head = params[-2], params[-1]
-    h_states = [None] * layers
+    h_states = [ad.constant(np.zeros((1, hidden)))] * layers
     c_states = [None] * layers
     outputs = []
     for row in rows:
         x = row @ w_embed + b_embed
         for layer in range(layers):
             w, b = params[2 + 2 * layer], params[3 + 2 * layer]
-            h_prev, c_prev = h_states[layer], c_states[layer]
-            if h_prev is None:
-                gates = ad.concat([x, ad.constant(np.zeros((1, hidden)))], axis=1) @ w + b
-            else:
-                gates = ad.concat([x, h_prev], axis=1) @ w + b
-            i = ad.sigmoid(gates[:, 0:hidden])
-            f = ad.sigmoid(gates[:, hidden:2 * hidden])
-            g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
-            o = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
-            c_new = i * g if c_prev is None else f * c_prev + i * g
-            h_new = o * ad.tanh(c_new)
-            h_states[layer], c_states[layer] = h_new, c_new
-            x = h_new
+            gates = ad.concat([x, h_states[layer]], axis=1) @ w + b
+            x, c_states[layer] = lstm_cell(gates, c_states[layer], hidden)
+            h_states[layer] = x
         outputs.append(ad.tanh(x @ w_head + b_head))
     return outputs
 
@@ -195,23 +180,8 @@ def train_predictor(matrices: list, config: PredictorConfig) -> PredictorModel:
             loss = term if loss is None else loss + term
         return loss
 
-    graph = ad.ComputeGraph(build)
     rng = np.random.default_rng(config.seed)
-    params = _init_params(m, config, rng)
-    opt = Adam([p.shape for p in params], lr=config.learning_rate)
-    best_loss = np.inf
-    best_params = copy.deepcopy(params)
-    stale = 0
-    history = []
-    for _ in range(config.max_epochs):
-        loss, grads = ad.evaluate_with_gradients(graph, params, [inputs, targets])
-        history.append(loss)
-        if loss < best_loss - config.tol:
-            best_loss, best_params, stale = loss, copy.deepcopy(params), 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-        opt.step(params, grads)
-    return PredictorModel(m=m, config=config, params=best_params,
+    params, history = fit(build, _init_params(m, config, rng),
+                          [inputs, targets], config)
+    return PredictorModel(m=m, config=config, params=params,
                           loss_history=history)

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .correlation import CorrelationMatrix
 from .datasets import CLASSIFICATION, REGRESSION, DomainDataset
+from .nn import glorot
 from .optim import Adam
 
 __all__ = ["SimulatorConfig", "SimulatorModel", "elbo_loss", "corr_regularizer",
@@ -79,22 +80,20 @@ class SimulatorModel:
 
 
 def _init_params(m: int, config: SimulatorConfig, rng) -> list:
-    def glorot(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
     params = []
     in_dim = m
     for _ in range(config.encoder_layers):
-        params += [glorot(in_dim, config.encoder_dim), np.zeros((1, config.encoder_dim))]
+        params += [glorot(rng, in_dim, config.encoder_dim),
+                   np.zeros((1, config.encoder_dim))]
         in_dim = config.encoder_dim
-    params += [glorot(in_dim, config.latent_dim), np.zeros((1, config.latent_dim))]
-    params += [glorot(in_dim, config.latent_dim), np.zeros((1, config.latent_dim))]
+    params += [glorot(rng, in_dim, config.latent_dim), np.zeros((1, config.latent_dim))]
+    params += [glorot(rng, in_dim, config.latent_dim), np.zeros((1, config.latent_dim))]
     in_dim = config.latent_dim
     for _ in range(config.decoder_layers):
-        params += [glorot(in_dim, config.decoder_dim), np.zeros((1, config.decoder_dim))]
+        params += [glorot(rng, in_dim, config.decoder_dim),
+                   np.zeros((1, config.decoder_dim))]
         in_dim = config.decoder_dim
-    params += [glorot(in_dim, m), np.zeros((1, m))]
+    params += [glorot(rng, in_dim, m), np.zeros((1, m))]
     return params
 
 
@@ -175,9 +174,9 @@ def elbo_loss(model: SimulatorModel, batch: np.ndarray, noise: np.ndarray) -> fl
         raise ValueError(f"batch must be n x {model.m}, got {batch.shape}")
     if noise.shape != (batch.shape[0], model.config.latent_dim):
         raise ValueError("noise shape must be (rows, latent_dim)")
-    graph = ad.ComputeGraph(
-        lambda ps, ins: _neg_elbo_graph(ps, model.config, ins[0], ins[1], model.task))
-    loss, _ = ad.evaluate_with_gradients(graph, model.params, [batch, noise])
+    loss, _ = ad.evaluate_with_gradients(
+        lambda ps, ins: _neg_elbo_graph(ps, model.config, ins[0], ins[1], model.task),
+        model.params, [batch, noise])
     return loss
 
 
@@ -188,9 +187,8 @@ def corr_regularizer(batch: np.ndarray, target: CorrelationMatrix) -> float:
         raise ValueError("batch correlation needs at least 8 rows")
     if batch.shape[1] != target.dim:
         raise ValueError(f"batch has {batch.shape[1]} columns, target dim {target.dim}")
-    graph = ad.ComputeGraph(
-        lambda ps, ins: _regularizer_graph(ps[0], ins[0]))
-    loss, _ = ad.evaluate_with_gradients(graph, [batch], [target.entries])
+    loss, _ = ad.evaluate_with_gradients(
+        lambda ps, ins: _regularizer_graph(ps[0], ins[0]), [batch], [target.entries])
     return loss
 
 
@@ -208,17 +206,16 @@ def loss_snapshot(params: list, data: np.ndarray, target: CorrelationMatrix | No
     """
     rng = np.random.default_rng([seed, 104729])
     noise = rng.standard_normal((data.shape[0], config.latent_dim))
-    graph = ad.ComputeGraph(
-        lambda ps, ins: _neg_elbo_graph(ps, config, ins[0], ins[1], task))
-    loss = ad.evaluate_value(graph, params, [data, noise])
+    loss = ad.evaluate_value(
+        lambda ps, ins: _neg_elbo_graph(ps, config, ins[0], ins[1], task),
+        params, [data, noise])
     if config.lambda_c > 0 and target is not None:
         draws = max(SNAPSHOT_DRAWS, config.regularizer_draws)
         z = rng.standard_normal((draws, config.latent_dim))
-        graph_r = ad.ComputeGraph(
-            lambda ps, ins: _regularizer_graph(
-                _decode(ps, config, ins[0], task), ins[1]))
-        loss += config.lambda_c * ad.evaluate_value(graph_r, params,
-                                                    [z, target.entries])
+        loss += config.lambda_c * ad.evaluate_value(
+            lambda ps, ins: _regularizer_graph(_decode(ps, config, ins[0], task),
+                                               ins[1]),
+            params, [z, target.entries])
     return loss
 
 
@@ -268,8 +265,6 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
         gen = _decode(ps, config, ins[2], last_domain.task)
         return loss + _regularizer_graph(gen, ins[3]) * config.lambda_c
 
-    graph_plain = ad.ComputeGraph(build_plain)
-    graph_full = ad.ComputeGraph(build_full)
     opt = Adam([p.shape for p in params], lr=config.learning_rate)
     n = data.shape[0]
     best_stat = snapshot_init   # two-readout pair maximum, drives selection
@@ -289,9 +284,9 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
             if reg_on:
                 z = rng.standard_normal((config.regularizer_draws, config.latent_dim))
                 _, grads = ad.evaluate_with_gradients(
-                    graph_full, params, [rows, noise, z, target_corr.entries])
+                    build_full, params, [rows, noise, z, target_corr.entries])
             else:
-                _, grads = ad.evaluate_with_gradients(graph_plain, params,
+                _, grads = ad.evaluate_with_gradients(build_plain, params,
                                                       [rows, noise])
             opt.step(params, grads)
         snap = loss_snapshot(params, data, target_corr, config,

@@ -201,12 +201,11 @@ def _predictor_grad_instance(rng) -> float:
                   for s, out in enumerate(outs))
         if gap < KINK_GAP:
             continue
-        graph = ad.ComputeGraph(build)
-        _, grads = ad.evaluate_with_gradients(graph, params,
+        _, grads = ad.evaluate_with_gradients(build, params,
                                               [inputs, targets])
         if min(np.min(np.abs(g)) for g in grads) < GRAD_FLOOR:
             continue
-        return ad.grad_check(graph, params, [inputs, targets])
+        return ad.grad_check(build, params, [inputs, targets])
     raise AssertionError("no measurable instance found")
 
 
@@ -241,7 +240,7 @@ def _simulator_grad_instance(rng) -> float:
         off = ~np.eye(m, dtype=bool)
         if np.min(np.abs((corr - target)[off])) < KINK_GAP:
             continue
-        return ad.grad_check(ad.ComputeGraph(build), params,
+        return ad.grad_check(build, params,
                              [rows, noise, z, target])
     raise AssertionError("no kink-free instance found")
 

@@ -5,22 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
 from driftsim import autodiff as ad
-from driftsim.optim import Adam
+from driftsim.nn import lstm_cell
+from driftsim.optim import Adam, fit
 
 
 def test_square_loss_and_grad():
-    graph = ad.ComputeGraph(lambda params, inputs: ad.reduce_sum(ad.square(params[0])))
-    loss, grads = ad.evaluate_with_gradients(graph, [np.array(3.0)], [])
+    loss_fn = lambda params, inputs: ad.reduce_sum(ad.square(params[0]))
+    loss, grads = ad.evaluate_with_gradients(loss_fn, [np.array(3.0)], [])
     assert loss == 9.0
     assert grads[0] == pytest.approx(6.0)
 
 
 def test_sum_grad_is_ones():
     for shape in [(3,), (2, 4), ()]:
-        graph = ad.ComputeGraph(lambda params, inputs: ad.reduce_sum(params[0]))
+        loss_fn = lambda params, inputs: ad.reduce_sum(params[0])
         w = np.random.default_rng(0).normal(size=shape)
-        loss, grads = ad.evaluate_with_gradients(graph, [w], [])
+        loss, grads = ad.evaluate_with_gradients(loss_fn, [w], [])
         assert loss == pytest.approx(w.sum())
         np.testing.assert_array_equal(grads[0], np.ones(shape))
 
@@ -30,29 +33,29 @@ def test_matmul_mse_matches_finite_differences():
     a = rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2))
     c = rng.normal(size=(2, 2))
-    graph = ad.ComputeGraph(
-        lambda params, inputs: ad.reduce_mean(ad.square(params[0] @ params[1] - inputs[0])))
-    err = ad.grad_check(graph, [a, b], [c], step=1e-6)
+    loss_fn = lambda params, inputs: ad.reduce_mean(
+        ad.square(params[0] @ params[1] - inputs[0]))
+    err = ad.grad_check(loss_fn, [a, b], [c], step=1e-6)
     assert err < 1e-5
 
 
 def test_unused_parameter_gets_zero_grad():
-    graph = ad.ComputeGraph(lambda params, inputs: ad.reduce_sum(ad.square(params[0])))
-    _, grads = ad.evaluate_with_gradients(graph, [np.ones(2), np.ones(3)], [])
+    loss_fn = lambda params, inputs: ad.reduce_sum(ad.square(params[0]))
+    _, grads = ad.evaluate_with_gradients(loss_fn, [np.ones(2), np.ones(3)], [])
     np.testing.assert_array_equal(grads[1], np.zeros(3))
 
 
 def test_non_scalar_output_rejected():
-    graph = ad.ComputeGraph(lambda params, inputs: params[0] + 1.0)
+    loss_fn = lambda params, inputs: params[0] + 1.0
     with pytest.raises(ValueError):
-        ad.evaluate_with_gradients(graph, [np.ones(3)], [])
+        ad.evaluate_with_gradients(loss_fn, [np.ones(3)], [])
 
 
 def test_non_finite_loss_raises():
-    graph = ad.ComputeGraph(lambda params, inputs: ad.log(params[0]))
+    loss_fn = lambda params, inputs: ad.log(params[0])
     with np.errstate(invalid="ignore"):
         with pytest.raises(ad.NonFiniteLossError):
-            ad.evaluate_with_gradients(graph, [np.array(-1.0)], [])
+            ad.evaluate_with_gradients(loss_fn, [np.array(-1.0)], [])
 
 
 def test_matmul_shape_mismatch_raises():
@@ -64,10 +67,9 @@ def test_losses_are_deterministic():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 4))
     x = rng.normal(size=(4, 4))
-    graph = ad.ComputeGraph(
-        lambda params, inputs: ad.reduce_mean(ad.tanh(params[0] @ inputs[0])))
-    a = ad.evaluate_with_gradients(graph, [w], [x])
-    b = ad.evaluate_with_gradients(graph, [w], [x])
+    loss_fn = lambda params, inputs: ad.reduce_mean(ad.tanh(params[0] @ inputs[0]))
+    a = ad.evaluate_with_gradients(loss_fn, [w], [x])
+    b = ad.evaluate_with_gradients(loss_fn, [w], [x])
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1][0], b[1][0])
 
@@ -75,7 +77,7 @@ def test_losses_are_deterministic():
 # -- per-primitive gradient checks ----------------------------------------
 
 def _check(build, params, inputs=(), tol=1e-6, step=1e-6):
-    err = ad.grad_check(ad.ComputeGraph(build), list(params), list(inputs), step=step)
+    err = ad.grad_check(build, list(params), list(inputs), step=step)
     assert err < tol, f"max relative error {err}"
 
 
@@ -147,16 +149,18 @@ def test_gated_recurrent_cell_gradient():
         wmat, b = params
         xin, hin, cin = inputs
         stacked = ad.concat([xin, hin], axis=1)
-        gates = stacked @ wmat + b
-        i = ad.sigmoid(gates[:, 0:5])
-        f = ad.sigmoid(gates[:, 5:10])
-        g = ad.tanh(gates[:, 10:15])
-        o = ad.sigmoid(gates[:, 15:20])
-        c_new = f * cin + i * g
-        h_new = o * ad.tanh(c_new)
-        return ad.reduce_sum(ad.square(h_new))
+        h_new, c_new = lstm_cell(stacked @ wmat + b, cin, 5)
+        return ad.reduce_sum(ad.square(h_new)) + ad.reduce_sum(c_new)
 
     _check(build, [w, bias], [x, h, cell], tol=1e-4)
+
+
+def test_lstm_cell_first_step_is_zero_cell_state():
+    gates = ad.constant(np.random.default_rng(16).normal(size=(1, 12)))
+    h0, c0 = lstm_cell(gates, None, 3)
+    h1, c1 = lstm_cell(gates, ad.constant(np.zeros((1, 3))), 3)
+    np.testing.assert_allclose(h0.value, h1.value, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(c0.value, c1.value, rtol=0, atol=1e-15)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
@@ -208,15 +212,42 @@ def test_adam_rejects_shape_mismatch():
 
 
 def test_adam_drives_quadratic_toward_minimum():
-    graph = ad.ComputeGraph(
-        lambda params, inputs: ad.reduce_sum(ad.square(params[0] - inputs[0])))
+    loss_fn = lambda params, inputs: ad.reduce_sum(ad.square(params[0] - inputs[0]))
     target = np.array([1.0, -2.0, 0.5])
     params = [np.zeros(3)]
     opt = Adam([p.shape for p in params], lr=0.05)
     losses = []
     for _ in range(400):
-        loss, grads = ad.evaluate_with_gradients(graph, params, [target])
+        loss, grads = ad.evaluate_with_gradients(loss_fn, params, [target])
         losses.append(loss)
         opt.step(params, grads)
     assert losses[-1] < 1e-3
     np.testing.assert_allclose(params[0], target, atol=0.05)
+
+
+def _quadratic(params, inputs):
+    return ad.reduce_sum(ad.square(params[0] - inputs[0]))
+
+
+def test_fit_returns_the_params_that_scored_min_history():
+    # a step size this large makes Adam overshoot and oscillate around the
+    # minimum, so the last params are not the best ones
+    target = np.array([1.0, -2.0, 0.5])
+    config = SimpleNamespace(learning_rate=0.7, max_epochs=60, patience=8,
+                             tol=0.0)
+    best, history = fit(_quadratic, [np.zeros(3)], [target], config)
+    assert min(history) < history[-1]
+    assert ad.evaluate_value(_quadratic, best, [target]) == min(history)
+
+
+def test_fit_stops_after_patience_stale_epochs():
+    target = np.array([1.0, -2.0, 0.5])
+    config = SimpleNamespace(learning_rate=0.7, max_epochs=500, patience=8,
+                             tol=1e-3)
+    _, history = fit(_quadratic, [np.zeros(3)], [target], config)
+    best, last_kept = np.inf, None
+    for epoch, loss in enumerate(history):
+        if loss < best - config.tol:
+            best, last_kept = loss, epoch
+    assert len(history) < config.max_epochs
+    assert len(history) - 1 - last_kept == config.patience

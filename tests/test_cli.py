@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from driftsim import autodiff, cli, harness
 from driftsim.cli import load_run_config, main
 from driftsim.datasets import CsvSchema, load_csv_stream
 
@@ -114,6 +115,71 @@ def test_run_exit_codes_for_bad_configs(tmp_path):
     bad_field = write_cfg(tmp_path, {**TINY_CFG,
                                      "simulator": {"batch_size": 2}})
     assert main(["run", "--config", bad_field]) == 2
+    for seeds in (["a"], [True], [0.5], [-1], 3):
+        bad_seeds = write_cfg(tmp_path, {**TINY_CFG, "seeds": seeds})
+        assert main(["run", "--config", bad_seeds]) == 2
+    for rate in ("1", True, None):
+        bad_rate = write_cfg(tmp_path, {**TINY_CFG, "sample_rate": rate})
+        assert main(["run", "--config", bad_rate]) == 2
+    bad_moons = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
+        "kind": "moons", "domains": 1}})
+    assert main(["run", "--config", bad_moons]) == 2
+    one_class = tmp_path / "one_class.csv"
+    one_class.write_text("t,y,a\n0,0,1.0\n0,1,2.0\n0,1,2.5\n"
+                         "1,1,1.5\n1,1,2.5\n2,0,1.1\n2,1,2.1\n")
+    single_class = write_cfg(tmp_path, {**TINY_CFG, "methods": ["coda"],
+                                        "dataset": {"kind": "csv",
+                                                    "path": str(one_class)}})
+    assert main(["run", "--config", single_class]) == 2
+    missing_csv = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
+        "kind": "csv", "path": str(tmp_path / "absent.csv")}})
+    assert main(["run", "--config", missing_csv]) == 2
+
+
+def test_gen_moons_bad_dataset_is_usage_error(tmp_path):
+    assert main(["gen-moons", "--domains", "1", "--out", str(tmp_path)]) == 2
+    assert main(["gen-moons", "--n", "3", "--out", str(tmp_path)]) == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_gen_moons_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
+    def broken_save(dataset, path):
+        with open(path, "w") as fh:
+            fh.write("partial")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(cli, "save_domain_csv", broken_save)
+    with pytest.raises(RuntimeError):
+        main(["gen-moons", "--domains", "3", "--n", "20", "--out",
+              str(tmp_path)])
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_non_finite_gradient_is_numeric_failure(tmp_path, monkeypatch):
+    real = autodiff.evaluate_with_gradients
+
+    def nan_grads(loss_fn, params, inputs):
+        loss, grads = real(loss_fn, params, inputs)
+        return loss, [np.full_like(g, np.nan) for g in grads]
+
+    monkeypatch.setattr(autodiff, "evaluate_with_gradients", nan_grads)
+    cfg = write_cfg(tmp_path, TINY_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
+
+def test_run_artifacts_reuse_the_run_models(tmp_path, monkeypatch):
+    calls = []
+    real = harness.train_predictor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_predictor", counted)
+    cfg = write_cfg(tmp_path, PIPELINE_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--artifacts"]) == 0
+    assert len(calls) == 1
 
 
 def test_load_run_config_defaults_match_pipeline_defaults(tmp_path):

@@ -192,5 +192,5 @@ def test_sequence_loss_gradients_match_finite_differences():
                 loss = term if loss is None else loss + term
             return loss
 
-        err = ad.grad_check(ad.ComputeGraph(build), params, [seq, tgt], step=1e-6)
+        err = ad.grad_check(build, params, [seq, tgt], step=1e-6)
         assert err < 1e-4, f"trial {trial}: {err}"

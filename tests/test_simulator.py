@@ -102,8 +102,8 @@ def test_regularizer_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     batch = rng.uniform(-0.9, 0.9, (12, 3))
     target = np.eye(3)
-    graph = ad.ComputeGraph(lambda ps, ins: sm._regularizer_graph(ps[0], ins[0]))
-    worst = ad.grad_check(graph, [batch], [target])
+    worst = ad.grad_check(lambda ps, ins: sm._regularizer_graph(ps[0], ins[0]),
+                          [batch], [target])
     assert worst < 1e-4
 
 
@@ -130,7 +130,7 @@ def test_training_objective_gradient_matches_finite_differences():
         gen = sm._decode(ps, config, ins[2], CLASSIFICATION)
         return loss + sm._regularizer_graph(gen, ins[3]) * config.lambda_c
 
-    worst = ad.grad_check(ad.ComputeGraph(build), params, [rows, noise, z, target])
+    worst = ad.grad_check(build, params, [rows, noise, z, target])
     assert worst < 1e-4
 
 
