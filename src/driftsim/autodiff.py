@@ -455,21 +455,15 @@ def grad_check(loss_fn: LossFn, params, inputs, step: float = 1e-6) -> float:
         raise ValueError("finite-difference step must be positive")
     params = [np.asarray(p, dtype=np.float64) for p in params]
     _, grads = evaluate_with_gradients(loss_fn, params, inputs)
-
-    def value_at(ps):
-        out = loss_fn([leaf(p, requires_grad=False) for p in ps],
-                      [leaf(x, requires_grad=False) for x in inputs])
-        return float(out.value)
-
     worst = 0.0
     for i, p in enumerate(params):
         flat = p.ravel()
         for j in range(flat.size):
             bumped = [q.copy() for q in params]
             bumped[i].ravel()[j] = flat[j] + step
-            hi = value_at(bumped)
+            hi = evaluate_value(loss_fn, bumped, inputs)
             bumped[i].ravel()[j] = flat[j] - step
-            lo = value_at(bumped)
+            lo = evaluate_value(loss_fn, bumped, inputs)
             numeric = (hi - lo) / (2.0 * step)
             analytic = grads[i].ravel()[j]
             err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))

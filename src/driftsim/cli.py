@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -86,9 +85,32 @@ def _take(block: dict, context: str, allowed: dict) -> dict:
     return {**allowed, **block}
 
 
+_KINDS = {int: "an integer", float: "a finite number", tuple: "a list of integers"}
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value can stand in for a config field's default: an int
+    field takes a non-bool int, a float field a non-bool finite number, a
+    tuple field a list of such values."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _dataclass_overrides(block: dict, context: str, cls):
+    defaults = asdict(cls())
+    fields = _take(block, context, defaults)
+    for key, value in block.items():
+        if not _fits(value, defaults[key]):
+            raise ConfigError(f"{context}: {key} must be "
+                              f"{_KINDS[type(defaults[key])]}, got {value!r}")
     try:
-        return cls(**_take(block, context, asdict(cls())))
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in fields.items()})
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
@@ -158,13 +180,10 @@ def load_run_config(path: str):
     if not isinstance(top["methods"], list):
         raise ConfigError("methods: expected a list of method names")
     seeds, rate = top["seeds"], top["sample_rate"]
-    if not (isinstance(seeds, list) and all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 0
-            for s in seeds)):
+    if not (_fits(seeds, (0,)) and all(s >= 0 for s in seeds)):
         raise ConfigError(f"seeds: expected a list of non-negative integers, "
                           f"got {seeds!r}")
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
-            or not math.isfinite(rate):
+    if not _fits(rate, 1.0):
         raise ConfigError(f"sample_rate: expected a finite number, got {rate!r}")
     for method in top["methods"]:
         if method not in METHODS:
@@ -263,20 +282,14 @@ def cmd_run(args) -> int:
 def cmd_verify_bound(args) -> int:
     if args.pairs < 1:
         raise ConfigError("--pairs must be at least 1")
-
-    def one(index: int):
-        rng = np.random.default_rng([args.seed, index])
-        p, q = random_distribution_pair(rng, max_dim=args.dims,
+    rows = []
+    bad = 0
+    for index in range(args.pairs):
+        p, q = random_distribution_pair(np.random.default_rng([args.seed, index]),
+                                        max_dim=args.dims,
                                         max_support=args.max_support)
         bound = verify_bound(p, q)
         moments = check_moment_deltas(p, q)
-        return bound, moments
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(one, range(args.pairs)))
-    rows = []
-    bad = 0
-    for bound, moments in results:
         ok = (not bound.violated) and moments.ok
         bad += 0 if ok else 1
         rows.append({**bound.to_dict(), "moment_deltas_ok": bool(moments.ok)})
@@ -297,15 +310,9 @@ def cmd_sweep(args) -> int:
                           f"got {args.values!r}") from None
     if not values:
         raise ConfigError("--values: need at least one value")
-    method = methods[0]
-
-    def one(value):
-        return sweep(stream, args.param, [value], config, method=method,
-                     validate=args.validate)[0]
-
     try:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            points = list(pool.map(one, values))
+        points = sweep(stream, args.param, values, config, method=methods[0],
+                       validate=args.validate)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     header = "value,mean,std" + (",val_mean,val_std" if args.validate else "")
@@ -361,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--dims", type=int, default=4)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", default=None)
-    ver.add_argument("--threads", type=int, default=1)
     ver.set_defaults(func=cmd_verify_bound)
 
     swp = sub.add_parser("sweep", help="one experiment per parameter value, "
@@ -375,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also score against the last source domain held "
                           "out as a pseudo-target")
     swp.add_argument("--out", default=None)
-    swp.add_argument("--threads", type=int, default=1)
     swp.set_defaults(func=cmd_sweep)
     return parser
 

@@ -27,6 +27,7 @@ __all__ = [
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+NORMALIZATIONS = ("minmax", "zscore")
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ class NormalizationStats:
 def fit_apply_normalization(stream: DomainStream,
                             mode: str = "minmax") -> tuple[DomainStream, NormalizationStats]:
     """Fit per-column maps on the sources, apply to sources and target alike."""
-    if mode not in ("minmax", "zscore"):
+    if mode not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization mode {mode!r}")
     x = np.vstack([s.features for s in stream.sources])
     if mode == "minmax":

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .datasets import CLASSIFICATION, DomainDataset, DomainStream
-from .nn import glorot, lstm_cell
+from .nn import dense_params, glorot, lstm_cell
 from .optim import fit
 
 __all__ = ["DensityGrid", "PrelimConfig", "default_grid", "kde_density",
@@ -153,9 +153,7 @@ def _init_prelim(d: int, n_rows: int, config: PrelimConfig, rng) -> list:
     w_e = glorot(rng, config.embed_dim, hd)
     w_s = glorot(rng, hd, hd)
     b_mix = np.zeros((1, hd))
-    w_out = glorot(rng, hd, d)
-    b_out = np.zeros((1, d))
-    return [w_x, w_h, b, embed, w_e, w_s, b_mix, w_out, b_out]
+    return [w_x, w_h, b, embed, w_e, w_s, b_mix, *dense_params(rng, (hd, d))]
 
 
 def _lstm_states(params, summaries):

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .correlation import pearson_matrix
-from .datasets import (CLASSIFICATION, REGRESSION, DomainDataset, DomainStream,
+from .datasets import (CLASSIFICATION, NORMALIZATIONS, DomainDataset, DomainStream,
                        NormalizationStats, fit_apply_normalization)
-from .nn import glorot
+from .nn import dense_params, mlp
 from .optim import fit
 from .predictor import PredictorConfig, predict_next, train_predictor
 from .simulator import SimulatorConfig, sample, train_simulator
@@ -60,10 +60,7 @@ class DownstreamModel:
 
 
 def _forward_mlp(params, x, task):
-    h = x
-    for i in range(0, len(params) - 2, 2):
-        h = ad.relu(h @ params[i] + params[i + 1])
-    out = h @ params[-2] + params[-1]
+    out = mlp(params, x, ad.relu)
     return ad.sigmoid(out) if task == CLASSIFICATION else out
 
 
@@ -81,11 +78,8 @@ def train_downstream(train_data: DomainDataset, config: DownstreamConfig,
     """Adam-fit a ReLU feedforward net to one training domain, from a fresh
     Glorot init or, for fine-tuning, from a copy of `init_params`."""
     if init_params is None:
-        rng = np.random.default_rng(config.seed)
-        params, in_dim = [], train_data.d
-        for h in (*config.hidden_dims, 1):
-            params += [glorot(rng, in_dim, h), np.zeros((1, h))]
-            in_dim = h
+        params = dense_params(np.random.default_rng(config.seed),
+                              (train_data.d, *config.hidden_dims, 1))
     else:
         params = copy.deepcopy(init_params)
     params, history = fit(
@@ -122,6 +116,9 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if self.normalization not in NORMALIZATIONS:
+            raise ValueError(f"unknown normalization {self.normalization!r}; "
+                             f"expected one of {list(NORMALIZATIONS)}")
 
 
 @dataclass(frozen=True)
@@ -160,13 +157,12 @@ def _assemble_training_set(stream: DomainStream, method: str,
         sim = train_simulator(sources[-1], c_hat,
                               replace(config.simulator, seed=seed))
         n = max(8, round(stream.target.n * config.sample_rate))
-        return sample(sim, n, seed=seed + 101), {"predicted_corr": c_hat,
-                                                 "simulator": sim}
+        return sample(sim, n, seed=seed + 101), {"predicted_corr": c_hat}
     if method == "coda-without-C":
         sim = train_simulator(sources[-1], None,
                               replace(config.simulator, seed=seed, lambda_c=0.0))
         n = max(8, round(stream.target.n * config.sample_rate))
-        return sample(sim, n, seed=seed + 101), {"simulator": sim}
+        return sample(sim, n, seed=seed + 101), {}
     if method == "lastdomain":
         return sources[-1], {}
     if method == "offline":
@@ -214,7 +210,7 @@ def run_experiment(stream, method: str, config: ExperimentConfig) -> ExperimentR
         concrete = stream(seed) if callable(stream) else stream
         runs.append(_run_single(concrete, method, config, seed))
     values, train_sets, extras = zip(*runs)
-    metric = "mce_percent" if _task_of(stream) == CLASSIFICATION else "mae"
+    metric = "mce_percent" if concrete.task == CLASSIFICATION else "mae"
     arr = np.array(values)
     std = float(arr.std(ddof=1)) if len(values) > 1 else 0.0
     return ExperimentReport(
@@ -222,11 +218,6 @@ def run_experiment(stream, method: str, config: ExperimentConfig) -> ExperimentR
         mean=float(arr.mean()), std=std,
         config_snapshot=_snapshot(config), wall_clock_s=time.perf_counter() - t0,
         train_sets=train_sets, extras=extras)
-
-
-def _task_of(stream) -> str:
-    concrete = stream(0) if callable(stream) else stream
-    return concrete.task
 
 
 def _snapshot(config: ExperimentConfig) -> dict:

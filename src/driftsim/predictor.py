@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .correlation import CorrelationMatrix, flatten_upper, unflatten_upper
-from .nn import glorot, lstm_cell
+from .nn import dense_params, glorot, lstm_cell
 from .optim import fit
 
 __all__ = ["PredictorConfig", "PredictorModel", "predict_next", "cp_loss",
@@ -66,7 +66,7 @@ def _init_params(m: int, config: PredictorConfig, rng) -> list:
     """Glorot-uniform weights, zero biases except forget gates at +1."""
     p = m * (m - 1) // 2
     h, lat = config.hidden_dim, config.latent_dim
-    params = [glorot(rng, p, lat), np.zeros((1, lat))]
+    params = dense_params(rng, (p, lat))
     in_dim = lat
     for _ in range(config.layers):
         params.append(glorot(rng, in_dim + h, 4 * h))
@@ -74,9 +74,7 @@ def _init_params(m: int, config: PredictorConfig, rng) -> list:
         bias[0, h:2 * h] = 1.0  # forget gate opens at init
         params.append(bias)
         in_dim = h
-    params.append(glorot(rng, h, p))
-    params.append(np.zeros((1, p)))
-    return params
+    return params + dense_params(rng, (h, p))
 
 
 def _forward_sequence(params: list, rows: list, layers: int, hidden: int) -> list:

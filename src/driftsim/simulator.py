@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .correlation import CorrelationMatrix
 from .datasets import CLASSIFICATION, REGRESSION, DomainDataset
-from .nn import glorot
+from .nn import dense_params, mlp
 from .optim import Adam
 
 __all__ = ["SimulatorConfig", "SimulatorModel", "elbo_loss", "corr_regularizer",
@@ -80,49 +80,24 @@ class SimulatorModel:
 
 
 def _init_params(m: int, config: SimulatorConfig, rng) -> list:
-    params = []
-    in_dim = m
-    for _ in range(config.encoder_layers):
-        params += [glorot(rng, in_dim, config.encoder_dim),
-                   np.zeros((1, config.encoder_dim))]
-        in_dim = config.encoder_dim
-    params += [glorot(rng, in_dim, config.latent_dim), np.zeros((1, config.latent_dim))]
-    params += [glorot(rng, in_dim, config.latent_dim), np.zeros((1, config.latent_dim))]
-    in_dim = config.latent_dim
-    for _ in range(config.decoder_layers):
-        params += [glorot(rng, in_dim, config.decoder_dim),
-                   np.zeros((1, config.decoder_dim))]
-        in_dim = config.decoder_dim
-    params += [glorot(rng, in_dim, m), np.zeros((1, m))]
-    return params
-
-
-def _split_params(params: list, config: SimulatorConfig):
-    enc_end = 2 * config.encoder_layers
-    trunk = params[:enc_end]
-    mu_head = params[enc_end:enc_end + 2]
-    lv_head = params[enc_end + 2:enc_end + 4]
-    dec = params[enc_end + 4:]
-    return trunk, mu_head, lv_head, dec
+    """Flat layout: encoder trunk, mu head, log-variance head, decoder."""
+    head = (config.encoder_dim, config.latent_dim)
+    return (dense_params(rng, (m, *[config.encoder_dim] * config.encoder_layers))
+            + dense_params(rng, head) + dense_params(rng, head)
+            + dense_params(rng, (config.latent_dim,
+                                 *[config.decoder_dim] * config.decoder_layers, m)))
 
 
 def _encode(params, config, rows):
-    trunk, mu_head, lv_head, _ = _split_params(params, config)
-    h = rows
-    for i in range(0, len(trunk), 2):
-        h = ad.tanh(h @ trunk[i] + trunk[i + 1])
-    mu = h @ mu_head[0] + mu_head[1]
-    logvar = h @ lv_head[0] + lv_head[1]
-    return mu, logvar
+    """(mu, logvar) of q(z | rows): a tanh trunk and two linear heads."""
+    k = 2 * config.encoder_layers
+    h = ad.tanh(mlp(params[:k], rows, ad.tanh))
+    return h @ params[k] + params[k + 1], h @ params[k + 2] + params[k + 3]
 
 
 def _decode(params, config, z, task):
-    _, _, _, dec = _split_params(params, config)
-    h = z
-    for i in range(0, len(dec) - 2, 2):
-        h = ad.tanh(h @ dec[i] + dec[i + 1])
-    out = h @ dec[-2] + dec[-1]
-    m = dec[-1].shape[1]
+    out = mlp(params[2 * config.encoder_layers + 4:], z, ad.tanh)
+    m = out.shape[1]
     features = ad.tanh(out[:, 0:m - 1])
     label = ad.sigmoid(out[:, m - 1:m]) if task == CLASSIFICATION \
         else ad.tanh(out[:, m - 1:m])
@@ -167,17 +142,16 @@ def elbo_loss(model: SimulatorModel, batch: np.ndarray, noise: np.ndarray) -> fl
     """Negative ELBO of a batch of [X | y] rows under the current weights.
 
     `noise` is the reparameterization draw, one row per batch row, passed in
-    explicitly so the value (and its gradients) are deterministic.
+    explicitly so the value is deterministic.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] < 1 or batch.shape[1] != model.m:
         raise ValueError(f"batch must be n x {model.m}, got {batch.shape}")
     if noise.shape != (batch.shape[0], model.config.latent_dim):
         raise ValueError("noise shape must be (rows, latent_dim)")
-    loss, _ = ad.evaluate_with_gradients(
+    return ad.evaluate_value(
         lambda ps, ins: _neg_elbo_graph(ps, model.config, ins[0], ins[1], model.task),
         model.params, [batch, noise])
-    return loss
 
 
 def corr_regularizer(batch: np.ndarray, target: CorrelationMatrix) -> float:
@@ -187,9 +161,8 @@ def corr_regularizer(batch: np.ndarray, target: CorrelationMatrix) -> float:
         raise ValueError("batch correlation needs at least 8 rows")
     if batch.shape[1] != target.dim:
         raise ValueError(f"batch has {batch.shape[1]} columns, target dim {target.dim}")
-    loss, _ = ad.evaluate_with_gradients(
+    return ad.evaluate_value(
         lambda ps, ins: _regularizer_graph(ps[0], ins[0]), [batch], [target.entries])
-    return loss
 
 
 def loss_snapshot(params: list, data: np.ndarray, target: CorrelationMatrix | None,

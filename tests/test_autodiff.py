@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from driftsim import autodiff as ad
-from driftsim.nn import lstm_cell
+from driftsim.nn import dense_params, glorot, lstm_cell, mlp
 from driftsim.optim import Adam, fit
 
 
@@ -161,6 +161,20 @@ def test_lstm_cell_first_step_is_zero_cell_state():
     h1, c1 = lstm_cell(gates, ad.constant(np.zeros((1, 3))), 3)
     np.testing.assert_allclose(h0.value, h1.value, rtol=0, atol=1e-15)
     np.testing.assert_allclose(c0.value, c1.value, rtol=0, atol=1e-15)
+
+
+def test_dense_stack_matches_glorot_draws_and_numpy():
+    params = dense_params(np.random.default_rng(17), (3, 5, 2))
+    rng = np.random.default_rng(17)
+    expected = [glorot(rng, 3, 5), np.zeros((1, 5)), glorot(rng, 5, 2), np.zeros((1, 2))]
+    assert len(params) == 4
+    for got, want in zip(params, expected):
+        assert np.array_equal(got, want)
+    x = np.random.default_rng(18).normal(size=(4, 3))
+    params[1] += 0.5  # nonzero bias, so the bias term is checked too
+    out = mlp([ad.constant(p) for p in params], ad.constant(x), ad.tanh)
+    want = np.tanh(x @ params[0] + params[1]) @ params[2] + params[3]
+    np.testing.assert_allclose(out.value, want, rtol=0, atol=1e-15)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
