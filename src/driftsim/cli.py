@@ -10,29 +10,32 @@ overrides it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import check_moment_deltas, random_distribution_pair, verify_bound
 from .correlation import pearson_matrix
-from .datasets import (CLASSIFICATION, REGRESSION, CsvSchema, load_csv_stream,
-                       make_moons_stream, save_domain_csv,
+from .datasets import (CLASSIFICATION, CsvSchema, DomainStream,
+                       load_csv_stream, make_moons_stream, save_domain_csv,
                        fit_apply_normalization)
-from .harness import (METHODS, DownstreamConfig, ExperimentConfig,
-                      ExperimentReport, run_experiment, sweep)
-from .predictor import PredictorConfig
-from .simulator import SimulatorConfig
+from .harness import (METHODS, ExperimentConfig, ExperimentReport,
+                      run_experiment, sweep)
 
 __all__ = ["main", "load_run_config"]
 
 GENERATIVE = ("coda", "coda-without-C", "prelim")
+# the moons dataset block and the gen-moons flags are make_moons_stream's
+# keyword arguments, with its defaults
+MOONS_DEFAULTS = {name: p.default for name, p in
+                  inspect.signature(make_moons_stream).parameters.items()}
 
 
 # -- atomic file output ------------------------------------------------------
@@ -77,12 +80,14 @@ class ConfigError(ValueError):
     """Malformed run-config JSON (usage error, exit 2)."""
 
 
-def _take(block: dict, context: str, allowed: dict) -> dict:
+def _check_keys(block, context: str, allowed) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{context}: expected a JSON object, "
+                          f"got {type(block).__name__}")
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}; "
                           f"expected a subset of {sorted(allowed)}")
-    return {**allowed, **block}
 
 
 _KINDS = {int: "an integer", float: "a finite number", tuple: "a list of integers"}
@@ -101,45 +106,50 @@ def _fits(value, default) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
-def _dataclass_overrides(block: dict, context: str, cls):
-    defaults = asdict(cls())
-    fields = _take(block, context, defaults)
+def _overrides(block, context: str, default):
+    """`default` with the fields a JSON object names replaced. A field whose
+    default is a config dataclass takes a nested object; any other field
+    takes a value of its default's type, a list becoming a tuple."""
+    _check_keys(block, context, [f.name for f in fields(default)])
+    changes = {}
     for key, value in block.items():
-        if not _fits(value, defaults[key]):
+        current = getattr(default, key)
+        if is_dataclass(current):
+            changes[key] = _overrides(value, key, current)
+        elif _fits(value, current):
+            changes[key] = tuple(value) if isinstance(value, list) else value
+        else:
             raise ConfigError(f"{context}: {key} must be "
-                              f"{_KINDS[type(defaults[key])]}, got {value!r}")
+                              f"{_KINDS[type(current)]}, got {value!r}")
     try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v
-                      for k, v in fields.items()})
+        return replace(default, **changes)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
-def _build_stream(block: dict):
+def _build_stream(block) -> DomainStream:
+    if not isinstance(block, dict):
+        raise ConfigError(f"dataset: expected a JSON object, "
+                          f"got {type(block).__name__}")
     kind = block.get("kind")
+    options = {k: v for k, v in block.items() if k != "kind"}
     if kind == "moons":
-        fields = _take(block, "dataset", {
-            "kind": "moons", "domains": 10, "n_per_domain": 200,
-            "noise_std": 0.15, "seed": 0})
-        return _moons_stream(fields["domains"], fields["n_per_domain"],
-                             fields["noise_std"], fields["seed"])
+        _check_keys(block, "dataset", ("kind", *MOONS_DEFAULTS))
+        return _moons_stream(**options)
     if kind == "csv":
-        fields = _take(block, "dataset", {
-            "kind": "csv", "path": None, "domain_col": "t", "label_col": "y",
-            "feature_cols": [], "task": CLASSIFICATION})
-        if not fields["path"]:
+        _check_keys(block, "dataset", ("kind", "path", "domain_col",
+                                       "label_col", "feature_cols", "task"))
+        path = options.pop("path", None)
+        if not (isinstance(path, str) and path):
             raise ConfigError("dataset: csv kind requires a path")
-        if fields["task"] not in (CLASSIFICATION, REGRESSION):
-            raise ConfigError(f"dataset: unknown task {fields['task']!r}")
+        schema = {"domain_col": "t", "label_col": "y",
+                  **{k: tuple(v) if isinstance(v, list) else v
+                     for k, v in options.items()}}
         try:
-            schema = CsvSchema(domain_col=fields["domain_col"],
-                               label_col=fields["label_col"],
-                               feature_cols=tuple(fields["feature_cols"]),
-                               task=fields["task"])
-            stream = load_csv_stream(fields["path"], schema)
+            stream = load_csv_stream(path, CsvSchema(**schema))
         except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset: {exc}") from None
-        if schema.task == CLASSIFICATION:
+        if stream.task == CLASSIFICATION:
             for dom in (*stream.sources, stream.target):
                 if np.unique(dom.labels).size < 2:
                     raise ConfigError(
@@ -149,19 +159,19 @@ def _build_stream(block: dict):
     raise ConfigError(f"dataset: unknown kind {kind!r}; expected moons or csv")
 
 
-def _moons_stream(domains, n_per_domain, noise_std, seed):
+def _moons_stream(**kwargs) -> DomainStream:
     try:
-        return make_moons_stream(domains=domains, n_per_domain=n_per_domain,
-                                 noise_std=noise_std, seed=seed)
+        return make_moons_stream(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"moons: {exc}") from None
 
 
 def load_run_config(path: str):
-    """Parse a run-config JSON file into (stream, methods, ExperimentConfig).
+    """Parse a run-config JSON file into (stream, methods, ExperimentConfig,
+    output_dir).
 
-    Every omitted field falls back to the pipeline defaults; unknown keys at
-    any level are rejected rather than silently ignored.
+    Every omitted field keeps its dataclass default; unknown keys at any
+    level are rejected rather than silently ignored.
     """
     try:
         with open(path) as fh:
@@ -170,56 +180,38 @@ def load_run_config(path: str):
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    top = _take(raw, path, {
-        "dataset": {"kind": "moons"}, "methods": ["coda"],
-        "seeds": [0, 1, 2, 3, 4], "sample_rate": 1.0,
-        "normalization": "minmax", "output_dir": None,
-        "predictor": {}, "simulator": {}, "downstream": {}})
-    if not isinstance(top["methods"], list):
+    # dataset, methods and output_dir are read here; every other key is a
+    # field of ExperimentConfig
+    _check_keys(raw, path, ["dataset", "methods", "output_dir",
+                            *(f.name for f in fields(ExperimentConfig))])
+    dataset = raw.pop("dataset", {"kind": "moons"})
+    methods = raw.pop("methods", ["coda"])
+    output_dir = raw.pop("output_dir", None)
+    if not isinstance(methods, list):
         raise ConfigError("methods: expected a list of method names")
-    seeds, rate = top["seeds"], top["sample_rate"]
-    if not (_fits(seeds, (0,)) and all(s >= 0 for s in seeds)):
-        raise ConfigError(f"seeds: expected a list of non-negative integers, "
-                          f"got {seeds!r}")
-    if not _fits(rate, 1.0):
-        raise ConfigError(f"sample_rate: expected a finite number, got {rate!r}")
-    for method in top["methods"]:
+    for method in methods:
         if method not in METHODS:
             raise ConfigError(f"methods: unknown method {method!r}; "
                               f"expected a subset of {list(METHODS)}")
-    if not top["methods"]:
+    if not methods:
         raise ConfigError("methods: need at least one")
-    stream = _build_stream(dict(top["dataset"]))
-    try:
-        config = ExperimentConfig(
-            predictor=_dataclass_overrides(top["predictor"], "predictor",
-                                           PredictorConfig),
-            simulator=_dataclass_overrides(top["simulator"], "simulator",
-                                           SimulatorConfig),
-            downstream=_dataclass_overrides(top["downstream"], "downstream",
-                                            DownstreamConfig),
-            seeds=tuple(top["seeds"]), sample_rate=top["sample_rate"],
-            normalization=top["normalization"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return stream, list(top["methods"]), config, top["output_dir"]
+    config = _overrides(raw, path, ExperimentConfig())
+    return _build_stream(dataset), methods, config, output_dir
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_gen_moons(args) -> int:
     out = _out_dir(args.out)
-    stream = _moons_stream(args.domains, args.n, args.noise, args.seed)
+    options = {name: getattr(args, name) for name in MOONS_DEFAULTS}
+    stream = _moons_stream(**options)
     files = []
     for dom in (*stream.sources, stream.target):
         name = f"moons_domain_{dom.domain_index:02d}.csv"
         _write_csv(os.path.join(out, name), dom)
         files.append(name)
-    _write_json(os.path.join(out, "moons_manifest.json"), {
-        "domains": args.domains, "n_per_domain": args.n, "noise_std": args.noise,
-        "seed": args.seed, "files": files})
+    _write_json(os.path.join(out, "moons_manifest.json"),
+                {**options, "files": files})
     print(f"wrote {len(files)} domain files to {out}")
     return 0
 
@@ -232,7 +224,7 @@ def _dump_artifacts(stream, report: ExperimentReport, config: ExperimentConfig,
     if method not in GENERATIVE:
         return []
     train_set, extra = report.train_sets[0], report.extras[0]
-    normalized, stats = fit_apply_normalization(stream, config.normalization)
+    normalized, stats = fit_apply_normalization(stream)
     written = []
     if method == "coda":
         lines = ["matrix,row,col,value"]
@@ -345,10 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-moons", help="write the rotating-moons benchmark "
                                            "as per-domain CSV files")
-    gen.add_argument("--domains", type=int, default=10)
-    gen.add_argument("--n", type=int, default=200)
-    gen.add_argument("--noise", type=float, default=0.15)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--domains", type=int, default=MOONS_DEFAULTS["domains"])
+    gen.add_argument("--n", dest="n_per_domain", type=int,
+                     default=MOONS_DEFAULTS["n_per_domain"])
+    gen.add_argument("--noise", dest="noise_std", type=float,
+                     default=MOONS_DEFAULTS["noise_std"])
+    gen.add_argument("--seed", type=int, default=MOONS_DEFAULTS["seed"])
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen_moons)
 

@@ -27,7 +27,6 @@ __all__ = [
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
-NORMALIZATIONS = ("minmax", "zscore")
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,8 @@ def make_moons_domain(n: int, domain_index: int, noise_std: float = 0.15,
         raise ValueError("n must be at least 2")
     if n % 2:
         raise ValueError("n must be even (half the points per moon)")
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
+    if not 0 <= noise_std < math.inf:  # also rejects NaN
+        raise ValueError("noise_std must be finite and non-negative")
     rng = np.random.default_rng([seed, domain_index])
     pts, labels = _canonical_moons(n, noise_std, rng)
     angle = math.radians(18.0 * domain_index)
@@ -236,13 +235,12 @@ def save_domain_csv(dataset: DomainDataset, path) -> None:
 class NormalizationStats:
     """Affine per-column maps fit on source domains only.
 
-    mode "minmax" sends each kept source column onto [-1, 1]; mode "zscore"
-    centers and scales to unit variance. Constant columns are dropped and
-    their names recorded. For regression the label gets its own map so
-    reported errors can be restated in raw label units.
+    Each kept source column is sent onto [-1, 1], the range of the
+    generators' tanh outputs. Constant columns are dropped and their names
+    recorded. For regression the label gets its own map so reported errors
+    can be restated in raw label units.
     """
 
-    mode: str
     offset: np.ndarray   # per kept column
     scale: np.ndarray    # per kept column, > 0
     kept: tuple          # indices into the original columns
@@ -266,23 +264,15 @@ class NormalizationStats:
         return y * self.label_scale + self.label_offset
 
 
-def fit_apply_normalization(stream: DomainStream,
-                            mode: str = "minmax") -> tuple[DomainStream, NormalizationStats]:
-    """Fit per-column maps on the sources, apply to sources and target alike."""
-    if mode not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization mode {mode!r}")
+def fit_apply_normalization(stream: DomainStream) -> tuple[DomainStream, NormalizationStats]:
+    """Fit per-column min-max maps on the sources, apply to sources and
+    target alike."""
     x = np.vstack([s.features for s in stream.sources])
-    if mode == "minmax":
-        lo, hi = x.min(axis=0), x.max(axis=0)
-        spread = hi - lo
-        kept = np.nonzero(spread > 1e-12)[0]
-        offset = (lo + hi)[kept] / 2.0
-        scale = spread[kept] / 2.0
-    else:
-        mean, std = x.mean(axis=0), x.std(axis=0)
-        kept = np.nonzero(std > 1e-12)[0]
-        offset = mean[kept]
-        scale = std[kept]
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    spread = hi - lo
+    kept = np.nonzero(spread > 1e-12)[0]
+    offset = (lo + hi)[kept] / 2.0
+    scale = spread[kept] / 2.0
     if kept.size == 0:
         raise ValueError("all feature columns are constant on the sources")
     names = stream.sources[0].feature_names
@@ -294,12 +284,9 @@ def fit_apply_normalization(stream: DomainStream,
         ylo, yhi = y.min(), y.max()
         if yhi - ylo <= 1e-12:
             raise ValueError("regression label is constant on the sources")
-        if mode == "minmax":
-            label_offset, label_scale = (ylo + yhi) / 2.0, (yhi - ylo) / 2.0
-        else:
-            label_offset, label_scale = float(y.mean()), float(y.std())
+        label_offset, label_scale = (ylo + yhi) / 2.0, (yhi - ylo) / 2.0
 
-    stats = NormalizationStats(mode=mode, offset=offset, scale=scale,
+    stats = NormalizationStats(offset=offset, scale=scale,
                                kept=tuple(int(i) for i in kept),
                                dropped_names=dropped,
                                label_offset=label_offset, label_scale=label_scale)

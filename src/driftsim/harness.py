@@ -13,13 +13,12 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .correlation import pearson_matrix
-from .datasets import (CLASSIFICATION, NORMALIZATIONS, DomainDataset, DomainStream,
+from .datasets import (CLASSIFICATION, DomainDataset, DomainStream,
                        NormalizationStats, fit_apply_normalization)
 from .nn import dense_params, mlp
 from .optim import fit
@@ -43,6 +42,14 @@ class DownstreamConfig:
     patience: int = 50
     tol: float = 1e-5
     seed: int = 0
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if min(self.hidden_dims, default=1) < 1:
+            raise ValueError("hidden_dims entries must be positive")
+        if min(self.max_epochs, self.patience) < 1:
+            raise ValueError("max_epochs and patience must be at least 1")
 
 
 @dataclass
@@ -109,16 +116,14 @@ class ExperimentConfig:
     downstream: DownstreamConfig = DownstreamConfig()
     seeds: tuple = (0, 1, 2, 3, 4)
     sample_rate: float = 1.0
-    normalization: str = "minmax"
 
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be non-negative")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}; "
-                             f"expected one of {list(NORMALIZATIONS)}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ def _assemble_training_set(stream: DomainStream, method: str,
 def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,
                 seed: int):
     """(score, training set, extras) for one seed."""
-    normalized, stats = fit_apply_normalization(stream, config.normalization)
+    normalized, stats = fit_apply_normalization(stream)
     down_cfg = replace(config.downstream, seed=seed)
     if method == "incfinetune":
         sources = normalized.sources
@@ -196,36 +201,22 @@ def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,
     return evaluate(model, normalized.target, stats), train_set, extra
 
 
-def run_experiment(stream, method: str, config: ExperimentConfig) -> ExperimentReport:
-    """Score one method over all configured seeds and aggregate.
-
-    `stream` is either a fixed DomainStream or a seed -> DomainStream factory
-    (synthetic benchmarks regenerate their noise draws per repeat).
-    """
+def run_experiment(stream: DomainStream, method: str,
+                   config: ExperimentConfig) -> ExperimentReport:
+    """Score one method over all configured seeds and aggregate."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     t0 = time.perf_counter()
-    runs = []
-    for seed in config.seeds:
-        concrete = stream(seed) if callable(stream) else stream
-        runs.append(_run_single(concrete, method, config, seed))
+    runs = [_run_single(stream, method, config, seed) for seed in config.seeds]
     values, train_sets, extras = zip(*runs)
-    metric = "mce_percent" if concrete.task == CLASSIFICATION else "mae"
+    metric = "mce_percent" if stream.task == CLASSIFICATION else "mae"
     arr = np.array(values)
     std = float(arr.std(ddof=1)) if len(values) > 1 else 0.0
     return ExperimentReport(
         method=method, metric=metric, seed_values=values,
         mean=float(arr.mean()), std=std,
-        config_snapshot=_snapshot(config), wall_clock_s=time.perf_counter() - t0,
+        config_snapshot=asdict(config), wall_clock_s=time.perf_counter() - t0,
         train_sets=train_sets, extras=extras)
-
-
-def _snapshot(config: ExperimentConfig) -> dict:
-    return {"predictor": asdict(config.predictor),
-            "simulator": asdict(config.simulator),
-            "downstream": asdict(config.downstream),
-            "seeds": list(config.seeds), "sample_rate": config.sample_rate,
-            "normalization": config.normalization}
 
 
 @dataclass(frozen=True)
@@ -250,23 +241,20 @@ def _validation_stream(stream: DomainStream) -> DomainStream:
     return DomainStream(sources=stream.sources[:-1], target=stream.sources[-1])
 
 
-def sweep(stream, parameter: str, values, config: ExperimentConfig,
-          method: str = "coda", validate: bool = False) -> list:
+def sweep(stream: DomainStream, parameter: str, values,
+          config: ExperimentConfig, method: str = "coda",
+          validate: bool = False) -> list:
     """One full experiment per parameter value, optionally with a validation
     run that holds out the last source domain as a pseudo-target."""
     if not values:
         raise ValueError("sweep needs at least one value")
+    val_stream = _validation_stream(stream) if validate else None
     points = []
     for value in values:
         cfg = _with_value(config, parameter, value)
         test_report = run_experiment(stream, method, cfg)
-        val_report = None
-        if validate:
-            if callable(stream):
-                val_stream: Callable = lambda seed, s=stream: _validation_stream(s(seed))
-            else:
-                val_stream = _validation_stream(stream)
-            val_report = run_experiment(val_stream, method, cfg)
+        val_report = (run_experiment(val_stream, method, cfg) if validate
+                      else None)
         points.append(SweepPoint(value=float(value), test=test_report,
                                  validation=val_report))
     return points

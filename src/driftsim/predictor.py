@@ -38,6 +38,8 @@ class PredictorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.lambda_ce < 0:
             raise ValueError("lambda_ce must be non-negative")
         if self.patience < 1:
@@ -52,14 +54,6 @@ class PredictorModel:
     config: PredictorConfig
     params: list
     loss_history: list
-
-    @property
-    def input_dim(self) -> int:
-        return self.m * (self.m - 1) // 2
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params)
 
 
 def _init_params(m: int, config: PredictorConfig, rng) -> list:

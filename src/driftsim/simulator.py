@@ -47,6 +47,8 @@ class SimulatorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.lambda_c < 0:
             raise ValueError("lambda_c must be non-negative")
         if self.batch_size < 8:

@@ -53,7 +53,7 @@ def lastdomain_report(stream, config):
 
 @pytest.fixture(scope="module")
 def normalized(stream):
-    norm, _ = fit_apply_normalization(stream, "minmax")
+    norm, _ = fit_apply_normalization(stream)
     return norm
 
 

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, file outputs, config parsing."""
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from driftsim import autodiff, cli, harness
 from driftsim.cli import load_run_config, main
 from driftsim.datasets import CsvSchema, load_csv_stream
+from driftsim.harness import ExperimentConfig
 
 TINY_CFG = {
     "dataset": {"kind": "moons", "domains": 5, "n_per_domain": 40},
@@ -102,7 +104,14 @@ def test_run_artifacts_for_generative_method(tmp_path):
     assert len(gen) == 1 + 40
 
 
-def test_run_exit_codes_for_bad_configs(tmp_path):
+def usage_error_in_one_line(capsys, cfg_path) -> bool:
+    capsys.readouterr()
+    code = main(["run", "--config", cfg_path])
+    err = capsys.readouterr().err
+    return code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_run_exit_codes_for_bad_configs(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing]) == 2
     bad_json = tmp_path / "bad.json"
@@ -127,6 +136,16 @@ def test_run_exit_codes_for_bad_configs(tmp_path):
                                 ("downstream", "hidden_dims", 5)):
         bad_type = write_cfg(tmp_path, {**TINY_CFG, block: {field: value}})
         assert main(["run", "--config", bad_type]) == 2
+    for key, value in (("predictor", {"learning_rate": 0.0}),
+                       ("simulator", {"learning_rate": -1.0}),
+                       ("downstream", {"learning_rate": -1.0}),
+                       ("downstream", {"hidden_dims": [0]}),
+                       ("downstream", {"max_epochs": 0}),
+                       ("downstream", {"patience": 0}),
+                       ("dataset", {"kind": "moons", "noise_std": float("nan")}),
+                       ("predictor", 3), ("dataset", 3), ("dataset", [1])):
+        bad_value = write_cfg(tmp_path, {**TINY_CFG, key: value})
+        assert usage_error_in_one_line(capsys, bad_value)
     bad_norm = write_cfg(tmp_path, {**TINY_CFG, "normalization": "bogus"})
     assert main(["run", "--config", bad_norm]) == 2
     bad_moons = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
@@ -203,6 +222,10 @@ def test_load_run_config_defaults_match_pipeline_defaults(tmp_path):
     assert len(stream.sources) == 9
     assert stream.target.n == 200
     assert out_dir is None
+    assert config == ExperimentConfig()
+    # a file that spells out every default builds the same config
+    explicit = json.loads(json.dumps(asdict(ExperimentConfig())))
+    assert load_run_config(write_cfg(tmp_path, explicit))[2] == ExperimentConfig()
 
 
 def test_verify_bound_outputs_and_exit(tmp_path):

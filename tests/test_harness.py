@@ -82,7 +82,7 @@ def test_run_experiment_report_invariants():
     assert set(d) == {"method", "metric", "seed_values", "mean", "std",
                       "config", "wall_clock_s"}
     assert set(d["config"]) == {"predictor", "simulator", "downstream",
-                                "seeds", "sample_rate", "normalization"}
+                                "seeds", "sample_rate"}
 
 
 def test_run_experiment_is_deterministic():
@@ -91,20 +91,6 @@ def test_run_experiment_is_deterministic():
     a = run_experiment(SMALL_STREAM, "offline", cfg)
     b = run_experiment(SMALL_STREAM, "offline", cfg)
     assert a.seed_values == b.seed_values
-
-
-def test_run_experiment_accepts_stream_factory():
-    calls = []
-
-    def factory(seed):
-        calls.append(seed)
-        return make_moons_stream(domains=5, n_per_domain=40, seed=seed)
-
-    cfg = ExperimentConfig(seeds=(0, 1),
-                           downstream=DownstreamConfig(max_epochs=40))
-    report = run_experiment(factory, "lastdomain", cfg)
-    assert 0 in calls and 1 in calls
-    assert len(report.seed_values) == 2
 
 
 def test_run_experiment_unknown_method():
@@ -166,6 +152,8 @@ def test_experiment_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(ValueError):
         ExperimentConfig(sample_rate=0.0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(seeds=(0, -1))
 
 
 def test_methods_tuple_is_the_public_contract():
