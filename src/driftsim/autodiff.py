@@ -34,11 +34,9 @@ __all__ = [
     "sqrt",
     "relu",
     "absolute",
-    "square",
     "clip",
     "reduce_sum",
     "reduce_mean",
-    "reshape",
     "transpose",
     "concat",
 ]
@@ -296,15 +294,6 @@ def absolute(a) -> Tensor:
     return _node(np.abs(a.value), (a,), vjp)
 
 
-def square(a) -> Tensor:
-    a = _wrap(a)
-
-    def vjp(g):
-        _accumulate(a, g * 2.0 * a.value)
-
-    return _node(a.value * a.value, (a,), vjp)
-
-
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp with zero gradient outside [lo, hi]."""
     a = _wrap(a)
@@ -334,16 +323,6 @@ def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     n = a.value.size if axis is None else a.value.shape[axis]
     return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _wrap(a)
-    orig = a.value.shape
-
-    def vjp(g):
-        _accumulate(a, g.reshape(orig))
-
-    return _node(a.value.reshape(shape), (a,), vjp)
 
 
 def transpose(a) -> Tensor:

@@ -272,8 +272,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify_bound(args) -> int:
-    if args.pairs < 1:
-        raise ConfigError("--pairs must be at least 1")
+    # random_distribution_pair needs room for max(3, dims + 1) support points
+    minimums = (("--pairs", args.pairs, 1), ("--dims", args.dims, 1),
+                ("--max-support", args.max_support, max(3, args.dims + 1)),
+                ("--seed", args.seed, 0))
+    for flag, value, least in minimums:
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}")
     rows = []
     bad = 0
     for index in range(args.pairs):

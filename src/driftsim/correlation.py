@@ -1,7 +1,6 @@
 """Per-domain feature correlation matrices and the metrics defined on them."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,6 @@ __all__ = [
     "matrix_distance",
     "flatten_upper",
     "unflatten_upper",
-    "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 
@@ -81,15 +78,13 @@ def matrix_distance(a: CorrelationMatrix, b: CorrelationMatrix,
 
     induced-1 is the max over columns of the absolute column sum, the
     operator norm the correlation-shift bound is stated in; elementwise-L1
-    and frobenius are the training-loss norms.
+    is the norm of the regularizer and of the forecast error.
     """
     if a.dim != b.dim:
         raise ValueError(f"dim mismatch: {a.dim} vs {b.dim}")
     diff = a.entries - b.entries
     if norm == "elementwise-l1":
         return float(np.abs(diff).sum())
-    if norm == "frobenius":
-        return float(np.sqrt((diff * diff).sum()))
     if norm == "induced-1":
         return float(np.abs(diff).sum(axis=0).max())
     raise ValueError(f"unknown norm {norm!r}")
@@ -115,17 +110,3 @@ def unflatten_upper(v: np.ndarray, m: int) -> CorrelationMatrix:
     out[(iu[1], iu[0])] = clamped
     return CorrelationMatrix(out)
 
-
-def save_matrix_csv(c: CorrelationMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{i}" for i in range(c.dim)])
-        for row in c.entries:
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def load_matrix_csv(path) -> CorrelationMatrix:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(x) for x in row] for row in rows[1:]])
-    return CorrelationMatrix(data)

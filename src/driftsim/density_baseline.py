@@ -19,7 +19,7 @@ from .nn import dense_params, glorot, lstm_cell
 from .optim import fit
 
 __all__ = ["DensityGrid", "PrelimConfig", "default_grid", "kde_density",
-           "kl_grid", "prelim_loss", "train_prelim"]
+           "prelim_loss", "train_prelim"]
 
 Q_FLOOR = 1e-12  # density floor for the KL denominator
 
@@ -72,15 +72,6 @@ def kde_density(samples, bandwidth="auto", grid: np.ndarray | None = None) -> De
     return DensityGrid(points=g, masses=dens / dens.sum())
 
 
-def kl_grid(p: DensityGrid, q: DensityGrid) -> float:
-    """KL(p ‖ q) in nats over a shared grid; q is floored to avoid log(0)."""
-    if not np.array_equal(p.points, q.points):
-        raise ValueError("grids do not match")
-    qm = np.maximum(q.masses, Q_FLOOR)
-    mask = p.masses > 0
-    return float(np.sum(p.masses[mask] * np.log(p.masses[mask] / qm[mask])))
-
-
 def _class_values(dataset: DomainDataset, feature: int, label: float) -> np.ndarray:
     vals = dataset.features[dataset.labels == label, feature]
     if vals.size < 2:
@@ -125,7 +116,6 @@ class PrelimConfig:
     max_epochs: int = 300
     patience: int = 50
     tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.hidden_dim, self.embed_dim, self.grid_size,
@@ -201,13 +191,14 @@ def _joint_kl_graph(rows, labels, truth: DomainDataset, grid: np.ndarray):
     return loss
 
 
-def train_prelim(stream: DomainStream, config: PrelimConfig) -> DomainDataset:
+def train_prelim(stream: DomainStream, config: PrelimConfig,
+                 seed: int = 0) -> DomainDataset:
     """Fit the recurrent density forecaster and emit the synthetic next domain.
 
     The model consumes per-domain summary rows; after seeing domains 1..t it
     decodes a fixed set of rows (balanced labels by construction) scored
     against domain t+1. The returned dataset is the decode after the full
-    source history.
+    source history. `seed` draws the init.
     """
     if stream.task != CLASSIFICATION:
         raise ValueError("prelim baseline is defined for classification streams")
@@ -220,7 +211,7 @@ def train_prelim(stream: DomainStream, config: PrelimConfig) -> DomainDataset:
     labels[n_rows // 2:] = 1.0
     summaries = _summaries(sources)
     grid = default_grid(config.grid_size)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     params = _init_prelim(last.d, n_rows, config, rng)
 
     def build(ps, ins):

@@ -41,7 +41,6 @@ class DownstreamConfig:
     max_epochs: int = 2000
     patience: int = 50
     tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -81,11 +80,12 @@ def _mlp_loss(params, x, y, task):
 
 
 def train_downstream(train_data: DomainDataset, config: DownstreamConfig,
-                     init_params: list | None = None) -> DownstreamModel:
+                     seed: int = 0, init_params: list | None = None) -> DownstreamModel:
     """Adam-fit a ReLU feedforward net to one training domain, from a fresh
-    Glorot init or, for fine-tuning, from a copy of `init_params`."""
+    Glorot init drawn with `seed` or, for fine-tuning, from a copy of
+    `init_params`."""
     if init_params is None:
-        params = dense_params(np.random.default_rng(config.seed),
+        params = dense_params(np.random.default_rng(seed),
                               (train_data.d, *config.hidden_dims, 1))
     else:
         params = copy.deepcopy(init_params)
@@ -122,8 +122,8 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be non-negative")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:  # also rejects NaN
+            raise ValueError("sample_rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -155,19 +155,19 @@ def _assemble_training_set(stream: DomainStream, method: str,
     (the predicted matrix for "coda").
     """
     sources = stream.sources
-    if method == "coda":
-        mats = [pearson_matrix(s) for s in sources]
-        model = train_predictor(mats, replace(config.predictor, seed=seed))
-        c_hat = predict_next(model, mats)
-        sim = train_simulator(sources[-1], c_hat,
-                              replace(config.simulator, seed=seed))
+    if method in ("coda", "coda-without-C"):
+        if method == "coda":
+            mats = [pearson_matrix(s) for s in sources]
+            model = train_predictor(mats, config.predictor, seed=seed)
+            c_hat = predict_next(model, mats)
+            sim = train_simulator(sources[-1], c_hat, config.simulator, seed=seed)
+            extra = {"predicted_corr": c_hat}
+        else:
+            sim = train_simulator(sources[-1], None,
+                                  replace(config.simulator, lambda_c=0.0), seed=seed)
+            extra = {}
         n = max(8, round(stream.target.n * config.sample_rate))
-        return sample(sim, n, seed=seed + 101), {"predicted_corr": c_hat}
-    if method == "coda-without-C":
-        sim = train_simulator(sources[-1], None,
-                              replace(config.simulator, seed=seed, lambda_c=0.0))
-        n = max(8, round(stream.target.n * config.sample_rate))
-        return sample(sim, n, seed=seed + 101), {}
+        return sample(sim, n, seed=seed + 101), extra
     if method == "lastdomain":
         return sources[-1], {}
     if method == "offline":
@@ -179,8 +179,7 @@ def _assemble_training_set(stream: DomainStream, method: str,
         return pooled, {}
     if method == "prelim":
         from .density_baseline import PrelimConfig, train_prelim
-        synth = train_prelim(stream, PrelimConfig(seed=seed))
-        return synth, {}
+        return train_prelim(stream, PrelimConfig(), seed=seed), {}
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -188,16 +187,16 @@ def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,
                 seed: int):
     """(score, training set, extras) for one seed."""
     normalized, stats = fit_apply_normalization(stream)
-    down_cfg = replace(config.downstream, seed=seed)
+    down_cfg = config.downstream
     if method == "incfinetune":
         sources = normalized.sources
-        model = train_downstream(sources[0], down_cfg)
+        model = train_downstream(sources[0], down_cfg, seed=seed)
         slow = replace(down_cfg, learning_rate=0.1 * down_cfg.learning_rate)
         for src in sources[1:]:
             model = train_downstream(src, slow, init_params=model.params)
         return evaluate(model, normalized.target, stats), None, {}
     train_set, extra = _assemble_training_set(normalized, method, config, seed)
-    model = train_downstream(train_set, down_cfg)
+    model = train_downstream(train_set, down_cfg, seed=seed)
     return evaluate(model, normalized.target, stats), train_set, extra
 
 
@@ -249,9 +248,10 @@ def sweep(stream: DomainStream, parameter: str, values,
     if not values:
         raise ValueError("sweep needs at least one value")
     val_stream = _validation_stream(stream) if validate else None
+    # every value is checked before the first run trains anything
+    configs = [_with_value(config, parameter, value) for value in values]
     points = []
-    for value in values:
-        cfg = _with_value(config, parameter, value)
+    for value, cfg in zip(values, configs):
         test_report = run_experiment(stream, method, cfg)
         val_report = (run_experiment(val_stream, method, cfg) if validate
                       else None)

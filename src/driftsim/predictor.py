@@ -35,7 +35,6 @@ class PredictorConfig:
     max_epochs: int = 2000
     patience: int = 50
     tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -147,11 +146,26 @@ def _step_loss_graph(pred_vec, true_vec, m: int, lambda_ce: float):
     return fro + l1 + bce * lambda_ce
 
 
-def train_predictor(matrices: list, config: PredictorConfig) -> PredictorModel:
+def _sequence_loss(params, inputs, m: int, config: PredictorConfig):
+    """Sum of the one-step-ahead loss terms; `inputs` holds the flattened
+    matrices C_1..C_{T-1} and their targets C_2..C_T, one row per step."""
+    seq, tgt = inputs
+    rows = [seq[s:s + 1, :] for s in range(seq.shape[0])]
+    outs = _forward_sequence(params, rows, config.layers, config.hidden_dim)
+    loss = None
+    for s, out in enumerate(outs):
+        term = _step_loss_graph(out, tgt[s:s + 1, :], m, config.lambda_ce)
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def train_predictor(matrices: list, config: PredictorConfig,
+                    seed: int = 0) -> PredictorModel:
     """Fit the sequence model on C_1..C_T with one-step-ahead targets.
 
-    Full-batch Adam; keeps the best-loss parameters and stops once the best
-    loss has not improved by `tol` for `patience` consecutive epochs.
+    Full-batch Adam from a Glorot init drawn with `seed`; keeps the best-loss
+    parameters and stops once the best loss has not improved by `tol` for
+    `patience` consecutive epochs.
     """
     t_len = len(matrices)
     if t_len < 3:
@@ -161,19 +175,8 @@ def train_predictor(matrices: list, config: PredictorConfig) -> PredictorModel:
         raise ValueError("all matrices must share one dim")
     inputs = np.stack([flatten_upper(c) for c in matrices[:-1]])
     targets = np.stack([flatten_upper(c) for c in matrices[1:]])
-
-    def build(params, inputs_):
-        seq, tgt = inputs_
-        rows = [seq[s:s + 1, :] for s in range(t_len - 1)]
-        outs = _forward_sequence(params, rows, config.layers, config.hidden_dim)
-        loss = None
-        for s, out in enumerate(outs):
-            term = _step_loss_graph(out, tgt[s:s + 1, :], m, config.lambda_ce)
-            loss = term if loss is None else loss + term
-        return loss
-
-    rng = np.random.default_rng(config.seed)
-    params, history = fit(build, _init_params(m, config, rng),
-                          [inputs, targets], config)
+    rng = np.random.default_rng(seed)
+    params, history = fit(lambda ps, ins: _sequence_loss(ps, ins, m, config),
+                          _init_params(m, config, rng), [inputs, targets], config)
     return PredictorModel(m=m, config=config, params=params,
                           loss_history=history)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .correlation import CorrelationMatrix
-from .datasets import CLASSIFICATION, REGRESSION, DomainDataset
+from .datasets import CLASSIFICATION, DomainDataset
 from .nn import dense_params, mlp
 from .optim import Adam
 
@@ -44,13 +44,12 @@ class SimulatorConfig:
     max_epochs: int = 2000
     patience: int = 300
     tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.lambda_c < 0:
-            raise ValueError("lambda_c must be non-negative")
+        if not 0 <= self.lambda_c < np.inf:  # also rejects NaN
+            raise ValueError("lambda_c must be finite and non-negative")
         if self.batch_size < 8:
             raise ValueError("batch_size must be at least 8 for batch correlation")
         if self.regularizer_draws < 8:
@@ -140,6 +139,17 @@ def _regularizer_graph(batch, target):
     return ad.reduce_sum(ad.absolute(corr - target))
 
 
+def _objective(params, inputs, config: SimulatorConfig, task: str):
+    """Training loss of one minibatch: the negative ELBO of `[rows, noise]`,
+    plus lambda_c times the regularizer of decoded prior draws `z` against
+    `target` when `inputs` is `[rows, noise, z, target]`."""
+    loss = _neg_elbo_graph(params, config, inputs[0], inputs[1], task)
+    if len(inputs) == 2:
+        return loss
+    gen = _decode(params, config, inputs[2], task)
+    return loss + _regularizer_graph(gen, inputs[3]) * config.lambda_c
+
+
 def elbo_loss(model: SimulatorModel, batch: np.ndarray, noise: np.ndarray) -> float:
     """Negative ELBO of a batch of [X | y] rows under the current weights.
 
@@ -195,8 +205,11 @@ def loss_snapshot(params: list, data: np.ndarray, target: CorrelationMatrix | No
 
 
 def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix | None,
-                    config: SimulatorConfig) -> SimulatorModel:
+                    config: SimulatorConfig, seed: int = 0) -> SimulatorModel:
     """Fit the generator to the last source domain's rows.
+
+    `seed` draws the init, the minibatch order and noise, and the frozen
+    noise of `loss_snapshot`.
 
     Each minibatch step draws fresh reparameterization noise and, when
     lambda_c > 0, a fresh prior batch whose decoded correlation matrix is
@@ -224,21 +237,16 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
             raise ValueError(f"target dim {target_corr.dim} does not match rows of "
                              f"width {m}")
     data = np.column_stack([last_domain.features, last_domain.labels])
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     params = _init_params(m, config, rng)
     snapshot_init = loss_snapshot(params, data, target_corr, config,
-                                  last_domain.task, config.seed)
+                                  last_domain.task, seed)
 
     use_reg = config.lambda_c > 0
     warmup = config.warmup_epochs if use_reg else 0
 
-    def build_plain(ps, ins):
-        return _neg_elbo_graph(ps, config, ins[0], ins[1], last_domain.task)
-
-    def build_full(ps, ins):
-        loss = _neg_elbo_graph(ps, config, ins[0], ins[1], last_domain.task)
-        gen = _decode(ps, config, ins[2], last_domain.task)
-        return loss + _regularizer_graph(gen, ins[3]) * config.lambda_c
+    def objective(ps, ins):
+        return _objective(ps, ins, config, last_domain.task)
 
     opt = Adam([p.shape for p in params], lr=config.learning_rate)
     n = data.shape[0]
@@ -255,17 +263,14 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             rows = data[perm[start:start + config.batch_size]]
-            noise = rng.standard_normal((rows.shape[0], config.latent_dim))
+            inputs = [rows, rng.standard_normal((rows.shape[0], config.latent_dim))]
             if reg_on:
                 z = rng.standard_normal((config.regularizer_draws, config.latent_dim))
-                _, grads = ad.evaluate_with_gradients(
-                    build_full, params, [rows, noise, z, target_corr.entries])
-            else:
-                _, grads = ad.evaluate_with_gradients(build_plain, params,
-                                                      [rows, noise])
+                inputs += [z, target_corr.entries]
+            _, grads = ad.evaluate_with_gradients(objective, params, inputs)
             opt.step(params, grads)
         snap = loss_snapshot(params, data, target_corr, config,
-                             last_domain.task, config.seed)
+                             last_domain.task, seed)
         history.append(snap)
         stat = max(prev_snap, snap)
         prev_snap = snap
@@ -283,21 +288,17 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
                           snapshot_best=best_loss)
 
 
-def sample(model: SimulatorModel, n: int, seed: int,
-           task: str | None = None) -> DomainDataset:
+def sample(model: SimulatorModel, n: int, seed: int) -> DomainDataset:
     """Decode n prior draws into a synthetic next-domain dataset."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    task = task or model.task
-    if task not in (CLASSIFICATION, REGRESSION):
-        raise ValueError(f"unknown task {task!r}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.config.latent_dim))
     params = [ad.constant(p) for p in model.params]
-    rows = _decode(params, model.config, ad.constant(z), task).value
+    rows = _decode(params, model.config, ad.constant(z), model.task).value
     features = rows[:, :model.d]
     label_col = rows[:, model.d]
-    labels = (label_col >= 0.5).astype(np.float64) if task == CLASSIFICATION \
+    labels = (label_col >= 0.5).astype(np.float64) if model.task == CLASSIFICATION \
         else label_col
     return DomainDataset(domain_index=model.trained_on_index + 1,
-                         features=features, labels=labels, task=task)
+                         features=features, labels=labels, task=model.task)

@@ -92,7 +92,7 @@ def test_criterion_4_forecast_beats_persistence(normalized):
     wins = 0
     errs = []
     for seed in SEEDS:
-        model = train_predictor(mats, PredictorConfig(seed=seed))
+        model = train_predictor(mats, PredictorConfig(), seed=seed)
         err = matrix_distance(predict_next(model, mats), truth,
                               "elementwise-l1")
         errs.append(round(err, 3))
@@ -157,7 +157,7 @@ GRAD_FLOOR = 1e-3
 def _predictor_grad_instance(rng) -> float:
     from driftsim.correlation import flatten_upper
     from driftsim.predictor import (_forward_sequence, _init_params,
-                                    _step_loss_graph)
+                                    _sequence_loss)
     for _ in range(400):
         m = int(rng.integers(2, 5))
         t_len = int(rng.integers(3, 6))
@@ -180,16 +180,7 @@ def _predictor_grad_instance(rng) -> float:
         targets = np.stack([flatten_upper(c) for c in mats[1:]])
 
         def build(ps, ins):
-            seq, tgt = ins
-            rows = [seq[s:s + 1, :] for s in range(t_len - 1)]
-            outs = _forward_sequence(ps, rows, config.layers,
-                                     config.hidden_dim)
-            loss = None
-            for s, out in enumerate(outs):
-                term = _step_loss_graph(out, tgt[s:s + 1, :], m,
-                                        config.lambda_ce)
-                loss = term if loss is None else loss + term
-            return loss
+            return _sequence_loss(ps, ins, m, config)
 
         # finite differences straddle the L1 kink when a prediction sits on
         # its target; only accept instances with clearance
@@ -227,10 +218,7 @@ def _simulator_grad_instance(rng) -> float:
                                               task="regression")).entries
 
         def build(ps, ins):
-            loss = sm._neg_elbo_graph(ps, config, ins[0], ins[1],
-                                      CLASSIFICATION)
-            gen = sm._decode(ps, config, ins[2], CLASSIFICATION)
-            return loss + sm._regularizer_graph(gen, ins[3]) * config.lambda_c
+            return sm._objective(ps, ins, config, CLASSIFICATION)
 
         gen = sm._decode([ad.constant(p) for p in params], config,
                          ad.constant(z), CLASSIFICATION)
@@ -262,14 +250,14 @@ def test_criterion_8_regularizer_monotonicity(normalized, config):
     majority = 0
     rows = []
     for seed in SEEDS:
-        model = train_predictor(mats, PredictorConfig(seed=seed))
+        model = train_predictor(mats, PredictorConfig(), seed=seed)
         c_hat = predict_next(model, mats)
         dists = []
         for lam in (0.0, 1.0, 10.0):
             sim = train_simulator(normalized.sources[-1],
                                   None if lam == 0.0 else c_hat,
-                                  replace(config.simulator, seed=seed,
-                                          lambda_c=lam))
+                                  replace(config.simulator, lambda_c=lam),
+                                  seed=seed)
             synth = sample(sim, 1000, seed=seed + 101)
             dists.append(matrix_distance(pearson_matrix(synth), c_hat,
                                          "elementwise-l1"))

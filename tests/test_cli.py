@@ -2,6 +2,7 @@
 import json
 import os
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,8 +55,7 @@ def test_gen_moons_is_byte_reproducible(tmp_path):
                      "--seed", "7", "--out", out]) == 0
     for name in os.listdir(a):
         if name.endswith(".csv"):
-            assert (open(os.path.join(a, name), "rb").read()
-                    == open(os.path.join(b, name), "rb").read())
+            assert Path(a, name).read_bytes() == Path(b, name).read_bytes()
 
 
 def test_gen_moons_output_round_trips(tmp_path):
@@ -104,9 +104,9 @@ def test_run_artifacts_for_generative_method(tmp_path):
     assert len(gen) == 1 + 40
 
 
-def usage_error_in_one_line(capsys, cfg_path) -> bool:
+def usage_error_in_one_line(capsys, argv) -> bool:
     capsys.readouterr()
-    code = main(["run", "--config", cfg_path])
+    code = main(argv)
     err = capsys.readouterr().err
     return code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
@@ -143,9 +143,12 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys):
                        ("downstream", {"max_epochs": 0}),
                        ("downstream", {"patience": 0}),
                        ("dataset", {"kind": "moons", "noise_std": float("nan")}),
-                       ("predictor", 3), ("dataset", 3), ("dataset", [1])):
+                       ("predictor", 3), ("dataset", 3), ("dataset", [1]),
+                       # per-model seeds come only from "seeds"
+                       ("predictor", {"seed": 5}), ("simulator", {"seed": 5}),
+                       ("downstream", {"seed": 5})):
         bad_value = write_cfg(tmp_path, {**TINY_CFG, key: value})
-        assert usage_error_in_one_line(capsys, bad_value)
+        assert usage_error_in_one_line(capsys, ["run", "--config", bad_value])
     bad_norm = write_cfg(tmp_path, {**TINY_CFG, "normalization": "bogus"})
     assert main(["run", "--config", bad_norm]) == 2
     bad_moons = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
@@ -228,7 +231,7 @@ def test_load_run_config_defaults_match_pipeline_defaults(tmp_path):
     assert load_run_config(write_cfg(tmp_path, explicit))[2] == ExperimentConfig()
 
 
-def test_verify_bound_outputs_and_exit(tmp_path):
+def test_verify_bound_outputs_and_exit(tmp_path, capsys):
     out = str(tmp_path / "bounds.json")
     assert main(["verify-bound", "--pairs", "8", "--seed", "3",
                  "--out", out]) == 0
@@ -237,13 +240,21 @@ def test_verify_bound_outputs_and_exit(tmp_path):
     assert all(not r["violated"] and r["moment_deltas_ok"] for r in rows)
     assert all(r["lhs"] <= r["rhs"] + 1e-9 for r in rows)
     assert main(["verify-bound", "--pairs", "0"]) == 2
+    for flags in (["--dims", "0"], ["--dims", "-1"], ["--max-support", "1"],
+                  ["--max-support", "2", "--dims", "4"],
+                  ["--max-support", "4", "--dims", "4"], ["--seed", "-1"]):
+        assert usage_error_in_one_line(capsys, ["verify-bound", "--pairs", "2",
+                                                *flags]), flags
+    # the smallest accepted support: max(3, dims + 1) points
+    assert main(["verify-bound", "--pairs", "4", "--dims", "2",
+                 "--max-support", "3"]) == 0
 
 
 def test_verify_bound_threads_deterministic(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["verify-bound", "--pairs", "12", "--out", a]) == 0
     assert main(["verify-bound", "--pairs", "12", "--out", b]) == 0
-    assert json.load(open(a)) == json.load(open(b))
+    assert json.loads(Path(a).read_text()) == json.loads(Path(b).read_text())
 
 
 def test_sweep_writes_curve(tmp_path):
@@ -268,12 +279,17 @@ def test_sweep_validate_adds_columns(tmp_path):
     assert lines[0] == "value,mean,std,val_mean,val_std"
 
 
-def test_sweep_usage_errors(tmp_path):
+def test_sweep_usage_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_CFG)
     assert main(["sweep", "--config", cfg, "--param", "sample_rate",
                  "--values", ""]) == 2
     assert main(["sweep", "--config", cfg, "--param", "sample_rate",
                  "--values", "a,b"]) == 2
+    for param in ("lambda_c", "sample_rate"):
+        for value in ("nan", "inf", "-inf"):
+            assert usage_error_in_one_line(capsys, [
+                "sweep", "--config", cfg, "--param", param,
+                f"--values={value}", "--out", str(tmp_path / "out")]), (param, value)
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", cfg, "--param", "epochs", "--values", "1"])
     assert exc.value.code == 2

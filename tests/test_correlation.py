@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftsim.correlation import (CorrelationMatrix, flatten_upper, load_matrix_csv,
-                                  matrix_distance, pearson_matrix, save_matrix_csv,
-                                  unflatten_upper)
+from driftsim.correlation import (CorrelationMatrix, flatten_upper, matrix_distance,
+                                  pearson_matrix, unflatten_upper)
 from driftsim.datasets import DomainDataset
 
 
@@ -76,11 +75,9 @@ def test_distance_examples():
     a = CorrelationMatrix(np.eye(2))
     b = CorrelationMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
     assert matrix_distance(a, a, "elementwise-l1") == 0.0
-    assert matrix_distance(a, a, "frobenius") == 0.0
     assert matrix_distance(a, a, "induced-1") == 0.0
     assert matrix_distance(a, b, "induced-1") == pytest.approx(0.5)
     assert matrix_distance(a, b, "elementwise-l1") == pytest.approx(1.0)
-    assert matrix_distance(a, b, "frobenius") == pytest.approx(np.sqrt(0.5))
 
 
 def test_distance_errors():
@@ -90,9 +87,11 @@ def test_distance_errors():
         matrix_distance(a, b)
     with pytest.raises(ValueError):
         matrix_distance(a, a, "spectral")
+    with pytest.raises(ValueError):
+        matrix_distance(a, a, "frobenius")
 
 
-@given(st.integers(0, 10_000), st.sampled_from(["elementwise-l1", "frobenius", "induced-1"]))
+@given(st.integers(0, 10_000), st.sampled_from(["elementwise-l1", "induced-1"]))
 @settings(max_examples=100, deadline=None)
 def test_distance_triangle_inequality(seed, norm):
     rng = np.random.default_rng(seed)
@@ -136,12 +135,3 @@ def test_unflatten_clamps_and_validates():
     assert c.entries[0, 1] == 1.0
     with pytest.raises(ValueError):
         unflatten_upper(np.array([0.1, 0.2]), 2)
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    c = pearson_matrix(_dataset(rng.normal(size=(40, 4))))
-    path = tmp_path / "corr.csv"
-    save_matrix_csv(c, path)
-    back = load_matrix_csv(path)
-    np.testing.assert_array_equal(back.entries, c.entries)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from driftsim import harness
 from driftsim.datasets import (CLASSIFICATION, REGRESSION, DomainDataset,
                                DomainStream, make_moons_stream)
 from driftsim.harness import (METHODS, DownstreamConfig, DownstreamModel,
@@ -49,7 +50,7 @@ def test_downstream_fits_separable_data():
     x = rng.uniform(-1, 1, (80, 2))
     y = (x[:, 0] > 0).astype(float)
     dom = DomainDataset(0, x, y)
-    model = train_downstream(dom, DownstreamConfig(max_epochs=400, seed=0))
+    model = train_downstream(dom, DownstreamConfig(max_epochs=400), seed=0)
     assert evaluate(model, dom) == 0.0
     preds = model.predict(dom.features)
     assert preds.shape == (80,)
@@ -58,11 +59,13 @@ def test_downstream_fits_separable_data():
 
 def test_downstream_training_is_deterministic():
     dom = balanced_domain(n=24)
-    cfg = DownstreamConfig(hidden_dims=(8,), max_epochs=30, seed=3)
-    a = train_downstream(dom, cfg)
-    b = train_downstream(dom, cfg)
+    cfg = DownstreamConfig(hidden_dims=(8,), max_epochs=30)
+    a = train_downstream(dom, cfg, seed=3)
+    b = train_downstream(dom, cfg, seed=3)
     assert a.loss_history == b.loss_history
     assert all(np.array_equal(p, q) for p, q in zip(a.params, b.params))
+    other = train_downstream(dom, cfg, seed=4)
+    assert not np.array_equal(a.params[0], other.params[0])
 
 
 SMALL_STREAM = make_moons_stream(domains=6, n_per_domain=40, seed=0)
@@ -133,11 +136,18 @@ def test_sweep_points_and_validation_split():
     assert points[0].validation.method == "coda"
 
 
-def test_sweep_rejects_bad_arguments():
+def test_sweep_rejects_bad_arguments(monkeypatch):
     with pytest.raises(ValueError):
         sweep(SMALL_STREAM, "learning_rate", [1.0], TINY_PIPELINE)
     with pytest.raises(ValueError):
         sweep(SMALL_STREAM, "lambda_c", [], TINY_PIPELINE)
+    # a bad value after a good one fails before the good one trains
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *a: runs.append(a))
+    for parameter in ("lambda_c", "sample_rate"):
+        with pytest.raises(ValueError):
+            sweep(SMALL_STREAM, parameter, [1.0, float("nan")], TINY_PIPELINE)
+    assert runs == []
 
 
 def test_validation_split_needs_three_sources():
@@ -150,8 +160,9 @@ def test_validation_split_needs_three_sources():
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(sample_rate=0.0)
+    for rate in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentConfig(sample_rate=rate)
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=(0, -1))
 

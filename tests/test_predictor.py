@@ -8,7 +8,8 @@ from driftsim.correlation import (CorrelationMatrix, matrix_distance,
                                   pearson_matrix, unflatten_upper)
 from driftsim.datasets import fit_apply_normalization, make_moons_stream
 from driftsim.predictor import (PredictorConfig, PredictorModel, _init_params,
-                                cp_loss, predict_next, train_predictor)
+                                _sequence_loss, cp_loss, predict_next,
+                                train_predictor)
 
 
 def _corr(m_entries):
@@ -121,15 +122,15 @@ def test_moons_loss_strictly_decreases_early():
 
 def test_constant_sequence_reaches_tight_fit():
     config = PredictorConfig(lambda_ce=0.0, learning_rate=1e-3, layers=2,
-                             patience=150, max_epochs=5000, seed=1)
-    model = train_predictor([C2] * 8, config)
+                             patience=150, max_epochs=5000)
+    model = train_predictor([C2] * 8, config, seed=1)
     assert min(model.loss_history) < 1e-2
 
 
 def test_constant_sequence_prediction_close():
-    config = PredictorConfig(lambda_ce=0.0, seed=1)
+    config = PredictorConfig(lambda_ce=0.0)
     c = _c4()
-    model = train_predictor([c] * 8, config)
+    model = train_predictor([c] * 8, config, seed=1)
     pred = predict_next(model, [c] * 8)
     assert matrix_distance(pred, c, "elementwise-l1") < 0.05 * 16
 
@@ -148,11 +149,13 @@ def test_training_rejects_mixed_dims():
 
 def test_training_is_deterministic_per_seed():
     mats, _ = _moons_matrices()
-    a = train_predictor(mats, PredictorConfig(max_epochs=15, seed=3))
-    b = train_predictor(mats, PredictorConfig(max_epochs=15, seed=3))
+    a = train_predictor(mats, PredictorConfig(max_epochs=15), seed=3)
+    b = train_predictor(mats, PredictorConfig(max_epochs=15), seed=3)
     assert a.loss_history == b.loss_history
     for pa, pb in zip(a.params, b.params):
         np.testing.assert_array_equal(pa, pb)
+    other = train_predictor(mats, PredictorConfig(max_epochs=15), seed=4)
+    assert other.loss_history[0] != a.loss_history[0]
 
 
 def test_config_validation():
@@ -164,7 +167,7 @@ def test_config_validation():
 
 def test_moons_prediction_beats_persistence():
     mats, true_next = _moons_matrices(seed=1)
-    model = train_predictor(mats, PredictorConfig(seed=1))
+    model = train_predictor(mats, PredictorConfig(), seed=1)
     pred = predict_next(model, mats)
     d_pred = matrix_distance(pred, true_next, "elementwise-l1")
     d_persist = matrix_distance(mats[-1], true_next, "elementwise-l1")
@@ -172,8 +175,6 @@ def test_moons_prediction_beats_persistence():
 
 
 def test_sequence_loss_gradients_match_finite_differences():
-    from driftsim.predictor import _forward_sequence, _step_loss_graph
-
     rng = np.random.default_rng(0)
     for trial in range(3):
         m, t_len = 3, 4
@@ -182,15 +183,6 @@ def test_sequence_loss_gradients_match_finite_differences():
         params = _init_params(m, config, rng)
         seq = rng.uniform(-0.8, 0.8, size=(t_len - 1, 3))
         tgt = rng.uniform(-0.8, 0.8, size=(t_len - 1, 3))
-
-        def build(ps, ins):
-            rows = [ins[0][s:s + 1, :] for s in range(t_len - 1)]
-            outs = _forward_sequence(ps, rows, config.layers, config.hidden_dim)
-            loss = None
-            for s, out in enumerate(outs):
-                term = _step_loss_graph(out, ins[1][s:s + 1, :], m, config.lambda_ce)
-                loss = term if loss is None else loss + term
-            return loss
-
-        err = ad.grad_check(build, params, [seq, tgt], step=1e-6)
+        err = ad.grad_check(lambda ps, ins: _sequence_loss(ps, ins, m, config),
+                            params, [seq, tgt], step=1e-6)
         assert err < 1e-4, f"trial {trial}: {err}"

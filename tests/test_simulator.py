@@ -1,4 +1,6 @@
 """Oracle and contract tests for the variational data simulator."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,13 +127,11 @@ def test_training_objective_gradient_matches_finite_differences():
     z = rng.standard_normal((8, 2))
     target = np.eye(3)
 
-    def build(ps, ins):
-        loss = sm._neg_elbo_graph(ps, config, ins[0], ins[1], CLASSIFICATION)
-        gen = sm._decode(ps, config, ins[2], CLASSIFICATION)
-        return loss + sm._regularizer_graph(gen, ins[3]) * config.lambda_c
+    def objective(ps, ins):
+        return sm._objective(ps, ins, config, CLASSIFICATION)
 
-    worst = ad.grad_check(build, params, [rows, noise, z, target])
-    assert worst < 1e-4
+    assert ad.grad_check(objective, params, [rows, noise, z, target]) < 1e-4
+    assert ad.grad_check(objective, params, [rows, noise]) < 1e-4
 
 
 def tiny_domain(n=24, seed=0):
@@ -147,14 +147,14 @@ def test_train_keeps_best_checkpoint_below_init():
     config = SimulatorConfig(encoder_dim=8, encoder_layers=1, decoder_dim=8,
                              decoder_layers=1, latent_dim=2, batch_size=8,
                              regularizer_draws=16, max_epochs=30,
-                             warmup_epochs=5, patience=30, seed=1)
-    model = train_simulator(dom, target, config)
+                             warmup_epochs=5, patience=30)
+    model = train_simulator(dom, target, config, seed=1)
     assert model.snapshot_best <= model.snapshot_init + 1e-12
     assert model.loss_history[0] == model.snapshot_init
     assert len(model.loss_history) <= config.max_epochs + 1
     assert model.snapshot_best == pytest.approx(
         loss_snapshot(model.params, np.column_stack([dom.features, dom.labels]),
-                      target, config, dom.task, config.seed), abs=1e-9)
+                      target, config, dom.task, 1), abs=1e-9)
 
 
 def test_train_is_deterministic_per_seed():
@@ -163,11 +163,13 @@ def test_train_is_deterministic_per_seed():
     config = SimulatorConfig(encoder_dim=6, encoder_layers=1, decoder_dim=6,
                              decoder_layers=1, latent_dim=2, batch_size=8,
                              regularizer_draws=8, max_epochs=8, warmup_epochs=2,
-                             patience=8, seed=5)
-    a = train_simulator(dom, target, config)
-    b = train_simulator(dom, target, config)
+                             patience=8)
+    a = train_simulator(dom, target, config, seed=5)
+    b = train_simulator(dom, target, config, seed=5)
     assert a.snapshot_best == b.snapshot_best
     assert all(np.array_equal(p, q) for p, q in zip(a.params, b.params))
+    other = train_simulator(dom, target, config, seed=6)
+    assert other.snapshot_init != a.snapshot_init
 
 
 def test_train_requires_target_when_regularized():
@@ -183,8 +185,8 @@ def test_sample_contract():
     dom = tiny_domain()
     config = SimulatorConfig(encoder_dim=6, encoder_layers=1, decoder_dim=6,
                              decoder_layers=1, latent_dim=2, lambda_c=0.0,
-                             batch_size=8, max_epochs=3, patience=3, seed=2)
-    model = train_simulator(dom, None, config)
+                             batch_size=8, max_epochs=3, patience=3)
+    model = train_simulator(dom, None, config, seed=2)
     synth = sample(model, 50, seed=9)
     again = sample(model, 50, seed=9)
     other = sample(model, 50, seed=10)
@@ -196,12 +198,13 @@ def test_sample_contract():
     smallest = sample(model, 2, seed=0)
     assert smallest.n == 2
 
-    reg = sample(model, 20, seed=3, task=REGRESSION)
+    reg = sample(replace(model, task=REGRESSION), 20, seed=3)
+    assert reg.task == REGRESSION
     assert np.all(np.abs(reg.labels) <= 1.0)
     with pytest.raises(ValueError):
         sample(model, 0, seed=0)
     with pytest.raises(ValueError):
-        sample(model, 5, seed=0, task="ranking")
+        sample(replace(model, task="ranking"), 5, seed=0)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -210,6 +213,8 @@ def test_sample_contract():
     ("obs_variance", 0.0),
     ("warmup_epochs", -1),
     ("lambda_c", -0.5),
+    ("lambda_c", float("nan")),
+    ("lambda_c", float("inf")),
     ("max_epochs", 0),
 ])
 def test_config_validation(field, value):
