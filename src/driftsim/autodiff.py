@@ -4,7 +4,15 @@ Forward evaluation records a tape of primitive operations (`Tensor` nodes
 holding parent links and local vector-Jacobian products); `backward` replays
 the tape in reverse topological order.  The engine is deliberately minimal:
 float64 only, 0-2d arrays, numpy broadcasting on elementwise binaries, and
-exactly the primitives the models in this package need.  No GPU, no fusion.
+exactly the primitives the models in this package need.  No GPU.
+
+Two fused primitives cut the tape where the models spend their time: `dense`
+records `act(x @ w + b)` as one node, and `lstm_cell` records one LSTM step
+as a cell-state node and a hidden-state node.  Their VJPs repeat the
+elementwise arithmetic of the unfused composition in the same order, and
+their parents are listed in the order `backward`'s depth-first search
+reached the unfused nodes, so every gradient, and every trained parameter,
+is bit-identical to what the composition of primitives gives.
 """
 from __future__ import annotations
 
@@ -39,6 +47,8 @@ __all__ = [
     "reduce_mean",
     "transpose",
     "concat",
+    "dense",
+    "lstm_cell",
 ]
 
 
@@ -132,8 +142,10 @@ def _node(value, parents, vjp) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
+    # no VJP writes into a gradient and every sum below is out of place, so
+    # the first gradient can be kept without a copy
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+        t.grad = np.asarray(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
 
@@ -206,14 +218,18 @@ def neg(a) -> Tensor:
     return _node(-a.value, (a,), vjp)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ValueError(
             f"matmul expects 2-d operands, got {a.value.shape} @ {b.value.shape}")
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(
             f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    _check_matmul(a, b)
     out = a.value @ b.value
 
     def vjp(g):
@@ -233,9 +249,13 @@ def tanh(a) -> Tensor:
     return _node(out, (a,), vjp)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
-    out = 1.0 / (1.0 + np.exp(-a.value))
+    out = _sigmoid(a.value)
 
     def vjp(g):
         _accumulate(a, g * out * (1.0 - out))
@@ -360,6 +380,85 @@ def _getitem(a: Tensor, key) -> Tensor:
     return _node(out.copy(), (a,), vjp)
 
 
+# -- fused primitives ------------------------------------------------------
+
+def dense(x, w, b, act=None) -> Tensor:
+    """`act(x @ w + b)` as one node; `act` is None (linear), `tanh` or `relu`.
+
+    The VJP applies the activation's derivative as `tanh`/`relu` do, then
+    the `add` and `matmul` VJPs, so the gradients equal those of the
+    three-node composition bit for bit.
+    """
+    if act not in (None, tanh, relu):
+        raise ValueError("dense activation must be None, tanh or relu")
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    _check_matmul(x, w)
+    pre = x.value @ w.value + b.value
+    if act is tanh:
+        out = np.tanh(pre)
+    elif act is relu:
+        mask = pre > 0.0
+        out = pre * mask
+    else:
+        out = pre
+
+    def vjp(g):
+        if act is tanh:
+            g = g * (1.0 - out * out)
+        elif act is relu:
+            g = g * mask
+        if x.requires_grad:
+            _accumulate(x, g @ w.value.T)
+        _accumulate(w, x.value.T @ g)
+        _accumulate(b, _unbroadcast(g, b.value.shape))
+
+    # backward's search reaches b, then w, then x, as it did through add and matmul
+    return _node(out, (x, w, b), vjp)
+
+
+def lstm_cell(gates, c_prev, hidden: int):
+    """One LSTM step from gate pre-activations laid out [input|forget|cell|output].
+
+    `c_prev` is None on the first step of a sequence (zero cell state).
+    Returns the new (h, c): c = f * c_prev + i * g and h = o * tanh(c), as a
+    c node with parents (c_prev, gates) and an h node with parents (gates, c).
+    Each VJP writes its gate gradients into one zero array the width of
+    `gates`; the composition summed four zero-padded slices, which is exact.
+    """
+    gates = _wrap(gates)
+    z = gates.value
+    n = hidden
+    i = _sigmoid(z[:, 0:n])
+    f = _sigmoid(z[:, n:2 * n])
+    g = np.tanh(z[:, 2 * n:3 * n])
+    o = _sigmoid(z[:, 3 * n:4 * n])
+    if c_prev is None:
+        c_value, parents = i * g, (gates,)
+    else:
+        c_prev = _wrap(c_prev)
+        c_value, parents = f * c_prev.value + i * g, (c_prev, gates)
+
+    def c_vjp(gc):
+        dz = np.zeros_like(z)
+        dz[:, 0:n] = gc * g * i * (1.0 - i)
+        dz[:, 2 * n:3 * n] = gc * i * (1.0 - g * g)
+        if c_prev is not None:
+            dz[:, n:2 * n] = gc * c_prev.value * f * (1.0 - f)
+            _accumulate(c_prev, gc * f)
+        _accumulate(gates, dz)
+
+    c = _node(c_value, parents, c_vjp)
+    tc = np.tanh(c_value)
+
+    def h_vjp(gh):
+        dz = np.zeros_like(z)
+        dz[:, 3 * n:4 * n] = gh * tc * o * (1.0 - o)
+        _accumulate(gates, dz)
+        _accumulate(c, gh * o * (1.0 - tc * tc))
+
+    return _node(o * tc, (gates, c), h_vjp), c
+
+
 # -- tape replay ----------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
@@ -419,7 +518,8 @@ def evaluate_with_gradients(loss_fn: LossFn, params, inputs):
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss is non-finite: {loss}")
     backward(out)
-    grads = [p.grad if p.grad is not None else np.zeros_like(p.value)
+    # copies, because tape gradients may share memory with one another
+    grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
              for p in param_leaves]
     return loss, grads
 

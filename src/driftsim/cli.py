@@ -27,7 +27,7 @@ from .datasets import (CLASSIFICATION, CsvSchema, DomainStream,
                        load_csv_stream, make_moons_stream, save_domain_csv,
                        fit_apply_normalization)
 from .harness import (METHODS, ExperimentConfig, ExperimentReport,
-                      run_experiment, sweep)
+                      require_both_labels, run_experiment, sweep)
 
 __all__ = ["main", "load_run_config"]
 
@@ -147,14 +147,9 @@ def _build_stream(block) -> DomainStream:
                      for k, v in options.items()}}
         try:
             stream = load_csv_stream(path, CsvSchema(**schema))
+            require_both_labels(stream)
         except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset: {exc}") from None
-        if stream.task == CLASSIFICATION:
-            for dom in (*stream.sources, stream.target):
-                if np.unique(dom.labels).size < 2:
-                    raise ConfigError(
-                        f"dataset: domain {dom.domain_index} holds a single "
-                        "class; every classification domain needs both labels")
         return stream
     raise ConfigError(f"dataset: unknown kind {kind!r}; expected moons or csv")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .datasets import CLASSIFICATION, DomainDataset, DomainStream
-from .nn import dense_params, glorot, lstm_cell
+from .nn import dense_params, glorot
 from .optim import fit
 
 __all__ = ["DensityGrid", "PrelimConfig", "default_grid", "kde_density",
@@ -155,7 +155,7 @@ def _lstm_states(params, summaries):
     states = []
     for t in range(summaries.shape[0]):
         row = ad.constant(summaries[t:t + 1])
-        h, c = lstm_cell(row @ w_x + h @ w_h + b, c, hd)
+        h, c = ad.lstm_cell(row @ w_x + h @ w_h + b, c, hd)
         states.append(h)
     return states
 
@@ -163,7 +163,7 @@ def _lstm_states(params, summaries):
 def _decode_rows(params, state):
     _, _, _, embed, w_e, w_s, b_mix, w_out, b_out = params
     mix = ad.tanh(embed @ w_e + state @ w_s + b_mix)
-    return ad.tanh(mix @ w_out + b_out)
+    return ad.dense(mix, w_out, b_out, ad.tanh)
 
 
 def _joint_kl_graph(rows, labels, truth: DomainDataset, grid: np.ndarray):

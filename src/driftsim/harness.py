@@ -26,12 +26,14 @@ from .predictor import PredictorConfig, predict_next, train_predictor
 from .simulator import SimulatorConfig, sample, train_simulator
 
 __all__ = ["DownstreamConfig", "DownstreamModel", "ExperimentConfig",
-           "ExperimentReport", "SweepPoint", "METHODS", "train_downstream",
-           "evaluate", "run_experiment", "sweep"]
+           "ExperimentReport", "SweepPoint", "METHODS", "require_both_labels",
+           "train_downstream", "evaluate", "run_experiment", "sweep"]
 
 METHODS = ("coda", "coda-without-C", "lastdomain", "offline", "incfinetune",
            "prelim")
 CLAMP = 1e-6
+# generated rows per target row; larger values ask for more rows than memory holds
+MAX_SAMPLE_RATE = 100.0
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,8 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be non-negative")
-        if not 0 < self.sample_rate < np.inf:  # also rejects NaN
-            raise ValueError("sample_rate must be finite and positive")
+        if not 0 < self.sample_rate <= MAX_SAMPLE_RATE:  # also rejects NaN
+            raise ValueError(f"sample_rate must be in (0, {MAX_SAMPLE_RATE:g}]")
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,18 @@ class ExperimentReport:
                 "seed_values": list(self.seed_values), "mean": self.mean,
                 "std": self.std, "config": self.config_snapshot,
                 "wall_clock_s": self.wall_clock_s}
+
+
+def require_both_labels(stream: DomainStream) -> None:
+    """Reject a classification stream with a domain that holds a single class:
+    the label column of such a domain is constant, so its correlation matrix
+    is undefined and its error rate says nothing."""
+    if stream.task != CLASSIFICATION:
+        return
+    for dom in (*stream.sources, stream.target):
+        if np.unique(dom.labels).size < 2:
+            raise ValueError(f"domain {dom.domain_index} holds a single class; "
+                             "every classification domain needs both labels")
 
 
 def _assemble_training_set(stream: DomainStream, method: str,
@@ -205,6 +219,7 @@ def run_experiment(stream: DomainStream, method: str,
     """Score one method over all configured seeds and aggregate."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    require_both_labels(stream)
     t0 = time.perf_counter()
     runs = [_run_single(stream, method, config, seed) for seed in config.seeds]
     values, train_sets, extras = zip(*runs)

@@ -1,12 +1,11 @@
-"""Layer helpers shared by the models: Glorot init, a dense stack and one
-LSTM cell."""
+"""Layer helpers shared by the models: Glorot init and a dense stack."""
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
 
-__all__ = ["glorot", "dense_params", "mlp", "lstm_cell"]
+__all__ = ["glorot", "dense_params", "mlp"]
 
 
 def glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -28,19 +27,6 @@ def mlp(params, x, act):
     """Apply the [w, b] pairs of `params` in order, with `act` after every
     pair except the last, which stays linear."""
     for i in range(0, len(params) - 2, 2):
-        x = act(x @ params[i] + params[i + 1])
-    return x @ params[-2] + params[-1]
+        x = ad.dense(x, params[i], params[i + 1], act)
+    return ad.dense(x, params[-2], params[-1])
 
-
-def lstm_cell(gates, c_prev, hidden: int):
-    """One LSTM step from gate pre-activations laid out [input|forget|cell|output].
-
-    `c_prev` is None on the first step of a sequence (zero cell state).
-    Returns the new (h, c).
-    """
-    i = ad.sigmoid(gates[:, 0:hidden])
-    f = ad.sigmoid(gates[:, hidden:2 * hidden])
-    g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
-    c = i * g if c_prev is None else f * c_prev + i * g
-    return o * ad.tanh(c), c

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .correlation import CorrelationMatrix, flatten_upper, unflatten_upper
-from .nn import dense_params, glorot, lstm_cell
+from .nn import dense_params, glorot
 from .optim import fit
 
 __all__ = ["PredictorConfig", "PredictorModel", "predict_next", "cp_loss",
@@ -78,13 +78,13 @@ def _forward_sequence(params: list, rows: list, layers: int, hidden: int) -> lis
     c_states = [None] * layers
     outputs = []
     for row in rows:
-        x = row @ w_embed + b_embed
+        x = ad.dense(row, w_embed, b_embed)
         for layer in range(layers):
             w, b = params[2 + 2 * layer], params[3 + 2 * layer]
-            gates = ad.concat([x, h_states[layer]], axis=1) @ w + b
-            x, c_states[layer] = lstm_cell(gates, c_states[layer], hidden)
+            gates = ad.dense(ad.concat([x, h_states[layer]], axis=1), w, b)
+            x, c_states[layer] = ad.lstm_cell(gates, c_states[layer], hidden)
             h_states[layer] = x
-        outputs.append(ad.tanh(x @ w_head + b_head))
+        outputs.append(ad.dense(x, w_head, b_head, ad.tanh))
     return outputs
 
 

@@ -93,7 +93,8 @@ def _encode(params, config, rows):
     """(mu, logvar) of q(z | rows): a tanh trunk and two linear heads."""
     k = 2 * config.encoder_layers
     h = ad.tanh(mlp(params[:k], rows, ad.tanh))
-    return h @ params[k] + params[k + 1], h @ params[k + 2] + params[k + 3]
+    return (ad.dense(h, params[k], params[k + 1]),
+            ad.dense(h, params[k + 2], params[k + 3]))
 
 
 def _decode(params, config, z, task):

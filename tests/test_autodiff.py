@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from driftsim import autodiff as ad
-from driftsim.nn import dense_params, glorot, lstm_cell, mlp
+from driftsim import predictor
+from driftsim.nn import dense_params, glorot, mlp
 from driftsim.optim import Adam, fit
+from driftsim.predictor import PredictorConfig
 
 
 def _sq(t):
@@ -152,7 +154,7 @@ def test_gated_recurrent_cell_gradient():
         wmat, b = params
         xin, hin, cin = inputs
         stacked = ad.concat([xin, hin], axis=1)
-        h_new, c_new = lstm_cell(stacked @ wmat + b, cin, 5)
+        h_new, c_new = ad.lstm_cell(stacked @ wmat + b, cin, 5)
         return ad.reduce_sum(_sq(h_new)) + ad.reduce_sum(c_new)
 
     _check(build, [w, bias], [x, h, cell], tol=1e-4)
@@ -160,8 +162,8 @@ def test_gated_recurrent_cell_gradient():
 
 def test_lstm_cell_first_step_is_zero_cell_state():
     gates = ad.constant(np.random.default_rng(16).normal(size=(1, 12)))
-    h0, c0 = lstm_cell(gates, None, 3)
-    h1, c1 = lstm_cell(gates, ad.constant(np.zeros((1, 3))), 3)
+    h0, c0 = ad.lstm_cell(gates, None, 3)
+    h1, c1 = ad.lstm_cell(gates, ad.constant(np.zeros((1, 3))), 3)
     np.testing.assert_allclose(h0.value, h1.value, rtol=0, atol=1e-15)
     np.testing.assert_allclose(c0.value, c1.value, rtol=0, atol=1e-15)
 
@@ -178,6 +180,138 @@ def test_dense_stack_matches_glorot_draws_and_numpy():
     out = mlp([ad.constant(p) for p in params], ad.constant(x), ad.tanh)
     want = np.tanh(x @ params[0] + params[1]) @ params[2] + params[3]
     np.testing.assert_allclose(out.value, want, rtol=0, atol=1e-15)
+
+
+def test_returned_gradients_share_no_memory():
+    # both leaves receive the same tape array from add's VJP
+    loss_fn = lambda params, inputs: ad.reduce_sum(params[0] + params[1])
+    _, grads = ad.evaluate_with_gradients(loss_fn, [np.ones((2, 3)), np.ones((2, 3))], [])
+    assert not np.shares_memory(grads[0], grads[1])
+    grads[0][0, 0] = 5.0
+    np.testing.assert_array_equal(grads[1], np.ones((2, 3)))
+
+
+# -- fused primitives against the compositions they replace ----------------
+
+def _dense_oracle(x, w, b, act):
+    out = x @ w + b
+    return out if act is None else act(out)
+
+
+def _lstm_cell_oracle(gates, c_prev, hidden):
+    i = ad.sigmoid(gates[:, 0:hidden])
+    f = ad.sigmoid(gates[:, hidden:2 * hidden])
+    g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
+    o = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
+    c = i * g if c_prev is None else f * c_prev + i * g
+    return o * ad.tanh(c), c
+
+
+def _assert_same_values_and_gradients(fused, oracle, params, inputs):
+    got = ad.evaluate_with_gradients(fused, params, inputs)
+    want = ad.evaluate_with_gradients(oracle, params, inputs)
+    assert got[0] == want[0]
+    for g_fused, g_oracle in zip(got[1], want[1]):
+        assert np.array_equal(g_fused, g_oracle)
+
+
+@pytest.mark.parametrize("act", [None, ad.tanh, ad.relu])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_dense_matches_composition_bit_for_bit(act, rows):
+    rng = np.random.default_rng(19)
+    x, w = rng.normal(size=(rows, 3)), rng.normal(size=(3, 4))
+    b, weights = rng.normal(size=(1, 4)), rng.normal(size=(rows, 4))
+
+    def loss(layer):
+        return lambda p, i: ad.reduce_sum(_sq(layer(p[0], p[1], p[2], act)) * i[0])
+
+    _assert_same_values_and_gradients(loss(ad.dense), loss(_dense_oracle),
+                                      [x, w, b], [weights])
+    fused = ad.dense(ad.constant(x), ad.constant(w), ad.constant(b), act)
+    oracle = _dense_oracle(ad.constant(x), ad.constant(w), ad.constant(b), act)
+    assert np.array_equal(fused.value, oracle.value)
+    _check(loss(ad.dense), [x, w, b], [weights], step=1e-5)
+
+
+def test_dense_rejects_other_activations():
+    with pytest.raises(ValueError):
+        ad.dense(np.ones((1, 2)), np.ones((2, 2)), np.zeros((1, 2)), ad.sigmoid)
+
+
+def _one_step_loss(cell):
+    """Loss of one LSTM step whose gates are the parameter; a second input,
+    when given, is a constant previous cell state."""
+    def loss_fn(p, i):
+        h, c = cell(p[0], i[1] if len(i) > 1 else None, 3)
+        return ad.reduce_sum(h * i[0]) + ad.reduce_sum(_sq(c))
+    return loss_fn
+
+
+def _three_step_loss(cell, layer):
+    """Loss of three chained LSTM steps whose gates come from one shared
+    (x, h) -> gates layer."""
+    def loss_fn(p, i):
+        (w, b), (xs, weights) = p, i
+        h, c, total = ad.constant(np.zeros((1, 3))), None, None
+        for t in range(3):
+            gates = layer(ad.concat([xs[t:t + 1, :], h], axis=1), w, b, None)
+            h, c = cell(gates, c, 3)
+            term = ad.reduce_sum(h * weights[t:t + 1, :])
+            total = term if total is None else total + term
+        return total + ad.reduce_sum(_sq(c))
+    return loss_fn
+
+
+@pytest.mark.parametrize("case", ["first step", "constant cell state",
+                                  "two rows", "chained"])
+def test_lstm_cell_matches_composition_bit_for_bit(case):
+    rng = np.random.default_rng(20)
+    if case == "chained":
+        params = [rng.normal(size=(5, 12)) * 0.5, rng.normal(size=(1, 12))]
+        inputs = [rng.normal(size=(3, 2)), rng.normal(size=(3, 3))]
+        fused = _three_step_loss(ad.lstm_cell, ad.dense)
+        oracle = _three_step_loss(_lstm_cell_oracle, _dense_oracle)
+    else:
+        rows = 2 if case == "two rows" else 1
+        params = [rng.normal(size=(rows, 12))]
+        inputs = [rng.normal(size=(rows, 3))]
+        if case != "first step":
+            inputs.append(rng.normal(size=(rows, 3)))
+        fused, oracle = _one_step_loss(ad.lstm_cell), _one_step_loss(_lstm_cell_oracle)
+    _assert_same_values_and_gradients(fused, oracle, params, inputs)
+    _check(fused, params, inputs, step=1e-5)
+
+
+def _unfused_forward_sequence(params, rows, layers, hidden):
+    """The predictor's forward pass written with primitives only."""
+    w_embed, b_embed = params[0], params[1]
+    w_head, b_head = params[-2], params[-1]
+    h_states = [ad.constant(np.zeros((1, hidden)))] * layers
+    c_states = [None] * layers
+    outputs = []
+    for row in rows:
+        x = row @ w_embed + b_embed
+        for layer in range(layers):
+            w, b = params[2 + 2 * layer], params[3 + 2 * layer]
+            gates = ad.concat([x, h_states[layer]], axis=1) @ w + b
+            x, c_states[layer] = _lstm_cell_oracle(gates, c_states[layer], hidden)
+            h_states[layer] = x
+        outputs.append(ad.tanh(x @ w_head + b_head))
+    return outputs
+
+
+def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):
+    m, config = 3, PredictorConfig()
+    rng = np.random.default_rng(21)
+    params = predictor._init_params(m, config, rng)
+    inputs = [rng.uniform(-0.9, 0.9, size=(5, 3)), rng.uniform(-0.9, 0.9, size=(5, 3))]
+    loss_fn = lambda ps, ins: predictor._sequence_loss(ps, ins, m, config)
+    fused = ad.evaluate_with_gradients(loss_fn, params, inputs)
+    monkeypatch.setattr(predictor, "_forward_sequence", _unfused_forward_sequence)
+    unfused = ad.evaluate_with_gradients(loss_fn, params, inputs)
+    assert fused[0] == unfused[0]
+    for g_fused, g_unfused in zip(fused[1], unfused[1]):
+        assert np.array_equal(g_fused, g_unfused)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))

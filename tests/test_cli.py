@@ -144,6 +144,8 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys):
                        ("downstream", {"patience": 0}),
                        ("dataset", {"kind": "moons", "noise_std": float("nan")}),
                        ("predictor", 3), ("dataset", 3), ("dataset", [1]),
+                       # asks for more generated rows than memory holds
+                       ("sample_rate", 1e300),
                        # per-model seeds come only from "seeds"
                        ("predictor", {"seed": 5}), ("simulator", {"seed": 5}),
                        ("downstream", {"seed": 5})):
@@ -290,6 +292,9 @@ def test_sweep_usage_errors(tmp_path, capsys):
             assert usage_error_in_one_line(capsys, [
                 "sweep", "--config", cfg, "--param", param,
                 f"--values={value}", "--out", str(tmp_path / "out")]), (param, value)
+    assert usage_error_in_one_line(capsys, [
+        "sweep", "--config", cfg, "--param", "sample_rate", "--values=1e300",
+        "--out", str(tmp_path / "out")])
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", cfg, "--param", "epochs", "--values", "1"])
     assert exc.value.code == 2

@@ -150,6 +150,19 @@ def test_sweep_rejects_bad_arguments(monkeypatch):
     assert runs == []
 
 
+def test_single_class_domain_is_rejected_before_training(monkeypatch):
+    target = SMALL_STREAM.target
+    one_class = DomainStream(sources=SMALL_STREAM.sources, target=DomainDataset(
+        target.domain_index, target.features, np.ones(target.n)))
+    runs = []
+    monkeypatch.setattr(harness, "_run_single", lambda *a: runs.append(a))
+    with pytest.raises(ValueError, match="single class"):
+        run_experiment(one_class, "coda", TINY_PIPELINE)
+    with pytest.raises(ValueError, match="single class"):
+        sweep(one_class, "sample_rate", [1.0], TINY_PIPELINE)
+    assert runs == []
+
+
 def test_validation_split_needs_three_sources():
     tiny = make_moons_stream(domains=3, n_per_domain=40, seed=0)
     with pytest.raises(ValueError):
@@ -160,9 +173,10 @@ def test_validation_split_needs_three_sources():
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
-    for rate in (0.0, float("nan"), float("inf")):
+    for rate in (0.0, float("nan"), float("inf"), 100.5, 1e300):
         with pytest.raises(ValueError):
             ExperimentConfig(sample_rate=rate)
+    assert ExperimentConfig(sample_rate=100.0).sample_rate == 100.0
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=(0, -1))
 
