@@ -27,6 +27,8 @@ __all__ = [
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+# rows in one moons stream: 10 M rows of two features and a label take 240 MB
+MAX_ROWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,8 @@ def make_moons_stream(domains: int = 10, n_per_domain: int = 200,
                       noise_std: float = 0.15, seed: int = 0) -> DomainStream:
     if domains < 3:
         raise ValueError("need at least 3 domains (2 sources + target)")
+    if domains * n_per_domain > MAX_ROWS:
+        raise ValueError(f"domains * n_per_domain must be at most {MAX_ROWS:,}")
     all_domains = [make_moons_domain(n_per_domain, i, noise_std, seed)
                    for i in range(domains)]
     return DomainStream(sources=tuple(all_domains[:-1]), target=all_domains[-1])

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, file outputs, config parsing."""
 import json
+import multiprocessing
 import os
 from dataclasses import asdict
 from pathlib import Path
@@ -156,6 +157,10 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys):
     bad_moons = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
         "kind": "moons", "domains": 1}})
     assert main(["run", "--config", bad_moons]) == 2
+    # 10 domains x 10 M rows: rejected before any domain is drawn
+    huge_moons = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
+        "kind": "moons", "n_per_domain": 10_000_000}})
+    assert usage_error_in_one_line(capsys, ["run", "--config", huge_moons])
     one_class = tmp_path / "one_class.csv"
     one_class.write_text("t,y,a\n0,0,1.0\n0,1,2.0\n0,1,2.5\n"
                          "1,1,1.5\n1,1,2.5\n2,0,1.1\n2,1,2.1\n")
@@ -168,9 +173,11 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys):
     assert main(["run", "--config", missing_csv]) == 2
 
 
-def test_gen_moons_bad_dataset_is_usage_error(tmp_path):
+def test_gen_moons_bad_dataset_is_usage_error(tmp_path, capsys):
     assert main(["gen-moons", "--domains", "1", "--out", str(tmp_path)]) == 2
     assert main(["gen-moons", "--n", "3", "--out", str(tmp_path)]) == 2
+    assert usage_error_in_one_line(capsys, [
+        "gen-moons", "--n", "2000000", "--domains", "10", "--out", str(tmp_path)])
     assert os.listdir(tmp_path) == []
 
 
@@ -187,7 +194,8 @@ def test_gen_moons_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-def test_run_non_finite_gradient_is_numeric_failure(tmp_path, monkeypatch):
+def test_run_non_finite_gradient_is_numeric_failure(tmp_path, monkeypatch,
+                                                   capsys):
     real = autodiff.evaluate_with_gradients
 
     def nan_grads(loss_fn, params, inputs):
@@ -195,8 +203,16 @@ def test_run_non_finite_gradient_is_numeric_failure(tmp_path, monkeypatch):
         return loss, [np.full_like(g, np.nan) for g in grads]
 
     monkeypatch.setattr(autodiff, "evaluate_with_gradients", nan_grads)
-    cfg = write_cfg(tmp_path, TINY_CFG)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    # three seeds run in forked workers where two CPUs are usable; the
+    # workers inherit the patch and the first failure ends the run
+    for seeds in ([0], [0, 1, 2]):
+        cfg = write_cfg(tmp_path, {**TINY_CFG, "seeds": seeds})
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
 
 
 def test_run_artifacts_reuse_the_run_models(tmp_path, monkeypatch):

@@ -1,4 +1,8 @@
 """Downstream-evaluation and experiment-harness contract tests."""
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -184,3 +188,34 @@ def test_experiment_config_validation():
 def test_methods_tuple_is_the_public_contract():
     assert METHODS == ("coda", "coda-without-C", "lastdomain", "offline",
                        "incfinetune", "prelim")
+
+
+THREE_SEEDS = replace(TINY_PIPELINE, seeds=(0, 1, 2))
+
+
+def test_seeds_in_workers_match_the_one_process_run():
+    # on a machine with one usable CPU this checks the in-process path only
+    report = run_experiment(SMALL_STREAM, "coda", THREE_SEEDS)
+    assert multiprocessing.active_children() == []
+    for i, seed in enumerate(THREE_SEEDS.seeds):
+        value, train_set, extra = harness._run_single(SMALL_STREAM, "coda",
+                                                      THREE_SEEDS, seed)
+        assert np.array_equal(report.seed_values[i], value)
+        assert np.array_equal(report.train_sets[i].features, train_set.features)
+        assert np.array_equal(report.train_sets[i].labels, train_set.labels)
+        assert np.array_equal(report.extras[i]["predicted_corr"].entries,
+                              extra["predicted_corr"].entries)
+
+
+def test_one_usable_cpu_runs_the_seeds_in_process(monkeypatch):
+    calls = []
+    real = harness.train_predictor
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(harness, "train_predictor", counted)
+    run_experiment(SMALL_STREAM, "coda", THREE_SEEDS)
+    assert calls == [0, 1, 2]
