@@ -27,7 +27,7 @@ from .datasets import (CLASSIFICATION, CsvSchema, DomainStream,
                        load_csv_stream, make_moons_stream, save_domain_csv,
                        fit_apply_normalization)
 from .harness import (METHODS, ExperimentConfig, ExperimentReport,
-                      require_both_labels, run_experiment, sweep)
+                      require_trainable, run_experiment, sweep)
 
 __all__ = ["main", "load_run_config"]
 
@@ -146,11 +146,9 @@ def _build_stream(block) -> DomainStream:
                   **{k: tuple(v) if isinstance(v, list) else v
                      for k, v in options.items()}}
         try:
-            stream = load_csv_stream(path, CsvSchema(**schema))
-            require_both_labels(stream)
+            return load_csv_stream(path, CsvSchema(**schema))
         except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset: {exc}") from None
-        return stream
     raise ConfigError(f"dataset: unknown kind {kind!r}; expected moons or csv")
 
 
@@ -191,7 +189,14 @@ def load_run_config(path: str):
     if not methods:
         raise ConfigError("methods: need at least one")
     config = _overrides(raw, path, ExperimentConfig())
-    return _build_stream(dataset), methods, config, output_dir
+    stream = _build_stream(dataset)
+    # every listed method is checked before the first one trains
+    for method in methods:
+        try:
+            require_trainable(stream, method)
+        except ValueError as exc:
+            raise ConfigError(f"dataset: {exc}") from None
+    return stream, methods, config, output_dir
 
 
 # -- subcommands -------------------------------------------------------------

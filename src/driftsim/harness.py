@@ -29,7 +29,8 @@ from .simulator import SimulatorConfig, sample, train_simulator
 
 __all__ = ["DownstreamConfig", "DownstreamModel", "ExperimentConfig",
            "ExperimentReport", "SweepPoint", "METHODS", "require_both_labels",
-           "train_downstream", "evaluate", "run_experiment", "sweep"]
+           "require_trainable", "train_downstream", "evaluate", "run_experiment",
+           "sweep"]
 
 METHODS = ("coda", "coda-without-C", "lastdomain", "offline", "incfinetune",
            "prelim")
@@ -163,6 +164,27 @@ def require_both_labels(stream: DomainStream) -> None:
                              "every classification domain needs both labels")
 
 
+def require_trainable(stream: DomainStream, method: str) -> None:
+    """Reject, before anything trains, a stream that `method` cannot train on:
+    a single-class domain (`require_both_labels`), sources on which every
+    feature or a regression label is constant (so normalization has nothing
+    to scale), fewer than 3 sources for the two sequence models (coda's
+    forecaster and prelim), a source without a correlation matrix for coda's
+    forecaster, or prelim on a regression stream."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    require_both_labels(stream)
+    normalized, _ = fit_apply_normalization(stream)
+    if method in ("coda", "prelim") and len(stream.sources) < 3:
+        raise ValueError(f"{method} needs at least 3 source domains, "
+                         f"got {len(stream.sources)}")
+    if method == "coda":
+        for source in normalized.sources:
+            pearson_matrix(source)  # raises on a column constant in one domain
+    if method == "prelim" and stream.task != CLASSIFICATION:
+        raise ValueError("prelim is defined for classification streams only")
+
+
 def _assemble_training_set(stream: DomainStream, method: str,
                            config: ExperimentConfig, seed: int):
     """Training data for one method on an already-normalized stream.
@@ -289,9 +311,7 @@ def run_experiment(stream: DomainStream, method: str,
     the wall time of the whole parallel run, and criterion 1's 600 s gate
     reads that. Every other field is the same at any worker count.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    require_both_labels(stream)
+    require_trainable(stream, method)
     t0 = time.perf_counter()
     runs = _run_seeds(stream, method, config)
     values, train_sets, extras = zip(*runs)
@@ -335,8 +355,11 @@ def sweep(stream: DomainStream, parameter: str, values,
     if not values:
         raise ValueError("sweep needs at least one value")
     val_stream = _validation_stream(stream) if validate else None
-    # every value is checked before the first run trains anything
+    # every value, and the validation stream that run_experiment meets only
+    # after a test run, is checked before the first run trains anything
     configs = [_with_value(config, parameter, value) for value in values]
+    if validate:
+        require_trainable(val_stream, method)
     points = []
     for value, cfg in zip(values, configs):
         test_report = run_experiment(stream, method, cfg)

@@ -3,9 +3,10 @@ per-domain matrices.
 
 A stacked LSTM consumes the flattened strict upper triangles of C_1..C_{T-1}
 (teacher forcing: true matrices in, one-step-ahead targets out) and a tanh
-head emits the next flattened matrix. The training loss per step combines a
-Frobenius term, an elementwise-L1 term, and a binary cross-entropy term on
-entries affinely mapped from [-1, 1] to [0, 1].
+head emits the next flattened matrix. The training loss sums, over the
+steps, a Frobenius term, an elementwise-L1 term, and a binary cross-entropy
+term on entries affinely mapped from [-1, 1] to [0, 1]; it is recorded as one
+graph over the stacked head outputs of all steps.
 """
 from __future__ import annotations
 
@@ -128,35 +129,29 @@ def cp_loss(predictions: list, truths: list, lambda_ce: float) -> float:
     return total
 
 
-def _step_loss_graph(pred_vec, true_vec, m: int, lambda_ce: float):
-    """Tape version of one cp_loss term, built from flattened vectors.
-
-    Off-diagonal entries appear twice in the full matrix; the diagonal is
-    exactly 1 on both sides, contributing zero to Frobenius/L1 and a clamp
-    constant to the BCE mean.
-    """
-    diff = pred_vec - true_vec
-    fro = ad.sqrt(ad.reduce_sum(diff * diff) * 2.0 + FRO_GUARD)
-    l1 = ad.reduce_sum(ad.absolute(diff)) * 2.0
-    q = ad.clip((pred_vec + 1.0) * 0.5, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    p01 = (true_vec + 1.0) * 0.5
-    bce_off = -(p01 * ad.log(q) + (1.0 - p01) * ad.log(1.0 - q))
-    diag_const = -m * np.log(1.0 - BCE_CLAMP)
-    bce = (ad.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
-    return fro + l1 + bce * lambda_ce
-
-
 def _sequence_loss(params, inputs, m: int, config: PredictorConfig):
-    """Sum of the one-step-ahead loss terms; `inputs` holds the flattened
-    matrices C_1..C_{T-1} and their targets C_2..C_T, one row per step."""
+    """cp_loss summed over the one-step-ahead forecasts, as one tape graph.
+
+    `inputs` holds the flattened matrices C_1..C_{T-1} and their targets
+    C_2..C_T, one row per step. The head outputs are stacked into one
+    (T-1) x p node. Off-diagonal entries appear twice in the full matrix;
+    the diagonal is exactly 1 on both sides, contributing zero to
+    Frobenius/L1 and a clamp constant per step to the BCE mean.
+    """
     seq, tgt = inputs
     rows = [seq[s:s + 1, :] for s in range(seq.shape[0])]
-    outs = _forward_sequence(params, rows, config.layers, config.hidden_dim)
-    loss = None
-    for s, out in enumerate(outs):
-        term = _step_loss_graph(out, tgt[s:s + 1, :], m, config.lambda_ce)
-        loss = term if loss is None else loss + term
-    return loss
+    pred = ad.concat(_forward_sequence(params, rows, config.layers,
+                                       config.hidden_dim), axis=0)
+    diff = pred - tgt
+    # one Frobenius norm per step, then their sum
+    fro = ad.reduce_sum(ad.sqrt(ad.reduce_sum(diff * diff, axis=1) * 2.0 + FRO_GUARD))
+    l1 = ad.reduce_sum(ad.absolute(diff)) * 2.0
+    q = ad.clip((pred + 1.0) * 0.5, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    p01 = (tgt + 1.0) * 0.5
+    bce_off = -(p01 * ad.log(q) + (1.0 - p01) * ad.log(1.0 - q))
+    diag_const = -m * np.log(1.0 - BCE_CLAMP) * seq.shape[0]
+    bce = (ad.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
+    return fro + l1 + bce * config.lambda_ce
 
 
 def train_predictor(matrices: list, config: PredictorConfig,

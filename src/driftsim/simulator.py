@@ -21,8 +21,8 @@ from .datasets import CLASSIFICATION, DomainDataset
 from .nn import dense_params, mlp
 from .optim import Adam
 
-__all__ = ["SimulatorConfig", "SimulatorModel", "elbo_loss", "corr_regularizer",
-           "train_simulator", "sample", "loss_snapshot"]
+__all__ = ["SimulatorConfig", "SimulatorModel", "train_simulator", "sample",
+           "loss_snapshot"]
 
 EPS_VAR = 1e-6  # variance guard inside the differentiable batch std
 SNAPSHOT_DRAWS = 2048  # prior draws for the deterministic regularizer readout
@@ -141,41 +141,16 @@ def _regularizer_graph(batch, target):
 
 
 def _objective(params, inputs, config: SimulatorConfig, task: str):
-    """Training loss of one minibatch: the negative ELBO of `[rows, noise]`,
+    """The simulator's one loss graph: the negative ELBO of `[rows, noise]`,
     plus lambda_c times the regularizer of decoded prior draws `z` against
-    `target` when `inputs` is `[rows, noise, z, target]`."""
+    `target` when `inputs` is `[rows, noise, z, target]`. The training steps
+    differentiate it on minibatches with fresh draws; `loss_snapshot` reads
+    its value on the full data with frozen draws."""
     loss = _neg_elbo_graph(params, config, inputs[0], inputs[1], task)
     if len(inputs) == 2:
         return loss
     gen = _decode(params, config, inputs[2], task)
     return loss + _regularizer_graph(gen, inputs[3]) * config.lambda_c
-
-
-def elbo_loss(model: SimulatorModel, batch: np.ndarray, noise: np.ndarray) -> float:
-    """Negative ELBO of a batch of [X | y] rows under the current weights.
-
-    `noise` is the reparameterization draw, one row per batch row, passed in
-    explicitly so the value is deterministic.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] < 1 or batch.shape[1] != model.m:
-        raise ValueError(f"batch must be n x {model.m}, got {batch.shape}")
-    if noise.shape != (batch.shape[0], model.config.latent_dim):
-        raise ValueError("noise shape must be (rows, latent_dim)")
-    return ad.evaluate_value(
-        lambda ps, ins: _neg_elbo_graph(ps, model.config, ins[0], ins[1], model.task),
-        model.params, [batch, noise])
-
-
-def corr_regularizer(batch: np.ndarray, target: CorrelationMatrix) -> float:
-    """Elementwise-L1 gap between the batch's guarded Pearson matrix and target."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] < 8:
-        raise ValueError("batch correlation needs at least 8 rows")
-    if batch.shape[1] != target.dim:
-        raise ValueError(f"batch has {batch.shape[1]} columns, target dim {target.dim}")
-    return ad.evaluate_value(
-        lambda ps, ins: _regularizer_graph(ps[0], ins[0]), [batch], [target.entries])
 
 
 def loss_snapshot(params: list, data: np.ndarray, target: CorrelationMatrix | None,
@@ -191,18 +166,12 @@ def loss_snapshot(params: list, data: np.ndarray, target: CorrelationMatrix | No
     select whichever epoch flattered that particular draw.
     """
     rng = np.random.default_rng([seed, 104729])
-    noise = rng.standard_normal((data.shape[0], config.latent_dim))
-    loss = ad.evaluate_value(
-        lambda ps, ins: _neg_elbo_graph(ps, config, ins[0], ins[1], task),
-        params, [data, noise])
+    inputs = [data, rng.standard_normal((data.shape[0], config.latent_dim))]
     if config.lambda_c > 0 and target is not None:
         draws = max(SNAPSHOT_DRAWS, config.regularizer_draws)
-        z = rng.standard_normal((draws, config.latent_dim))
-        loss += config.lambda_c * ad.evaluate_value(
-            lambda ps, ins: _regularizer_graph(_decode(ps, config, ins[0], task),
-                                               ins[1]),
-            params, [z, target.entries])
-    return loss
+        inputs += [rng.standard_normal((draws, config.latent_dim)), target.entries]
+    return ad.evaluate_value(lambda ps, ins: _objective(ps, ins, config, task),
+                             params, inputs)
 
 
 def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix | None,

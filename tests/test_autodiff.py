@@ -314,6 +314,52 @@ def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):
         assert np.array_equal(g_fused, g_unfused)
 
 
+def _step_loss_oracle(pred_vec, true_vec, m, lambda_ce):
+    """One step's cp_loss term on the tape, as the predictor built it per step
+    before the loss was stacked."""
+    diff = pred_vec - true_vec
+    fro = ad.sqrt(ad.reduce_sum(diff * diff) * 2.0 + predictor.FRO_GUARD)
+    l1 = ad.reduce_sum(ad.absolute(diff)) * 2.0
+    q = ad.clip((pred_vec + 1.0) * 0.5, predictor.BCE_CLAMP, 1.0 - predictor.BCE_CLAMP)
+    p01 = (true_vec + 1.0) * 0.5
+    bce_off = -(p01 * ad.log(q) + (1.0 - p01) * ad.log(1.0 - q))
+    diag_const = -m * np.log(1.0 - predictor.BCE_CLAMP)
+    bce = (ad.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
+    return fro + l1 + bce * lambda_ce
+
+
+def _per_step_sequence_loss(params, inputs, m, config):
+    seq, tgt = inputs
+    rows = [seq[s:s + 1, :] for s in range(seq.shape[0])]
+    outs = predictor._forward_sequence(params, rows, config.layers, config.hidden_dim)
+    loss = None
+    for s, out in enumerate(outs):
+        term = _step_loss_oracle(out, tgt[s:s + 1, :], m, config.lambda_ce)
+        loss = term if loss is None else loss + term
+    return loss
+
+
+# lambda_ce = 7 at m = 3 is a pair whose scale factors round differently when
+# they are multiplied in another order
+@pytest.mark.parametrize("m, lambda_ce", [(3, 20.0), (3, 7.0), (5, 20.0)])
+def test_stacked_sequence_loss_matches_per_step_oracle(m, lambda_ce):
+    """The stacked loss gives the per-step graph's gradients bit for bit on the
+    default architecture; only the loss value may move, in the last bits,
+    because the terms are summed in another order."""
+    config = PredictorConfig(lambda_ce=lambda_ce)
+    p = m * (m - 1) // 2
+    rng = np.random.default_rng(22)
+    params = predictor._init_params(m, config, rng)
+    inputs = [rng.uniform(-0.9, 0.9, size=(9, p)), rng.uniform(-0.9, 0.9, size=(9, p))]
+    stacked = ad.evaluate_with_gradients(
+        lambda ps, ins: predictor._sequence_loss(ps, ins, m, config), params, inputs)
+    oracle = ad.evaluate_with_gradients(
+        lambda ps, ins: _per_step_sequence_loss(ps, ins, m, config), params, inputs)
+    assert stacked[0] == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
+    for g_stacked, g_oracle in zip(stacked[1], oracle[1]):
+        assert np.array_equal(g_stacked, g_oracle)
+
+
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_broadcast_grad_matches_fd(rows, cols, seed):

@@ -112,7 +112,7 @@ def usage_error_in_one_line(capsys, argv) -> bool:
     return code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_run_exit_codes_for_bad_configs(tmp_path, capsys):
+def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing]) == 2
     bad_json = tmp_path / "bad.json"
@@ -171,6 +171,40 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys):
     missing_csv = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
         "kind": "csv", "path": str(tmp_path / "absent.csv")}})
     assert main(["run", "--config", missing_csv]) == 2
+    # streams a listed method cannot train on are rejected before the first
+    # listed method trains
+    trained = []
+    monkeypatch.setattr(harness, "_run_seeds", lambda *a: trained.append(a))
+    rows = [(t, i) for t in range(5) for i in range(6)]
+    csv_files = {
+        "regression.csv": "t,y,a\n" + "".join(
+            f"{t},{0.1 * i + t},{0.3 * i - t}\n" for t, i in rows),
+        "constant_features.csv": "t,y,a\n" + "".join(
+            f"{t},{i % 2},{1.0 if t < 4 else i}\n" for t, i in rows),
+        "constant_label.csv": "t,y,a\n" + "".join(
+            f"{t},2.0,{0.3 * i - t}\n" for t, i in rows),
+        "constant_in_one_domain.csv": "t,y,a,b\n" + "".join(
+            f"{t},{i % 2},{1.0 if t == 0 else 0.1 * i + t},{0.2 * i - t}\n"
+            for t, i in rows),
+    }
+    for name, text in csv_files.items():
+        (tmp_path / name).write_text(text)
+    three_moons = {"kind": "moons", "domains": 3, "n_per_domain": 40}
+    for methods, dataset in (
+            (["lastdomain", "coda"], three_moons),
+            (["lastdomain", "prelim"], three_moons),
+            (["lastdomain", "prelim"], {"kind": "csv", "task": "regression",
+                                        "path": str(tmp_path / "regression.csv")}),
+            (["lastdomain"], {"kind": "csv",
+                              "path": str(tmp_path / "constant_features.csv")}),
+            (["lastdomain"], {"kind": "csv", "task": "regression",
+                              "path": str(tmp_path / "constant_label.csv")}),
+            (["lastdomain", "coda"], {
+                "kind": "csv", "path": str(tmp_path / "constant_in_one_domain.csv")})):
+        untrainable = write_cfg(tmp_path, {**TINY_CFG, "methods": methods,
+                                           "dataset": dataset})
+        assert usage_error_in_one_line(capsys, ["run", "--config", untrainable])
+    assert trained == []
 
 
 def test_gen_moons_bad_dataset_is_usage_error(tmp_path, capsys):

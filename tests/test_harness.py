@@ -167,6 +167,20 @@ def test_single_class_domain_is_rejected_before_training(monkeypatch):
     assert runs == []
 
 
+def test_untrainable_stream_is_rejected_before_training(monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "_run_single", lambda *a: runs.append(a))
+    three = make_moons_stream(domains=3, n_per_domain=40, seed=0)
+    for method in ("coda", "prelim"):
+        with pytest.raises(ValueError, match="at least 3 source domains"):
+            run_experiment(three, method, TINY_PIPELINE)
+    # the validation stream drops a source: coda's forecaster is left with 2
+    four = make_moons_stream(domains=4, n_per_domain=40, seed=0)
+    with pytest.raises(ValueError, match="at least 3 source domains"):
+        sweep(four, "sample_rate", [1.0], TINY_PIPELINE, validate=True)
+    assert runs == []
+
+
 def test_validation_split_needs_three_sources():
     tiny = make_moons_stream(domains=3, n_per_domain=40, seed=0)
     with pytest.raises(ValueError):

@@ -8,42 +8,50 @@ from driftsim import autodiff as ad
 from driftsim import simulator as sm
 from driftsim.correlation import CorrelationMatrix, pearson_matrix
 from driftsim.datasets import CLASSIFICATION, REGRESSION, DomainDataset
-from driftsim.simulator import (SimulatorConfig, SimulatorModel, corr_regularizer,
-                                elbo_loss, loss_snapshot, sample, train_simulator)
+from driftsim.simulator import (SimulatorConfig, loss_snapshot, sample,
+                                train_simulator)
 
 TINY = SimulatorConfig(encoder_dim=4, encoder_layers=1, decoder_dim=4,
                        decoder_layers=1, latent_dim=1, lambda_c=0.0,
                        batch_size=8, max_epochs=3, warmup_epochs=0, patience=2)
 
 
-def zeroed_model(config: SimulatorConfig, m: int, task: str = CLASSIFICATION):
+def zeroed_params(config: SimulatorConfig, m: int) -> list:
     rng = np.random.default_rng(0)
-    params = [np.zeros_like(p) for p in sm._init_params(m, config, rng)]
-    return SimulatorModel(m=m, task=task, config=config, params=params,
-                          trained_on_index=0, loss_history=[])
+    return [np.zeros_like(p) for p in sm._init_params(m, config, rng)]
+
+
+def neg_elbo(params, config, batch, noise, task=CLASSIFICATION) -> float:
+    """The training objective's value without the correlation pull."""
+    return ad.evaluate_value(lambda ps, ins: sm._objective(ps, ins, config, task),
+                             params, [batch, noise])
+
+
+def regularizer(batch, target: CorrelationMatrix) -> float:
+    return ad.evaluate_value(lambda ps, ins: sm._regularizer_graph(ps[0], ins[0]),
+                             [batch], [target.entries])
 
 
 def test_elbo_zero_when_decoder_reproduces_input():
     # zero weights: mu = logvar = 0 (KL term 0), decoded row = (0, 0, 0.5)
-    model = zeroed_model(TINY, m=3)
     batch = np.tile([0.0, 0.0, 0.5], (4, 1))
     noise = np.zeros((4, 1))
-    assert elbo_loss(model, batch, noise) == 0.0
+    assert neg_elbo(zeroed_params(TINY, 3), TINY, batch, noise) == 0.0
 
 
 def test_elbo_kl_closed_form_half():
     # unit mean, zero log-variance, k=1: KL = (mu^2 + sigma^2 - 1 - ln sigma^2)/2
-    model = zeroed_model(TINY, m=3)
+    params = zeroed_params(TINY, 3)
     mu_bias = 2 * TINY.encoder_layers + 1
-    model.params[mu_bias] = np.ones((1, 1))
+    params[mu_bias] = np.ones((1, 1))
     batch = np.tile([0.0, 0.0, 0.5], (4, 1))
-    assert elbo_loss(model, batch, np.zeros((4, 1))) == pytest.approx(0.5, abs=1e-12)
+    assert neg_elbo(params, TINY, batch, np.zeros((4, 1))) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_elbo_regression_label_channel():
-    model = zeroed_model(TINY, m=3, task=REGRESSION)
     batch = np.zeros((4, 3))  # tanh label head emits 0 for a zeroed decoder
-    assert elbo_loss(model, batch, np.zeros((4, 1))) == 0.0
+    assert neg_elbo(zeroed_params(TINY, 3), TINY, batch, np.zeros((4, 1)),
+                    REGRESSION) == 0.0
 
 
 def test_elbo_matches_numpy_reference():
@@ -51,8 +59,6 @@ def test_elbo_matches_numpy_reference():
                              decoder_layers=2, latent_dim=3, obs_variance=0.2)
     rng = np.random.default_rng(3)
     params = sm._init_params(4, config, rng)
-    model = SimulatorModel(m=4, task=CLASSIFICATION, config=config, params=params,
-                           trained_on_index=0, loss_history=[])
     batch = rng.uniform(-1, 1, (16, 4))
     noise = rng.standard_normal((16, 3))
 
@@ -72,15 +78,7 @@ def test_elbo_matches_numpy_reference():
     kl = 0.5 * np.sum(mu ** 2 + np.exp(logvar) - 1.0 - logvar)
     expected = (recon_term + kl) / 16
 
-    assert elbo_loss(model, batch, noise) == pytest.approx(expected, rel=1e-12)
-
-
-def test_elbo_rejects_bad_shapes():
-    model = zeroed_model(TINY, m=3)
-    with pytest.raises(ValueError):
-        elbo_loss(model, np.zeros((4, 5)), np.zeros((4, 1)))
-    with pytest.raises(ValueError):
-        elbo_loss(model, np.zeros((4, 3)), np.zeros((4, 2)))
+    assert neg_elbo(params, config, batch, noise) == pytest.approx(expected, rel=1e-12)
 
 
 def test_regularizer_zero_at_own_correlation():
@@ -89,14 +87,14 @@ def test_regularizer_zero_at_own_correlation():
     target = pearson_matrix(DomainDataset(0, batch[:, :2], batch[:, 2],
                                           task=REGRESSION))
     # only the tiny variance guard keeps this off exact zero
-    assert corr_regularizer(batch, target) < 1e-3
+    assert regularizer(batch, target) < 1e-3
 
 
 def test_regularizer_two_correlated_columns_against_identity():
     rng = np.random.default_rng(1)
     v = rng.uniform(-1, 1, 32)
     batch = np.column_stack([v, v])
-    reg = corr_regularizer(batch, CorrelationMatrix(np.eye(2)))
+    reg = regularizer(batch, CorrelationMatrix(np.eye(2)))
     assert reg == pytest.approx(2.0, abs=1e-3)
 
 
@@ -107,13 +105,6 @@ def test_regularizer_gradient_matches_finite_differences():
     worst = ad.grad_check(lambda ps, ins: sm._regularizer_graph(ps[0], ins[0]),
                           [batch], [target])
     assert worst < 1e-4
-
-
-def test_regularizer_input_contracts():
-    with pytest.raises(ValueError):
-        corr_regularizer(np.zeros((4, 2)), CorrelationMatrix(np.eye(2)))
-    with pytest.raises(ValueError):
-        corr_regularizer(np.zeros((12, 3)), CorrelationMatrix(np.eye(2)))
 
 
 def test_training_objective_gradient_matches_finite_differences():
@@ -139,6 +130,40 @@ def tiny_domain(n=24, seed=0):
     x = rng.uniform(-1, 1, (n, 2))
     y = (x[:, 0] + x[:, 1] > 0).astype(float)
     return DomainDataset(3, x, y)
+
+
+def _two_call_snapshot(params, data, target, config, task, seed):
+    """The snapshot as two forward calls, the ELBO's value plus lambda_c times
+    the regularizer's, each on the same frozen draws as `loss_snapshot`."""
+    rng = np.random.default_rng([seed, 104729])
+    noise = rng.standard_normal((data.shape[0], config.latent_dim))
+    loss = ad.evaluate_value(
+        lambda ps, ins: sm._neg_elbo_graph(ps, config, ins[0], ins[1], task),
+        params, [data, noise])
+    if config.lambda_c > 0 and target is not None:
+        draws = max(sm.SNAPSHOT_DRAWS, config.regularizer_draws)
+        z = rng.standard_normal((draws, config.latent_dim))
+        loss += config.lambda_c * ad.evaluate_value(
+            lambda ps, ins: sm._regularizer_graph(sm._decode(ps, config, ins[0], task),
+                                                  ins[1]),
+            params, [z, target.entries])
+    return loss
+
+
+@pytest.mark.parametrize("lambda_c", [0.0, 0.37, 1.0])
+def test_snapshot_equals_two_call_sum(lambda_c):
+    config = SimulatorConfig(lambda_c=lambda_c)
+    dom = tiny_domain(n=40, seed=4)
+    data = np.column_stack([dom.features, dom.labels])
+    target = CorrelationMatrix(np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.5],
+                                         [-0.2, 0.5, 1.0]]))
+    for seed in (0, 3):
+        params = sm._init_params(3, config, np.random.default_rng(seed))
+        for task in (CLASSIFICATION, REGRESSION):
+            assert (loss_snapshot(params, data, target, config, task, seed)
+                    == _two_call_snapshot(params, data, target, config, task, seed))
+    assert (loss_snapshot(params, data, None, config, CLASSIFICATION, 0)
+            == _two_call_snapshot(params, data, None, config, CLASSIFICATION, 0))
 
 
 def test_train_keeps_best_checkpoint_below_init():
