@@ -61,9 +61,9 @@ def pearson_matrix(dataset) -> CorrelationMatrix:
     var = (centered * centered).sum(axis=0) / (n - 1)
     bad = np.nonzero(var < DELTA_MIN)[0]
     if bad.size:
-        names = [f"x{i}" if i < m - 1 else "label" for i in bad]
-        raise ValueError(
-            f"near-constant column(s) {', '.join(names)}: variance below {DELTA_MIN}")
+        names = [dataset.feature_names[i] if i < m - 1 else "label" for i in bad]
+        raise ValueError(f"domain {dataset.domain_index}: near-constant column(s) "
+                         f"{', '.join(names)}: variance below {DELTA_MIN}")
     cov = centered.T @ centered / (n - 1)
     denom = np.sqrt(np.outer(var, var))
     corr = np.clip(cov / denom, -1.0, 1.0)

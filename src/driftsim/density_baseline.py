@@ -2,10 +2,12 @@
 
 Estimates each feature's class-conditional density per domain with a Gaussian
 KDE on a fixed grid, then trains a small recurrent model to emit the next
-domain's rows wholesale, scored by the sum of per-feature joint KLs. Kept as
-a negative baseline: matching per-feature marginals says nothing about the
-joint geometry a downstream classifier needs, which is the failure mode the
-two-stage pipeline is built to avoid.
+domain's rows wholesale, scored by the sum of per-feature joint KLs. The
+truth side of that score (class prior, bandwidth and KDE masses of every
+true domain) has no parameters, so it is built once per domain before
+training. Kept as a negative baseline: matching per-feature marginals says
+nothing about the joint geometry a downstream classifier needs, which is the
+failure mode the two-stage pipeline is built to avoid.
 """
 from __future__ import annotations
 
@@ -18,34 +20,10 @@ from .datasets import CLASSIFICATION, DomainDataset, DomainStream
 from .nn import dense_params, glorot
 from .optim import fit
 
-__all__ = ["DensityGrid", "PrelimConfig", "default_grid", "kde_density",
-           "prelim_loss", "train_prelim"]
+__all__ = ["PrelimConfig", "default_grid", "kde_density", "prelim_loss",
+           "train_prelim"]
 
 Q_FLOOR = 1e-12  # density floor for the KL denominator
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    """Probability masses over a fixed 1-D grid of evaluation points."""
-
-    points: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        ms = np.asarray(self.masses, dtype=np.float64)
-        if pts.ndim != 1 or pts.shape != ms.shape or pts.size < 2:
-            raise ValueError("grid needs matching 1-D points and masses, size >= 2")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(ms))):
-            raise ValueError("grid contains non-finite entries")
-        if np.min(ms) < -1e-15:
-            raise ValueError("masses must be non-negative")
-        if abs(ms.sum() - 1.0) > 1e-9:
-            raise ValueError(f"masses must sum to 1, got {ms.sum()!r}")
-        pts.setflags(write=False)
-        ms.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "masses", ms)
 
 
 def default_grid(size: int = 256, lo: float = -1.2, hi: float = 1.2) -> np.ndarray:
@@ -58,8 +36,10 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 1.06 * samples.std(ddof=1) * n ** (-0.2)
 
 
-def kde_density(samples, bandwidth="auto", grid: np.ndarray | None = None) -> DensityGrid:
-    """Gaussian-kernel mixture evaluated on the grid, renormalized to sum 1."""
+def kde_density(samples, bandwidth="auto",
+                grid: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian-kernel mixture evaluated on the grid, renormalized to sum 1:
+    one probability mass per grid point."""
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if samples.size < 2:
         raise ValueError("kde needs at least 2 samples")
@@ -69,7 +49,10 @@ def kde_density(samples, bandwidth="auto", grid: np.ndarray | None = None) -> De
     g = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
     dens = np.exp(-0.5 * ((g[:, None] - samples[None, :]) / h) ** 2).sum(axis=1)
     dens /= samples.size * h * np.sqrt(2.0 * np.pi)
-    return DensityGrid(points=g, masses=dens / dens.sum())
+    total = dens.sum()
+    if not total > 0:
+        raise ValueError("no kernel mass on the grid")
+    return dens / total
 
 
 def _class_values(dataset: DomainDataset, feature: int, label: float) -> np.ndarray:
@@ -77,6 +60,29 @@ def _class_values(dataset: DomainDataset, feature: int, label: float) -> np.ndar
     if vals.size < 2:
         raise ValueError(f"label class {label:g} has fewer than 2 rows")
     return vals
+
+
+def _truth_side(truth: DomainDataset, grid: np.ndarray, prior=None) -> list:
+    """The parameter-free side of the joint KL against `truth`: for each
+    feature, for class 0 then 1, (class prior, Silverman bandwidth, KDE
+    masses times the prior, floored at Q_FLOOR). The prior defaults to the
+    truth's empirical class frequencies."""
+    if prior is None:
+        prior = (np.mean(truth.labels == 0.0), np.mean(truth.labels == 1.0))
+    side = []
+    for i, name in enumerate(truth.feature_names):
+        per_class = []
+        for cls, pr in zip((0.0, 1.0), prior):
+            try:
+                vals = _class_values(truth, i, cls)
+                h = silverman_bandwidth(vals)
+                q = kde_density(vals, bandwidth=h, grid=grid)
+            except ValueError as err:
+                raise ValueError(f"domain {truth.domain_index}, feature {name}: "
+                                 f"{err}") from None
+            per_class.append((pr, h, np.maximum(q * pr, Q_FLOOR)))
+        side.append(per_class)
+    return side
 
 
 def prelim_loss(predicted: DomainDataset, truth: DomainDataset,
@@ -92,16 +98,10 @@ def prelim_loss(predicted: DomainDataset, truth: DomainDataset,
         raise ValueError("prelim loss is defined for classification domains")
     if predicted.d != truth.d:
         raise ValueError("feature counts differ")
-    if label_prior is None:
-        label_prior = (float(np.mean(truth.labels == 0.0)),
-                       float(np.mean(truth.labels == 1.0)))
     total = 0.0
-    for i in range(truth.d):
-        for cls, prior in zip((0.0, 1.0), label_prior):
-            p = kde_density(_class_values(predicted, i, cls))
-            q = kde_density(_class_values(truth, i, cls))
-            qm = np.maximum(q.masses * prior, Q_FLOOR)
-            pm = p.masses * prior
+    for i, per_class in enumerate(_truth_side(truth, default_grid(), label_prior)):
+        for cls, (prior, _, qm) in zip((0.0, 1.0), per_class):
+            pm = kde_density(_class_values(predicted, i, cls)) * prior
             mask = pm > 0
             total += float(np.sum(pm[mask] * np.log(pm[mask] / qm[mask])))
     return total
@@ -151,7 +151,7 @@ def _lstm_states(params, summaries):
     w_x, w_h, b = params[0], params[1], params[2]
     hd = w_h.shape[0]
     h = ad.constant(np.zeros((1, hd)))
-    c = ad.constant(np.zeros((1, hd)))
+    c = None
     states = []
     for t in range(summaries.shape[0]):
         row = ad.constant(summaries[t:t + 1])
@@ -166,21 +166,14 @@ def _decode_rows(params, state):
     return ad.dense(mix, w_out, b_out, ad.tanh)
 
 
-def _joint_kl_graph(rows, labels, truth: DomainDataset, grid: np.ndarray):
-    """Differentiable Eq.-1-style loss of generated rows against a true domain.
-
-    Bandwidths and the truth densities are constants (truth side has no
-    parameters); only the generated sample positions carry gradients.
-    """
+def _joint_kl_graph(rows, labels, truth_side, grid: np.ndarray):
+    """Differentiable Eq.-1-style loss of generated rows against a true domain,
+    given that domain's `_truth_side`; only the generated sample positions
+    carry gradients."""
     loss = None
-    prior = (np.mean(truth.labels == 0.0), np.mean(truth.labels == 1.0))
-    for i in range(truth.d):
+    for i, per_class in enumerate(truth_side):
         col = rows[:, i:i + 1]
-        for cls, pr in zip((0.0, 1.0), prior):
-            truth_vals = _class_values(truth, i, cls)
-            h = silverman_bandwidth(truth_vals)
-            q = kde_density(truth_vals, bandwidth=h, grid=grid)
-            qm = np.maximum(q.masses * pr, Q_FLOOR)
+        for cls, (pr, h, qm) in zip((0.0, 1.0), per_class):
             idx = np.flatnonzero(labels == cls)
             vals = ad.transpose(col[idx.tolist(), :])          # 1 x n_c
             diff = (ad.constant(grid[:, None]) - vals) * (1.0 / h)
@@ -213,13 +206,14 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     grid = default_grid(config.grid_size)
     rng = np.random.default_rng(seed)
     params = _init_prelim(last.d, n_rows, config, rng)
+    truth_sides = [_truth_side(truth, grid) for truth in sources[1:]]
 
     def build(ps, ins):
         states = _lstm_states(ps, summaries)
         loss = None
-        for t in range(len(sources) - 1):
-            rows = _decode_rows(ps, states[t])
-            term = _joint_kl_graph(rows, labels, sources[t + 1], grid)
+        # the decode after domains 1..t is scored against domain t+1
+        for state, truth_side in zip(states, truth_sides):
+            term = _joint_kl_graph(_decode_rows(ps, state), labels, truth_side, grid)
             loss = term if loss is None else loss + term
         return loss * (1.0 / (len(sources) - 1))
 

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import density_baseline
 from .correlation import pearson_matrix
 from .datasets import (CLASSIFICATION, DomainDataset, DomainStream,
                        NormalizationStats, fit_apply_normalization)
@@ -28,9 +29,8 @@ from .predictor import PredictorConfig, predict_next, train_predictor
 from .simulator import SimulatorConfig, sample, train_simulator
 
 __all__ = ["DownstreamConfig", "DownstreamModel", "ExperimentConfig",
-           "ExperimentReport", "SweepPoint", "METHODS", "require_both_labels",
-           "require_trainable", "train_downstream", "evaluate", "run_experiment",
-           "sweep"]
+           "ExperimentReport", "SweepPoint", "METHODS", "require_trainable",
+           "train_downstream", "evaluate", "run_experiment", "sweep"]
 
 METHODS = ("coda", "coda-without-C", "lastdomain", "offline", "incfinetune",
            "prelim")
@@ -152,28 +152,23 @@ class ExperimentReport:
                 "wall_clock_s": self.wall_clock_s}
 
 
-def require_both_labels(stream: DomainStream) -> None:
-    """Reject a classification stream with a domain that holds a single class:
-    the label column of such a domain is constant, so its correlation matrix
-    is undefined and its error rate says nothing."""
-    if stream.task != CLASSIFICATION:
-        return
-    for dom in (*stream.sources, stream.target):
-        if np.unique(dom.labels).size < 2:
-            raise ValueError(f"domain {dom.domain_index} holds a single class; "
-                             "every classification domain needs both labels")
-
-
 def require_trainable(stream: DomainStream, method: str) -> None:
     """Reject, before anything trains, a stream that `method` cannot train on:
-    a single-class domain (`require_both_labels`), sources on which every
-    feature or a regression label is constant (so normalization has nothing
-    to scale), fewer than 3 sources for the two sequence models (coda's
-    forecaster and prelim), a source without a correlation matrix for coda's
-    forecaster, or prelim on a regression stream."""
+    a classification domain that holds a single class (its label column is
+    constant, so its correlation matrix is undefined and its error rate says
+    nothing), sources on which every feature or a regression label is
+    constant (so normalization has nothing to scale), fewer than 3 sources
+    for the two sequence models (coda's forecaster and prelim), a source
+    without a correlation matrix for coda's forecaster, prelim on a
+    regression stream, or a prelim truth domain without a KDE for some
+    feature and class."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    require_both_labels(stream)
+    if stream.task == CLASSIFICATION:
+        for dom in (*stream.sources, stream.target):
+            if np.unique(dom.labels).size < 2:
+                raise ValueError(f"domain {dom.domain_index} holds a single class; "
+                                 "every classification domain needs both labels")
     normalized, _ = fit_apply_normalization(stream)
     if method in ("coda", "prelim") and len(stream.sources) < 3:
         raise ValueError(f"{method} needs at least 3 source domains, "
@@ -181,8 +176,12 @@ def require_trainable(stream: DomainStream, method: str) -> None:
     if method == "coda":
         for source in normalized.sources:
             pearson_matrix(source)  # raises on a column constant in one domain
-    if method == "prelim" and stream.task != CLASSIFICATION:
-        raise ValueError("prelim is defined for classification streams only")
+    if method == "prelim":
+        if stream.task != CLASSIFICATION:
+            raise ValueError("prelim is defined for classification streams only")
+        grid = density_baseline.default_grid(density_baseline.PrelimConfig().grid_size)
+        for truth in normalized.sources[1:]:
+            density_baseline._truth_side(truth, grid)  # raises on a class without a KDE
 
 
 def _assemble_training_set(stream: DomainStream, method: str,
@@ -216,8 +215,9 @@ def _assemble_training_set(stream: DomainStream, method: str,
             task=stream.task, feature_names=sources[0].feature_names)
         return pooled, {}
     if method == "prelim":
-        from .density_baseline import PrelimConfig, train_prelim
-        return train_prelim(stream, PrelimConfig(), seed=seed), {}
+        # a module attribute, so a wrapper installed on it (bench/run.py) sees the call
+        return density_baseline.train_prelim(
+            stream, density_baseline.PrelimConfig(), seed=seed), {}
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -105,11 +105,12 @@ def test_run_artifacts_for_generative_method(tmp_path):
     assert len(gen) == 1 + 40
 
 
-def usage_error_in_one_line(capsys, argv) -> bool:
+def usage_error_in_one_line(capsys, argv, naming: str = "") -> bool:
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
-    return code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    return (code == 2 and err.startswith("error: ") and err.count("\n") == 1
+            and naming in err)
 
 
 def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
@@ -176,6 +177,7 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
     trained = []
     monkeypatch.setattr(harness, "_run_seeds", lambda *a: trained.append(a))
     rows = [(t, i) for t in range(5) for i in range(6)]
+    rows40 = [(t, i) for t in range(5) for i in range(40)]
     csv_files = {
         "regression.csv": "t,y,a\n" + "".join(
             f"{t},{0.1 * i + t},{0.3 * i - t}\n" for t, i in rows),
@@ -186,24 +188,37 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
         "constant_in_one_domain.csv": "t,y,a,b\n" + "".join(
             f"{t},{i % 2},{1.0 if t == 0 else 0.1 * i + t},{0.2 * i - t}\n"
             for t, i in rows),
+        # feature b is constant over the class-0 rows of domain 1
+        "flat_class_feature.csv": "t,y,a,b\n" + "".join(
+            f"{t},{i % 2},{0.05 * i + 0.1 * t},"
+            f"{0.5 if t == 1 and i % 2 == 0 else 0.03 * (7 * i % 40) - 0.1 * t}\n"
+            for t, i in rows40),
+        # domain 2 holds a single class-1 row
+        "lone_class_row.csv": "t,y,a,b\n" + "".join(
+            f"{t},{int(i == 0) if t == 2 else i % 2},{0.05 * i + 0.1 * t},"
+            f"{0.03 * (7 * i % 40) - 0.1 * t}\n" for t, i in rows40),
     }
     for name, text in csv_files.items():
         (tmp_path / name).write_text(text)
     three_moons = {"kind": "moons", "domains": 3, "n_per_domain": 40}
-    for methods, dataset in (
-            (["lastdomain", "coda"], three_moons),
-            (["lastdomain", "prelim"], three_moons),
-            (["lastdomain", "prelim"], {"kind": "csv", "task": "regression",
-                                        "path": str(tmp_path / "regression.csv")}),
-            (["lastdomain"], {"kind": "csv",
-                              "path": str(tmp_path / "constant_features.csv")}),
-            (["lastdomain"], {"kind": "csv", "task": "regression",
-                              "path": str(tmp_path / "constant_label.csv")}),
-            (["lastdomain", "coda"], {
-                "kind": "csv", "path": str(tmp_path / "constant_in_one_domain.csv")})):
+    csv = lambda name: {"kind": "csv", "path": str(tmp_path / name)}
+    for methods, dataset, naming in (
+            (["lastdomain", "coda"], three_moons, ""),
+            (["lastdomain", "prelim"], three_moons, ""),
+            (["lastdomain", "prelim"], {**csv("regression.csv"),
+                                        "task": "regression"}, ""),
+            (["lastdomain"], csv("constant_features.csv"), ""),
+            (["lastdomain"], {**csv("constant_label.csv"), "task": "regression"}, ""),
+            (["lastdomain", "coda"], csv("constant_in_one_domain.csv"),
+             "domain 0: near-constant column(s) a:"),
+            (["lastdomain", "prelim"], csv("flat_class_feature.csv"),
+             "domain 1, feature b: bandwidth must be positive"),
+            (["lastdomain", "prelim"], csv("lone_class_row.csv"),
+             "domain 2, feature a: label class 1 has fewer than 2 rows")):
         untrainable = write_cfg(tmp_path, {**TINY_CFG, "methods": methods,
                                            "dataset": dataset})
-        assert usage_error_in_one_line(capsys, ["run", "--config", untrainable])
+        assert usage_error_in_one_line(capsys, ["run", "--config", untrainable],
+                                       naming)
     assert trained == []
 
 

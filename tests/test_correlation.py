@@ -35,6 +35,10 @@ def test_near_constant_column_is_named():
     data = np.column_stack([[1.0, 1.0, 1.0 + 1e-9], [0.0, 1.0, 2.0]])
     with pytest.raises(ValueError, match="x0"):
         pearson_matrix(_dataset(data))
+    named = DomainDataset(domain_index=7, features=data[:, :1], labels=data[:, 1],
+                          task="regression", feature_names=("speed",))
+    with pytest.raises(ValueError, match=r"domain 7: near-constant column\(s\) speed:"):
+        pearson_matrix(named)
 
 
 def test_matrix_invariants_enforced():

@@ -5,22 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from driftsim import autodiff as ad
+from driftsim import density_baseline
 from driftsim.datasets import (CLASSIFICATION, REGRESSION, DomainDataset,
                                DomainStream, make_moons_stream)
-from driftsim.density_baseline import (DensityGrid, PrelimConfig, default_grid,
+from driftsim.density_baseline import (Q_FLOOR, PrelimConfig, default_grid,
                                        kde_density, prelim_loss,
                                        silverman_bandwidth, train_prelim)
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        DensityGrid(points=np.array([0.0]), masses=np.array([1.0]))
-    with pytest.raises(ValueError):
-        DensityGrid(points=np.array([0.0, 1.0]), masses=np.array([0.7, 0.2]))
-    with pytest.raises(ValueError):
-        DensityGrid(points=np.array([0.0, 1.0]), masses=np.array([-0.1, 1.1]))
-    with pytest.raises(ValueError):
-        DensityGrid(points=np.array([0.0, 1.0, 2.0]), masses=np.array([0.5, 0.5]))
 
 
 def test_default_grid_span():
@@ -41,15 +32,15 @@ def test_kde_point_mass_peak_ratio():
     # kernel ratio exp((x2^2 - x1^2) / (2 h^2)); normalization cancels
     h = 0.1
     grid = default_grid(241)  # step 0.01, so 0.0 and 0.1 are on the grid
-    dens = kde_density(np.zeros(10), bandwidth=h, grid=grid)
-    at = lambda x: dens.masses[np.argmin(np.abs(grid - x))]
-    assert np.argmax(dens.masses) == np.argmin(np.abs(grid))
+    masses = kde_density(np.zeros(10), bandwidth=h, grid=grid)
+    at = lambda x: masses[np.argmin(np.abs(grid - x))]
+    assert np.argmax(masses) == np.argmin(np.abs(grid))
     assert at(0.0) / at(0.1) == pytest.approx(math.exp(0.5), rel=1e-6)
 
 
 def test_kde_symmetric_samples_give_symmetric_masses():
-    dens = kde_density(np.array([-0.4, 0.4]), bandwidth=0.2)
-    assert np.allclose(dens.masses, dens.masses[::-1], atol=1e-12)
+    masses = kde_density(np.array([-0.4, 0.4]), bandwidth=0.2)
+    assert np.allclose(masses, masses[::-1], atol=1e-12)
 
 
 def test_kde_input_contracts():
@@ -59,6 +50,9 @@ def test_kde_input_contracts():
         kde_density(np.array([0.0, 1.0]), bandwidth=0.0)
     with pytest.raises(ValueError):
         kde_density(np.zeros(5))  # auto bandwidth on constant samples is 0
+    with pytest.raises(ValueError):
+        # every kernel underflows to 0 on the [-1.2, 1.2] grid
+        kde_density(np.array([50.0, 50.1]), bandwidth=0.01)
 
 
 def asymmetric_domain(seed=0, d=1):
@@ -148,6 +142,84 @@ def test_train_prelim_constant_stream_sanity():
     at_target = prelim_loss(synth, stream.target)
     at_last = prelim_loss(synth, stream.sources[-1])
     assert at_target <= 2.0 * at_last + 1e-9
+
+
+def per_epoch_joint_kl(rows, labels, truth, grid):
+    """Oracle: the joint KL with the truth side rebuilt from `truth` on each
+    call, as the training loss was first written."""
+    loss = None
+    prior = (np.mean(truth.labels == 0.0), np.mean(truth.labels == 1.0))
+    for i in range(truth.d):
+        col = rows[:, i:i + 1]
+        for cls, pr in zip((0.0, 1.0), prior):
+            truth_vals = truth.features[truth.labels == cls, i]
+            h = silverman_bandwidth(truth_vals)
+            q = kde_density(truth_vals, bandwidth=h, grid=grid)
+            qm = np.maximum(q * pr, Q_FLOOR)
+            idx = np.flatnonzero(labels == cls)
+            vals = ad.transpose(col[idx.tolist(), :])
+            diff = (ad.constant(grid[:, None]) - vals) * (1.0 / h)
+            dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
+            p = dens * (1.0 / ad.reduce_sum(dens)) * pr
+            term = ad.reduce_sum(p * (ad.log(p) - np.log(qm)))
+            loss = term if loss is None else loss + term
+    return loss
+
+
+def test_training_loss_matches_per_epoch_truth_side(monkeypatch):
+    # capture the loss graph `train_prelim` hands to `fit`
+    captured = []
+
+    def no_fit(build, params, inputs, config):
+        captured.append((build, params))
+        return params, []
+
+    monkeypatch.setattr(density_baseline, "fit", no_fit)
+    stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
+    train_prelim(stream, SMALL_PRELIM, seed=0)
+    (build, params), = captured
+    sources = stream.sources
+    labels = np.repeat([0.0, 1.0], sources[-1].n // 2)
+    grid = default_grid(SMALL_PRELIM.grid_size)
+
+    def oracle(ps, ins):
+        states = density_baseline._lstm_states(ps, density_baseline._summaries(sources))
+        loss = None
+        for t in range(len(sources) - 1):
+            rows = density_baseline._decode_rows(ps, states[t])
+            term = per_epoch_joint_kl(rows, labels, sources[t + 1], grid)
+            loss = term if loss is None else loss + term
+        return loss * (1.0 / (len(sources) - 1))
+
+    loss, grads = ad.evaluate_with_gradients(build, params, [])
+    want_loss, want_grads = ad.evaluate_with_gradients(oracle, params, [])
+    assert loss == want_loss
+    for g, want in zip(grads, want_grads, strict=True):
+        assert np.array_equal(g, want)
+
+
+def test_truth_side_is_built_once_per_fit(monkeypatch):
+    calls = []
+    real = density_baseline.kde_density
+    monkeypatch.setattr(density_baseline, "kde_density",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
+    train_prelim(stream, SMALL_PRELIM, seed=0)
+    # 2 truth domains x 2 features x 2 classes, whatever the epoch count
+    assert len(calls) == 8
+
+
+def test_truth_side_errors_name_domain_and_feature():
+    dom = asymmetric_domain(seed=0, d=2)
+    x = dom.features.copy()
+    x[dom.labels == 0.0, 1] = 0.5
+    flat = DomainDataset(3, x, dom.labels, feature_names=("a", "b"))
+    with pytest.raises(ValueError, match="domain 3, feature b: bandwidth"):
+        prelim_loss(dom, flat)
+    lone = DomainDataset(4, dom.features[:31], dom.labels[:31],
+                         feature_names=("a", "b"))
+    with pytest.raises(ValueError, match="domain 4, feature a: label class 1"):
+        prelim_loss(dom, lone)
 
 
 def test_train_prelim_contracts():

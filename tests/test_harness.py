@@ -178,6 +178,21 @@ def test_untrainable_stream_is_rejected_before_training(monkeypatch):
     four = make_moons_stream(domains=4, n_per_domain=40, seed=0)
     with pytest.raises(ValueError, match="at least 3 source domains"):
         sweep(four, "sample_rate", [1.0], TINY_PIPELINE, validate=True)
+    # prelim needs a KDE for every feature and class of domains 1..T
+    five = make_moons_stream(domains=5, n_per_domain=40, seed=0)
+    doms = [*five.sources, five.target]
+    flat_x = doms[1].features.copy()
+    flat_x[doms[1].labels == 0.0, 1] = 0.5
+    lone_y = np.zeros(40)
+    lone_y[0] = 1.0
+    for dom, edited, match in (
+            (1, replace(doms[1], features=flat_x), "domain 1, feature x1: "),
+            (2, replace(doms[2], labels=lone_y),
+             "domain 2, feature x0: label class 1")):
+        edited_doms = [*doms[:dom], edited, *doms[dom + 1:]]
+        stream = DomainStream(sources=tuple(edited_doms[:4]), target=edited_doms[4])
+        with pytest.raises(ValueError, match=match):
+            run_experiment(stream, "prelim", TINY_PIPELINE)
     assert runs == []
 
 
