@@ -6,13 +6,15 @@ the tape in reverse topological order.  The engine is deliberately minimal:
 float64 only, 0-2d arrays, numpy broadcasting on elementwise binaries, and
 exactly the primitives the models in this package need.  No GPU.
 
-Two fused primitives cut the tape where the models spend their time: `dense`
-records `act(x @ w + b)` as one node, and `lstm_cell` records one LSTM step
-as a cell-state node and a hidden-state node.  Their VJPs repeat the
-elementwise arithmetic of the unfused composition in the same order, and
-their parents are listed in the order `backward`'s depth-first search
-reached the unfused nodes, so every gradient, and every trained parameter,
-is bit-identical to what the composition of primitives gives.
+Three fused primitives cut the tape where the models spend their time:
+`dense` records `act(x @ w + b)` as one node, `lstm_cell` records one LSTM
+step as a cell-state node and a hidden-state node, and `kde_kl` records one
+class-conditional KDE-KL term of the density baseline as one node over the
+generated rows.  Their VJPs repeat the elementwise arithmetic of the unfused
+composition in the same order, and their parents are listed in the order
+`backward`'s depth-first search reached the unfused nodes, so every
+gradient, and every trained parameter, is bit-identical to what the
+composition of primitives gives.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ __all__ = [
     "concat",
     "dense",
     "lstm_cell",
+    "kde_kl",
 ]
 
 
@@ -457,6 +460,61 @@ def lstm_cell(gates, c_prev, hidden: int):
         _accumulate(c, gh * o * (1.0 - tc * tc))
 
     return _node(o * tc, (gates, c), h_vjp), c
+
+
+def kde_kl(rows, column: int, idx, grid, bandwidth: float, prior: float,
+           log_q) -> Tensor:
+    """`sum(p * (log p - log_q))` as one node with the single parent `rows`.
+
+    `p` is `prior` times the Gaussian-kernel masses of the samples
+    `rows[idx, column]` (distinct row indices) on `grid`, normalized to sum
+    1; `log_q` is a constant of the grid's length. The forward and the VJP
+    repeat the arithmetic of the composition
+    `diff = (grid[:, None] - vals) * (1 / bandwidth)`,
+    `dens = reduce_sum(exp(diff * diff * -0.5), axis=1)`,
+    `p = dens * (1 / reduce_sum(dens)) * prior` and
+    `reduce_sum(p * (log(p) - log_q))` in the order `backward` ran it, so
+    the value and the `rows` gradient are bit-identical to it. Only `diff`
+    and the kernel matrix `e` (grid × samples) are kept for the VJP, which
+    overwrites `e` in place: like the `.grad` fields it fills, the node is
+    good for one `backward`.
+    """
+    rows = _wrap(rows)
+    scale = 1.0 / bandwidth
+    diff = np.subtract(grid[:, None], rows.value[idx, column])
+    diff *= scale
+    e = diff * diff
+    e *= -0.5
+    np.exp(e, out=e)
+    dens = e.sum(axis=1)
+    total = dens.sum()
+    inv = 1.0 / total
+    p = dens * inv
+    p *= prior
+    r = np.log(p)
+    r -= log_q
+
+    def vjp(g):
+        # p: through the product, then through log(p)
+        gp = g * r
+        via_log = g * p
+        via_log /= p
+        gp += via_log
+        gp *= prior
+        # dens: through dens * inv, then through inv = 1 / sum(dens)
+        gdens = gp * inv
+        gdens += -(gp * dens).sum() / (total * total)
+        buf = np.multiply(gdens[:, None], e, out=e)
+        buf *= -0.5
+        buf *= diff
+        buf += buf      # diff * diff reaches diff twice
+        buf *= scale
+        np.negative(buf, out=buf)
+        full = np.zeros_like(rows.value)
+        full[idx, column] = buf.sum(axis=0)
+        _accumulate(rows, full)
+
+    return _node((p * r).sum(), (rows,), vjp)
 
 
 # -- tape replay ----------------------------------------------------------

@@ -27,7 +27,8 @@ __all__ = [
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
-# rows in one moons stream: 10 M rows of two features and a label take 240 MB
+# rows in one moons or CSV stream: 10 M rows of two features and a label
+# take 240 MB
 MAX_ROWS = 10_000_000
 
 
@@ -172,43 +173,52 @@ def load_csv_stream(path, schema: CsvSchema) -> DomainStream:
     """Read a header CSV, group rows by integer domain index, hold out the last.
 
     Rows containing empty cells are dropped (instances with gaps are
-    excluded, not imputed); non-numeric cells are a hard error naming the
-    offending row and column.
+    excluded, not imputed); non-numeric and non-finite cells are a hard
+    error naming the offending row and column, and so is a file with more
+    than MAX_ROWS usable rows.
     """
+    groups: dict[int, list] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
-    col_index = {name: i for i, name in enumerate(header)}
-    feature_cols = tuple(schema.feature_cols) or tuple(
-        c for c in header if c not in (schema.domain_col, schema.label_col))
-    for col in (schema.domain_col, schema.label_col, *feature_cols):
-        if col not in col_index:
-            raise ValueError(f"{path}: missing column {col!r}")
-    wanted = (schema.domain_col, schema.label_col, *feature_cols)
+        col_index = {name: i for i, name in enumerate(header)}
+        feature_cols = tuple(schema.feature_cols) or tuple(
+            c for c in header if c not in (schema.domain_col, schema.label_col))
+        for col in (schema.domain_col, schema.label_col, *feature_cols):
+            if col not in col_index:
+                raise ValueError(f"{path}: missing column {col!r}")
+        wanted = (schema.domain_col, schema.label_col, *feature_cols)
 
-    groups: dict[int, list] = {}
-    for row_num, row in enumerate(rows, start=2):  # header is line 1
-        cells = [row[col_index[c]] if col_index[c] < len(row) else "" for c in wanted]
-        if any(c.strip() == "" for c in cells):
-            continue  # missing value: exclude the instance
-        parsed = []
-        for col, cell in zip(wanted, cells):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
+        kept = 0
+        for row_num, row in enumerate(reader, start=2):  # header is line 1
+            cells = [row[col_index[c]] if col_index[c] < len(row) else "" for c in wanted]
+            if any(c.strip() == "" for c in cells):
+                continue  # missing value: exclude the instance
+            parsed = []
+            for col, cell in zip(wanted, cells):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: non-numeric value {cell!r} at row {row_num}, "
+                        f"column {col!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: non-finite value {cell!r} at row {row_num}, "
+                        f"column {col!r}")
+                parsed.append(value)
+            t = parsed[0]
+            if t != int(t):
                 raise ValueError(
-                    f"{path}: non-numeric value {cell!r} at row {row_num}, "
-                    f"column {col!r}") from None
-        t = parsed[0]
-        if t != int(t):
-            raise ValueError(
-                f"{path}: domain index {t} at row {row_num} is not an integer; "
-                "bin timestamps before ingestion")
-        groups.setdefault(int(t), []).append(parsed[1:])
+                    f"{path}: domain index {t} at row {row_num} is not an integer; "
+                    "bin timestamps before ingestion")
+            kept += 1
+            if kept > MAX_ROWS:
+                raise ValueError(f"{path}: more than {MAX_ROWS:,} usable rows")
+            groups.setdefault(int(t), []).append(parsed[1:])
 
     if len(groups) < 2:
         raise ValueError(f"{path}: need at least 2 domains, found {len(groups)}")

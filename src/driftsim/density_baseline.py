@@ -64,9 +64,9 @@ def _class_values(dataset: DomainDataset, feature: int, label: float) -> np.ndar
 
 def _truth_side(truth: DomainDataset, grid: np.ndarray, prior=None) -> list:
     """The parameter-free side of the joint KL against `truth`: for each
-    feature, for class 0 then 1, (class prior, Silverman bandwidth, KDE
-    masses times the prior, floored at Q_FLOOR). The prior defaults to the
-    truth's empirical class frequencies."""
+    feature, for class 0 then 1, (class prior, Silverman bandwidth, log of
+    the KDE masses times the prior, floored at Q_FLOOR). The prior defaults
+    to the truth's empirical class frequencies."""
     if prior is None:
         prior = (np.mean(truth.labels == 0.0), np.mean(truth.labels == 1.0))
     side = []
@@ -80,7 +80,7 @@ def _truth_side(truth: DomainDataset, grid: np.ndarray, prior=None) -> list:
             except ValueError as err:
                 raise ValueError(f"domain {truth.domain_index}, feature {name}: "
                                  f"{err}") from None
-            per_class.append((pr, h, np.maximum(q * pr, Q_FLOOR)))
+            per_class.append((pr, h, np.log(np.maximum(q * pr, Q_FLOOR))))
         side.append(per_class)
     return side
 
@@ -100,10 +100,10 @@ def prelim_loss(predicted: DomainDataset, truth: DomainDataset,
         raise ValueError("feature counts differ")
     total = 0.0
     for i, per_class in enumerate(_truth_side(truth, default_grid(), label_prior)):
-        for cls, (prior, _, qm) in zip((0.0, 1.0), per_class):
+        for cls, (prior, _, log_q) in zip((0.0, 1.0), per_class):
             pm = kde_density(_class_values(predicted, i, cls)) * prior
             mask = pm > 0
-            total += float(np.sum(pm[mask] * np.log(pm[mask] / qm[mask])))
+            total += float(np.sum(pm[mask] * (np.log(pm[mask]) - log_q[mask])))
     return total
 
 
@@ -168,18 +168,13 @@ def _decode_rows(params, state):
 
 def _joint_kl_graph(rows, labels, truth_side, grid: np.ndarray):
     """Differentiable Eq.-1-style loss of generated rows against a true domain,
-    given that domain's `_truth_side`; only the generated sample positions
-    carry gradients."""
+    given that domain's `_truth_side`: one `kde_kl` node per feature and
+    class, so only the generated sample positions carry gradients."""
     loss = None
     for i, per_class in enumerate(truth_side):
-        col = rows[:, i:i + 1]
-        for cls, (pr, h, qm) in zip((0.0, 1.0), per_class):
+        for cls, (pr, h, log_q) in zip((0.0, 1.0), per_class):
             idx = np.flatnonzero(labels == cls)
-            vals = ad.transpose(col[idx.tolist(), :])          # 1 x n_c
-            diff = (ad.constant(grid[:, None]) - vals) * (1.0 / h)
-            dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
-            p = dens * (1.0 / ad.reduce_sum(dens)) * pr
-            term = ad.reduce_sum(p * (ad.log(p) - np.log(qm)))
+            term = ad.kde_kl(rows, i, idx, grid, h, pr, log_q)
             loss = term if loss is None else loss + term
     return loss
 

@@ -360,6 +360,80 @@ def test_stacked_sequence_loss_matches_per_step_oracle(m, lambda_ce):
         assert np.array_equal(g_stacked, g_oracle)
 
 
+def _kde_kl_oracle(rows, column, idx, grid, bandwidth, prior, log_q):
+    """One KDE-KL term of the density baseline, as its loss composed it from
+    primitives before the term was fused."""
+    col = rows[:, column:column + 1]
+    vals = ad.transpose(col[idx.tolist(), :])
+    diff = (ad.constant(grid[:, None]) - vals) * (1.0 / bandwidth)
+    dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
+    p = dens * (1.0 / ad.reduce_sum(dens)) * prior
+    return ad.reduce_sum(p * (ad.log(p) - log_q))
+
+
+def _kde_kl_loss(term, grid, bandwidth, classes, log_q):
+    """Sum of the terms over both columns and every class of the rows, in
+    the order of the density baseline's loss."""
+    def loss_fn(p, i):
+        loss = None
+        for column in range(2):
+            for c, idx in enumerate(classes):
+                # a prior that is not a power of 2 rounds in every product
+                t = term(p[0], column, idx, grid, bandwidth, 0.45 + 0.1 * c,
+                         log_q[column * len(classes) + c])
+                loss = t if loss is None else loss + t
+        return loss
+    return loss_fn
+
+
+# (rows, grid points, bandwidth, class index arrays)
+KDE_KL_CASES = {
+    "odd class sizes": (7, 24, 0.3, [np.array([0, 2, 3, 5, 6]), np.array([1, 4])]),
+    "sample outside the grid": (6, 20, 0.3, [np.arange(3), np.arange(3, 6)]),
+    # kernels of grid points far from every sample underflow to exactly 0
+    "underflowing kernels": (9, 40, 0.02, [np.arange(0, 9, 2), np.arange(1, 9, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KDE_KL_CASES))
+def test_kde_kl_matches_composition_bit_for_bit(case):
+    n, size, bandwidth, classes = KDE_KL_CASES[case]
+    rng = np.random.default_rng(23)
+    grid = np.linspace(-1.2, 1.2, size)
+    rows = np.linspace(-0.95, 0.95, n)[:, None] + rng.normal(scale=0.05, size=(n, 2))
+    if case == "sample outside the grid":
+        rows[1, 0] = 1.5
+    log_q = [np.log(rng.dirichlet(np.ones(size)) * 0.5) for _ in range(4)]
+    fused = _kde_kl_loss(ad.kde_kl, grid, bandwidth, classes, log_q)
+    oracle = _kde_kl_loss(_kde_kl_oracle, grid, bandwidth, classes, log_q)
+    _assert_same_values_and_gradients(fused, oracle, [rows], [])
+    _check(fused, [rows])
+    if case == "underflowing kernels":
+        kernels = np.exp(-0.5 * ((grid[:, None] - rows[classes[0], 0]) / bandwidth) ** 2)
+        assert np.any(kernels == 0.0) and np.all(kernels.sum(axis=1) > 0.0)
+        assert np.isfinite(ad.evaluate_value(fused, [rows], []))
+
+
+def test_kde_kl_constant_rows_record_no_parents():
+    rows = np.random.default_rng(24).uniform(-1.0, 1.0, size=(5, 2))
+    grid, idx, log_q = np.linspace(-1.2, 1.2, 16), np.array([0, 3, 4]), np.zeros(16)
+    fused = ad.kde_kl(ad.constant(rows), 1, idx, grid, 0.2, 0.4, log_q)
+    oracle = _kde_kl_oracle(ad.constant(rows), 1, idx, grid, 0.2, 0.4, log_q)
+    assert fused.value == oracle.value
+    assert not fused.requires_grad and fused._parents == ()
+
+
+def test_kde_kl_zero_mass_is_non_finite_like_the_composition():
+    # the grid's left end lies 2 units from both samples: its kernel mass is 0
+    rows, idx = np.array([[0.9], [1.0]]), np.array([0, 1])
+    grid, log_q = np.linspace(-1.2, 1.2, 8), np.zeros(8)
+    for term in (ad.kde_kl, _kde_kl_oracle):
+        loss_fn = lambda p, i: term(p[0], 0, idx, grid, 0.02, 0.5, log_q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ad.NonFiniteLossError):
+                ad.evaluate_with_gradients(loss_fn, [rows], [])
+
+
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_broadcast_grad_matches_fd(rows, cols, seed):

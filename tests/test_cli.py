@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftsim import autodiff, cli, harness
+from driftsim import autodiff, cli, datasets, harness
 from driftsim.cli import load_run_config, main
 from driftsim.datasets import CsvSchema, load_csv_stream
 from driftsim.harness import ExperimentConfig
@@ -172,6 +172,24 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
     missing_csv = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
         "kind": "csv", "path": str(tmp_path / "absent.csv")}})
     assert main(["run", "--config", missing_csv]) == 2
+    # non-finite cells are rejected where they are read, by row and column
+    good = "t,y,a\n0,0,1.0\n0,1,2.0\n1,0,1.5\n1,1,2.5\n"
+    for row, naming in (("inf,0,1.2", "row 6, column 't'"),
+                        ("nan,0,1.2", "row 6, column 't'"),
+                        ("1,nan,1.2", "row 6, column 'y'"),
+                        ("1,0,-inf", "row 6, column 'a'")):
+        (tmp_path / "non_finite.csv").write_text(good + row + "\n")
+        non_finite = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
+            "kind": "csv", "path": str(tmp_path / "non_finite.csv")}})
+        assert usage_error_in_one_line(capsys, ["run", "--config", non_finite], naming)
+    # a file with more usable rows than a stream may hold
+    (tmp_path / "long.csv").write_text(good)
+    long_csv = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
+        "kind": "csv", "path": str(tmp_path / "long.csv")}})
+    with monkeypatch.context() as patch:
+        patch.setattr(datasets, "MAX_ROWS", 3)
+        assert usage_error_in_one_line(capsys, ["run", "--config", long_csv],
+                                       "more than 3 usable rows")
     # streams a listed method cannot train on are rejected before the first
     # listed method trains
     trained = []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftsim import datasets
 from driftsim.datasets import (CsvSchema, DomainDataset, DomainStream,
                                fit_apply_normalization, load_csv_stream,
                                make_moons_domain, make_moons_stream,
@@ -156,6 +157,24 @@ def test_csv_rows_with_gaps_are_excluded(tmp_path):
                             "1,0,1.5\n1,1,2.5\n")
     stream = load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
     assert stream.sources[0].n == 2
+
+
+@pytest.mark.parametrize("row, column", [("inf,0,1.0", "t"), ("nan,0,1.0", "t"),
+                                         ("1,nan,1.0", "y"), ("1,0,-inf", "a")])
+def test_csv_non_finite_cell_names_row_and_column(tmp_path, row, column):
+    path = _write(tmp_path, f"t,y,a\n0,0,1.0\n0,1,2.0\n1,1,3.0\n{row}\n")
+    with pytest.raises(ValueError, match=f"non-finite value .* at row 5, column '{column}'"):
+        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+
+
+def test_csv_rows_kept_are_capped(tmp_path, monkeypatch):
+    path = _write(tmp_path, "t,y,a\n0,0,1.0\n0,1,2.0\n0,,9.9\n1,0,1.5\n1,1,2.5\n")
+    schema = CsvSchema(domain_col="t", label_col="y")
+    monkeypatch.setattr(datasets, "MAX_ROWS", 4)  # the row with a gap is not kept
+    assert load_csv_stream(path, schema).target.n == 2
+    monkeypatch.setattr(datasets, "MAX_ROWS", 3)
+    with pytest.raises(ValueError, match="more than 3 usable rows"):
+        load_csv_stream(path, schema)
 
 
 def test_csv_fractional_domain_index_rejected(tmp_path):

@@ -166,8 +166,8 @@ def per_epoch_joint_kl(rows, labels, truth, grid):
     return loss
 
 
-def test_training_loss_matches_per_epoch_truth_side(monkeypatch):
-    # capture the loss graph `train_prelim` hands to `fit`
+def captured_loss(monkeypatch, stream):
+    """The loss function and initial params `train_prelim` hands to `fit`."""
     captured = []
 
     def no_fit(build, params, inputs, config):
@@ -175,9 +175,14 @@ def test_training_loss_matches_per_epoch_truth_side(monkeypatch):
         return params, []
 
     monkeypatch.setattr(density_baseline, "fit", no_fit)
-    stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
     train_prelim(stream, SMALL_PRELIM, seed=0)
     (build, params), = captured
+    return build, params
+
+
+def test_training_loss_matches_per_epoch_truth_side(monkeypatch):
+    stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
+    build, params = captured_loss(monkeypatch, stream)
     sources = stream.sources
     labels = np.repeat([0.0, 1.0], sources[-1].n // 2)
     grid = default_grid(SMALL_PRELIM.grid_size)
@@ -196,6 +201,31 @@ def test_training_loss_matches_per_epoch_truth_side(monkeypatch):
     assert loss == want_loss
     for g, want in zip(grads, want_grads, strict=True):
         assert np.array_equal(g, want)
+
+
+def tape_nodes(*outputs) -> list:
+    """The nodes `backward` visits from `outputs`."""
+    seen, stack = {}, list(outputs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(p for p in node._parents if p.requires_grad)
+    return list(seen.values())
+
+
+def test_one_tape_node_per_kl_term(monkeypatch):
+    stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
+    build, params = captured_loss(monkeypatch, stream)
+    visited = tape_nodes(build([ad.leaf(p) for p in params], []))
+    terms = [node for node in visited if node._vjp is not None
+             and node._vjp.__qualname__.startswith("kde_kl.")]
+    model = tape_nodes(*(rows for term in terms for rows in term._parents))
+    # 2 truth domains x 2 features x 2 classes, one node each; besides them
+    # and the model that decodes the rows, the tape holds only the terms'
+    # sum (7 adds) and its scaling by 1 / (truth domains)
+    assert len(terms) == 8
+    assert len(visited) - len(model) == 8 + 7 + 1
 
 
 def test_truth_side_is_built_once_per_fit(monkeypatch):
