@@ -185,7 +185,8 @@ def sub(a, b) -> Tensor:
 
     def vjp(g):
         _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(-g, b.value.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.value.shape))
 
     return _node(out, (a, b), vjp)
 
@@ -195,8 +196,10 @@ def mul(a, b) -> Tensor:
     out = a.value * b.value
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
     return _node(out, (a, b), vjp)
 
@@ -206,8 +209,10 @@ def div(a, b) -> Tensor:
     out = a.value / b.value
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g / b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.value, a.value.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
 
     return _node(out, (a, b), vjp)
 
@@ -549,16 +554,21 @@ def backward(loss: Tensor) -> None:
 LossFn = Callable[[list[Tensor], list[Tensor]], Tensor]
 
 
-def evaluate_value(loss_fn: LossFn, params, inputs) -> float:
-    """Forward-only scalar evaluation (no tape replay, same finiteness checks)."""
-    out = loss_fn([leaf(p, requires_grad=False) for p in params],
-                  [leaf(x, requires_grad=False) for x in inputs])
+def _evaluate(loss_fn: LossFn, params, inputs, requires_grad: bool):
+    """(loss, output node, parameter leaves) of one checked forward pass."""
+    param_leaves = [leaf(p, requires_grad=requires_grad) for p in params]
+    out = loss_fn(param_leaves, [leaf(x, requires_grad=False) for x in inputs])
     if out.value.shape != ():
         raise ValueError(f"loss output must be scalar, got shape {out.value.shape}")
     loss = float(out.value)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss is non-finite: {loss}")
-    return loss
+    return loss, out, param_leaves
+
+
+def evaluate_value(loss_fn: LossFn, params, inputs) -> float:
+    """Forward-only scalar evaluation (no tape replay, same finiteness checks)."""
+    return _evaluate(loss_fn, params, inputs, requires_grad=False)[0]
 
 
 def evaluate_with_gradients(loss_fn: LossFn, params, inputs):
@@ -567,14 +577,7 @@ def evaluate_with_gradients(loss_fn: LossFn, params, inputs):
     Raises NonFiniteLossError when the loss is NaN/inf (diverged training)
     and ValueError on malformed inputs or a non-scalar output.
     """
-    param_leaves = [leaf(p, requires_grad=True) for p in params]
-    input_leaves = [leaf(x, requires_grad=False) for x in inputs]
-    out = loss_fn(param_leaves, input_leaves)
-    if out.value.shape != ():
-        raise ValueError(f"loss output must be scalar, got shape {out.value.shape}")
-    loss = float(out.value)
-    if not np.isfinite(loss):
-        raise NonFiniteLossError(f"loss is non-finite: {loss}")
+    loss, out, param_leaves = _evaluate(loss_fn, params, inputs, requires_grad=True)
     backward(out)
     # copies, because tape gradients may share memory with one another
     grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.value)

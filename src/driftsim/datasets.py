@@ -57,7 +57,8 @@ class DomainDataset:
             raise ValueError("non-finite entries in domain data")
         if self.task == CLASSIFICATION:
             if not np.all(np.isin(y, (0.0, 1.0))):
-                raise ValueError("classification labels must be 0 or 1")
+                raise ValueError(f"domain {self.domain_index}: classification "
+                                 "labels must be 0 or 1")
         elif self.task != REGRESSION:
             raise ValueError(f"unknown task {self.task!r}")
         names = tuple(self.feature_names) or tuple(f"x{i}" for i in range(x.shape[1]))
@@ -173,9 +174,10 @@ def load_csv_stream(path, schema: CsvSchema) -> DomainStream:
     """Read a header CSV, group rows by integer domain index, hold out the last.
 
     Rows containing empty cells are dropped (instances with gaps are
-    excluded, not imputed); non-numeric and non-finite cells are a hard
-    error naming the offending row and column, and so is a file with more
-    than MAX_ROWS usable rows.
+    excluded, not imputed); non-numeric and non-finite cells, and for a
+    classification schema labels other than 0 or 1, are a hard error naming
+    the offending row and column, and so is a file with more than MAX_ROWS
+    usable rows.
     """
     groups: dict[int, list] = {}
     with open(path, newline="") as fh:
@@ -215,6 +217,9 @@ def load_csv_stream(path, schema: CsvSchema) -> DomainStream:
                 raise ValueError(
                     f"{path}: domain index {t} at row {row_num} is not an integer; "
                     "bin timestamps before ingestion")
+            if schema.task == CLASSIFICATION and parsed[1] not in (0.0, 1.0):
+                raise ValueError(f"{path}: label {cells[1]!r} at row {row_num}, column "
+                                 f"{schema.label_col!r} is not 0 or 1")
             kept += 1
             if kept > MAX_ROWS:
                 raise ValueError(f"{path}: more than {MAX_ROWS:,} usable rows")

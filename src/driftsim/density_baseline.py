@@ -1,8 +1,9 @@
 """Direct distribution-forecasting baseline.
 
 Estimates each feature's class-conditional density per domain with a Gaussian
-KDE on a fixed grid, then trains a small recurrent model to emit the next
-domain's rows wholesale, scored by the sum of per-feature joint KLs. The
+KDE on a fixed grid, then trains a one-layer `nn.lstm_stack` over per-domain
+summary rows (feature means and stds, label mean) whose state decodes the
+next domain's rows wholesale, scored by the sum of per-feature joint KLs. The
 truth side of that score (class prior, bandwidth and KDE masses of every
 true domain) has no parameters, so it is built once per domain before
 training. Kept as a negative baseline: matching per-feature marginals says
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .datasets import CLASSIFICATION, DomainDataset, DomainStream
-from .nn import dense_params, glorot
+from .nn import dense_params, glorot, lstm_params, lstm_stack
 from .optim import fit
 
 __all__ = ["PrelimConfig", "default_grid", "kde_density", "prelim_loss",
@@ -123,45 +124,23 @@ class PrelimConfig:
             raise ValueError("sizes must be positive")
 
 
-def _summaries(domains) -> np.ndarray:
-    rows = []
-    for dom in domains:
-        x = dom.features
-        rows.append(np.concatenate([x.mean(axis=0), x.std(axis=0),
-                                    [dom.labels.mean()]]))
-    return np.array(rows)
+def _summaries(domains) -> list:
+    """Per domain a (1, 2d + 1) constant: feature means, feature stds, label mean."""
+    return [ad.constant([[*dom.features.mean(axis=0), *dom.features.std(axis=0),
+                          dom.labels.mean()]]) for dom in domains]
 
 
 def _init_prelim(d: int, n_rows: int, config: PrelimConfig, rng) -> list:
-    in_dim = 2 * d + 1
+    """The one-layer LSTM's [w, b], then the decoder's, drawn in that order."""
     hd = config.hidden_dim
-    w_x = glorot(rng, in_dim, 4 * hd)
-    w_h = glorot(rng, hd, 4 * hd)
-    b = np.zeros((1, 4 * hd))
-    b[0, hd:2 * hd] = 1.0  # forget-gate bias
-    embed = rng.standard_normal((n_rows, config.embed_dim))
-    w_e = glorot(rng, config.embed_dim, hd)
-    w_s = glorot(rng, hd, hd)
-    b_mix = np.zeros((1, hd))
-    return [w_x, w_h, b, embed, w_e, w_s, b_mix, *dense_params(rng, (hd, d))]
-
-
-def _lstm_states(params, summaries):
-    """Hidden state after consuming summary rows 1..t, for every t."""
-    w_x, w_h, b = params[0], params[1], params[2]
-    hd = w_h.shape[0]
-    h = ad.constant(np.zeros((1, hd)))
-    c = None
-    states = []
-    for t in range(summaries.shape[0]):
-        row = ad.constant(summaries[t:t + 1])
-        h, c = ad.lstm_cell(row @ w_x + h @ w_h + b, c, hd)
-        states.append(h)
-    return states
+    return [*lstm_params(rng, 2 * d + 1, hd, 1),
+            rng.standard_normal((n_rows, config.embed_dim)),
+            glorot(rng, config.embed_dim, hd), glorot(rng, hd, hd),
+            np.zeros((1, hd)), *dense_params(rng, (hd, d))]
 
 
 def _decode_rows(params, state):
-    _, _, _, embed, w_e, w_s, b_mix, w_out, b_out = params
+    _, _, embed, w_e, w_s, b_mix, w_out, b_out = params
     mix = ad.tanh(embed @ w_e + state @ w_s + b_mix)
     return ad.dense(mix, w_out, b_out, ad.tanh)
 
@@ -204,7 +183,7 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     truth_sides = [_truth_side(truth, grid) for truth in sources[1:]]
 
     def build(ps, ins):
-        states = _lstm_states(ps, summaries)
+        states = lstm_stack(ps[:2], summaries, config.hidden_dim)
         loss = None
         # the decode after domains 1..t is scored against domain t+1
         for state, truth_side in zip(states, truth_sides):
@@ -215,8 +194,8 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     best_params, _ = fit(build, params, [], config)
 
     frozen = [ad.constant(p) for p in best_params]
-    states = _lstm_states(frozen, summaries)
-    rows = _decode_rows(frozen, states[-1]).value
+    state = lstm_stack(frozen[:2], summaries, config.hidden_dim)[-1]
+    rows = _decode_rows(frozen, state).value
     return DomainDataset(domain_index=last.domain_index + 1, features=rows,
                          labels=labels, task=CLASSIFICATION,
                          feature_names=last.feature_names)

@@ -1,11 +1,12 @@
-"""Layer helpers shared by the models: Glorot init and a dense stack."""
+"""Layer helpers shared by the models: Glorot init, a dense stack, and the
+LSTM stack that the correlation forecaster and the density baseline run."""
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
 
-__all__ = ["glorot", "dense_params", "mlp"]
+__all__ = ["glorot", "dense_params", "mlp", "lstm_params", "lstm_stack"]
 
 
 def glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -30,3 +31,29 @@ def mlp(params, x, act):
         x = ad.dense(x, params[i], params[i + 1], act)
     return ad.dense(x, params[-2], params[-1])
 
+
+def lstm_params(rng, in_dim: int, hidden: int, layers: int) -> list:
+    """[w1, b1, w2, b2, ...] for `lstm_stack`: per layer one Glorot draw of
+    shape (input + hidden, 4 * hidden) and a zero bias but for a +1 forget gate."""
+    params = []
+    for fan_in in [in_dim] + [hidden] * (layers - 1):
+        bias = np.zeros((1, 4 * hidden))
+        bias[0, hidden:2 * hidden] = 1.0
+        params += [glorot(rng, fan_in + hidden, 4 * hidden), bias]
+    return params
+
+
+def lstm_stack(params, rows, hidden: int) -> list:
+    """The top layer's hidden state after each row: every layer's step is
+    `lstm_cell(dense(concat([x, h]), w, b))` from a zero h and no cell state,
+    and its new h is the input of the layer above."""
+    layers = len(params) // 2
+    h, c = [ad.constant(np.zeros((1, hidden)))] * layers, [None] * layers
+    states = []
+    for x in rows:
+        for k in range(layers):
+            gates = ad.dense(ad.concat([x, h[k]], axis=1), params[2 * k], params[2 * k + 1])
+            h[k], c[k] = ad.lstm_cell(gates, c[k], hidden)
+            x = h[k]
+        states.append(x)
+    return states

@@ -1,7 +1,7 @@
 """Forecasting the next domain's correlation matrix from the history of
 per-domain matrices.
 
-A stacked LSTM consumes the flattened strict upper triangles of C_1..C_{T-1}
+An embedding and `nn.lstm_stack` consume the strict upper triangles of C_1..C_{T-1}
 (teacher forcing: true matrices in, one-step-ahead targets out) and a tanh
 head emits the next flattened matrix. The training loss sums, over the
 steps, a Frobenius term, an elementwise-L1 term, and a binary cross-entropy
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .correlation import CorrelationMatrix, flatten_upper, unflatten_upper
-from .nn import dense_params, glorot
+from .nn import dense_params, lstm_params, lstm_stack
 from .optim import fit
 
 __all__ = ["PredictorConfig", "PredictorModel", "predict_next", "cp_loss",
@@ -57,36 +57,20 @@ class PredictorModel:
 
 
 def _init_params(m: int, config: PredictorConfig, rng) -> list:
-    """Glorot-uniform weights, zero biases except forget gates at +1."""
+    """Embedding, LSTM stack and head, in that order (see `nn.lstm_params`)."""
     p = m * (m - 1) // 2
     h, lat = config.hidden_dim, config.latent_dim
-    params = dense_params(rng, (p, lat))
-    in_dim = lat
-    for _ in range(config.layers):
-        params.append(glorot(rng, in_dim + h, 4 * h))
-        bias = np.zeros((1, 4 * h))
-        bias[0, h:2 * h] = 1.0  # forget gate opens at init
-        params.append(bias)
-        in_dim = h
-    return params + dense_params(rng, (h, p))
+    return (dense_params(rng, (p, lat)) + lstm_params(rng, lat, h, config.layers)
+            + dense_params(rng, (h, p)))
 
 
 def _forward_sequence(params: list, rows: list, layers: int, hidden: int) -> list:
     """Head outputs (pre-unflatten, post-tanh) for every step of the sequence."""
     w_embed, b_embed = params[0], params[1]
     w_head, b_head = params[-2], params[-1]
-    h_states = [ad.constant(np.zeros((1, hidden)))] * layers
-    c_states = [None] * layers
-    outputs = []
-    for row in rows:
-        x = ad.dense(row, w_embed, b_embed)
-        for layer in range(layers):
-            w, b = params[2 + 2 * layer], params[3 + 2 * layer]
-            gates = ad.dense(ad.concat([x, h_states[layer]], axis=1), w, b)
-            x, c_states[layer] = ad.lstm_cell(gates, c_states[layer], hidden)
-            h_states[layer] = x
-        outputs.append(ad.dense(x, w_head, b_head, ad.tanh))
-    return outputs
+    states = lstm_stack(params[2:2 + 2 * layers],
+                        [ad.dense(row, w_embed, b_embed) for row in rows], hidden)
+    return [ad.dense(h, w_head, b_head, ad.tanh) for h in states]
 
 
 def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:

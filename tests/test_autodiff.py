@@ -9,9 +9,11 @@ from types import SimpleNamespace
 
 from driftsim import autodiff as ad
 from driftsim import predictor
-from driftsim.nn import dense_params, glorot, mlp
+from driftsim.nn import dense_params, glorot, lstm_params, lstm_stack, mlp
 from driftsim.optim import Adam, fit
 from driftsim.predictor import PredictorConfig
+
+import unfused
 
 
 def _sq(t):
@@ -198,15 +200,6 @@ def _dense_oracle(x, w, b, act):
     return out if act is None else act(out)
 
 
-def _lstm_cell_oracle(gates, c_prev, hidden):
-    i = ad.sigmoid(gates[:, 0:hidden])
-    f = ad.sigmoid(gates[:, hidden:2 * hidden])
-    g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
-    c = i * g if c_prev is None else f * c_prev + i * g
-    return o * ad.tanh(c), c
-
-
 def _assert_same_values_and_gradients(fused, oracle, params, inputs):
     got = ad.evaluate_with_gradients(fused, params, inputs)
     want = ad.evaluate_with_gradients(oracle, params, inputs)
@@ -270,14 +263,14 @@ def test_lstm_cell_matches_composition_bit_for_bit(case):
         params = [rng.normal(size=(5, 12)) * 0.5, rng.normal(size=(1, 12))]
         inputs = [rng.normal(size=(3, 2)), rng.normal(size=(3, 3))]
         fused = _three_step_loss(ad.lstm_cell, ad.dense)
-        oracle = _three_step_loss(_lstm_cell_oracle, _dense_oracle)
+        oracle = _three_step_loss(unfused.lstm_cell, _dense_oracle)
     else:
         rows = 2 if case == "two rows" else 1
         params = [rng.normal(size=(rows, 12))]
         inputs = [rng.normal(size=(rows, 3))]
         if case != "first step":
             inputs.append(rng.normal(size=(rows, 3)))
-        fused, oracle = _one_step_loss(ad.lstm_cell), _one_step_loss(_lstm_cell_oracle)
+        fused, oracle = _one_step_loss(ad.lstm_cell), _one_step_loss(unfused.lstm_cell)
     _assert_same_values_and_gradients(fused, oracle, params, inputs)
     _check(fused, params, inputs, step=1e-5)
 
@@ -286,18 +279,35 @@ def _unfused_forward_sequence(params, rows, layers, hidden):
     """The predictor's forward pass written with primitives only."""
     w_embed, b_embed = params[0], params[1]
     w_head, b_head = params[-2], params[-1]
-    h_states = [ad.constant(np.zeros((1, hidden)))] * layers
-    c_states = [None] * layers
-    outputs = []
-    for row in rows:
-        x = row @ w_embed + b_embed
-        for layer in range(layers):
-            w, b = params[2 + 2 * layer], params[3 + 2 * layer]
-            gates = ad.concat([x, h_states[layer]], axis=1) @ w + b
-            x, c_states[layer] = _lstm_cell_oracle(gates, c_states[layer], hidden)
-            h_states[layer] = x
-        outputs.append(ad.tanh(x @ w_head + b_head))
-    return outputs
+    states = unfused.lstm_stack(params[2:2 + 2 * layers],
+                                [row @ w_embed + b_embed for row in rows], hidden)
+    return [ad.tanh(x @ w_head + b_head) for x in states]
+
+
+@pytest.mark.parametrize("layers, in_dim, hidden, steps",
+                         [(1, 5, 32, 9), (2, 3, 4, 6)],
+                         ids=["density baseline", "two layers"])
+def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, steps):
+    rng = np.random.default_rng(23)
+    params = lstm_params(rng, in_dim, hidden, layers)
+    params[1] += rng.normal(size=params[1].shape) * 0.1
+    rows = rng.normal(size=(steps, in_dim))
+    weights = rng.normal(size=(steps, hidden))
+
+    def loss(stack):
+        # the rows are the last parameter, so their gradient is checked too
+        def loss_fn(p, i):
+            states = stack(p[:-1], [p[-1][t:t + 1, :] for t in range(steps)], hidden)
+            return ad.reduce_sum(ad.concat(states, axis=0) * i[0])
+        return loss_fn
+
+    _assert_same_values_and_gradients(loss(lstm_stack), loss(unfused.lstm_stack),
+                                      [*params, rows], [weights])
+    consts = [ad.constant(p) for p in params]
+    row_consts = [ad.constant(rows[t:t + 1, :]) for t in range(steps)]
+    for got, want in zip(lstm_stack(consts, row_consts, hidden),
+                         unfused.lstm_stack(consts, row_consts, hidden), strict=True):
+        assert np.array_equal(got.value, want.value)
 
 
 def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):

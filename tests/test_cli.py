@@ -182,6 +182,12 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
         non_finite = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
             "kind": "csv", "path": str(tmp_path / "non_finite.csv")}})
         assert usage_error_in_one_line(capsys, ["run", "--config", non_finite], naming)
+    # so are classification labels other than 0 or 1
+    (tmp_path / "bad_label.csv").write_text(good + "2,2,1.2\n2,0,1.3\n")
+    bad_label = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
+        "kind": "csv", "path": str(tmp_path / "bad_label.csv")}})
+    assert usage_error_in_one_line(capsys, ["run", "--config", bad_label],
+                                   "label '2' at row 6, column 'y' is not 0 or 1")
     # a file with more usable rows than a stream may hold
     (tmp_path / "long.csv").write_text(good)
     long_csv = write_cfg(tmp_path, {**TINY_CFG, "dataset": {

@@ -100,8 +100,8 @@ def test_domain_noise_streams_are_independent():
 def test_dataset_validation():
     with pytest.raises(ValueError):
         DomainDataset(0, np.ones((1, 2)), np.ones(1))
-    with pytest.raises(ValueError):
-        DomainDataset(0, np.ones((3, 2)), np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="domain 4: classification labels"):
+        DomainDataset(4, np.ones((3, 2)), np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValueError):
         DomainDataset(0, np.array([[np.nan, 1.0], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
@@ -165,6 +165,16 @@ def test_csv_non_finite_cell_names_row_and_column(tmp_path, row, column):
     path = _write(tmp_path, f"t,y,a\n0,0,1.0\n0,1,2.0\n1,1,3.0\n{row}\n")
     with pytest.raises(ValueError, match=f"non-finite value .* at row 5, column '{column}'"):
         load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+
+
+def test_csv_classification_label_names_row_and_column(tmp_path):
+    text = "t,y,a\n0,0,1.0\n0,1,2.0\n1,0,1.5\n1,2,2.5\n2,0,1.1\n2,1,2.1\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(ValueError, match="label '2' at row 5, column 'y' is not 0 or 1"):
+        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+    stream = load_csv_stream(path, CsvSchema(domain_col="t", label_col="y",
+                                             task="regression"))
+    assert stream.sources[1].labels[1] == 2.0
 
 
 def test_csv_rows_kept_are_capped(tmp_path, monkeypatch):

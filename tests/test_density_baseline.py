@@ -13,6 +13,8 @@ from driftsim.density_baseline import (Q_FLOOR, PrelimConfig, default_grid,
                                        kde_density, prelim_loss,
                                        silverman_bandwidth, train_prelim)
 
+import unfused
+
 
 def test_default_grid_span():
     g = default_grid()
@@ -111,6 +113,16 @@ SMALL_PRELIM = PrelimConfig(hidden_dim=8, embed_dim=4, grid_size=64,
                             max_epochs=5, patience=5)
 
 
+def test_init_draws_the_decoder_after_the_lstm():
+    # one (2d+1 + hidden, 4 hidden) Glorot draw, then the row embeddings
+    cfg = PrelimConfig()
+    params = density_baseline._init_prelim(2, 10, cfg, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    rng.uniform(size=(5 + cfg.hidden_dim) * 4 * cfg.hidden_dim)
+    assert len(params) == 8
+    assert np.array_equal(params[2], rng.standard_normal((10, cfg.embed_dim)))
+
+
 def test_train_prelim_smoke_and_output_shape():
     stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
     synth = train_prelim(stream, SMALL_PRELIM, seed=0)
@@ -188,7 +200,8 @@ def test_training_loss_matches_per_epoch_truth_side(monkeypatch):
     grid = default_grid(SMALL_PRELIM.grid_size)
 
     def oracle(ps, ins):
-        states = density_baseline._lstm_states(ps, density_baseline._summaries(sources))
+        states = unfused.lstm_stack(ps[:2], density_baseline._summaries(sources),
+                                    SMALL_PRELIM.hidden_dim)
         loss = None
         for t in range(len(sources) - 1):
             rows = density_baseline._decode_rows(ps, states[t])
@@ -226,6 +239,14 @@ def test_one_tape_node_per_kl_term(monkeypatch):
     # sum (7 adds) and its scaling by 1 / (truth domains)
     assert len(terms) == 8
     assert len(visited) - len(model) == 8 + 7 + 1
+
+
+def test_tape_nodes_per_epoch_on_ten_domain_moons(monkeypatch):
+    build, params = captured_loss(monkeypatch, make_moons_stream())
+    # 8 parameter leaves; 8 scored LSTM steps of a dense and the cell's c and
+    # h nodes, and 7 concats (the first step's h is a constant); per scored
+    # step 6 decode nodes and 4 KL terms; 31 adds and one scale
+    assert len(tape_nodes(build([ad.leaf(p) for p in params], []))) == 151
 
 
 def test_truth_side_is_built_once_per_fit(monkeypatch):

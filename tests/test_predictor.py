@@ -7,6 +7,7 @@ from driftsim import autodiff as ad
 from driftsim.correlation import (CorrelationMatrix, matrix_distance,
                                   pearson_matrix, unflatten_upper)
 from driftsim.datasets import fit_apply_normalization, make_moons_stream
+from driftsim.nn import dense_params, glorot
 from driftsim.predictor import (PredictorConfig, PredictorModel, _init_params,
                                 _sequence_loss, cp_loss, predict_next,
                                 train_predictor)
@@ -31,6 +32,34 @@ def _c4():
 def _moons_matrices(seed=0):
     stream, _ = fit_apply_normalization(make_moons_stream(seed=seed))
     return [pearson_matrix(s) for s in stream.sources], pearson_matrix(stream.target)
+
+
+# -- init ---------------------------------------------------------------------
+
+def _per_layer_init(m, config, rng):
+    """The predictor's init as one loop over its LSTM layers, each drawing
+    its Glorot weights before the next: the draw order `_init_params` keeps."""
+    p = m * (m - 1) // 2
+    h, lat = config.hidden_dim, config.latent_dim
+    params = dense_params(rng, (p, lat))
+    in_dim = lat
+    for _ in range(config.layers):
+        params.append(glorot(rng, in_dim + h, 4 * h))
+        bias = np.zeros((1, 4 * h))
+        bias[0, h:2 * h] = 1.0
+        params.append(bias)
+        in_dim = h
+    return params + dense_params(rng, (h, p))
+
+
+@pytest.mark.parametrize("m, layers", [(3, 8), (4, 1), (5, 2)])
+def test_init_params_match_per_layer_loop(m, layers):
+    config = PredictorConfig(layers=layers)
+    got = _init_params(m, config, np.random.default_rng(6))
+    want = _per_layer_init(m, config, np.random.default_rng(6))
+    assert len(got) == len(want) == 2 * layers + 4
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 # -- predict_next -------------------------------------------------------------
