@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationMatrix, matrix_distance
+from .correlation import (CorrelationMatrix, correlation_from_covariance,
+                          matrix_distance)
 
 __all__ = [
     "FiniteJointDistribution",
@@ -127,11 +128,7 @@ def corr_exact(p: FiniteJointDistribution, delta_min: float = 1e-8) -> Correlati
         raise ValueError(
             f"coordinate(s) {bad.tolist()} have variance below {delta_min}")
     mu = p.mean()
-    cov = p.second_moments() - np.outer(mu, mu)
-    corr = np.clip(cov / np.sqrt(np.outer(var, var)), -1.0, 1.0)
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(corr)
+    return correlation_from_covariance(p.second_moments() - np.outer(mu, mu), var)
 
 
 @dataclass(frozen=True)

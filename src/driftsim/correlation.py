@@ -11,6 +11,7 @@ __all__ = [
     "CorrelationMatrix",
     "DELTA_MIN",
     "pearson_matrix",
+    "correlation_from_covariance",
     "matrix_distance",
     "flatten_upper",
     "unflatten_upper",
@@ -64,9 +65,12 @@ def pearson_matrix(dataset) -> CorrelationMatrix:
         names = [dataset.feature_names[i] if i < m - 1 else "label" for i in bad]
         raise ValueError(f"domain {dataset.domain_index}: near-constant column(s) "
                          f"{', '.join(names)}: variance below {DELTA_MIN}")
-    cov = centered.T @ centered / (n - 1)
-    denom = np.sqrt(np.outer(var, var))
-    corr = np.clip(cov / denom, -1.0, 1.0)
+    return correlation_from_covariance(centered.T @ centered / (n - 1), var)
+
+
+def correlation_from_covariance(cov: np.ndarray, var: np.ndarray) -> CorrelationMatrix:
+    """Clip cov / sqrt(var_i var_j) to [-1, 1], symmetrize, set a unit diagonal."""
+    corr = np.clip(cov / np.sqrt(np.outer(var, var)), -1.0, 1.0)
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)
     return CorrelationMatrix(corr)

@@ -25,11 +25,12 @@ __all__ = ["PrelimConfig", "default_grid", "kde_density", "prelim_loss",
            "train_prelim"]
 
 Q_FLOOR = 1e-12  # density floor for the KL denominator
+GRID_LO, GRID_HI = -1.2, 1.2  # default_grid's span
 
 
-def default_grid(size: int = 256, lo: float = -1.2, hi: float = 1.2) -> np.ndarray:
+def default_grid(size: int = 256) -> np.ndarray:
     """Uniform evaluation grid; the margin beyond [-1, 1] absorbs kernel tails."""
-    return np.linspace(lo, hi, size)
+    return np.linspace(GRID_LO, GRID_HI, size)
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
@@ -183,9 +184,10 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     truth_sides = [_truth_side(truth, grid) for truth in sources[1:]]
 
     def build(ps, ins):
-        states = lstm_stack(ps[:2], summaries, config.hidden_dim)
+        # the decode after domains 1..t is scored against domain t+1; the
+        # last source only feeds the final decode
+        states = lstm_stack(ps[:2], summaries[:-1], config.hidden_dim)
         loss = None
-        # the decode after domains 1..t is scored against domain t+1
         for state, truth_side in zip(states, truth_sides):
             term = _joint_kl_graph(_decode_rows(ps, state), labels, truth_side, grid)
             loss = term if loss is None else loss + term

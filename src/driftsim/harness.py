@@ -141,7 +141,7 @@ class ExperimentReport:
     config_snapshot: dict
     wall_clock_s: float
     # per seed: the set the downstream model trained on (None for
-    # incfinetune) and method artifacts such as "predicted_corr"
+    # incfinetune) and method artifacts ("predicted_corr", "simulator")
     train_sets: tuple = field(default=(), repr=False, compare=False)
     extras: tuple = field(default=(), repr=False, compare=False)
 
@@ -189,7 +189,7 @@ def _assemble_training_set(stream: DomainStream, method: str,
     """Training data for one method on an already-normalized stream.
 
     Returns (dataset, extra) where extra carries method-specific artifacts
-    (the predicted matrix for "coda").
+    (coda's predicted matrix, and the trained simulator of both coda variants).
     """
     sources = stream.sources
     if method in ("coda", "coda-without-C"):
@@ -198,11 +198,11 @@ def _assemble_training_set(stream: DomainStream, method: str,
             model = train_predictor(mats, config.predictor, seed=seed)
             c_hat = predict_next(model, mats)
             sim = train_simulator(sources[-1], c_hat, config.simulator, seed=seed)
-            extra = {"predicted_corr": c_hat}
+            extra = {"predicted_corr": c_hat, "simulator": sim}
         else:
             sim = train_simulator(sources[-1], None,
                                   replace(config.simulator, lambda_c=0.0), seed=seed)
-            extra = {}
+            extra = {"simulator": sim}
         n = max(8, round(stream.target.n * config.sample_rate))
         return sample(sim, n, seed=seed + 101), extra
     if method == "lastdomain":

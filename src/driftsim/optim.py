@@ -9,25 +9,20 @@ import numpy as np
 from . import autodiff as ad
 
 __all__ = ["Adam", "fit"]
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
 
 
 class Adam:
     """Adam with bias-corrected first/second moment estimates.
 
-    update: m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;
-    p <- p - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps).
+    update: m <- BETA1*m + (1-BETA1)*g; v <- BETA2*v + (1-BETA2)*g^2;
+    p <- p - lr * (m/(1-BETA1^t)) / (sqrt(v/(1-BETA2^t)) + EPS).
     """
 
-    def __init__(self, shapes, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, shapes, lr: float = 1e-3):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(s, dtype=np.float64) for s in shapes]
         self.v = [np.zeros(s, dtype=np.float64) for s in shapes]
@@ -38,8 +33,8 @@ class Adam:
             raise ValueError(
                 f"expected {len(self.m)} params/grads, got {len(params)}/{len(grads)}")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for i, (p, g) in enumerate(zip(params, grads)):
             g = np.asarray(g, dtype=np.float64)
             if g.shape != self.m[i].shape:
@@ -47,11 +42,11 @@ class Adam:
                     f"grad {i} shape {g.shape} does not match state {self.m[i].shape}")
             if not np.all(np.isfinite(g)):
                 raise ArithmeticError(f"non-finite gradient in slot {i}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
             m_hat = self.m[i] / c1
             v_hat = self.v[i] / c2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
         return params
 
 

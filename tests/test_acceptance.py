@@ -2,8 +2,9 @@
 
 Each test prints one `ACCEPTANCE <n> PASS|FAIL` line (run with -s to see
 them all) and then asserts. The expensive experiment reports are shared
-module-scoped fixtures; everything runs on the fixed benchmark stream with
-model seeds 0-4.
+module-scoped fixtures, and criteria 4 and 8 read the forecasts and
+simulators those runs trained; everything runs on the fixed benchmark stream
+with model seeds 0-4.
 """
 import time
 from dataclasses import replace
@@ -21,8 +22,8 @@ from driftsim.datasets import (CLASSIFICATION, CsvSchema, DomainDataset,
                                fit_apply_normalization, load_csv_stream,
                                make_moons_stream, save_domain_csv)
 from driftsim.harness import ExperimentConfig, run_experiment, sweep
-from driftsim.predictor import PredictorConfig, predict_next, train_predictor
-from driftsim.simulator import SimulatorConfig, sample, train_simulator
+from driftsim.predictor import PredictorConfig
+from driftsim.simulator import SimulatorConfig, sample
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -44,6 +45,11 @@ def config():
 @pytest.fixture(scope="module")
 def coda_report(stream, config):
     return run_experiment(stream, "coda", config)
+
+
+@pytest.fixture(scope="module")
+def no_regularizer_report(stream, config):
+    return run_experiment(stream, "coda-without-C", config)
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +81,8 @@ def test_criterion_2_lastdomain_band(coda_report, lastdomain_report):
     assert coda_report.mean < mean
 
 
-def test_criterion_3_ablation_ratio(stream, config, coda_report):
-    report = run_experiment(stream, "coda-without-C", config)
+def test_criterion_3_ablation_ratio(coda_report, no_regularizer_report):
+    report = no_regularizer_report
     ratio = report.mean / coda_report.mean
     ok = report.mean >= 2.0 * coda_report.mean and report.mean >= 10.0
     _verdict(3, ok, f"no-regularizer mean McE {report.mean:.2f}% "
@@ -85,16 +91,14 @@ def test_criterion_3_ablation_ratio(stream, config, coda_report):
     assert report.mean >= 10.0
 
 
-def test_criterion_4_forecast_beats_persistence(normalized):
-    mats = [pearson_matrix(s) for s in normalized.sources]
+def test_criterion_4_forecast_beats_persistence(normalized, coda_report):
     truth = pearson_matrix(normalized.target)
-    persistence = matrix_distance(mats[-1], truth, "elementwise-l1")
+    persistence = matrix_distance(pearson_matrix(normalized.sources[-1]), truth,
+                                  "elementwise-l1")
     wins = 0
     errs = []
-    for seed in SEEDS:
-        model = train_predictor(mats, PredictorConfig(), seed=seed)
-        err = matrix_distance(predict_next(model, mats), truth,
-                              "elementwise-l1")
+    for extra in coda_report.extras:
+        err = matrix_distance(extra["predicted_corr"], truth, "elementwise-l1")
         errs.append(round(err, 3))
         wins += err < persistence
     ok = wins >= 4
@@ -245,20 +249,23 @@ def test_criterion_7_gradient_suite():
     assert worst_sim < 1e-4
 
 
-def test_criterion_8_regularizer_monotonicity(normalized, config):
-    mats = [pearson_matrix(s) for s in normalized.sources]
+def test_criterion_8_regularizer_monotonicity(stream, config, coda_report,
+                                              no_regularizer_report):
+    # lambda_c defaults to 1, so the coda run's simulators are the lambda = 1
+    # fits and coda-without-C's the lambda = 0 fits; only lambda = 10 trains
+    assert config.simulator.lambda_c == 1.0
+    strong = run_experiment(stream, "coda", replace(
+        config, simulator=replace(config.simulator, lambda_c=10.0)))
     majority = 0
     rows = []
-    for seed in SEEDS:
-        model = train_predictor(mats, PredictorConfig(), seed=seed)
-        c_hat = predict_next(model, mats)
+    for i, seed in enumerate(SEEDS):
+        c_hat = coda_report.extras[i]["predicted_corr"]
+        # the lambda = 10 run must have pulled toward the same forecast
+        assert np.array_equal(strong.extras[i]["predicted_corr"].entries,
+                              c_hat.entries)
         dists = []
-        for lam in (0.0, 1.0, 10.0):
-            sim = train_simulator(normalized.sources[-1],
-                                  None if lam == 0.0 else c_hat,
-                                  replace(config.simulator, lambda_c=lam),
-                                  seed=seed)
-            synth = sample(sim, 1000, seed=seed + 101)
+        for report in (no_regularizer_report, coda_report, strong):
+            synth = sample(report.extras[i]["simulator"], 1000, seed=seed + 101)
             dists.append(matrix_distance(pearson_matrix(synth), c_hat,
                                          "elementwise-l1"))
         rows.append([round(d, 3) for d in dists])

@@ -249,6 +249,22 @@ def test_tape_nodes_per_epoch_on_ten_domain_moons(monkeypatch):
     assert len(tape_nodes(build([ad.leaf(p) for p in params], []))) == 151
 
 
+def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):
+    stream = make_moons_stream()
+    build, params = captured_loss(monkeypatch, stream)
+    fed = []
+    real = density_baseline.lstm_stack
+    monkeypatch.setattr(density_baseline, "lstm_stack",
+                        lambda ps, rows, hidden: fed.append(rows)
+                        or real(ps, rows, hidden))
+    build([ad.leaf(p) for p in params], [])
+    (rows,) = fed
+    assert len(rows) == len(stream.sources) - 1
+    want = density_baseline._summaries(stream.sources)
+    for got, row in zip(rows, want[:-1], strict=True):
+        assert np.array_equal(got.value, row.value)
+
+
 def test_truth_side_is_built_once_per_fit(monkeypatch):
     calls = []
     real = density_baseline.kde_density

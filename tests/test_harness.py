@@ -13,7 +13,7 @@ from driftsim.harness import (METHODS, DownstreamConfig, DownstreamModel,
                               ExperimentConfig, evaluate, run_experiment,
                               sweep, train_downstream)
 from driftsim.predictor import PredictorConfig
-from driftsim.simulator import SimulatorConfig
+from driftsim.simulator import SimulatorConfig, sample
 
 
 def zero_model(d: int, task: str) -> DownstreamModel:
@@ -234,6 +234,16 @@ def test_seeds_in_workers_match_the_one_process_run():
         assert np.array_equal(report.train_sets[i].labels, train_set.labels)
         assert np.array_equal(report.extras[i]["predicted_corr"].entries,
                               extra["predicted_corr"].entries)
+        sim = report.extras[i]["simulator"]
+        for got, want in zip(sim.params, extra["simulator"].params, strict=True):
+            assert np.array_equal(got, want)
+        resampled = sample(sim, train_set.n, seed + 101)
+        assert np.array_equal(resampled.features, report.train_sets[i].features)
+        assert np.array_equal(resampled.labels, report.train_sets[i].labels)
+    without_c = run_experiment(SMALL_STREAM, "coda-without-C", TINY_PIPELINE)
+    (train_set,), (extra,) = without_c.train_sets, without_c.extras
+    resampled = sample(extra["simulator"], train_set.n, seed=0 + 101)
+    assert np.array_equal(resampled.features, train_set.features)
 
 
 def test_one_usable_cpu_runs_the_seeds_in_process(monkeypatch):
