@@ -424,8 +424,9 @@ def dense(x, w, b, act=None) -> Tensor:
     return _node(out, (x, w, b), vjp)
 
 
-def lstm_cell(gates, c_prev, hidden: int):
-    """One LSTM step from gate pre-activations laid out [input|forget|cell|output].
+def lstm_cell(gates, c_prev):
+    """One LSTM step from gate pre-activations laid out [input|forget|cell|output],
+    each block a quarter of the width of `gates`.
 
     `c_prev` is None on the first step of a sequence (zero cell state).
     Returns the new (h, c): c = f * c_prev + i * g and h = o * tanh(c), as a
@@ -435,7 +436,9 @@ def lstm_cell(gates, c_prev, hidden: int):
     """
     gates = _wrap(gates)
     z = gates.value
-    n = hidden
+    n, rest = divmod(z.shape[1], 4)
+    if rest:
+        raise ValueError(f"gate width {z.shape[1]} is not a multiple of 4")
     i = _sigmoid(z[:, 0:n])
     f = _sigmoid(z[:, n:2 * n])
     g = np.tanh(z[:, 2 * n:3 * n])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import (CorrelationMatrix, correlation_from_covariance,
+from .correlation import (DELTA_MIN, CorrelationMatrix, correlation_from_covariance,
                           matrix_distance)
 
 __all__ = [
@@ -120,13 +120,13 @@ def tv_dual_exhaustive(p: FiniteJointDistribution, q: FiniteJointDistribution) -
     return float(np.abs(gaps).max())
 
 
-def corr_exact(p: FiniteJointDistribution, delta_min: float = 1e-8) -> CorrelationMatrix:
+def corr_exact(p: FiniteJointDistribution) -> CorrelationMatrix:
     """Correlation matrix from exact moments (no sampling)."""
     var = p.variances()
-    bad = np.nonzero(var < delta_min)[0]
+    bad = np.nonzero(var < DELTA_MIN)[0]
     if bad.size:
         raise ValueError(
-            f"coordinate(s) {bad.tolist()} have variance below {delta_min}")
+            f"coordinate(s) {bad.tolist()} have variance below {DELTA_MIN}")
     mu = p.mean()
     return correlation_from_covariance(p.second_moments() - np.outer(mu, mu), var)
 
@@ -141,11 +141,10 @@ class BoundReport:
     delta: float
     lhs: float
     rhs: float
-    violated: bool
 
-    def __post_init__(self):
-        if self.violated != (self.lhs > self.rhs + VIOLATION_TOL):
-            raise ValueError("violated flag inconsistent with lhs/rhs")
+    @property
+    def violated(self) -> bool:
+        return bool(self.lhs > self.rhs + VIOLATION_TOL)
 
     def to_dict(self) -> dict:
         return {"d": self.d, "eps": self.eps, "A": self.bound_a,
@@ -153,23 +152,20 @@ class BoundReport:
                 "violated": self.violated}
 
 
-def verify_bound(p: FiniteJointDistribution, q: FiniteJointDistribution,
-                 delta_min: float = 1e-8) -> BoundReport:
+def verify_bound(p: FiniteJointDistribution, q: FiniteJointDistribution) -> BoundReport:
     """Check lhs = ‖C_P − C_Q‖ (induced-1) against rhs = 6dεA²(1/δ + A²/δ²)."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     variances = np.concatenate([p.variances(), q.variances()])
-    if np.any(variances < delta_min):
+    if np.any(variances < DELTA_MIN):
         raise ValueError(
             f"positive-variance assumption fails: min variance {variances.min()}")
     eps = tv_exact(p, q)
     a = max(p.bound_a, q.bound_a)
     delta = float(variances.min())
-    lhs = matrix_distance(corr_exact(p, delta_min), corr_exact(q, delta_min),
-                          "induced-1")
+    lhs = matrix_distance(corr_exact(p), corr_exact(q), "induced-1")
     rhs = 6.0 * p.dim * eps * a * a * (1.0 / delta + (a * a) / (delta * delta))
-    return BoundReport(d=p.dim, eps=eps, bound_a=a, delta=delta,
-                       lhs=lhs, rhs=rhs, violated=bool(lhs > rhs + VIOLATION_TOL))
+    return BoundReport(d=p.dim, eps=eps, bound_a=a, delta=delta, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)

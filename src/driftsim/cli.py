@@ -218,15 +218,16 @@ def cmd_gen_moons(args) -> int:
 
 def _dump_artifacts(stream, report: ExperimentReport, config: ExperimentConfig,
                     out: str) -> list:
-    """Correlation CSV + generated-data CSV for the first configured seed,
-    taken from the models the run already trained."""
+    """Generated-data CSV for the first configured seed, plus a correlation
+    CSV when the run made a forecast, taken from the models the run already
+    trained."""
     method, seed = report.method, config.seeds[0]
     if method not in GENERATIVE:
         return []
     train_set, extra = report.train_sets[0], report.extras[0]
     normalized, stats = fit_apply_normalization(stream)
     written = []
-    if method == "coda":
+    if "predicted_corr" in extra:
         lines = ["matrix,row,col,value"]
         mats = [(f"C{s.domain_index}", pearson_matrix(s))
                 for s in normalized.sources]
@@ -298,6 +299,8 @@ def cmd_verify_bound(args) -> int:
 
 def cmd_sweep(args) -> int:
     stream, methods, config, cfg_out = load_run_config(args.config)
+    if len(methods) > 1:  # the curve has no method column
+        raise ConfigError(f"methods: sweep takes one method, got {methods}")
     out = _out_dir(args.out or cfg_out)
     os.makedirs(out, exist_ok=True)
     try:

@@ -117,7 +117,6 @@ class PrelimConfig:
     grid_size: int = 256
     max_epochs: int = 300
     patience: int = 50
-    tol: float = 1e-5
 
     def __post_init__(self):
         if min(self.hidden_dim, self.embed_dim, self.grid_size,
@@ -186,7 +185,7 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     def build(ps, ins):
         # the decode after domains 1..t is scored against domain t+1; the
         # last source only feeds the final decode
-        states = lstm_stack(ps[:2], summaries[:-1], config.hidden_dim)
+        states = lstm_stack(ps[:2], summaries[:-1])
         loss = None
         for state, truth_side in zip(states, truth_sides):
             term = _joint_kl_graph(_decode_rows(ps, state), labels, truth_side, grid)
@@ -196,7 +195,7 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     best_params, _ = fit(build, params, [], config)
 
     frozen = [ad.constant(p) for p in best_params]
-    state = lstm_stack(frozen[:2], summaries, config.hidden_dim)[-1]
+    state = lstm_stack(frozen[:2], summaries)[-1]
     rows = _decode_rows(frozen, state).value
     return DomainDataset(domain_index=last.domain_index + 1, features=rows,
                          labels=labels, task=CLASSIFICATION,

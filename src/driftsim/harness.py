@@ -2,11 +2,12 @@
 feedforward models on them, and score on the true held-out domain.
 
 Methods: "coda" (simulate the next domain with the correlation forecast),
-"coda-without-C" (same generator, no correlation pull), "lastdomain" (train
-on the final source), "offline" (train on all sources pooled), "incfinetune"
-(sequential fine-tuning across sources at reduced learning rate), "prelim"
-(the density-forecasting baseline). The target domain is only ever touched by
-the final scoring call; its row count alone feeds the sample-size choice.
+"coda-without-C" (coda at lambda_c = 0, so no correlation pull),
+"lastdomain" (train on the final source), "offline" (train on all sources
+pooled), "incfinetune" (sequential fine-tuning across sources at reduced
+learning rate), "prelim" (the density-forecasting baseline). The target
+domain is only ever touched by the final scoring call; its row count alone
+feeds the sample-size choice.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ class DownstreamConfig:
     learning_rate: float = 1e-2
     max_epochs: int = 2000
     patience: int = 50
-    tol: float = 1e-5
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -188,21 +188,22 @@ def _assemble_training_set(stream: DomainStream, method: str,
                            config: ExperimentConfig, seed: int):
     """Training data for one method on an already-normalized stream.
 
-    Returns (dataset, extra) where extra carries method-specific artifacts
-    (coda's predicted matrix, and the trained simulator of both coda variants).
+    Returns (dataset, extra) where extra carries method-specific artifacts:
+    the trained simulator of both coda variants and, when the correlation
+    pull is on, the forecast it was pulled toward ("predicted_corr").
     """
     sources = stream.sources
     if method in ("coda", "coda-without-C"):
-        if method == "coda":
+        sim_cfg = (config.simulator if method == "coda"
+                   else replace(config.simulator, lambda_c=0.0))
+        extra = {}
+        if sim_cfg.lambda_c > 0:  # train_simulator reads no target at lambda_c = 0
             mats = [pearson_matrix(s) for s in sources]
             model = train_predictor(mats, config.predictor, seed=seed)
-            c_hat = predict_next(model, mats)
-            sim = train_simulator(sources[-1], c_hat, config.simulator, seed=seed)
-            extra = {"predicted_corr": c_hat, "simulator": sim}
-        else:
-            sim = train_simulator(sources[-1], None,
-                                  replace(config.simulator, lambda_c=0.0), seed=seed)
-            extra = {"simulator": sim}
+            extra["predicted_corr"] = predict_next(model, mats)
+        sim = train_simulator(sources[-1], extra.get("predicted_corr"), sim_cfg,
+                              seed=seed)
+        extra["simulator"] = sim
         n = max(8, round(stream.target.n * config.sample_rate))
         return sample(sim, n, seed=seed + 101), extra
     if method == "lastdomain":

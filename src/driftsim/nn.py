@@ -43,17 +43,19 @@ def lstm_params(rng, in_dim: int, hidden: int, layers: int) -> list:
     return params
 
 
-def lstm_stack(params, rows, hidden: int) -> list:
+def lstm_stack(params, rows) -> list:
     """The top layer's hidden state after each row: every layer's step is
     `lstm_cell(dense(concat([x, h]), w, b))` from a zero h and no cell state,
-    and its new h is the input of the layer above."""
+    and its new h is the input of the layer above. The hidden width is a
+    quarter of the first bias's."""
     layers = len(params) // 2
+    hidden = params[1].shape[1] // 4
     h, c = [ad.constant(np.zeros((1, hidden)))] * layers, [None] * layers
     states = []
     for x in rows:
         for k in range(layers):
             gates = ad.dense(ad.concat([x, h[k]], axis=1), params[2 * k], params[2 * k + 1])
-            h[k], c[k] = ad.lstm_cell(gates, c[k], hidden)
+            h[k], c[k] = ad.lstm_cell(gates, c[k])
             x = h[k]
         states.append(x)
     return states

@@ -10,6 +10,7 @@ from . import autodiff as ad
 
 __all__ = ["Adam", "fit"]
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
+TOL = 1e-5  # least loss gain that counts as a new best, in every training loop
 
 
 class Adam:
@@ -54,7 +55,7 @@ def fit(loss_fn, params: list, inputs: list, config):
     """Full-batch Adam on `loss_fn(params, inputs)`, updating `params` in place.
 
     Each epoch scores the params, keeps a copy if the loss beats the best by
-    more than `config.tol`, then steps; it stops after `config.patience`
+    more than `TOL`, then steps; it stops after `config.patience`
     epochs without such a gain. Returns (kept params, every scored loss).
     """
     opt = Adam([p.shape for p in params], lr=config.learning_rate)
@@ -65,7 +66,7 @@ def fit(loss_fn, params: list, inputs: list, config):
     for _ in range(config.max_epochs):
         loss, grads = ad.evaluate_with_gradients(loss_fn, params, inputs)
         history.append(loss)
-        if loss < best_loss - config.tol:
+        if loss < best_loss - TOL:
             best_loss, best_params, stale = loss, copy.deepcopy(params), 0
         else:
             stale += 1

@@ -35,7 +35,6 @@ class PredictorConfig:
     lambda_ce: float = 20.0
     max_epochs: int = 2000
     patience: int = 50
-    tol: float = 1e-5
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -64,12 +63,11 @@ def _init_params(m: int, config: PredictorConfig, rng) -> list:
             + dense_params(rng, (h, p)))
 
 
-def _forward_sequence(params: list, rows: list, layers: int, hidden: int) -> list:
+def _forward_sequence(params: list, rows: list) -> list:
     """Head outputs (pre-unflatten, post-tanh) for every step of the sequence."""
     w_embed, b_embed = params[0], params[1]
     w_head, b_head = params[-2], params[-1]
-    states = lstm_stack(params[2:2 + 2 * layers],
-                        [ad.dense(row, w_embed, b_embed) for row in rows], hidden)
+    states = lstm_stack(params[2:-2], [ad.dense(row, w_embed, b_embed) for row in rows])
     return [ad.dense(h, w_head, b_head, ad.tanh) for h in states]
 
 
@@ -81,8 +79,7 @@ def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:
         raise ValueError(f"matrix dim does not match model dim {model.m}")
     rows = [ad.constant(flatten_upper(c).reshape(1, -1)) for c in sequence]
     params = [ad.constant(p) for p in model.params]
-    out = _forward_sequence(params, rows, model.config.layers,
-                            model.config.hidden_dim)[-1]
+    out = _forward_sequence(params, rows)[-1]
     return unflatten_upper(out.value.ravel(), model.m)
 
 
@@ -124,8 +121,7 @@ def _sequence_loss(params, inputs, m: int, config: PredictorConfig):
     """
     seq, tgt = inputs
     rows = [seq[s:s + 1, :] for s in range(seq.shape[0])]
-    pred = ad.concat(_forward_sequence(params, rows, config.layers,
-                                       config.hidden_dim), axis=0)
+    pred = ad.concat(_forward_sequence(params, rows), axis=0)
     diff = pred - tgt
     # one Frobenius norm per step, then their sum
     fro = ad.reduce_sum(ad.sqrt(ad.reduce_sum(diff * diff, axis=1) * 2.0 + FRO_GUARD))
@@ -143,8 +139,8 @@ def train_predictor(matrices: list, config: PredictorConfig,
     """Fit the sequence model on C_1..C_T with one-step-ahead targets.
 
     Full-batch Adam from a Glorot init drawn with `seed`; keeps the best-loss
-    parameters and stops once the best loss has not improved by `tol` for
-    `patience` consecutive epochs.
+    parameters and stops once the best loss has not improved by `optim.TOL`
+    for `patience` consecutive epochs.
     """
     t_len = len(matrices)
     if t_len < 3:

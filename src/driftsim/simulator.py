@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .correlation import CorrelationMatrix
 from .datasets import CLASSIFICATION, DomainDataset
 from .nn import dense_params, mlp
-from .optim import Adam
+from .optim import TOL, Adam
 
 __all__ = ["SimulatorConfig", "SimulatorModel", "train_simulator", "sample",
            "loss_snapshot"]
@@ -43,7 +43,6 @@ class SimulatorConfig:
     warmup_epochs: int = 300
     max_epochs: int = 2000
     patience: int = 300
-    tol: float = 1e-5
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -66,18 +65,17 @@ class SimulatorConfig:
 
 @dataclass
 class SimulatorModel:
-    m: int                 # row width: d features + 1 label column
     task: str
     config: SimulatorConfig
     params: list
     trained_on_index: int
-    loss_history: list
-    snapshot_init: float = np.nan
-    snapshot_best: float = np.nan
+    loss_history: list     # the init's snapshot, then one per epoch
+    snapshot_best: float   # the kept checkpoint's snapshot
 
     @property
     def d(self) -> int:
-        return self.m - 1
+        """Feature count: the encoder's input is d features and the label."""
+        return self.params[0].shape[0] - 1
 
 
 def _init_params(m: int, config: SimulatorConfig, rng) -> list:
@@ -191,7 +189,7 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
     near zero along the directions the new term pushes, which would scale
     its first gradients into a destabilizing jump. Convergence is judged on
     the deterministic `loss_snapshot` once
-    per epoch (stochastic minibatch losses would defeat a tolerance of 1e-5).
+    per epoch (stochastic minibatch losses would defeat the tolerance `TOL`).
     A record must hold for two consecutive readouts before its checkpoint is
     kept: minibatch training hovers around its attractor, and the plain
     argmin over hundreds of epochs would cherry-pick single-epoch excursions
@@ -244,18 +242,16 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
         history.append(snap)
         stat = max(prev_snap, snap)
         prev_snap = snap
-        if stat < best_stat - config.tol:
+        if stat < best_stat - TOL:
             best_stat, best_loss, stale = stat, snap, 0
             best_params = copy.deepcopy(params)
         elif epoch >= warmup:
             stale += 1
             if stale >= config.patience:
                 break
-    return SimulatorModel(m=m, task=last_domain.task, config=config,
-                          params=best_params,
+    return SimulatorModel(task=last_domain.task, config=config, params=best_params,
                           trained_on_index=last_domain.domain_index,
-                          loss_history=history, snapshot_init=snapshot_init,
-                          snapshot_best=best_loss)
+                          loss_history=history, snapshot_best=best_loss)
 
 
 def sample(model: SimulatorModel, n: int, seed: int) -> DomainDataset:

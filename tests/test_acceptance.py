@@ -190,8 +190,7 @@ def _predictor_grad_instance(rng) -> float:
         # its target; only accept instances with clearance
         outs = _forward_sequence([ad.constant(p) for p in params],
                                  [ad.constant(inputs[s:s + 1, :])
-                                  for s in range(t_len - 1)],
-                                 config.layers, config.hidden_dim)
+                                  for s in range(t_len - 1)])
         gap = min(np.min(np.abs(out.value - targets[s:s + 1, :]))
                   for s, out in enumerate(outs))
         if gap < KINK_GAP:

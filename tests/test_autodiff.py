@@ -10,7 +10,7 @@ from types import SimpleNamespace
 from driftsim import autodiff as ad
 from driftsim import predictor
 from driftsim.nn import dense_params, glorot, lstm_params, lstm_stack, mlp
-from driftsim.optim import Adam, fit
+from driftsim.optim import TOL, Adam, fit
 from driftsim.predictor import PredictorConfig
 
 import unfused
@@ -156,7 +156,7 @@ def test_gated_recurrent_cell_gradient():
         wmat, b = params
         xin, hin, cin = inputs
         stacked = ad.concat([xin, hin], axis=1)
-        h_new, c_new = ad.lstm_cell(stacked @ wmat + b, cin, 5)
+        h_new, c_new = ad.lstm_cell(stacked @ wmat + b, cin)
         return ad.reduce_sum(_sq(h_new)) + ad.reduce_sum(c_new)
 
     _check(build, [w, bias], [x, h, cell], tol=1e-4)
@@ -164,10 +164,16 @@ def test_gated_recurrent_cell_gradient():
 
 def test_lstm_cell_first_step_is_zero_cell_state():
     gates = ad.constant(np.random.default_rng(16).normal(size=(1, 12)))
-    h0, c0 = ad.lstm_cell(gates, None, 3)
-    h1, c1 = ad.lstm_cell(gates, ad.constant(np.zeros((1, 3))), 3)
+    h0, c0 = ad.lstm_cell(gates, None)
+    h1, c1 = ad.lstm_cell(gates, ad.constant(np.zeros((1, 3))))
+    assert h0.shape == c0.shape == (1, 3)  # a quarter of the gate width
     np.testing.assert_allclose(h0.value, h1.value, rtol=0, atol=1e-15)
     np.testing.assert_allclose(c0.value, c1.value, rtol=0, atol=1e-15)
+
+
+def test_lstm_cell_rejects_a_gate_width_not_a_multiple_of_4():
+    with pytest.raises(ValueError, match="multiple of 4"):
+        ad.lstm_cell(ad.constant(np.zeros((1, 10))), None)
 
 
 def test_dense_stack_matches_glorot_draws_and_numpy():
@@ -231,11 +237,17 @@ def test_dense_rejects_other_activations():
         ad.dense(np.ones((1, 2)), np.ones((2, 2)), np.zeros((1, 2)), ad.sigmoid)
 
 
+def _unfused_cell(gates, c_prev):
+    """The oracle cell told the hidden width of 3 that `ad.lstm_cell` reads
+    off its 12 gate columns."""
+    return unfused.lstm_cell(gates, c_prev, 3)
+
+
 def _one_step_loss(cell):
     """Loss of one LSTM step whose gates are the parameter; a second input,
     when given, is a constant previous cell state."""
     def loss_fn(p, i):
-        h, c = cell(p[0], i[1] if len(i) > 1 else None, 3)
+        h, c = cell(p[0], i[1] if len(i) > 1 else None)
         return ad.reduce_sum(h * i[0]) + ad.reduce_sum(_sq(c))
     return loss_fn
 
@@ -248,7 +260,7 @@ def _three_step_loss(cell, layer):
         h, c, total = ad.constant(np.zeros((1, 3))), None, None
         for t in range(3):
             gates = layer(ad.concat([xs[t:t + 1, :], h], axis=1), w, b, None)
-            h, c = cell(gates, c, 3)
+            h, c = cell(gates, c)
             term = ad.reduce_sum(h * weights[t:t + 1, :])
             total = term if total is None else total + term
         return total + ad.reduce_sum(_sq(c))
@@ -263,20 +275,21 @@ def test_lstm_cell_matches_composition_bit_for_bit(case):
         params = [rng.normal(size=(5, 12)) * 0.5, rng.normal(size=(1, 12))]
         inputs = [rng.normal(size=(3, 2)), rng.normal(size=(3, 3))]
         fused = _three_step_loss(ad.lstm_cell, ad.dense)
-        oracle = _three_step_loss(unfused.lstm_cell, _dense_oracle)
+        oracle = _three_step_loss(_unfused_cell, _dense_oracle)
     else:
         rows = 2 if case == "two rows" else 1
         params = [rng.normal(size=(rows, 12))]
         inputs = [rng.normal(size=(rows, 3))]
         if case != "first step":
             inputs.append(rng.normal(size=(rows, 3)))
-        fused, oracle = _one_step_loss(ad.lstm_cell), _one_step_loss(unfused.lstm_cell)
+        fused, oracle = _one_step_loss(ad.lstm_cell), _one_step_loss(_unfused_cell)
     _assert_same_values_and_gradients(fused, oracle, params, inputs)
     _check(fused, params, inputs, step=1e-5)
 
 
 def _unfused_forward_sequence(params, rows, layers, hidden):
-    """The predictor's forward pass written with primitives only."""
+    """The predictor's forward pass written with primitives only, told the
+    sizes that `predictor._forward_sequence` reads off the weights."""
     w_embed, b_embed = params[0], params[1]
     w_head, b_head = params[-2], params[-1]
     states = unfused.lstm_stack(params[2:2 + 2 * layers],
@@ -294,19 +307,22 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
     rows = rng.normal(size=(steps, in_dim))
     weights = rng.normal(size=(steps, hidden))
 
+    def oracle(ps, rs):  # told the hidden width that lstm_stack reads off its bias
+        return unfused.lstm_stack(ps, rs, hidden)
+
     def loss(stack):
         # the rows are the last parameter, so their gradient is checked too
         def loss_fn(p, i):
-            states = stack(p[:-1], [p[-1][t:t + 1, :] for t in range(steps)], hidden)
+            states = stack(p[:-1], [p[-1][t:t + 1, :] for t in range(steps)])
             return ad.reduce_sum(ad.concat(states, axis=0) * i[0])
         return loss_fn
 
-    _assert_same_values_and_gradients(loss(lstm_stack), loss(unfused.lstm_stack),
+    _assert_same_values_and_gradients(loss(lstm_stack), loss(oracle),
                                       [*params, rows], [weights])
     consts = [ad.constant(p) for p in params]
     row_consts = [ad.constant(rows[t:t + 1, :]) for t in range(steps)]
-    for got, want in zip(lstm_stack(consts, row_consts, hidden),
-                         unfused.lstm_stack(consts, row_consts, hidden), strict=True):
+    for got, want in zip(lstm_stack(consts, row_consts),
+                         oracle(consts, row_consts), strict=True):
         assert np.array_equal(got.value, want.value)
 
 
@@ -317,7 +333,9 @@ def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):
     inputs = [rng.uniform(-0.9, 0.9, size=(5, 3)), rng.uniform(-0.9, 0.9, size=(5, 3))]
     loss_fn = lambda ps, ins: predictor._sequence_loss(ps, ins, m, config)
     fused = ad.evaluate_with_gradients(loss_fn, params, inputs)
-    monkeypatch.setattr(predictor, "_forward_sequence", _unfused_forward_sequence)
+    monkeypatch.setattr(predictor, "_forward_sequence", lambda ps, rows:
+                        _unfused_forward_sequence(ps, rows, config.layers,
+                                                  config.hidden_dim))
     unfused = ad.evaluate_with_gradients(loss_fn, params, inputs)
     assert fused[0] == unfused[0]
     for g_fused, g_unfused in zip(fused[1], unfused[1]):
@@ -341,7 +359,7 @@ def _step_loss_oracle(pred_vec, true_vec, m, lambda_ce):
 def _per_step_sequence_loss(params, inputs, m, config):
     seq, tgt = inputs
     rows = [seq[s:s + 1, :] for s in range(seq.shape[0])]
-    outs = predictor._forward_sequence(params, rows, config.layers, config.hidden_dim)
+    outs = predictor._forward_sequence(params, rows)
     loss = None
     for s, out in enumerate(outs):
         term = _step_loss_oracle(out, tgt[s:s + 1, :], m, config.lambda_ce)
@@ -514,8 +532,7 @@ def test_fit_returns_the_params_that_scored_min_history():
     # a step size this large makes Adam overshoot and oscillate around the
     # minimum, so the last params are not the best ones
     target = np.array([1.0, -2.0, 0.5])
-    config = SimpleNamespace(learning_rate=0.7, max_epochs=60, patience=8,
-                             tol=0.0)
+    config = SimpleNamespace(learning_rate=0.7, max_epochs=60, patience=8)
     best, history = fit(_quadratic, [np.zeros(3)], [target], config)
     assert min(history) < history[-1]
     assert ad.evaluate_value(_quadratic, best, [target]) == min(history)
@@ -523,12 +540,11 @@ def test_fit_returns_the_params_that_scored_min_history():
 
 def test_fit_stops_after_patience_stale_epochs():
     target = np.array([1.0, -2.0, 0.5])
-    config = SimpleNamespace(learning_rate=0.7, max_epochs=500, patience=8,
-                             tol=1e-3)
+    config = SimpleNamespace(learning_rate=0.7, max_epochs=500, patience=8)
     _, history = fit(_quadratic, [np.zeros(3)], [target], config)
     best, last_kept = np.inf, None
     for epoch, loss in enumerate(history):
-        if loss < best - config.tol:
+        if loss < best - TOL:
             best, last_kept = loss, epoch
     assert len(history) < config.max_epochs
     assert len(history) - 1 - last_kept == config.patience

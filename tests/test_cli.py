@@ -301,6 +301,15 @@ def test_run_artifacts_reuse_the_run_models(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--artifacts"]) == 0
     assert len(calls) == 1
+    # at lambda_c = 0 nothing reads a forecast: none is trained or written
+    no_pull = {**PIPELINE_CFG,
+               "simulator": {**PIPELINE_CFG["simulator"], "lambda_c": 0.0}}
+    cfg = write_cfg(tmp_path, no_pull)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "flat"),
+                 "--artifacts"]) == 0
+    assert len(calls) == 1
+    assert set(os.listdir(tmp_path / "flat")) == {"report.json",
+                                                  "generated_coda_seed0.csv"}
 
 
 def test_load_run_config_defaults_match_pipeline_defaults(tmp_path):
@@ -387,6 +396,12 @@ def test_sweep_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", cfg, "--param", "epochs", "--values", "1"])
     assert exc.value.code == 2
+    # the curve has no method column, so a second method would go unswept
+    two = write_cfg(tmp_path, {**TINY_CFG, "methods": ["lastdomain", "offline"]})
+    assert usage_error_in_one_line(capsys, [
+        "sweep", "--config", two, "--param", "sample_rate", "--values", "1",
+        "--out", str(tmp_path / "out")], naming="['lastdomain', 'offline']")
+    assert not (tmp_path / "out" / "sweep_sample_rate.csv").exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -255,8 +255,7 @@ def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):
     fed = []
     real = density_baseline.lstm_stack
     monkeypatch.setattr(density_baseline, "lstm_stack",
-                        lambda ps, rows, hidden: fed.append(rows)
-                        or real(ps, rows, hidden))
+                        lambda ps, rows: fed.append(rows) or real(ps, rows))
     build([ad.leaf(p) for p in params], [])
     (rows,) = fed
     assert len(rows) == len(stream.sources) - 1

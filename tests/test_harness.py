@@ -129,6 +129,30 @@ def test_coda_pipeline_smoke():
     assert 0.0 <= report.seed_values[0] <= 100.0
 
 
+def regression_stream(label_factor: float = 1.0) -> DomainStream:
+    """Five domains of y = x . w_t + noise, the weight vector w_t turning
+    with t, the labels multiplied by `label_factor`."""
+    rng = np.random.default_rng(5)
+    doms = []
+    for t in range(5):
+        x = rng.uniform(-1, 1, (40, 2))
+        y = x @ [np.cos(0.3 * t), np.sin(0.3 * t)] + 0.1 * rng.standard_normal(40)
+        doms.append(DomainDataset(t, x, y * label_factor, task=REGRESSION))
+    return DomainStream(sources=tuple(doms[:-1]), target=doms[-1])
+
+
+@pytest.mark.parametrize("method", ["lastdomain", "coda"])
+def test_regression_stream_end_to_end(method):
+    config = replace(TINY_PIPELINE, seeds=(0, 1))
+    report = run_experiment(regression_stream(), method, config)
+    assert report.metric == "mae"
+    assert all(np.isfinite(v) and v > 0 for v in report.seed_values)
+    # min-max normalization divides the factor 8 out exactly, so the models
+    # train on the same numbers; an MAE in raw label units is 8 times larger
+    scaled = run_experiment(regression_stream(8.0), method, config)
+    assert scaled.seed_values == tuple(8.0 * v for v in report.seed_values)
+
+
 def test_sweep_points_and_validation_split():
     points = sweep(SMALL_STREAM, "sample_rate", [0.5], TINY_PIPELINE,
                    method="coda", validate=True)
