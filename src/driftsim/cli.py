@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verified property violation, 2 usage, config or
 input-data error, 3 numeric failure (non-finite training loss or gradient).
 All file outputs are written atomically (temp file + rename). The default
 output directory is "." unless the DRIFTSIM_OUT environment variable
-overrides it.
+overrides it. A closed stdout (a reader such as `head` that quits early)
+silences the status lines but changes neither the files nor the exit code.
 """
 from __future__ import annotations
 
@@ -26,8 +27,9 @@ from .correlation import pearson_matrix
 from .datasets import (CLASSIFICATION, CsvSchema, DomainStream,
                        load_csv_stream, make_moons_stream, save_domain_csv,
                        fit_apply_normalization)
-from .harness import (METHODS, ExperimentConfig, ExperimentReport,
-                      require_trainable, run_experiment, sweep)
+from .harness import (METHODS, SWEEP_PARAMETERS, ExperimentConfig,
+                      ExperimentReport, require_sweepable, require_trainable,
+                      run_experiment, sweep)
 
 __all__ = ["main", "load_run_config"]
 
@@ -72,6 +74,18 @@ def _write_json(path: str, obj) -> None:
 
 def _out_dir(flag_value: str | None) -> str:
     return flag_value or os.environ.get("DRIFTSIM_OUT", ".")
+
+
+def _say(line: str) -> None:
+    """Print a status line. Once stdout's reader has gone, stdout is pointed
+    at os.devnull, so this and every later line (and the flush at exit) go
+    nowhere and the command carries on."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # -- config file -------------------------------------------------------------
@@ -193,7 +207,7 @@ def load_run_config(path: str):
     # every listed method is checked before the first one trains
     for method in methods:
         try:
-            require_trainable(stream, method)
+            require_trainable(stream, method, config)
         except ValueError as exc:
             raise ConfigError(f"dataset: {exc}") from None
     return stream, methods, config, output_dir
@@ -212,7 +226,7 @@ def cmd_gen_moons(args) -> int:
         files.append(name)
     _write_json(os.path.join(out, "moons_manifest.json"),
                 {**options, "files": files})
-    print(f"wrote {len(files)} domain files to {out}")
+    _say(f"wrote {len(files)} domain files to {out}")
     return 0
 
 
@@ -261,14 +275,14 @@ def cmd_run(args) -> int:
     for method in methods:
         report = run_experiment(stream, method, config)
         reports.append(report.to_dict())
-        print(f"{method:16s} {report.metric:12s} "
-              f"mean={report.mean:8.3f}  std={report.std:7.3f}  "
-              f"seeds={[round(v, 3) for v in report.seed_values]}")
+        _say(f"{method:16s} {report.metric:12s} "
+             f"mean={report.mean:8.3f}  std={report.std:7.3f}  "
+             f"seeds={[round(v, 3) for v in report.seed_values]}")
         if args.artifacts:
             artifacts += _dump_artifacts(stream, report, config, out)
     report_path = os.path.join(out, "report.json")
     _write_json(report_path, {"reports": reports, "artifacts": artifacts})
-    print(f"report written to {report_path}")
+    _say(f"report written to {report_path}")
     return 0
 
 
@@ -293,7 +307,7 @@ def cmd_verify_bound(args) -> int:
         rows.append({**bound.to_dict(), "moment_deltas_ok": bool(moments.ok)})
     if args.out:
         _write_json(args.out, rows)
-    print(f"{args.pairs} pairs checked, {bad} violations")
+    _say(f"{args.pairs} pairs checked, {bad} violations")
     return 1 if bad else 0
 
 
@@ -301,6 +315,10 @@ def cmd_sweep(args) -> int:
     stream, methods, config, cfg_out = load_run_config(args.config)
     if len(methods) > 1:  # the curve has no method column
         raise ConfigError(f"methods: sweep takes one method, got {methods}")
+    try:
+        require_sweepable(methods[0], args.param)
+    except ValueError as exc:
+        raise ConfigError(f"--param: {exc}") from None
     out = _out_dir(args.out or cfg_out)
     os.makedirs(out, exist_ok=True)
     try:
@@ -326,12 +344,12 @@ def cmd_sweep(args) -> int:
         rows.append({"value": point.value, "test": point.test.to_dict(),
                      "validation": point.validation.to_dict()
                      if point.validation else None})
-        print(f"{args.param}={point.value:g}: mean={point.test.mean:.3f} "
-              f"std={point.test.std:.3f}")
+        _say(f"{args.param}={point.value:g}: mean={point.test.mean:.3f} "
+             f"std={point.test.std:.3f}")
     csv_path = os.path.join(out, f"sweep_{args.param}.csv")
     _write_text(csv_path, "\n".join(lines) + "\n")
     _write_json(os.path.join(out, f"sweep_{args.param}.json"), rows)
-    print(f"curve written to {csv_path}")
+    _say(f"curve written to {csv_path}")
     return 0
 
 
@@ -375,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="one experiment per parameter value, "
                                        "plus a plot-ready CSV curve")
     swp.add_argument("--config", required=True)
-    swp.add_argument("--param", choices=("lambda_c", "sample_rate"),
-                     required=True)
+    swp.add_argument("--param", choices=tuple(SWEEP_PARAMETERS), required=True)
     swp.add_argument("--values", required=True,
                      help="comma-separated numbers, e.g. 0.1,1,5,20")
     swp.add_argument("--validate", action="store_true",

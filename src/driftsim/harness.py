@@ -1,5 +1,5 @@
-"""Downstream evaluation: assemble method-specific training sets, fit small
-feedforward models on them, and score on the true held-out domain.
+"""Downstream evaluation: each method yields the training sets that one small
+feedforward model fits in turn, scored on the true held-out domain.
 
 Methods: "coda" (simulate the next domain with the correlation forecast),
 "coda-without-C" (coda at lambda_c = 0, so no correlation pull),
@@ -24,18 +24,18 @@ from . import density_baseline
 from .correlation import pearson_matrix
 from .datasets import (CLASSIFICATION, DomainDataset, DomainStream,
                        NormalizationStats, fit_apply_normalization)
-from .nn import dense_params, mlp
+from .nn import bce, dense_params, mlp
 from .optim import fit
 from .predictor import PredictorConfig, predict_next, train_predictor
 from .simulator import SimulatorConfig, sample, train_simulator
 
 __all__ = ["DownstreamConfig", "DownstreamModel", "ExperimentConfig",
-           "ExperimentReport", "SweepPoint", "METHODS", "require_trainable",
-           "train_downstream", "evaluate", "run_experiment", "sweep"]
+           "ExperimentReport", "SweepPoint", "METHODS", "SWEEP_PARAMETERS",
+           "require_trainable", "require_sweepable", "train_downstream",
+           "evaluate", "run_experiment", "sweep"]
 
 METHODS = ("coda", "coda-without-C", "lastdomain", "offline", "incfinetune",
            "prelim")
-CLAMP = 1e-6
 # generated rows per target row; larger values ask for more rows than memory holds
 MAX_SAMPLE_RATE = 100.0
 
@@ -78,8 +78,7 @@ def _forward_mlp(params, x, task):
 def _mlp_loss(params, x, y, task):
     out = _forward_mlp(params, x, task)
     if task == CLASSIFICATION:
-        q = ad.clip(out, CLAMP, 1.0 - CLAMP)
-        return ad.reduce_mean(-(y * ad.log(q) + (1.0 - y) * ad.log(1.0 - q)))
+        return ad.reduce_mean(bce(out, y))
     diff = out - y
     return ad.reduce_mean(diff * diff)
 
@@ -140,8 +139,8 @@ class ExperimentReport:
     std: float
     config_snapshot: dict
     wall_clock_s: float
-    # per seed: the set the downstream model trained on (None for
-    # incfinetune) and method artifacts ("predicted_corr", "simulator")
+    # per seed: the set the downstream model trained on last and method
+    # artifacts ("predicted_corr", "simulator")
     train_sets: tuple = field(default=(), repr=False, compare=False)
     extras: tuple = field(default=(), repr=False, compare=False)
 
@@ -152,16 +151,17 @@ class ExperimentReport:
                 "wall_clock_s": self.wall_clock_s}
 
 
-def require_trainable(stream: DomainStream, method: str) -> None:
-    """Reject, before anything trains, a stream that `method` cannot train on:
-    a classification domain that holds a single class (its label column is
-    constant, so its correlation matrix is undefined and its error rate says
-    nothing), sources on which every feature or a regression label is
-    constant (so normalization has nothing to scale), fewer than 3 sources
-    for the two sequence models (coda's forecaster and prelim), a source
-    without a correlation matrix for coda's forecaster, prelim on a
-    regression stream, or a prelim truth domain without a KDE for some
-    feature and class."""
+def require_trainable(stream: DomainStream, method: str,
+                      config: ExperimentConfig) -> None:
+    """Reject, before anything trains, a stream that `method` cannot train on
+    under `config`: a classification domain that holds a single class (its
+    label column is constant, so its correlation matrix is undefined and its
+    error rate says nothing), sources on which every feature or a regression
+    label is constant (so normalization has nothing to scale), fewer than 3
+    sources for the two sequence models (coda's forecaster, which trains
+    only at lambda_c > 0, and prelim), a source without a correlation matrix
+    for the forecaster, prelim on a regression stream, or a prelim truth
+    domain without a KDE for some feature and class."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if stream.task == CLASSIFICATION:
@@ -170,10 +170,11 @@ def require_trainable(stream: DomainStream, method: str) -> None:
                 raise ValueError(f"domain {dom.domain_index} holds a single class; "
                                  "every classification domain needs both labels")
     normalized, _ = fit_apply_normalization(stream)
-    if method in ("coda", "prelim") and len(stream.sources) < 3:
+    forecasts = method == "coda" and config.simulator.lambda_c > 0
+    if (forecasts or method == "prelim") and len(stream.sources) < 3:
         raise ValueError(f"{method} needs at least 3 source domains, "
                          f"got {len(stream.sources)}")
-    if method == "coda":
+    if forecasts:
         for source in normalized.sources:
             pearson_matrix(source)  # raises on a column constant in one domain
     if method == "prelim":
@@ -184,59 +185,44 @@ def require_trainable(stream: DomainStream, method: str) -> None:
             density_baseline._truth_side(truth, grid)  # raises on a class without a KDE
 
 
-def _assemble_training_set(stream: DomainStream, method: str,
-                           config: ExperimentConfig, seed: int):
-    """Training data for one method on an already-normalized stream.
-
-    Returns (dataset, extra) where extra carries method-specific artifacts:
-    the trained simulator of both coda variants and, when the correlation
-    pull is on, the forecast it was pulled toward ("predicted_corr").
-    """
-    sources = stream.sources
-    if method in ("coda", "coda-without-C"):
-        sim_cfg = (config.simulator if method == "coda"
-                   else replace(config.simulator, lambda_c=0.0))
-        extra = {}
-        if sim_cfg.lambda_c > 0:  # train_simulator reads no target at lambda_c = 0
+def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,
+                seed: int):
+    """(score, last training set, extras) for one seed: one downstream model
+    fits the method's training sets in turn, after the first at a tenth of
+    the learning rate. Incfinetune gives every source, every other method
+    one set; coda's extras hold its simulator and, when lambda_c > 0, the
+    forecast it was pulled toward ("predicted_corr")."""
+    normalized, stats = fit_apply_normalization(stream)
+    sources, extra = normalized.sources, {}
+    if method == "coda":
+        if config.simulator.lambda_c > 0:  # train_simulator reads no target at 0
             mats = [pearson_matrix(s) for s in sources]
-            model = train_predictor(mats, config.predictor, seed=seed)
-            extra["predicted_corr"] = predict_next(model, mats)
-        sim = train_simulator(sources[-1], extra.get("predicted_corr"), sim_cfg,
-                              seed=seed)
-        extra["simulator"] = sim
-        n = max(8, round(stream.target.n * config.sample_rate))
-        return sample(sim, n, seed=seed + 101), extra
-    if method == "lastdomain":
-        return sources[-1], {}
-    if method == "offline":
-        pooled = DomainDataset(
+            forecaster = train_predictor(mats, config.predictor, seed=seed)
+            extra["predicted_corr"] = predict_next(forecaster, mats)
+        sim = extra["simulator"] = train_simulator(
+            sources[-1], extra.get("predicted_corr"), config.simulator, seed=seed)
+        n = max(8, round(normalized.target.n * config.sample_rate))
+        train_sets = [sample(sim, n, seed=seed + 101)]
+    elif method == "offline":
+        train_sets = [DomainDataset(
             domain_index=sources[-1].domain_index,
             features=np.vstack([s.features for s in sources]),
             labels=np.concatenate([s.labels for s in sources]),
-            task=stream.task, feature_names=sources[0].feature_names)
-        return pooled, {}
-    if method == "prelim":
+            task=normalized.task, feature_names=sources[0].feature_names)]
+    elif method == "prelim":
         # a module attribute, so a wrapper installed on it (bench/run.py) sees the call
-        return density_baseline.train_prelim(
-            stream, density_baseline.PrelimConfig(), seed=seed), {}
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,
-                seed: int):
-    """(score, training set, extras) for one seed."""
-    normalized, stats = fit_apply_normalization(stream)
+        train_sets = [density_baseline.train_prelim(
+            normalized, density_baseline.PrelimConfig(), seed=seed)]
+    elif method in ("lastdomain", "incfinetune"):
+        train_sets = list(sources[-1:] if method == "lastdomain" else sources)
+    else:  # coda-without-C is resolved to coda by run_experiment
+        raise ValueError(f"unknown method {method!r}")
     down_cfg = config.downstream
-    if method == "incfinetune":
-        sources = normalized.sources
-        model = train_downstream(sources[0], down_cfg, seed=seed)
-        slow = replace(down_cfg, learning_rate=0.1 * down_cfg.learning_rate)
-        for src in sources[1:]:
-            model = train_downstream(src, slow, init_params=model.params)
-        return evaluate(model, normalized.target, stats), None, {}
-    train_set, extra = _assemble_training_set(normalized, method, config, seed)
-    model = train_downstream(train_set, down_cfg, seed=seed)
-    return evaluate(model, normalized.target, stats), train_set, extra
+    model = train_downstream(train_sets[0], down_cfg, seed=seed)
+    slow = replace(down_cfg, learning_rate=0.1 * down_cfg.learning_rate)
+    for train_set in train_sets[1:]:
+        model = train_downstream(train_set, slow, init_params=model.params)
+    return evaluate(model, normalized.target, stats), train_sets[-1], extra
 
 
 _job = None  # set in forked workers only: their (stream, method, config)
@@ -311,10 +297,16 @@ def run_experiment(stream: DomainStream, method: str,
     The seeds may run in parallel (see `_run_seeds`), so `wall_clock_s` is
     the wall time of the whole parallel run, and criterion 1's 600 s gate
     reads that. Every other field is the same at any worker count.
+    Coda-without-C runs as coda at lambda_c = 0, and its `config_snapshot`
+    records that lambda_c.
     """
-    require_trainable(stream, method)
+    require_trainable(stream, method, config)
+    runner = method
+    if method == "coda-without-C":
+        runner, config = "coda", replace(
+            config, simulator=replace(config.simulator, lambda_c=0.0))
     t0 = time.perf_counter()
-    runs = _run_seeds(stream, method, config)
+    runs = _run_seeds(stream, runner, config)
     values, train_sets, extras = zip(*runs)
     metric = "mce_percent" if stream.task == CLASSIFICATION else "mae"
     arr = np.array(values)
@@ -333,13 +325,25 @@ class SweepPoint:
     validation: ExperimentReport | None = None
 
 
+# the methods that read each sweep parameter; any other curve would be flat
+SWEEP_PARAMETERS = {"lambda_c": ("coda",), "sample_rate": ("coda", "coda-without-C")}
+
+
+def require_sweepable(method: str, parameter: str) -> None:
+    """Reject an unknown sweep parameter or one that `method` never reads."""
+    readers = SWEEP_PARAMETERS.get(parameter)
+    if readers is None:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    if method not in readers:
+        raise ValueError(f"{method} never reads {parameter}; "
+                         f"only {' and '.join(readers)} do")
+
+
 def _with_value(config: ExperimentConfig, parameter: str,
                 value: float) -> ExperimentConfig:
     if parameter == "lambda_c":
         return replace(config, simulator=replace(config.simulator, lambda_c=value))
-    if parameter == "sample_rate":
-        return replace(config, sample_rate=value)
-    raise ValueError(f"unknown sweep parameter {parameter!r}")
+    return replace(config, sample_rate=value)
 
 
 def _validation_stream(stream: DomainStream) -> DomainStream:
@@ -353,14 +357,17 @@ def sweep(stream: DomainStream, parameter: str, values,
           validate: bool = False) -> list:
     """One full experiment per parameter value, optionally with a validation
     run that holds out the last source domain as a pseudo-target."""
+    require_sweepable(method, parameter)
     if not values:
         raise ValueError("sweep needs at least one value")
     val_stream = _validation_stream(stream) if validate else None
-    # every value, and the validation stream that run_experiment meets only
-    # after a test run, is checked before the first run trains anything
+    # every value, on the test and the validation stream, is checked before
+    # the first run trains anything: a lambda_c value decides whether coda
+    # trains a forecaster
     configs = [_with_value(config, parameter, value) for value in values]
-    if validate:
-        require_trainable(val_stream, method)
+    for cfg in configs:
+        for checked in (stream, val_stream) if validate else (stream,):
+            require_trainable(checked, method, cfg)
     points = []
     for value, cfg in zip(values, configs):
         test_report = run_experiment(stream, method, cfg)

@@ -1,12 +1,16 @@
-"""Layer helpers shared by the models: Glorot init, a dense stack, and the
-LSTM stack that the correlation forecaster and the density baseline run."""
+"""Layer helpers shared by the models: Glorot init, a dense stack, the LSTM
+stack that the correlation forecaster and the density baseline run, and the
+clipped binary cross-entropy of the forecaster and the downstream model."""
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
 
-__all__ = ["glorot", "dense_params", "mlp", "lstm_params", "lstm_stack"]
+__all__ = ["CLAMP", "glorot", "dense_params", "mlp", "lstm_params",
+           "lstm_stack", "bce"]
+
+CLAMP = 1e-6  # probabilities are clipped to [CLAMP, 1 - CLAMP] before a log
 
 
 def glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -59,3 +63,10 @@ def lstm_stack(params, rows) -> list:
             x = h[k]
         states.append(x)
     return states
+
+
+def bce(p, t):
+    """Elementwise -(t log q + (1 - t) log(1 - q)) of probabilities `p`
+    clipped to q in [CLAMP, 1 - CLAMP], against targets `t`."""
+    q = ad.clip(p, CLAMP, 1.0 - CLAMP)
+    return -(t * ad.log(q) + (1.0 - t) * ad.log(1.0 - q))

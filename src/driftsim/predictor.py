@@ -16,13 +16,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .correlation import CorrelationMatrix, flatten_upper, unflatten_upper
-from .nn import dense_params, lstm_params, lstm_stack
+from .nn import CLAMP, bce, dense_params, lstm_params, lstm_stack
 from .optim import fit
 
 __all__ = ["PredictorConfig", "PredictorModel", "predict_next", "cp_loss",
            "train_predictor"]
 
-BCE_CLAMP = 1e-6
 FRO_GUARD = 1e-24  # keeps sqrt differentiable when prediction == truth
 
 
@@ -84,7 +83,7 @@ def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:
 
 
 def _bce_terms(pred01: np.ndarray, true01: np.ndarray) -> np.ndarray:
-    q = np.clip(pred01, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    q = np.clip(pred01, CLAMP, 1.0 - CLAMP)
     return -(true01 * np.log(q) + (1.0 - true01) * np.log(1.0 - q))
 
 
@@ -126,12 +125,10 @@ def _sequence_loss(params, inputs, m: int, config: PredictorConfig):
     # one Frobenius norm per step, then their sum
     fro = ad.reduce_sum(ad.sqrt(ad.reduce_sum(diff * diff, axis=1) * 2.0 + FRO_GUARD))
     l1 = ad.reduce_sum(ad.absolute(diff)) * 2.0
-    q = ad.clip((pred + 1.0) * 0.5, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    p01 = (tgt + 1.0) * 0.5
-    bce_off = -(p01 * ad.log(q) + (1.0 - p01) * ad.log(1.0 - q))
-    diag_const = -m * np.log(1.0 - BCE_CLAMP) * seq.shape[0]
-    bce = (ad.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
-    return fro + l1 + bce * config.lambda_ce
+    bce_off = bce((pred + 1.0) * 0.5, (tgt + 1.0) * 0.5)
+    diag_const = -m * np.log(1.0 - CLAMP) * seq.shape[0]
+    mean_bce = (ad.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
+    return fro + l1 + mean_bce * config.lambda_ce
 
 
 def train_predictor(matrices: list, config: PredictorConfig,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from driftsim import autodiff as ad
-from driftsim import predictor
+from driftsim import nn, predictor
 from driftsim.nn import dense_params, glorot, lstm_params, lstm_stack, mlp
 from driftsim.optim import TOL, Adam, fit
 from driftsim.predictor import PredictorConfig
@@ -348,10 +348,10 @@ def _step_loss_oracle(pred_vec, true_vec, m, lambda_ce):
     diff = pred_vec - true_vec
     fro = ad.sqrt(ad.reduce_sum(diff * diff) * 2.0 + predictor.FRO_GUARD)
     l1 = ad.reduce_sum(ad.absolute(diff)) * 2.0
-    q = ad.clip((pred_vec + 1.0) * 0.5, predictor.BCE_CLAMP, 1.0 - predictor.BCE_CLAMP)
+    q = ad.clip((pred_vec + 1.0) * 0.5, nn.CLAMP, 1.0 - nn.CLAMP)
     p01 = (true_vec + 1.0) * 0.5
     bce_off = -(p01 * ad.log(q) + (1.0 - p01) * ad.log(1.0 - q))
-    diag_const = -m * np.log(1.0 - predictor.BCE_CLAMP)
+    diag_const = -m * np.log(1.0 - nn.CLAMP)
     bce = (ad.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
     return fro + l1 + bce * lambda_ce
 

@@ -2,6 +2,7 @@
 import json
 import multiprocessing
 import os
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -358,7 +359,7 @@ def test_verify_bound_threads_deterministic(tmp_path):
 
 
 def test_sweep_writes_curve(tmp_path):
-    cfg = write_cfg(tmp_path, TINY_CFG)
+    cfg = write_cfg(tmp_path, PIPELINE_CFG)
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg, "--param", "sample_rate",
                  "--values", "0.5,1.0", "--out", out]) == 0
@@ -371,7 +372,7 @@ def test_sweep_writes_curve(tmp_path):
 
 
 def test_sweep_validate_adds_columns(tmp_path):
-    cfg = write_cfg(tmp_path, TINY_CFG)
+    cfg = write_cfg(tmp_path, PIPELINE_CFG)
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg, "--param", "sample_rate",
                  "--values", "1.0", "--validate", "--out", out]) == 0
@@ -380,7 +381,7 @@ def test_sweep_validate_adds_columns(tmp_path):
 
 
 def test_sweep_usage_errors(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TINY_CFG)
+    cfg = write_cfg(tmp_path, PIPELINE_CFG)
     assert main(["sweep", "--config", cfg, "--param", "sample_rate",
                  "--values", ""]) == 2
     assert main(["sweep", "--config", cfg, "--param", "sample_rate",
@@ -397,11 +398,55 @@ def test_sweep_usage_errors(tmp_path, capsys):
         main(["sweep", "--config", cfg, "--param", "epochs", "--values", "1"])
     assert exc.value.code == 2
     # the curve has no method column, so a second method would go unswept
-    two = write_cfg(tmp_path, {**TINY_CFG, "methods": ["lastdomain", "offline"]})
+    two = write_cfg(tmp_path, {**PIPELINE_CFG, "methods": ["coda", "coda-without-C"]})
     assert usage_error_in_one_line(capsys, [
         "sweep", "--config", two, "--param", "sample_rate", "--values", "1",
-        "--out", str(tmp_path / "out")], naming="['lastdomain', 'offline']")
+        "--out", str(tmp_path / "out")], naming="['coda', 'coda-without-C']")
     assert not (tmp_path / "out" / "sweep_sample_rate.csv").exists()
+
+
+def test_sweep_refuses_a_parameter_the_method_never_reads(tmp_path, capsys,
+                                                         monkeypatch):
+    trained = []
+    monkeypatch.setattr(harness, "_run_seeds", lambda *a: trained.append(a))
+    out = tmp_path / "out"
+    for method, param in (("lastdomain", "sample_rate"), ("offline", "lambda_c"),
+                          ("coda-without-C", "lambda_c")):
+        cfg = write_cfg(tmp_path, {**TINY_CFG, "methods": [method]})
+        assert usage_error_in_one_line(capsys, [
+            "sweep", "--config", cfg, "--param", param, "--values", "0,1",
+            "--out", str(out)], naming=f"{method} never reads {param}")
+    assert trained == [] and not out.exists()
+
+
+def test_run_survives_a_closed_stdout(tmp_path, monkeypatch):
+    # a pipe whose reader has gone: every write raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    cfg = write_cfg(tmp_path, TINY_CFG)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        with pytest.raises(BrokenPipeError):
+            print("probe", flush=True)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        print("later lines go nowhere", flush=True)
+        monkeypatch.undo()
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+
+
+def test_run_trains_coda_without_a_forecast_on_two_sources(tmp_path, capsys):
+    three = {**PIPELINE_CFG, "dataset": {**TINY_CFG["dataset"], "domains": 3}}
+    no_pull = {**three, "simulator": {**PIPELINE_CFG["simulator"], "lambda_c": 0.0}}
+    for cfg in ({**no_pull, "methods": ["coda"]},
+                {**three, "methods": ["coda-without-C"]}):
+        out = tmp_path / cfg["methods"][0]
+        assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        (entry,) = json.loads((out / "report.json").read_text())["reports"]
+        assert entry["config"]["simulator"]["lambda_c"] == 0.0
+    assert usage_error_in_one_line(capsys, [
+        "run", "--config", write_cfg(tmp_path, three)],
+        naming="coda needs at least 3 source domains, got 2")
 
 
 def test_unknown_subcommand_is_usage_error():

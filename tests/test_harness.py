@@ -8,10 +8,11 @@ import pytest
 
 from driftsim import harness
 from driftsim.datasets import (CLASSIFICATION, REGRESSION, DomainDataset,
-                               DomainStream, make_moons_stream)
+                               DomainStream, fit_apply_normalization,
+                               make_moons_stream)
 from driftsim.harness import (METHODS, DownstreamConfig, DownstreamModel,
-                              ExperimentConfig, evaluate, run_experiment,
-                              sweep, train_downstream)
+                              ExperimentConfig, evaluate, require_trainable,
+                              run_experiment, sweep, train_downstream)
 from driftsim.predictor import PredictorConfig
 from driftsim.simulator import SimulatorConfig, sample
 
@@ -110,6 +111,18 @@ def test_incfinetune_runs_and_scores():
                            downstream=DownstreamConfig(max_epochs=40))
     report = run_experiment(SMALL_STREAM, "incfinetune", cfg)
     assert 0.0 <= report.seed_values[0] <= 100.0
+    # one model fits every source in turn, after the first at a tenth of the
+    # learning rate
+    normalized, stats = fit_apply_normalization(SMALL_STREAM)
+    first, *rest = normalized.sources
+    model = train_downstream(first, cfg.downstream, seed=0)
+    slow = replace(cfg.downstream, learning_rate=0.1 * cfg.downstream.learning_rate)
+    for source in rest:
+        model = train_downstream(source, slow, init_params=model.params)
+    assert report.seed_values[0] == evaluate(model, normalized.target, stats)
+    (last,) = report.train_sets
+    assert np.array_equal(last.features, normalized.sources[-1].features)
+    assert np.array_equal(last.labels, normalized.sources[-1].labels)
 
 
 TINY_PIPELINE = ExperimentConfig(
@@ -175,6 +188,17 @@ def test_sweep_rejects_bad_arguments(monkeypatch):
     for parameter in ("lambda_c", "sample_rate"):
         with pytest.raises(ValueError):
             sweep(SMALL_STREAM, parameter, [1.0, float("nan")], TINY_PIPELINE)
+    # a parameter the method never reads would draw a flat curve
+    for method, parameter in (("lastdomain", "sample_rate"),
+                              ("coda-without-C", "lambda_c"),
+                              ("prelim", "lambda_c")):
+        with pytest.raises(ValueError, match=f"{method} never reads {parameter}"):
+            sweep(SMALL_STREAM, parameter, [1.0], TINY_PIPELINE, method=method)
+    # with 2 sources coda trains at lambda_c = 0 but not at 1, and the 1 is
+    # refused before the 0 trains
+    three = make_moons_stream(domains=3, n_per_domain=40, seed=0)
+    with pytest.raises(ValueError, match="at least 3 source domains"):
+        sweep(three, "lambda_c", [0.0, 1.0], TINY_PIPELINE)
     assert runs == []
 
 
@@ -222,9 +246,27 @@ def test_untrainable_stream_is_rejected_before_training(monkeypatch):
 
 def test_validation_split_needs_three_sources():
     tiny = make_moons_stream(domains=3, n_per_domain=40, seed=0)
-    with pytest.raises(ValueError):
-        sweep(tiny, "sample_rate", [1.0], TINY_PIPELINE, method="lastdomain",
+    with pytest.raises(ValueError, match="validation split"):
+        sweep(tiny, "sample_rate", [1.0], TINY_PIPELINE, method="coda",
               validate=True)
+
+
+def test_coda_trains_a_forecaster_only_when_the_pull_is_on():
+    # coda's forecaster needs 3 sources; at lambda_c = 0 it is not trained
+    three = make_moons_stream(domains=3, n_per_domain=40, seed=0)
+    no_pull_cfg = replace(TINY_PIPELINE, simulator=replace(
+        TINY_PIPELINE.simulator, lambda_c=0.0))
+    require_trainable(three, "coda", no_pull_cfg)
+    require_trainable(three, "coda-without-C", TINY_PIPELINE)
+    with pytest.raises(ValueError, match="coda needs at least 3 source domains"):
+        require_trainable(three, "coda", TINY_PIPELINE)
+    # coda-without-C is coda at lambda_c = 0, and its report says so
+    without_c = run_experiment(three, "coda-without-C", TINY_PIPELINE)
+    no_pull = run_experiment(three, "coda", no_pull_cfg)
+    assert without_c.config_snapshot["simulator"]["lambda_c"] == 0.0
+    assert without_c.config_snapshot == no_pull.config_snapshot
+    assert without_c.seed_values == no_pull.seed_values
+    assert without_c.extras[0].keys() == {"simulator"}
 
 
 def test_experiment_config_validation():
