@@ -119,6 +119,8 @@ class PrelimConfig:
     patience: int = 50
 
     def __post_init__(self):
+        if not self.learning_rate > 0:  # also rejects NaN
+            raise ValueError("learning_rate must be positive")
         if min(self.hidden_dim, self.embed_dim, self.grid_size,
                self.max_epochs, self.patience) < 1:
             raise ValueError("sizes must be positive")

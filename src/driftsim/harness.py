@@ -48,7 +48,7 @@ class DownstreamConfig:
     patience: int = 50
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # also rejects NaN
             raise ValueError("learning_rate must be positive")
         if min(self.hidden_dims, default=1) < 1:
             raise ValueError("hidden_dims entries must be positive")

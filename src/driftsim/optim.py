@@ -1,5 +1,5 @@
-"""Adam optimizer for lists of float64 parameter arrays, and the full-batch
-early-stopping loop that the predictor, prelim and downstream models share."""
+"""Adam for lists of float64 parameter arrays, and `train`, the one
+early-stopping loop of every trainer (`fit` is its full-batch form)."""
 from __future__ import annotations
 
 import copy
@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 
-__all__ = ["Adam", "fit"]
+__all__ = ["Adam", "train", "fit"]
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
 TOL = 1e-5  # least loss gain that counts as a new best, in every training loop
 
@@ -21,7 +21,7 @@ class Adam:
     """
 
     def __init__(self, shapes, lr: float = 1e-3):
-        if lr <= 0:
+        if not lr > 0:  # also rejects NaN
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
         self.t = 0
@@ -51,26 +51,44 @@ class Adam:
         return params
 
 
-def fit(loss_fn, params: list, inputs: list, config):
-    """Full-batch Adam on `loss_fn(params, inputs)`, updating `params` in place.
+def train(params: list, epoch, readout, config, epochs: int, warmup: int = 0,
+          hold: int = 1):
+    """Adam on `params` in place; returns (kept params, every readout).
 
-    Each epoch scores the params, keeps a copy if the loss beats the best by
-    more than `TOL`, then steps; it stops after `config.patience`
-    epochs without such a gain. Returns (kept params, every scored loss).
+    The history opens with `readout()` of the init; then each of at most
+    `epochs` epochs runs `epoch(e, opt)` and appends `readout()`. A record,
+    the largest of the last `hold` readouts beating the best by more than
+    `TOL`, keeps a copy of the params. If `warmup` > 0, Adam restarts at
+    epoch `warmup`; only epochs from `warmup` on count toward the
+    `config.patience` stale epochs that stop training.
     """
-    opt = Adam([p.shape for p in params], lr=config.learning_rate)
-    best_loss = np.inf
-    best_params = copy.deepcopy(params)
-    stale = 0
-    history = []
-    for _ in range(config.max_epochs):
-        loss, grads = ad.evaluate_with_gradients(loss_fn, params, inputs)
-        history.append(loss)
-        if loss < best_loss - TOL:
-            best_loss, best_params, stale = loss, copy.deepcopy(params), 0
-        else:
+    history = [readout()]
+    best, best_params, stale = history[0], copy.deepcopy(params), 0
+    for e in range(epochs):
+        if e in (0, warmup):
+            opt = Adam([p.shape for p in params], lr=config.learning_rate)
+        epoch(e, opt)
+        history.append(readout())
+        stat = max(history[-hold:])
+        if stat < best - TOL:
+            best, best_params, stale = stat, copy.deepcopy(params), 0
+        elif e >= warmup:
             stale += 1
             if stale >= config.patience:
                 break
-        opt.step(params, grads)
     return best_params, history
+
+
+def fit(loss_fn, params: list, inputs: list, config):
+    """Full-batch `train` on `loss_fn(params, inputs)`: each readout scores the
+    params and keeps their gradients, and each epoch is one Adam step on
+    them, so `config.max_epochs` readouts take one step fewer."""
+    grads = None
+
+    def readout():
+        nonlocal grads
+        loss, grads = ad.evaluate_with_gradients(loss_fn, params, inputs)
+        return loss
+
+    return train(params, lambda e, opt: opt.step(params, grads), readout, config,
+                 config.max_epochs - 1)

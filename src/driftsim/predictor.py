@@ -36,7 +36,7 @@ class PredictorConfig:
     patience: int = 50
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # also rejects NaN
             raise ValueError("learning_rate must be positive")
         if self.lambda_ce < 0:
             raise ValueError("lambda_ce must be non-negative")

@@ -10,7 +10,6 @@ sigmoid probability thresholded at 0.5.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from . import autodiff as ad
 from .correlation import CorrelationMatrix
 from .datasets import CLASSIFICATION, DomainDataset
 from .nn import dense_params, mlp
-from .optim import TOL, Adam
+from .optim import train
 
 __all__ = ["SimulatorConfig", "SimulatorModel", "train_simulator", "sample",
            "loss_snapshot"]
@@ -45,7 +44,7 @@ class SimulatorConfig:
     patience: int = 300
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # also rejects NaN
             raise ValueError("learning_rate must be positive")
         if not 0 <= self.lambda_c < np.inf:  # also rejects NaN
             raise ValueError("lambda_c must be finite and non-negative")
@@ -53,7 +52,7 @@ class SimulatorConfig:
             raise ValueError("batch_size must be at least 8 for batch correlation")
         if self.regularizer_draws < 8:
             raise ValueError("regularizer_draws must be at least 8")
-        if self.obs_variance <= 0:
+        if not self.obs_variance > 0:  # also rejects NaN
             raise ValueError("obs_variance must be positive")
         if self.warmup_epochs < 0:
             raise ValueError("warmup_epochs must be non-negative")
@@ -69,8 +68,7 @@ class SimulatorModel:
     config: SimulatorConfig
     params: list
     trained_on_index: int
-    loss_history: list     # the init's snapshot, then one per epoch
-    snapshot_best: float   # the kept checkpoint's snapshot
+    loss_history: list  # the init's snapshot, then one per epoch
 
     @property
     def d(self) -> int:
@@ -188,14 +186,14 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
     estimates: second moments accumulated under the warmup objective are
     near zero along the directions the new term pushes, which would scale
     its first gradients into a destabilizing jump. Convergence is judged on
-    the deterministic `loss_snapshot` once
-    per epoch (stochastic minibatch losses would defeat the tolerance `TOL`).
-    A record must hold for two consecutive readouts before its checkpoint is
-    kept: minibatch training hovers around its attractor, and the plain
-    argmin over hundreds of epochs would cherry-pick single-epoch excursions
-    that score well on the objective yet sit at the edge of the basin.
-    Training stops once `patience` post-warmup epochs pass without a new
-    sustained record.
+    the deterministic `loss_snapshot` once per epoch (stochastic minibatch
+    losses would defeat the tolerance `optim.TOL`). A record must hold for
+    two consecutive readouts before its checkpoint is kept: minibatch
+    training hovers around its attractor, and the plain argmin over hundreds
+    of epochs would cherry-pick single-epoch excursions that score well on
+    the objective yet sit at the edge of the basin. Training stops once
+    `patience` post-warmup epochs pass without a new sustained record;
+    `optim.train` applies the restart, this record rule and this patience.
     """
     m = last_domain.d + 1
     if config.lambda_c > 0:
@@ -207,29 +205,16 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
     data = np.column_stack([last_domain.features, last_domain.labels])
     rng = np.random.default_rng(seed)
     params = _init_params(m, config, rng)
-    snapshot_init = loss_snapshot(params, data, target_corr, config,
-                                  last_domain.task, seed)
-
     use_reg = config.lambda_c > 0
     warmup = config.warmup_epochs if use_reg else 0
 
     def objective(ps, ins):
         return _objective(ps, ins, config, last_domain.task)
 
-    opt = Adam([p.shape for p in params], lr=config.learning_rate)
-    n = data.shape[0]
-    best_stat = snapshot_init   # two-readout pair maximum, drives selection
-    best_loss = snapshot_init   # raw snapshot of the kept checkpoint
-    best_params = copy.deepcopy(params)
-    stale = 0
-    history = [snapshot_init]
-    prev_snap = snapshot_init
-    for epoch in range(config.max_epochs):
-        if use_reg and warmup > 0 and epoch == warmup:
-            opt = Adam([p.shape for p in params], lr=config.learning_rate)
-        reg_on = use_reg and epoch >= warmup
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
+    def epoch(e, opt):
+        reg_on = use_reg and e >= warmup
+        perm = rng.permutation(data.shape[0])
+        for start in range(0, data.shape[0], config.batch_size):
             rows = data[perm[start:start + config.batch_size]]
             inputs = [rows, rng.standard_normal((rows.shape[0], config.latent_dim))]
             if reg_on:
@@ -237,21 +222,15 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
                 inputs += [z, target_corr.entries]
             _, grads = ad.evaluate_with_gradients(objective, params, inputs)
             opt.step(params, grads)
-        snap = loss_snapshot(params, data, target_corr, config,
-                             last_domain.task, seed)
-        history.append(snap)
-        stat = max(prev_snap, snap)
-        prev_snap = snap
-        if stat < best_stat - TOL:
-            best_stat, best_loss, stale = stat, snap, 0
-            best_params = copy.deepcopy(params)
-        elif epoch >= warmup:
-            stale += 1
-            if stale >= config.patience:
-                break
+
+    def readout():
+        return loss_snapshot(params, data, target_corr, config, last_domain.task, seed)
+
+    best_params, history = train(params, epoch, readout, config, config.max_epochs,
+                                 warmup, hold=2)
     return SimulatorModel(task=last_domain.task, config=config, params=best_params,
                           trained_on_index=last_domain.domain_index,
-                          loss_history=history, snapshot_best=best_loss)
+                          loss_history=history)
 
 
 def sample(model: SimulatorModel, n: int, seed: int) -> DomainDataset:

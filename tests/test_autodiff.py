@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from driftsim import autodiff as ad
-from driftsim import nn, predictor
+from driftsim import density_baseline, harness, nn, predictor, simulator
 from driftsim.nn import dense_params, glorot, lstm_params, lstm_stack, mlp
-from driftsim.optim import TOL, Adam, fit
+from driftsim.optim import TOL, Adam, fit, train
 from driftsim.predictor import PredictorConfig
 
 import unfused
@@ -548,3 +548,84 @@ def test_fit_stops_after_patience_stale_epochs():
             best, last_kept = loss, epoch
     assert len(history) < config.max_epochs
     assert len(history) - 1 - last_kept == config.patience
+
+
+@pytest.mark.parametrize("max_epochs,patience", [(500, 8), (60, 60)])
+def test_fit_matches_its_own_loop_bit_for_bit(max_epochs, patience):
+    # (500, 8) stops early on the oscillation; (60, 60) runs to max_epochs
+    target = np.array([1.0, -2.0, 0.5])
+    config = SimpleNamespace(learning_rate=0.7, max_epochs=max_epochs, patience=patience)
+    best, history = fit(_quadratic, [np.zeros(3)], [target], config)
+    want, want_history = unfused.fit(_quadratic, [np.zeros(3)], [target], config)
+    assert np.array_equal(best[0], want[0])
+    assert history == want_history
+    assert (len(history) < max_epochs) == (patience < max_epochs)
+
+
+def test_fit_records_max_epochs_losses_and_steps_one_fewer(monkeypatch):
+    steps = []
+    step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda self, p, g: steps.append(1) or step(self, p, g))
+    config = SimpleNamespace(learning_rate=0.1, max_epochs=12, patience=12)
+    _, history = fit(_quadratic, [np.zeros(3)], [np.ones(3)], config)
+    assert len(history) == 12
+    assert len(steps) == 11
+
+
+def _train_probe(readouts, epochs, warmup=0, hold=1, patience=100):
+    """Run `train` on one scalar param that each epoch sets to its index + 1,
+    with scripted readouts; returns (kept param, history, per-epoch Adam)."""
+    params = [np.zeros(())]
+    seen = []
+
+    def epoch(e, opt):
+        seen.append((opt, opt.t))
+        opt.step(params, [np.ones(())])
+        params[0][...] = e + 1
+
+    script = iter(readouts)
+    config = SimpleNamespace(learning_rate=0.1, patience=patience)
+    kept, history = train(params, epoch, lambda: next(script), config, epochs,
+                          warmup, hold)
+    return float(kept[0]), history, seen
+
+
+def test_train_restarts_adam_at_warmup_only():
+    _, _, seen = _train_probe([1.0] * 7, 6, warmup=3)
+    assert [t for _, t in seen] == [0, 1, 2, 0, 1, 2]
+    assert seen[3][0] is not seen[2][0] and seen[4][0] is seen[3][0]
+    _, _, seen = _train_probe([1.0] * 7, 6)
+    assert [t for _, t in seen] == [0, 1, 2, 3, 4, 5]
+    assert all(opt is seen[0][0] for opt, _ in seen)
+
+
+def test_train_counts_stale_epochs_from_warmup_on():
+    # no readout ever improves on the init's, so epochs 0..4 are stale too,
+    # yet training runs until patience epochs from the warmup have passed
+    _, history, _ = _train_probe([1.0] * 21, 20, warmup=5, patience=2)
+    assert len(history) == 1 + 5 + 2
+    _, history, _ = _train_probe([1.0] * 21, 20, patience=2)
+    assert len(history) == 1 + 2
+
+
+def test_train_hold_two_keeps_no_one_readout_dip():
+    readouts = [5.0, 5.0, 1.0, 5.0, 5.0, 5.0]
+    kept, history, _ = _train_probe(readouts, 5, hold=2)
+    assert history == readouts
+    assert kept == 0.0                      # the init
+    kept, _, _ = _train_probe(readouts, 5, hold=1)
+    assert kept == 2.0                      # the params epoch 1 left, read as 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: simulator.SimulatorConfig(obs_variance=float("nan")),
+    lambda: simulator.SimulatorConfig(learning_rate=float("nan")),
+    lambda: predictor.PredictorConfig(learning_rate=float("nan")),
+    lambda: harness.DownstreamConfig(learning_rate=float("nan")),
+    lambda: density_baseline.PrelimConfig(learning_rate=float("nan")),
+    lambda: density_baseline.PrelimConfig(learning_rate=-1.0),
+    lambda: Adam([(2,)], lr=float("nan")),
+])
+def test_learning_rates_and_variances_refuse_nan_and_non_positive(make):
+    with pytest.raises(ValueError):
+        make()

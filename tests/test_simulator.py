@@ -175,11 +175,11 @@ def test_train_keeps_best_checkpoint_below_init():
                              regularizer_draws=16, max_epochs=30,
                              warmup_epochs=5, patience=30)
     model = train_simulator(dom, target, config, seed=1)
-    assert model.snapshot_best <= model.loss_history[0] + 1e-12
+    kept = loss_snapshot(model.params, np.column_stack([dom.features, dom.labels]),
+                         target, config, dom.task, 1)
+    assert kept <= model.loss_history[0] + 1e-12
+    assert kept in model.loss_history
     assert len(model.loss_history) <= config.max_epochs + 1
-    assert model.snapshot_best == pytest.approx(
-        loss_snapshot(model.params, np.column_stack([dom.features, dom.labels]),
-                      target, config, dom.task, 1), abs=1e-9)
 
 
 def test_train_is_deterministic_per_seed():
@@ -191,7 +191,7 @@ def test_train_is_deterministic_per_seed():
                              patience=8)
     a = train_simulator(dom, target, config, seed=5)
     b = train_simulator(dom, target, config, seed=5)
-    assert a.snapshot_best == b.snapshot_best
+    assert a.loss_history == b.loss_history
     assert all(np.array_equal(p, q) for p, q in zip(a.params, b.params))
     other = train_simulator(dom, target, config, seed=6)
     assert other.loss_history[0] != a.loss_history[0]
@@ -208,9 +208,9 @@ def test_train_stops_after_patience_epochs_without_a_sustained_record():
     history = model.loss_history
     assert model.d == dom.d
     # the history opens with the snapshot of the init that seed 0 draws first
+    data = np.column_stack([dom.features, dom.labels])
     init = sm._init_params(dom.d + 1, config, np.random.default_rng(0))
-    assert history[0] == loss_snapshot(init, np.column_stack([dom.features, dom.labels]),
-                                       target, config, dom.task, 0)
+    assert history[0] == loss_snapshot(init, data, target, config, dom.task, 0)
     # replay the rule: a record is the larger of two consecutive readouts
     # beating the best by more than TOL; only post-warmup epochs go stale
     # (this warmup holds stale streaks longer than patience)
@@ -225,7 +225,7 @@ def test_train_stops_after_patience_epochs_without_a_sustained_record():
                 stop = i
                 break
     assert stop == len(history) - 1 < config.max_epochs
-    assert model.snapshot_best == history[kept]
+    assert loss_snapshot(model.params, data, target, config, dom.task, 0) == history[kept]
 
 
 def test_train_requires_target_when_regularized():

@@ -1,8 +1,13 @@
-"""The LSTM written with autodiff primitives only: the composition that the
-fused `ad.dense`, `ad.lstm_cell` and `nn.lstm_stack` must match bit for bit."""
+"""References that the fused code must match bit for bit: the LSTM written
+with autodiff primitives only (for `ad.dense`, `ad.lstm_cell` and
+`nn.lstm_stack`), and the full-batch loop that `optim.fit` runs on
+`optim.train`."""
+import copy
+
 import numpy as np
 
 from driftsim import autodiff as ad
+from driftsim.optim import TOL, Adam
 
 
 def lstm_cell(gates, c_prev, hidden):
@@ -30,3 +35,24 @@ def lstm_stack(params, rows, hidden):
             h_states[layer] = x
         states.append(x)
     return states
+
+
+def fit(loss_fn, params, inputs, config):
+    """`optim.fit` as its own loop: score, keep a copy on a record, step. It
+    also takes a last step after the final readout, which nothing reads."""
+    opt = Adam([p.shape for p in params], lr=config.learning_rate)
+    best_loss = np.inf
+    best_params = copy.deepcopy(params)
+    stale = 0
+    history = []
+    for _ in range(config.max_epochs):
+        loss, grads = ad.evaluate_with_gradients(loss_fn, params, inputs)
+        history.append(loss)
+        if loss < best_loss - TOL:
+            best_loss, best_params, stale = loss, copy.deepcopy(params), 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+        opt.step(params, grads)
+    return best_params, history
