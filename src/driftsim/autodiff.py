@@ -27,7 +27,6 @@ __all__ = [
     "NonFiniteLossError",
     "evaluate_with_gradients",
     "evaluate_value",
-    "grad_check",
     "backward",
     "constant",
     "leaf",
@@ -586,29 +585,3 @@ def evaluate_with_gradients(loss_fn: LossFn, params, inputs):
     grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
              for p in param_leaves]
     return loss, grads
-
-
-def grad_check(loss_fn: LossFn, params, inputs, step: float = 1e-6) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    Relative error per entry is |analytic - numeric| / max(1e-8,
-    |analytic| + |numeric|).
-    """
-    if step <= 0:
-        raise ValueError("finite-difference step must be positive")
-    params = [np.asarray(p, dtype=np.float64) for p in params]
-    _, grads = evaluate_with_gradients(loss_fn, params, inputs)
-    worst = 0.0
-    for i, p in enumerate(params):
-        flat = p.ravel()
-        for j in range(flat.size):
-            bumped = [q.copy() for q in params]
-            bumped[i].ravel()[j] = flat[j] + step
-            hi = evaluate_value(loss_fn, bumped, inputs)
-            bumped[i].ravel()[j] = flat[j] - step
-            lo = evaluate_value(loss_fn, bumped, inputs)
-            numeric = (hi - lo) / (2.0 * step)
-            analytic = grads[i].ravel()[j]
-            err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-            worst = max(worst, err)
-    return worst

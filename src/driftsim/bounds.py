@@ -21,7 +21,6 @@ __all__ = [
     "BoundReport",
     "MomentDeltaReport",
     "tv_exact",
-    "tv_dual_exhaustive",
     "corr_exact",
     "verify_bound",
     "check_moment_deltas",
@@ -103,21 +102,6 @@ def tv_exact(p: FiniteJointDistribution, q: FiniteJointDistribution) -> float:
     """Total variation distance: half the L1 distance between the pmfs."""
     _, pw, qw = _align(p, q)
     return float(0.5 * np.abs(pw - qw).sum())
-
-
-def tv_dual_exhaustive(p: FiniteJointDistribution, q: FiniteJointDistribution) -> float:
-    """sup over all events E of |P(E) - Q(E)|, by enumerating every event.
-
-    Exponential in the union support size; guarded to 20 points. Exists as an
-    independent oracle for the half-sum form, not for production use.
-    """
-    pts, pw, qw = _align(p, q)
-    k = len(pts)
-    if k > 20:
-        raise ValueError(f"support of size {k} is too large to enumerate events")
-    membership = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
-    gaps = membership @ (pw - qw)
-    return float(np.abs(gaps).max())
 
 
 def corr_exact(p: FiniteJointDistribution) -> CorrelationMatrix:

@@ -1,8 +1,9 @@
 """Command-line entry point: dataset generation, pipeline runs, parameter
 sweeps, and exhaustive verification of the correlation-shift bound.
 
-Exit codes: 0 success, 1 verified property violation, 2 usage, config or
-input-data error, 3 numeric failure (non-finite training loss or gradient).
+Exit codes: 0 success, 1 verified property violation, 2 usage, config,
+input-data or output-path error, 3 numeric failure (non-finite training loss
+or gradient).
 All file outputs are written atomically (temp file + rename). The default
 output directory is "." unless the DRIFTSIM_OUT environment variable
 overrides it. A closed stdout (a reader such as `head` that quits early)
@@ -42,21 +43,32 @@ MOONS_DEFAULTS = {name: p.default for name, p in
 
 # -- atomic file output ------------------------------------------------------
 
+def _make_dir(directory: str) -> None:
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make directory {directory}: {exc}") from None
+
+
 def _write_atomic(path: str, write) -> None:
     """Run write(tmp) on a temp file beside `path`, then rename it onto `path`.
 
-    On any failure the temp file is removed and the error re-raised.
+    On any failure the temp file is removed and the error re-raised, an
+    OSError as a ConfigError naming `path`.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
+    _make_dir(directory)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        os.close(fd)
         write(tmp)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from None
         raise
 
 
@@ -91,7 +103,7 @@ def _say(line: str) -> None:
 # -- config file -------------------------------------------------------------
 
 class ConfigError(ValueError):
-    """Malformed run-config JSON (usage error, exit 2)."""
+    """A malformed run config or argument, or an unwritable output path (exit 2)."""
 
 
 def _check_keys(block, context: str, allowed) -> None:
@@ -269,7 +281,7 @@ def _dump_artifacts(stream, report: ExperimentReport, config: ExperimentConfig,
 def cmd_run(args) -> int:
     stream, methods, config, cfg_out = load_run_config(args.config)
     out = _out_dir(args.out or cfg_out)
-    os.makedirs(out, exist_ok=True)
+    _make_dir(out)
     reports = []
     artifacts = []
     for method in methods:
@@ -320,7 +332,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--param: {exc}") from None
     out = _out_dir(args.out or cfg_out)
-    os.makedirs(out, exist_ok=True)
+    _make_dir(out)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:

@@ -255,15 +255,14 @@ class NormalizationStats:
     """Affine per-column maps fit on source domains only.
 
     Each kept source column is sent onto [-1, 1], the range of the
-    generators' tanh outputs. Constant columns are dropped and their names
-    recorded. For regression the label gets its own map so reported errors
-    can be restated in raw label units.
+    generators' tanh outputs. Constant columns are dropped. For regression
+    the label gets its own map so reported errors can be restated in raw
+    label units.
     """
 
     offset: np.ndarray   # per kept column
     scale: np.ndarray    # per kept column, > 0
     kept: tuple          # indices into the original columns
-    dropped_names: tuple
     label_offset: float = 0.0
     label_scale: float = 1.0
 
@@ -294,8 +293,6 @@ def fit_apply_normalization(stream: DomainStream) -> tuple[DomainStream, Normali
     scale = spread[kept] / 2.0
     if kept.size == 0:
         raise ValueError("all feature columns are constant on the sources")
-    names = stream.sources[0].feature_names
-    dropped = tuple(names[i] for i in range(x.shape[1]) if i not in set(kept.tolist()))
 
     label_offset, label_scale = 0.0, 1.0
     if stream.task == REGRESSION:
@@ -307,7 +304,6 @@ def fit_apply_normalization(stream: DomainStream) -> tuple[DomainStream, Normali
 
     stats = NormalizationStats(offset=offset, scale=scale,
                                kept=tuple(int(i) for i in kept),
-                               dropped_names=dropped,
                                label_offset=label_offset, label_scale=label_scale)
     normalized = DomainStream(
         sources=tuple(stats.apply(s) for s in stream.sources),

@@ -21,14 +21,13 @@ from .datasets import CLASSIFICATION, DomainDataset, DomainStream
 from .nn import dense_params, glorot, lstm_params, lstm_stack
 from .optim import fit
 
-__all__ = ["PrelimConfig", "default_grid", "kde_density", "prelim_loss",
-           "train_prelim"]
+__all__ = ["PrelimConfig", "default_grid", "kde_density", "train_prelim"]
 
 Q_FLOOR = 1e-12  # density floor for the KL denominator
 GRID_LO, GRID_HI = -1.2, 1.2  # default_grid's span
 
 
-def default_grid(size: int = 256) -> np.ndarray:
+def default_grid(size: int) -> np.ndarray:
     """Uniform evaluation grid; the margin beyond [-1, 1] absorbs kernel tails."""
     return np.linspace(GRID_LO, GRID_HI, size)
 
@@ -38,17 +37,16 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 1.06 * samples.std(ddof=1) * n ** (-0.2)
 
 
-def kde_density(samples, bandwidth="auto",
-                grid: np.ndarray | None = None) -> np.ndarray:
+def kde_density(samples, bandwidth: float, grid: np.ndarray) -> np.ndarray:
     """Gaussian-kernel mixture evaluated on the grid, renormalized to sum 1:
     one probability mass per grid point."""
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if samples.size < 2:
         raise ValueError("kde needs at least 2 samples")
-    h = silverman_bandwidth(samples) if bandwidth == "auto" else float(bandwidth)
+    h = float(bandwidth)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    g = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
+    g = np.asarray(grid, dtype=np.float64)
     dens = np.exp(-0.5 * ((g[:, None] - samples[None, :]) / h) ** 2).sum(axis=1)
     dens /= samples.size * h * np.sqrt(2.0 * np.pi)
     total = dens.sum()
@@ -64,13 +62,12 @@ def _class_values(dataset: DomainDataset, feature: int, label: float) -> np.ndar
     return vals
 
 
-def _truth_side(truth: DomainDataset, grid: np.ndarray, prior=None) -> list:
+def _truth_side(truth: DomainDataset, grid: np.ndarray) -> list:
     """The parameter-free side of the joint KL against `truth`: for each
     feature, for class 0 then 1, (class prior, Silverman bandwidth, log of
-    the KDE masses times the prior, floored at Q_FLOOR). The prior defaults
-    to the truth's empirical class frequencies."""
-    if prior is None:
-        prior = (np.mean(truth.labels == 0.0), np.mean(truth.labels == 1.0))
+    the KDE masses times the prior, floored at Q_FLOOR). The prior is the
+    truth's empirical class frequencies."""
+    prior = (np.mean(truth.labels == 0.0), np.mean(truth.labels == 1.0))
     side = []
     for i, name in enumerate(truth.feature_names):
         per_class = []
@@ -85,28 +82,6 @@ def _truth_side(truth: DomainDataset, grid: np.ndarray, prior=None) -> list:
             per_class.append((pr, h, np.log(np.maximum(q * pr, Q_FLOOR))))
         side.append(per_class)
     return side
-
-
-def prelim_loss(predicted: DomainDataset, truth: DomainDataset,
-                label_prior: tuple | None = None) -> float:
-    """Sum over features of KL between predicted and true joint (Xᵢ, Y) grids.
-
-    The joint is assembled per class as conditional-KDE × class prior. The
-    prior defaults to the truth's empirical class frequencies; pass an
-    explicit (p₀, p₁) to pin it. Each side uses its own Silverman bandwidth,
-    so identical datasets score exactly 0.
-    """
-    if predicted.task != CLASSIFICATION or truth.task != CLASSIFICATION:
-        raise ValueError("prelim loss is defined for classification domains")
-    if predicted.d != truth.d:
-        raise ValueError("feature counts differ")
-    total = 0.0
-    for i, per_class in enumerate(_truth_side(truth, default_grid(), label_prior)):
-        for cls, (prior, _, log_q) in zip((0.0, 1.0), per_class):
-            pm = kde_density(_class_values(predicted, i, cls)) * prior
-            mask = pm > 0
-            total += float(np.sum(pm[mask] * (np.log(pm[mask]) - log_q[mask])))
-    return total
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,7 @@ from .correlation import CorrelationMatrix, flatten_upper, unflatten_upper
 from .nn import CLAMP, bce, dense_params, lstm_params, lstm_stack
 from .optim import fit
 
-__all__ = ["PredictorConfig", "PredictorModel", "predict_next", "cp_loss",
-           "train_predictor"]
+__all__ = ["PredictorConfig", "PredictorModel", "predict_next", "train_predictor"]
 
 FRO_GUARD = 1e-24  # keeps sqrt differentiable when prediction == truth
 
@@ -82,35 +81,9 @@ def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:
     return unflatten_upper(out.value.ravel(), model.m)
 
 
-def _bce_terms(pred01: np.ndarray, true01: np.ndarray) -> np.ndarray:
-    q = np.clip(pred01, CLAMP, 1.0 - CLAMP)
-    return -(true01 * np.log(q) + (1.0 - true01) * np.log(1.0 - q))
-
-
-def cp_loss(predictions: list, truths: list, lambda_ce: float) -> float:
-    """Sum over aligned pairs of Frobenius + elementwise-L1 + λ·mean-BCE.
-
-    BCE treats each entry, mapped from [-1,1] to [0,1], as a soft binary
-    target, averaged over all m² positions (clamped away from {0,1}, so the
-    diagonal adds a constant ~1e-6 per row).
-    """
-    if len(predictions) != len(truths):
-        raise ValueError(f"{len(predictions)} predictions vs {len(truths)} truths")
-    total = 0.0
-    for pred, truth in zip(predictions, truths):
-        if pred.dim != truth.dim:
-            raise ValueError("matrix dim mismatch in loss")
-        diff = pred.entries - truth.entries
-        fro = float(np.sqrt((diff * diff).sum()))
-        l1 = float(np.abs(diff).sum())
-        bce = float(_bce_terms((pred.entries + 1.0) / 2.0,
-                               (truth.entries + 1.0) / 2.0).mean())
-        total += fro + l1 + lambda_ce * bce
-    return total
-
-
 def _sequence_loss(params, inputs, m: int, config: PredictorConfig):
-    """cp_loss summed over the one-step-ahead forecasts, as one tape graph.
+    """The forecasting loss summed over the one-step-ahead forecasts, as one
+    tape graph: per step Frobenius + elementwise-L1 + lambda_ce * mean BCE.
 
     `inputs` holds the flattened matrices C_1..C_{T-1} and their targets
     C_2..C_T, one row per step. The head outputs are stacked into one

@@ -14,6 +14,7 @@ from driftsim.optim import TOL, Adam, fit, train
 from driftsim.predictor import PredictorConfig
 
 import unfused
+from references import grad_check
 
 
 def _sq(t):
@@ -43,7 +44,7 @@ def test_matmul_mse_matches_finite_differences():
     c = rng.normal(size=(2, 2))
     loss_fn = lambda params, inputs: ad.reduce_mean(
         _sq(params[0] @ params[1] - inputs[0]))
-    err = ad.grad_check(loss_fn, [a, b], [c], step=1e-6)
+    err = grad_check(loss_fn, [a, b], [c], step=1e-6)
     assert err < 1e-5
 
 
@@ -85,7 +86,7 @@ def test_losses_are_deterministic():
 # -- per-primitive gradient checks ----------------------------------------
 
 def _check(build, params, inputs=(), tol=1e-6, step=1e-6):
-    err = ad.grad_check(build, list(params), list(inputs), step=step)
+    err = grad_check(build, list(params), list(inputs), step=step)
     assert err < tol, f"max relative error {err}"
 
 

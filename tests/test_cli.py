@@ -255,6 +255,32 @@ def test_gen_moons_bad_dataset_is_usage_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", ["gen-moons", "run", "verify-bound", "sweep"])
+def test_output_path_under_a_file_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                 command):
+    trained = []
+    monkeypatch.setattr(harness, "_run_seeds", lambda *a: trained.append(a))
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    cfg = write_cfg(tmp_path, PIPELINE_CFG)
+    argv = {"gen-moons": ["--domains", "3", "--n", "20", "--out", str(blocker)],
+            "run": ["--config", cfg, "--out", str(blocker)],
+            "verify-bound": ["--pairs", "2", "--out", str(blocker / "x.json")],
+            "sweep": ["--config", cfg, "--param", "sample_rate", "--values", "1",
+                      "--out", str(blocker / "sub")]}[command]
+    assert usage_error_in_one_line(capsys, [command, *argv], naming=str(blocker))
+    assert trained == [] and blocker.read_text() == ""
+
+
+def test_output_file_onto_a_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "rows.json"
+    target.mkdir()
+    assert usage_error_in_one_line(capsys, [
+        "verify-bound", "--pairs", "2", "--out", str(target)],
+        naming=f"cannot write {target}")
+    assert os.listdir(tmp_path) == ["rows.json"] and os.listdir(target) == []
+
+
 def test_gen_moons_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
     def broken_save(dataset, path):
         with open(path, "w") as fh:

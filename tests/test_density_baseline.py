@@ -10,14 +10,15 @@ from driftsim import density_baseline
 from driftsim.datasets import (CLASSIFICATION, REGRESSION, DomainDataset,
                                DomainStream, make_moons_stream)
 from driftsim.density_baseline import (Q_FLOOR, PrelimConfig, default_grid,
-                                       kde_density, prelim_loss,
-                                       silverman_bandwidth, train_prelim)
+                                       kde_density, silverman_bandwidth,
+                                       train_prelim)
 
 import unfused
+from references import prelim_loss
 
 
 def test_default_grid_span():
-    g = default_grid()
+    g = default_grid(256)
     assert g.shape == (256,)
     assert g[0] == -1.2 and g[-1] == 1.2
 
@@ -41,20 +42,24 @@ def test_kde_point_mass_peak_ratio():
 
 
 def test_kde_symmetric_samples_give_symmetric_masses():
-    masses = kde_density(np.array([-0.4, 0.4]), bandwidth=0.2)
+    masses = kde_density(np.array([-0.4, 0.4]), bandwidth=0.2,
+                         grid=default_grid(256))
     assert np.allclose(masses, masses[::-1], atol=1e-12)
 
 
 def test_kde_input_contracts():
+    grid = default_grid(256)
     with pytest.raises(ValueError):
-        kde_density(np.array([1.0]))
+        kde_density(np.array([1.0]), bandwidth=0.1, grid=grid)
     with pytest.raises(ValueError):
-        kde_density(np.array([0.0, 1.0]), bandwidth=0.0)
+        kde_density(np.array([0.0, 1.0]), bandwidth=0.0, grid=grid)
     with pytest.raises(ValueError):
-        kde_density(np.zeros(5))  # auto bandwidth on constant samples is 0
+        # Silverman's bandwidth on constant samples is 0
+        kde_density(np.zeros(5), bandwidth=silverman_bandwidth(np.zeros(5)),
+                    grid=grid)
     with pytest.raises(ValueError):
         # every kernel underflows to 0 on the [-1.2, 1.2] grid
-        kde_density(np.array([50.0, 50.1]), bandwidth=0.01)
+        kde_density(np.array([50.0, 50.1]), bandwidth=0.01, grid=grid)
 
 
 def asymmetric_domain(seed=0, d=1):
