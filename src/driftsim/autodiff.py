@@ -67,6 +67,7 @@ class Tensor:
     """
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
+    __array_ufunc__ = None  # so `array op tensor` calls the reflected operators below
 
     def __init__(self, value, requires_grad: bool = False,
                  parents: tuple = (), vjp=None):
@@ -381,7 +382,7 @@ def _getitem(a: Tensor, key) -> Tensor:
 
     def vjp(g):
         full = np.zeros_like(a.value)
-        full[key] = g
+        np.add.at(full, key, g)  # a repeated index receives every gradient
         _accumulate(a, full)
 
     return _node(out.copy(), (a,), vjp)
@@ -551,15 +552,15 @@ def backward(loss: Tensor) -> None:
             node._vjp(node.grad)
 
 
-# loss_fn(param leaves, input leaves) -> scalar Tensor; each call re-records
-# the tape, so it may contain data-dependent Python control flow
-LossFn = Callable[[list[Tensor], list[Tensor]], Tensor]
+# loss_fn(param leaves) -> scalar Tensor, closing over its data as arrays; each
+# call re-records the tape, so it may contain data-dependent Python control flow
+LossFn = Callable[[list[Tensor]], Tensor]
 
 
-def _evaluate(loss_fn: LossFn, params, inputs, requires_grad: bool):
+def _evaluate(loss_fn: LossFn, params, requires_grad: bool):
     """(loss, output node, parameter leaves) of one checked forward pass."""
     param_leaves = [leaf(p, requires_grad=requires_grad) for p in params]
-    out = loss_fn(param_leaves, [leaf(x, requires_grad=False) for x in inputs])
+    out = loss_fn(param_leaves)
     if out.value.shape != ():
         raise ValueError(f"loss output must be scalar, got shape {out.value.shape}")
     loss = float(out.value)
@@ -568,18 +569,18 @@ def _evaluate(loss_fn: LossFn, params, inputs, requires_grad: bool):
     return loss, out, param_leaves
 
 
-def evaluate_value(loss_fn: LossFn, params, inputs) -> float:
+def evaluate_value(loss_fn: LossFn, params) -> float:
     """Forward-only scalar evaluation (no tape replay, same finiteness checks)."""
-    return _evaluate(loss_fn, params, inputs, requires_grad=False)[0]
+    return _evaluate(loss_fn, params, requires_grad=False)[0]
 
 
-def evaluate_with_gradients(loss_fn: LossFn, params, inputs):
+def evaluate_with_gradients(loss_fn: LossFn, params):
     """Evaluate a scalar loss function and return (loss, gradients w.r.t. params).
 
     Raises NonFiniteLossError when the loss is NaN/inf (diverged training)
-    and ValueError on malformed inputs or a non-scalar output.
+    and ValueError on non-finite params or a non-scalar output.
     """
-    loss, out, param_leaves = _evaluate(loss_fn, params, inputs, requires_grad=True)
+    loss, out, param_leaves = _evaluate(loss_fn, params, requires_grad=True)
     backward(out)
     # copies, because tape gradients may share memory with one another
     grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.value)

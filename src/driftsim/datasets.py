@@ -174,7 +174,9 @@ def load_csv_stream(path, schema: CsvSchema) -> DomainStream:
     """Read a header CSV, group rows by integer domain index, hold out the last.
 
     Rows containing empty cells are dropped (instances with gaps are
-    excluded, not imputed); non-numeric and non-finite cells, and for a
+    excluded, not imputed). A header or a schema that names a column twice
+    (the domain, label and feature columns are distinct) is a hard error
+    naming that column; non-numeric and non-finite cells, and for a
     classification schema labels other than 0 or 1, are a hard error naming
     the offending row and column, and so is a file with more than MAX_ROWS
     usable rows.
@@ -186,13 +188,18 @@ def load_csv_stream(path, schema: CsvSchema) -> DomainStream:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValueError(f"{path}: the header names column {name!r} twice")
         col_index = {name: i for i, name in enumerate(header)}
         feature_cols = tuple(schema.feature_cols) or tuple(
             c for c in header if c not in (schema.domain_col, schema.label_col))
-        for col in (schema.domain_col, schema.label_col, *feature_cols):
+        wanted = (schema.domain_col, schema.label_col, *feature_cols)
+        for i, col in enumerate(wanted):
+            if col in wanted[:i]:
+                raise ValueError(f"{path}: the schema names column {col!r} twice")
             if col not in col_index:
                 raise ValueError(f"{path}: missing column {col!r}")
-        wanted = (schema.domain_col, schema.label_col, *feature_cols)
 
         kept = 0
         for row_num, row in enumerate(reader, start=2):  # header is line 1

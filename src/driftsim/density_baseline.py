@@ -102,9 +102,9 @@ class PrelimConfig:
 
 
 def _summaries(domains) -> list:
-    """Per domain a (1, 2d + 1) constant: feature means, feature stds, label mean."""
-    return [ad.constant([[*dom.features.mean(axis=0), *dom.features.std(axis=0),
-                          dom.labels.mean()]]) for dom in domains]
+    """Per domain a (1, 2d + 1) row: feature means, feature stds, label mean."""
+    return [np.array([[*dom.features.mean(axis=0), *dom.features.std(axis=0),
+                       dom.labels.mean()]]) for dom in domains]
 
 
 def _init_prelim(d: int, n_rows: int, config: PrelimConfig, rng) -> list:
@@ -159,7 +159,7 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     params = _init_prelim(last.d, n_rows, config, rng)
     truth_sides = [_truth_side(truth, grid) for truth in sources[1:]]
 
-    def build(ps, ins):
+    def build(ps):
         # the decode after domains 1..t is scored against domain t+1; the
         # last source only feeds the final decode
         states = lstm_stack(ps[:2], summaries[:-1])
@@ -169,7 +169,7 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
             loss = term if loss is None else loss + term
         return loss * (1.0 / (len(sources) - 1))
 
-    best_params, _ = fit(build, params, [], config)
+    best_params, _ = fit(build, params, config)
 
     frozen = [ad.constant(p) for p in best_params]
     state = lstm_stack(frozen[:2], summaries)[-1]

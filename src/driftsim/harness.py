@@ -65,8 +65,7 @@ class DownstreamModel:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class probability (classification) or raw prediction (regression)."""
-        out = _forward_mlp([ad.constant(p) for p in self.params],
-                           ad.constant(features), self.task)
+        out = _forward_mlp([ad.constant(p) for p in self.params], features, self.task)
         return out.value.ravel()
 
 
@@ -93,9 +92,8 @@ def train_downstream(train_data: DomainDataset, config: DownstreamConfig,
                               (train_data.d, *config.hidden_dims, 1))
     else:
         params = copy.deepcopy(init_params)
-    params, history = fit(
-        lambda ps, ins: _mlp_loss(ps, ins[0], ins[1], train_data.task), params,
-        [train_data.features, train_data.labels.reshape(-1, 1)], config)
+    x, y, task = train_data.features, train_data.labels.reshape(-1, 1), train_data.task
+    params, history = fit(lambda ps: _mlp_loss(ps, x, y, task), params, config)
     return DownstreamModel(task=train_data.task, config=config, params=params,
                            loss_history=history)
 

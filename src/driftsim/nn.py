@@ -54,7 +54,7 @@ def lstm_stack(params, rows) -> list:
     quarter of the first bias's."""
     layers = len(params) // 2
     hidden = params[1].shape[1] // 4
-    h, c = [ad.constant(np.zeros((1, hidden)))] * layers, [None] * layers
+    h, c = [np.zeros((1, hidden))] * layers, [None] * layers
     states = []
     for x in rows:
         for k in range(layers):

@@ -79,15 +79,15 @@ def train(params: list, epoch, readout, config, epochs: int, warmup: int = 0,
     return best_params, history
 
 
-def fit(loss_fn, params: list, inputs: list, config):
-    """Full-batch `train` on `loss_fn(params, inputs)`: each readout scores the
-    params and keeps their gradients, and each epoch is one Adam step on
-    them, so `config.max_epochs` readouts take one step fewer."""
+def fit(loss_fn, params: list, config):
+    """Full-batch `train` on `loss_fn(params)`: each readout scores the params
+    and keeps their gradients, and each epoch is one Adam step on them, so
+    `config.max_epochs` readouts take one step fewer."""
     grads = None
 
     def readout():
         nonlocal grads
-        loss, grads = ad.evaluate_with_gradients(loss_fn, params, inputs)
+        loss, grads = ad.evaluate_with_gradients(loss_fn, params)
         return loss
 
     return train(params, lambda e, opt: opt.step(params, grads), readout, config,

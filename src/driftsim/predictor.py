@@ -75,31 +75,29 @@ def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:
         raise ValueError("sequence must contain at least one matrix")
     if any(c.dim != model.m for c in sequence):
         raise ValueError(f"matrix dim does not match model dim {model.m}")
-    rows = [ad.constant(flatten_upper(c).reshape(1, -1)) for c in sequence]
-    params = [ad.constant(p) for p in model.params]
-    out = _forward_sequence(params, rows)[-1]
+    rows = [flatten_upper(c).reshape(1, -1) for c in sequence]
+    out = _forward_sequence([ad.constant(p) for p in model.params], rows)[-1]
     return unflatten_upper(out.value.ravel(), model.m)
 
 
-def _sequence_loss(params, inputs, m: int, config: PredictorConfig):
+def _sequence_loss(params, rows: list, tgt: np.ndarray, m: int,
+                   config: PredictorConfig):
     """The forecasting loss summed over the one-step-ahead forecasts, as one
     tape graph: per step Frobenius + elementwise-L1 + lambda_ce * mean BCE.
 
-    `inputs` holds the flattened matrices C_1..C_{T-1} and their targets
-    C_2..C_T, one row per step. The head outputs are stacked into one
+    `rows` are the flattened matrices C_1..C_{T-1}, each (1, p), and the
+    rows of `tgt` their targets C_2..C_T. The head outputs are stacked into one
     (T-1) x p node. Off-diagonal entries appear twice in the full matrix;
     the diagonal is exactly 1 on both sides, contributing zero to
     Frobenius/L1 and a clamp constant per step to the BCE mean.
     """
-    seq, tgt = inputs
-    rows = [seq[s:s + 1, :] for s in range(seq.shape[0])]
     pred = ad.concat(_forward_sequence(params, rows), axis=0)
     diff = pred - tgt
     # one Frobenius norm per step, then their sum
     fro = ad.reduce_sum(ad.sqrt(ad.reduce_sum(diff * diff, axis=1) * 2.0 + FRO_GUARD))
     l1 = ad.reduce_sum(ad.absolute(diff)) * 2.0
     bce_off = bce((pred + 1.0) * 0.5, (tgt + 1.0) * 0.5)
-    diag_const = -m * np.log(1.0 - CLAMP) * seq.shape[0]
+    diag_const = -m * np.log(1.0 - CLAMP) * len(rows)
     mean_bce = (ad.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
     return fro + l1 + mean_bce * config.lambda_ce
 
@@ -118,10 +116,10 @@ def train_predictor(matrices: list, config: PredictorConfig,
     m = matrices[0].dim
     if any(c.dim != m for c in matrices):
         raise ValueError("all matrices must share one dim")
-    inputs = np.stack([flatten_upper(c) for c in matrices[:-1]])
+    rows = [flatten_upper(c).reshape(1, -1) for c in matrices[:-1]]
     targets = np.stack([flatten_upper(c) for c in matrices[1:]])
     rng = np.random.default_rng(seed)
-    params, history = fit(lambda ps, ins: _sequence_loss(ps, ins, m, config),
-                          _init_params(m, config, rng), [inputs, targets], config)
+    params, history = fit(lambda ps: _sequence_loss(ps, rows, targets, m, config),
+                          _init_params(m, config, rng), config)
     return PredictorModel(m=m, config=config, params=params,
                           loss_history=history)

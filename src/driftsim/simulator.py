@@ -136,17 +136,18 @@ def _regularizer_graph(batch, target):
     return ad.reduce_sum(ad.absolute(corr - target))
 
 
-def _objective(params, inputs, config: SimulatorConfig, task: str):
-    """The simulator's one loss graph: the negative ELBO of `[rows, noise]`,
-    plus lambda_c times the regularizer of decoded prior draws `z` against
-    `target` when `inputs` is `[rows, noise, z, target]`. The training steps
-    differentiate it on minibatches with fresh draws; `loss_snapshot` reads
-    its value on the full data with frozen draws."""
-    loss = _neg_elbo_graph(params, config, inputs[0], inputs[1], task)
-    if len(inputs) == 2:
+def _objective(params, config: SimulatorConfig, task: str, rows, noise,
+               z=None, target=None):
+    """The simulator's one loss graph: the negative ELBO of `rows` under
+    reparameterization `noise`, plus lambda_c times the regularizer of
+    decoded prior draws `z` against `target` when `z` is given. The training
+    steps differentiate it on minibatches with fresh draws; `loss_snapshot`
+    reads its value on the full data with frozen draws."""
+    loss = _neg_elbo_graph(params, config, rows, noise, task)
+    if z is None:
         return loss
-    gen = _decode(params, config, inputs[2], task)
-    return loss + _regularizer_graph(gen, inputs[3]) * config.lambda_c
+    gen = _decode(params, config, z, task)
+    return loss + _regularizer_graph(gen, target) * config.lambda_c
 
 
 def loss_snapshot(params: list, data: np.ndarray, target: CorrelationMatrix | None,
@@ -162,12 +163,13 @@ def loss_snapshot(params: list, data: np.ndarray, target: CorrelationMatrix | No
     select whichever epoch flattered that particular draw.
     """
     rng = np.random.default_rng([seed, 104729])
-    inputs = [data, rng.standard_normal((data.shape[0], config.latent_dim))]
+    noise = rng.standard_normal((data.shape[0], config.latent_dim))
+    z = entries = None
     if config.lambda_c > 0 and target is not None:
         draws = max(SNAPSHOT_DRAWS, config.regularizer_draws)
-        inputs += [rng.standard_normal((draws, config.latent_dim)), target.entries]
-    return ad.evaluate_value(lambda ps, ins: _objective(ps, ins, config, task),
-                             params, inputs)
+        z, entries = rng.standard_normal((draws, config.latent_dim)), target.entries
+    return ad.evaluate_value(
+        lambda ps: _objective(ps, config, task, data, noise, z, entries), params)
 
 
 def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix | None,
@@ -207,20 +209,18 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
     params = _init_params(m, config, rng)
     use_reg = config.lambda_c > 0
     warmup = config.warmup_epochs if use_reg else 0
-
-    def objective(ps, ins):
-        return _objective(ps, ins, config, last_domain.task)
+    target = target_corr.entries if use_reg else None
 
     def epoch(e, opt):
         reg_on = use_reg and e >= warmup
         perm = rng.permutation(data.shape[0])
         for start in range(0, data.shape[0], config.batch_size):
             rows = data[perm[start:start + config.batch_size]]
-            inputs = [rows, rng.standard_normal((rows.shape[0], config.latent_dim))]
-            if reg_on:
-                z = rng.standard_normal((config.regularizer_draws, config.latent_dim))
-                inputs += [z, target_corr.entries]
-            _, grads = ad.evaluate_with_gradients(objective, params, inputs)
+            noise = rng.standard_normal((rows.shape[0], config.latent_dim))
+            z = (rng.standard_normal((config.regularizer_draws, config.latent_dim))
+                 if reg_on else None)
+            _, grads = ad.evaluate_with_gradients(lambda ps: _objective(
+                ps, config, last_domain.task, rows, noise, z, target), params)
             opt.step(params, grads)
 
     def readout():
@@ -240,7 +240,7 @@ def sample(model: SimulatorModel, n: int, seed: int) -> DomainDataset:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.config.latent_dim))
     params = [ad.constant(p) for p in model.params]
-    rows = _decode(params, model.config, ad.constant(z), model.task).value
+    rows = _decode(params, model.config, z, model.task).value
     features = rows[:, :model.d]
     label_col = rows[:, model.d]
     labels = (label_col >= 0.5).astype(np.float64) if model.task == CLASSIFICATION \

@@ -95,7 +95,7 @@ def tv_dual_exhaustive(p: FiniteJointDistribution, q: FiniteJointDistribution) -
     return float(np.abs(gaps).max())
 
 
-def grad_check(loss_fn: LossFn, params, inputs, step: float = 1e-6) -> float:
+def grad_check(loss_fn: LossFn, params, step: float = 1e-6) -> float:
     """Max relative error between tape gradients and central differences.
 
     Relative error per entry is |analytic - numeric| / max(1e-8,
@@ -104,16 +104,16 @@ def grad_check(loss_fn: LossFn, params, inputs, step: float = 1e-6) -> float:
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     params = [np.asarray(p, dtype=np.float64) for p in params]
-    _, grads = evaluate_with_gradients(loss_fn, params, inputs)
+    _, grads = evaluate_with_gradients(loss_fn, params)
     worst = 0.0
     for i, p in enumerate(params):
         flat = p.ravel()
         for j in range(flat.size):
             bumped = [q.copy() for q in params]
             bumped[i].ravel()[j] = flat[j] + step
-            hi = evaluate_value(loss_fn, bumped, inputs)
+            hi = evaluate_value(loss_fn, bumped)
             bumped[i].ravel()[j] = flat[j] - step
-            lo = evaluate_value(loss_fn, bumped, inputs)
+            lo = evaluate_value(loss_fn, bumped)
             numeric = (hi - lo) / (2.0 * step)
             analytic = grads[i].ravel()[j]
             err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))

@@ -181,26 +181,23 @@ def _predictor_grad_instance(rng) -> float:
             mats.append(pearson_matrix(DomainDataset(0, x[:, :m - 1],
                                                      x[:, m - 1],
                                                      task="regression")))
-        inputs = np.stack([flatten_upper(c) for c in mats[:-1]])
+        rows = [flatten_upper(c).reshape(1, -1) for c in mats[:-1]]
         targets = np.stack([flatten_upper(c) for c in mats[1:]])
 
-        def build(ps, ins):
-            return _sequence_loss(ps, ins, m, config)
+        def build(ps):
+            return _sequence_loss(ps, rows, targets, m, config)
 
         # finite differences straddle the L1 kink when a prediction sits on
         # its target; only accept instances with clearance
-        outs = _forward_sequence([ad.constant(p) for p in params],
-                                 [ad.constant(inputs[s:s + 1, :])
-                                  for s in range(t_len - 1)])
+        outs = _forward_sequence([ad.constant(p) for p in params], rows)
         gap = min(np.min(np.abs(out.value - targets[s:s + 1, :]))
                   for s, out in enumerate(outs))
         if gap < KINK_GAP:
             continue
-        _, grads = ad.evaluate_with_gradients(build, params,
-                                              [inputs, targets])
+        _, grads = ad.evaluate_with_gradients(build, params)
         if min(np.min(np.abs(g)) for g in grads) < GRAD_FLOOR:
             continue
-        return grad_check(build, params, [inputs, targets])
+        return grad_check(build, params)
     raise AssertionError("no measurable instance found")
 
 
@@ -221,18 +218,17 @@ def _simulator_grad_instance(rng) -> float:
         target = pearson_matrix(DomainDataset(0, x[:, :m - 1], x[:, m - 1],
                                               task="regression")).entries
 
-        def build(ps, ins):
-            return sm._objective(ps, ins, config, CLASSIFICATION)
+        def build(ps):
+            return sm._objective(ps, config, CLASSIFICATION, rows, noise, z, target)
 
-        gen = sm._decode([ad.constant(p) for p in params], config,
-                         ad.constant(z), CLASSIFICATION)
+        gen = sm._decode([ad.constant(p) for p in params], config, z, CLASSIFICATION)
         corr = sm._batch_pearson_graph(gen).value
         # the diagonal of both matrices is pinned at one, so its difference
         # is always ~0; only off-diagonal entries can straddle the kink
         off = ~np.eye(m, dtype=bool)
         if np.min(np.abs((corr - target)[off])) < KINK_GAP:
             continue
-        return grad_check(build, params, [rows, noise, z, target])
+        return grad_check(build, params)
     raise AssertionError("no kink-free instance found")
 
 

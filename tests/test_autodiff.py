@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,17 +24,17 @@ def _sq(t):
 
 
 def test_square_loss_and_grad():
-    loss_fn = lambda params, inputs: ad.reduce_sum(_sq(params[0]))
-    loss, grads = ad.evaluate_with_gradients(loss_fn, [np.array(3.0)], [])
+    loss_fn = lambda params: ad.reduce_sum(_sq(params[0]))
+    loss, grads = ad.evaluate_with_gradients(loss_fn, [np.array(3.0)])
     assert loss == 9.0
     assert grads[0] == pytest.approx(6.0)
 
 
 def test_sum_grad_is_ones():
     for shape in [(3,), (2, 4), ()]:
-        loss_fn = lambda params, inputs: ad.reduce_sum(params[0])
+        loss_fn = lambda params: ad.reduce_sum(params[0])
         w = np.random.default_rng(0).normal(size=shape)
-        loss, grads = ad.evaluate_with_gradients(loss_fn, [w], [])
+        loss, grads = ad.evaluate_with_gradients(loss_fn, [w])
         assert loss == pytest.approx(w.sum())
         np.testing.assert_array_equal(grads[0], np.ones(shape))
 
@@ -42,29 +44,28 @@ def test_matmul_mse_matches_finite_differences():
     a = rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2))
     c = rng.normal(size=(2, 2))
-    loss_fn = lambda params, inputs: ad.reduce_mean(
-        _sq(params[0] @ params[1] - inputs[0]))
-    err = grad_check(loss_fn, [a, b], [c], step=1e-6)
+    loss_fn = lambda params: ad.reduce_mean(_sq(params[0] @ params[1] - c))
+    err = grad_check(loss_fn, [a, b], step=1e-6)
     assert err < 1e-5
 
 
 def test_unused_parameter_gets_zero_grad():
-    loss_fn = lambda params, inputs: ad.reduce_sum(_sq(params[0]))
-    _, grads = ad.evaluate_with_gradients(loss_fn, [np.ones(2), np.ones(3)], [])
+    loss_fn = lambda params: ad.reduce_sum(_sq(params[0]))
+    _, grads = ad.evaluate_with_gradients(loss_fn, [np.ones(2), np.ones(3)])
     np.testing.assert_array_equal(grads[1], np.zeros(3))
 
 
 def test_non_scalar_output_rejected():
-    loss_fn = lambda params, inputs: params[0] + 1.0
+    loss_fn = lambda params: params[0] + 1.0
     with pytest.raises(ValueError):
-        ad.evaluate_with_gradients(loss_fn, [np.ones(3)], [])
+        ad.evaluate_with_gradients(loss_fn, [np.ones(3)])
 
 
 def test_non_finite_loss_raises():
-    loss_fn = lambda params, inputs: ad.log(params[0])
+    loss_fn = lambda params: ad.log(params[0])
     with np.errstate(invalid="ignore"):
         with pytest.raises(ad.NonFiniteLossError):
-            ad.evaluate_with_gradients(loss_fn, [np.array(-1.0)], [])
+            ad.evaluate_with_gradients(loss_fn, [np.array(-1.0)])
 
 
 def test_matmul_shape_mismatch_raises():
@@ -76,17 +77,17 @@ def test_losses_are_deterministic():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 4))
     x = rng.normal(size=(4, 4))
-    loss_fn = lambda params, inputs: ad.reduce_mean(ad.tanh(params[0] @ inputs[0]))
-    a = ad.evaluate_with_gradients(loss_fn, [w], [x])
-    b = ad.evaluate_with_gradients(loss_fn, [w], [x])
+    loss_fn = lambda params: ad.reduce_mean(ad.tanh(params[0] @ x))
+    a = ad.evaluate_with_gradients(loss_fn, [w])
+    b = ad.evaluate_with_gradients(loss_fn, [w])
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1][0], b[1][0])
 
 
 # -- per-primitive gradient checks ----------------------------------------
 
-def _check(build, params, inputs=(), tol=1e-6, step=1e-6):
-    err = grad_check(build, list(params), list(inputs), step=step)
+def _check(build, params, tol=1e-6, step=1e-6):
+    err = grad_check(build, list(params), step=step)
     assert err < tol, f"max relative error {err}"
 
 
@@ -96,14 +97,40 @@ def test_arithmetic_primitive_gradients():
     b = rng.normal(size=(3, 4)) + 3.0  # keep divisors away from 0
     row = rng.normal(size=(1, 4))
 
-    _check(lambda p, i: ad.reduce_sum(p[0] + p[1]), [a, b])
-    _check(lambda p, i: ad.reduce_sum(p[0] - p[1]), [a, b])
-    _check(lambda p, i: ad.reduce_sum(p[0] * p[1]), [a, b])
-    _check(lambda p, i: ad.reduce_sum(p[0] / p[1]), [a, b])
-    _check(lambda p, i: ad.reduce_sum(-p[0]), [a])
+    _check(lambda p: ad.reduce_sum(p[0] + p[1]), [a, b])
+    _check(lambda p: ad.reduce_sum(p[0] - p[1]), [a, b])
+    _check(lambda p: ad.reduce_sum(p[0] * p[1]), [a, b])
+    _check(lambda p: ad.reduce_sum(p[0] / p[1]), [a, b])
+    _check(lambda p: ad.reduce_sum(-p[0]), [a])
     # broadcast over rows
-    _check(lambda p, i: ad.reduce_sum(p[0] + p[1]), [a, row])
-    _check(lambda p, i: ad.reduce_sum(p[0] * p[1]), [a, row])
+    _check(lambda p: ad.reduce_sum(p[0] + p[1]), [a, row])
+    _check(lambda p: ad.reduce_sum(p[0] * p[1]), [a, row])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_array_on_the_left_of_a_tensor_builds_the_tensor_node(op):
+    rng = np.random.default_rng(25)
+    x, w = rng.normal(size=(3, 4)), rng.normal(size=(1, 4)) + 3.0
+    assert isinstance(op(x, ad.leaf(w)), ad.Tensor)
+    got = ad.evaluate_with_gradients(lambda p: ad.reduce_sum(_sq(op(x, p[0]))), [w])
+    want = ad.evaluate_with_gradients(
+        lambda p: ad.reduce_sum(_sq(op(ad.constant(x), p[0]))), [w])
+    assert got[0] == want[0]
+    assert np.array_equal(got[1][0], want[1][0])
+
+
+def test_array_matmul_tensor_is_a_type_error():
+    with pytest.raises(TypeError):
+        np.ones((2, 2)) @ ad.leaf(np.ones((2, 2)))
+
+
+def test_getitem_with_repeated_indices_sums_their_gradients():
+    _, grads = ad.evaluate_with_gradients(
+        lambda p: ad.reduce_sum(p[0][[0, 0, 1]]), [np.ones(3)])
+    np.testing.assert_array_equal(grads[0], [2.0, 1.0, 0.0])
+    a = np.random.default_rng(26).normal(size=(4, 3))
+    _check(lambda p: ad.reduce_sum(_sq(p[0][[2, 0, 2, 2]])), [a])
 
 
 def test_structural_primitive_gradients():
@@ -112,13 +139,13 @@ def test_structural_primitive_gradients():
     b = rng.normal(size=(4, 2))
     c = rng.normal(size=(2, 4))
 
-    _check(lambda p, i: ad.reduce_sum(_sq(p[0] @ p[1])), [a, b])
-    _check(lambda p, i: ad.reduce_sum(ad.transpose(p[0]) @ p[0]), [a])
-    _check(lambda p, i: ad.reduce_sum(_sq(ad.concat([p[0], p[1]], axis=0))),
+    _check(lambda p: ad.reduce_sum(_sq(p[0] @ p[1])), [a, b])
+    _check(lambda p: ad.reduce_sum(ad.transpose(p[0]) @ p[0]), [a])
+    _check(lambda p: ad.reduce_sum(_sq(ad.concat([p[0], p[1]], axis=0))),
            [a, c])
-    _check(lambda p, i: ad.reduce_sum(_sq(p[0][1:3, ::2])), [a])
-    _check(lambda p, i: ad.reduce_sum(ad.reduce_mean(p[0], axis=0)), [a])
-    _check(lambda p, i: ad.reduce_sum(ad.reduce_sum(p[0], axis=1, keepdims=True) * p[0]),
+    _check(lambda p: ad.reduce_sum(_sq(p[0][1:3, ::2])), [a])
+    _check(lambda p: ad.reduce_sum(ad.reduce_mean(p[0], axis=0)), [a])
+    _check(lambda p: ad.reduce_sum(ad.reduce_sum(p[0], axis=1, keepdims=True) * p[0]),
            [a])
 
 
@@ -127,9 +154,9 @@ def test_piecewise_primitive_gradients_away_from_kinks():
     a = rng.normal(size=(3, 4))
     a[np.abs(a) < 0.2] = 0.5  # keep clear of the kink at 0
 
-    _check(lambda p, i: ad.reduce_sum(ad.relu(p[0])), [a])
-    _check(lambda p, i: ad.reduce_sum(ad.absolute(p[0])), [a])
-    _check(lambda p, i: ad.reduce_sum(_sq(ad.clip(p[0], -0.9, 0.9))),
+    _check(lambda p: ad.reduce_sum(ad.relu(p[0])), [a])
+    _check(lambda p: ad.reduce_sum(ad.absolute(p[0])), [a])
+    _check(lambda p: ad.reduce_sum(_sq(ad.clip(p[0], -0.9, 0.9))),
            [np.clip(a, -0.7, 0.7)])
 
 
@@ -138,11 +165,11 @@ def test_transcendental_primitive_gradients():
     a = rng.normal(size=(3, 4))
     pos = np.abs(a) + 0.5
 
-    _check(lambda p, i: ad.reduce_sum(ad.tanh(p[0])), [a], tol=1e-4)
-    _check(lambda p, i: ad.reduce_sum(ad.sigmoid(p[0])), [a], tol=1e-4)
-    _check(lambda p, i: ad.reduce_sum(ad.exp(p[0])), [a], tol=1e-4)
-    _check(lambda p, i: ad.reduce_sum(ad.log(p[0])), [pos], tol=1e-4)
-    _check(lambda p, i: ad.reduce_sum(ad.sqrt(p[0])), [pos], tol=1e-4)
+    _check(lambda p: ad.reduce_sum(ad.tanh(p[0])), [a], tol=1e-4)
+    _check(lambda p: ad.reduce_sum(ad.sigmoid(p[0])), [a], tol=1e-4)
+    _check(lambda p: ad.reduce_sum(ad.exp(p[0])), [a], tol=1e-4)
+    _check(lambda p: ad.reduce_sum(ad.log(p[0])), [pos], tol=1e-4)
+    _check(lambda p: ad.reduce_sum(ad.sqrt(p[0])), [pos], tol=1e-4)
 
 
 def test_gated_recurrent_cell_gradient():
@@ -153,14 +180,13 @@ def test_gated_recurrent_cell_gradient():
     w = rng.normal(size=(8, 20)) * 0.3
     bias = rng.normal(size=(1, 20)) * 0.1
 
-    def build(params, inputs):
+    def build(params):
         wmat, b = params
-        xin, hin, cin = inputs
-        stacked = ad.concat([xin, hin], axis=1)
-        h_new, c_new = ad.lstm_cell(stacked @ wmat + b, cin)
+        stacked = ad.concat([x, h], axis=1)
+        h_new, c_new = ad.lstm_cell(stacked @ wmat + b, cell)
         return ad.reduce_sum(_sq(h_new)) + ad.reduce_sum(c_new)
 
-    _check(build, [w, bias], [x, h, cell], tol=1e-4)
+    _check(build, [w, bias], tol=1e-4)
 
 
 def test_lstm_cell_first_step_is_zero_cell_state():
@@ -193,8 +219,8 @@ def test_dense_stack_matches_glorot_draws_and_numpy():
 
 def test_returned_gradients_share_no_memory():
     # both leaves receive the same tape array from add's VJP
-    loss_fn = lambda params, inputs: ad.reduce_sum(params[0] + params[1])
-    _, grads = ad.evaluate_with_gradients(loss_fn, [np.ones((2, 3)), np.ones((2, 3))], [])
+    loss_fn = lambda params: ad.reduce_sum(params[0] + params[1])
+    _, grads = ad.evaluate_with_gradients(loss_fn, [np.ones((2, 3)), np.ones((2, 3))])
     assert not np.shares_memory(grads[0], grads[1])
     grads[0][0, 0] = 5.0
     np.testing.assert_array_equal(grads[1], np.ones((2, 3)))
@@ -207,9 +233,9 @@ def _dense_oracle(x, w, b, act):
     return out if act is None else act(out)
 
 
-def _assert_same_values_and_gradients(fused, oracle, params, inputs):
-    got = ad.evaluate_with_gradients(fused, params, inputs)
-    want = ad.evaluate_with_gradients(oracle, params, inputs)
+def _assert_same_values_and_gradients(fused, oracle, params):
+    got = ad.evaluate_with_gradients(fused, params)
+    want = ad.evaluate_with_gradients(oracle, params)
     assert got[0] == want[0]
     for g_fused, g_oracle in zip(got[1], want[1]):
         assert np.array_equal(g_fused, g_oracle)
@@ -223,14 +249,13 @@ def test_dense_matches_composition_bit_for_bit(act, rows):
     b, weights = rng.normal(size=(1, 4)), rng.normal(size=(rows, 4))
 
     def loss(layer):
-        return lambda p, i: ad.reduce_sum(_sq(layer(p[0], p[1], p[2], act)) * i[0])
+        return lambda p: ad.reduce_sum(_sq(layer(p[0], p[1], p[2], act)) * weights)
 
-    _assert_same_values_and_gradients(loss(ad.dense), loss(_dense_oracle),
-                                      [x, w, b], [weights])
+    _assert_same_values_and_gradients(loss(ad.dense), loss(_dense_oracle), [x, w, b])
     fused = ad.dense(ad.constant(x), ad.constant(w), ad.constant(b), act)
     oracle = _dense_oracle(ad.constant(x), ad.constant(w), ad.constant(b), act)
     assert np.array_equal(fused.value, oracle.value)
-    _check(loss(ad.dense), [x, w, b], [weights], step=1e-5)
+    _check(loss(ad.dense), [x, w, b], step=1e-5)
 
 
 def test_dense_rejects_other_activations():
@@ -244,21 +269,21 @@ def _unfused_cell(gates, c_prev):
     return unfused.lstm_cell(gates, c_prev, 3)
 
 
-def _one_step_loss(cell):
-    """Loss of one LSTM step whose gates are the parameter; a second input,
-    when given, is a constant previous cell state."""
-    def loss_fn(p, i):
-        h, c = cell(p[0], i[1] if len(i) > 1 else None)
-        return ad.reduce_sum(h * i[0]) + ad.reduce_sum(_sq(c))
+def _one_step_loss(cell, weights, c_prev):
+    """Loss of one LSTM step whose gates are the parameter; `c_prev` is a
+    constant previous cell state, or None."""
+    def loss_fn(p):
+        h, c = cell(p[0], c_prev)
+        return ad.reduce_sum(h * weights) + ad.reduce_sum(_sq(c))
     return loss_fn
 
 
-def _three_step_loss(cell, layer):
+def _three_step_loss(cell, layer, xs, weights):
     """Loss of three chained LSTM steps whose gates come from one shared
     (x, h) -> gates layer."""
-    def loss_fn(p, i):
-        (w, b), (xs, weights) = p, i
-        h, c, total = ad.constant(np.zeros((1, 3))), None, None
+    def loss_fn(p):
+        w, b = p
+        h, c, total = np.zeros((1, 3)), None, None
         for t in range(3):
             gates = layer(ad.concat([xs[t:t + 1, :], h], axis=1), w, b, None)
             h, c = cell(gates, c)
@@ -274,18 +299,18 @@ def test_lstm_cell_matches_composition_bit_for_bit(case):
     rng = np.random.default_rng(20)
     if case == "chained":
         params = [rng.normal(size=(5, 12)) * 0.5, rng.normal(size=(1, 12))]
-        inputs = [rng.normal(size=(3, 2)), rng.normal(size=(3, 3))]
-        fused = _three_step_loss(ad.lstm_cell, ad.dense)
-        oracle = _three_step_loss(_unfused_cell, _dense_oracle)
+        data = [rng.normal(size=(3, 2)), rng.normal(size=(3, 3))]
+        fused = _three_step_loss(ad.lstm_cell, ad.dense, *data)
+        oracle = _three_step_loss(_unfused_cell, _dense_oracle, *data)
     else:
         rows = 2 if case == "two rows" else 1
         params = [rng.normal(size=(rows, 12))]
-        inputs = [rng.normal(size=(rows, 3))]
-        if case != "first step":
-            inputs.append(rng.normal(size=(rows, 3)))
-        fused, oracle = _one_step_loss(ad.lstm_cell), _one_step_loss(_unfused_cell)
-    _assert_same_values_and_gradients(fused, oracle, params, inputs)
-    _check(fused, params, inputs, step=1e-5)
+        weights = rng.normal(size=(rows, 3))
+        c_prev = None if case == "first step" else rng.normal(size=(rows, 3))
+        fused = _one_step_loss(ad.lstm_cell, weights, c_prev)
+        oracle = _one_step_loss(_unfused_cell, weights, c_prev)
+    _assert_same_values_and_gradients(fused, oracle, params)
+    _check(fused, params, step=1e-5)
 
 
 def _unfused_forward_sequence(params, rows, layers, hidden):
@@ -294,7 +319,8 @@ def _unfused_forward_sequence(params, rows, layers, hidden):
     w_embed, b_embed = params[0], params[1]
     w_head, b_head = params[-2], params[-1]
     states = unfused.lstm_stack(params[2:2 + 2 * layers],
-                                [row @ w_embed + b_embed for row in rows], hidden)
+                                [ad.matmul(row, w_embed) + b_embed for row in rows],
+                                hidden)
     return [ad.tanh(x @ w_head + b_head) for x in states]
 
 
@@ -313,13 +339,12 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
 
     def loss(stack):
         # the rows are the last parameter, so their gradient is checked too
-        def loss_fn(p, i):
+        def loss_fn(p):
             states = stack(p[:-1], [p[-1][t:t + 1, :] for t in range(steps)])
-            return ad.reduce_sum(ad.concat(states, axis=0) * i[0])
+            return ad.reduce_sum(ad.concat(states, axis=0) * weights)
         return loss_fn
 
-    _assert_same_values_and_gradients(loss(lstm_stack), loss(oracle),
-                                      [*params, rows], [weights])
+    _assert_same_values_and_gradients(loss(lstm_stack), loss(oracle), [*params, rows])
     consts = [ad.constant(p) for p in params]
     row_consts = [ad.constant(rows[t:t + 1, :]) for t in range(steps)]
     for got, want in zip(lstm_stack(consts, row_consts),
@@ -331,13 +356,14 @@ def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):
     m, config = 3, PredictorConfig()
     rng = np.random.default_rng(21)
     params = predictor._init_params(m, config, rng)
-    inputs = [rng.uniform(-0.9, 0.9, size=(5, 3)), rng.uniform(-0.9, 0.9, size=(5, 3))]
-    loss_fn = lambda ps, ins: predictor._sequence_loss(ps, ins, m, config)
-    fused = ad.evaluate_with_gradients(loss_fn, params, inputs)
+    rows = list(rng.uniform(-0.9, 0.9, size=(5, 1, 3)))
+    tgt = rng.uniform(-0.9, 0.9, size=(5, 3))
+    loss_fn = lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config)
+    fused = ad.evaluate_with_gradients(loss_fn, params)
     monkeypatch.setattr(predictor, "_forward_sequence", lambda ps, rows:
                         _unfused_forward_sequence(ps, rows, config.layers,
                                                   config.hidden_dim))
-    unfused = ad.evaluate_with_gradients(loss_fn, params, inputs)
+    unfused = ad.evaluate_with_gradients(loss_fn, params)
     assert fused[0] == unfused[0]
     for g_fused, g_unfused in zip(fused[1], unfused[1]):
         assert np.array_equal(g_fused, g_unfused)
@@ -357,9 +383,7 @@ def _step_loss_oracle(pred_vec, true_vec, m, lambda_ce):
     return fro + l1 + bce * lambda_ce
 
 
-def _per_step_sequence_loss(params, inputs, m, config):
-    seq, tgt = inputs
-    rows = [seq[s:s + 1, :] for s in range(seq.shape[0])]
+def _per_step_sequence_loss(params, rows, tgt, m, config):
     outs = predictor._forward_sequence(params, rows)
     loss = None
     for s, out in enumerate(outs):
@@ -379,11 +403,12 @@ def test_stacked_sequence_loss_matches_per_step_oracle(m, lambda_ce):
     p = m * (m - 1) // 2
     rng = np.random.default_rng(22)
     params = predictor._init_params(m, config, rng)
-    inputs = [rng.uniform(-0.9, 0.9, size=(9, p)), rng.uniform(-0.9, 0.9, size=(9, p))]
+    rows = list(rng.uniform(-0.9, 0.9, size=(9, 1, p)))
+    tgt = rng.uniform(-0.9, 0.9, size=(9, p))
     stacked = ad.evaluate_with_gradients(
-        lambda ps, ins: predictor._sequence_loss(ps, ins, m, config), params, inputs)
+        lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config), params)
     oracle = ad.evaluate_with_gradients(
-        lambda ps, ins: _per_step_sequence_loss(ps, ins, m, config), params, inputs)
+        lambda ps: _per_step_sequence_loss(ps, rows, tgt, m, config), params)
     assert stacked[0] == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
     for g_stacked, g_oracle in zip(stacked[1], oracle[1]):
         assert np.array_equal(g_stacked, g_oracle)
@@ -403,7 +428,7 @@ def _kde_kl_oracle(rows, column, idx, grid, bandwidth, prior, log_q):
 def _kde_kl_loss(term, grid, bandwidth, classes, log_q):
     """Sum of the terms over both columns and every class of the rows, in
     the order of the density baseline's loss."""
-    def loss_fn(p, i):
+    def loss_fn(p):
         loss = None
         for column in range(2):
             for c, idx in enumerate(classes):
@@ -435,12 +460,12 @@ def test_kde_kl_matches_composition_bit_for_bit(case):
     log_q = [np.log(rng.dirichlet(np.ones(size)) * 0.5) for _ in range(4)]
     fused = _kde_kl_loss(ad.kde_kl, grid, bandwidth, classes, log_q)
     oracle = _kde_kl_loss(_kde_kl_oracle, grid, bandwidth, classes, log_q)
-    _assert_same_values_and_gradients(fused, oracle, [rows], [])
+    _assert_same_values_and_gradients(fused, oracle, [rows])
     _check(fused, [rows])
     if case == "underflowing kernels":
         kernels = np.exp(-0.5 * ((grid[:, None] - rows[classes[0], 0]) / bandwidth) ** 2)
         assert np.any(kernels == 0.0) and np.all(kernels.sum(axis=1) > 0.0)
-        assert np.isfinite(ad.evaluate_value(fused, [rows], []))
+        assert np.isfinite(ad.evaluate_value(fused, [rows]))
 
 
 def test_kde_kl_constant_rows_record_no_parents():
@@ -457,10 +482,10 @@ def test_kde_kl_zero_mass_is_non_finite_like_the_composition():
     rows, idx = np.array([[0.9], [1.0]]), np.array([0, 1])
     grid, log_q = np.linspace(-1.2, 1.2, 8), np.zeros(8)
     for term in (ad.kde_kl, _kde_kl_oracle):
-        loss_fn = lambda p, i: term(p[0], 0, idx, grid, 0.02, 0.5, log_q)
+        loss_fn = lambda p: term(p[0], 0, idx, grid, 0.02, 0.5, log_q)
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ad.NonFiniteLossError):
-                ad.evaluate_with_gradients(loss_fn, [rows], [])
+                ad.evaluate_with_gradients(loss_fn, [rows])
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
@@ -469,7 +494,7 @@ def test_broadcast_grad_matches_fd(rows, cols, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(rows, cols))
     b = rng.normal(size=(1, cols))
-    _check(lambda p, i: ad.reduce_sum(_sq(p[0] + p[1])), [a, b], tol=1e-5)
+    _check(lambda p: ad.reduce_sum(_sq(p[0] + p[1])), [a, b], tol=1e-5)
 
 
 # -- Adam -----------------------------------------------------------------
@@ -512,21 +537,21 @@ def test_adam_rejects_shape_mismatch():
 
 
 def test_adam_drives_quadratic_toward_minimum():
-    loss_fn = lambda params, inputs: ad.reduce_sum(_sq(params[0] - inputs[0]))
     target = np.array([1.0, -2.0, 0.5])
+    loss_fn = lambda params: ad.reduce_sum(_sq(params[0] - target))
     params = [np.zeros(3)]
     opt = Adam([p.shape for p in params], lr=0.05)
     losses = []
     for _ in range(400):
-        loss, grads = ad.evaluate_with_gradients(loss_fn, params, [target])
+        loss, grads = ad.evaluate_with_gradients(loss_fn, params)
         losses.append(loss)
         opt.step(params, grads)
     assert losses[-1] < 1e-3
     np.testing.assert_allclose(params[0], target, atol=0.05)
 
 
-def _quadratic(params, inputs):
-    return ad.reduce_sum(_sq(params[0] - inputs[0]))
+def _quadratic(target):
+    return lambda params: ad.reduce_sum(_sq(params[0] - target))
 
 
 def test_fit_returns_the_params_that_scored_min_history():
@@ -534,15 +559,15 @@ def test_fit_returns_the_params_that_scored_min_history():
     # minimum, so the last params are not the best ones
     target = np.array([1.0, -2.0, 0.5])
     config = SimpleNamespace(learning_rate=0.7, max_epochs=60, patience=8)
-    best, history = fit(_quadratic, [np.zeros(3)], [target], config)
+    best, history = fit(_quadratic(target), [np.zeros(3)], config)
     assert min(history) < history[-1]
-    assert ad.evaluate_value(_quadratic, best, [target]) == min(history)
+    assert ad.evaluate_value(_quadratic(target), best) == min(history)
 
 
 def test_fit_stops_after_patience_stale_epochs():
     target = np.array([1.0, -2.0, 0.5])
     config = SimpleNamespace(learning_rate=0.7, max_epochs=500, patience=8)
-    _, history = fit(_quadratic, [np.zeros(3)], [target], config)
+    _, history = fit(_quadratic(target), [np.zeros(3)], config)
     best, last_kept = np.inf, None
     for epoch, loss in enumerate(history):
         if loss < best - TOL:
@@ -556,8 +581,8 @@ def test_fit_matches_its_own_loop_bit_for_bit(max_epochs, patience):
     # (500, 8) stops early on the oscillation; (60, 60) runs to max_epochs
     target = np.array([1.0, -2.0, 0.5])
     config = SimpleNamespace(learning_rate=0.7, max_epochs=max_epochs, patience=patience)
-    best, history = fit(_quadratic, [np.zeros(3)], [target], config)
-    want, want_history = unfused.fit(_quadratic, [np.zeros(3)], [target], config)
+    best, history = fit(_quadratic(target), [np.zeros(3)], config)
+    want, want_history = unfused.fit(_quadratic(target), [np.zeros(3)], config)
     assert np.array_equal(best[0], want[0])
     assert history == want_history
     assert (len(history) < max_epochs) == (patience < max_epochs)
@@ -568,7 +593,7 @@ def test_fit_records_max_epochs_losses_and_steps_one_fewer(monkeypatch):
     step = Adam.step
     monkeypatch.setattr(Adam, "step", lambda self, p, g: steps.append(1) or step(self, p, g))
     config = SimpleNamespace(learning_rate=0.1, max_epochs=12, patience=12)
-    _, history = fit(_quadratic, [np.zeros(3)], [np.ones(3)], config)
+    _, history = fit(_quadratic(np.ones(3)), [np.zeros(3)], config)
     assert len(history) == 12
     assert len(steps) == 11
 

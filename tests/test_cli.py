@@ -151,7 +151,9 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
                        ("sample_rate", 1e300),
                        # per-model seeds come only from "seeds"
                        ("predictor", {"seed": 5}), ("simulator", {"seed": 5}),
-                       ("downstream", {"seed": 5})):
+                       ("downstream", {"seed": 5}),
+                       # the output directory comes from --out or DRIFTSIM_OUT
+                       ("output_dir", 5), ("output_dir", str(tmp_path / "cfg-out"))):
         bad_value = write_cfg(tmp_path, {**TINY_CFG, key: value})
         assert usage_error_in_one_line(capsys, ["run", "--config", bad_value])
     bad_norm = write_cfg(tmp_path, {**TINY_CFG, "normalization": "bogus"})
@@ -183,6 +185,18 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
         non_finite = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
             "kind": "csv", "path": str(tmp_path / "non_finite.csv")}})
         assert usage_error_in_one_line(capsys, ["run", "--config", non_finite], naming)
+    # a column named twice in the header, or given two roles by the schema
+    # (with the label among the features, lastdomain used to score 0.0)
+    body = "".join(f"{t},{i % 2},{0.1 * i + t},{0.2 * i - t}\n"
+                   for t in range(3) for i in range(4))
+    (tmp_path / "twice.csv").write_text("t,y,a,a\n" + body)
+    (tmp_path / "roles.csv").write_text("t,y,a,b\n" + body)
+    for block, naming in (({"path": str(tmp_path / "twice.csv")}, "column 'a' twice"),
+                          ({"path": str(tmp_path / "roles.csv"),
+                            "feature_cols": ["y", "a"]}, "column 'y' twice")):
+        twice = write_cfg(tmp_path, {**TINY_CFG, "methods": ["lastdomain"],
+                                     "dataset": {"kind": "csv", **block}})
+        assert usage_error_in_one_line(capsys, ["run", "--config", twice], naming)
     # so are classification labels other than 0 or 1
     (tmp_path / "bad_label.csv").write_text(good + "2,2,1.2\n2,0,1.3\n")
     bad_label = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
@@ -298,8 +312,8 @@ def test_run_non_finite_gradient_is_numeric_failure(tmp_path, monkeypatch,
                                                    capsys):
     real = autodiff.evaluate_with_gradients
 
-    def nan_grads(loss_fn, params, inputs):
-        loss, grads = real(loss_fn, params, inputs)
+    def nan_grads(loss_fn, params):
+        loss, grads = real(loss_fn, params)
         return loss, [np.full_like(g, np.nan) for g in grads]
 
     monkeypatch.setattr(autodiff, "evaluate_with_gradients", nan_grads)
@@ -341,7 +355,7 @@ def test_run_artifacts_reuse_the_run_models(tmp_path, monkeypatch):
 
 def test_load_run_config_defaults_match_pipeline_defaults(tmp_path):
     cfg = write_cfg(tmp_path, {})
-    stream, methods, config, out_dir = load_run_config(cfg)
+    stream, methods, config = load_run_config(cfg)
     assert methods == ["coda"]
     assert config.seeds == (0, 1, 2, 3, 4)
     assert config.simulator.learning_rate == pytest.approx(9e-3)
@@ -351,7 +365,6 @@ def test_load_run_config_defaults_match_pipeline_defaults(tmp_path):
     assert config.downstream.learning_rate == pytest.approx(1e-2)
     assert len(stream.sources) == 9
     assert stream.target.n == 200
-    assert out_dir is None
     assert config == ExperimentConfig()
     # a file that spells out every default builds the same config
     explicit = json.loads(json.dumps(asdict(ExperimentConfig())))
@@ -369,7 +382,11 @@ def test_verify_bound_outputs_and_exit(tmp_path, capsys):
     assert main(["verify-bound", "--pairs", "0"]) == 2
     for flags in (["--dims", "0"], ["--dims", "-1"], ["--max-support", "1"],
                   ["--max-support", "2", "--dims", "4"],
-                  ["--max-support", "4", "--dims", "4"], ["--seed", "-1"]):
+                  ["--max-support", "4", "--dims", "4"], ["--seed", "-1"],
+                  # support x dims cells past MAX_PAIR_CELLS; these would need
+                  # petabytes, so a missing check fails without allocating
+                  ["--max-support", str(10 ** 17), "--dims", "1"],
+                  ["--max-support", str(10 ** 12), "--dims", str(10 ** 6)]):
         assert usage_error_in_one_line(capsys, ["verify-bound", "--pairs", "2",
                                                 *flags]), flags
     # the smallest accepted support: max(3, dims + 1) points

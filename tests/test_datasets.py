@@ -151,6 +151,28 @@ def test_csv_missing_column(tmp_path):
                                         feature_cols=("a", "b")))
 
 
+def test_csv_header_naming_a_column_twice_rejected(tmp_path):
+    path = _write(tmp_path, "t,y,a,a\n0,0,1.0,5.0\n0,1,2.0,6.0\n"
+                            "1,0,1.5,7.0\n1,1,2.5,8.0\n")
+    with pytest.raises(ValueError, match="header names column 'a' twice"):
+        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+
+
+@pytest.mark.parametrize("roles, twice", [
+    (("t", "y", ("y", "a")), "y"),    # the label among the features
+    (("t", "t", ()), "t"),            # one column as domain and label
+    (("t", "y", ("a", "t")), "t"),    # the domain among the features
+    (("t", "y", ("a", "a")), "a"),    # one feature listed twice
+])
+def test_csv_schema_naming_a_column_twice_rejected(tmp_path, roles, twice):
+    path = _write(tmp_path, "t,y,a,b\n0,0,1.0,5.0\n0,1,2.0,6.0\n"
+                            "1,0,1.5,7.0\n1,1,2.5,8.0\n")
+    domain, label, features = roles
+    with pytest.raises(ValueError, match=f"schema names column '{twice}' twice"):
+        load_csv_stream(path, CsvSchema(domain_col=domain, label_col=label,
+                                        feature_cols=features))
+
+
 def test_csv_rows_with_gaps_are_excluded(tmp_path):
     path = _write(tmp_path, "t,y,a\n"
                             "0,0,1.0\n0,1,2.0\n0,,9.9\n"

@@ -187,7 +187,7 @@ def captured_loss(monkeypatch, stream):
     """The loss function and initial params `train_prelim` hands to `fit`."""
     captured = []
 
-    def no_fit(build, params, inputs, config):
+    def no_fit(build, params, config):
         captured.append((build, params))
         return params, []
 
@@ -204,7 +204,7 @@ def test_training_loss_matches_per_epoch_truth_side(monkeypatch):
     labels = np.repeat([0.0, 1.0], sources[-1].n // 2)
     grid = default_grid(SMALL_PRELIM.grid_size)
 
-    def oracle(ps, ins):
+    def oracle(ps):
         states = unfused.lstm_stack(ps[:2], density_baseline._summaries(sources),
                                     SMALL_PRELIM.hidden_dim)
         loss = None
@@ -214,8 +214,8 @@ def test_training_loss_matches_per_epoch_truth_side(monkeypatch):
             loss = term if loss is None else loss + term
         return loss * (1.0 / (len(sources) - 1))
 
-    loss, grads = ad.evaluate_with_gradients(build, params, [])
-    want_loss, want_grads = ad.evaluate_with_gradients(oracle, params, [])
+    loss, grads = ad.evaluate_with_gradients(build, params)
+    want_loss, want_grads = ad.evaluate_with_gradients(oracle, params)
     assert loss == want_loss
     for g, want in zip(grads, want_grads, strict=True):
         assert np.array_equal(g, want)
@@ -235,7 +235,7 @@ def tape_nodes(*outputs) -> list:
 def test_one_tape_node_per_kl_term(monkeypatch):
     stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
     build, params = captured_loss(monkeypatch, stream)
-    visited = tape_nodes(build([ad.leaf(p) for p in params], []))
+    visited = tape_nodes(build([ad.leaf(p) for p in params]))
     terms = [node for node in visited if node._vjp is not None
              and node._vjp.__qualname__.startswith("kde_kl.")]
     model = tape_nodes(*(rows for term in terms for rows in term._parents))
@@ -251,7 +251,7 @@ def test_tape_nodes_per_epoch_on_ten_domain_moons(monkeypatch):
     # 8 parameter leaves; 8 scored LSTM steps of a dense and the cell's c and
     # h nodes, and 7 concats (the first step's h is a constant); per scored
     # step 6 decode nodes and 4 KL terms; 31 adds and one scale
-    assert len(tape_nodes(build([ad.leaf(p) for p in params], []))) == 151
+    assert len(tape_nodes(build([ad.leaf(p) for p in params]))) == 151
 
 
 def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):
@@ -261,12 +261,12 @@ def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):
     real = density_baseline.lstm_stack
     monkeypatch.setattr(density_baseline, "lstm_stack",
                         lambda ps, rows: fed.append(rows) or real(ps, rows))
-    build([ad.leaf(p) for p in params], [])
+    build([ad.leaf(p) for p in params])
     (rows,) = fed
     assert len(rows) == len(stream.sources) - 1
     want = density_baseline._summaries(stream.sources)
     for got, row in zip(rows, want[:-1], strict=True):
-        assert np.array_equal(got.value, row.value)
+        assert np.array_equal(got, row)
 
 
 def test_truth_side_is_built_once_per_fit(monkeypatch):

@@ -210,8 +210,8 @@ def test_sequence_loss_gradients_match_finite_differences():
         config = PredictorConfig(layers=1, hidden_dim=3, latent_dim=2,
                                  lambda_ce=rng.uniform(0.0, 5.0))
         params = _init_params(m, config, rng)
-        seq = rng.uniform(-0.8, 0.8, size=(t_len - 1, 3))
+        rows = list(rng.uniform(-0.8, 0.8, size=(t_len - 1, 1, 3)))
         tgt = rng.uniform(-0.8, 0.8, size=(t_len - 1, 3))
-        err = grad_check(lambda ps, ins: _sequence_loss(ps, ins, m, config),
-                         params, [seq, tgt], step=1e-6)
+        err = grad_check(lambda ps: _sequence_loss(ps, rows, tgt, m, config),
+                         params, step=1e-6)
         assert err < 1e-4, f"trial {trial}: {err}"

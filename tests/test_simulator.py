@@ -26,13 +26,13 @@ def zeroed_params(config: SimulatorConfig, m: int) -> list:
 
 def neg_elbo(params, config, batch, noise, task=CLASSIFICATION) -> float:
     """The training objective's value without the correlation pull."""
-    return ad.evaluate_value(lambda ps, ins: sm._objective(ps, ins, config, task),
-                             params, [batch, noise])
+    return ad.evaluate_value(
+        lambda ps: sm._objective(ps, config, task, batch, noise), params)
 
 
 def regularizer(batch, target: CorrelationMatrix) -> float:
-    return ad.evaluate_value(lambda ps, ins: sm._regularizer_graph(ps[0], ins[0]),
-                             [batch], [target.entries])
+    return ad.evaluate_value(lambda ps: sm._regularizer_graph(ps[0], target.entries),
+                             [batch])
 
 
 def test_elbo_zero_when_decoder_reproduces_input():
@@ -105,8 +105,7 @@ def test_regularizer_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     batch = rng.uniform(-0.9, 0.9, (12, 3))
     target = np.eye(3)
-    worst = grad_check(lambda ps, ins: sm._regularizer_graph(ps[0], ins[0]),
-                       [batch], [target])
+    worst = grad_check(lambda ps: sm._regularizer_graph(ps[0], target), [batch])
     assert worst < 1e-4
 
 
@@ -121,11 +120,14 @@ def test_training_objective_gradient_matches_finite_differences():
     z = rng.standard_normal((8, 2))
     target = np.eye(3)
 
-    def objective(ps, ins):
-        return sm._objective(ps, ins, config, CLASSIFICATION)
+    def objective(ps):
+        return sm._objective(ps, config, CLASSIFICATION, rows, noise, z, target)
 
-    assert grad_check(objective, params, [rows, noise, z, target]) < 1e-4
-    assert grad_check(objective, params, [rows, noise]) < 1e-4
+    def neg_elbo(ps):
+        return sm._objective(ps, config, CLASSIFICATION, rows, noise)
+
+    assert grad_check(objective, params) < 1e-4
+    assert grad_check(neg_elbo, params) < 1e-4
 
 
 def tiny_domain(n=24, seed=0):
@@ -141,15 +143,14 @@ def _two_call_snapshot(params, data, target, config, task, seed):
     rng = np.random.default_rng([seed, 104729])
     noise = rng.standard_normal((data.shape[0], config.latent_dim))
     loss = ad.evaluate_value(
-        lambda ps, ins: sm._neg_elbo_graph(ps, config, ins[0], ins[1], task),
-        params, [data, noise])
+        lambda ps: sm._neg_elbo_graph(ps, config, data, noise, task), params)
     if config.lambda_c > 0 and target is not None:
         draws = max(sm.SNAPSHOT_DRAWS, config.regularizer_draws)
         z = rng.standard_normal((draws, config.latent_dim))
         loss += config.lambda_c * ad.evaluate_value(
-            lambda ps, ins: sm._regularizer_graph(sm._decode(ps, config, ins[0], task),
-                                                  ins[1]),
-            params, [z, target.entries])
+            lambda ps: sm._regularizer_graph(sm._decode(ps, config, z, task),
+                                             target.entries),
+            params)
     return loss
 
 

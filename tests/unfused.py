@@ -37,7 +37,7 @@ def lstm_stack(params, rows, hidden):
     return states
 
 
-def fit(loss_fn, params, inputs, config):
+def fit(loss_fn, params, config):
     """`optim.fit` as its own loop: score, keep a copy on a record, step. It
     also takes a last step after the final readout, which nothing reads."""
     opt = Adam([p.shape for p in params], lr=config.learning_rate)
@@ -46,7 +46,7 @@ def fit(loss_fn, params, inputs, config):
     stale = 0
     history = []
     for _ in range(config.max_epochs):
-        loss, grads = ad.evaluate_with_gradients(loss_fn, params, inputs)
+        loss, grads = ad.evaluate_with_gradients(loss_fn, params)
         history.append(loss)
         if loss < best_loss - TOL:
             best_loss, best_params, stale = loss, copy.deepcopy(params), 0
