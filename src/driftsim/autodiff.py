@@ -6,15 +6,17 @@ the tape in reverse topological order.  The engine is deliberately minimal:
 float64 only, 0-2d arrays, numpy broadcasting on elementwise binaries, and
 exactly the primitives the models in this package need.  No GPU.
 
-Three fused primitives cut the tape where the models spend their time:
-`dense` records `act(x @ w + b)` as one node, `lstm_cell` records one LSTM
-step as a cell-state node and a hidden-state node, and `kde_kl` records one
-class-conditional KDE-KL term of the density baseline as one node over the
-generated rows.  Their VJPs repeat the elementwise arithmetic of the unfused
-composition in the same order, and their parents are listed in the order
-`backward`'s depth-first search reached the unfused nodes, so every
-gradient, and every trained parameter, is bit-identical to what the
-composition of primitives gives.
+Four fused primitives cut the tape where the models spend their time:
+`dense` records `act(x @ w + b)` as one node, `lstm_stack` records a stacked
+LSTM over a whole sequence as one node (with one view node per step's
+output), `pearson` records the Pearson matrix of a generated batch as one
+node, and `kde_kl` records one class-conditional KDE-KL term of the density
+baseline as one node over the generated rows.  Their VJPs repeat the
+elementwise arithmetic of the unfused composition in the same order, and
+their parents are listed in the order `backward`'s depth-first search
+reached the unfused nodes, so every gradient, and every trained parameter,
+is bit-identical to what the composition of primitives gives.  No VJP
+writes into the gradient it is given.
 """
 from __future__ import annotations
 
@@ -49,7 +51,8 @@ __all__ = [
     "transpose",
     "concat",
     "dense",
-    "lstm_cell",
+    "lstm_stack",
+    "pearson",
     "kde_kl",
 ]
 
@@ -393,26 +396,28 @@ def _getitem(a: Tensor, key) -> Tensor:
 def dense(x, w, b, act=None) -> Tensor:
     """`act(x @ w + b)` as one node; `act` is None (linear), `tanh` or `relu`.
 
-    The VJP applies the activation's derivative as `tanh`/`relu` do, then
-    the `add` and `matmul` VJPs, so the gradients equal those of the
-    three-node composition bit for bit.
+    The forward adds the bias and applies the activation in place on the
+    fresh product, and the VJP applies the activation's derivative in one
+    new buffer, then the `add` and `matmul` VJPs, so the value and the
+    gradients equal those of the three-node composition bit for bit.
     """
     if act not in (None, tanh, relu):
         raise ValueError("dense activation must be None, tanh or relu")
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     _check_matmul(x, w)
-    pre = x.value @ w.value + b.value
+    out = x.value @ w.value
+    out += b.value
     if act is tanh:
-        out = np.tanh(pre)
+        np.tanh(out, out=out)
     elif act is relu:
-        mask = pre > 0.0
-        out = pre * mask
-    else:
-        out = pre
+        mask = out > 0.0
+        out *= mask
 
     def vjp(g):
         if act is tanh:
-            g = g * (1.0 - out * out)
+            d = out * out
+            np.subtract(1.0, d, out=d)
+            g = np.multiply(d, g, out=d)
         elif act is relu:
             g = g * mask
         if x.requires_grad:
@@ -424,50 +429,218 @@ def dense(x, w, b, act=None) -> Tensor:
     return _node(out, (x, w, b), vjp)
 
 
-def lstm_cell(gates, c_prev):
-    """One LSTM step from gate pre-activations laid out [input|forget|cell|output],
-    each block a quarter of the width of `gates`.
+def lstm_stack(params, rows) -> list:
+    """The top layer's hidden state after each row of a stacked LSTM, the
+    whole stack over the sequence recorded as one node.
 
-    `c_prev` is None on the first step of a sequence (zero cell state).
-    Returns the new (h, c): c = f * c_prev + i * g and h = o * tanh(c), as a
-    c node with parents (c_prev, gates) and an h node with parents (gates, c).
-    Each VJP writes its gate gradients into one zero array the width of
-    `gates`; the composition summed four zero-padded slices, which is exact.
+    `params` is [w1, b1, w2, b2, ...]: per layer a (input + hidden, 4 *
+    hidden) weight and a (1, 4 * hidden) bias, gates laid out
+    [input|forget|cell|output]. Each 1-row `rows` entry feeds layer 0; every
+    layer starts from a zero h and no cell state, and its h feeds the layer
+    above. Cell (k, t) computes `concat([x, h]) @ w_k + b_k`, then
+    c = f * c_prev + i * g (i * g at t = 0) and h = o * tanh(c).
+
+    The value is the grid of hidden states in wavefront order: `value[d + 1,
+    k]` is layer k's h at step d - k (zeros before a layer's first step).
+    A diagonal's cells need only the diagonal before, so the forward and
+    the VJP sweep one diagonal at a time: layers 1.. as one stacked matmul,
+    layer 0 (another input width) beside them. Each step's output is a view
+    node on the grid.
+
+    The VJP repeats the arithmetic of `dense`, `concat` and the per-cell
+    sigmoid/tanh composition (`tests/unfused.py`): every h and c sums its at
+    most two gradients, each gate gradient is the zero-padded sum of its h
+    and c parts, and each w_k and b_k sums its steps from the last to the
+    first, the order the per-cell tape forced; accumulators start at -0.0,
+    the identity of IEEE addition. The rows are parents from last to first,
+    the order `backward` reached them through the per-cell tape. So the
+    gradients are bit-identical to that tape's, provided the params and the
+    rows feed nothing else.
     """
-    gates = _wrap(gates)
-    z = gates.value
-    n, rest = divmod(z.shape[1], 4)
+    params = [_wrap(p) for p in params]
+    rows = [_wrap(r) for r in rows]
+    w = [p.value for p in params[0::2]]
+    b = np.stack([p.value for p in params[1::2]])
+    layers, steps = len(w), len(rows)
+    n, rest = divmod(b.shape[2], 4)
     if rest:
-        raise ValueError(f"gate width {z.shape[1]} is not a multiple of 4")
-    i = _sigmoid(z[:, 0:n])
-    f = _sigmoid(z[:, n:2 * n])
-    g = np.tanh(z[:, 2 * n:3 * n])
-    o = _sigmoid(z[:, 3 * n:4 * n])
-    if c_prev is None:
-        c_value, parents = i * g, (gates,)
-    else:
-        c_prev = _wrap(c_prev)
-        c_value, parents = f * c_prev.value + i * g, (c_prev, gates)
+        raise ValueError(f"gate width {b.shape[2]} is not a multiple of 4")
+    n_in = w[0].shape[0] - n
+    if any(r.value.shape != (1, n_in) for r in rows):
+        raise ValueError(f"lstm_stack rows must each be of shape (1, {n_in})")
+    w_up = np.stack(w[1:]) if layers > 1 else None
+    diagonals = steps + layers - 1
+    spans = [(max(0, d - steps + 1), min(layers - 1, d)) for d in range(diagonals)]
+    # cell (k, t) is at [t + k, k]: its gate sigmoids, tanh(g) and tanh(c);
+    # its h and c are at [t + k + 1, k]
+    h = np.zeros((diagonals + 1, layers, n))
+    c = np.zeros_like(h)
+    sig = np.zeros((diagonals, layers, 4 * n))
+    g = np.zeros((diagonals, layers, n))
+    tc = np.zeros_like(g)
+    for d, (lo, hi) in enumerate(spans):
+        up = max(lo, 1)
+        z = np.empty((hi - lo + 1, 1, 4 * n))
+        if lo == 0:
+            x = np.concatenate([rows[d].value, h[d, 0:1]], axis=1)
+            np.matmul(x, w[0], out=z[0])
+        if up <= hi:
+            x = np.concatenate([h[d, up - 1:hi], h[d, up:hi + 1]], axis=1)
+            np.matmul(x.reshape(hi - up + 1, 1, 2 * n), w_up[up - 1:hi], out=z[up - lo:])
+        z += b[lo:hi + 1]
+        z = z.reshape(hi - lo + 1, 4 * n)
+        s = np.negative(z, out=sig[d, lo:hi + 1])      # sigmoid, as 1 / (1 + exp(-z))
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        gd = np.tanh(z[:, 2 * n:3 * n], out=g[d, lo:hi + 1])
+        cd = np.multiply(s[:, n:2 * n], c[d, lo:hi + 1], out=c[d + 1, lo:hi + 1])
+        ig = s[:, :n] * gd
+        cd += ig
+        if hi == d:                                      # layer d's first step
+            cd[-1] = ig[-1]
+        np.tanh(cd, out=tc[d, lo:hi + 1])
+        np.multiply(s[:, 3 * n:], tc[d, lo:hi + 1], out=h[d + 1, lo:hi + 1])
 
-    def c_vjp(gc):
-        dz = np.zeros_like(z)
-        dz[:, 0:n] = gc * g * i * (1.0 - i)
-        dz[:, 2 * n:3 * n] = gc * i * (1.0 - g * g)
-        if c_prev is not None:
-            dz[:, n:2 * n] = gc * c_prev.value * f * (1.0 - f)
-            _accumulate(c_prev, gc * f)
-        _accumulate(gates, dz)
+    def vjp(grad):
+        gh_all = grad.copy()
+        gc_all = np.full_like(grad, -0.0)
+        i, f, o = sig[..., :n], sig[..., n:2 * n], sig[..., 3 * n:]
+        dtc = tc * tc                                    # 1 - tanh(c)^2
+        np.subtract(1.0, dtc, out=dtc)
+        dg = g * g                                       # 1 - tanh(g)^2
+        np.subtract(1.0, dg, out=dg)
+        # per gate block, the three factors after the cell's gc (gh for o):
+        # i: g, i, 1 - i; f: c_prev, f, 1 - f; g: i, 1 - g^2, 1; o: tanh(c), o, 1 - o
+        first = np.concatenate([g, c[:-1], i, tc], axis=2)
+        second = np.concatenate([i, f, dg, o], axis=2)
+        third = np.subtract(1.0, second)
+        third[..., 2 * n:3 * n] = 1.0
+        dz_all = np.zeros_like(sig)
+        g_rows = [None] * steps
+        w0_t = w[0].T
+        w_up_t = w_up.swapaxes(1, 2) if layers > 1 else None
+        for d in reversed(range(diagonals)):
+            lo, hi = spans[d]
+            up = max(lo, 1)
+            cells = slice(lo, hi + 1)
+            gh = gh_all[d + 1, cells]
+            gc = gh * o[d, cells]
+            gc *= dtc[d, cells]
+            gc += gc_all[d + 1, cells]
+            dz = np.concatenate([gc, gc, gc, gh], axis=1, out=dz_all[d, cells])
+            dz *= first[d, cells]
+            dz *= second[d, cells]
+            dz *= third[d, cells]
+            if hi == d:                                  # no c_prev: the f block stays 0
+                dz[-1, n:2 * n] = 0.0
+            dz += 0.0                                    # the zero padding: -0.0 -> +0.0
+            gc *= f[d, cells]
+            gc_all[d, cells] += gc
+            if lo == 0:
+                gx = dz[0:1] @ w0_t
+                g_rows[d] = gx[:, :n_in]
+                gh_all[d, 0] += gx[0, n_in:]
+            if up <= hi:
+                k = hi - up + 1
+                gx = (dz[up - lo:].reshape(k, 1, 4 * n) @ w_up_t[up - 1:hi]).reshape(k, 2 * n)
+                gh_all[d, up - 1:hi] += gx[:, :n]
+                gh_all[d, up:hi + 1] += gx[:, n:]
+        # per layer and step, in (k, t) order: the gate gradient and the
+        # matmul input, whose outer products sum into w_k from t = T-1 down
+        t_idx = np.arange(steps)
+        k_idx = np.arange(layers)[:, None]
+        dz_kt = dz_all[t_idx + k_idx, k_idx]
+        x0 = np.concatenate([np.concatenate([r.value for r in rows]), h[t_idx, 0]], axis=1)
+        gb = np.full_like(b, -0.0)
+        gw = [np.full_like(w[0], -0.0)]
+        if layers > 1:
+            k_up = k_idx[1:]
+            x_up = np.concatenate([h[t_idx + k_up, k_up - 1], h[t_idx + k_up, k_up]], axis=2)
+            gw.append(np.full_like(w_up, -0.0))
+        for t in reversed(range(steps)):
+            gb += dz_kt[:, t, None]
+            gw[0] += x0[t].reshape(-1, 1) @ dz_kt[0, t].reshape(1, 4 * n)
+            if layers > 1:
+                gw[1] += (x_up[:, t].reshape(layers - 1, 2 * n, 1)
+                          @ dz_kt[1:, t].reshape(layers - 1, 1, 4 * n))
+        _accumulate(params[0], gw[0])
+        for k in range(layers):
+            if k:
+                _accumulate(params[2 * k], gw[1][k - 1])
+            _accumulate(params[2 * k + 1], gb[k])
+        for row, g_row in zip(rows, g_rows):
+            _accumulate(row, g_row)
 
-    c = _node(c_value, parents, c_vjp)
-    tc = np.tanh(c_value)
+    node = _node(h, (*reversed(rows), *params), vjp)
 
-    def h_vjp(gh):
-        dz = np.zeros_like(z)
-        dz[:, 3 * n:4 * n] = gh * tc * o * (1.0 - o)
-        _accumulate(gates, dz)
-        _accumulate(c, gh * o * (1.0 - tc * tc))
+    def output(t):
+        d = t + layers - 1
 
-    return _node(o * tc, (gates, c), h_vjp), c
+        def out_vjp(g_out):
+            if node.grad is None:
+                node.grad = np.full_like(h, -0.0)
+            node.grad[d + 1, layers - 1] += g_out[0]
+
+        return _node(h[d + 1, layers - 1:layers], (node,), out_vjp)
+
+    return [output(t) for t in range(steps)]
+
+
+def pearson(batch, eps: float) -> Tensor:
+    """The Pearson matrix of the columns of `batch` as one node, each column's
+    variance guarded by `eps` inside the square root.
+
+    The forward and the VJP repeat the arithmetic of the composition
+    `centered = batch - reduce_mean(batch, axis=0, keepdims=True)`,
+    `cov = transpose(centered) @ centered * (1 / n)`,
+    `std = sqrt(reduce_mean(centered * centered, axis=0, keepdims=True) + eps)`
+    and `cov / (transpose(std) @ std)` in the order `backward` ran it, so
+    the value and the `batch` gradient are bit-identical to it.
+    """
+    batch = _wrap(batch)
+    inv_n = 1.0 / batch.value.shape[0]
+    centered = batch.value.sum(axis=0, keepdims=True)
+    centered *= inv_n
+    centered = np.subtract(batch.value, centered)
+    centered_t = centered.T.copy()
+    cov = centered_t @ centered
+    cov *= inv_n
+    sq = centered * centered
+    std = sq.sum(axis=0, keepdims=True)
+    std *= inv_n
+    std += eps
+    np.sqrt(std, out=std)
+    std_t = std.T.copy()
+    den = std_t @ std
+
+    def vjp(g):
+        # out = cov / den
+        g_cov = g / den
+        g_den = -g * cov
+        g_den /= den * den
+        # den = std_t @ std, then std_t = transpose(std)
+        g_std = std_t.T @ g_den
+        g_std += (g_den @ std.T).T
+        # std = sqrt(mean(centered * centered) + eps)
+        g_std *= 0.5
+        g_std /= std
+        g_std *= inv_n
+        # cov = (centered_t @ centered) * inv_n, then centered_t = transpose(centered)
+        g_cov *= inv_n
+        g_c = centered_t.T @ g_cov
+        g_c += (g_cov @ centered.T).T
+        # centered * centered reaches centered twice
+        via_sq = g_std * centered
+        g_c += via_sq
+        g_c += via_sq
+        # centered = batch - mean(batch)
+        g_mean = (-g_c).sum(axis=0, keepdims=True)
+        g_mean *= inv_n
+        g_c += g_mean
+        _accumulate(batch, g_c)
+
+    return _node(cov / den, (batch,), vjp)
 
 
 def kde_kl(rows, column: int, idx, grid, bandwidth: float, prior: float,

@@ -1,11 +1,13 @@
 """Layer helpers shared by the models: Glorot init, a dense stack, the LSTM
-stack that the correlation forecaster and the density baseline run, and the
-clipped binary cross-entropy of the forecaster and the downstream model."""
+stack that the correlation forecaster and the density baseline run (its init
+here, its one tape node `autodiff.lstm_stack`), and the clipped binary
+cross-entropy of the forecaster and the downstream model."""
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import lstm_stack
 
 __all__ = ["CLAMP", "glorot", "dense_params", "mlp", "lstm_params",
            "lstm_stack", "bce"]
@@ -45,24 +47,6 @@ def lstm_params(rng, in_dim: int, hidden: int, layers: int) -> list:
         bias[0, hidden:2 * hidden] = 1.0
         params += [glorot(rng, fan_in + hidden, 4 * hidden), bias]
     return params
-
-
-def lstm_stack(params, rows) -> list:
-    """The top layer's hidden state after each row: every layer's step is
-    `lstm_cell(dense(concat([x, h]), w, b))` from a zero h and no cell state,
-    and its new h is the input of the layer above. The hidden width is a
-    quarter of the first bias's."""
-    layers = len(params) // 2
-    hidden = params[1].shape[1] // 4
-    h, c = [np.zeros((1, hidden))] * layers, [None] * layers
-    states = []
-    for x in rows:
-        for k in range(layers):
-            gates = ad.dense(ad.concat([x, h[k]], axis=1), params[2 * k], params[2 * k + 1])
-            h[k], c[k] = ad.lstm_cell(gates, c[k])
-            x = h[k]
-        states.append(x)
-    return states
 
 
 def bce(p, t):

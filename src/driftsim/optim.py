@@ -18,6 +18,9 @@ class Adam:
 
     update: m <- BETA1*m + (1-BETA1)*g; v <- BETA2*v + (1-BETA2)*g^2;
     p <- p - lr * (m/(1-BETA1^t)) / (sqrt(v/(1-BETA2^t)) + EPS).
+    The moments of all parameters live in one flat vector each, and the
+    update runs on them with two preallocated scratch vectors; each
+    parameter then subtracts its slice of the update.
     """
 
     def __init__(self, shapes, lr: float = 1e-3):
@@ -25,29 +28,49 @@ class Adam:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros(s, dtype=np.float64) for s in shapes]
-        self.v = [np.zeros(s, dtype=np.float64) for s in shapes]
+        self._shapes = [tuple(s) for s in shapes]
+        sizes = [int(np.prod(s)) for s in self._shapes]
+        self._bounds = np.cumsum([0] + sizes)
+        self.m = np.zeros(self._bounds[-1])
+        self.v = np.zeros_like(self.m)
+        self._g = np.empty_like(self.m)
+        self._s = np.empty_like(self.m)
 
     def step(self, params, grads):
-        """Apply one update in place and return the params list."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError(
-                f"expected {len(self.m)} params/grads, got {len(params)}/{len(grads)}")
+        """Apply one update in place and return the params list. A refused
+        step (a wrong count or shape, a non-finite gradient) changes nothing."""
+        if len(params) != len(self._shapes) or len(grads) != len(self._shapes):
+            raise ValueError(f"expected {len(self._shapes)} params/grads, "
+                             f"got {len(params)}/{len(grads)}")
+        g, s = self._g, self._s
+        for i, (p, grad, shape, lo, hi) in enumerate(
+                zip(params, grads, self._shapes, self._bounds[:-1], self._bounds[1:])):
+            grad = np.asarray(grad, dtype=np.float64)
+            if grad.shape != shape or p.shape != shape:
+                raise ValueError(f"param/grad {i} shapes {p.shape}/{grad.shape} "
+                                 f"do not match state {shape}")
+            g[lo:hi] = grad.ravel()
+        if not np.isfinite(g).all():
+            bad = np.searchsorted(self._bounds, np.argmin(np.isfinite(g)), "right") - 1
+            raise ArithmeticError(f"non-finite gradient in slot {bad}")
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != self.m[i].shape:
-                raise ValueError(
-                    f"grad {i} shape {g.shape} does not match state {self.m[i].shape}")
-            if not np.all(np.isfinite(g)):
-                raise ArithmeticError(f"non-finite gradient in slot {i}")
-            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
-            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        m, v = self.m, self.v
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=s)
+        v *= BETA2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - BETA2
+        v += s
+        np.divide(m, c1, out=g)          # g: m_hat, then the update
+        g *= self.lr
+        np.divide(v, c2, out=s)          # s: v_hat, then its denominator
+        np.sqrt(s, out=s)
+        s += EPS
+        g /= s
+        for p, lo, hi in zip(params, self._bounds[:-1], self._bounds[1:]):
+            p -= g[lo:hi].reshape(p.shape)
         return params
 
 

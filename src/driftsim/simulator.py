@@ -121,19 +121,10 @@ def _neg_elbo_graph(params, config, rows, noise, task):
     return (recon_term + kl) * (1.0 / n)
 
 
-def _batch_pearson_graph(batch):
-    """Differentiable Pearson matrix of a generated batch (ε-guarded std)."""
-    n = batch.shape[0]
-    centered = batch - ad.reduce_mean(batch, axis=0, keepdims=True)
-    cov = ad.transpose(centered) @ centered * (1.0 / n)
-    var = ad.reduce_mean(centered * centered, axis=0, keepdims=True)
-    std = ad.sqrt(var + EPS_VAR)
-    return cov / (ad.transpose(std) @ std)
-
-
 def _regularizer_graph(batch, target):
-    corr = _batch_pearson_graph(batch)
-    return ad.reduce_sum(ad.absolute(corr - target))
+    """Elementwise L1 between the batch's Pearson matrix (ε-guarded std) and
+    `target`."""
+    return ad.reduce_sum(ad.absolute(ad.pearson(batch, EPS_VAR) - target))
 
 
 def _objective(params, config: SimulatorConfig, task: str, rows, noise,

@@ -222,7 +222,7 @@ def _simulator_grad_instance(rng) -> float:
             return sm._objective(ps, config, CLASSIFICATION, rows, noise, z, target)
 
         gen = sm._decode([ad.constant(p) for p in params], config, z, CLASSIFICATION)
-        corr = sm._batch_pearson_graph(gen).value
+        corr = ad.pearson(gen, sm.EPS_VAR).value
         # the diagonal of both matrices is pinned at one, so its difference
         # is always ~0; only off-diagonal entries can straddle the kink
         off = ~np.eye(m, dtype=bool)

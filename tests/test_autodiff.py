@@ -173,34 +173,39 @@ def test_transcendental_primitive_gradients():
 
 
 def test_gated_recurrent_cell_gradient():
+    # two layers over three steps: every cell's gates, both recurrences and
+    # the rows' gradients against finite differences
     rng = np.random.default_rng(15)
-    h = rng.normal(size=(1, 5)) * 0.1
-    cell = rng.normal(size=(1, 5)) * 0.1
-    x = rng.normal(size=(1, 3))
-    w = rng.normal(size=(8, 20)) * 0.3
-    bias = rng.normal(size=(1, 20)) * 0.1
+    params = [p * 0.6 for p in lstm_params(rng, 3, 5, 2)]
+    rows = rng.normal(size=(3, 3))
 
-    def build(params):
-        wmat, b = params
-        stacked = ad.concat([x, h], axis=1)
-        h_new, c_new = ad.lstm_cell(stacked @ wmat + b, cell)
-        return ad.reduce_sum(_sq(h_new)) + ad.reduce_sum(c_new)
+    def build(p):
+        states = lstm_stack(p[:-1], [p[-1][t:t + 1, :] for t in range(3)])
+        return ad.reduce_sum(_sq(ad.concat(states, axis=0)))
 
-    _check(build, [w, bias], tol=1e-4)
+    _check(build, [*params, rows], tol=1e-4)
 
 
 def test_lstm_cell_first_step_is_zero_cell_state():
-    gates = ad.constant(np.random.default_rng(16).normal(size=(1, 12)))
-    h0, c0 = ad.lstm_cell(gates, None)
-    h1, c1 = ad.lstm_cell(gates, ad.constant(np.zeros((1, 3))))
-    assert h0.shape == c0.shape == (1, 3)  # a quarter of the gate width
+    # a layer's first step has no cell state: c = i * g, not f * 0 + i * g
+    rng = np.random.default_rng(16)
+    w, b = rng.normal(size=(5, 12)), rng.normal(size=(1, 12))
+    x = rng.normal(size=(1, 2))
+    (h0,) = lstm_stack([w, b], [x])
+    gates = ad.constant(np.concatenate([x, np.zeros((1, 3))], axis=1) @ w + b)
+    h1, _ = unfused.lstm_cell(gates, ad.constant(np.zeros((1, 3))), 3)
+    assert h0.shape == (1, 3)  # a quarter of the gate width
     np.testing.assert_allclose(h0.value, h1.value, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(c0.value, c1.value, rtol=0, atol=1e-15)
 
 
 def test_lstm_cell_rejects_a_gate_width_not_a_multiple_of_4():
     with pytest.raises(ValueError, match="multiple of 4"):
-        ad.lstm_cell(ad.constant(np.zeros((1, 10))), None)
+        lstm_stack([np.zeros((4, 10)), np.zeros((1, 10))], [np.zeros((1, 2))])
+    # the stack's state is one row, so each input is one row of the input width
+    w, b = np.zeros((5, 12)), np.zeros((1, 12))
+    for row in (np.zeros((2, 2)), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+            lstm_stack([w, b], [np.zeros((1, 2)), row])
 
 
 def test_dense_stack_matches_glorot_draws_and_numpy():
@@ -228,17 +233,19 @@ def test_returned_gradients_share_no_memory():
 
 # -- fused primitives against the compositions they replace ----------------
 
-def _dense_oracle(x, w, b, act):
-    out = x @ w + b
-    return out if act is None else act(out)
+def _same_bits(a, b) -> bool:
+    """Equal shapes and float64 bit patterns (so -0.0 differs from +0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _assert_same_values_and_gradients(fused, oracle, params):
     got = ad.evaluate_with_gradients(fused, params)
     want = ad.evaluate_with_gradients(oracle, params)
-    assert got[0] == want[0]
+    assert _same_bits(got[0], want[0])
+    assert len(got[1]) == len(want[1])
     for g_fused, g_oracle in zip(got[1], want[1]):
-        assert np.array_equal(g_fused, g_oracle)
+        assert _same_bits(g_fused, g_oracle)
 
 
 @pytest.mark.parametrize("act", [None, ad.tanh, ad.relu])
@@ -251,66 +258,35 @@ def test_dense_matches_composition_bit_for_bit(act, rows):
     def loss(layer):
         return lambda p: ad.reduce_sum(_sq(layer(p[0], p[1], p[2], act)) * weights)
 
-    _assert_same_values_and_gradients(loss(ad.dense), loss(_dense_oracle), [x, w, b])
+    _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
     fused = ad.dense(ad.constant(x), ad.constant(w), ad.constant(b), act)
-    oracle = _dense_oracle(ad.constant(x), ad.constant(w), ad.constant(b), act)
-    assert np.array_equal(fused.value, oracle.value)
+    oracle = unfused.dense(ad.constant(x), ad.constant(w), ad.constant(b), act)
+    assert _same_bits(fused.value, oracle.value)
     _check(loss(ad.dense), [x, w, b], step=1e-5)
+
+
+@pytest.mark.parametrize("act", [None, ad.tanh, ad.relu], ids=["linear", "tanh", "relu"])
+@pytest.mark.parametrize("rows", [64, 512, 2048])
+def test_dense_matches_allocating_form_at_simulator_shapes(act, rows):
+    # the simulator's minibatch, regularizer draws and snapshot, 72 wide;
+    # the input is a parameter too, and it feeds the layer above, so the
+    # VJP's gradient is read on the way down
+    rng = np.random.default_rng(25)
+    x, w = rng.normal(size=(rows, 72)), glorot(rng, 72, 72)
+    b, weights = rng.normal(size=(1, 72)) * 0.1, rng.normal(size=(rows, 72))
+
+    def loss(layer):
+        return lambda p: ad.reduce_sum(
+            layer(layer(p[0], p[1], p[2], act), p[1], p[2], act) * weights)
+
+    _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
+    consts = [ad.constant(v) for v in (x, w, b)]
+    assert _same_bits(ad.dense(*consts, act).value, unfused.dense(*consts, act).value)
 
 
 def test_dense_rejects_other_activations():
     with pytest.raises(ValueError):
         ad.dense(np.ones((1, 2)), np.ones((2, 2)), np.zeros((1, 2)), ad.sigmoid)
-
-
-def _unfused_cell(gates, c_prev):
-    """The oracle cell told the hidden width of 3 that `ad.lstm_cell` reads
-    off its 12 gate columns."""
-    return unfused.lstm_cell(gates, c_prev, 3)
-
-
-def _one_step_loss(cell, weights, c_prev):
-    """Loss of one LSTM step whose gates are the parameter; `c_prev` is a
-    constant previous cell state, or None."""
-    def loss_fn(p):
-        h, c = cell(p[0], c_prev)
-        return ad.reduce_sum(h * weights) + ad.reduce_sum(_sq(c))
-    return loss_fn
-
-
-def _three_step_loss(cell, layer, xs, weights):
-    """Loss of three chained LSTM steps whose gates come from one shared
-    (x, h) -> gates layer."""
-    def loss_fn(p):
-        w, b = p
-        h, c, total = np.zeros((1, 3)), None, None
-        for t in range(3):
-            gates = layer(ad.concat([xs[t:t + 1, :], h], axis=1), w, b, None)
-            h, c = cell(gates, c)
-            term = ad.reduce_sum(h * weights[t:t + 1, :])
-            total = term if total is None else total + term
-        return total + ad.reduce_sum(_sq(c))
-    return loss_fn
-
-
-@pytest.mark.parametrize("case", ["first step", "constant cell state",
-                                  "two rows", "chained"])
-def test_lstm_cell_matches_composition_bit_for_bit(case):
-    rng = np.random.default_rng(20)
-    if case == "chained":
-        params = [rng.normal(size=(5, 12)) * 0.5, rng.normal(size=(1, 12))]
-        data = [rng.normal(size=(3, 2)), rng.normal(size=(3, 3))]
-        fused = _three_step_loss(ad.lstm_cell, ad.dense, *data)
-        oracle = _three_step_loss(_unfused_cell, _dense_oracle, *data)
-    else:
-        rows = 2 if case == "two rows" else 1
-        params = [rng.normal(size=(rows, 12))]
-        weights = rng.normal(size=(rows, 3))
-        c_prev = None if case == "first step" else rng.normal(size=(rows, 3))
-        fused = _one_step_loss(ad.lstm_cell, weights, c_prev)
-        oracle = _one_step_loss(_unfused_cell, weights, c_prev)
-    _assert_same_values_and_gradients(fused, oracle, params)
-    _check(fused, params, step=1e-5)
 
 
 def _unfused_forward_sequence(params, rows, layers, hidden):
@@ -325,8 +301,11 @@ def _unfused_forward_sequence(params, rows, layers, hidden):
 
 
 @pytest.mark.parametrize("layers, in_dim, hidden, steps",
-                         [(1, 5, 32, 9), (2, 3, 4, 6)],
-                         ids=["density baseline", "two layers"])
+                         [(1, 5, 32, 9), (2, 3, 4, 6), (8, 8, 16, 9), (1, 5, 32, 8),
+                          (3, 2, 4, 1), (5, 3, 4, 2)],
+                         ids=["density baseline", "two layers", "predictor",
+                              "density baseline training", "one step",
+                              "more layers than steps"])
 def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, steps):
     rng = np.random.default_rng(23)
     params = lstm_params(rng, in_dim, hidden, layers)
@@ -349,7 +328,34 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
     row_consts = [ad.constant(rows[t:t + 1, :]) for t in range(steps)]
     for got, want in zip(lstm_stack(consts, row_consts),
                          oracle(consts, row_consts), strict=True):
-        assert np.array_equal(got.value, want.value)
+        assert _same_bits(got.value, want.value)
+        assert not got.requires_grad
+
+
+def test_lstm_stack_records_one_node_and_one_view_per_step():
+    rng = np.random.default_rng(26)
+    params = [ad.leaf(p) for p in lstm_params(rng, 3, 4, 8)]
+    states = lstm_stack(params, [rng.normal(size=(1, 3)) for _ in range(9)])
+    (node,) = {s._parents[0] for s in states}
+    assert all(s._parents == (node,) for s in states)
+    assert node._parents[-16:] == tuple(params)
+
+
+@pytest.mark.parametrize("rows, cols", [(512, 3), (2048, 3), (64, 5)])
+def test_pearson_matches_composition_bit_for_bit(rows, cols):
+    rng = np.random.default_rng(27)
+    mix = rng.normal(size=(cols, cols))
+    batch = np.tanh(rng.normal(size=(rows, cols)) @ mix)
+    target = np.corrcoef(rng.normal(size=(3 * cols, cols)), rowvar=False)
+
+    def loss(pearson):
+        return lambda p: ad.reduce_sum(ad.absolute(pearson(p[0], simulator.EPS_VAR)
+                                                   - target))
+
+    _assert_same_values_and_gradients(loss(ad.pearson), loss(unfused.pearson), [batch])
+    got = ad.pearson(ad.constant(batch), simulator.EPS_VAR)
+    assert _same_bits(got.value, unfused.pearson(ad.constant(batch), simulator.EPS_VAR).value)
+    assert not got.requires_grad and got._parents == ()
 
 
 def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):
@@ -534,6 +540,53 @@ def test_adam_rejects_shape_mismatch():
     opt = Adam([(2,)])
     with pytest.raises(ValueError):
         opt.step([np.zeros(2)], [np.zeros(3)])
+
+
+@pytest.mark.parametrize("fault", ["count", "shape", "nan", "param shape"])
+def test_adam_refused_step_changes_nothing(fault):
+    opt = Adam([(2,), (2,)], lr=0.1)
+    params = [np.zeros(2), np.ones(2)]
+    opt.step(params, [np.ones(2), np.ones(2)])
+    originals = list(params)
+    before = ([p.copy() for p in params], opt.m.copy(), opt.v.copy(), opt.t)
+    grads = [np.ones(2), np.array([1.0, np.nan])]
+    if fault == "count":
+        grads = grads[:1]
+    elif fault == "shape":
+        grads[1] = np.ones(3)
+    elif fault == "param shape":
+        grads[1], params[1] = np.ones(2), np.ones(3)
+    error = ArithmeticError if fault == "nan" else ValueError
+    with pytest.raises(error, match=None if fault == "count" else "1"):
+        opt.step(params, grads)
+    assert all(_same_bits(p, q) for p, q in zip(originals, before[0]))
+    assert _same_bits(opt.m, before[1]) and _same_bits(opt.v, before[2])
+    assert opt.t == before[3]
+
+
+@pytest.mark.parametrize("model", ["simulator", "predictor"])
+def test_adam_matches_per_array_updates_bit_for_bit(model):
+    rng = np.random.default_rng(28)
+    if model == "simulator":
+        params = simulator._init_params(3, simulator.SimulatorConfig(), rng)
+        lr = simulator.SimulatorConfig().learning_rate
+    else:
+        params = predictor._init_params(3, PredictorConfig(), rng)
+        lr = PredictorConfig().learning_rate
+    assert len(params) == (18 if model == "simulator" else 20)
+    shapes = [p.shape for p in params]
+    fused, oracle = Adam(shapes, lr=lr), unfused.PerArrayAdam(shapes, lr=lr)
+    got, want = [p.copy() for p in params], [p.copy() for p in params]
+    for step in range(200):
+        # gradients of every scale, with exact zeros of both signs
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-8, 3) for s in shapes]
+        grads[step % len(grads)][...] = -0.0 if step % 2 else 0.0
+        fused.step(got, grads)
+        oracle.step(want, grads)
+    for p, q in zip(got, want):
+        assert _same_bits(p, q)
+    for flat, per_array in ((fused.m, oracle.m), (fused.v, oracle.v)):
+        assert _same_bits(flat, np.concatenate([a.ravel() for a in per_array]))
 
 
 def test_adam_drives_quadratic_toward_minimum():

@@ -248,10 +248,10 @@ def test_one_tape_node_per_kl_term(monkeypatch):
 
 def test_tape_nodes_per_epoch_on_ten_domain_moons(monkeypatch):
     build, params = captured_loss(monkeypatch, make_moons_stream())
-    # 8 parameter leaves; 8 scored LSTM steps of a dense and the cell's c and
-    # h nodes, and 7 concats (the first step's h is a constant); per scored
-    # step 6 decode nodes and 4 KL terms; 31 adds and one scale
-    assert len(tape_nodes(build([ad.leaf(p) for p in params]))) == 151
+    # 8 parameter leaves; one LSTM stack node and a view of it per scored
+    # step (8); per scored step 6 decode nodes and 4 KL terms; 31 adds and
+    # one scale
+    assert len(tape_nodes(build([ad.leaf(p) for p in params]))) == 129
 
 
 def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):

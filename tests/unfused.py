@@ -1,17 +1,57 @@
-"""References that the fused code must match bit for bit: the LSTM written
-with autodiff primitives only (for `ad.dense`, `ad.lstm_cell` and
-`nn.lstm_stack`), and the full-batch loop that `optim.fit` runs on
-`optim.train`."""
+"""References that the fused code must match bit for bit: `act(x @ w + b)`,
+the LSTM and the Pearson matrix written with autodiff primitives only (for
+`ad.dense`, `ad.lstm_stack` and `ad.pearson`), Adam as one update per
+parameter array (for `optim.Adam`), and the full-batch loop that
+`optim.fit` runs on `optim.train`."""
 import copy
 
 import numpy as np
 
 from driftsim import autodiff as ad
-from driftsim.optim import TOL, Adam
+from driftsim.optim import BETA1, BETA2, EPS, TOL, Adam
+
+
+def dense(x, w, b, act):
+    """`ad.dense` as matmul, add and activation nodes, each allocating its
+    result."""
+    out = x @ w + b
+    return out if act is None else act(out)
+
+
+def pearson(batch, eps):
+    """`ad.pearson` as the composition of mean, matmul, sqrt and divide nodes."""
+    n = batch.shape[0]
+    centered = batch - ad.reduce_mean(batch, axis=0, keepdims=True)
+    cov = ad.transpose(centered) @ centered * (1.0 / n)
+    var = ad.reduce_mean(centered * centered, axis=0, keepdims=True)
+    std = ad.sqrt(var + eps)
+    return cov / (ad.transpose(std) @ std)
+
+
+class PerArrayAdam:
+    """`optim.Adam` with one moment array per parameter, updated slot by slot."""
+
+    def __init__(self, shapes, lr):
+        self.lr, self.t = lr, 0
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+
+    def step(self, params, grads):
+        self.t += 1
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
+            m_hat = self.m[i] / c1
+            v_hat = self.v[i] / c2
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        return params
 
 
 def lstm_cell(gates, c_prev, hidden):
-    """`ad.lstm_cell` as sigmoid/tanh nodes on gate slices."""
+    """One step of a cell of `ad.lstm_stack`, as sigmoid/tanh nodes on gate
+    slices; `c_prev` is None on a layer's first step."""
     i = ad.sigmoid(gates[:, 0:hidden])
     f = ad.sigmoid(gates[:, hidden:2 * hidden])
     g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
@@ -21,8 +61,8 @@ def lstm_cell(gates, c_prev, hidden):
 
 
 def lstm_stack(params, rows, hidden):
-    """`nn.lstm_stack` with each step's gates as `concat([x, h]) @ w + b`
-    and its cell as `lstm_cell` above."""
+    """`ad.lstm_stack` cell by cell, each step's gates as
+    `concat([x, h]) @ w + b` and its cell as `lstm_cell` above."""
     layers = len(params) // 2
     h_states = [ad.constant(np.zeros((1, hidden)))] * layers
     c_states = [None] * layers
