@@ -48,7 +48,6 @@ __all__ = [
     "clip",
     "reduce_sum",
     "reduce_mean",
-    "transpose",
     "concat",
     "dense",
     "lstm_stack",
@@ -354,15 +353,6 @@ def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     n = a.value.size if axis is None else a.value.shape[axis]
     return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def transpose(a) -> Tensor:
-    a = _wrap(a)
-
-    def vjp(g):
-        _accumulate(a, g.T)
-
-    return _node(a.value.T.copy(), (a,), vjp)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -748,14 +738,15 @@ def evaluate_value(loss_fn: LossFn, params) -> float:
 
 
 def evaluate_with_gradients(loss_fn: LossFn, params):
-    """Evaluate a scalar loss function and return (loss, gradients w.r.t. params).
+    """Evaluate a scalar loss function and return (loss, gradient), the
+    gradient one new float64 vector laid out like `optim.flat(params)`: each
+    param's gradient in order, raveled, zeros where `backward` never reached.
 
     Raises NonFiniteLossError when the loss is NaN/inf (diverged training)
     and ValueError on non-finite params or a non-scalar output.
     """
     loss, out, param_leaves = _evaluate(loss_fn, params, requires_grad=True)
     backward(out)
-    # copies, because tape gradients may share memory with one another
-    grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
-             for p in param_leaves]
-    return loss, grads
+    grad = np.concatenate([p.grad if p.grad is not None else np.zeros(p.value.size)
+                           for p in param_leaves], axis=None)
+    return loss, grad

@@ -11,7 +11,6 @@ feeds the sample-size choice.
 """
 from __future__ import annotations
 
-import copy
 import ctypes
 import os
 import time
@@ -85,15 +84,13 @@ def _mlp_loss(params, x, y, task):
 def train_downstream(train_data: DomainDataset, config: DownstreamConfig,
                      seed: int = 0, init_params: list | None = None) -> DownstreamModel:
     """Adam-fit a ReLU feedforward net to one training domain, from a fresh
-    Glorot init drawn with `seed` or, for fine-tuning, from a copy of
-    `init_params`."""
+    Glorot init drawn with `seed` or, for fine-tuning, from `init_params`,
+    which `fit` copies and leaves as they are."""
     if init_params is None:
-        params = dense_params(np.random.default_rng(seed),
-                              (train_data.d, *config.hidden_dims, 1))
-    else:
-        params = copy.deepcopy(init_params)
+        init_params = dense_params(np.random.default_rng(seed),
+                                   (train_data.d, *config.hidden_dims, 1))
     x, y, task = train_data.features, train_data.labels.reshape(-1, 1), train_data.task
-    params, history = fit(lambda ps: _mlp_loss(ps, x, y, task), params, config)
+    params, history = fit(lambda ps: _mlp_loss(ps, x, y, task), init_params, config)
     return DownstreamModel(task=train_data.task, config=config, params=params,
                            loss_history=history)
 

@@ -1,117 +1,118 @@
-"""Adam for lists of float64 parameter arrays, and `train`, the one
-early-stopping loop of every trainer (`fit` is its full-batch form)."""
+"""Adam and `train`, the one early-stopping loop of every trainer (`fit` is
+its full-batch form), on one float64 vector per model: `flat` lays a model's
+parameter arrays out in it, and the arrays become views of it."""
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
 from . import autodiff as ad
 
-__all__ = ["Adam", "train", "fit"]
+__all__ = ["flat", "Adam", "train", "fit"]
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
 TOL = 1e-5  # least loss gain that counts as a new best, in every training loop
 
 
+def flat(arrays) -> tuple:
+    """(vector, views): a new float64 vector holding `arrays` in order, and a
+    view into it shaped like each array."""
+    theta = np.concatenate(arrays, axis=None, dtype=np.float64)
+    parts = np.split(theta, np.cumsum([np.size(a) for a in arrays])[:-1])
+    return theta, [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
+
+
 class Adam:
-    """Adam with bias-corrected first/second moment estimates.
+    """Adam with bias-corrected first/second moment estimates, on one vector.
 
     update: m <- BETA1*m + (1-BETA1)*g; v <- BETA2*v + (1-BETA2)*g^2;
-    p <- p - lr * (m/(1-BETA1^t)) / (sqrt(v/(1-BETA2^t)) + EPS).
-    The moments of all parameters live in one flat vector each, and the
-    update runs on them with two preallocated scratch vectors; each
-    parameter then subtracts its slice of the update.
+    theta <- theta - lr * (m/(1-BETA1^t)) / (sqrt(v/(1-BETA2^t)) + EPS),
+    computed elementwise in place with two preallocated scratch vectors.
     """
 
-    def __init__(self, shapes, lr: float = 1e-3):
+    def __init__(self, size: int, lr: float = 1e-3):
         if not lr > 0:  # also rejects NaN
             raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-        self.t = 0
-        self._shapes = [tuple(s) for s in shapes]
-        sizes = [int(np.prod(s)) for s in self._shapes]
-        self._bounds = np.cumsum([0] + sizes)
-        self.m = np.zeros(self._bounds[-1])
-        self.v = np.zeros_like(self.m)
-        self._g = np.empty_like(self.m)
-        self._s = np.empty_like(self.m)
+        self.lr, self.t = lr, 0
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._u, self._s = np.empty(size), np.empty(size)
 
-    def step(self, params, grads):
-        """Apply one update in place and return the params list. A refused
-        step (a wrong count or shape, a non-finite gradient) changes nothing."""
-        if len(params) != len(self._shapes) or len(grads) != len(self._shapes):
-            raise ValueError(f"expected {len(self._shapes)} params/grads, "
-                             f"got {len(params)}/{len(grads)}")
-        g, s = self._g, self._s
-        for i, (p, grad, shape, lo, hi) in enumerate(
-                zip(params, grads, self._shapes, self._bounds[:-1], self._bounds[1:])):
-            grad = np.asarray(grad, dtype=np.float64)
-            if grad.shape != shape or p.shape != shape:
-                raise ValueError(f"param/grad {i} shapes {p.shape}/{grad.shape} "
-                                 f"do not match state {shape}")
-            g[lo:hi] = grad.ravel()
-        if not np.isfinite(g).all():
-            bad = np.searchsorted(self._bounds, np.argmin(np.isfinite(g)), "right") - 1
-            raise ArithmeticError(f"non-finite gradient in slot {bad}")
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Update `theta` in place from `grad`. A gradient of the wrong size
+        or with a non-finite entry is refused before anything changes; an
+        update that overflows, before `theta` changes but after the moments
+        and `t` took the step, so the optimizer is then spent."""
+        if theta.shape != self.m.shape or grad.shape != self.m.shape:
+            raise ValueError(f"expected {self.m.size} entries, got {theta.size}/{grad.size}")
+        if not np.isfinite(grad).all():
+            raise ArithmeticError(
+                f"non-finite gradient at entry {np.argmin(np.isfinite(grad))}")
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        m, v = self.m, self.v
+        m, v, u, s = self.m, self.v, self._u, self._s
         m *= BETA1
-        m += np.multiply(g, 1.0 - BETA1, out=s)
+        m += np.multiply(grad, 1.0 - BETA1, out=s)
         v *= BETA2
-        np.multiply(g, g, out=s)
+        np.multiply(grad, grad, out=s)
         s *= 1.0 - BETA2
         v += s
-        np.divide(m, c1, out=g)          # g: m_hat, then the update
-        g *= self.lr
-        np.divide(v, c2, out=s)          # s: v_hat, then its denominator
-        np.sqrt(s, out=s)
-        s += EPS
-        g /= s
-        for p, lo, hi in zip(params, self._bounds[:-1], self._bounds[1:]):
-            p -= g[lo:hi].reshape(p.shape)
-        return params
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by the check below
+            np.divide(m, c1, out=u)          # m_hat, then the update
+            u *= self.lr
+            np.divide(v, c2, out=s)          # v_hat, then its denominator
+            np.sqrt(s, out=s)
+            s += EPS
+            u /= s
+            np.subtract(theta, u, out=s)     # the stepped params
+        if not np.isfinite(s).all():
+            raise ArithmeticError(
+                f"non-finite update at entry {np.argmin(np.isfinite(s))}")
+        np.copyto(theta, s)
 
 
-def train(params: list, epoch, readout, config, epochs: int, warmup: int = 0,
-          hold: int = 1):
-    """Adam on `params` in place; returns (kept params, every readout).
+def train(theta: np.ndarray, epoch, readout, config, epochs: int, warmup: int = 0,
+          hold: int = 1) -> list:
+    """Adam on the vector `theta` in place; leaves it at the kept params and
+    returns every readout.
 
     The history opens with `readout()` of the init; then each of at most
     `epochs` epochs runs `epoch(e, opt)` and appends `readout()`. A record,
     the largest of the last `hold` readouts beating the best by more than
-    `TOL`, keeps a copy of the params. If `warmup` > 0, Adam restarts at
+    `TOL`, keeps a copy of `theta`. If `warmup` > 0, Adam restarts at
     epoch `warmup`; only epochs from `warmup` on count toward the
     `config.patience` stale epochs that stop training.
     """
     history = [readout()]
-    best, best_params, stale = history[0], copy.deepcopy(params), 0
+    best, kept, stale = history[0], theta.copy(), 0
     for e in range(epochs):
         if e in (0, warmup):
-            opt = Adam([p.shape for p in params], lr=config.learning_rate)
+            opt = Adam(theta.size, lr=config.learning_rate)
         epoch(e, opt)
         history.append(readout())
         stat = max(history[-hold:])
         if stat < best - TOL:
-            best, best_params, stale = stat, copy.deepcopy(params), 0
+            best, stale = stat, 0
+            np.copyto(kept, theta)
         elif e >= warmup:
             stale += 1
             if stale >= config.patience:
                 break
-    return best_params, history
+    np.copyto(theta, kept)
+    return history
 
 
 def fit(loss_fn, params: list, config):
-    """Full-batch `train` on `loss_fn(params)`: each readout scores the params
-    and keeps their gradients, and each epoch is one Adam step on them, so
-    `config.max_epochs` readouts take one step fewer."""
-    grads = None
+    """Full-batch `train` on `loss_fn` of a copy of `params`; returns (kept
+    params, every readout). Each readout scores the params and keeps their
+    gradient, and each epoch is one Adam step on it, so `config.max_epochs`
+    readouts take one step fewer."""
+    theta, leaves = flat(params)
+    grad = None
 
     def readout():
-        nonlocal grads
-        loss, grads = ad.evaluate_with_gradients(loss_fn, params)
+        nonlocal grad
+        loss, grad = ad.evaluate_with_gradients(loss_fn, leaves)
         return loss
 
-    return train(params, lambda e, opt: opt.step(params, grads), readout, config,
-                 config.max_epochs - 1)
+    history = train(theta, lambda e, opt: opt.step(theta, grad), readout, config,
+                    config.max_epochs - 1)
+    return leaves, history

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .correlation import CorrelationMatrix
 from .datasets import CLASSIFICATION, DomainDataset
 from .nn import dense_params, mlp
-from .optim import train
+from .optim import flat, train
 
 __all__ = ["SimulatorConfig", "SimulatorModel", "train_simulator", "sample",
            "loss_snapshot"]
@@ -197,7 +197,7 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
                              f"width {m}")
     data = np.column_stack([last_domain.features, last_domain.labels])
     rng = np.random.default_rng(seed)
-    params = _init_params(m, config, rng)
+    theta, params = flat(_init_params(m, config, rng))
     use_reg = config.lambda_c > 0
     warmup = config.warmup_epochs if use_reg else 0
     target = target_corr.entries if use_reg else None
@@ -210,16 +210,15 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
             noise = rng.standard_normal((rows.shape[0], config.latent_dim))
             z = (rng.standard_normal((config.regularizer_draws, config.latent_dim))
                  if reg_on else None)
-            _, grads = ad.evaluate_with_gradients(lambda ps: _objective(
+            _, grad = ad.evaluate_with_gradients(lambda ps: _objective(
                 ps, config, last_domain.task, rows, noise, z, target), params)
-            opt.step(params, grads)
+            opt.step(theta, grad)
 
     def readout():
         return loss_snapshot(params, data, target_corr, config, last_domain.task, seed)
 
-    best_params, history = train(params, epoch, readout, config, config.max_epochs,
-                                 warmup, hold=2)
-    return SimulatorModel(task=last_domain.task, config=config, params=best_params,
+    history = train(theta, epoch, readout, config, config.max_epochs, warmup, hold=2)
+    return SimulatorModel(task=last_domain.task, config=config, params=params,
                           trained_on_index=last_domain.domain_index,
                           loss_history=history)
 

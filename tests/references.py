@@ -104,8 +104,8 @@ def grad_check(loss_fn: LossFn, params, step: float = 1e-6) -> float:
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     params = [np.asarray(p, dtype=np.float64) for p in params]
-    _, grads = evaluate_with_gradients(loss_fn, params)
-    worst = 0.0
+    _, grad = evaluate_with_gradients(loss_fn, params)
+    worst, offset = 0.0, 0
     for i, p in enumerate(params):
         flat = p.ravel()
         for j in range(flat.size):
@@ -115,7 +115,8 @@ def grad_check(loss_fn: LossFn, params, step: float = 1e-6) -> float:
             bumped[i].ravel()[j] = flat[j] - step
             lo = evaluate_value(loss_fn, bumped)
             numeric = (hi - lo) / (2.0 * step)
-            analytic = grads[i].ravel()[j]
+            analytic = grad[offset + j]
             err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
             worst = max(worst, err)
+        offset += flat.size
     return worst

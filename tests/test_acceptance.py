@@ -194,8 +194,8 @@ def _predictor_grad_instance(rng) -> float:
                   for s, out in enumerate(outs))
         if gap < KINK_GAP:
             continue
-        _, grads = ad.evaluate_with_gradients(build, params)
-        if min(np.min(np.abs(g)) for g in grads) < GRAD_FLOOR:
+        _, grad = ad.evaluate_with_gradients(build, params)
+        if np.min(np.abs(grad)) < GRAD_FLOOR:
             continue
         return grad_check(build, params)
     raise AssertionError("no measurable instance found")

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from driftsim import autodiff as ad
 from driftsim import density_baseline, harness, nn, predictor, simulator
 from driftsim.nn import dense_params, glorot, lstm_params, lstm_stack, mlp
-from driftsim.optim import TOL, Adam, fit, train
+from driftsim.optim import TOL, Adam, fit, flat, train
 from driftsim.predictor import PredictorConfig
 
 import unfused
@@ -25,18 +25,19 @@ def _sq(t):
 
 def test_square_loss_and_grad():
     loss_fn = lambda params: ad.reduce_sum(_sq(params[0]))
-    loss, grads = ad.evaluate_with_gradients(loss_fn, [np.array(3.0)])
+    loss, grad = ad.evaluate_with_gradients(loss_fn, [np.array(3.0)])
     assert loss == 9.0
-    assert grads[0] == pytest.approx(6.0)
+    assert grad.shape == (1,) and grad[0] == pytest.approx(6.0)
 
 
 def test_sum_grad_is_ones():
     for shape in [(3,), (2, 4), ()]:
         loss_fn = lambda params: ad.reduce_sum(params[0])
         w = np.random.default_rng(0).normal(size=shape)
-        loss, grads = ad.evaluate_with_gradients(loss_fn, [w])
+        loss, grad = ad.evaluate_with_gradients(loss_fn, [w])
         assert loss == pytest.approx(w.sum())
-        np.testing.assert_array_equal(grads[0], np.ones(shape))
+        assert grad.dtype == np.float64 and grad.shape == (w.size,)
+        np.testing.assert_array_equal(grad, np.ones(w.size))
 
 
 def test_matmul_mse_matches_finite_differences():
@@ -51,8 +52,8 @@ def test_matmul_mse_matches_finite_differences():
 
 def test_unused_parameter_gets_zero_grad():
     loss_fn = lambda params: ad.reduce_sum(_sq(params[0]))
-    _, grads = ad.evaluate_with_gradients(loss_fn, [np.ones(2), np.ones(3)])
-    np.testing.assert_array_equal(grads[1], np.zeros(3))
+    _, grad = ad.evaluate_with_gradients(loss_fn, [np.ones(2), np.ones(3)])
+    np.testing.assert_array_equal(grad, [2.0, 2.0, 0.0, 0.0, 0.0])
 
 
 def test_non_scalar_output_rejected():
@@ -81,7 +82,7 @@ def test_losses_are_deterministic():
     a = ad.evaluate_with_gradients(loss_fn, [w])
     b = ad.evaluate_with_gradients(loss_fn, [w])
     assert a[0] == b[0]
-    np.testing.assert_array_equal(a[1][0], b[1][0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 # -- per-primitive gradient checks ----------------------------------------
@@ -117,7 +118,7 @@ def test_array_on_the_left_of_a_tensor_builds_the_tensor_node(op):
     want = ad.evaluate_with_gradients(
         lambda p: ad.reduce_sum(_sq(op(ad.constant(x), p[0]))), [w])
     assert got[0] == want[0]
-    assert np.array_equal(got[1][0], want[1][0])
+    assert np.array_equal(got[1], want[1])
 
 
 def test_array_matmul_tensor_is_a_type_error():
@@ -126,9 +127,9 @@ def test_array_matmul_tensor_is_a_type_error():
 
 
 def test_getitem_with_repeated_indices_sums_their_gradients():
-    _, grads = ad.evaluate_with_gradients(
+    _, grad = ad.evaluate_with_gradients(
         lambda p: ad.reduce_sum(p[0][[0, 0, 1]]), [np.ones(3)])
-    np.testing.assert_array_equal(grads[0], [2.0, 1.0, 0.0])
+    np.testing.assert_array_equal(grad, [2.0, 1.0, 0.0])
     a = np.random.default_rng(26).normal(size=(4, 3))
     _check(lambda p: ad.reduce_sum(_sq(p[0][[2, 0, 2, 2]])), [a])
 
@@ -140,7 +141,7 @@ def test_structural_primitive_gradients():
     c = rng.normal(size=(2, 4))
 
     _check(lambda p: ad.reduce_sum(_sq(p[0] @ p[1])), [a, b])
-    _check(lambda p: ad.reduce_sum(ad.transpose(p[0]) @ p[0]), [a])
+    _check(lambda p: ad.reduce_sum(unfused.transpose(p[0]) @ p[0]), [a])
     _check(lambda p: ad.reduce_sum(_sq(ad.concat([p[0], p[1]], axis=0))),
            [a, c])
     _check(lambda p: ad.reduce_sum(_sq(p[0][1:3, ::2])), [a])
@@ -225,10 +226,12 @@ def test_dense_stack_matches_glorot_draws_and_numpy():
 def test_returned_gradients_share_no_memory():
     # both leaves receive the same tape array from add's VJP
     loss_fn = lambda params: ad.reduce_sum(params[0] + params[1])
-    _, grads = ad.evaluate_with_gradients(loss_fn, [np.ones((2, 3)), np.ones((2, 3))])
-    assert not np.shares_memory(grads[0], grads[1])
-    grads[0][0, 0] = 5.0
-    np.testing.assert_array_equal(grads[1], np.ones((2, 3)))
+    params = [np.ones((2, 3)), np.ones((2, 3))]
+    _, grad = ad.evaluate_with_gradients(loss_fn, params)
+    assert grad.shape == (12,)
+    assert not any(np.shares_memory(grad, p) for p in params)
+    grad[0] = 5.0
+    np.testing.assert_array_equal(grad[6:], np.ones(6))
 
 
 # -- fused primitives against the compositions they replace ----------------
@@ -243,9 +246,7 @@ def _assert_same_values_and_gradients(fused, oracle, params):
     got = ad.evaluate_with_gradients(fused, params)
     want = ad.evaluate_with_gradients(oracle, params)
     assert _same_bits(got[0], want[0])
-    assert len(got[1]) == len(want[1])
-    for g_fused, g_oracle in zip(got[1], want[1]):
-        assert _same_bits(g_fused, g_oracle)
+    assert _same_bits(got[1], want[1])
 
 
 @pytest.mark.parametrize("act", [None, ad.tanh, ad.relu])
@@ -371,8 +372,7 @@ def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):
                                                   config.hidden_dim))
     unfused = ad.evaluate_with_gradients(loss_fn, params)
     assert fused[0] == unfused[0]
-    for g_fused, g_unfused in zip(fused[1], unfused[1]):
-        assert np.array_equal(g_fused, g_unfused)
+    assert np.array_equal(fused[1], unfused[1])
 
 
 def _step_loss_oracle(pred_vec, true_vec, m, lambda_ce):
@@ -416,15 +416,14 @@ def test_stacked_sequence_loss_matches_per_step_oracle(m, lambda_ce):
     oracle = ad.evaluate_with_gradients(
         lambda ps: _per_step_sequence_loss(ps, rows, tgt, m, config), params)
     assert stacked[0] == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
-    for g_stacked, g_oracle in zip(stacked[1], oracle[1]):
-        assert np.array_equal(g_stacked, g_oracle)
+    assert np.array_equal(stacked[1], oracle[1])
 
 
 def _kde_kl_oracle(rows, column, idx, grid, bandwidth, prior, log_q):
     """One KDE-KL term of the density baseline, as its loss composed it from
     primitives before the term was fused."""
     col = rows[:, column:column + 1]
-    vals = ad.transpose(col[idx.tolist(), :])
+    vals = unfused.transpose(col[idx.tolist(), :])
     diff = (ad.constant(grid[:, None]) - vals) * (1.0 / bandwidth)
     dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
     p = dens * (1.0 / ad.reduce_sum(dens)) * prior
@@ -506,62 +505,72 @@ def test_broadcast_grad_matches_fd(rows, cols, seed):
 # -- Adam -----------------------------------------------------------------
 
 def test_adam_first_step_magnitude_is_lr():
-    opt = Adam([()], lr=0.1)
-    params = [np.array(0.0)]
-    opt.step(params, [np.array(1.0)])
-    assert abs((-params[0]) - 0.1) < 1e-6
+    opt = Adam(1, lr=0.1)
+    theta = np.zeros(1)
+    opt.step(theta, np.ones(1))
+    assert abs(-theta[0] - 0.1) < 1e-6
     assert opt.t == 1
 
 
 def test_adam_zero_grad_is_noop():
-    opt = Adam([(3,)], lr=0.5)
-    params = [np.arange(3.0)]
-    opt.step(params, [np.zeros(3)])
-    np.testing.assert_array_equal(params[0], np.arange(3.0))
+    opt = Adam(3, lr=0.5)
+    theta = np.arange(3.0)
+    opt.step(theta, np.zeros(3))
+    np.testing.assert_array_equal(theta, np.arange(3.0))
     assert opt.t == 1
 
 
 def test_adam_constant_gradient_decreases_param():
-    opt = Adam([()], lr=0.1)
-    params = [np.array(0.0)]
-    opt.step(params, [np.array(1.0)])
-    after_one = float(params[0])
-    opt.step(params, [np.array(1.0)])
-    assert float(params[0]) < after_one < 0.0
+    opt = Adam(1, lr=0.1)
+    theta = np.zeros(1)
+    opt.step(theta, np.ones(1))
+    after_one = theta[0]
+    opt.step(theta, np.ones(1))
+    assert theta[0] < after_one < 0.0
 
 
 def test_adam_rejects_non_finite_gradients():
-    opt = Adam([(2,)])
+    opt = Adam(2)
     with pytest.raises(ArithmeticError):
-        opt.step([np.zeros(2)], [np.array([1.0, np.nan])])
+        opt.step(np.zeros(2), np.array([1.0, np.nan]))
 
 
 def test_adam_rejects_shape_mismatch():
-    opt = Adam([(2,)])
+    opt = Adam(2)
     with pytest.raises(ValueError):
-        opt.step([np.zeros(2)], [np.zeros(3)])
+        opt.step(np.zeros(2), np.zeros(3))
 
 
-@pytest.mark.parametrize("fault", ["count", "shape", "nan", "param shape"])
+@pytest.mark.parametrize("fault", ["shape", "nan"])
 def test_adam_refused_step_changes_nothing(fault):
-    opt = Adam([(2,), (2,)], lr=0.1)
-    params = [np.zeros(2), np.ones(2)]
-    opt.step(params, [np.ones(2), np.ones(2)])
-    originals = list(params)
-    before = ([p.copy() for p in params], opt.m.copy(), opt.v.copy(), opt.t)
-    grads = [np.ones(2), np.array([1.0, np.nan])]
-    if fault == "count":
-        grads = grads[:1]
-    elif fault == "shape":
-        grads[1] = np.ones(3)
-    elif fault == "param shape":
-        grads[1], params[1] = np.ones(2), np.ones(3)
-    error = ArithmeticError if fault == "nan" else ValueError
-    with pytest.raises(error, match=None if fault == "count" else "1"):
-        opt.step(params, grads)
-    assert all(_same_bits(p, q) for p, q in zip(originals, before[0]))
+    opt = Adam(4, lr=0.1)
+    theta = np.array([0.0, 0.0, 1.0, 1.0])
+    opt.step(theta, np.ones(4))
+    before = (theta.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+    if fault == "shape":
+        grad, error, match = np.ones(5), ValueError, "expected 4 entries, got 4/5"
+    else:
+        grad, error, match = np.array([1.0, 1.0, 1.0, np.nan]), ArithmeticError, "entry 3"
+    with pytest.raises(error, match=match):
+        opt.step(theta, grad)
+    assert _same_bits(theta, before[0])
     assert _same_bits(opt.m, before[1]) and _same_bits(opt.v, before[2])
     assert opt.t == before[3]
+
+
+# the update itself overflows (10 * 1e308), or it is finite but moving the
+# param by it overflows (-1e308 - 1e308)
+@pytest.mark.parametrize("theta, grad, entry", [
+    ([0.0, 0.0, 0.0], [1.0, 10.0, 1.0], 1),
+    ([0.0, 0.0, -1e308], [0.0, 0.0, 1.0], 2),
+])
+def test_adam_refuses_an_update_that_leaves_params_non_finite(theta, grad, entry):
+    opt = Adam(3, lr=1e308)
+    theta = np.array(theta)
+    before = theta.copy()
+    with pytest.raises(ArithmeticError, match=f"update at entry {entry}"):
+        opt.step(theta, np.array(grad))
+    assert _same_bits(theta, before)
 
 
 @pytest.mark.parametrize("model", ["simulator", "predictor"])
@@ -575,32 +584,58 @@ def test_adam_matches_per_array_updates_bit_for_bit(model):
         lr = PredictorConfig().learning_rate
     assert len(params) == (18 if model == "simulator" else 20)
     shapes = [p.shape for p in params]
-    fused, oracle = Adam(shapes, lr=lr), unfused.PerArrayAdam(shapes, lr=lr)
-    got, want = [p.copy() for p in params], [p.copy() for p in params]
+    theta, got = flat(params)
+    fused, oracle = Adam(theta.size, lr=lr), unfused.PerArrayAdam(shapes, lr=lr)
+    want = [p.copy() for p in params]
     for step in range(200):
         # gradients of every scale, with exact zeros of both signs
         grads = [rng.normal(size=s) * 10.0 ** rng.integers(-8, 3) for s in shapes]
         grads[step % len(grads)][...] = -0.0 if step % 2 else 0.0
-        fused.step(got, grads)
+        fused.step(theta, np.concatenate(grads, axis=None))
         oracle.step(want, grads)
     for p, q in zip(got, want):
         assert _same_bits(p, q)
-    for flat, per_array in ((fused.m, oracle.m), (fused.v, oracle.v)):
-        assert _same_bits(flat, np.concatenate([a.ravel() for a in per_array]))
+    for flat_moment, per_array in ((fused.m, oracle.m), (fused.v, oracle.v)):
+        assert _same_bits(flat_moment, np.concatenate(per_array, axis=None))
 
 
 def test_adam_drives_quadratic_toward_minimum():
     target = np.array([1.0, -2.0, 0.5])
     loss_fn = lambda params: ad.reduce_sum(_sq(params[0] - target))
-    params = [np.zeros(3)]
-    opt = Adam([p.shape for p in params], lr=0.05)
+    theta, params = flat([np.zeros(3)])
+    opt = Adam(theta.size, lr=0.05)
     losses = []
     for _ in range(400):
-        loss, grads = ad.evaluate_with_gradients(loss_fn, params)
+        loss, grad = ad.evaluate_with_gradients(loss_fn, params)
         losses.append(loss)
-        opt.step(params, grads)
+        opt.step(theta, grad)
     assert losses[-1] < 1e-3
-    np.testing.assert_allclose(params[0], target, atol=0.05)
+    np.testing.assert_allclose(theta, target, atol=0.05)
+
+
+def test_flat_lays_arrays_out_in_order_as_views_of_one_vector():
+    arrays = [np.array(2.0), np.arange(3.0).reshape(1, 3), np.array([[4, 5], [6, 7]])]
+    theta, views = flat(arrays)
+    assert theta.dtype == np.float64 and theta.shape == (8,)
+    assert theta.tolist() == [2.0, 0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0]
+    assert [v.shape for v in views] == [(), (1, 3), (2, 2)]
+    assert all(np.shares_memory(v, theta) for v in views)
+    assert not any(np.shares_memory(theta, a) for a in arrays)
+    theta += 1.0
+    assert views[0] == 3.0 and views[1][0, 2] == 3.0 and views[2][1, 0] == 7.0
+    # a record that `train` keeps is not moved by the steps after it
+    stepped = []
+
+    def epoch(e, opt):
+        opt.step(theta, np.ones(theta.size))
+        stepped.append(theta.copy())
+
+    readouts = iter([5.0, 1.0, 5.0, 5.0])
+    config = SimpleNamespace(learning_rate=0.1, patience=10)
+    train(theta, epoch, lambda: next(readouts), config, 3)
+    assert not np.array_equal(stepped[0], stepped[-1])
+    assert _same_bits(theta, stepped[0])
+    assert _same_bits(views[1].ravel(), stepped[0][1:4])
 
 
 def _quadratic(target):
@@ -654,19 +689,18 @@ def test_fit_records_max_epochs_losses_and_steps_one_fewer(monkeypatch):
 def _train_probe(readouts, epochs, warmup=0, hold=1, patience=100):
     """Run `train` on one scalar param that each epoch sets to its index + 1,
     with scripted readouts; returns (kept param, history, per-epoch Adam)."""
-    params = [np.zeros(())]
+    theta = np.zeros(1)
     seen = []
 
     def epoch(e, opt):
         seen.append((opt, opt.t))
-        opt.step(params, [np.ones(())])
-        params[0][...] = e + 1
+        opt.step(theta, np.ones(1))
+        theta[...] = e + 1
 
     script = iter(readouts)
     config = SimpleNamespace(learning_rate=0.1, patience=patience)
-    kept, history = train(params, epoch, lambda: next(script), config, epochs,
-                          warmup, hold)
-    return float(kept[0]), history, seen
+    history = train(theta, epoch, lambda: next(script), config, epochs, warmup, hold)
+    return float(theta[0]), history, seen
 
 
 def test_train_restarts_adam_at_warmup_only():
@@ -703,7 +737,7 @@ def test_train_hold_two_keeps_no_one_readout_dip():
     lambda: harness.DownstreamConfig(learning_rate=float("nan")),
     lambda: density_baseline.PrelimConfig(learning_rate=float("nan")),
     lambda: density_baseline.PrelimConfig(learning_rate=-1.0),
-    lambda: Adam([(2,)], lr=float("nan")),
+    lambda: Adam(2, lr=float("nan")),
 ])
 def test_learning_rates_and_variances_refuse_nan_and_non_positive(make):
     with pytest.raises(ValueError):

@@ -313,8 +313,8 @@ def test_run_non_finite_gradient_is_numeric_failure(tmp_path, monkeypatch,
     real = autodiff.evaluate_with_gradients
 
     def nan_grads(loss_fn, params):
-        loss, grads = real(loss_fn, params)
-        return loss, [np.full_like(g, np.nan) for g in grads]
+        loss, grad = real(loss_fn, params)
+        return loss, np.full_like(grad, np.nan)
 
     monkeypatch.setattr(autodiff, "evaluate_with_gradients", nan_grads)
     # three seeds run in forked workers where two CPUs are usable; the
@@ -327,6 +327,15 @@ def test_run_non_finite_gradient_is_numeric_failure(tmp_path, monkeypatch,
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
         assert multiprocessing.active_children() == []
+
+
+def test_run_overflowing_adam_update_is_numeric_failure(tmp_path, capsys):
+    # at this learning rate the forecaster's first Adam update overflows
+    cfg = write_cfg(tmp_path, {**TINY_CFG, "methods": ["coda"],
+                               "predictor": {"learning_rate": 1e308, "max_epochs": 5}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 def test_run_artifacts_reuse_the_run_models(tmp_path, monkeypatch):

@@ -2,13 +2,23 @@
 the LSTM and the Pearson matrix written with autodiff primitives only (for
 `ad.dense`, `ad.lstm_stack` and `ad.pearson`), Adam as one update per
 parameter array (for `optim.Adam`), and the full-batch loop that
-`optim.fit` runs on `optim.train`."""
-import copy
-
+`optim.fit` runs on `optim.train`. Also the transpose node that these
+compositions and the KDE oracles of the tests build."""
 import numpy as np
 
 from driftsim import autodiff as ad
-from driftsim.optim import BETA1, BETA2, EPS, TOL, Adam
+from driftsim.autodiff import _accumulate, _node, _wrap
+from driftsim.optim import BETA1, BETA2, EPS, TOL, Adam, flat
+
+
+def transpose(a):
+    """`a.T` as a tape node."""
+    a = _wrap(a)
+
+    def vjp(g):
+        _accumulate(a, g.T)
+
+    return _node(a.value.T.copy(), (a,), vjp)
 
 
 def dense(x, w, b, act):
@@ -22,10 +32,10 @@ def pearson(batch, eps):
     """`ad.pearson` as the composition of mean, matmul, sqrt and divide nodes."""
     n = batch.shape[0]
     centered = batch - ad.reduce_mean(batch, axis=0, keepdims=True)
-    cov = ad.transpose(centered) @ centered * (1.0 / n)
+    cov = transpose(centered) @ centered * (1.0 / n)
     var = ad.reduce_mean(centered * centered, axis=0, keepdims=True)
     std = ad.sqrt(var + eps)
-    return cov / (ad.transpose(std) @ std)
+    return cov / (transpose(std) @ std)
 
 
 class PerArrayAdam:
@@ -80,19 +90,21 @@ def lstm_stack(params, rows, hidden):
 def fit(loss_fn, params, config):
     """`optim.fit` as its own loop: score, keep a copy on a record, step. It
     also takes a last step after the final readout, which nothing reads."""
-    opt = Adam([p.shape for p in params], lr=config.learning_rate)
+    theta, params = flat(params)
+    opt = Adam(theta.size, lr=config.learning_rate)
     best_loss = np.inf
-    best_params = copy.deepcopy(params)
+    best = theta.copy()
     stale = 0
     history = []
     for _ in range(config.max_epochs):
-        loss, grads = ad.evaluate_with_gradients(loss_fn, params)
+        loss, grad = ad.evaluate_with_gradients(loss_fn, params)
         history.append(loss)
         if loss < best_loss - TOL:
-            best_loss, best_params, stale = loss, copy.deepcopy(params), 0
+            best_loss, best, stale = loss, theta.copy(), 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-        opt.step(params, grads)
-    return best_params, history
+        opt.step(theta, grad)
+    np.copyto(theta, best)
+    return params, history
