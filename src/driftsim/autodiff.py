@@ -1,10 +1,15 @@
 """Reverse-mode automatic differentiation over small dense float64 tensors.
 
-Forward evaluation records a tape of primitive operations (`Tensor` nodes
-holding parent links and local vector-Jacobian products); `backward` replays
-the tape in reverse topological order.  The engine is deliberately minimal:
-float64 only, 0-2d arrays, numpy broadcasting on elementwise binaries, and
-exactly the primitives the models in this package need.  No GPU.
+A `Tensor` is a value on the gradient path, and nothing else. Primitives
+take and return plain float64 ndarrays; `evaluate_with_gradients` boxes
+each parameter in a `Tensor`, and a primitive records a `Tensor` node
+(parent links and a local vector-Jacobian product) only when one of its
+inputs is a `Tensor`. So a forward-only pass, `evaluate_value` or a model
+function called on the parameter arrays themselves, records no tape.
+`backward` replays the tape in reverse topological order. The engine is
+deliberately minimal: float64 only, 0-2d arrays, numpy broadcasting on
+elementwise binaries, and exactly the primitives the models in this package
+need. No GPU.
 
 Four fused primitives cut the tape where the models spend their time:
 `dense` records `act(x @ w + b)` as one node, `lstm_stack` records a stacked
@@ -30,8 +35,6 @@ __all__ = [
     "evaluate_with_gradients",
     "evaluate_value",
     "backward",
-    "constant",
-    "leaf",
     "matmul",
     "add",
     "sub",
@@ -61,21 +64,20 @@ class NonFiniteLossError(ArithmeticError):
 
 
 class Tensor:
-    """One node of the compute tape.
+    """One node of the compute tape: a value that depends on a parameter.
 
     `value` is a C-contiguous float64 ndarray (row-major flat storage plus a
     shape).  Interior nodes carry a `_vjp` closure that scatters the incoming
-    gradient onto their parents.
+    gradient onto their `_parents`, the inputs that are Tensors; a boxed
+    parameter has neither.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("value", "grad", "_parents", "_vjp")
     __array_ufunc__ = None  # so `array op tensor` calls the reflected operators below
 
-    def __init__(self, value, requires_grad: bool = False,
-                 parents: tuple = (), vjp=None):
+    def __init__(self, value, parents: tuple = (), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = parents
         self._vjp = vjp
 
@@ -118,34 +120,23 @@ class Tensor:
         return _getitem(self, key)
 
     def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.value.shape})"
 
 
-def leaf(value, requires_grad: bool = True) -> Tensor:
-    """Wrap an array as a tape leaf; leaves must hold finite values."""
-    t = Tensor(value, requires_grad=requires_grad)
-    if not np.all(np.isfinite(t.value)):
-        raise ValueError("leaf tensor contains non-finite values")
-    return t
+def _val(x) -> np.ndarray:
+    """The array behind `x`: a Tensor's value, else `x` as float64."""
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def constant(value) -> Tensor:
-    return leaf(value, requires_grad=False)
+def _node(value, parents, vjp):
+    """A tape node over the parents that are Tensors, or, with none, the
+    plain value."""
+    parents = tuple(p for p in parents if isinstance(p, Tensor))
+    return Tensor(value, parents, vjp) if parents else value
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _node(value, parents, vjp) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    if not needs:
-        return Tensor(value)
-    return Tensor(value, requires_grad=True, parents=parents, vjp=vjp)
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accumulate(t, g: np.ndarray) -> None:
+    if not isinstance(t, Tensor):
         return
     # no VJP writes into a gradient and every sum below is out of place, so
     # the first gradient can be kept without a copy
@@ -170,88 +161,80 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- primitive operations ------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.value + b.value
+def add(a, b):
+    av, bv = _val(a), _val(b)
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(g, b.value.shape))
+        _accumulate(a, _unbroadcast(g, av.shape))
+        _accumulate(b, _unbroadcast(g, bv.shape))
 
-    return _node(out, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.value - b.value
-
-    def vjp(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.value.shape))
-
-    return _node(out, (a, b), vjp)
+    return _node(av + bv, (a, b), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.value * b.value
+def sub(a, b):
+    av, bv = _val(a), _val(b)
 
     def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
+        _accumulate(a, _unbroadcast(g, av.shape))
+        if isinstance(b, Tensor):
+            _accumulate(b, _unbroadcast(-g, bv.shape))
 
-    return _node(out, (a, b), vjp)
+    return _node(av - bv, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.value / b.value
+def mul(a, b):
+    av, bv = _val(a), _val(b)
 
     def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.value, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
+        if isinstance(a, Tensor):
+            _accumulate(a, _unbroadcast(g * bv, av.shape))
+        if isinstance(b, Tensor):
+            _accumulate(b, _unbroadcast(g * av, bv.shape))
 
-    return _node(out, (a, b), vjp)
+    return _node(av * bv, (a, b), vjp)
 
 
-def neg(a) -> Tensor:
-    a = _wrap(a)
+def div(a, b):
+    av, bv = _val(a), _val(b)
+
+    def vjp(g):
+        if isinstance(a, Tensor):
+            _accumulate(a, _unbroadcast(g / bv, av.shape))
+        if isinstance(b, Tensor):
+            _accumulate(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
+
+    return _node(av / bv, (a, b), vjp)
+
+
+def neg(a):
+    av = _val(a)
 
     def vjp(g):
         _accumulate(a, -g)
 
-    return _node(-a.value, (a,), vjp)
+    return _node(-av, (a,), vjp)
 
 
-def _check_matmul(a: Tensor, b: Tensor) -> None:
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError(
-            f"matmul expects 2-d operands, got {a.value.shape} @ {b.value.shape}")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(
-            f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
+def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    _check_matmul(a, b)
-    out = a.value @ b.value
+def matmul(a, b):
+    av, bv = _val(a), _val(b)
+    _check_matmul(av, bv)
 
     def vjp(g):
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
+        _accumulate(a, g @ bv.T)
+        _accumulate(b, av.T @ g)
 
-    return _node(out, (a, b), vjp)
+    return _node(av @ bv, (a, b), vjp)
 
 
-def tanh(a) -> Tensor:
-    a = _wrap(a)
-    out = np.tanh(a.value)
+def tanh(a):
+    out = np.tanh(_val(a))
 
     def vjp(g):
         _accumulate(a, g * (1.0 - out * out))
@@ -263,9 +246,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    out = _sigmoid(a.value)
+def sigmoid(a):
+    out = _sigmoid(_val(a))
 
     def vjp(g):
         _accumulate(a, g * out * (1.0 - out))
@@ -273,9 +255,8 @@ def sigmoid(a) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out = np.exp(a.value)
+def exp(a):
+    out = np.exp(_val(a))
 
     def vjp(g):
         _accumulate(a, g * out)
@@ -283,19 +264,17 @@ def exp(a) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def log(a) -> Tensor:
-    a = _wrap(a)
-    out = np.log(a.value)
+def log(a):
+    av = _val(a)
 
     def vjp(g):
-        _accumulate(a, g / a.value)
+        _accumulate(a, g / av)
 
-    return _node(out, (a,), vjp)
+    return _node(np.log(av), (a,), vjp)
 
 
-def sqrt(a) -> Tensor:
-    a = _wrap(a)
-    out = np.sqrt(a.value)
+def sqrt(a):
+    out = np.sqrt(_val(a))
 
     def vjp(g):
         _accumulate(a, g * 0.5 / out)
@@ -303,71 +282,67 @@ def sqrt(a) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    mask = a.value > 0.0
+def relu(a):
+    av = _val(a)
+    mask = av > 0.0
 
     def vjp(g):
         _accumulate(a, g * mask)
 
-    return _node(a.value * mask, (a,), vjp)
+    return _node(av * mask, (a,), vjp)
 
 
-def absolute(a) -> Tensor:
+def absolute(a):
     # subgradient 0 at the kink
-    a = _wrap(a)
-    s = np.sign(a.value)
+    av = _val(a)
+    s = np.sign(av)
 
     def vjp(g):
         _accumulate(a, g * s)
 
-    return _node(np.abs(a.value), (a,), vjp)
+    return _node(np.abs(av), (a,), vjp)
 
 
-def clip(a, lo: float, hi: float) -> Tensor:
+def clip(a, lo: float, hi: float):
     """Clamp with zero gradient outside [lo, hi]."""
-    a = _wrap(a)
-    out = np.clip(a.value, lo, hi)
-    mask = (a.value >= lo) & (a.value <= hi)
+    av = _val(a)
+    mask = (av >= lo) & (av <= hi)
 
     def vjp(g):
         _accumulate(a, g * mask)
 
-    return _node(out, (a,), vjp)
+    return _node(np.clip(av, lo, hi), (a,), vjp)
 
 
-def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    out = a.value.sum(axis=axis, keepdims=keepdims)
+def reduce_sum(a, axis: int | None = None, keepdims: bool = False):
+    av = _val(a)
 
     def vjp(g):
         g = np.asarray(g, dtype=np.float64)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.value.shape))
+        _accumulate(a, np.broadcast_to(g, av.shape))
 
-    return _node(out, (a,), vjp)
+    return _node(av.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
-def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
+def reduce_mean(a, axis: int | None = None, keepdims: bool = False):
+    av = _val(a)
+    n = av.size if axis is None else av.shape[axis]
     return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    parts = [_wrap(t) for t in tensors]
-    out = np.concatenate([p.value for p in parts], axis=axis)
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+def concat(tensors: Sequence, axis: int = 0):
+    values = [_val(t) for t in tensors]
+    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
 
     def vjp(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(idx)])
+            _accumulate(t, g[tuple(idx)])
 
-    return _node(out, tuple(parts), vjp)
+    return _node(np.concatenate(values, axis=axis), tuple(tensors), vjp)
 
 
 def _getitem(a: Tensor, key) -> Tensor:
@@ -383,7 +358,7 @@ def _getitem(a: Tensor, key) -> Tensor:
 
 # -- fused primitives ------------------------------------------------------
 
-def dense(x, w, b, act=None) -> Tensor:
+def dense(x, w, b, act=None):
     """`act(x @ w + b)` as one node; `act` is None (linear), `tanh` or `relu`.
 
     The forward adds the bias and applies the activation in place on the
@@ -393,10 +368,10 @@ def dense(x, w, b, act=None) -> Tensor:
     """
     if act not in (None, tanh, relu):
         raise ValueError("dense activation must be None, tanh or relu")
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    _check_matmul(x, w)
-    out = x.value @ w.value
-    out += b.value
+    xv, wv, bv = _val(x), _val(w), _val(b)
+    _check_matmul(xv, wv)
+    out = xv @ wv
+    out += bv
     if act is tanh:
         np.tanh(out, out=out)
     elif act is relu:
@@ -410,10 +385,10 @@ def dense(x, w, b, act=None) -> Tensor:
             g = np.multiply(d, g, out=d)
         elif act is relu:
             g = g * mask
-        if x.requires_grad:
-            _accumulate(x, g @ w.value.T)
-        _accumulate(w, x.value.T @ g)
-        _accumulate(b, _unbroadcast(g, b.value.shape))
+        if isinstance(x, Tensor):
+            _accumulate(x, g @ wv.T)
+        _accumulate(w, xv.T @ g)
+        _accumulate(b, _unbroadcast(g, bv.shape))
 
     # backward's search reaches b, then w, then x, as it did through add and matmul
     return _node(out, (x, w, b), vjp)
@@ -435,7 +410,7 @@ def lstm_stack(params, rows) -> list:
     A diagonal's cells need only the diagonal before, so the forward and
     the VJP sweep one diagonal at a time: layers 1.. as one stacked matmul,
     layer 0 (another input width) beside them. Each step's output is a view
-    node on the grid.
+    node on the grid, or, when no param or row is a Tensor, a plain view.
 
     The VJP repeats the arithmetic of `dense`, `concat` and the per-cell
     sigmoid/tanh composition (`tests/unfused.py`): every h and c sums its at
@@ -447,16 +422,16 @@ def lstm_stack(params, rows) -> list:
     gradients are bit-identical to that tape's, provided the params and the
     rows feed nothing else.
     """
-    params = [_wrap(p) for p in params]
-    rows = [_wrap(r) for r in rows]
-    w = [p.value for p in params[0::2]]
-    b = np.stack([p.value for p in params[1::2]])
+    values = [_val(p) for p in params]
+    row_values = [_val(r) for r in rows]
+    w = values[0::2]
+    b = np.stack(values[1::2])
     layers, steps = len(w), len(rows)
     n, rest = divmod(b.shape[2], 4)
     if rest:
         raise ValueError(f"gate width {b.shape[2]} is not a multiple of 4")
     n_in = w[0].shape[0] - n
-    if any(r.value.shape != (1, n_in) for r in rows):
+    if any(r.shape != (1, n_in) for r in row_values):
         raise ValueError(f"lstm_stack rows must each be of shape (1, {n_in})")
     w_up = np.stack(w[1:]) if layers > 1 else None
     diagonals = steps + layers - 1
@@ -472,7 +447,7 @@ def lstm_stack(params, rows) -> list:
         up = max(lo, 1)
         z = np.empty((hi - lo + 1, 1, 4 * n))
         if lo == 0:
-            x = np.concatenate([rows[d].value, h[d, 0:1]], axis=1)
+            x = np.concatenate([row_values[d], h[d, 0:1]], axis=1)
             np.matmul(x, w[0], out=z[0])
         if up <= hi:
             x = np.concatenate([h[d, up - 1:hi], h[d, up:hi + 1]], axis=1)
@@ -541,7 +516,7 @@ def lstm_stack(params, rows) -> list:
         t_idx = np.arange(steps)
         k_idx = np.arange(layers)[:, None]
         dz_kt = dz_all[t_idx + k_idx, k_idx]
-        x0 = np.concatenate([np.concatenate([r.value for r in rows]), h[t_idx, 0]], axis=1)
+        x0 = np.concatenate([np.concatenate(row_values), h[t_idx, 0]], axis=1)
         gb = np.full_like(b, -0.0)
         gw = [np.full_like(w[0], -0.0)]
         if layers > 1:
@@ -563,6 +538,8 @@ def lstm_stack(params, rows) -> list:
             _accumulate(row, g_row)
 
     node = _node(h, (*reversed(rows), *params), vjp)
+    if not isinstance(node, Tensor):
+        return [h[d + 1, layers - 1:layers] for d in range(layers - 1, diagonals)]
 
     def output(t):
         d = t + layers - 1
@@ -577,7 +554,7 @@ def lstm_stack(params, rows) -> list:
     return [output(t) for t in range(steps)]
 
 
-def pearson(batch, eps: float) -> Tensor:
+def pearson(batch, eps: float):
     """The Pearson matrix of the columns of `batch` as one node, each column's
     variance guarded by `eps` inside the square root.
 
@@ -588,11 +565,11 @@ def pearson(batch, eps: float) -> Tensor:
     and `cov / (transpose(std) @ std)` in the order `backward` ran it, so
     the value and the `batch` gradient are bit-identical to it.
     """
-    batch = _wrap(batch)
-    inv_n = 1.0 / batch.value.shape[0]
-    centered = batch.value.sum(axis=0, keepdims=True)
+    bv = _val(batch)
+    inv_n = 1.0 / bv.shape[0]
+    centered = bv.sum(axis=0, keepdims=True)
     centered *= inv_n
-    centered = np.subtract(batch.value, centered)
+    centered = np.subtract(bv, centered)
     centered_t = centered.T.copy()
     cov = centered_t @ centered
     cov *= inv_n
@@ -634,7 +611,7 @@ def pearson(batch, eps: float) -> Tensor:
 
 
 def kde_kl(rows, column: int, idx, grid, bandwidth: float, prior: float,
-           log_q) -> Tensor:
+           log_q):
     """`sum(p * (log p - log_q))` as one node with the single parent `rows`.
 
     `p` is `prior` times the Gaussian-kernel masses of the samples
@@ -650,9 +627,9 @@ def kde_kl(rows, column: int, idx, grid, bandwidth: float, prior: float,
     overwrites `e` in place: like the `.grad` fields it fills, the node is
     good for one `backward`.
     """
-    rows = _wrap(rows)
+    rv = _val(rows)
     scale = 1.0 / bandwidth
-    diff = np.subtract(grid[:, None], rows.value[idx, column])
+    diff = np.subtract(grid[:, None], rv[idx, column])
     diff *= scale
     e = diff * diff
     e *= -0.5
@@ -681,7 +658,7 @@ def kde_kl(rows, column: int, idx, grid, bandwidth: float, prior: float,
         buf += buf      # diff * diff reaches diff twice
         buf *= scale
         np.negative(buf, out=buf)
-        full = np.zeros_like(rows.value)
+        full = np.zeros_like(rv)
         full[idx, column] = buf.sum(axis=0)
         _accumulate(rows, full)
 
@@ -707,7 +684,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(topo):
@@ -715,38 +692,47 @@ def backward(loss: Tensor) -> None:
             node._vjp(node.grad)
 
 
-# loss_fn(param leaves) -> scalar Tensor, closing over its data as arrays; each
-# call re-records the tape, so it may contain data-dependent Python control flow
-LossFn = Callable[[list[Tensor]], Tensor]
+# loss_fn(params) -> scalar, closing over its data as arrays. Given boxed
+# params it records a tape, given the arrays it records none; each call
+# re-runs it, so it may contain data-dependent Python control flow
+LossFn = Callable[[list], object]
 
 
-def _evaluate(loss_fn: LossFn, params, requires_grad: bool):
-    """(loss, output node, parameter leaves) of one checked forward pass."""
-    param_leaves = [leaf(p, requires_grad=requires_grad) for p in params]
-    out = loss_fn(param_leaves)
-    if out.value.shape != ():
-        raise ValueError(f"loss output must be scalar, got shape {out.value.shape}")
-    loss = float(out.value)
+def _scalar(out) -> float:
+    """The loss `out` as a float, refused unless it is one finite number."""
+    value = _val(out)
+    if value.shape != ():
+        raise ValueError(f"loss output must be scalar, got shape {value.shape}")
+    loss = float(value)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss is non-finite: {loss}")
-    return loss, out, param_leaves
+    return loss
 
 
 def evaluate_value(loss_fn: LossFn, params) -> float:
-    """Forward-only scalar evaluation (no tape replay, same finiteness checks)."""
-    return _evaluate(loss_fn, params, requires_grad=False)[0]
+    """`loss_fn(params)` as a float, with no tape: the params stay arrays.
+
+    Raises NonFiniteLossError when the loss is NaN/inf and ValueError on a
+    non-scalar output.
+    """
+    return _scalar(loss_fn(params))
 
 
 def evaluate_with_gradients(loss_fn: LossFn, params):
-    """Evaluate a scalar loss function and return (loss, gradient), the
-    gradient one new float64 vector laid out like `optim.flat(params)`: each
-    param's gradient in order, raveled, zeros where `backward` never reached.
+    """Evaluate a scalar loss function on one Tensor per param and
+    return (loss, gradient), the gradient one new float64 vector laid out
+    like `optim.flat(params)`: each param's gradient in order, raveled,
+    zeros where `backward` never reached.
 
     Raises NonFiniteLossError when the loss is NaN/inf (diverged training)
-    and ValueError on non-finite params or a non-scalar output.
+    and ValueError on a non-scalar output. The params are not checked:
+    `optim.flat` refuses non-finite entries once per fit.
     """
-    loss, out, param_leaves = _evaluate(loss_fn, params, requires_grad=True)
-    backward(out)
+    boxed = [Tensor(p) for p in params]
+    out = loss_fn(boxed)
+    loss = _scalar(out)
+    if isinstance(out, Tensor):
+        backward(out)
     grad = np.concatenate([p.grad if p.grad is not None else np.zeros(p.value.size)
-                           for p in param_leaves], axis=None)
+                           for p in boxed], axis=None)
     return loss, grad

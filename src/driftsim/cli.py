@@ -2,8 +2,8 @@
 sweeps, and exhaustive verification of the correlation-shift bound.
 
 Exit codes: 0 success, 1 verified property violation, 2 usage, config,
-input-data or output-path error, 3 numeric failure (non-finite training loss
-or gradient).
+input-data or output-path error or out of memory, 3 numeric failure
+(non-finite training loss or gradient).
 All file outputs are written atomically (temp file + rename). The default
 output directory is "." unless the DRIFTSIM_OUT environment variable
 overrides it. A closed stdout (a reader such as `head` that quits early)
@@ -135,21 +135,25 @@ def _fits(value, default) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
+def _typed(context: str, key: str, value, default):
+    """`value` for a field with this default, a list becoming a tuple, or a
+    ConfigError naming the key when `_fits` refuses it."""
+    if not _fits(value, default):
+        raise ConfigError(f"{context}: {key} must be "
+                          f"{_KINDS[type(default)]}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
 def _overrides(block, context: str, default):
     """`default` with the fields a JSON object names replaced. A field whose
     default is a config dataclass takes a nested object; any other field
-    takes a value of its default's type, a list becoming a tuple."""
+    takes a value of its default's type (`_typed`)."""
     _check_keys(block, context, [f.name for f in fields(default)])
     changes = {}
     for key, value in block.items():
         current = getattr(default, key)
-        if is_dataclass(current):
-            changes[key] = _overrides(value, key, current)
-        elif _fits(value, current):
-            changes[key] = tuple(value) if isinstance(value, list) else value
-        else:
-            raise ConfigError(f"{context}: {key} must be "
-                              f"{_KINDS[type(current)]}, got {value!r}")
+        changes[key] = (_overrides(value, key, current) if is_dataclass(current)
+                        else _typed(context, key, value, current))
     try:
         return replace(default, **changes)
     except ValueError as exc:
@@ -164,7 +168,8 @@ def _build_stream(block) -> DomainStream:
     options = {k: v for k, v in block.items() if k != "kind"}
     if kind == "moons":
         _check_keys(block, "dataset", ("kind", *MOONS_DEFAULTS))
-        return _moons_stream(**options)
+        return _moons_stream(**{k: _typed("dataset", k, v, MOONS_DEFAULTS[k])
+                                for k, v in options.items()})
     if kind == "csv":
         _check_keys(block, "dataset", ("kind", "path", "domain_col",
                                        "label_col", "feature_cols", "task"))
@@ -430,6 +435,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # NonFiniteLossError or Adam's gradient check
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a model or data size that no allocation can hold
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -171,9 +171,8 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
 
     best_params, _ = fit(build, params, config)
 
-    frozen = [ad.constant(p) for p in best_params]
-    state = lstm_stack(frozen[:2], summaries)[-1]
-    rows = _decode_rows(frozen, state).value
+    state = lstm_stack(best_params[:2], summaries)[-1]
+    rows = _decode_rows(best_params, state)
     return DomainDataset(domain_index=last.domain_index + 1, features=rows,
                          labels=labels, task=CLASSIFICATION,
                          feature_names=last.feature_names)

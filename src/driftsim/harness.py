@@ -64,8 +64,7 @@ class DownstreamModel:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class probability (classification) or raw prediction (regression)."""
-        out = _forward_mlp([ad.constant(p) for p in self.params], features, self.task)
-        return out.value.ravel()
+        return _forward_mlp(self.params, features, self.task).ravel()
 
 
 def _forward_mlp(params, x, task):

@@ -14,8 +14,11 @@ TOL = 1e-5  # least loss gain that counts as a new best, in every training loop
 
 def flat(arrays) -> tuple:
     """(vector, views): a new float64 vector holding `arrays` in order, and a
-    view into it shaped like each array."""
+    view into it shaped like each array. A non-finite entry is refused, so
+    a trainer checks its params once; `Adam.step` keeps them finite."""
     theta = np.concatenate(arrays, axis=None, dtype=np.float64)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"non-finite parameter at entry {np.argmin(np.isfinite(theta))}")
     parts = np.split(theta, np.cumsum([np.size(a) for a in arrays])[:-1])
     return theta, [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
 
@@ -105,14 +108,14 @@ def fit(loss_fn, params: list, config):
     params, every readout). Each readout scores the params and keeps their
     gradient, and each epoch is one Adam step on it, so `config.max_epochs`
     readouts take one step fewer."""
-    theta, leaves = flat(params)
+    theta, views = flat(params)
     grad = None
 
     def readout():
         nonlocal grad
-        loss, grad = ad.evaluate_with_gradients(loss_fn, leaves)
+        loss, grad = ad.evaluate_with_gradients(loss_fn, views)
         return loss
 
     history = train(theta, lambda e, opt: opt.step(theta, grad), readout, config,
                     config.max_epochs - 1)
-    return leaves, history
+    return views, history

@@ -76,8 +76,8 @@ def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:
     if any(c.dim != model.m for c in sequence):
         raise ValueError(f"matrix dim does not match model dim {model.m}")
     rows = [flatten_upper(c).reshape(1, -1) for c in sequence]
-    out = _forward_sequence([ad.constant(p) for p in model.params], rows)[-1]
-    return unflatten_upper(out.value.ravel(), model.m)
+    out = _forward_sequence(model.params, rows)[-1]
+    return unflatten_upper(out.ravel(), model.m)
 
 
 def _sequence_loss(params, rows: list, tgt: np.ndarray, m: int,

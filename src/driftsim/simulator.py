@@ -229,8 +229,7 @@ def sample(model: SimulatorModel, n: int, seed: int) -> DomainDataset:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.config.latent_dim))
-    params = [ad.constant(p) for p in model.params]
-    rows = _decode(params, model.config, z, model.task).value
+    rows = _decode(model.params, model.config, z, model.task)
     features = rows[:, :model.d]
     label_col = rows[:, model.d]
     labels = (label_col >= 0.5).astype(np.float64) if model.task == CLASSIFICATION \

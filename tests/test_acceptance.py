@@ -189,8 +189,8 @@ def _predictor_grad_instance(rng) -> float:
 
         # finite differences straddle the L1 kink when a prediction sits on
         # its target; only accept instances with clearance
-        outs = _forward_sequence([ad.constant(p) for p in params], rows)
-        gap = min(np.min(np.abs(out.value - targets[s:s + 1, :]))
+        outs = _forward_sequence(params, rows)
+        gap = min(np.min(np.abs(out - targets[s:s + 1, :]))
                   for s, out in enumerate(outs))
         if gap < KINK_GAP:
             continue
@@ -221,8 +221,8 @@ def _simulator_grad_instance(rng) -> float:
         def build(ps):
             return sm._objective(ps, config, CLASSIFICATION, rows, noise, z, target)
 
-        gen = sm._decode([ad.constant(p) for p in params], config, z, CLASSIFICATION)
-        corr = ad.pearson(gen, sm.EPS_VAR).value
+        gen = sm._decode(params, config, z, CLASSIFICATION)
+        corr = ad.pearson(gen, sm.EPS_VAR)
         # the diagonal of both matrices is pinned at one, so its difference
         # is always ~0; only off-diagonal entries can straddle the kink
         off = ~np.eye(m, dtype=bool)

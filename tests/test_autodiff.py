@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 from driftsim import autodiff as ad
 from driftsim import density_baseline, harness, nn, predictor, simulator
+from driftsim.correlation import CorrelationMatrix, flatten_upper
 from driftsim.nn import dense_params, glorot, lstm_params, lstm_stack, mlp
 from driftsim.optim import TOL, Adam, fit, flat, train
 from driftsim.predictor import PredictorConfig
@@ -70,8 +71,9 @@ def test_non_finite_loss_raises():
 
 
 def test_matmul_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        ad.matmul(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 3))))
+    for a in (np.ones((2, 3)), ad.Tensor(np.ones((2, 3)))):
+        with pytest.raises(ValueError):
+            ad.matmul(a, a)
 
 
 def test_losses_are_deterministic():
@@ -111,19 +113,21 @@ def test_arithmetic_primitive_gradients():
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
                                 operator.truediv])
 def test_array_on_the_left_of_a_tensor_builds_the_tensor_node(op):
+    primitive = {operator.add: ad.add, operator.sub: ad.sub, operator.mul: ad.mul,
+                 operator.truediv: ad.div}[op]
     rng = np.random.default_rng(25)
     x, w = rng.normal(size=(3, 4)), rng.normal(size=(1, 4)) + 3.0
-    assert isinstance(op(x, ad.leaf(w)), ad.Tensor)
+    assert isinstance(op(x, ad.Tensor(w)), ad.Tensor)
     got = ad.evaluate_with_gradients(lambda p: ad.reduce_sum(_sq(op(x, p[0]))), [w])
     want = ad.evaluate_with_gradients(
-        lambda p: ad.reduce_sum(_sq(op(ad.constant(x), p[0]))), [w])
+        lambda p: ad.reduce_sum(_sq(primitive(x, p[0]))), [w])
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
 
 
 def test_array_matmul_tensor_is_a_type_error():
     with pytest.raises(TypeError):
-        np.ones((2, 2)) @ ad.leaf(np.ones((2, 2)))
+        np.ones((2, 2)) @ ad.Tensor(np.ones((2, 2)))
 
 
 def test_getitem_with_repeated_indices_sums_their_gradients():
@@ -193,10 +197,10 @@ def test_lstm_cell_first_step_is_zero_cell_state():
     w, b = rng.normal(size=(5, 12)), rng.normal(size=(1, 12))
     x = rng.normal(size=(1, 2))
     (h0,) = lstm_stack([w, b], [x])
-    gates = ad.constant(np.concatenate([x, np.zeros((1, 3))], axis=1) @ w + b)
-    h1, _ = unfused.lstm_cell(gates, ad.constant(np.zeros((1, 3))), 3)
+    gates = np.concatenate([x, np.zeros((1, 3))], axis=1) @ w + b
+    h1, _ = unfused.lstm_cell(gates, np.zeros((1, 3)), 3)
     assert h0.shape == (1, 3)  # a quarter of the gate width
-    np.testing.assert_allclose(h0.value, h1.value, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(h0, h1, rtol=0, atol=1e-15)
 
 
 def test_lstm_cell_rejects_a_gate_width_not_a_multiple_of_4():
@@ -218,9 +222,10 @@ def test_dense_stack_matches_glorot_draws_and_numpy():
         assert np.array_equal(got, want)
     x = np.random.default_rng(18).normal(size=(4, 3))
     params[1] += 0.5  # nonzero bias, so the bias term is checked too
-    out = mlp([ad.constant(p) for p in params], ad.constant(x), ad.tanh)
+    out = mlp(params, x, ad.tanh)
     want = np.tanh(x @ params[0] + params[1]) @ params[2] + params[3]
-    np.testing.assert_allclose(out.value, want, rtol=0, atol=1e-15)
+    assert not isinstance(out, ad.Tensor)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-15)
 
 
 def test_returned_gradients_share_no_memory():
@@ -232,6 +237,63 @@ def test_returned_gradients_share_no_memory():
     assert not any(np.shares_memory(grad, p) for p in params)
     grad[0] = 5.0
     np.testing.assert_array_equal(grad[6:], np.ones(6))
+
+
+# -- forward-only passes ---------------------------------------------------
+
+def _count_tensors(monkeypatch) -> list:
+    """A list that gains one entry per `Tensor` made from here on."""
+    made, init = [], ad.Tensor.__init__
+    monkeypatch.setattr(ad.Tensor, "__init__",
+                        lambda self, *args: made.append(1) or init(self, *args))
+    return made
+
+
+def _same_bits_via_tensors(forward, params, got):
+    """`forward` run on Tensor leaves gives the entries of `got` bit for bit."""
+    return _same_bits(np.ravel(got), forward([ad.Tensor(p) for p in params]).value.ravel())
+
+
+def test_forward_only_paths_make_no_tensor(monkeypatch):
+    rng = np.random.default_rng(29)
+    sim_cfg = simulator.SimulatorConfig(encoder_dim=6, decoder_dim=5, latent_dim=3,
+                                        regularizer_draws=8)
+    sim_params = simulator._init_params(3, sim_cfg, rng)
+    data = rng.uniform(-0.9, 0.9, size=(12, 3))
+    corr = np.corrcoef(rng.normal(size=(9, 3)), rowvar=False)
+    np.fill_diagonal(corr, 1.0)
+    target = CorrelationMatrix(corr)
+    sim = simulator.SimulatorModel(task="classification", config=sim_cfg,
+                                   params=sim_params, trained_on_index=4, loss_history=[])
+    pred_cfg = PredictorConfig(layers=2, latent_dim=3, hidden_dim=4)
+    pred = predictor.PredictorModel(m=3, config=pred_cfg, loss_history=[],
+                                    params=predictor._init_params(3, pred_cfg, rng))
+    mats = [target, CorrelationMatrix(np.eye(3))]
+    down = harness.DownstreamModel(task="classification", config=harness.DownstreamConfig(),
+                                   params=dense_params(rng, (2, 5, 1)), loss_history=[])
+    x = rng.normal(size=(7, 2))
+
+    made = _count_tensors(monkeypatch)
+    snapshot = simulator.loss_snapshot(sim_params, data, target, sim_cfg, sim.task, 0)
+    rows = simulator.sample(sim, 6, seed=1)
+    forecast = predictor.predict_next(pred, mats)
+    probs = down.predict(x)
+    assert len(made) == 0
+    # the same model functions on Tensor leaves record a tape, with the same values
+    frozen = np.random.default_rng([0, 104729])  # loss_snapshot's draws at seed 0
+    noise = frozen.standard_normal((12, 3))
+    z = frozen.standard_normal((simulator.SNAPSHOT_DRAWS, 3))
+    assert _same_bits_via_tensors(lambda ps: simulator._objective(
+        ps, sim_cfg, sim.task, data, noise, z, target.entries), sim_params, snapshot)
+    z = np.random.default_rng(1).standard_normal((6, 3))
+    assert _same_bits_via_tensors(lambda ps: simulator._decode(ps, sim_cfg, z, sim.task)[
+        :, :2], sim_params, rows.features)
+    flat_mats = [flatten_upper(c).reshape(1, -1) for c in mats]
+    assert _same_bits_via_tensors(lambda ps: predictor._forward_sequence(ps, flat_mats)[-1],
+                                  pred.params, flatten_upper(forecast))
+    assert _same_bits_via_tensors(lambda ps: harness._forward_mlp(ps, x, down.task),
+                                  down.params, probs)
+    assert len(made) > 0
 
 
 # -- fused primitives against the compositions they replace ----------------
@@ -260,9 +322,9 @@ def test_dense_matches_composition_bit_for_bit(act, rows):
         return lambda p: ad.reduce_sum(_sq(layer(p[0], p[1], p[2], act)) * weights)
 
     _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
-    fused = ad.dense(ad.constant(x), ad.constant(w), ad.constant(b), act)
-    oracle = unfused.dense(ad.constant(x), ad.constant(w), ad.constant(b), act)
-    assert _same_bits(fused.value, oracle.value)
+    fused = ad.dense(x, w, b, act)
+    assert not isinstance(fused, ad.Tensor)
+    assert _same_bits(fused, unfused.dense(x, w, b, act))
     _check(loss(ad.dense), [x, w, b], step=1e-5)
 
 
@@ -281,8 +343,7 @@ def test_dense_matches_allocating_form_at_simulator_shapes(act, rows):
             layer(layer(p[0], p[1], p[2], act), p[1], p[2], act) * weights)
 
     _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
-    consts = [ad.constant(v) for v in (x, w, b)]
-    assert _same_bits(ad.dense(*consts, act).value, unfused.dense(*consts, act).value)
+    assert _same_bits(ad.dense(x, w, b, act), unfused.dense(x, w, b, act))
 
 
 def test_dense_rejects_other_activations():
@@ -325,17 +386,16 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
         return loss_fn
 
     _assert_same_values_and_gradients(loss(lstm_stack), loss(oracle), [*params, rows])
-    consts = [ad.constant(p) for p in params]
-    row_consts = [ad.constant(rows[t:t + 1, :]) for t in range(steps)]
-    for got, want in zip(lstm_stack(consts, row_consts),
-                         oracle(consts, row_consts), strict=True):
-        assert _same_bits(got.value, want.value)
-        assert not got.requires_grad
+    row_list = [rows[t:t + 1, :] for t in range(steps)]
+    for got, want in zip(lstm_stack(params, row_list), oracle(params, row_list),
+                         strict=True):
+        assert _same_bits(got, want)
+        assert not isinstance(got, ad.Tensor)
 
 
 def test_lstm_stack_records_one_node_and_one_view_per_step():
     rng = np.random.default_rng(26)
-    params = [ad.leaf(p) for p in lstm_params(rng, 3, 4, 8)]
+    params = [ad.Tensor(p) for p in lstm_params(rng, 3, 4, 8)]
     states = lstm_stack(params, [rng.normal(size=(1, 3)) for _ in range(9)])
     (node,) = {s._parents[0] for s in states}
     assert all(s._parents == (node,) for s in states)
@@ -354,9 +414,9 @@ def test_pearson_matches_composition_bit_for_bit(rows, cols):
                                                    - target))
 
     _assert_same_values_and_gradients(loss(ad.pearson), loss(unfused.pearson), [batch])
-    got = ad.pearson(ad.constant(batch), simulator.EPS_VAR)
-    assert _same_bits(got.value, unfused.pearson(ad.constant(batch), simulator.EPS_VAR).value)
-    assert not got.requires_grad and got._parents == ()
+    got = ad.pearson(batch, simulator.EPS_VAR)
+    assert _same_bits(got, unfused.pearson(batch, simulator.EPS_VAR))
+    assert not isinstance(got, ad.Tensor)
 
 
 def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):
@@ -424,7 +484,7 @@ def _kde_kl_oracle(rows, column, idx, grid, bandwidth, prior, log_q):
     primitives before the term was fused."""
     col = rows[:, column:column + 1]
     vals = unfused.transpose(col[idx.tolist(), :])
-    diff = (ad.constant(grid[:, None]) - vals) * (1.0 / bandwidth)
+    diff = (grid[:, None] - vals) * (1.0 / bandwidth)
     dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
     p = dens * (1.0 / ad.reduce_sum(dens)) * prior
     return ad.reduce_sum(p * (ad.log(p) - log_q))
@@ -476,10 +536,9 @@ def test_kde_kl_matches_composition_bit_for_bit(case):
 def test_kde_kl_constant_rows_record_no_parents():
     rows = np.random.default_rng(24).uniform(-1.0, 1.0, size=(5, 2))
     grid, idx, log_q = np.linspace(-1.2, 1.2, 16), np.array([0, 3, 4]), np.zeros(16)
-    fused = ad.kde_kl(ad.constant(rows), 1, idx, grid, 0.2, 0.4, log_q)
-    oracle = _kde_kl_oracle(ad.constant(rows), 1, idx, grid, 0.2, 0.4, log_q)
-    assert fused.value == oracle.value
-    assert not fused.requires_grad and fused._parents == ()
+    fused = ad.kde_kl(rows, 1, idx, grid, 0.2, 0.4, log_q)
+    assert fused == _kde_kl_oracle(rows, 1, idx, grid, 0.2, 0.4, log_q)
+    assert not isinstance(fused, ad.Tensor)
 
 
 def test_kde_kl_zero_mass_is_non_finite_like_the_composition():
@@ -636,6 +695,23 @@ def test_flat_lays_arrays_out_in_order_as_views_of_one_vector():
     assert not np.array_equal(stepped[0], stepped[-1])
     assert _same_bits(theta, stepped[0])
     assert _same_bits(views[1].ravel(), stepped[0][1:4])
+
+
+@pytest.mark.parametrize("bad, entry", [(np.nan, 4), (np.inf, 1), (-np.inf, 0)])
+def test_flat_refuses_a_non_finite_entry(bad, entry):
+    arrays = [np.zeros(1), np.zeros((2, 2))]
+    (arrays[0] if entry == 0 else arrays[1]).ravel()[max(entry - 1, 0)] = bad
+    with pytest.raises(ValueError, match=f"non-finite parameter at entry {entry}"):
+        flat(arrays)
+
+
+def test_fit_refuses_a_non_finite_init_before_its_first_readout():
+    calls = []
+    config = SimpleNamespace(learning_rate=0.1, max_epochs=5, patience=5)
+    with pytest.raises(ValueError, match="entry 2"):
+        fit(lambda ps: calls.append(1) or ad.reduce_sum(ps[0]),
+            [np.array([0.0, 1.0, np.nan])], config)
+    assert calls == []
 
 
 def _quadratic(target):

@@ -146,6 +146,9 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
                        ("downstream", {"max_epochs": 0}),
                        ("downstream", {"patience": 0}),
                        ("dataset", {"kind": "moons", "noise_std": float("nan")}),
+                       # a moons key takes its default's type, as a model field does
+                       ("dataset", {"kind": "moons", "noise_std": True}),
+                       ("dataset", {"kind": "moons", "seed": True}),
                        ("predictor", 3), ("dataset", 3), ("dataset", [1]),
                        # asks for more generated rows than memory holds
                        ("sample_rate", 1e300),
@@ -156,6 +159,9 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
                        ("output_dir", 5), ("output_dir", str(tmp_path / "cfg-out"))):
         bad_value = write_cfg(tmp_path, {**TINY_CFG, key: value})
         assert usage_error_in_one_line(capsys, ["run", "--config", bad_value])
+    bool_seed = write_cfg(tmp_path, {**TINY_CFG, "dataset": {"kind": "moons", "seed": True}})
+    assert usage_error_in_one_line(capsys, ["run", "--config", bool_seed],
+                                   "dataset: seed must be an integer, got True")
     bad_norm = write_cfg(tmp_path, {**TINY_CFG, "normalization": "bogus"})
     assert main(["run", "--config", bad_norm]) == 2
     bad_moons = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
@@ -327,6 +333,25 @@ def test_run_non_finite_gradient_is_numeric_failure(tmp_path, monkeypatch,
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
         assert multiprocessing.active_children() == []
+
+
+def test_run_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys):
+    # a model size that no allocation can hold; raised here, never allocated
+    error = MemoryError("Unable to allocate 21.8 TiB for an array")
+
+    def no_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(harness, "train_downstream", no_memory)
+    run = ["run", "--config", write_cfg(tmp_path, TINY_CFG), "--out", str(tmp_path / "out")]
+    assert usage_error_in_one_line(capsys, run, "error: out of memory: Unable to allocate")
+    error = MemoryError()  # a huge layer count ends in a MemoryError with no message
+    assert usage_error_in_one_line(capsys, run, "error: out of memory: allocation failed")
+    # three seeds run in forked workers where two CPUs are usable
+    cfg = write_cfg(tmp_path, {**TINY_CFG, "seeds": [0, 1, 2]})
+    assert usage_error_in_one_line(capsys, ["run", "--config", cfg, "--out",
+                                            str(tmp_path / "out")], "out of memory")
+    assert multiprocessing.active_children() == []
 
 
 def test_run_overflowing_adam_update_is_numeric_failure(tmp_path, capsys):

@@ -175,7 +175,7 @@ def per_epoch_joint_kl(rows, labels, truth, grid):
             qm = np.maximum(q * pr, Q_FLOOR)
             idx = np.flatnonzero(labels == cls)
             vals = unfused.transpose(col[idx.tolist(), :])
-            diff = (ad.constant(grid[:, None]) - vals) * (1.0 / h)
+            diff = (grid[:, None] - vals) * (1.0 / h)
             dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
             p = dens * (1.0 / ad.reduce_sum(dens)) * pr
             term = ad.reduce_sum(p * (ad.log(p) - np.log(qm)))
@@ -227,14 +227,14 @@ def tape_nodes(*outputs) -> list:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            stack.extend(p for p in node._parents if p.requires_grad)
+            stack.extend(node._parents)
     return list(seen.values())
 
 
 def test_one_tape_node_per_kl_term(monkeypatch):
     stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
     build, params = captured_loss(monkeypatch, stream)
-    visited = tape_nodes(build([ad.leaf(p) for p in params]))
+    visited = tape_nodes(build([ad.Tensor(p) for p in params]))
     terms = [node for node in visited if node._vjp is not None
              and node._vjp.__qualname__.startswith("kde_kl.")]
     model = tape_nodes(*(rows for term in terms for rows in term._parents))
@@ -250,7 +250,7 @@ def test_tape_nodes_per_epoch_on_ten_domain_moons(monkeypatch):
     # 8 parameter leaves; one LSTM stack node and a view of it per scored
     # step (8); per scored step 6 decode nodes and 4 KL terms; 31 adds and
     # one scale
-    assert len(tape_nodes(build([ad.leaf(p) for p in params]))) == 129
+    assert len(tape_nodes(build([ad.Tensor(p) for p in params]))) == 129
 
 
 def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):
@@ -260,7 +260,7 @@ def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):
     real = density_baseline.lstm_stack
     monkeypatch.setattr(density_baseline, "lstm_stack",
                         lambda ps, rows: fed.append(rows) or real(ps, rows))
-    build([ad.leaf(p) for p in params])
+    build([ad.Tensor(p) for p in params])
     (rows,) = fed
     assert len(rows) == len(stream.sources) - 1
     want = density_baseline._summaries(stream.sources)

@@ -7,18 +7,16 @@ compositions and the KDE oracles of the tests build."""
 import numpy as np
 
 from driftsim import autodiff as ad
-from driftsim.autodiff import _accumulate, _node, _wrap
+from driftsim.autodiff import _accumulate, _node, _val
 from driftsim.optim import BETA1, BETA2, EPS, TOL, Adam, flat
 
 
 def transpose(a):
     """`a.T` as a tape node."""
-    a = _wrap(a)
-
     def vjp(g):
         _accumulate(a, g.T)
 
-    return _node(a.value.T.copy(), (a,), vjp)
+    return _node(_val(a).T.copy(), (a,), vjp)
 
 
 def dense(x, w, b, act):
@@ -74,13 +72,13 @@ def lstm_stack(params, rows, hidden):
     """`ad.lstm_stack` cell by cell, each step's gates as
     `concat([x, h]) @ w + b` and its cell as `lstm_cell` above."""
     layers = len(params) // 2
-    h_states = [ad.constant(np.zeros((1, hidden)))] * layers
+    h_states = [np.zeros((1, hidden))] * layers
     c_states = [None] * layers
     states = []
     for x in rows:
         for layer in range(layers):
             w, b = params[2 * layer], params[2 * layer + 1]
-            gates = ad.concat([x, h_states[layer]], axis=1) @ w + b
+            gates = ad.matmul(ad.concat([x, h_states[layer]], axis=1), w) + b
             x, c_states[layer] = lstm_cell(gates, c_states[layer], hidden)
             h_states[layer] = x
         states.append(x)
