@@ -1,9 +1,9 @@
 """Command-line entry point: dataset generation, pipeline runs, parameter
 sweeps, and exhaustive verification of the correlation-shift bound.
 
-Exit codes: 0 success, 1 verified property violation, 2 usage, config,
-input-data or output-path error or out of memory, 3 numeric failure
-(non-finite training loss or gradient).
+Exit codes: 0 success, 1 verified property violation, 2 a ConfigError (usage,
+config, input-data or output-path error, or a run refused before it trains)
+or out of memory, 3 numeric failure (non-finite training loss or gradient).
 All file outputs are written atomically (temp file + rename). The default
 output directory is "." unless the DRIFTSIM_OUT environment variable
 overrides it. A closed stdout (a reader such as `head` that quits early)
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 import tempfile
@@ -25,18 +24,18 @@ import numpy as np
 
 from .bounds import check_moment_deltas, random_distribution_pair, verify_bound
 from .correlation import pearson_matrix
-from .datasets import (CLASSIFICATION, CsvSchema, DomainStream,
-                       load_csv_stream, make_moons_stream, save_domain_csv,
-                       fit_apply_normalization)
-from .harness import (METHODS, SWEEP_PARAMETERS, ExperimentConfig,
+from .datasets import (CLASSIFICATION, DomainStream, load_csv_stream,
+                       make_moons_stream, save_domain_csv, fit_apply_normalization)
+from .harness import (SWEEP_PARAMETERS, ConfigError, ExperimentConfig,
                       ExperimentReport, require_sweepable, require_trainable,
                       run_experiment, sweep)
 
 __all__ = ["main", "load_run_config"]
 
 GENERATIVE = ("coda", "coda-without-C", "prelim")
-# the moons dataset block and the gen-moons flags are make_moons_stream's
-# keyword arguments, with its defaults
+# a dataset block holds its kind's function's keyword arguments, and the
+# gen-moons flags are the moons keys, with its defaults
+DATASETS = {"moons": make_moons_stream, "csv": load_csv_stream}
 MOONS_DEFAULTS = {name: p.default for name, p in
                   inspect.signature(make_moons_stream).parameters.items()}
 # --max-support x --dims: one pair of 250,000 support points in 4 dims (10^6
@@ -105,10 +104,6 @@ def _say(line: str) -> None:
 
 # -- config file -------------------------------------------------------------
 
-class ConfigError(ValueError):
-    """A malformed run config or argument, or an unwritable output path (exit 2)."""
-
-
 def _check_keys(block, context: str, allowed) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected a JSON object, "
@@ -119,28 +114,32 @@ def _check_keys(block, context: str, allowed) -> None:
                           f"expected a subset of {sorted(allowed)}")
 
 
-_KINDS = {int: "an integer", float: "a finite number", tuple: "a list of integers"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          tuple: "a list of integers"}
 
 
 def _fits(value, default) -> bool:
-    """Whether a JSON value can stand in for a config field's default: an int
-    field takes a non-bool int, a float field a non-bool finite number, a
-    tuple field a list of such values."""
+    """Whether a JSON value can stand in for a field's default: an int field
+    takes a non-bool int, a float field a non-bool finite number, a string
+    field a string, a tuple field a list of values that fit its first entry
+    or, when it is empty (the csv feature_cols), a list of strings."""
     if isinstance(default, tuple):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+        return isinstance(value, list) and all(_fits(v, default[0] if default else "")
+                                               for v in value)
     if isinstance(value, bool):
         return False
-    if isinstance(default, int):
-        return isinstance(value, int)
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    if isinstance(default, (int, str)):
+        return isinstance(value, type(default))
+    # compared exactly: NaN, infinities and ints too large for a float fail
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 def _typed(context: str, key: str, value, default):
     """`value` for a field with this default, a list becoming a tuple, or a
     ConfigError naming the key when `_fits` refuses it."""
     if not _fits(value, default):
-        raise ConfigError(f"{context}: {key} must be "
-                          f"{_KINDS[type(default)]}, got {value!r}")
+        kind = "a list of strings" if default == () else _KINDS[type(default)]
+        raise ConfigError(f"{context}: {key} must be {kind}, got {value!r}")
     return tuple(value) if isinstance(value, list) else value
 
 
@@ -161,36 +160,28 @@ def _overrides(block, context: str, default):
 
 
 def _build_stream(block) -> DomainStream:
+    """The stream a dataset block describes: each key but "kind" is typed by
+    the default of the parameter of the kind's function that it fills, and
+    one without a default (the csv path) is required and takes a string."""
     if not isinstance(block, dict):
         raise ConfigError(f"dataset: expected a JSON object, "
                           f"got {type(block).__name__}")
     kind = block.get("kind")
-    options = {k: v for k, v in block.items() if k != "kind"}
-    if kind == "moons":
-        _check_keys(block, "dataset", ("kind", *MOONS_DEFAULTS))
-        return _moons_stream(**{k: _typed("dataset", k, v, MOONS_DEFAULTS[k])
-                                for k, v in options.items()})
-    if kind == "csv":
-        _check_keys(block, "dataset", ("kind", "path", "domain_col",
-                                       "label_col", "feature_cols", "task"))
-        path = options.pop("path", None)
-        if not (isinstance(path, str) and path):
-            raise ConfigError("dataset: csv kind requires a path")
-        schema = {"domain_col": "t", "label_col": "y",
-                  **{k: tuple(v) if isinstance(v, list) else v
-                     for k, v in options.items()}}
-        try:
-            return load_csv_stream(path, CsvSchema(**schema))
-        except (OSError, TypeError, ValueError) as exc:
-            raise ConfigError(f"dataset: {exc}") from None
-    raise ConfigError(f"dataset: unknown kind {kind!r}; expected moons or csv")
-
-
-def _moons_stream(**kwargs) -> DomainStream:
+    if not isinstance(kind, str) or kind not in DATASETS:
+        raise ConfigError(f"dataset: unknown kind {kind!r}; expected moons or csv")
+    parameters = inspect.signature(DATASETS[kind]).parameters
+    _check_keys(block, "dataset", ("kind", *parameters))
+    options = {}
+    for key, p in parameters.items():
+        required = p.default is p.empty
+        if key in block:
+            options[key] = _typed("dataset", key, block[key], "" if required else p.default)
+        elif required:
+            raise ConfigError(f"dataset: {kind} needs {key}")
     try:
-        return make_moons_stream(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"moons: {exc}") from None
+        return DATASETS[kind](**options)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"dataset: {exc}") from None
 
 
 def load_run_config(path: str):
@@ -213,22 +204,13 @@ def load_run_config(path: str):
                             *(f.name for f in fields(ExperimentConfig))])
     dataset = raw.pop("dataset", {"kind": "moons"})
     methods = raw.pop("methods", ["coda"])
-    if not isinstance(methods, list):
-        raise ConfigError("methods: expected a list of method names")
-    for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"methods: unknown method {method!r}; "
-                              f"expected a subset of {list(METHODS)}")
-    if not methods:
-        raise ConfigError("methods: need at least one")
+    if not (isinstance(methods, list) and methods):
+        raise ConfigError("methods: expected a non-empty list of method names")
     config = _overrides(raw, path, ExperimentConfig())
     stream = _build_stream(dataset)
-    # every listed method is checked before the first one trains
+    # every listed method, its name first, is checked before the first one trains
     for method in methods:
-        try:
-            require_trainable(stream, method, config)
-        except ValueError as exc:
-            raise ConfigError(f"dataset: {exc}") from None
+        require_trainable(stream, method, config)
     return stream, methods, config
 
 
@@ -237,7 +219,7 @@ def load_run_config(path: str):
 def cmd_gen_moons(args) -> int:
     out = _out_dir(args.out)
     options = {name: getattr(args, name) for name in MOONS_DEFAULTS}
-    stream = _moons_stream(**options)
+    stream = _build_stream({"kind": "moons", **options})
     files = []
     for dom in (*stream.sources, stream.target):
         name = f"moons_domain_{dom.domain_index:02d}.csv"
@@ -315,7 +297,7 @@ def cmd_verify_bound(args) -> int:
             raise ConfigError(f"{flag} must be at least {least}")
     if args.max_support * args.dims > MAX_PAIR_CELLS:
         raise ConfigError(f"--max-support x --dims must be at most {MAX_PAIR_CELLS:,}")
-    rows = []
+    rows = [] if args.out else None  # nothing reads them without --out
     bad = 0
     for index in range(args.pairs):
         p, q = random_distribution_pair(np.random.default_rng([args.seed, index]),
@@ -325,7 +307,8 @@ def cmd_verify_bound(args) -> int:
         moments = check_moment_deltas(p, q)
         ok = (not bound.violated) and moments.ok
         bad += 0 if ok else 1
-        rows.append({**bound.to_dict(), "moment_deltas_ok": bool(moments.ok)})
+        if rows is not None:
+            rows.append({**bound.to_dict(), "moment_deltas_ok": bool(moments.ok)})
     if args.out:
         _write_json(args.out, rows)
     _say(f"{args.pairs} pairs checked, {bad} violations")
@@ -336,10 +319,7 @@ def cmd_sweep(args) -> int:
     stream, methods, config = load_run_config(args.config)
     if len(methods) > 1:  # the curve has no method column
         raise ConfigError(f"methods: sweep takes one method, got {methods}")
-    try:
-        require_sweepable(methods[0], args.param)
-    except ValueError as exc:
-        raise ConfigError(f"--param: {exc}") from None
+    require_sweepable(methods[0], args.param)
     out = _out_dir(args.out)
     _make_dir(out)
     try:
@@ -347,15 +327,9 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--values: expected comma-separated numbers, "
                           f"got {args.values!r}") from None
-    if not values:
-        raise ConfigError("--values: need at least one value")
-    try:
-        points = sweep(stream, args.param, values, config, method=methods[0],
-                       validate=args.validate)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    header = "value,mean,std" + (",val_mean,val_std" if args.validate else "")
-    lines = [header]
+    points = sweep(stream, args.param, values, config, method=methods[0],
+                   validate=args.validate)
+    lines = ["value,mean,std" + (",val_mean,val_std" if args.validate else "")]
     rows = []
     for point in points:
         row = [point.value, point.test.mean, point.test.std]

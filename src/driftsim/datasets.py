@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DomainDataset",
     "DomainStream",
-    "CsvSchema",
     "NormalizationStats",
     "make_moons_domain",
     "make_moons_stream",
@@ -160,26 +159,18 @@ def make_moons_stream(domains: int = 10, n_per_domain: int = 200,
 
 # -- CSV ingestion -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column roles for a raw domain-stream CSV."""
-
-    domain_col: str
-    label_col: str
-    feature_cols: tuple = ()  # empty: every remaining column is a feature
-    task: str = CLASSIFICATION
-
-
-def load_csv_stream(path, schema: CsvSchema) -> DomainStream:
+def load_csv_stream(path, domain_col: str = "t", label_col: str = "y",
+                    feature_cols: tuple = (), task: str = CLASSIFICATION) -> DomainStream:
     """Read a header CSV, group rows by integer domain index, hold out the last.
 
-    Rows containing empty cells are dropped (instances with gaps are
-    excluded, not imputed). A header or a schema that names a column twice
-    (the domain, label and feature columns are distinct) is a hard error
-    naming that column; non-numeric and non-finite cells, and for a
-    classification schema labels other than 0 or 1, are a hard error naming
-    the offending row and column, and so is a file with more than MAX_ROWS
-    usable rows.
+    The default columns are those `save_domain_csv` writes; empty
+    `feature_cols` takes every other column as a feature. Rows containing
+    empty cells are dropped (instances with gaps are excluded, not imputed).
+    A header, or column roles, that name a column twice (the domain, label
+    and feature columns are distinct) is a hard error naming that column;
+    non-numeric and non-finite cells, and for a classification `task`
+    labels other than 0 or 1, are a hard error naming the offending row and
+    column, and so is a file with more than MAX_ROWS usable rows.
     """
     groups: dict[int, list] = {}
     with open(path, newline="") as fh:
@@ -192,9 +183,9 @@ def load_csv_stream(path, schema: CsvSchema) -> DomainStream:
             if name in header[:i]:
                 raise ValueError(f"{path}: the header names column {name!r} twice")
         col_index = {name: i for i, name in enumerate(header)}
-        feature_cols = tuple(schema.feature_cols) or tuple(
-            c for c in header if c not in (schema.domain_col, schema.label_col))
-        wanted = (schema.domain_col, schema.label_col, *feature_cols)
+        feature_cols = tuple(feature_cols) or tuple(
+            c for c in header if c not in (domain_col, label_col))
+        wanted = (domain_col, label_col, *feature_cols)
         for i, col in enumerate(wanted):
             if col in wanted[:i]:
                 raise ValueError(f"{path}: the schema names column {col!r} twice")
@@ -224,9 +215,9 @@ def load_csv_stream(path, schema: CsvSchema) -> DomainStream:
                 raise ValueError(
                     f"{path}: domain index {t} at row {row_num} is not an integer; "
                     "bin timestamps before ingestion")
-            if schema.task == CLASSIFICATION and parsed[1] not in (0.0, 1.0):
+            if task == CLASSIFICATION and parsed[1] not in (0.0, 1.0):
                 raise ValueError(f"{path}: label {cells[1]!r} at row {row_num}, column "
-                                 f"{schema.label_col!r} is not 0 or 1")
+                                 f"{label_col!r} is not 0 or 1")
             kept += 1
             if kept > MAX_ROWS:
                 raise ValueError(f"{path}: more than {MAX_ROWS:,} usable rows")
@@ -241,12 +232,12 @@ def load_csv_stream(path, schema: CsvSchema) -> DomainStream:
             raise ValueError(f"{path}: domain {t} has fewer than 2 usable rows")
         domains.append(DomainDataset(
             domain_index=t, features=block[:, 1:], labels=block[:, 0],
-            task=schema.task, feature_names=feature_cols))
+            task=task, feature_names=feature_cols))
     return DomainStream(sources=tuple(domains[:-1]), target=domains[-1])
 
 
 def save_domain_csv(dataset: DomainDataset, path) -> None:
-    """Write one domain in the same schema `load_csv_stream` reads."""
+    """Write one domain in the columns `load_csv_stream` reads by default."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "y", *dataset.feature_names])

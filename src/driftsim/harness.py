@@ -7,14 +7,14 @@ Methods: "coda" (simulate the next domain with the correlation forecast),
 pooled), "incfinetune" (sequential fine-tuning across sources at reduced
 learning rate), "prelim" (the density-forecasting baseline). The target
 domain is only ever touched by the final scoring call; its row count alone
-feeds the sample-size choice.
+feeds the sample-size choice. A run refused before it trains is a ConfigError.
 """
 from __future__ import annotations
 
 import ctypes
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .optim import fit
 from .predictor import PredictorConfig, predict_next, train_predictor
 from .simulator import SimulatorConfig, sample, train_simulator
 
-__all__ = ["DownstreamConfig", "DownstreamModel", "ExperimentConfig",
+__all__ = ["ConfigError", "DownstreamConfig", "DownstreamModel", "ExperimentConfig",
            "ExperimentReport", "SweepPoint", "METHODS", "SWEEP_PARAMETERS",
            "require_trainable", "require_sweepable", "train_downstream",
            "evaluate", "run_experiment", "sweep"]
@@ -37,6 +37,13 @@ METHODS = ("coda", "coda-without-C", "lastdomain", "offline", "incfinetune",
            "prelim")
 # generated rows per target row; larger values ask for more rows than memory holds
 MAX_SAMPLE_RATE = 100.0
+# weights and biases in one model: a simulator of width 1,575 (9.98 M) took
+# 3.6 s per epoch and 833 MB peak RSS on one BLAS thread of a shared 2-vCPU machine
+MAX_PARAMETERS = 10_000_000
+
+
+class ConfigError(ValueError):
+    """A refused run, config, argument or output path (exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -145,38 +152,65 @@ class ExperimentReport:
                 "wall_clock_s": self.wall_clock_s}
 
 
+def _parameter_counts(m: int, method: str, config: ExperimentConfig) -> dict:
+    """Parameters of each model `method` trains on m - 1 features and a label,
+    by config block, counted without a layer list as long as a layer count."""
+    dims = (m - 1, *config.downstream.hidden_dims, 1)
+    counts = {"downstream": sum((a + 1) * b for a, b in zip(dims, dims[1:]))}
+    sim, pred = config.simulator, config.predictor
+    if method in ("coda", "coda-without-C"):  # encoder trunk, two heads, decoder
+        e, d, lat = sim.encoder_dim, sim.decoder_dim, sim.latent_dim
+        counts["simulator"] = ((m + 1 + 2 * lat + (sim.encoder_layers - 1) * (e + 1)) * e
+                               + (lat + 1 + m + (sim.decoder_layers - 1) * (d + 1)) * d
+                               + 2 * lat + m)
+    if method == "coda" and sim.lambda_c > 0:  # embedding, LSTM stack, head
+        p, h, lat = m * (m - 1) // 2, pred.hidden_dim, pred.latent_dim
+        counts["predictor"] = ((p + 1) * lat + (h + 1) * p + 4 * h * (lat + h + 1)
+                               + (pred.layers - 1) * 4 * h * (2 * h + 1))
+    return counts
+
+
 def require_trainable(stream: DomainStream, method: str,
                       config: ExperimentConfig) -> None:
-    """Reject, before anything trains, a stream that `method` cannot train on
-    under `config`: a classification domain that holds a single class (its
-    label column is constant, so its correlation matrix is undefined and its
-    error rate says nothing), sources on which every feature or a regression
-    label is constant (so normalization has nothing to scale), fewer than 3
-    sources for the two sequence models (coda's forecaster, which trains
-    only at lambda_c > 0, and prelim), a source without a correlation matrix
-    for the forecaster, prelim on a regression stream, or a prelim truth
-    domain without a KDE for some feature and class."""
+    """Raise a ConfigError, before anything trains, for an unknown method or
+    a stream that `method` cannot train on under `config`: a single-class
+    classification domain (no correlation matrix, an error rate that says
+    nothing), fewer than 3 sources for a sequence model (coda's forecaster,
+    trained only at lambda_c > 0, and prelim), prelim on regression, sources
+    on which every feature or a regression label is constant, a source
+    without a correlation matrix for the forecaster, a prelim truth domain
+    without a KDE, or a model of more than MAX_PARAMETERS parameters."""
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     if stream.task == CLASSIFICATION:
         for dom in (*stream.sources, stream.target):
             if np.unique(dom.labels).size < 2:
-                raise ValueError(f"domain {dom.domain_index} holds a single class; "
-                                 "every classification domain needs both labels")
-    normalized, _ = fit_apply_normalization(stream)
+                raise ConfigError(f"domain {dom.domain_index} holds a single class; "
+                                  "every classification domain needs both labels")
     forecasts = method == "coda" and config.simulator.lambda_c > 0
     if (forecasts or method == "prelim") and len(stream.sources) < 3:
-        raise ValueError(f"{method} needs at least 3 source domains, "
-                         f"got {len(stream.sources)}")
-    if forecasts:
-        for source in normalized.sources:
-            pearson_matrix(source)  # raises on a column constant in one domain
-    if method == "prelim":
-        if stream.task != CLASSIFICATION:
-            raise ValueError("prelim is defined for classification streams only")
-        grid = density_baseline.default_grid(density_baseline.PrelimConfig().grid_size)
-        for truth in normalized.sources[1:]:
-            density_baseline._truth_side(truth, grid)  # raises on a class without a KDE
+        raise ConfigError(f"{method} needs at least 3 source domains, "
+                          f"got {len(stream.sources)}")
+    if method == "prelim" and stream.task != CLASSIFICATION:
+        raise ConfigError("prelim is defined for classification streams only")
+    try:  # the library's own refusals, with their messages
+        normalized, _ = fit_apply_normalization(stream)
+        if forecasts:
+            for source in normalized.sources:
+                pearson_matrix(source)  # raises on a column constant in one domain
+        if method == "prelim":
+            grid = density_baseline.default_grid(density_baseline.PrelimConfig().grid_size)
+            for truth in normalized.sources[1:]:
+                density_baseline._truth_side(truth, grid)  # raises on a class without a KDE
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for block, count in _parameter_counts(normalized.d + 1, method, config).items():
+        if count > MAX_PARAMETERS:
+            cfg = getattr(config, block)
+            sizes = ", ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)
+                              if f.name.endswith(("_dim", "_dims", "layers")))
+            raise ConfigError(f"{block}: {sizes} on {normalized.d} features make more "
+                              f"than {MAX_PARAMETERS:,} parameters")
 
 
 def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,
@@ -344,23 +378,10 @@ def require_sweepable(method: str, parameter: str) -> None:
     """Reject an unknown sweep parameter or one that `method` never reads."""
     readers = SWEEP_PARAMETERS.get(parameter)
     if readers is None:
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
+        raise ConfigError(f"unknown sweep parameter {parameter!r}")
     if method not in readers:
-        raise ValueError(f"{method} never reads {parameter}; "
-                         f"only {' and '.join(readers)} do")
-
-
-def _with_value(config: ExperimentConfig, parameter: str,
-                value: float) -> ExperimentConfig:
-    if parameter == "lambda_c":
-        return replace(config, simulator=replace(config.simulator, lambda_c=value))
-    return replace(config, sample_rate=value)
-
-
-def _validation_stream(stream: DomainStream) -> DomainStream:
-    if len(stream.sources) < 3:
-        raise ValueError("validation split needs at least 3 source domains")
-    return DomainStream(sources=stream.sources[:-1], target=stream.sources[-1])
+        raise ConfigError(f"{method} never reads {parameter}; "
+                          f"only {' and '.join(readers)} do")
 
 
 def sweep(stream: DomainStream, parameter: str, values,
@@ -370,12 +391,19 @@ def sweep(stream: DomainStream, parameter: str, values,
     run that holds out the last source domain as a pseudo-target."""
     require_sweepable(method, parameter)
     if not values:
-        raise ValueError("sweep needs at least one value")
-    val_stream = _validation_stream(stream) if validate else None
+        raise ConfigError("sweep needs at least one value")
+    if validate and len(stream.sources) < 3:
+        raise ConfigError("validation split needs at least 3 source domains")
+    val_stream = DomainStream(stream.sources[:-1], stream.sources[-1]) if validate else None
     # every value, on the test and the validation stream, is checked before
     # the first run trains anything: a lambda_c value decides whether coda
     # trains a forecaster
-    configs = [_with_value(config, parameter, value) for value in values]
+    try:  # a value the config refuses (NaN, inf, out of range)
+        configs = [replace(config, sample_rate=value) if parameter == "sample_rate"
+                   else replace(config, simulator=replace(config.simulator, lambda_c=value))
+                   for value in values]
+    except ValueError as exc:
+        raise ConfigError(f"{parameter}: {exc}") from None
     for cfg in configs:
         for checked in (stream, val_stream) if validate else (stream,):
             require_trainable(checked, method, cfg)

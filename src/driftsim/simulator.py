@@ -21,7 +21,7 @@ from .nn import dense_params, mlp
 from .optim import flat, train
 
 __all__ = ["SimulatorConfig", "SimulatorModel", "train_simulator", "sample",
-           "loss_snapshot"]
+           "snapshot_draws", "loss_snapshot"]
 
 EPS_VAR = 1e-6  # variance guard inside the differentiable batch std
 SNAPSHOT_DRAWS = 2048  # prior draws for the deterministic regularizer readout
@@ -141,24 +141,29 @@ def _objective(params, config: SimulatorConfig, task: str, rows, noise,
     return loss + _regularizer_graph(gen, target) * config.lambda_c
 
 
+def snapshot_draws(n: int, config: SimulatorConfig, regularized: bool, seed: int):
+    """`loss_snapshot`'s frozen draws for n rows, one pair per (config, seed):
+    the reparameterization noise and, when `regularized`, the prior draws."""
+    rng = np.random.default_rng([seed, 104729])
+    noise = rng.standard_normal((n, config.latent_dim))
+    draws = max(SNAPSHOT_DRAWS, config.regularizer_draws)
+    return noise, rng.standard_normal((draws, config.latent_dim)) if regularized else None
+
+
 def loss_snapshot(params: list, data: np.ndarray, target: CorrelationMatrix | None,
-                  config: SimulatorConfig, task: str, seed: int) -> float:
-    """Full-data objective under frozen evaluation noise.
+                  config: SimulatorConfig, task: str, draws: tuple) -> float:
+    """Full-data objective under `snapshot_draws`; prior draws add the regularizer.
 
     The training objective is stochastic (fresh reparameterization and prior
     draws per step), so convergence and before/after comparisons use this
-    deterministic stand-in: one fixed noise draw per (config, seed). The
-    regularizer readout uses a prior draw much larger than the per-step one —
-    checkpoint selection multiplies it by lambda_c, and at large lambda_c the
-    sampling error of a small draw would outweigh the reconstruction term and
-    select whichever epoch flattered that particular draw.
+    deterministic stand-in. The regularizer readout uses a prior draw much
+    larger than the per-step one — checkpoint selection multiplies it by
+    lambda_c, and at large lambda_c the sampling error of a small draw would
+    outweigh the reconstruction term and select whichever epoch flattered
+    that particular draw.
     """
-    rng = np.random.default_rng([seed, 104729])
-    noise = rng.standard_normal((data.shape[0], config.latent_dim))
-    z = entries = None
-    if config.lambda_c > 0 and target is not None:
-        draws = max(SNAPSHOT_DRAWS, config.regularizer_draws)
-        z, entries = rng.standard_normal((draws, config.latent_dim)), target.entries
+    noise, z = draws
+    entries = None if z is None else target.entries
     return ad.evaluate_value(
         lambda ps: _objective(ps, config, task, data, noise, z, entries), params)
 
@@ -168,7 +173,7 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
     """Fit the generator to the last source domain's rows.
 
     `seed` draws the init, the minibatch order and noise, and the frozen
-    noise of `loss_snapshot`.
+    `snapshot_draws` that every `loss_snapshot` readout of this fit reads.
 
     Each minibatch step draws fresh reparameterization noise and, when
     lambda_c > 0, a fresh prior batch whose decoded correlation matrix is
@@ -201,6 +206,7 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
     use_reg = config.lambda_c > 0
     warmup = config.warmup_epochs if use_reg else 0
     target = target_corr.entries if use_reg else None
+    frozen = snapshot_draws(data.shape[0], config, use_reg, seed)
 
     def epoch(e, opt):
         reg_on = use_reg and e >= warmup
@@ -215,7 +221,7 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
             opt.step(theta, grad)
 
     def readout():
-        return loss_snapshot(params, data, target_corr, config, last_domain.task, seed)
+        return loss_snapshot(params, data, target_corr, config, last_domain.task, frozen)
 
     history = train(theta, epoch, readout, config, config.max_epochs, warmup, hold=2)
     return SimulatorModel(task=last_domain.task, config=config, params=params,

@@ -17,7 +17,7 @@ from driftsim import simulator as sm
 from driftsim.bounds import (FiniteJointDistribution, check_moment_deltas,
                              random_distribution_pair, tv_exact, verify_bound)
 from driftsim.correlation import matrix_distance, pearson_matrix
-from driftsim.datasets import (CLASSIFICATION, CsvSchema, DomainDataset,
+from driftsim.datasets import (CLASSIFICATION, DomainDataset,
                                fit_apply_normalization, load_csv_stream,
                                make_moons_stream, save_domain_csv)
 from driftsim.harness import ExperimentConfig, run_experiment, sweep
@@ -295,8 +295,7 @@ def test_criterion_10_csv_round_trip(tmp_path, stream):
         lines += path.read_text().splitlines()[1:]
     combined = tmp_path / "all.csv"
     combined.write_text("\n".join(lines) + "\n")
-    loaded = load_csv_stream(str(combined), CsvSchema(domain_col="t",
-                                                      label_col="y"))
+    loaded = load_csv_stream(str(combined), domain_col="t", label_col="y")
     all_orig = (*stream.sources, stream.target)
     all_load = (*loaded.sources, loaded.target)
     exact = all(

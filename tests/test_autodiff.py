@@ -273,16 +273,15 @@ def test_forward_only_paths_make_no_tensor(monkeypatch):
                                    params=dense_params(rng, (2, 5, 1)), loss_history=[])
     x = rng.normal(size=(7, 2))
 
+    frozen = simulator.snapshot_draws(12, sim_cfg, True, 0)
     made = _count_tensors(monkeypatch)
-    snapshot = simulator.loss_snapshot(sim_params, data, target, sim_cfg, sim.task, 0)
+    snapshot = simulator.loss_snapshot(sim_params, data, target, sim_cfg, sim.task, frozen)
     rows = simulator.sample(sim, 6, seed=1)
     forecast = predictor.predict_next(pred, mats)
     probs = down.predict(x)
     assert len(made) == 0
     # the same model functions on Tensor leaves record a tape, with the same values
-    frozen = np.random.default_rng([0, 104729])  # loss_snapshot's draws at seed 0
-    noise = frozen.standard_normal((12, 3))
-    z = frozen.standard_normal((simulator.SNAPSHOT_DRAWS, 3))
+    noise, z = frozen
     assert _same_bits_via_tensors(lambda ps: simulator._objective(
         ps, sim_cfg, sim.task, data, noise, z, target.entries), sim_params, snapshot)
     z = np.random.default_rng(1).standard_normal((6, 3))

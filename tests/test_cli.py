@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftsim import autodiff, cli, datasets, harness
+from driftsim import autodiff, bounds, cli, datasets, harness
 from driftsim.cli import load_run_config, main
-from driftsim.datasets import CsvSchema, load_csv_stream
+from driftsim.datasets import load_csv_stream
 from driftsim.harness import ExperimentConfig
 
 TINY_CFG = {
@@ -67,8 +67,7 @@ def test_gen_moons_output_round_trips(tmp_path):
     parts = [(tmp_path / f"moons_domain_{i:02d}.csv").read_text().splitlines()
              for i in range(3)]
     combined.write_text("\n".join(parts[0] + parts[1][1:] + parts[2][1:]) + "\n")
-    stream = load_csv_stream(str(combined), CsvSchema(domain_col="t",
-                                                      label_col="y"))
+    stream = load_csv_stream(str(combined), domain_col="t", label_col="y")
     assert len(stream.sources) == 2
     assert stream.target.n == 20
 
@@ -209,6 +208,19 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
         "kind": "csv", "path": str(tmp_path / "bad_label.csv")}})
     assert usage_error_in_one_line(capsys, ["run", "--config", bad_label],
                                    "label '2' at row 6, column 'y' is not 0 or 1")
+    # each csv key takes the type of its load_csv_stream default; path has
+    # none, so it is required
+    (tmp_path / "typed.csv").write_text(good)
+    typed = str(tmp_path / "typed.csv")
+    for block, naming in (({"path": typed, "feature_cols": "x0"},
+                           "dataset: feature_cols must be a list of strings, got 'x0'"),
+                          ({"path": typed, "task": 1}, "dataset: task must be a string, got 1"),
+                          ({"path": 5}, "dataset: path must be a string, got 5"),
+                          ({"path": typed, "domain_col": True},
+                           "dataset: domain_col must be a string, got True"),
+                          ({}, "dataset: csv needs path")):
+        untyped = write_cfg(tmp_path, {**TINY_CFG, "dataset": {"kind": "csv", **block}})
+        assert usage_error_in_one_line(capsys, ["run", "--config", untyped], naming)
     # a file with more usable rows than a stream may hold
     (tmp_path / "long.csv").write_text(good)
     long_csv = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
@@ -354,6 +366,24 @@ def test_run_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_oversized_models_are_refused_before_training(tmp_path, capsys, monkeypatch):
+    # sizes numpy cannot describe (10^18) or allocate; counted, never built
+    trained = []
+    monkeypatch.setattr(harness, "_run_seeds", lambda *a: trained.append(a))
+    out = tmp_path / "out"
+    for method, block, field, value in (("coda-without-C", "simulator", "encoder_dim", 10**18),
+                                        ("coda", "simulator", "encoder_dim", 10**12),
+                                        ("coda", "predictor", "hidden_dim", 10**10),
+                                        ("coda", "predictor", "layers", 10**11),
+                                        ("lastdomain", "downstream", "hidden_dims", [10**7])):
+        cfg = write_cfg(tmp_path, {**TINY_CFG, "methods": [method], block: {field: value}})
+        shown = tuple(value) if isinstance(value, list) else value
+        for argv in (["run"], ["sweep", "--param", "sample_rate", "--values", "1"]):
+            assert usage_error_in_one_line(capsys, [*argv, "--config", cfg, "--out", str(out)],
+                                           f"{field}={shown}"), (argv, field)
+    assert trained == [] and not out.exists()
+
+
 def test_run_overflowing_adam_update_is_numeric_failure(tmp_path, capsys):
     # at this learning rate the forecaster's first Adam update overflows
     cfg = write_cfg(tmp_path, {**TINY_CFG, "methods": ["coda"],
@@ -494,6 +524,36 @@ def test_sweep_refuses_a_parameter_the_method_never_reads(tmp_path, capsys,
             "sweep", "--config", cfg, "--param", param, "--values", "0,1",
             "--out", str(out)], naming=f"{method} never reads {param}")
     assert trained == [] and not out.exists()
+
+
+def test_sweep_propagates_an_error_raised_while_training(tmp_path, monkeypatch):
+    # only refusals before training exit 2; a fault inside training is not
+    # a usage error, under sweep as under run
+    def fault(*args):
+        raise ValueError("a fault inside training")
+
+    monkeypatch.setattr(harness, "_run_single", fault)
+    # one seed, so it runs in this process; coda-without-C reads sample_rate
+    cfg = write_cfg(tmp_path, {**TINY_CFG, "methods": ["coda-without-C"]})
+    for argv in (["run"], ["sweep", "--param", "sample_rate", "--values", "1"]):
+        with pytest.raises(ValueError, match="a fault inside training"):
+            main([*argv, "--config", cfg, "--out", str(tmp_path / "out")])
+
+
+def test_config_error_is_the_harness_class():
+    assert cli.ConfigError is harness.ConfigError
+    assert issubclass(harness.ConfigError, ValueError)
+
+
+def test_verify_bound_keeps_rows_only_for_out(tmp_path, monkeypatch):
+    calls = []
+    real = bounds.BoundReport.to_dict
+    monkeypatch.setattr(bounds.BoundReport, "to_dict",
+                        lambda self: calls.append(1) or real(self))
+    assert main(["verify-bound", "--pairs", "5"]) == 0
+    assert calls == []
+    assert main(["verify-bound", "--pairs", "5", "--out", str(tmp_path / "rows.json")]) == 0
+    assert len(calls) == 5
 
 
 def test_run_survives_a_closed_stdout(tmp_path, monkeypatch):

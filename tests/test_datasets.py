@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftsim import datasets
-from driftsim.datasets import (CsvSchema, DomainDataset, DomainStream,
+from driftsim.datasets import (DomainDataset, DomainStream,
                                fit_apply_normalization, load_csv_stream,
                                make_moons_domain, make_moons_stream,
                                save_domain_csv)
@@ -131,7 +131,7 @@ def test_csv_small_stream(tmp_path):
                             "0,0,1.0,2.0\n0,1,2.0,1.0\n"
                             "1,0,1.5,2.5\n1,1,2.5,1.5\n"
                             "2,0,1.1,2.1\n2,1,2.1,1.1\n")
-    stream = load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+    stream = load_csv_stream(path, domain_col="t", label_col="y")
     assert len(stream.sources) == 2
     assert stream.target.domain_index == 2
     assert stream.target.n == 2
@@ -141,21 +141,20 @@ def test_csv_small_stream(tmp_path):
 def test_csv_non_numeric_cell_names_row_and_column(tmp_path):
     path = _write(tmp_path, "t,y,a\n0,0,1.0\n0,1,oops\n1,0,2.0\n1,1,3.0\n")
     with pytest.raises(ValueError, match=r"row 3.*column 'a'"):
-        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+        load_csv_stream(path, domain_col="t", label_col="y")
 
 
 def test_csv_missing_column(tmp_path):
     path = _write(tmp_path, "t,y,a\n0,0,1.0\n")
     with pytest.raises(ValueError, match="'b'"):
-        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y",
-                                        feature_cols=("a", "b")))
+        load_csv_stream(path, domain_col="t", label_col="y", feature_cols=("a", "b"))
 
 
 def test_csv_header_naming_a_column_twice_rejected(tmp_path):
     path = _write(tmp_path, "t,y,a,a\n0,0,1.0,5.0\n0,1,2.0,6.0\n"
                             "1,0,1.5,7.0\n1,1,2.5,8.0\n")
     with pytest.raises(ValueError, match="header names column 'a' twice"):
-        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+        load_csv_stream(path, domain_col="t", label_col="y")
 
 
 @pytest.mark.parametrize("roles, twice", [
@@ -169,15 +168,14 @@ def test_csv_schema_naming_a_column_twice_rejected(tmp_path, roles, twice):
                             "1,0,1.5,7.0\n1,1,2.5,8.0\n")
     domain, label, features = roles
     with pytest.raises(ValueError, match=f"schema names column '{twice}' twice"):
-        load_csv_stream(path, CsvSchema(domain_col=domain, label_col=label,
-                                        feature_cols=features))
+        load_csv_stream(path, domain_col=domain, label_col=label, feature_cols=features)
 
 
 def test_csv_rows_with_gaps_are_excluded(tmp_path):
     path = _write(tmp_path, "t,y,a\n"
                             "0,0,1.0\n0,1,2.0\n0,,9.9\n"
                             "1,0,1.5\n1,1,2.5\n")
-    stream = load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+    stream = load_csv_stream(path, domain_col="t", label_col="y")
     assert stream.sources[0].n == 2
 
 
@@ -186,39 +184,38 @@ def test_csv_rows_with_gaps_are_excluded(tmp_path):
 def test_csv_non_finite_cell_names_row_and_column(tmp_path, row, column):
     path = _write(tmp_path, f"t,y,a\n0,0,1.0\n0,1,2.0\n1,1,3.0\n{row}\n")
     with pytest.raises(ValueError, match=f"non-finite value .* at row 5, column '{column}'"):
-        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+        load_csv_stream(path, domain_col="t", label_col="y")
 
 
 def test_csv_classification_label_names_row_and_column(tmp_path):
     text = "t,y,a\n0,0,1.0\n0,1,2.0\n1,0,1.5\n1,2,2.5\n2,0,1.1\n2,1,2.1\n"
     path = _write(tmp_path, text)
     with pytest.raises(ValueError, match="label '2' at row 5, column 'y' is not 0 or 1"):
-        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
-    stream = load_csv_stream(path, CsvSchema(domain_col="t", label_col="y",
-                                             task="regression"))
+        load_csv_stream(path, domain_col="t", label_col="y")
+    stream = load_csv_stream(path, domain_col="t", label_col="y", task="regression")
     assert stream.sources[1].labels[1] == 2.0
 
 
 def test_csv_rows_kept_are_capped(tmp_path, monkeypatch):
     path = _write(tmp_path, "t,y,a\n0,0,1.0\n0,1,2.0\n0,,9.9\n1,0,1.5\n1,1,2.5\n")
-    schema = CsvSchema(domain_col="t", label_col="y")
+    schema = dict(domain_col="t", label_col="y")
     monkeypatch.setattr(datasets, "MAX_ROWS", 4)  # the row with a gap is not kept
-    assert load_csv_stream(path, schema).target.n == 2
+    assert load_csv_stream(path, **schema).target.n == 2
     monkeypatch.setattr(datasets, "MAX_ROWS", 3)
     with pytest.raises(ValueError, match="more than 3 usable rows"):
-        load_csv_stream(path, schema)
+        load_csv_stream(path, **schema)
 
 
 def test_csv_fractional_domain_index_rejected(tmp_path):
     path = _write(tmp_path, "t,y,a\n0.5,0,1.0\n1,1,2.0\n")
     with pytest.raises(ValueError, match="not an integer"):
-        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+        load_csv_stream(path, domain_col="t", label_col="y")
 
 
 def test_csv_undersized_domain_rejected(tmp_path):
     path = _write(tmp_path, "t,y,a\n0,0,1.0\n0,1,2.0\n1,1,3.0\n")
     with pytest.raises(ValueError, match="domain 1"):
-        load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+        load_csv_stream(path, domain_col="t", label_col="y")
 
 
 def test_csv_elec2_shape(tmp_path):
@@ -229,7 +226,7 @@ def test_csv_elec2_shape(tmp_path):
             feats = ",".join(f"{v:.4f}" for v in rng.normal(size=8))
             lines.append(f"{t},{rng.integers(0, 2)},{feats}")
     path = _write(tmp_path, "\n".join(lines) + "\n")
-    stream = load_csv_stream(path, CsvSchema(domain_col="t", label_col="y"))
+    stream = load_csv_stream(path, domain_col="t", label_col="y")
     assert len(stream.sources) == 29
     assert stream.target.domain_index == 29
     assert stream.d == 8
@@ -245,7 +242,7 @@ def test_csv_round_trip_via_save(tmp_path):
     lines = p1.read_text().splitlines()
     lines += p2.read_text().splitlines()[1:]
     merged.write_text("\n".join(lines) + "\n")
-    stream = load_csv_stream(merged, CsvSchema(domain_col="t", label_col="y"))
+    stream = load_csv_stream(merged, domain_col="t", label_col="y")
     np.testing.assert_array_equal(stream.sources[0].features, domain.features)
     np.testing.assert_array_equal(stream.sources[0].labels, domain.labels)
     np.testing.assert_array_equal(stream.target.features, other.features)

@@ -9,13 +9,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftsim import harness
+from driftsim import harness, predictor, simulator
 from driftsim.datasets import (CLASSIFICATION, REGRESSION, DomainDataset,
                                DomainStream, fit_apply_normalization,
                                make_moons_stream)
-from driftsim.harness import (METHODS, DownstreamConfig, DownstreamModel,
-                              ExperimentConfig, evaluate, require_trainable,
+from driftsim.harness import (METHODS, ConfigError, DownstreamConfig,
+                              DownstreamModel, ExperimentConfig, evaluate,
+                              require_sweepable, require_trainable,
                               run_experiment, sweep, train_downstream)
+from driftsim.nn import dense_params
 from driftsim.predictor import PredictorConfig
 from driftsim.simulator import SimulatorConfig, sample
 
@@ -270,6 +272,85 @@ def test_coda_trains_a_forecaster_only_when_the_pull_is_on():
     assert without_c.config_snapshot == no_pull.config_snapshot
     assert without_c.seed_values == no_pull.seed_values
     assert without_c.extras[0].keys() == {"simulator"}
+
+
+def test_refusals_before_training_are_config_errors(monkeypatch):
+    # the harness's own checks, and the library refusals it re-raises, all
+    # surface as ConfigError, which is still a ValueError
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *a: runs.append(a))
+    three = make_moons_stream(domains=3, n_per_domain=40, seed=0)
+    doms = [*SMALL_STREAM.sources, SMALL_STREAM.target]
+    flat = np.zeros_like(doms[1].features)
+    one_flat_domain = DomainStream(  # every feature constant in domain 1 only
+        sources=(doms[0], replace(doms[1], features=flat), *doms[2:5]), target=doms[5])
+    flat_sources = DomainStream(sources=tuple(replace(d, features=flat) for d in doms[:5]),
+                                target=doms[5])
+    class_flat_x = doms[1].features.copy()
+    class_flat_x[doms[1].labels == 0.0, 1] = 0.5
+    no_kde = DomainStream(sources=(doms[0], replace(doms[1], features=class_flat_x),
+                                   *doms[2:5]), target=doms[5])
+    for refuse, match in (
+            (lambda: require_trainable(SMALL_STREAM, "oracle", TINY_PIPELINE),
+             "unknown method 'oracle'"),
+            (lambda: require_trainable(three, "coda", TINY_PIPELINE), "at least 3 source"),
+            (lambda: require_trainable(flat_sources, "lastdomain", TINY_PIPELINE),
+             "all feature columns are constant"),                 # normalization
+            (lambda: require_trainable(one_flat_domain, "coda", TINY_PIPELINE),
+             "domain 1: near-constant column"),                    # pearson_matrix
+            (lambda: require_trainable(no_kde, "prelim", TINY_PIPELINE),
+             "domain 1, feature x1: "),                            # prelim's KDE
+            (lambda: require_sweepable("coda", "epochs"), "unknown sweep parameter"),
+            (lambda: require_sweepable("lastdomain", "sample_rate"), "never reads"),
+            (lambda: sweep(SMALL_STREAM, "sample_rate", [], TINY_PIPELINE),
+             "at least one value"),
+            (lambda: sweep(three, "sample_rate", [1.0], TINY_PIPELINE, validate=True),
+             "validation split"),
+            (lambda: sweep(SMALL_STREAM, "sample_rate", [float("nan")], TINY_PIPELINE),
+             "sample_rate: sample_rate must be in"),
+            (lambda: sweep(SMALL_STREAM, "sample_rate", [101.0], TINY_PIPELINE),
+             "sample_rate must be in"),
+            (lambda: sweep(SMALL_STREAM, "lambda_c", [float("inf")], TINY_PIPELINE),
+             "lambda_c: lambda_c must be finite")):
+        with pytest.raises(ConfigError, match=match) as refused:
+            refuse()
+        assert isinstance(refused.value, ValueError)
+    assert runs == []
+
+
+def _size(arrays) -> int:
+    return sum(a.size for a in arrays)
+
+
+def test_parameter_counts_match_the_models_built():
+    rng = np.random.default_rng(0)
+    small = replace(TINY_PIPELINE, downstream=DownstreamConfig(hidden_dims=()))
+    for m in (2, 3, 7):
+        for config in (ExperimentConfig(), TINY_PIPELINE, small):
+            assert harness._parameter_counts(m, "coda", config) == {
+                "downstream": _size(dense_params(rng, (m - 1, *config.downstream.hidden_dims, 1))),
+                "simulator": _size(simulator._init_params(m, config.simulator, rng)),
+                "predictor": _size(predictor._init_params(m, config.predictor, rng))}
+    # only the models a method trains are counted
+    no_pull = replace(TINY_PIPELINE, simulator=replace(TINY_PIPELINE.simulator, lambda_c=0.0))
+    for method, config, blocks in (("coda", no_pull, {"downstream", "simulator"}),
+                                   ("coda-without-C", TINY_PIPELINE, {"downstream", "simulator"}),
+                                   ("prelim", TINY_PIPELINE, {"downstream"}),
+                                   ("lastdomain", TINY_PIPELINE, {"downstream"})):
+        assert set(harness._parameter_counts(3, method, config)) == blocks
+
+
+def test_a_model_past_the_parameter_bound_is_refused(monkeypatch):
+    # the defaults sit far below the bound; lowered to their largest model,
+    # the bound admits it and refuses one parameter more, naming the sizes
+    counts = harness._parameter_counts(SMALL_STREAM.d + 1, "coda", ExperimentConfig())
+    assert max(counts.values()) == counts["simulator"] < harness.MAX_PARAMETERS // 100
+    monkeypatch.setattr(harness, "MAX_PARAMETERS", counts["simulator"])
+    require_trainable(SMALL_STREAM, "coda", ExperimentConfig())
+    monkeypatch.setattr(harness, "MAX_PARAMETERS", counts["simulator"] - 1)
+    with pytest.raises(ConfigError, match="simulator: encoder_dim=64, .* on 2 features"):
+        require_trainable(SMALL_STREAM, "coda", ExperimentConfig())
+    require_trainable(SMALL_STREAM, "lastdomain", ExperimentConfig())
 
 
 def test_experiment_config_validation():

@@ -163,10 +163,12 @@ def test_snapshot_equals_two_call_sum(lambda_c):
                                          [-0.2, 0.5, 1.0]]))
     for seed in (0, 3):
         params = sm._init_params(3, config, np.random.default_rng(seed))
+        draws = sm.snapshot_draws(dom.n, config, lambda_c > 0, seed)
         for task in (CLASSIFICATION, REGRESSION):
-            assert (loss_snapshot(params, data, target, config, task, seed)
+            assert (loss_snapshot(params, data, target, config, task, draws)
                     == _two_call_snapshot(params, data, target, config, task, seed))
-    assert (loss_snapshot(params, data, None, config, CLASSIFICATION, 0)
+    unregularized = sm.snapshot_draws(dom.n, config, False, 0)
+    assert (loss_snapshot(params, data, None, config, CLASSIFICATION, unregularized)
             == _two_call_snapshot(params, data, None, config, CLASSIFICATION, 0))
 
 
@@ -179,7 +181,7 @@ def test_train_keeps_best_checkpoint_below_init():
                              warmup_epochs=5, patience=30)
     model = train_simulator(dom, target, config, seed=1)
     kept = loss_snapshot(model.params, np.column_stack([dom.features, dom.labels]),
-                         target, config, dom.task, 1)
+                         target, config, dom.task, sm.snapshot_draws(dom.n, config, True, 1))
     assert kept <= model.loss_history[0] + 1e-12
     assert kept in model.loss_history
     assert len(model.loss_history) <= config.max_epochs + 1
@@ -213,7 +215,8 @@ def test_train_stops_after_patience_epochs_without_a_sustained_record():
     # the history opens with the snapshot of the init that seed 0 draws first
     data = np.column_stack([dom.features, dom.labels])
     init = sm._init_params(dom.d + 1, config, np.random.default_rng(0))
-    assert history[0] == loss_snapshot(init, data, target, config, dom.task, 0)
+    draws = sm.snapshot_draws(dom.n, config, True, 0)
+    assert history[0] == loss_snapshot(init, data, target, config, dom.task, draws)
     # replay the rule: a record is the larger of two consecutive readouts
     # beating the best by more than TOL; only post-warmup epochs go stale
     # (this warmup holds stale streaks longer than patience)
@@ -228,7 +231,7 @@ def test_train_stops_after_patience_epochs_without_a_sustained_record():
                 stop = i
                 break
     assert stop == len(history) - 1 < config.max_epochs
-    assert loss_snapshot(model.params, data, target, config, dom.task, 0) == history[kept]
+    assert loss_snapshot(model.params, data, target, config, dom.task, draws) == history[kept]
 
 
 def test_train_requires_target_when_regularized():
