@@ -11,17 +11,23 @@ deliberately minimal: float64 only, 0-2d arrays, numpy broadcasting on
 elementwise binaries, and exactly the primitives the models in this package
 need. No GPU.
 
-Four fused primitives cut the tape where the models spend their time:
+Five fused primitives cut the tape where the models spend their time:
 `dense` records `act(x @ w + b)` as one node, `lstm_stack` records a stacked
 LSTM over a whole sequence as one node (with one view node per step's
-output), `pearson` records the Pearson matrix of a generated batch as one
-node, and `kde_kl` records one class-conditional KDE-KL term of the density
-baseline as one node over the generated rows.  Their VJPs repeat the
-elementwise arithmetic of the unfused composition in the same order, and
-their parents are listed in the order `backward`'s depth-first search
-reached the unfused nodes, so every gradient, and every trained parameter,
-is bit-identical to what the composition of primitives gives.  No VJP
-writes into the gradient it is given.
+output), `gaussian_elbo` records the simulator's negative ELBO (encoder,
+reparameterization, decoder, reconstruction and KL) as one node,
+`correlation_pull` records the L1 between the Pearson matrix of decoded
+prior draws and a target as one node, and `kde_kl` records one
+class-conditional KDE-KL term of the density baseline as one node over the
+generated rows. `dense` and the two simulator nodes share one per-layer
+forward and VJP (`_layer`, `_layer_vjp`).  Their VJPs repeat the
+elementwise arithmetic of the unfused composition in the same order, sum
+the gradients of a value that reached several unfused nodes in the order
+`backward` reached those nodes, and list their parents in the order
+`backward`'s depth-first search reached the unfused nodes, so every
+gradient, and every trained parameter, is bit-identical to what the
+composition of primitives gives.  No VJP writes into the gradient it is
+given.
 """
 from __future__ import annotations
 
@@ -54,7 +60,9 @@ __all__ = [
     "concat",
     "dense",
     "lstm_stack",
-    "pearson",
+    "decode",
+    "gaussian_elbo",
+    "correlation_pull",
     "kde_kl",
 ]
 
@@ -358,37 +366,49 @@ def _getitem(a: Tensor, key) -> Tensor:
 
 # -- fused primitives ------------------------------------------------------
 
+def _layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, act) -> np.ndarray:
+    """`act(x @ w + b)` with `act` None (linear), `tanh` or `relu`: the bias
+    is added and the activation applied in place on the fresh product."""
+    out = x @ w
+    out += b
+    if act is tanh:
+        np.tanh(out, out=out)
+    elif act is relu:
+        out *= out > 0.0
+    return out
+
+
+def _layer_vjp(g, x, w, b, out, act, x_grad: bool = True) -> tuple:
+    """(x, w, b) gradients of `out = _layer(x, w, b, act)` given `g`: the
+    activation's derivative in one new buffer, then the `add` and `matmul`
+    VJPs, so each equals the three-node composition's bit for bit. The x
+    gradient is None unless `x_grad`."""
+    if act is tanh:
+        d = out * out
+        np.subtract(1.0, d, out=d)
+        g = np.multiply(d, g, out=d)
+    elif act is relu:
+        g = g * (out > 0.0)  # where x @ w + b > 0: relu keeps exactly those
+    return (g @ w.T if x_grad else None), x.T @ g, _unbroadcast(g, b.shape)
+
+
 def dense(x, w, b, act=None):
     """`act(x @ w + b)` as one node; `act` is None (linear), `tanh` or `relu`.
 
-    The forward adds the bias and applies the activation in place on the
-    fresh product, and the VJP applies the activation's derivative in one
-    new buffer, then the `add` and `matmul` VJPs, so the value and the
-    gradients equal those of the three-node composition bit for bit.
+    The value and the gradients equal those of the three-node composition
+    bit for bit (`_layer`, `_layer_vjp`).
     """
     if act not in (None, tanh, relu):
         raise ValueError("dense activation must be None, tanh or relu")
     xv, wv, bv = _val(x), _val(w), _val(b)
     _check_matmul(xv, wv)
-    out = xv @ wv
-    out += bv
-    if act is tanh:
-        np.tanh(out, out=out)
-    elif act is relu:
-        mask = out > 0.0
-        out *= mask
+    out = _layer(xv, wv, bv, act)
 
     def vjp(g):
-        if act is tanh:
-            d = out * out
-            np.subtract(1.0, d, out=d)
-            g = np.multiply(d, g, out=d)
-        elif act is relu:
-            g = g * mask
-        if isinstance(x, Tensor):
-            _accumulate(x, g @ wv.T)
-        _accumulate(w, xv.T @ g)
-        _accumulate(b, _unbroadcast(g, bv.shape))
+        gx, gw, gb = _layer_vjp(g, xv, wv, bv, out, act, isinstance(x, Tensor))
+        _accumulate(x, gx)
+        _accumulate(w, gw)
+        _accumulate(b, gb)
 
     # backward's search reaches b, then w, then x, as it did through add and matmul
     return _node(out, (x, w, b), vjp)
@@ -554,22 +574,129 @@ def lstm_stack(params, rows) -> list:
     return [output(t) for t in range(steps)]
 
 
-def pearson(batch, eps: float):
-    """The Pearson matrix of the columns of `batch` as one node, each column's
-    variance guarded by `eps` inside the square root.
+def _stack(params, x, act_last) -> list:
+    """The input and each layer's output of the [w, b] pairs of `params`
+    applied to `x`: `tanh` after every pair but the last, `act_last` after it."""
+    acts = [x]
+    for i in range(0, len(params), 2):
+        act = tanh if i + 2 < len(params) else act_last
+        acts.append(_layer(acts[-1], params[i], params[i + 1], act))
+    return acts
 
-    The forward and the VJP repeat the arithmetic of the composition
-    `centered = batch - reduce_mean(batch, axis=0, keepdims=True)`,
-    `cov = transpose(centered) @ centered * (1 / n)`,
-    `std = sqrt(reduce_mean(centered * centered, axis=0, keepdims=True) + eps)`
-    and `cov / (transpose(std) @ std)` in the order `backward` ran it, so
-    the value and the `batch` gradient are bit-identical to it.
+
+def _stack_vjp(g, params, acts, act_last, x_grad: bool) -> tuple:
+    """(input gradient or None, one gradient per param) of `_stack`, given
+    the gradient `g` of its last output."""
+    grads = [None] * len(params)
+    for i in reversed(range(0, len(params), 2)):
+        act = tanh if i + 2 < len(params) else act_last
+        g, grads[i], grads[i + 1] = _layer_vjp(g, acts[i // 2], params[i], params[i + 1],
+                                               acts[i // 2 + 1], act, x_grad or i > 0)
+    return g, grads
+
+
+def _decode(decoder, z, label) -> tuple:
+    """(the decoder stack's activations, its rows). The stack ends linear;
+    each row's last column goes through `label` (`sigmoid` or `tanh`) and
+    the others through `tanh`, each part from a copy of its columns, as the
+    slicing node made it."""
+    acts = _stack(decoder, z, None)
+    out = acts[-1]
+    features = out[:, :-1].copy()
+    np.tanh(features, out=features)
+    last = out[:, -1:].copy()
+    last = _sigmoid(last) if label is sigmoid else np.tanh(last, out=last)
+    return acts, np.concatenate([features, last], axis=1)
+
+
+def _decode_vjp(g, decoder, acts, rows, label, z_grad: bool) -> tuple:
+    """`_stack_vjp` of `_decode` given the gradient `g` of its rows."""
+    features, last = rows[:, :-1], rows[:, -1:]
+    g_out = np.concatenate([g[:, :-1] * (1.0 - features * features),
+                            g[:, -1:] * last * (1.0 - last) if label is sigmoid
+                            else g[:, -1:] * (1.0 - last * last)], axis=1)
+    g_out += 0.0  # the slicing nodes' zero padding: -0.0 -> +0.0
+    return _stack_vjp(g_out, decoder, acts, None, z_grad)
+
+
+def decode(decoder, z, label) -> np.ndarray:
+    """The rows that the decoder params `decoder` ([w, b] pairs: tanh
+    layers, then a linear output) make of the latent draws `z`: the last
+    column through `label` (`sigmoid` or `tanh`), the others through tanh.
+    Plain arrays in and out; the two loss nodes below decode the same way."""
+    return _decode([_val(p) for p in decoder], _val(z), label)[1]
+
+
+def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label):
+    """The mean negative ELBO of `rows` as one node over the params of
+    `encoder` and `decoder`: ½‖x − x̂‖²/`obs_variance` plus KL(q(z|x) ‖ N(0, I)).
+
+    `encoder` is the [w, b] pairs of a tanh trunk, then those of the mean
+    head and of the log-variance head (both linear). The latent draw is
+    `z = mu + exp(logvar * 0.5) * noise`, and x̂ is `decode(decoder, z, label)`.
+    The forward and the VJP repeat the arithmetic of the composition in
+    `tests/unfused.py` in the order `backward` ran it, so the value and every
+    gradient are bit-identical to it. Where a value reached three nodes the
+    order matters: `mu` sums its gradient from `z`, then twice from
+    `mu * mu`; `logvar` from `exp(logvar * 0.5)`, then `exp(logvar)`, then
+    the `-logvar` of the KL.
     """
-    bv = _val(batch)
-    inv_n = 1.0 / bv.shape[0]
-    centered = bv.sum(axis=0, keepdims=True)
+    enc = [_val(p) for p in encoder]
+    dec = [_val(p) for p in decoder]
+    rows, noise = _val(rows), _val(noise)
+    n = rows.shape[0]
+    trunk = _stack(enc[:-4], rows, tanh)
+    h = trunk[-1]
+    mu = _layer(h, enc[-4], enc[-3], None)
+    logvar = _layer(h, enc[-2], enc[-1], None)
+    sigma = np.exp(logvar * 0.5)
+    z = mu + sigma * noise
+    acts, recon = _decode(dec, z, label)
+    diff = recon - rows
+    scale = 0.5 / obs_variance
+    var = np.exp(logvar)
+    kl = ((mu * mu).sum() + var.sum() - logvar.sum()) * 0.5 - 0.5 * mu.shape[0] * mu.shape[1]
+    value = ((diff * diff).sum() * scale + kl) * (1.0 / n)
+
+    def vjp(g):
+        g = g * (1.0 / n)                # reaches the reconstruction and the KL
+        g_diff = (g * scale) * diff      # diff * diff reaches diff twice
+        g_diff += g_diff
+        g_z, g_dec = _decode_vjp(g_diff, dec, acts, recon, label, True)
+        g_kl = g * 0.5
+        g_mu = g_kl * mu
+        g_mu = (g_z + g_mu) + g_mu
+        g_logvar = ((g_z * noise) * sigma) * 0.5
+        g_logvar += g_kl * var
+        g_logvar += -g_kl
+        g_h, g_mu_w, g_mu_b = _layer_vjp(g_mu, h, enc[-4], enc[-3], mu, None)
+        g_h2, g_lv_w, g_lv_b = _layer_vjp(g_logvar, h, enc[-2], enc[-1], logvar, None)
+        _, g_enc = _stack_vjp(g_h + g_h2, enc[:-4], trunk, tanh, False)
+        for p, gp in zip((*encoder, *decoder),
+                         (*g_enc, g_mu_w, g_mu_b, g_lv_w, g_lv_b, *g_dec)):
+            _accumulate(p, gp)
+
+    return _node(value, (*encoder, *decoder), vjp)
+
+
+def correlation_pull(decoder, z, label, target, eps: float):
+    """The elementwise L1 between the Pearson matrix of `decode(decoder, z,
+    label)` and `target`, as one node over the params of `decoder`. Each
+    column's variance is guarded by `eps` inside the square root.
+
+    The forward and the VJP repeat the arithmetic of the composition in
+    `tests/unfused.py` (`centered = batch - mean(batch)`,
+    `cov = centeredᵀ @ centered * (1 / n)`,
+    `std = sqrt(mean(centered * centered) + eps)`, `cov / (stdᵀ @ std)`,
+    then `sum(abs(· - target))`) in the order `backward` ran it, so the
+    value and every gradient are bit-identical to it.
+    """
+    dec = [_val(p) for p in decoder]
+    acts, batch = _decode(dec, _val(z), label)
+    inv_n = 1.0 / batch.shape[0]
+    centered = batch.sum(axis=0, keepdims=True)
     centered *= inv_n
-    centered = np.subtract(bv, centered)
+    centered = np.subtract(batch, centered)
     centered_t = centered.T.copy()
     cov = centered_t @ centered
     cov *= inv_n
@@ -580,9 +707,12 @@ def pearson(batch, eps: float):
     np.sqrt(std, out=std)
     std_t = std.T.copy()
     den = std_t @ std
+    diff = cov / den
+    diff -= target
 
     def vjp(g):
-        # out = cov / den
+        g = g * np.sign(diff)
+        # pearson = cov / den
         g_cov = g / den
         g_den = -g * cov
         g_den /= den * den
@@ -605,9 +735,11 @@ def pearson(batch, eps: float):
         g_mean = (-g_c).sum(axis=0, keepdims=True)
         g_mean *= inv_n
         g_c += g_mean
-        _accumulate(batch, g_c)
+        _, g_dec = _decode_vjp(g_c, dec, acts, batch, label, False)
+        for p, gp in zip(decoder, g_dec):
+            _accumulate(p, gp)
 
-    return _node(cov / den, (batch,), vjp)
+    return _node(np.abs(diff).sum(), tuple(decoder), vjp)
 
 
 def kde_kl(rows, column: int, idx, grid, bandwidth: float, prior: float,

@@ -170,8 +170,12 @@ def load_csv_stream(path, domain_col: str = "t", label_col: str = "y",
     and feature columns are distinct) is a hard error naming that column;
     non-numeric and non-finite cells, and for a classification `task`
     labels other than 0 or 1, are a hard error naming the offending row and
-    column, and so is a file with more than MAX_ROWS usable rows.
+    column, and so is a file with more than MAX_ROWS usable rows. An unknown
+    `task` is refused before the file is opened.
     """
+    if task not in (CLASSIFICATION, REGRESSION):
+        raise ValueError(f"task must be one of {CLASSIFICATION!r} or {REGRESSION!r}, "
+                         f"got {task!r}")
     groups: dict[int, list] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -26,7 +26,7 @@ from .datasets import (CLASSIFICATION, DomainDataset, DomainStream,
 from .nn import bce, dense_params, mlp
 from .optim import fit
 from .predictor import PredictorConfig, predict_next, train_predictor
-from .simulator import SimulatorConfig, sample, train_simulator
+from .simulator import SNAPSHOT_DRAWS, SimulatorConfig, sample, train_simulator
 
 __all__ = ["ConfigError", "DownstreamConfig", "DownstreamModel", "ExperimentConfig",
            "ExperimentReport", "SweepPoint", "METHODS", "SWEEP_PARAMETERS",
@@ -40,6 +40,10 @@ MAX_SAMPLE_RATE = 100.0
 # weights and biases in one model: a simulator of width 1,575 (9.98 M) took
 # 3.6 s per epoch and 833 MB peak RSS on one BLAS thread of a shared 2-vCPU machine
 MAX_PARAMETERS = 10_000_000
+# prior draws x decoder width, one decoder layer's activations under the pull:
+# 138,889 draws at width 72 (10 M) took 1.1 s per step and 544 MB peak RSS on
+# one BLAS thread of a shared 2-vCPU machine
+MAX_DRAW_CELLS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -179,7 +183,8 @@ def require_trainable(stream: DomainStream, method: str,
     trained only at lambda_c > 0, and prelim), prelim on regression, sources
     on which every feature or a regression label is constant, a source
     without a correlation matrix for the forecaster, a prelim truth domain
-    without a KDE, or a model of more than MAX_PARAMETERS parameters."""
+    without a KDE, a model of more than MAX_PARAMETERS parameters, or for
+    coda's pull, prior draws of more than MAX_DRAW_CELLS decoder activations."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     if stream.task == CLASSIFICATION:
@@ -211,6 +216,13 @@ def require_trainable(stream: DomainStream, method: str,
                               if f.name.endswith(("_dim", "_dims", "layers")))
             raise ConfigError(f"{block}: {sizes} on {normalized.d} features make more "
                               f"than {MAX_PARAMETERS:,} parameters")
+    sim = config.simulator
+    if forecasts and max(SNAPSHOT_DRAWS, sim.regularizer_draws) * sim.decoder_dim \
+            > MAX_DRAW_CELLS:
+        raise ConfigError(f"simulator: regularizer_draws={sim.regularizer_draws} (at least "
+                          f"{SNAPSHOT_DRAWS:,} for the snapshot) x decoder_dim="
+                          f"{sim.decoder_dim} make more than {MAX_DRAW_CELLS:,} "
+                          "activations in one layer")
 
 
 def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,
@@ -282,24 +294,8 @@ def _run_forked(seed: int):
     return _run_single(*_job, seed)
 
 
-def _keep_heap() -> None:
-    """Have glibc's malloc serve arrays up to 32 MiB from its heap and keep up
-    to 64 MiB of freed heap for reuse. By default it maps each array above
-    128 kB afresh and hands freed memory at the top of its heap back to the
-    system, so each training step's large arrays (a 512 x 72 layer is 288
-    kB) arrive as fresh pages: hundreds of page faults per simulator step.
-    Elsewhere this does nothing; fork keeps the settings in the workers."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no libc symbol table, or not glibc
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def _run_seeds(stream: DomainStream, method: str, config: ExperimentConfig) -> list:
-    """_run_single for every seed, in seed order, on the heap `_keep_heap` sets.
+    """_run_single for every seed, in seed order.
 
     Given at least two seeds, two usable CPUs and a platform that can fork,
     the seeds run in forked worker processes, one per CPU up to the seed
@@ -308,7 +304,6 @@ def _run_seeds(stream: DomainStream, method: str, config: ExperimentConfig) -> l
     numbers as it would in this process: the worker count only changes the
     wall time.
     """
-    _keep_heap()
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -3,6 +3,9 @@ its full-batch form), on one float64 vector per model: `flat` lays a model's
 parameter arrays out in it, and the arrays become views of it."""
 from __future__ import annotations
 
+import ctypes
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -72,6 +75,24 @@ class Adam:
         np.copyto(theta, s)
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Have glibc's malloc serve arrays up to 32 MiB from its heap and keep up
+    to 64 MiB of freed heap for reuse, once per process (`train` calls it).
+    By default it maps each array above 128 kB afresh and hands freed memory
+    at the top of its heap back to the system, so each training step's large
+    arrays (a 512 x 72 layer is 288 kB) arrive as fresh pages: hundreds of
+    page faults per simulator step. Elsewhere this does nothing; fork keeps
+    the settings in the workers."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no libc symbol table, or not glibc
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def train(theta: np.ndarray, epoch, readout, config, epochs: int, warmup: int = 0,
           hold: int = 1) -> list:
     """Adam on the vector `theta` in place; leaves it at the kept params and
@@ -82,8 +103,10 @@ def train(theta: np.ndarray, epoch, readout, config, epochs: int, warmup: int = 
     the largest of the last `hold` readouts beating the best by more than
     `TOL`, keeps a copy of `theta`. If `warmup` > 0, Adam restarts at
     epoch `warmup`; only epochs from `warmup` on count toward the
-    `config.patience` stale epochs that stop training.
+    `config.patience` stale epochs that stop training. The first call in a
+    process sets the heap up for repeated steps (`_keep_heap`).
     """
+    _keep_heap()
     history = [readout()]
     best, kept, stale = history[0], theta.copy(), 0
     for e in range(epochs):

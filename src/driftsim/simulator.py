@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .correlation import CorrelationMatrix
 from .datasets import CLASSIFICATION, DomainDataset
-from .nn import dense_params, mlp
+from .nn import dense_params
 from .optim import flat, train
 
 __all__ = ["SimulatorConfig", "SimulatorModel", "train_simulator", "sample",
@@ -85,60 +85,31 @@ def _init_params(m: int, config: SimulatorConfig, rng) -> list:
                                  *[config.decoder_dim] * config.decoder_layers, m)))
 
 
-def _encode(params, config, rows):
-    """(mu, logvar) of q(z | rows): a tanh trunk and two linear heads."""
-    k = 2 * config.encoder_layers
-    h = ad.tanh(mlp(params[:k], rows, ad.tanh))
-    return (ad.dense(h, params[k], params[k + 1]),
-            ad.dense(h, params[k + 2], params[k + 3]))
-
-
-def _decode(params, config, z, task):
-    out = mlp(params[2 * config.encoder_layers + 4:], z, ad.tanh)
-    m = out.shape[1]
-    features = ad.tanh(out[:, 0:m - 1])
-    label = ad.sigmoid(out[:, m - 1:m]) if task == CLASSIFICATION \
-        else ad.tanh(out[:, m - 1:m])
-    return ad.concat([features, label], axis=1)
-
-
-def _neg_elbo_graph(params, config, rows, noise, task):
-    """Mean over the batch of ½‖x − x̂‖²/σ₀² + KL(q(z|x) ‖ N(0, I)).
-
-    σ₀² is the fixed observation variance. On [-1, 1]-scaled columns it must
-    sit well below 1, or encoding information can never repay its KL cost and
-    the posterior collapses onto the prior.
-    """
-    mu, logvar = _encode(params, config, rows)
-    sigma = ad.exp(logvar * 0.5)
-    z = mu + sigma * noise
-    recon = _decode(params, config, z, task)
-    diff = recon - rows
-    recon_term = ad.reduce_sum(diff * diff) * (0.5 / config.obs_variance)
-    kl = (ad.reduce_sum(mu * mu) + ad.reduce_sum(ad.exp(logvar))
-          - ad.reduce_sum(logvar)) * 0.5 - 0.5 * mu.shape[0] * mu.shape[1]
-    n = rows.shape[0]
-    return (recon_term + kl) * (1.0 / n)
-
-
-def _regularizer_graph(batch, target):
-    """Elementwise L1 between the batch's Pearson matrix (ε-guarded std) and
-    `target`."""
-    return ad.reduce_sum(ad.absolute(ad.pearson(batch, EPS_VAR) - target))
+def _split(params, config: SimulatorConfig, task: str) -> tuple:
+    """(encoder params, decoder params, the label column's activation)."""
+    k = 2 * config.encoder_layers + 4
+    return params[:k], params[k:], ad.sigmoid if task == CLASSIFICATION else ad.tanh
 
 
 def _objective(params, config: SimulatorConfig, task: str, rows, noise,
                z=None, target=None):
     """The simulator's one loss graph: the negative ELBO of `rows` under
-    reparameterization `noise`, plus lambda_c times the regularizer of
-    decoded prior draws `z` against `target` when `z` is given. The training
+    reparameterization `noise`, plus lambda_c times the correlation pull of
+    decoded prior draws `z` toward `target` when `z` is given. The training
     steps differentiate it on minibatches with fresh draws; `loss_snapshot`
-    reads its value on the full data with frozen draws."""
-    loss = _neg_elbo_graph(params, config, rows, noise, task)
+    reads its value on the full data with frozen draws.
+
+    The ELBO is the batch mean of ½‖x − x̂‖²/σ₀² + KL(q(z|x) ‖ N(0, I)), σ₀²
+    the fixed observation variance. On [-1, 1]-scaled columns it must sit
+    well below 1, or encoding information can never repay its KL cost and
+    the posterior collapses onto the prior. The pull is the elementwise L1
+    between the ε-guarded Pearson matrix of the decoded draws and `target`.
+    """
+    encoder, decoder, label = _split(params, config, task)
+    loss = ad.gaussian_elbo(encoder, decoder, rows, noise, config.obs_variance, label)
     if z is None:
         return loss
-    gen = _decode(params, config, z, task)
-    return loss + _regularizer_graph(gen, target) * config.lambda_c
+    return loss + ad.correlation_pull(decoder, z, label, target, EPS_VAR) * config.lambda_c
 
 
 def snapshot_draws(n: int, config: SimulatorConfig, regularized: bool, seed: int):
@@ -235,7 +206,8 @@ def sample(model: SimulatorModel, n: int, seed: int) -> DomainDataset:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.config.latent_dim))
-    rows = _decode(model.params, model.config, z, model.task)
+    _, decoder, label = _split(model.params, model.config, model.task)
+    rows = ad.decode(decoder, z, label)
     features = rows[:, :model.d]
     label_col = rows[:, model.d]
     labels = (label_col >= 0.5).astype(np.float64) if model.task == CLASSIFICATION \

@@ -18,6 +18,7 @@ from driftsim.predictor import PredictorConfig
 
 import unfused
 from references import grad_check
+from unfused import same_bits
 
 
 def _sq(t):
@@ -251,7 +252,7 @@ def _count_tensors(monkeypatch) -> list:
 
 def _same_bits_via_tensors(forward, params, got):
     """`forward` run on Tensor leaves gives the entries of `got` bit for bit."""
-    return _same_bits(np.ravel(got), forward([ad.Tensor(p) for p in params]).value.ravel())
+    return same_bits(np.ravel(got), forward([ad.Tensor(p) for p in params]).value.ravel())
 
 
 def test_forward_only_paths_make_no_tensor(monkeypatch):
@@ -285,8 +286,9 @@ def test_forward_only_paths_make_no_tensor(monkeypatch):
     assert _same_bits_via_tensors(lambda ps: simulator._objective(
         ps, sim_cfg, sim.task, data, noise, z, target.entries), sim_params, snapshot)
     z = np.random.default_rng(1).standard_normal((6, 3))
-    assert _same_bits_via_tensors(lambda ps: simulator._decode(ps, sim_cfg, z, sim.task)[
-        :, :2], sim_params, rows.features)
+    decoder = slice(2 * sim_cfg.encoder_layers + 4, None)
+    assert _same_bits_via_tensors(lambda ps: unfused.decode(ps[decoder], z, sim.task)[:, :2],
+                                  sim_params, rows.features)
     flat_mats = [flatten_upper(c).reshape(1, -1) for c in mats]
     assert _same_bits_via_tensors(lambda ps: predictor._forward_sequence(ps, flat_mats)[-1],
                                   pred.params, flatten_upper(forecast))
@@ -297,17 +299,11 @@ def test_forward_only_paths_make_no_tensor(monkeypatch):
 
 # -- fused primitives against the compositions they replace ----------------
 
-def _same_bits(a, b) -> bool:
-    """Equal shapes and float64 bit patterns (so -0.0 differs from +0.0)."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 def _assert_same_values_and_gradients(fused, oracle, params):
     got = ad.evaluate_with_gradients(fused, params)
     want = ad.evaluate_with_gradients(oracle, params)
-    assert _same_bits(got[0], want[0])
-    assert _same_bits(got[1], want[1])
+    assert same_bits(got[0], want[0])
+    assert same_bits(got[1], want[1])
 
 
 @pytest.mark.parametrize("act", [None, ad.tanh, ad.relu])
@@ -323,7 +319,7 @@ def test_dense_matches_composition_bit_for_bit(act, rows):
     _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
     fused = ad.dense(x, w, b, act)
     assert not isinstance(fused, ad.Tensor)
-    assert _same_bits(fused, unfused.dense(x, w, b, act))
+    assert same_bits(fused, unfused.dense(x, w, b, act))
     _check(loss(ad.dense), [x, w, b], step=1e-5)
 
 
@@ -342,7 +338,7 @@ def test_dense_matches_allocating_form_at_simulator_shapes(act, rows):
             layer(layer(p[0], p[1], p[2], act), p[1], p[2], act) * weights)
 
     _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
-    assert _same_bits(ad.dense(x, w, b, act), unfused.dense(x, w, b, act))
+    assert same_bits(ad.dense(x, w, b, act), unfused.dense(x, w, b, act))
 
 
 def test_dense_rejects_other_activations():
@@ -388,7 +384,7 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
     row_list = [rows[t:t + 1, :] for t in range(steps)]
     for got, want in zip(lstm_stack(params, row_list), oracle(params, row_list),
                          strict=True):
-        assert _same_bits(got, want)
+        assert same_bits(got, want)
         assert not isinstance(got, ad.Tensor)
 
 
@@ -403,18 +399,22 @@ def test_lstm_stack_records_one_node_and_one_view_per_step():
 
 @pytest.mark.parametrize("rows, cols", [(512, 3), (2048, 3), (64, 5)])
 def test_pearson_matches_composition_bit_for_bit(rows, cols):
+    # the Pearson matrix and its L1 to the target inside the correlation
+    # pull, on decoded prior draws, against mean, matmul, sqrt and divide nodes
     rng = np.random.default_rng(27)
-    mix = rng.normal(size=(cols, cols))
-    batch = np.tanh(rng.normal(size=(rows, cols)) @ mix)
+    decoder = dense_params(rng, (8, 72, 72, 72, cols))
+    z = rng.standard_normal((rows, 8))
     target = np.corrcoef(rng.normal(size=(3 * cols, cols)), rowvar=False)
 
-    def loss(pearson):
-        return lambda p: ad.reduce_sum(ad.absolute(pearson(p[0], simulator.EPS_VAR)
-                                                   - target))
+    def fused(p):
+        return ad.correlation_pull(p, z, ad.sigmoid, target, simulator.EPS_VAR)
 
-    _assert_same_values_and_gradients(loss(ad.pearson), loss(unfused.pearson), [batch])
-    got = ad.pearson(batch, simulator.EPS_VAR)
-    assert _same_bits(got, unfused.pearson(batch, simulator.EPS_VAR))
+    def oracle(p):
+        return unfused.regularizer(unfused.decode(p, z, "classification"), target)
+
+    _assert_same_values_and_gradients(fused, oracle, decoder)
+    got = fused(decoder)
+    assert same_bits(got, oracle(decoder))
     assert not isinstance(got, ad.Tensor)
 
 
@@ -611,8 +611,8 @@ def test_adam_refused_step_changes_nothing(fault):
         grad, error, match = np.array([1.0, 1.0, 1.0, np.nan]), ArithmeticError, "entry 3"
     with pytest.raises(error, match=match):
         opt.step(theta, grad)
-    assert _same_bits(theta, before[0])
-    assert _same_bits(opt.m, before[1]) and _same_bits(opt.v, before[2])
+    assert same_bits(theta, before[0])
+    assert same_bits(opt.m, before[1]) and same_bits(opt.v, before[2])
     assert opt.t == before[3]
 
 
@@ -628,7 +628,7 @@ def test_adam_refuses_an_update_that_leaves_params_non_finite(theta, grad, entry
     before = theta.copy()
     with pytest.raises(ArithmeticError, match=f"update at entry {entry}"):
         opt.step(theta, np.array(grad))
-    assert _same_bits(theta, before)
+    assert same_bits(theta, before)
 
 
 @pytest.mark.parametrize("model", ["simulator", "predictor"])
@@ -652,9 +652,9 @@ def test_adam_matches_per_array_updates_bit_for_bit(model):
         fused.step(theta, np.concatenate(grads, axis=None))
         oracle.step(want, grads)
     for p, q in zip(got, want):
-        assert _same_bits(p, q)
+        assert same_bits(p, q)
     for flat_moment, per_array in ((fused.m, oracle.m), (fused.v, oracle.v)):
-        assert _same_bits(flat_moment, np.concatenate(per_array, axis=None))
+        assert same_bits(flat_moment, np.concatenate(per_array, axis=None))
 
 
 def test_adam_drives_quadratic_toward_minimum():
@@ -692,8 +692,8 @@ def test_flat_lays_arrays_out_in_order_as_views_of_one_vector():
     config = SimpleNamespace(learning_rate=0.1, patience=10)
     train(theta, epoch, lambda: next(readouts), config, 3)
     assert not np.array_equal(stepped[0], stepped[-1])
-    assert _same_bits(theta, stepped[0])
-    assert _same_bits(views[1].ravel(), stepped[0][1:4])
+    assert same_bits(theta, stepped[0])
+    assert same_bits(views[1].ravel(), stepped[0][1:4])
 
 
 @pytest.mark.parametrize("bad, entry", [(np.nan, 4), (np.inf, 1), (-np.inf, 0)])

@@ -161,6 +161,12 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
     bool_seed = write_cfg(tmp_path, {**TINY_CFG, "dataset": {"kind": "moons", "seed": True}})
     assert usage_error_in_one_line(capsys, ["run", "--config", bool_seed],
                                    "dataset: seed must be an integer, got True")
+    # prior draws that no decoder layer could hold: refused before the
+    # forecaster trains
+    huge_draws = write_cfg(tmp_path, {**TINY_CFG, "methods": ["coda"],
+                                      "simulator": {"regularizer_draws": 10**18}})
+    assert usage_error_in_one_line(capsys, ["run", "--config", huge_draws],
+                                   "simulator: regularizer_draws=1000000000000000000 ")
     bad_norm = write_cfg(tmp_path, {**TINY_CFG, "normalization": "bogus"})
     assert main(["run", "--config", bad_norm]) == 2
     bad_moons = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
@@ -218,7 +224,11 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
                           ({"path": 5}, "dataset: path must be a string, got 5"),
                           ({"path": typed, "domain_col": True},
                            "dataset: domain_col must be a string, got True"),
-                          ({}, "dataset: csv needs path")):
+                          ({}, "dataset: csv needs path"),
+                          # an unknown task is refused before the file is opened
+                          ({"path": str(tmp_path / "absent.csv"), "task": "bogus"},
+                           "dataset: task must be one of 'classification' or "
+                           "'regression', got 'bogus'")):
         untyped = write_cfg(tmp_path, {**TINY_CFG, "dataset": {"kind": "csv", **block}})
         assert usage_error_in_one_line(capsys, ["run", "--config", untyped], naming)
     # a file with more usable rows than a stream may hold

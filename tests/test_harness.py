@@ -353,6 +353,22 @@ def test_a_model_past_the_parameter_bound_is_refused(monkeypatch):
     require_trainable(SMALL_STREAM, "lastdomain", ExperimentConfig())
 
 
+def test_prior_draws_past_the_activation_bound_are_refused(monkeypatch):
+    # the default pull decodes 2,048 snapshot draws 72 wide; with the bound
+    # lowered to that, one more draw is refused, and only where coda pulls
+    config = ExperimentConfig()
+    cells = simulator.SNAPSHOT_DRAWS * config.simulator.decoder_dim
+    monkeypatch.setattr(harness, "MAX_DRAW_CELLS", cells)
+    require_trainable(SMALL_STREAM, "coda", config)
+    more = replace(config, simulator=replace(config.simulator,
+                                             regularizer_draws=simulator.SNAPSHOT_DRAWS + 1))
+    with pytest.raises(ConfigError, match="simulator: regularizer_draws=2049 "):
+        require_trainable(SMALL_STREAM, "coda", more)
+    require_trainable(SMALL_STREAM, "coda-without-C", more)
+    no_pull = replace(more, simulator=replace(more.simulator, lambda_c=0.0))
+    require_trainable(SMALL_STREAM, "coda", no_pull)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
@@ -412,10 +428,12 @@ def test_one_usable_cpu_runs_the_seeds_in_process(monkeypatch):
 
 HEAP_PROBE = """
 import resource, sys
+from types import SimpleNamespace
 import numpy as np
-from driftsim import harness
-if sys.argv[1] == "kept":
-    harness._keep_heap()
+from driftsim import optim
+if sys.argv[1] == "trained":  # one epoch of the loop every trainer runs
+    optim.train(np.zeros(1), lambda e, opt: None, lambda: 0.0,
+                SimpleNamespace(learning_rate=1.0, patience=1), 1)
 
 def step():  # a simulator step's live tape: eight 512 x 72 layers, then freed
     return [np.ones((512, 72)) for _ in range(8)]
@@ -430,9 +448,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
 def test_kept_heap_serves_repeated_steps_without_page_faults():
-    # in a child, so that this process keeps the heap settings it started with
-    # (glibc's default heap took 10,900 faults here, the pages of 20 x 2.3 MB)
+    # in a fresh child, which starts on glibc's default heap (it took 10,900
+    # faults here, the pages of 20 x 2.3 MB) until its first optim.train call
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    faults = int(subprocess.run([sys.executable, "-c", HEAP_PROBE, "kept"], env=env,
+    faults = int(subprocess.run([sys.executable, "-c", HEAP_PROBE, "trained"], env=env,
                                 capture_output=True, text=True, check=True).stdout)
     assert faults < 100

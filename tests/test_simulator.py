@@ -1,4 +1,5 @@
 """Oracle and contract tests for the variational data simulator."""
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,14 @@ from driftsim import autodiff as ad
 from driftsim import simulator as sm
 from driftsim.correlation import CorrelationMatrix, pearson_matrix
 from driftsim.datasets import CLASSIFICATION, REGRESSION, DomainDataset
+from driftsim.nn import dense_params
 from driftsim.optim import TOL
 from driftsim.simulator import (SimulatorConfig, loss_snapshot, sample,
                                 train_simulator)
 
+import unfused
 from references import grad_check
+from unfused import same_bits
 
 TINY = SimulatorConfig(encoder_dim=4, encoder_layers=1, decoder_dim=4,
                        decoder_layers=1, latent_dim=1, lambda_c=0.0,
@@ -30,9 +34,15 @@ def neg_elbo(params, config, batch, noise, task=CLASSIFICATION) -> float:
         lambda ps: sm._objective(ps, config, task, batch, noise), params)
 
 
-def regularizer(batch, target: CorrelationMatrix) -> float:
-    return ad.evaluate_value(lambda ps: sm._regularizer_graph(ps[0], target.entries),
-                             [batch])
+def small_decoder(m: int, draws: int, seed: int) -> tuple:
+    """(params of a 2 -> 6 -> m decoder, `draws` prior draws)."""
+    rng = np.random.default_rng(seed)
+    return dense_params(rng, (2, 6, m)), rng.standard_normal((draws, 2))
+
+
+def pull(decoder, z, target: np.ndarray, label=ad.tanh):
+    """The correlation pull of the decoded draws toward `target`."""
+    return ad.correlation_pull(decoder, z, label, target, sm.EPS_VAR)
 
 
 def test_elbo_zero_when_decoder_reproduces_input():
@@ -85,27 +95,23 @@ def test_elbo_matches_numpy_reference():
 
 
 def test_regularizer_zero_at_own_correlation():
-    rng = np.random.default_rng(7)
-    batch = rng.standard_normal((64, 3))
+    decoder, z = small_decoder(3, 64, 7)
+    batch = ad.decode(decoder, z, ad.tanh)
     target = pearson_matrix(DomainDataset(0, batch[:, :2], batch[:, 2],
                                           task=REGRESSION))
     # only the tiny variance guard keeps this off exact zero
-    assert regularizer(batch, target) < 1e-3
+    assert pull(decoder, z, target.entries) < 1e-3
 
 
 def test_regularizer_two_correlated_columns_against_identity():
-    rng = np.random.default_rng(1)
-    v = rng.uniform(-1, 1, 32)
-    batch = np.column_stack([v, v])
-    reg = regularizer(batch, CorrelationMatrix(np.eye(2)))
-    assert reg == pytest.approx(2.0, abs=1e-3)
+    decoder, z = small_decoder(2, 32, 1)
+    decoder[-2][:, 1] = decoder[-2][:, 0]  # the label column repeats the feature
+    assert pull(decoder, z, np.eye(2)) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_regularizer_gradient_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    batch = rng.uniform(-0.9, 0.9, (12, 3))
-    target = np.eye(3)
-    worst = grad_check(lambda ps: sm._regularizer_graph(ps[0], target), [batch])
+    decoder, z = small_decoder(3, 12, 5)
+    worst = grad_check(lambda ps: pull(ps, z, np.eye(3), ad.sigmoid), decoder)
     assert worst < 1e-4
 
 
@@ -130,6 +136,95 @@ def test_training_objective_gradient_matches_finite_differences():
     assert grad_check(neg_elbo, params) < 1e-4
 
 
+def _assert_objective_matches_oracle(params, config, task, rows, noise, z, target):
+    """The fused objective's loss and gradient have the bits of the
+    composition's in tests/unfused.py; returns the loss."""
+    fused = ad.evaluate_with_gradients(
+        lambda ps: sm._objective(ps, config, task, rows, noise, z, target), params)
+    oracle = ad.evaluate_with_gradients(
+        lambda ps: unfused.objective(ps, config, task, rows, noise, z, target), params)
+    assert same_bits(fused[0], oracle[0])
+    assert same_bits(fused[1], oracle[1])
+    return fused[0]
+
+
+@pytest.mark.parametrize("draws", [None, 8, 512, 2048])
+@pytest.mark.parametrize("n", [8, 64, 200])
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_objective_matches_unfused_oracle_bit_for_bit(task, n, draws):
+    # draws None is a warm-up step (or lambda_c 0): the negative ELBO alone
+    config = SimulatorConfig(lambda_c=0.37)
+    rng = np.random.default_rng(n + (draws or 0))
+    params = [p + 0.05 * rng.standard_normal(p.shape)
+              for p in sm._init_params(3, config, rng)]
+    rows = rng.uniform(-1, 1, (n, 3))
+    if task == CLASSIFICATION:
+        rows[:, 2] = rng.integers(0, 2, n)
+    noise = rng.standard_normal((n, config.latent_dim))
+    z = None if draws is None else rng.standard_normal((draws, config.latent_dim))
+    target = np.corrcoef(rng.normal(size=(9, 3)), rowvar=False)
+    loss = _assert_objective_matches_oracle(params, config, task, rows, noise, z, target)
+    assert same_bits(sm._objective(params, config, task, rows, noise, z, target), loss)
+
+
+def test_objective_with_zero_params_matches_unfused_oracle_bit_for_bit():
+    # zero weights give zero gradients, whose signs follow the composition's:
+    # a saturated feature (tanh(-50) is -1.0) gets -0.0 from its tanh, which
+    # the composition's slicing turns into +0.0, and a one-row minibatch (a
+    # last batch can be one row) passes that sign on to the bias gradient
+    config = SimulatorConfig(lambda_c=2.0)
+    params = zeroed_params(config, 3)
+    params[-1][0, 0] = -50.0
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((16, 8))
+    for n, task, draws in itertools.product((1, 8), (CLASSIFICATION, REGRESSION), (None, z)):
+        rows = np.tile([0.0, 0.0, 0.5], (n, 1))
+        noise = rng.standard_normal((n, 8))
+        _assert_objective_matches_oracle(params, config, task, rows, noise, draws, np.eye(3))
+
+
+def _interior_nodes(out) -> int:
+    """The tape nodes behind `out` that have parents, `out` included."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += bool(node._parents)
+            stack.extend(node._parents)
+    return count
+
+
+def test_objective_records_four_nodes_per_step_and_one_in_warmup():
+    config = SimulatorConfig()
+    rng = np.random.default_rng(4)
+    params = [ad.Tensor(p) for p in sm._init_params(3, config, rng)]
+    rows = rng.uniform(-1, 1, (64, 3))
+    noise = rng.standard_normal((64, config.latent_dim))
+    z = rng.standard_normal((config.regularizer_draws, config.latent_dim))
+    # the ELBO node, the pull node, the pull times lambda_c and the sum
+    assert _interior_nodes(sm._objective(params, config, CLASSIFICATION, rows, noise,
+                                         z, np.eye(3))) == 4
+    assert _interior_nodes(sm._objective(params, config, CLASSIFICATION, rows, noise)) == 1
+
+
+@pytest.mark.parametrize("lambda_c", [0.0, 1.0])
+def test_train_simulator_matches_unfused_oracle_bit_for_bit(lambda_c, monkeypatch):
+    # 200 rows: three batches of 64 and one of 8; warm-up, then the pull
+    dom = tiny_domain(n=200, seed=8)
+    target = pearson_matrix(dom)
+    config = SimulatorConfig(lambda_c=lambda_c, warmup_epochs=10, max_epochs=40,
+                             patience=40)
+
+    def bits(model):
+        return np.concatenate([*map(np.ravel, model.params), model.loss_history])
+
+    fused = train_simulator(dom, target, config, seed=3)
+    assert len(fused.loss_history) == 41
+    monkeypatch.setattr(sm, "_objective", unfused.objective)
+    assert same_bits(bits(fused), bits(train_simulator(dom, target, config, seed=3)))
+
+
 def tiny_domain(n=24, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (n, 2))
@@ -139,18 +234,15 @@ def tiny_domain(n=24, seed=0):
 
 def _two_call_snapshot(params, data, target, config, task, seed):
     """The snapshot as two forward calls, the ELBO's value plus lambda_c times
-    the regularizer's, each on the same frozen draws as `loss_snapshot`."""
+    the pull's, each on the same frozen draws as `loss_snapshot`."""
     rng = np.random.default_rng([seed, 104729])
     noise = rng.standard_normal((data.shape[0], config.latent_dim))
-    loss = ad.evaluate_value(
-        lambda ps: sm._neg_elbo_graph(ps, config, data, noise, task), params)
+    encoder, decoder, label = sm._split(params, config, task)
+    loss = ad.gaussian_elbo(encoder, decoder, data, noise, config.obs_variance, label)
     if config.lambda_c > 0 and target is not None:
         draws = max(sm.SNAPSHOT_DRAWS, config.regularizer_draws)
         z = rng.standard_normal((draws, config.latent_dim))
-        loss += config.lambda_c * ad.evaluate_value(
-            lambda ps: sm._regularizer_graph(sm._decode(ps, config, z, task),
-                                             target.entries),
-            params)
+        loss += config.lambda_c * pull(decoder, z, target.entries, label)
     return loss
 
 

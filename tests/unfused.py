@@ -1,14 +1,24 @@
 """References that the fused code must match bit for bit: `act(x @ w + b)`,
-the LSTM and the Pearson matrix written with autodiff primitives only (for
-`ad.dense`, `ad.lstm_stack` and `ad.pearson`), Adam as one update per
-parameter array (for `optim.Adam`), and the full-batch loop that
-`optim.fit` runs on `optim.train`. Also the transpose node that these
-compositions and the KDE oracles of the tests build."""
+the LSTM and the simulator's loss written with autodiff primitives only (for
+`ad.dense`, `ad.lstm_stack`, `ad.gaussian_elbo` and `ad.correlation_pull`),
+Adam as one update per parameter array (for `optim.Adam`), and the
+full-batch loop that `optim.fit` runs on `optim.train`. Also the transpose
+node that these compositions and the KDE oracles of the tests build, and
+`same_bits`, the comparison they are held to."""
 import numpy as np
 
 from driftsim import autodiff as ad
 from driftsim.autodiff import _accumulate, _node, _val
+from driftsim.datasets import CLASSIFICATION
+from driftsim.nn import mlp
 from driftsim.optim import BETA1, BETA2, EPS, TOL, Adam, flat
+from driftsim.simulator import EPS_VAR
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and float64 bit patterns (so -0.0 differs from +0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def transpose(a):
@@ -27,13 +37,62 @@ def dense(x, w, b, act):
 
 
 def pearson(batch, eps):
-    """`ad.pearson` as the composition of mean, matmul, sqrt and divide nodes."""
+    """The Pearson matrix inside `ad.correlation_pull` as the composition of
+    mean, matmul, sqrt and divide nodes."""
     n = batch.shape[0]
     centered = batch - ad.reduce_mean(batch, axis=0, keepdims=True)
     cov = transpose(centered) @ centered * (1.0 / n)
     var = ad.reduce_mean(centered * centered, axis=0, keepdims=True)
     std = ad.sqrt(var + eps)
     return cov / (transpose(std) @ std)
+
+
+def encode(params, config, rows):
+    """(mu, logvar) of the simulator's q(z | rows): a tanh trunk and two
+    linear heads."""
+    k = 2 * config.encoder_layers
+    h = ad.tanh(mlp(params[:k], rows, ad.tanh))
+    return (ad.dense(h, params[k], params[k + 1]),
+            ad.dense(h, params[k + 2], params[k + 3]))
+
+
+def decode(decoder, z, task):
+    """The simulator's decoder params `decoder` applied to `z`, the output
+    split by slicing nodes."""
+    out = mlp(decoder, z, ad.tanh)
+    m = out.shape[1]
+    features = ad.tanh(out[:, 0:m - 1])
+    label = ad.sigmoid(out[:, m - 1:m]) if task == CLASSIFICATION \
+        else ad.tanh(out[:, m - 1:m])
+    return ad.concat([features, label], axis=1)
+
+
+def neg_elbo(params, config, rows, noise, task):
+    """`ad.gaussian_elbo` as elementwise, reduction and dense nodes."""
+    mu, logvar = encode(params, config, rows)
+    sigma = ad.exp(logvar * 0.5)
+    z = mu + sigma * noise
+    recon = decode(params[2 * config.encoder_layers + 4:], z, task)
+    diff = recon - rows
+    recon_term = ad.reduce_sum(diff * diff) * (0.5 / config.obs_variance)
+    kl = (ad.reduce_sum(mu * mu) + ad.reduce_sum(ad.exp(logvar))
+          - ad.reduce_sum(logvar)) * 0.5 - 0.5 * mu.shape[0] * mu.shape[1]
+    n = rows.shape[0]
+    return (recon_term + kl) * (1.0 / n)
+
+
+def regularizer(batch, target):
+    """The L1 inside `ad.correlation_pull`, on a batch of rows."""
+    return ad.reduce_sum(ad.absolute(pearson(batch, EPS_VAR) - target))
+
+
+def objective(params, config, task, rows, noise, z=None, target=None):
+    """`simulator._objective` as the composition of the three above."""
+    loss = neg_elbo(params, config, rows, noise, task)
+    if z is None:
+        return loss
+    gen = decode(params[2 * config.encoder_layers + 4:], z, task)
+    return loss + regularizer(gen, target) * config.lambda_c
 
 
 class PerArrayAdam:
