@@ -12,15 +12,16 @@ elementwise binaries, and exactly the primitives the models in this package
 need. No GPU.
 
 Five fused primitives cut the tape where the models spend their time:
-`dense` records `act(x @ w + b)` as one node, `lstm_stack` records a stacked
-LSTM over a whole sequence as one node (with one view node per step's
-output), `gaussian_elbo` records the simulator's negative ELBO (encoder,
-reparameterization, decoder, reconstruction and KL) as one node,
-`correlation_pull` records the L1 between the Pearson matrix of decoded
-prior draws and a target as one node, and `kde_kl` records one
+`dense` records a whole stack of `act(x @ w + b)` layers as one node,
+`lstm_stack` records a stacked LSTM over a whole sequence as one node (with
+one view node per step's output), `gaussian_elbo` records the simulator's
+negative ELBO (encoder, reparameterization, decoder, reconstruction and KL)
+as one node, `correlation_pull` records the L1 between the Pearson matrix of
+decoded prior draws and a target as one node, and `kde_kl` records one
 class-conditional KDE-KL term of the density baseline as one node over the
-generated rows. `dense` and the two simulator nodes share one per-layer
-forward and VJP (`_layer`, `_layer_vjp`).  Their VJPs repeat the
+generated rows. Every feed-forward layer, in `dense` and in the two
+simulator nodes, runs one stack forward and VJP (`_stack`, `_stack_vjp`,
+over `_layer`, `_layer_vjp`).  Their VJPs repeat the
 elementwise arithmetic of the unfused composition in the same order, sum
 the gradients of a value that reached several unfused nodes in the order
 `backward` reached those nodes, and list their parents in the order
@@ -392,28 +393,6 @@ def _layer_vjp(g, x, w, b, out, act, x_grad: bool = True) -> tuple:
     return (g @ w.T if x_grad else None), x.T @ g, _unbroadcast(g, b.shape)
 
 
-def dense(x, w, b, act=None):
-    """`act(x @ w + b)` as one node; `act` is None (linear), `tanh` or `relu`.
-
-    The value and the gradients equal those of the three-node composition
-    bit for bit (`_layer`, `_layer_vjp`).
-    """
-    if act not in (None, tanh, relu):
-        raise ValueError("dense activation must be None, tanh or relu")
-    xv, wv, bv = _val(x), _val(w), _val(b)
-    _check_matmul(xv, wv)
-    out = _layer(xv, wv, bv, act)
-
-    def vjp(g):
-        gx, gw, gb = _layer_vjp(g, xv, wv, bv, out, act, isinstance(x, Tensor))
-        _accumulate(x, gx)
-        _accumulate(w, gw)
-        _accumulate(b, gb)
-
-    # backward's search reaches b, then w, then x, as it did through add and matmul
-    return _node(out, (x, w, b), vjp)
-
-
 def lstm_stack(params, rows) -> list:
     """The top layer's hidden state after each row of a stacked LSTM, the
     whole stack over the sequence recorded as one node.
@@ -574,25 +553,52 @@ def lstm_stack(params, rows) -> list:
     return [output(t) for t in range(steps)]
 
 
-def _stack(params, x, act_last) -> list:
+def _stack(params, x, act, last) -> list:
     """The input and each layer's output of the [w, b] pairs of `params`
-    applied to `x`: `tanh` after every pair but the last, `act_last` after it."""
+    applied to `x`: `act` after every pair but the last, `last` after it."""
     acts = [x]
     for i in range(0, len(params), 2):
-        act = tanh if i + 2 < len(params) else act_last
-        acts.append(_layer(acts[-1], params[i], params[i + 1], act))
+        _check_matmul(acts[-1], params[i])
+        acts.append(_layer(acts[-1], params[i], params[i + 1],
+                           act if i + 2 < len(params) else last))
     return acts
 
 
-def _stack_vjp(g, params, acts, act_last, x_grad: bool) -> tuple:
+def _stack_vjp(g, params, acts, act, last, x_grad: bool) -> tuple:
     """(input gradient or None, one gradient per param) of `_stack`, given
-    the gradient `g` of its last output."""
+    the gradient `g` of its last output: `_layer_vjp` from the top layer down."""
     grads = [None] * len(params)
     for i in reversed(range(0, len(params), 2)):
-        act = tanh if i + 2 < len(params) else act_last
         g, grads[i], grads[i + 1] = _layer_vjp(g, acts[i // 2], params[i], params[i + 1],
-                                               acts[i // 2 + 1], act, x_grad or i > 0)
+                                               acts[i // 2 + 1],
+                                               act if i + 2 < len(params) else last,
+                                               x_grad or i > 0)
     return g, grads
+
+
+def dense(params, x, act=None, last=None):
+    """The [w, b] pairs of `params` applied to `x` as one node: `act` after
+    every pair but the last, `last` after it, each None (linear), `tanh` or
+    `relu`.
+
+    The value and the gradients equal those of the chain of per-layer
+    matmul, add and activation nodes bit for bit: the VJP makes the same
+    `_layer_vjp` calls, in the order `backward` ran that chain.
+    """
+    if act not in (None, tanh, relu) or last not in (None, tanh, relu):
+        raise ValueError("dense activations must be None, tanh or relu")
+    values = [_val(p) for p in params]
+    acts = _stack(values, _val(x), act, last)
+
+    def vjp(g):
+        gx, grads = _stack_vjp(g, values, acts, act, last, isinstance(x, Tensor))
+        _accumulate(x, gx)
+        for p, gp in zip(params, grads):
+            _accumulate(p, gp)
+
+    # backward's search reaches the last b first and x last, as it did
+    # through the chain of add and matmul nodes
+    return _node(acts[-1], (x, *params), vjp)
 
 
 def _decode(decoder, z, label) -> tuple:
@@ -600,7 +606,7 @@ def _decode(decoder, z, label) -> tuple:
     each row's last column goes through `label` (`sigmoid` or `tanh`) and
     the others through `tanh`, each part from a copy of its columns, as the
     slicing node made it."""
-    acts = _stack(decoder, z, None)
+    acts = _stack(decoder, z, tanh, None)
     out = acts[-1]
     features = out[:, :-1].copy()
     np.tanh(features, out=features)
@@ -616,7 +622,7 @@ def _decode_vjp(g, decoder, acts, rows, label, z_grad: bool) -> tuple:
                             g[:, -1:] * last * (1.0 - last) if label is sigmoid
                             else g[:, -1:] * (1.0 - last * last)], axis=1)
     g_out += 0.0  # the slicing nodes' zero padding: -0.0 -> +0.0
-    return _stack_vjp(g_out, decoder, acts, None, z_grad)
+    return _stack_vjp(g_out, decoder, acts, tanh, None, z_grad)
 
 
 def decode(decoder, z, label) -> np.ndarray:
@@ -645,7 +651,7 @@ def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label):
     dec = [_val(p) for p in decoder]
     rows, noise = _val(rows), _val(noise)
     n = rows.shape[0]
-    trunk = _stack(enc[:-4], rows, tanh)
+    trunk = _stack(enc[:-4], rows, tanh, tanh)
     h = trunk[-1]
     mu = _layer(h, enc[-4], enc[-3], None)
     logvar = _layer(h, enc[-2], enc[-1], None)
@@ -671,7 +677,7 @@ def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label):
         g_logvar += -g_kl
         g_h, g_mu_w, g_mu_b = _layer_vjp(g_mu, h, enc[-4], enc[-3], mu, None)
         g_h2, g_lv_w, g_lv_b = _layer_vjp(g_logvar, h, enc[-2], enc[-1], logvar, None)
-        _, g_enc = _stack_vjp(g_h + g_h2, enc[:-4], trunk, tanh, False)
+        _, g_enc = _stack_vjp(g_h + g_h2, enc[:-4], trunk, tanh, tanh, False)
         for p, gp in zip((*encoder, *decoder),
                          (*g_enc, g_mu_w, g_mu_b, g_lv_w, g_lv_b, *g_dec)):
             _accumulate(p, gp)
@@ -845,9 +851,10 @@ def evaluate_value(loss_fn: LossFn, params) -> float:
     """`loss_fn(params)` as a float, with no tape: the params stay arrays.
 
     Raises NonFiniteLossError when the loss is NaN/inf and ValueError on a
-    non-scalar output.
+    non-scalar output; an overflow on the way is that error, not a warning.
     """
-    return _scalar(loss_fn(params))
+    with np.errstate(all="ignore"):
+        return _scalar(loss_fn(params))
 
 
 def evaluate_with_gradients(loss_fn: LossFn, params):
@@ -857,14 +864,17 @@ def evaluate_with_gradients(loss_fn: LossFn, params):
     zeros where `backward` never reached.
 
     Raises NonFiniteLossError when the loss is NaN/inf (diverged training)
-    and ValueError on a non-scalar output. The params are not checked:
-    `optim.flat` refuses non-finite entries once per fit.
+    and ValueError on a non-scalar output; an overflow on the way is that
+    error, or a non-finite gradient that `optim.Adam` refuses, not a
+    warning. The params are not checked: `optim.flat` refuses non-finite
+    entries once per fit.
     """
     boxed = [Tensor(p) for p in params]
-    out = loss_fn(boxed)
-    loss = _scalar(out)
-    if isinstance(out, Tensor):
-        backward(out)
+    with np.errstate(all="ignore"):
+        out = loss_fn(boxed)
+        loss = _scalar(out)
+        if isinstance(out, Tensor):
+            backward(out)
     grad = np.concatenate([p.grad if p.grad is not None else np.zeros(p.value.size)
                            for p in boxed], axis=None)
     return loss, grad

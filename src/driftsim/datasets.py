@@ -159,6 +159,15 @@ def make_moons_stream(domains: int = 10, n_per_domain: int = 200,
 
 # -- CSV ingestion -----------------------------------------------------------
 
+def _rows(reader, path):
+    """The rows of a csv reader; its csv.Error (an over-long field) is a
+    ValueError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv_stream(path, domain_col: str = "t", label_col: str = "y",
                     feature_cols: tuple = (), task: str = CLASSIFICATION) -> DomainStream:
     """Read a header CSV, group rows by integer domain index, hold out the last.
@@ -170,7 +179,8 @@ def load_csv_stream(path, domain_col: str = "t", label_col: str = "y",
     and feature columns are distinct) is a hard error naming that column;
     non-numeric and non-finite cells, and for a classification `task`
     labels other than 0 or 1, are a hard error naming the offending row and
-    column, and so is a file with more than MAX_ROWS usable rows. An unknown
+    column, a field past the csv module's size limit one naming its line,
+    and so is a file with more than MAX_ROWS usable rows. An unknown
     `task` is refused before the file is opened.
     """
     if task not in (CLASSIFICATION, REGRESSION):
@@ -178,7 +188,7 @@ def load_csv_stream(path, domain_col: str = "t", label_col: str = "y",
                          f"got {task!r}")
     groups: dict[int, list] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -269,10 +279,16 @@ class NormalizationStats:
     label_scale: float = 1.0
 
     def apply(self, dataset: DomainDataset) -> DomainDataset:
-        x = (dataset.features[:, list(self.kept)] - self.offset) / self.scale
-        y = dataset.labels
-        if dataset.task == REGRESSION:
-            y = (y - self.label_offset) / self.label_scale
+        """`dataset` on the maps; a value that they send past the float range
+        is refused."""
+        with np.errstate(over="ignore"):
+            x = (dataset.features[:, list(self.kept)] - self.offset) / self.scale
+            y = dataset.labels
+            if dataset.task == REGRESSION:
+                y = (y - self.label_offset) / self.label_scale
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"domain {dataset.domain_index}: a value lies past the float "
+                             "range on the sources' min-max scale")
         names = tuple(dataset.feature_names[i] for i in self.kept)
         return DomainDataset(domain_index=dataset.domain_index, features=x,
                              labels=y, task=dataset.task, feature_names=names)
@@ -286,23 +302,24 @@ class NormalizationStats:
 
 def fit_apply_normalization(stream: DomainStream) -> tuple[DomainStream, NormalizationStats]:
     """Fit per-column min-max maps on the sources, apply to sources and
-    target alike."""
+    target alike. The midpoint and half-range are the sum and difference of
+    the halved extremes: away from subnormals, the halves of their sum and
+    difference, but free of overflow."""
     x = np.vstack([s.features for s in stream.sources])
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    spread = hi - lo
-    kept = np.nonzero(spread > 1e-12)[0]
-    offset = (lo + hi)[kept] / 2.0
-    scale = spread[kept] / 2.0
+    lo, hi = x.min(axis=0) / 2.0, x.max(axis=0) / 2.0
+    kept = np.nonzero(hi - lo > 1e-12 / 2.0)[0]
+    offset = (lo + hi)[kept]
+    scale = (hi - lo)[kept]
     if kept.size == 0:
         raise ValueError("all feature columns are constant on the sources")
 
     label_offset, label_scale = 0.0, 1.0
     if stream.task == REGRESSION:
         y = np.concatenate([s.labels for s in stream.sources])
-        ylo, yhi = y.min(), y.max()
-        if yhi - ylo <= 1e-12:
+        ylo, yhi = y.min() / 2.0, y.max() / 2.0
+        if yhi - ylo <= 1e-12 / 2.0:
             raise ValueError("regression label is constant on the sources")
-        label_offset, label_scale = (ylo + yhi) / 2.0, (yhi - ylo) / 2.0
+        label_offset, label_scale = ylo + yhi, yhi - ylo
 
     stats = NormalizationStats(offset=offset, scale=scale,
                                kept=tuple(int(i) for i in kept),

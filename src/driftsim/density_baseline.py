@@ -1,9 +1,9 @@
 """Direct distribution-forecasting baseline.
 
 Estimates each feature's class-conditional density per domain with a Gaussian
-KDE on a fixed grid, then trains a one-layer `nn.lstm_stack` over per-domain
-summary rows (feature means and stds, label mean) whose state decodes the
-next domain's rows wholesale, scored by the sum of per-feature joint KLs. The
+KDE on a fixed grid, then trains a one-layer `autodiff.lstm_stack` over
+per-domain summary rows (feature means and stds, label mean) whose state
+decodes the next domain's rows wholesale, scored by the sum of per-feature joint KLs. The
 truth side of that score (class prior, bandwidth and KDE masses of every
 true domain) has no parameters, so it is built once per domain before
 training. Kept as a negative baseline: matching per-feature marginals says
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .datasets import CLASSIFICATION, DomainDataset, DomainStream
-from .nn import dense_params, glorot, lstm_params, lstm_stack
+from .nn import dense_params, glorot, lstm_params
 from .optim import fit
 
 __all__ = ["PrelimConfig", "default_grid", "kde_density", "train_prelim"]
@@ -117,9 +117,9 @@ def _init_prelim(d: int, n_rows: int, config: PrelimConfig, rng) -> list:
 
 
 def _decode_rows(params, state):
-    _, _, embed, w_e, w_s, b_mix, w_out, b_out = params
+    _, _, embed, w_e, w_s, b_mix = params[:6]
     mix = ad.tanh(embed @ w_e + state @ w_s + b_mix)
-    return ad.dense(mix, w_out, b_out, ad.tanh)
+    return ad.dense(params[6:], mix, last=ad.tanh)
 
 
 def _joint_kl_graph(rows, labels, truth_side, grid: np.ndarray):
@@ -162,7 +162,7 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     def build(ps):
         # the decode after domains 1..t is scored against domain t+1; the
         # last source only feeds the final decode
-        states = lstm_stack(ps[:2], summaries[:-1])
+        states = ad.lstm_stack(ps[:2], summaries[:-1])
         loss = None
         for state, truth_side in zip(states, truth_sides):
             term = _joint_kl_graph(_decode_rows(ps, state), labels, truth_side, grid)
@@ -171,7 +171,7 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
 
     best_params, _ = fit(build, params, config)
 
-    state = lstm_stack(best_params[:2], summaries)[-1]
+    state = ad.lstm_stack(best_params[:2], summaries)[-1]
     rows = _decode_rows(best_params, state)
     return DomainDataset(domain_index=last.domain_index + 1, features=rows,
                          labels=labels, task=CLASSIFICATION,

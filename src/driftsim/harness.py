@@ -23,7 +23,7 @@ from . import density_baseline
 from .correlation import pearson_matrix
 from .datasets import (CLASSIFICATION, DomainDataset, DomainStream,
                        NormalizationStats, fit_apply_normalization)
-from .nn import bce, dense_params, mlp
+from .nn import bce, dense_params
 from .optim import fit
 from .predictor import PredictorConfig, predict_next, train_predictor
 from .simulator import SNAPSHOT_DRAWS, SimulatorConfig, sample, train_simulator
@@ -44,6 +44,11 @@ MAX_PARAMETERS = 10_000_000
 # 138,889 draws at width 72 (10 M) took 1.1 s per step and 544 MB peak RSS on
 # one BLAS thread of a shared 2-vCPU machine
 MAX_DRAW_CELLS = 10_000_000
+# grid points x rows in prelim's KDE kernels: the loss keeps two per generated
+# row, feature and truth domain until backward (20.0 M on 2,442-row moons took
+# 110-161 ms per epoch and 223 MB peak RSS on one BLAS thread of a shared
+# 2-vCPU machine), and the truth side builds one per class of a truth domain
+MAX_KERNEL_CELLS = 20_000_000
 
 
 class ConfigError(ValueError):
@@ -74,12 +79,15 @@ class DownstreamModel:
     loss_history: list
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Class probability (classification) or raw prediction (regression)."""
-        return _forward_mlp(self.params, features, self.task).ravel()
+        """Class probability (classification) or raw prediction (regression).
+        Features far past the training range may overflow to inf or NaN,
+        which are returned, not warned about."""
+        with np.errstate(all="ignore"):
+            return _forward_mlp(self.params, features, self.task).ravel()
 
 
 def _forward_mlp(params, x, task):
-    out = mlp(params, x, ad.relu)
+    out = ad.dense(params, x, ad.relu)
     return ad.sigmoid(out) if task == CLASSIFICATION else out
 
 
@@ -115,7 +123,7 @@ def evaluate(model: DownstreamModel, test: DomainDataset,
         hard = (preds >= 0.5).astype(np.float64)
         return float(100.0 * np.mean(hard != test.labels))
     mae = float(np.mean(np.abs(preds - test.labels)))
-    return mae * (stats.label_scale if stats is not None else 1.0)
+    return mae * float(stats.label_scale if stats is not None else 1.0)
 
 
 @dataclass(frozen=True)
@@ -156,11 +164,18 @@ class ExperimentReport:
                 "wall_clock_s": self.wall_clock_s}
 
 
-def _parameter_counts(m: int, method: str, config: ExperimentConfig) -> dict:
+def _parameter_counts(m: int, method: str, config: ExperimentConfig, rows: int) -> dict:
     """Parameters of each model `method` trains on m - 1 features and a label,
-    by config block, counted without a layer list as long as a layer count."""
+    by config block (prelim's is its default `PrelimConfig`, which embeds
+    each of the `rows` rows of the last source), counted without a layer list
+    as long as a layer count."""
     dims = (m - 1, *config.downstream.hidden_dims, 1)
     counts = {"downstream": sum((a + 1) * b for a, b in zip(dims, dims[1:]))}
+    if method == "prelim":  # LSTM, row embedding, mixing layer, output layer
+        pre = density_baseline.PrelimConfig()
+        h, d = pre.hidden_dim, m - 1
+        counts["prelim"] = (4 * h * (2 * d + 2 + h) + rows * pre.embed_dim
+                            + (pre.embed_dim + h + 1) * h + (h + 1) * d)
     sim, pred = config.simulator, config.predictor
     if method in ("coda", "coda-without-C"):  # encoder trunk, two heads, decoder
         e, d, lat = sim.encoder_dim, sim.decoder_dim, sim.latent_dim
@@ -183,8 +198,10 @@ def require_trainable(stream: DomainStream, method: str,
     trained only at lambda_c > 0, and prelim), prelim on regression, sources
     on which every feature or a regression label is constant, a source
     without a correlation matrix for the forecaster, a prelim truth domain
-    without a KDE, a model of more than MAX_PARAMETERS parameters, or for
-    coda's pull, prior draws of more than MAX_DRAW_CELLS decoder activations."""
+    without a KDE, a model of more than MAX_PARAMETERS parameters, for
+    coda's pull, prior draws of more than MAX_DRAW_CELLS decoder activations,
+    or for prelim, KDE kernels of more than MAX_KERNEL_CELLS cells, checked
+    before any truth-side KDE is built."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     if stream.task == CLASSIFICATION:
@@ -203,18 +220,16 @@ def require_trainable(stream: DomainStream, method: str,
         if forecasts:
             for source in normalized.sources:
                 pearson_matrix(source)  # raises on a column constant in one domain
-        if method == "prelim":
-            grid = density_baseline.default_grid(density_baseline.PrelimConfig().grid_size)
-            for truth in normalized.sources[1:]:
-                density_baseline._truth_side(truth, grid)  # raises on a class without a KDE
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for block, count in _parameter_counts(normalized.d + 1, method, config).items():
+    sources, d = normalized.sources, normalized.d
+    for block, count in _parameter_counts(d + 1, method, config, sources[-1].n).items():
         if count > MAX_PARAMETERS:
-            cfg = getattr(config, block)
+            cfg = getattr(config, block, density_baseline.PrelimConfig())
             sizes = ", ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)
                               if f.name.endswith(("_dim", "_dims", "layers")))
-            raise ConfigError(f"{block}: {sizes} on {normalized.d} features make more "
+            rows = f" and {sources[-1].n} rows" if block == "prelim" else ""
+            raise ConfigError(f"{block}: {sizes} on {d} features{rows} make more "
                               f"than {MAX_PARAMETERS:,} parameters")
     sim = config.simulator
     if forecasts and max(SNAPSHOT_DRAWS, sim.regularizer_draws) * sim.decoder_dim \
@@ -223,6 +238,25 @@ def require_trainable(stream: DomainStream, method: str,
                           f"{SNAPSHOT_DRAWS:,} for the snapshot) x decoder_dim="
                           f"{sim.decoder_dim} make more than {MAX_DRAW_CELLS:,} "
                           "activations in one layer")
+    if method == "prelim":
+        grid = density_baseline.default_grid(density_baseline.PrelimConfig().grid_size)
+        kept = 2 * grid.size * sources[-1].n * d * (len(sources) - 1)
+        if kept > MAX_KERNEL_CELLS:
+            raise ConfigError(f"prelim: {len(sources) - 1} truth domains x {d} features x "
+                              f"{grid.size} grid points x {sources[-1].n} generated rows "
+                              f"keep {kept:,} kernel cells, two per point and row, more "
+                              f"than {MAX_KERNEL_CELLS:,}")
+        for truth in sources[1:]:
+            widest = max(np.sum(truth.labels == 0.0), np.sum(truth.labels == 1.0))
+            if grid.size * widest > MAX_KERNEL_CELLS:
+                raise ConfigError(f"prelim: domain {truth.domain_index} holds {widest} rows "
+                                  f"of one class; their KDE on {grid.size} grid points "
+                                  f"makes more than {MAX_KERNEL_CELLS:,} kernel cells")
+        try:
+            for truth in sources[1:]:
+                density_baseline._truth_side(truth, grid)  # raises on a class without a KDE
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,

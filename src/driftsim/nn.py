@@ -1,16 +1,15 @@
-"""Layer helpers shared by the models: Glorot init, a dense stack, the LSTM
-stack that the correlation forecaster and the density baseline run (its init
-here, its one tape node `autodiff.lstm_stack`), and the clipped binary
-cross-entropy of the forecaster and the downstream model."""
+"""Layer helpers shared by the models: Glorot init, the [w, b] pairs of a
+dense stack (run as one tape node by `autodiff.dense`) and of the LSTM stack
+that the correlation forecaster and the density baseline run (one tape node,
+`autodiff.lstm_stack`), and the clipped binary cross-entropy of the
+forecaster and the downstream model."""
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import lstm_stack
 
-__all__ = ["CLAMP", "glorot", "dense_params", "mlp", "lstm_params",
-           "lstm_stack", "bce"]
+__all__ = ["CLAMP", "glorot", "dense_params", "lstm_params", "bce"]
 
 CLAMP = 1e-6  # probabilities are clipped to [CLAMP, 1 - CLAMP] before a log
 
@@ -30,16 +29,8 @@ def dense_params(rng, dims) -> list:
     return params
 
 
-def mlp(params, x, act):
-    """Apply the [w, b] pairs of `params` in order, with `act` after every
-    pair except the last, which stays linear."""
-    for i in range(0, len(params) - 2, 2):
-        x = ad.dense(x, params[i], params[i + 1], act)
-    return ad.dense(x, params[-2], params[-1])
-
-
 def lstm_params(rng, in_dim: int, hidden: int, layers: int) -> list:
-    """[w1, b1, w2, b2, ...] for `lstm_stack`: per layer one Glorot draw of
+    """[w1, b1, w2, b2, ...] for `autodiff.lstm_stack`: per layer one Glorot draw of
     shape (input + hidden, 4 * hidden) and a zero bias but for a +1 forget gate."""
     params = []
     for fan_in in [in_dim] + [hidden] * (layers - 1):

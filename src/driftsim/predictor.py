@@ -1,9 +1,9 @@
 """Forecasting the next domain's correlation matrix from the history of
 per-domain matrices.
 
-An embedding and `nn.lstm_stack` consume the strict upper triangles of C_1..C_{T-1}
-(teacher forcing: true matrices in, one-step-ahead targets out) and a tanh
-head emits the next flattened matrix. The training loss sums, over the
+An embedding and `autodiff.lstm_stack` consume the strict upper triangles of
+C_1..C_{T-1} (teacher forcing: true matrices in, one-step-ahead targets out)
+and a tanh head emits the next flattened matrix. The training loss sums, over the
 steps, a Frobenius term, an elementwise-L1 term, and a binary cross-entropy
 term on entries affinely mapped from [-1, 1] to [0, 1]; it is recorded as one
 graph over the stacked head outputs of all steps.
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .correlation import CorrelationMatrix, flatten_upper, unflatten_upper
-from .nn import CLAMP, bce, dense_params, lstm_params, lstm_stack
+from .nn import CLAMP, bce, dense_params, lstm_params
 from .optim import fit
 
 __all__ = ["PredictorConfig", "PredictorModel", "predict_next", "train_predictor"]
@@ -63,10 +63,8 @@ def _init_params(m: int, config: PredictorConfig, rng) -> list:
 
 def _forward_sequence(params: list, rows: list) -> list:
     """Head outputs (pre-unflatten, post-tanh) for every step of the sequence."""
-    w_embed, b_embed = params[0], params[1]
-    w_head, b_head = params[-2], params[-1]
-    states = lstm_stack(params[2:-2], [ad.dense(row, w_embed, b_embed) for row in rows])
-    return [ad.dense(h, w_head, b_head, ad.tanh) for h in states]
+    states = ad.lstm_stack(params[2:-2], [ad.dense(params[:2], row) for row in rows])
+    return [ad.dense(params[-2:], h, last=ad.tanh) for h in states]
 
 
 def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 from driftsim import autodiff as ad
 from driftsim import density_baseline, harness, nn, predictor, simulator
 from driftsim.correlation import CorrelationMatrix, flatten_upper
-from driftsim.nn import dense_params, glorot, lstm_params, lstm_stack, mlp
+from driftsim.datasets import CLASSIFICATION, REGRESSION, DomainDataset
+from driftsim.nn import dense_params, glorot, lstm_params
 from driftsim.optim import TOL, Adam, fit, flat, train
 from driftsim.predictor import PredictorConfig
 
@@ -186,7 +187,7 @@ def test_gated_recurrent_cell_gradient():
     rows = rng.normal(size=(3, 3))
 
     def build(p):
-        states = lstm_stack(p[:-1], [p[-1][t:t + 1, :] for t in range(3)])
+        states = ad.lstm_stack(p[:-1], [p[-1][t:t + 1, :] for t in range(3)])
         return ad.reduce_sum(_sq(ad.concat(states, axis=0)))
 
     _check(build, [*params, rows], tol=1e-4)
@@ -197,7 +198,7 @@ def test_lstm_cell_first_step_is_zero_cell_state():
     rng = np.random.default_rng(16)
     w, b = rng.normal(size=(5, 12)), rng.normal(size=(1, 12))
     x = rng.normal(size=(1, 2))
-    (h0,) = lstm_stack([w, b], [x])
+    (h0,) = ad.lstm_stack([w, b], [x])
     gates = np.concatenate([x, np.zeros((1, 3))], axis=1) @ w + b
     h1, _ = unfused.lstm_cell(gates, np.zeros((1, 3)), 3)
     assert h0.shape == (1, 3)  # a quarter of the gate width
@@ -206,12 +207,12 @@ def test_lstm_cell_first_step_is_zero_cell_state():
 
 def test_lstm_cell_rejects_a_gate_width_not_a_multiple_of_4():
     with pytest.raises(ValueError, match="multiple of 4"):
-        lstm_stack([np.zeros((4, 10)), np.zeros((1, 10))], [np.zeros((1, 2))])
+        ad.lstm_stack([np.zeros((4, 10)), np.zeros((1, 10))], [np.zeros((1, 2))])
     # the stack's state is one row, so each input is one row of the input width
     w, b = np.zeros((5, 12)), np.zeros((1, 12))
     for row in (np.zeros((2, 2)), np.zeros((1, 3))):
         with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
-            lstm_stack([w, b], [np.zeros((1, 2)), row])
+            ad.lstm_stack([w, b], [np.zeros((1, 2)), row])
 
 
 def test_dense_stack_matches_glorot_draws_and_numpy():
@@ -223,7 +224,7 @@ def test_dense_stack_matches_glorot_draws_and_numpy():
         assert np.array_equal(got, want)
     x = np.random.default_rng(18).normal(size=(4, 3))
     params[1] += 0.5  # nonzero bias, so the bias term is checked too
-    out = mlp(params, x, ad.tanh)
+    out = ad.dense(params, x, ad.tanh)
     want = np.tanh(x @ params[0] + params[1]) @ params[2] + params[3]
     assert not isinstance(out, ad.Tensor)
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-15)
@@ -306,21 +307,31 @@ def _assert_same_values_and_gradients(fused, oracle, params):
     assert same_bits(got[1], want[1])
 
 
-@pytest.mark.parametrize("act", [None, ad.tanh, ad.relu])
+@pytest.mark.parametrize("last", [None, ad.tanh, ad.relu])
 @pytest.mark.parametrize("rows", [1, 5])
-def test_dense_matches_composition_bit_for_bit(act, rows):
+def test_dense_matches_composition_bit_for_bit(last, rows):
+    # stacks of 1-3 [w, b] pairs with relu or tanh hidden layers, against the
+    # chain of per-layer matmul, add and activation nodes; x is a parameter
+    # too (its gradient is checked) or a plain array (none is computed)
     rng = np.random.default_rng(19)
-    x, w = rng.normal(size=(rows, 3)), rng.normal(size=(3, 4))
-    b, weights = rng.normal(size=(1, 4)), rng.normal(size=(rows, 4))
+    for widths in ((3, 4), (3, 5, 4), (3, 6, 5, 4)):
+        params = [rng.normal(size=p.shape) for p in dense_params(rng, widths)]
+        x, weights = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 4))
+        for act in (ad.relu, ad.tanh):
+            def loss(stack, x=None):
+                if x is None:  # x is the last parameter
+                    return lambda p: ad.reduce_sum(_sq(stack(p[:-1], p[-1], act, last)) * weights)
+                return lambda p: ad.reduce_sum(_sq(stack(p, x, act, last)) * weights)
 
-    def loss(layer):
-        return lambda p: ad.reduce_sum(_sq(layer(p[0], p[1], p[2], act)) * weights)
-
-    _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
-    fused = ad.dense(x, w, b, act)
-    assert not isinstance(fused, ad.Tensor)
-    assert same_bits(fused, unfused.dense(x, w, b, act))
-    _check(loss(ad.dense), [x, w, b], step=1e-5)
+            _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense),
+                                              [*params, x])
+            _assert_same_values_and_gradients(loss(ad.dense, x), loss(unfused.dense, x),
+                                              params)
+            fused = ad.dense(params, x, act, last)
+            assert not isinstance(fused, ad.Tensor)
+            assert same_bits(fused, unfused.dense(params, x, act, last))
+            if len(widths) == 2:
+                _check(loss(ad.dense), [*params, x], step=1e-5)
 
 
 @pytest.mark.parametrize("act", [None, ad.tanh, ad.relu], ids=["linear", "tanh", "relu"])
@@ -328,22 +339,89 @@ def test_dense_matches_composition_bit_for_bit(act, rows):
 def test_dense_matches_allocating_form_at_simulator_shapes(act, rows):
     # the simulator's minibatch, regularizer draws and snapshot, 72 wide;
     # the input is a parameter too, and it feeds the layer above, so the
-    # VJP's gradient is read on the way down
+    # VJP's gradient is read on the way down: two one-pair nodes, and one
+    # node over the pair applied twice
     rng = np.random.default_rng(25)
     x, w = rng.normal(size=(rows, 72)), glorot(rng, 72, 72)
     b, weights = rng.normal(size=(1, 72)) * 0.1, rng.normal(size=(rows, 72))
 
-    def loss(layer):
+    def loss(stack):
         return lambda p: ad.reduce_sum(
-            layer(layer(p[0], p[1], p[2], act), p[1], p[2], act) * weights)
+            stack(p[1:], stack(p[1:], p[0], last=act), last=act) * weights)
+
+    def twice(stack):
+        return lambda p: ad.reduce_sum(stack([*p[1:], *p[1:]], p[0], act, act) * weights)
 
     _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
-    assert same_bits(ad.dense(x, w, b, act), unfused.dense(x, w, b, act))
+    _assert_same_values_and_gradients(twice(ad.dense), loss(unfused.dense), [x, w, b])
+    assert same_bits(ad.dense([w, b], x, last=act), unfused.dense([w, b], x, last=act))
 
 
 def test_dense_rejects_other_activations():
-    with pytest.raises(ValueError):
-        ad.dense(np.ones((1, 2)), np.ones((2, 2)), np.zeros((1, 2)), ad.sigmoid)
+    pair = [np.ones((2, 2)), np.zeros((1, 2))]
+    for act, last in ((ad.sigmoid, None), (None, ad.sigmoid), (ad.exp, ad.tanh)):
+        with pytest.raises(ValueError, match="must be None, tanh or relu"):
+            ad.dense(pair, np.ones((1, 2)), act, last)
+
+
+def test_dense_checks_every_layer_shape():
+    # every layer's input must chain into its weight
+    pair = [np.ones((2, 2)), np.zeros((1, 2))]
+    with pytest.raises(ValueError, match=r"shape mismatch: \(1, 2\) @ \(3, 2\)"):
+        ad.dense([*pair, np.ones((3, 2)), np.zeros((1, 2))], np.ones((1, 2)))
+    with pytest.raises(ValueError, match="2-d operands"):
+        ad.dense(pair, np.ones(2))
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_downstream_fits_match_the_per_layer_chain_bit_for_bit(task, monkeypatch):
+    # a whole fit and an incfinetune chain (a fresh fit, then one from its
+    # params at a tenth of the rate per later source): params and loss
+    # histories as the chain of per-layer nodes gives them
+    rng = np.random.default_rng(31)
+    sources = []
+    for t in range(3):
+        x = rng.normal(size=(60, 3)) + 0.3 * t
+        y = (x[:, 0] + x[:, 1] > 0.3 * t).astype(float) if task == CLASSIFICATION \
+            else np.tanh(x @ [0.5, -0.3, 0.2])
+        sources.append(DomainDataset(t, x, y, task=task))
+    config = harness.DownstreamConfig(hidden_dims=(12, 7), max_epochs=150, patience=20)
+    slow = harness.DownstreamConfig(hidden_dims=(12, 7), learning_rate=1e-3,
+                                    max_epochs=80, patience=20)
+
+    def fits():
+        models = [harness.train_downstream(sources[0], config, seed=3)]
+        for source in sources[1:]:
+            models.append(harness.train_downstream(source, slow,
+                                                   init_params=models[-1].params))
+        return models
+
+    got = fits()
+    monkeypatch.setattr(ad, "dense", unfused.dense)
+    want = fits()
+    for g, w in zip(got, want, strict=True):
+        assert same_bits(g.loss_history, w.loss_history)
+        assert len(g.params) == len(w.params) == 6
+        assert all(same_bits(a, b) for a, b in zip(g.params, w.params, strict=True))
+    assert len(got[0].loss_history) > 20
+
+
+def test_one_dense_node_per_stack_in_a_downstream_step():
+    # classification: the stack, sigmoid, clip, two logs, 1 - q, two
+    # products, their sum, its negation, the sum and the mean's scaling
+    # (14 with one node per layer); regression: 5. The forecaster's loss
+    # keeps its 53: one node per step for the embedding and for the head
+    rng = np.random.default_rng(33)
+    params = [ad.Tensor(p) for p in dense_params(rng, (2, 50, 50, 1))]
+    x, y = rng.normal(size=(40, 2)), (rng.random((40, 1)) < 0.5).astype(float)
+    assert unfused.interior_nodes(harness._mlp_loss(params, x, y, CLASSIFICATION)) == 12
+    assert unfused.interior_nodes(harness._mlp_loss(params, x, y, REGRESSION)) == 5
+    rows = list(rng.uniform(-0.9, 0.9, size=(8, 1, 3)))  # C_1..C_8's upper triangles
+    targets = rng.uniform(-0.9, 0.9, size=(8, 3))
+    config = PredictorConfig()
+    params = [ad.Tensor(p) for p in predictor._init_params(3, config, rng)]
+    assert unfused.interior_nodes(predictor._sequence_loss(params, rows, targets, 3,
+                                                           config)) == 53
 
 
 def _unfused_forward_sequence(params, rows, layers, hidden):
@@ -380,9 +458,9 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
             return ad.reduce_sum(ad.concat(states, axis=0) * weights)
         return loss_fn
 
-    _assert_same_values_and_gradients(loss(lstm_stack), loss(oracle), [*params, rows])
+    _assert_same_values_and_gradients(loss(ad.lstm_stack), loss(oracle), [*params, rows])
     row_list = [rows[t:t + 1, :] for t in range(steps)]
-    for got, want in zip(lstm_stack(params, row_list), oracle(params, row_list),
+    for got, want in zip(ad.lstm_stack(params, row_list), oracle(params, row_list),
                          strict=True):
         assert same_bits(got, want)
         assert not isinstance(got, ad.Tensor)
@@ -391,7 +469,7 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
 def test_lstm_stack_records_one_node_and_one_view_per_step():
     rng = np.random.default_rng(26)
     params = [ad.Tensor(p) for p in lstm_params(rng, 3, 4, 8)]
-    states = lstm_stack(params, [rng.normal(size=(1, 3)) for _ in range(9)])
+    states = ad.lstm_stack(params, [rng.normal(size=(1, 3)) for _ in range(9)])
     (node,) = {s._parents[0] for s in states}
     assert all(s._parents == (node,) for s in states)
     assert node._parents[-16:] == tuple(params)

@@ -1,15 +1,20 @@
 """CLI contract tests: exit codes, file outputs, config parsing."""
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from driftsim import autodiff, bounds, cli, datasets, harness
+from driftsim import autodiff, bounds, cli, datasets, density_baseline, harness
 from driftsim.cli import load_run_config, main
 from driftsim.datasets import load_csv_stream
 from driftsim.harness import ExperimentConfig
@@ -167,6 +172,20 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
                                       "simulator": {"regularizer_draws": 10**18}})
     assert usage_error_in_one_line(capsys, ["run", "--config", huge_draws],
                                    "simulator: regularizer_draws=1000000000000000000 ")
+    # prelim KDE kernels past harness.MAX_KERNEL_CELLS (3 truth domains x 2
+    # features x 256 grid points x 8,000 rows, two cells each): refused before
+    # any truth-side KDE is built, nothing trained and no output directory made
+    built = []
+    huge_prelim = write_cfg(tmp_path, {**TINY_CFG, "methods": ["prelim"], "dataset": {
+        "kind": "moons", "domains": 5, "n_per_domain": 8000}})
+    out = tmp_path / "prelim-out"
+    with monkeypatch.context() as patch:
+        patch.setattr(density_baseline, "_truth_side", lambda *a: built.append(a))
+        assert usage_error_in_one_line(
+            capsys, ["run", "--config", huge_prelim, "--out", str(out)],
+            "prelim: 3 truth domains x 2 features x 256 grid points x 8000 generated rows "
+            "keep 24,576,000 kernel cells")
+    assert built == [] and not out.exists()
     bad_norm = write_cfg(tmp_path, {**TINY_CFG, "normalization": "bogus"})
     assert main(["run", "--config", bad_norm]) == 2
     bad_moons = write_cfg(tmp_path, {**TINY_CFG, "dataset": {
@@ -600,3 +619,116 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- hostile inputs to `run` -------------------------------------------------
+
+BAD_CELLS = ("", " ", "nan", "inf", "-inf", "1e400", "abc", "1.5", "-1", "2", "0.5",
+             "1e308", "-0", '"1"', "\x00", "1,2", "\"unclosed")
+BAD_VALUES = (None, True, "x", -1, 0, 3, 1.5, 1e300, float("nan"), [], [0], [-1],
+              [1, "a"], [True], {}, {"kind": "moons"})
+# (block or None for the top level, key): keys of every block, and unknown ones;
+# never a second seed (no worker processes) or more than 5 downstream epochs
+CONFIG_KEYS = ((None, "seeds"), (None, "sample_rate"), (None, "methods"), (None, "mystery"),
+               (None, "output_dir"), ("downstream", "hidden_dims"),
+               ("downstream", "learning_rate"), ("downstream", "patience"),
+               ("downstream", "max_epochs"), ("downstream", "seed"),
+               ("dataset", "feature_cols"), ("dataset", "task"), ("dataset", "domain_col"),
+               ("dataset", "label_col"), ("dataset", "kind"), ("dataset", "path"),
+               ("dataset", "mystery"), ("predictor", "layers"), ("simulator", None))
+
+
+@st.composite
+def csv_texts(draw):
+    """A small domain table with at most one hostile trait: bad cells, a
+    duplicate header, a constant column, single-class domains, or no rows."""
+    trait = draw(st.sampled_from(["none", "cells", "cells", "header", "constant",
+                                  "one class", "empty"]))
+    if trait == "empty":
+        return draw(st.sampled_from(["", "\n", "t,y,x0\n", "t\n0\n", "\x00",
+                                     "t,y,x0\n0,1\n"]))
+    features = draw(st.integers(1, 3))
+    header = ["t", "y", *(f"x{i}" for i in range(features))]
+    rows = []
+    for t in range(draw(st.integers(2, 4))):
+        one_class = trait == "one class" and draw(st.booleans())
+        for i in range(draw(st.integers(2, 6))):
+            values = draw(st.lists(st.floats(-3, 3), min_size=features, max_size=features))
+            rows.append([str(t), "1" if one_class else str(i % 2),
+                         *(f"{v:.3f}" for v in values)])
+    if trait == "header":  # one column named twice
+        header[-1] = header[draw(st.integers(0, len(header) - 2))]
+    if trait == "constant":
+        col = draw(st.integers(2, len(header) - 1))
+        for row in rows:
+            row[col] = "1.0"
+    if trait == "cells":
+        for _ in range(draw(st.integers(1, 3))):
+            row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+            rows[row][col] = draw(st.sampled_from(BAD_CELLS))
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+@st.composite
+def run_configs(draw):
+    """A lastdomain config on one seed and at most 5 downstream epochs, for
+    either task, in half the cases with one key set to a value of a wrong
+    type, out of range or unknown."""
+    config = {"dataset": {"kind": "csv", "task": draw(st.sampled_from(["classification",
+                                                                       "regression"]))},
+              "methods": ["lastdomain"], "seeds": [0],
+              "downstream": {"max_epochs": draw(st.integers(1, 5)), "patience": 2}}
+    if draw(st.booleans()):
+        block, key = draw(st.sampled_from(CONFIG_KEYS))
+        value = draw(st.sampled_from(BAD_VALUES))
+        if key is None:
+            config[block] = value
+        elif block is None:
+            config[key] = value
+        else:
+            config.setdefault(block, {})[key] = value
+    return config
+
+
+TABLE = "t,y,a,b\n0,0,0.1,1\n0,1,0.5,2\n1,0,0.2,1\n1,1,0.3,3\n2,0,1,1\n2,1,2,2\n"
+FIVE_EPOCHS = {"dataset": {"kind": "csv"}, "methods": ["lastdomain"], "seeds": [0],
+               "downstream": {"max_epochs": 5}}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(text=csv_texts(), config=run_configs())
+# each raised before: a field past the csv module's limit (csv.Error), and
+# under -W error the overflow warnings of a source column spanning more
+# than the float range, a target value far past the sources' range (as a
+# feature, and as a feature whose regression error is near the float
+# maximum, which the status line rounded as a numpy float), and an Adam
+# step that sends the params past it
+@example(text=TABLE.replace("0.1", "1" * 200_000), config=FIVE_EPOCHS)
+@example(text=TABLE.replace("0.1", "1e308").replace("0.5", "-1e308"), config=FIVE_EPOCHS)
+@example(text=TABLE.replace("2,1,2,2", "2,1,1e308,1e308"), config=FIVE_EPOCHS)
+@example(text=TABLE.replace("2,1,2,2", "2,1,1e307,-1e307"),
+         config={**FIVE_EPOCHS, "dataset": {"kind": "csv", "task": "regression"}})
+@example(text=TABLE, config={**FIVE_EPOCHS, "downstream": {"max_epochs": 3,
+                                                          "learning_rate": 1e300}})
+def test_run_on_hostile_csv_and_config_exits_cleanly(text, config):
+    # every case exits 0, 2 or 3; a refusal or numeric failure prints one
+    # stderr line that says which, and nothing raises
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        if isinstance(config.get("dataset"), dict):
+            config = {**config, "dataset": {"path": path, **config["dataset"]}}
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", cfg, "--out", os.path.join(tmp, "out")])
+    err = err.getvalue()
+    assert code in (0, 2, 3), (code, err)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith("error: " if code == 2 else "numeric failure: "), err

@@ -257,8 +257,8 @@ def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):
     stream = make_moons_stream()
     build, params = captured_loss(monkeypatch, stream)
     fed = []
-    real = density_baseline.lstm_stack
-    monkeypatch.setattr(density_baseline, "lstm_stack",
+    real = ad.lstm_stack
+    monkeypatch.setattr(ad, "lstm_stack",
                         lambda ps, rows: fed.append(rows) or real(ps, rows))
     build([ad.Tensor(p) for p in params])
     (rows,) = fed

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftsim import harness, predictor, simulator
+from driftsim import density_baseline, harness, predictor, simulator
 from driftsim.datasets import (CLASSIFICATION, REGRESSION, DomainDataset,
                                DomainStream, fit_apply_normalization,
                                make_moons_stream)
@@ -18,6 +18,7 @@ from driftsim.harness import (METHODS, ConfigError, DownstreamConfig,
                               require_sweepable, require_trainable,
                               run_experiment, sweep, train_downstream)
 from driftsim.nn import dense_params
+from driftsim.density_baseline import PrelimConfig
 from driftsim.predictor import PredictorConfig
 from driftsim.simulator import SimulatorConfig, sample
 
@@ -327,23 +328,28 @@ def test_parameter_counts_match_the_models_built():
     small = replace(TINY_PIPELINE, downstream=DownstreamConfig(hidden_dims=()))
     for m in (2, 3, 7):
         for config in (ExperimentConfig(), TINY_PIPELINE, small):
-            assert harness._parameter_counts(m, "coda", config) == {
+            assert harness._parameter_counts(m, "coda", config, 40) == {
                 "downstream": _size(dense_params(rng, (m - 1, *config.downstream.hidden_dims, 1))),
                 "simulator": _size(simulator._init_params(m, config.simulator, rng)),
                 "predictor": _size(predictor._init_params(m, config.predictor, rng))}
+        # prelim's model, with its default config, embeds each row of the last source
+        for rows in (2, 40, 7842):
+            prelim = density_baseline._init_prelim(m - 1, rows, PrelimConfig(), rng)
+            assert harness._parameter_counts(m, "prelim", config, rows)["prelim"] == _size(prelim)
+    assert harness._parameter_counts(3, "prelim", ExperimentConfig(), 200)["prelim"] == 7842
     # only the models a method trains are counted
     no_pull = replace(TINY_PIPELINE, simulator=replace(TINY_PIPELINE.simulator, lambda_c=0.0))
     for method, config, blocks in (("coda", no_pull, {"downstream", "simulator"}),
                                    ("coda-without-C", TINY_PIPELINE, {"downstream", "simulator"}),
-                                   ("prelim", TINY_PIPELINE, {"downstream"}),
+                                   ("prelim", TINY_PIPELINE, {"downstream", "prelim"}),
                                    ("lastdomain", TINY_PIPELINE, {"downstream"})):
-        assert set(harness._parameter_counts(3, method, config)) == blocks
+        assert set(harness._parameter_counts(3, method, config, 40)) == blocks
 
 
 def test_a_model_past_the_parameter_bound_is_refused(monkeypatch):
     # the defaults sit far below the bound; lowered to their largest model,
     # the bound admits it and refuses one parameter more, naming the sizes
-    counts = harness._parameter_counts(SMALL_STREAM.d + 1, "coda", ExperimentConfig())
+    counts = harness._parameter_counts(SMALL_STREAM.d + 1, "coda", ExperimentConfig(), 40)
     assert max(counts.values()) == counts["simulator"] < harness.MAX_PARAMETERS // 100
     monkeypatch.setattr(harness, "MAX_PARAMETERS", counts["simulator"])
     require_trainable(SMALL_STREAM, "coda", ExperimentConfig())
@@ -367,6 +373,39 @@ def test_prior_draws_past_the_activation_bound_are_refused(monkeypatch):
     require_trainable(SMALL_STREAM, "coda-without-C", more)
     no_pull = replace(more, simulator=replace(more.simulator, lambda_c=0.0))
     require_trainable(SMALL_STREAM, "coda", no_pull)
+
+
+def test_prelim_past_the_kernel_bound_is_refused_before_its_truth_side(monkeypatch):
+    # SMALL_STREAM's prelim loss keeps 2 x 4 truth domains x 2 features x 256
+    # grid points x 40 rows; with the bound lowered to that, it is admitted,
+    # and one cell less refuses it before any truth-side KDE is built
+    built = []
+    real = density_baseline._truth_side
+    monkeypatch.setattr(density_baseline, "_truth_side",
+                        lambda *a: built.append(1) or real(*a))
+    kept = 2 * 4 * 2 * 256 * 40
+    monkeypatch.setattr(harness, "MAX_KERNEL_CELLS", kept)
+    require_trainable(SMALL_STREAM, "prelim", ExperimentConfig())
+    assert len(built) == 4
+    monkeypatch.setattr(harness, "MAX_KERNEL_CELLS", kept - 1)
+    with pytest.raises(ConfigError, match=r"prelim: 4 truth domains x 2 features x 256 grid "
+                                          r"points x 40 generated rows keep 163,840 kernel"):
+        require_trainable(SMALL_STREAM, "prelim", ExperimentConfig())
+    assert len(built) == 4
+    require_trainable(SMALL_STREAM, "lastdomain", ExperimentConfig())
+    # a truth domain whose class alone outgrows the bound, behind a small last source
+    big = replace(make_moons_stream(domains=3, n_per_domain=2000).sources[0], domain_index=2)
+    sources = SMALL_STREAM.sources
+    wide = DomainStream((*sources[:2], big, *sources[3:]), SMALL_STREAM.target)
+    monkeypatch.setattr(harness, "MAX_KERNEL_CELLS", 256 * 1000 - 1)
+    with pytest.raises(ConfigError, match="prelim: domain 2 holds 1000 rows of one class"):
+        require_trainable(wide, "prelim", ExperimentConfig())
+    assert len(built) == 4
+    # the parameter bound counts prelim's model too
+    monkeypatch.setattr(harness, "MAX_PARAMETERS", 6242 + 8 * 40 - 1)
+    with pytest.raises(ConfigError, match="prelim: hidden_dim=32, embed_dim=8 on 2 features "
+                                          "and 40 rows make more than 6,561 parameters"):
+        require_trainable(SMALL_STREAM, "prelim", ExperimentConfig())
 
 
 def test_experiment_config_validation():

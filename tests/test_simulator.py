@@ -183,18 +183,6 @@ def test_objective_with_zero_params_matches_unfused_oracle_bit_for_bit():
         _assert_objective_matches_oracle(params, config, task, rows, noise, draws, np.eye(3))
 
 
-def _interior_nodes(out) -> int:
-    """The tape nodes behind `out` that have parents, `out` included."""
-    seen, stack, count = set(), [out], 0
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            count += bool(node._parents)
-            stack.extend(node._parents)
-    return count
-
-
 def test_objective_records_four_nodes_per_step_and_one_in_warmup():
     config = SimulatorConfig()
     rng = np.random.default_rng(4)
@@ -203,9 +191,10 @@ def test_objective_records_four_nodes_per_step_and_one_in_warmup():
     noise = rng.standard_normal((64, config.latent_dim))
     z = rng.standard_normal((config.regularizer_draws, config.latent_dim))
     # the ELBO node, the pull node, the pull times lambda_c and the sum
-    assert _interior_nodes(sm._objective(params, config, CLASSIFICATION, rows, noise,
-                                         z, np.eye(3))) == 4
-    assert _interior_nodes(sm._objective(params, config, CLASSIFICATION, rows, noise)) == 1
+    assert unfused.interior_nodes(sm._objective(params, config, CLASSIFICATION, rows,
+                                                noise, z, np.eye(3))) == 4
+    assert unfused.interior_nodes(sm._objective(params, config, CLASSIFICATION, rows,
+                                                noise)) == 1
 
 
 @pytest.mark.parametrize("lambda_c", [0.0, 1.0])

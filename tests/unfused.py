@@ -1,16 +1,16 @@
-"""References that the fused code must match bit for bit: `act(x @ w + b)`,
-the LSTM and the simulator's loss written with autodiff primitives only (for
+"""References that the fused code must match bit for bit: a dense stack, the
+LSTM and the simulator's loss written with autodiff primitives only (for
 `ad.dense`, `ad.lstm_stack`, `ad.gaussian_elbo` and `ad.correlation_pull`),
 Adam as one update per parameter array (for `optim.Adam`), and the
 full-batch loop that `optim.fit` runs on `optim.train`. Also the transpose
-node that these compositions and the KDE oracles of the tests build, and
-`same_bits`, the comparison they are held to."""
+node that these compositions and the KDE oracles of the tests build,
+`same_bits`, the comparison they are held to, and `interior_nodes`, the
+tape count that the node-count tests pin."""
 import numpy as np
 
 from driftsim import autodiff as ad
 from driftsim.autodiff import _accumulate, _node, _val
 from driftsim.datasets import CLASSIFICATION
-from driftsim.nn import mlp
 from driftsim.optim import BETA1, BETA2, EPS, TOL, Adam, flat
 from driftsim.simulator import EPS_VAR
 
@@ -21,6 +21,18 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def interior_nodes(out) -> int:
+    """The tape nodes behind `out` that have parents, `out` included."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += bool(node._parents)
+            stack.extend(node._parents)
+    return count
+
+
 def transpose(a):
     """`a.T` as a tape node."""
     def vjp(g):
@@ -29,11 +41,15 @@ def transpose(a):
     return _node(_val(a).T.copy(), (a,), vjp)
 
 
-def dense(x, w, b, act):
-    """`ad.dense` as matmul, add and activation nodes, each allocating its
-    result."""
-    out = x @ w + b
-    return out if act is None else act(out)
+def dense(params, x, act=None, last=None):
+    """`ad.dense` as a chain of per-layer matmul, add and activation nodes,
+    each allocating its result."""
+    for i in range(0, len(params), 2):
+        x = ad.matmul(x, params[i]) + params[i + 1]
+        layer_act = act if i + 2 < len(params) else last
+        if layer_act is not None:
+            x = layer_act(x)
+    return x
 
 
 def pearson(batch, eps):
@@ -51,15 +67,14 @@ def encode(params, config, rows):
     """(mu, logvar) of the simulator's q(z | rows): a tanh trunk and two
     linear heads."""
     k = 2 * config.encoder_layers
-    h = ad.tanh(mlp(params[:k], rows, ad.tanh))
-    return (ad.dense(h, params[k], params[k + 1]),
-            ad.dense(h, params[k + 2], params[k + 3]))
+    h = dense(params[:k], rows, ad.tanh, ad.tanh)
+    return dense(params[k:k + 2], h), dense(params[k + 2:k + 4], h)
 
 
 def decode(decoder, z, task):
     """The simulator's decoder params `decoder` applied to `z`, the output
     split by slicing nodes."""
-    out = mlp(decoder, z, ad.tanh)
+    out = dense(decoder, z, ad.tanh)
     m = out.shape[1]
     features = ad.tanh(out[:, 0:m - 1])
     label = ad.sigmoid(out[:, m - 1:m]) if task == CLASSIFICATION \
