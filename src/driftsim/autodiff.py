@@ -17,18 +17,22 @@ Five fused primitives cut the tape where the models spend their time:
 one view node per step's output), `gaussian_elbo` records the simulator's
 negative ELBO (encoder, reparameterization, decoder, reconstruction and KL)
 as one node, `correlation_pull` records the L1 between the Pearson matrix of
-decoded prior draws and a target as one node, and `kde_kl` records one
-class-conditional KDE-KL term of the density baseline as one node over the
-generated rows. Every feed-forward layer, in `dense` and in the two
-simulator nodes, runs one stack forward and VJP (`_stack`, `_stack_vjp`,
-over `_layer`, `_layer_vjp`).  Their VJPs repeat the
-elementwise arithmetic of the unfused composition in the same order, sum
-the gradients of a value that reached several unfused nodes in the order
-`backward` reached those nodes, and list their parents in the order
-`backward`'s depth-first search reached the unfused nodes, so every
-gradient, and every trained parameter, is bit-identical to what the
-composition of primitives gives.  No VJP writes into the gradient it is
-given.
+decoded prior draws and a target as one node, and `kde_kl` records the
+density baseline's whole KDE-KL, every class-conditional term of every
+truth domain, as one node over the rows generated for those domains. Every
+feed-forward layer, in `dense` and in the two simulator nodes, runs one
+stack forward and VJP (`_stack`, `_stack_vjp`, over `_layer`,
+`_layer_vjp`).  Their VJPs repeat the elementwise arithmetic of the
+unfused composition in the same order, sum the gradients of a value that
+reached several unfused nodes in the order `backward` reached those nodes,
+and list their parents in the order `backward`'s depth-first search
+reached the unfused nodes, so every gradient, and every trained parameter,
+is bit-identical to what the composition of primitives gives. `kde_kl` is
+a sum of independent terms, so it forms each term's gradient in the
+forward, right after the term's value, for the upstream gradient the loss
+root hands it, and drops the term's kernel matrix before the next; its VJP
+only scales those gradients, which is exact at the root.  No VJP writes
+into the gradient it is given.
 """
 from __future__ import annotations
 
@@ -748,26 +752,14 @@ def correlation_pull(decoder, z, label, target, eps: float):
     return _node(np.abs(diff).sum(), tuple(decoder), vjp)
 
 
-def kde_kl(rows, column: int, idx, grid, bandwidth: float, prior: float,
-           log_q):
-    """`sum(p * (log p - log_q))` as one node with the single parent `rows`.
-
-    `p` is `prior` times the Gaussian-kernel masses of the samples
-    `rows[idx, column]` (distinct row indices) on `grid`, normalized to sum
-    1; `log_q` is a constant of the grid's length. The forward and the VJP
-    repeat the arithmetic of the composition
-    `diff = (grid[:, None] - vals) * (1 / bandwidth)`,
-    `dens = reduce_sum(exp(diff * diff * -0.5), axis=1)`,
-    `p = dens * (1 / reduce_sum(dens)) * prior` and
-    `reduce_sum(p * (log(p) - log_q))` in the order `backward` ran it, so
-    the value and the `rows` gradient are bit-identical to it. Only `diff`
-    and the kernel matrix `e` (grid × samples) are kept for the VJP, which
-    overwrites `e` in place: like the `.grad` fields it fills, the node is
-    good for one `backward`.
-    """
-    rv = _val(rows)
+def _kde_kl_term(vals, grid, bandwidth: float, prior: float, log_q, g):
+    """(`sum(p * (log p - log_q))`, its gradient with respect to `vals` given
+    the upstream gradient `g`, or None without one). `p` is `prior` times
+    the Gaussian-kernel masses of the samples `vals` on `grid`, normalized
+    to sum 1; `diff` and the kernel matrix `e` (grid × samples) live only
+    in this call."""
     scale = 1.0 / bandwidth
-    diff = np.subtract(grid[:, None], rv[idx, column])
+    diff = np.subtract(grid[:, None], vals)
     diff *= scale
     e = diff * diff
     e *= -0.5
@@ -779,28 +771,74 @@ def kde_kl(rows, column: int, idx, grid, bandwidth: float, prior: float,
     p *= prior
     r = np.log(p)
     r -= log_q
+    value = (p * r).sum()
+    if g is None:
+        return value, None
+    # p: through the product, then through log(p)
+    gp = g * r
+    via_log = g * p
+    via_log /= p
+    gp += via_log
+    gp *= prior
+    # dens: through dens * inv, then through inv = 1 / sum(dens)
+    gdens = gp * inv
+    gdens += -(gp * dens).sum() / (total * total)
+    buf = np.multiply(gdens[:, None], e, out=e)
+    buf *= -0.5
+    buf *= diff
+    buf += buf      # diff * diff reaches diff twice
+    buf *= scale
+    np.negative(buf, out=buf)
+    return value, buf.sum(axis=0)
+
+
+def kde_kl(rows, classes, grid, truth_sides):
+    """The density baseline's KDE-KL as one node over the rows generated
+    for every truth domain: the mean over domains t of the sum, over
+    features `column` and classes c, of `sum(p * (log p - log_q))`.
+
+    `rows[t]` holds the (n, d) rows scored against domain t, and
+    `truth_sides[t][column][c]` that domain's (prior, bandwidth, log_q). `p`
+    is `prior` times the Gaussian-kernel masses of `rows[t][classes[c],
+    column]` (`classes` are disjoint arrays of distinct row indices) on
+    `grid`, normalized to sum 1. Each term repeats the composition in
+    `tests/unfused.py`; the terms are summed per domain in feature-then-class
+    order, the domain sums left to right, then scaled by `1 / len(rows)`, as
+    that chain of per-term nodes and `add`s did.
+
+    Where `rows[t]` is a Tensor, each term's gradient is formed right after
+    its value, for the upstream gradient `1 / len(rows)` that the chain
+    hands every term when the loss is the root of `backward`, so no kernel
+    matrix outlives its term; the domain keeps one (n, d) gradient. The VJP
+    scales those by the gradient it is given: at `g = 1` the value and every
+    gradient are bit-identical to the chain's, otherwise equal up to
+    rounding. Plain-array rows record no node and form no gradient.
+    """
+    weight = 1.0 / len(rows)
+    loss, grads = None, []
+    for r, side in zip(rows, truth_sides, strict=True):
+        rv = _val(r)
+        full = np.zeros_like(rv) if isinstance(r, Tensor) else None
+        domain = None
+        for column, per_class in enumerate(side):
+            for idx, (prior, bandwidth, log_q) in zip(classes, per_class, strict=True):
+                term, g_vals = _kde_kl_term(rv[idx, column], grid, bandwidth, prior,
+                                            log_q, None if full is None else weight)
+                if full is not None:
+                    full[idx, column] = g_vals
+                domain = term if domain is None else domain + term
+        if full is not None:
+            full += 0.0  # the chain summed 2 or more disjoint term gradients: -0.0 -> +0.0
+        grads.append(full)
+        loss = domain if loss is None else loss + domain
+    loss = loss * weight
 
     def vjp(g):
-        # p: through the product, then through log(p)
-        gp = g * r
-        via_log = g * p
-        via_log /= p
-        gp += via_log
-        gp *= prior
-        # dens: through dens * inv, then through inv = 1 / sum(dens)
-        gdens = gp * inv
-        gdens += -(gp * dens).sum() / (total * total)
-        buf = np.multiply(gdens[:, None], e, out=e)
-        buf *= -0.5
-        buf *= diff
-        buf += buf      # diff * diff reaches diff twice
-        buf *= scale
-        np.negative(buf, out=buf)
-        full = np.zeros_like(rv)
-        full[idx, column] = buf.sum(axis=0)
-        _accumulate(rows, full)
+        for r, full in zip(rows, grads):
+            if full is not None:
+                _accumulate(r, full * g)
 
-    return _node((p * r).sum(), (rows,), vjp)
+    return _node(loss, tuple(rows), vjp)
 
 
 # -- tape replay ----------------------------------------------------------

@@ -3,12 +3,14 @@
 Estimates each feature's class-conditional density per domain with a Gaussian
 KDE on a fixed grid, then trains a one-layer `autodiff.lstm_stack` over
 per-domain summary rows (feature means and stds, label mean) whose state
-decodes the next domain's rows wholesale, scored by the sum of per-feature joint KLs. The
-truth side of that score (class prior, bandwidth and KDE masses of every
-true domain) has no parameters, so it is built once per domain before
-training. Kept as a negative baseline: matching per-feature marginals says
-nothing about the joint geometry a downstream classifier needs, which is the
-failure mode the two-stage pipeline is built to avoid.
+decodes the next domain's rows wholesale, scored by the sum of per-feature
+joint KLs, averaged over the truth domains as one `autodiff.kde_kl` node.
+The truth side of that score (class prior, bandwidth and KDE masses of
+every true domain) has no parameters, so it is built once per domain before
+training, and the rows of each class are indexed once per fit. Kept as a
+negative baseline: matching per-feature marginals says nothing about the
+joint geometry a downstream classifier needs, which is the failure mode the
+two-stage pipeline is built to avoid.
 """
 from __future__ import annotations
 
@@ -122,19 +124,6 @@ def _decode_rows(params, state):
     return ad.dense(params[6:], mix, last=ad.tanh)
 
 
-def _joint_kl_graph(rows, labels, truth_side, grid: np.ndarray):
-    """Differentiable Eq.-1-style loss of generated rows against a true domain,
-    given that domain's `_truth_side`: one `kde_kl` node per feature and
-    class, so only the generated sample positions carry gradients."""
-    loss = None
-    for i, per_class in enumerate(truth_side):
-        for cls, (pr, h, log_q) in zip((0.0, 1.0), per_class):
-            idx = np.flatnonzero(labels == cls)
-            term = ad.kde_kl(rows, i, idx, grid, h, pr, log_q)
-            loss = term if loss is None else loss + term
-    return loss
-
-
 def train_prelim(stream: DomainStream, config: PrelimConfig,
                  seed: int = 0) -> DomainDataset:
     """Fit the recurrent density forecaster and emit the synthetic next domain.
@@ -158,16 +147,14 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     rng = np.random.default_rng(seed)
     params = _init_prelim(last.d, n_rows, config, rng)
     truth_sides = [_truth_side(truth, grid) for truth in sources[1:]]
+    classes = [np.flatnonzero(labels == cls) for cls in (0.0, 1.0)]
 
     def build(ps):
         # the decode after domains 1..t is scored against domain t+1; the
         # last source only feeds the final decode
         states = ad.lstm_stack(ps[:2], summaries[:-1])
-        loss = None
-        for state, truth_side in zip(states, truth_sides):
-            term = _joint_kl_graph(_decode_rows(ps, state), labels, truth_side, grid)
-            loss = term if loss is None else loss + term
-        return loss * (1.0 / (len(sources) - 1))
+        return ad.kde_kl([_decode_rows(ps, state) for state in states], classes,
+                         grid, truth_sides)
 
     best_params, _ = fit(build, params, config)
 

@@ -44,10 +44,11 @@ MAX_PARAMETERS = 10_000_000
 # 138,889 draws at width 72 (10 M) took 1.1 s per step and 544 MB peak RSS on
 # one BLAS thread of a shared 2-vCPU machine
 MAX_DRAW_CELLS = 10_000_000
-# grid points x rows in prelim's KDE kernels: the loss keeps two per generated
-# row, feature and truth domain until backward (20.0 M on 2,442-row moons took
-# 110-161 ms per epoch and 223 MB peak RSS on one BLAS thread of a shared
-# 2-vCPU machine), and the truth side builds one per class of a truth domain
+# grid points x rows in prelim's KDE kernels: one epoch of the loss computes
+# two (a difference and a kernel) per generated row, feature and truth
+# domain (20.0 M on 2,442-row moons took 57 ms per epoch and 69 MB peak RSS on
+# one BLAS thread of a shared 2-vCPU machine), and the truth side builds one
+# per class of a truth domain
 MAX_KERNEL_CELLS = 20_000_000
 
 
@@ -200,8 +201,9 @@ def require_trainable(stream: DomainStream, method: str,
     without a correlation matrix for the forecaster, a prelim truth domain
     without a KDE, a model of more than MAX_PARAMETERS parameters, for
     coda's pull, prior draws of more than MAX_DRAW_CELLS decoder activations,
-    or for prelim, KDE kernels of more than MAX_KERNEL_CELLS cells, checked
-    before any truth-side KDE is built."""
+    or for prelim, more than MAX_KERNEL_CELLS KDE kernel cells computed in
+    one epoch or built for one truth-domain class, checked before any
+    truth-side KDE is built."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     if stream.task == CLASSIFICATION:
@@ -240,12 +242,12 @@ def require_trainable(stream: DomainStream, method: str,
                           "activations in one layer")
     if method == "prelim":
         grid = density_baseline.default_grid(density_baseline.PrelimConfig().grid_size)
-        kept = 2 * grid.size * sources[-1].n * d * (len(sources) - 1)
-        if kept > MAX_KERNEL_CELLS:
+        cells = 2 * grid.size * sources[-1].n * d * (len(sources) - 1)
+        if cells > MAX_KERNEL_CELLS:
             raise ConfigError(f"prelim: {len(sources) - 1} truth domains x {d} features x "
                               f"{grid.size} grid points x {sources[-1].n} generated rows "
-                              f"keep {kept:,} kernel cells, two per point and row, more "
-                              f"than {MAX_KERNEL_CELLS:,}")
+                              f"compute {cells:,} kernel cells per epoch, two per point "
+                              f"and row, more than {MAX_KERNEL_CELLS:,}")
         for truth in sources[1:]:
             widest = max(np.sum(truth.labels == 0.0), np.sum(truth.labels == 1.0))
             if grid.size * widest > MAX_KERNEL_CELLS:

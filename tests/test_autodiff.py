@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from driftsim import autodiff as ad
 from driftsim import density_baseline, harness, nn, predictor, simulator
 from driftsim.correlation import CorrelationMatrix, flatten_upper
-from driftsim.datasets import CLASSIFICATION, REGRESSION, DomainDataset
+from driftsim.datasets import CLASSIFICATION, REGRESSION, DomainDataset, make_moons_stream
 from driftsim.nn import dense_params, glorot, lstm_params
 from driftsim.optim import TOL, Adam, fit, flat, train
 from driftsim.predictor import PredictorConfig
@@ -556,32 +556,6 @@ def test_stacked_sequence_loss_matches_per_step_oracle(m, lambda_ce):
     assert np.array_equal(stacked[1], oracle[1])
 
 
-def _kde_kl_oracle(rows, column, idx, grid, bandwidth, prior, log_q):
-    """One KDE-KL term of the density baseline, as its loss composed it from
-    primitives before the term was fused."""
-    col = rows[:, column:column + 1]
-    vals = unfused.transpose(col[idx.tolist(), :])
-    diff = (grid[:, None] - vals) * (1.0 / bandwidth)
-    dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
-    p = dens * (1.0 / ad.reduce_sum(dens)) * prior
-    return ad.reduce_sum(p * (ad.log(p) - log_q))
-
-
-def _kde_kl_loss(term, grid, bandwidth, classes, log_q):
-    """Sum of the terms over both columns and every class of the rows, in
-    the order of the density baseline's loss."""
-    def loss_fn(p):
-        loss = None
-        for column in range(2):
-            for c, idx in enumerate(classes):
-                # a prior that is not a power of 2 rounds in every product
-                t = term(p[0], column, idx, grid, bandwidth, 0.45 + 0.1 * c,
-                         log_q[column * len(classes) + c])
-                loss = t if loss is None else loss + t
-        return loss
-    return loss_fn
-
-
 # (rows, grid points, bandwidth, class index arrays)
 KDE_KL_CASES = {
     "odd class sizes": (7, 24, 0.3, [np.array([0, 2, 3, 5, 6]), np.array([1, 4])]),
@@ -591,42 +565,105 @@ KDE_KL_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(KDE_KL_CASES))
-def test_kde_kl_matches_composition_bit_for_bit(case):
+def _kde_kl_inputs(case, domains=3):
+    """(rows per truth domain, grid, truth sides) of a KDE_KL_CASES case:
+    two columns, and per domain, column and class a prior that is not a
+    power of 2 (so it rounds in every product), a bandwidth and a log_q."""
     n, size, bandwidth, classes = KDE_KL_CASES[case]
     rng = np.random.default_rng(23)
     grid = np.linspace(-1.2, 1.2, size)
-    rows = np.linspace(-0.95, 0.95, n)[:, None] + rng.normal(scale=0.05, size=(n, 2))
-    if case == "sample outside the grid":
-        rows[1, 0] = 1.5
-    log_q = [np.log(rng.dirichlet(np.ones(size)) * 0.5) for _ in range(4)]
-    fused = _kde_kl_loss(ad.kde_kl, grid, bandwidth, classes, log_q)
-    oracle = _kde_kl_loss(_kde_kl_oracle, grid, bandwidth, classes, log_q)
-    _assert_same_values_and_gradients(fused, oracle, [rows])
-    _check(fused, [rows])
+    rows = []
+    for _ in range(domains):
+        r = np.linspace(-0.95, 0.95, n)[:, None] + rng.normal(scale=0.05, size=(n, 2))
+        if case == "sample outside the grid":
+            r[1, 0] = 1.5
+        rows.append(r)
+    sides = [[[(0.45 + 0.1 * c, bandwidth * (1.0 + 0.1 * t),
+                np.log(rng.dirichlet(np.ones(size)) * 0.5)) for c in range(len(classes))]
+              for _ in range(2)] for t in range(domains)]
+    return rows, grid, sides
+
+
+@pytest.mark.parametrize("case", sorted(KDE_KL_CASES))
+def test_kde_kl_matches_composition_bit_for_bit(case):
+    # the node over three truth domains against the chain of per-term
+    # compositions, their per-domain and cross-domain adds and the scale, with
+    # every domain's rows a param and with only the middle one
+    classes = KDE_KL_CASES[case][3]
+    rows, grid, sides = _kde_kl_inputs(case)
+
+    def loss(kl, fixed=()):
+        return lambda p: kl([*fixed[:1], *p, *fixed[1:]], classes, grid, sides)
+
+    _assert_same_values_and_gradients(loss(ad.kde_kl), loss(unfused.kde_kl), rows)
+    fixed = (rows[0], rows[2])
+    _assert_same_values_and_gradients(loss(ad.kde_kl, fixed), loss(unfused.kde_kl, fixed),
+                                      rows[1:2])
+    _check(loss(ad.kde_kl), rows)
     if case == "underflowing kernels":
-        kernels = np.exp(-0.5 * ((grid[:, None] - rows[classes[0], 0]) / bandwidth) ** 2)
+        bandwidth = sides[0][0][0][1]
+        kernels = np.exp(-0.5 * ((grid[:, None] - rows[0][classes[0], 0]) / bandwidth) ** 2)
         assert np.any(kernels == 0.0) and np.all(kernels.sum(axis=1) > 0.0)
-        assert np.isfinite(ad.evaluate_value(fused, [rows]))
+        assert np.isfinite(ad.evaluate_value(loss(ad.kde_kl), rows))
 
 
-def test_kde_kl_constant_rows_record_no_parents():
-    rows = np.random.default_rng(24).uniform(-1.0, 1.0, size=(5, 2))
-    grid, idx, log_q = np.linspace(-1.2, 1.2, 16), np.array([0, 3, 4]), np.zeros(16)
-    fused = ad.kde_kl(rows, 1, idx, grid, 0.2, 0.4, log_q)
-    assert fused == _kde_kl_oracle(rows, 1, idx, grid, 0.2, 0.4, log_q)
+def test_kde_kl_below_the_root_agrees_with_composition_up_to_rounding():
+    # the VJP scales gradients formed for g = 1, so under another upstream
+    # gradient it is exact only up to rounding
+    rows, grid, sides = _kde_kl_inputs("odd class sizes")
+    classes = KDE_KL_CASES["odd class sizes"][3]
+    fused = ad.evaluate_with_gradients(
+        lambda p: ad.kde_kl(p, classes, grid, sides) * 3.7, rows)
+    oracle = ad.evaluate_with_gradients(
+        lambda p: unfused.kde_kl(p, classes, grid, sides) * 3.7, rows)
+    assert same_bits(fused[0], oracle[0])
+    np.testing.assert_allclose(fused[1], oracle[1], rtol=1e-13, atol=1e-300)
+
+
+def test_kde_kl_constant_rows_record_no_parents(monkeypatch):
+    # plain-array rows: the composition's value, no node and no gradient formed
+    rows, grid, sides = _kde_kl_inputs("sample outside the grid", domains=2)
+    classes = KDE_KL_CASES["sample outside the grid"][3]
+    upstream = []
+    real = ad._kde_kl_term
+    monkeypatch.setattr(ad, "_kde_kl_term",
+                        lambda *a: upstream.append(a[-1]) or real(*a))
+    fused = ad.kde_kl(rows, classes, grid, sides)
+    assert same_bits(fused, unfused.kde_kl(rows, classes, grid, sides))
     assert not isinstance(fused, ad.Tensor)
+    assert upstream == [None] * 8
 
 
 def test_kde_kl_zero_mass_is_non_finite_like_the_composition():
-    # the grid's left end lies 2 units from both samples: its kernel mass is 0
-    rows, idx = np.array([[0.9], [1.0]]), np.array([0, 1])
-    grid, log_q = np.linspace(-1.2, 1.2, 8), np.zeros(8)
-    for term in (ad.kde_kl, _kde_kl_oracle):
-        loss_fn = lambda p: term(p[0], 0, idx, grid, 0.02, 0.5, log_q)
+    # the grid's left end lies 2 units from both samples of the second
+    # domain: its kernel mass is 0
+    rows, classes = [np.array([[-1.0], [0.5]]), np.array([[0.9], [1.0]])], [np.array([0, 1])]
+    grid, side = np.linspace(-1.2, 1.2, 8), [[(0.5, 0.02, np.zeros(8))]]
+    for kl in (ad.kde_kl, unfused.kde_kl):
+        loss_fn = lambda p: kl(p, classes, grid, [side, side])
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ad.NonFiniteLossError):
-                ad.evaluate_with_gradients(loss_fn, [rows])
+                ad.evaluate_with_gradients(loss_fn, rows)
+
+
+def test_prelim_fit_matches_the_per_term_chain_bit_for_bit(monkeypatch):
+    # a whole train_prelim fit with the KL node and with the chain of
+    # per-term compositions: the same rows, kept params and loss history
+    stream = make_moons_stream(domains=5, n_per_domain=30, seed=4)
+    config = density_baseline.PrelimConfig(hidden_dim=8, embed_dim=4, grid_size=48,
+                                           max_epochs=12, patience=12)
+    runs = []
+    real_fit = density_baseline.fit
+    monkeypatch.setattr(density_baseline, "fit",
+                        lambda *a: runs.append(real_fit(*a)) or runs[-1])
+    fused = density_baseline.train_prelim(stream, config, seed=2)
+    monkeypatch.setattr(ad, "kde_kl", unfused.kde_kl)
+    oracle = density_baseline.train_prelim(stream, config, seed=2)
+    assert same_bits(fused.features, oracle.features)
+    (fused_params, fused_history), (oracle_params, oracle_history) = runs
+    assert len(fused_history) == 12 and same_bits(fused_history, oracle_history)
+    for got, want in zip(fused_params, oracle_params, strict=True):
+        assert same_bits(got, want)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))

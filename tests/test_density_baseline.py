@@ -1,6 +1,7 @@
 """Density-forecasting baseline: KDE grids, joint KL, recurrent forecaster."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,18 +168,13 @@ def per_epoch_joint_kl(rows, labels, truth, grid):
     loss = None
     prior = (np.mean(truth.labels == 0.0), np.mean(truth.labels == 1.0))
     for i in range(truth.d):
-        col = rows[:, i:i + 1]
         for cls, pr in zip((0.0, 1.0), prior):
             truth_vals = truth.features[truth.labels == cls, i]
             h = silverman_bandwidth(truth_vals)
             q = kde_density(truth_vals, bandwidth=h, grid=grid)
-            qm = np.maximum(q * pr, Q_FLOOR)
-            idx = np.flatnonzero(labels == cls)
-            vals = unfused.transpose(col[idx.tolist(), :])
-            diff = (grid[:, None] - vals) * (1.0 / h)
-            dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
-            p = dens * (1.0 / ad.reduce_sum(dens)) * pr
-            term = ad.reduce_sum(p * (ad.log(p) - np.log(qm)))
+            log_q = np.log(np.maximum(q * pr, Q_FLOOR))
+            term = unfused.kde_kl_term(rows, i, np.flatnonzero(labels == cls), grid, h, pr,
+                                       log_q)
             loss = term if loss is None else loss + term
     return loss
 
@@ -231,26 +227,38 @@ def tape_nodes(*outputs) -> list:
     return list(seen.values())
 
 
-def test_one_tape_node_per_kl_term(monkeypatch):
-    stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
-    build, params = captured_loss(monkeypatch, stream)
-    visited = tape_nodes(build([ad.Tensor(p) for p in params]))
-    terms = [node for node in visited if node._vjp is not None
+def test_one_tape_node_for_the_whole_kl(monkeypatch):
+    build, params = captured_loss(monkeypatch, make_moons_stream())
+    loss = build([ad.Tensor(p) for p in params])
+    visited = tape_nodes(loss)
+    (kl,) = [node for node in visited if node._vjp is not None
              and node._vjp.__qualname__.startswith("kde_kl.")]
-    model = tape_nodes(*(rows for term in terms for rows in term._parents))
-    # 2 truth domains x 2 features x 2 classes, one node each; besides them
-    # and the model that decodes the rows, the tape holds only the terms'
-    # sum (7 adds) and its scaling by 1 / (truth domains)
-    assert len(terms) == 8
-    assert len(visited) - len(model) == 8 + 7 + 1
+    # the loss is the KL node itself; its parents are the rows decoded for
+    # the 8 truth domains, each the output of one dense node
+    assert kl is loss
+    assert len(kl._parents) == 8 and len({id(rows) for rows in kl._parents}) == 8
+    assert all(rows._vjp.__qualname__.startswith("dense.") for rows in kl._parents)
+    assert len(visited) - len(tape_nodes(*kl._parents)) == 1
 
 
 def test_tape_nodes_per_epoch_on_ten_domain_moons(monkeypatch):
     build, params = captured_loss(monkeypatch, make_moons_stream())
     # 8 parameter leaves; one LSTM stack node and a view of it per scored
-    # step (8); per scored step 6 decode nodes and 4 KL terms; 31 adds and
-    # one scale
-    assert len(tape_nodes(build([ad.Tensor(p) for p in params]))) == 129
+    # step (8); per scored step 6 decode nodes; one KL node
+    assert len(tape_nodes(build([ad.Tensor(p) for p in params]))) == 66
+
+
+def test_one_gradient_evaluation_on_moons_peaks_below_4_mib(monkeypatch):
+    # no kernel matrix outlives its term; the 32 terms' grid x rows matrices
+    # kept until backward would peak at 15.4 MiB
+    build, params = captured_loss(monkeypatch, make_moons_stream())
+    tracemalloc.start()
+    try:
+        ad.evaluate_with_gradients(build, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):

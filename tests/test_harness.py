@@ -376,20 +376,21 @@ def test_prior_draws_past_the_activation_bound_are_refused(monkeypatch):
 
 
 def test_prelim_past_the_kernel_bound_is_refused_before_its_truth_side(monkeypatch):
-    # SMALL_STREAM's prelim loss keeps 2 x 4 truth domains x 2 features x 256
-    # grid points x 40 rows; with the bound lowered to that, it is admitted,
-    # and one cell less refuses it before any truth-side KDE is built
+    # SMALL_STREAM's prelim loss computes 2 x 4 truth domains x 2 features x
+    # 256 grid points x 40 rows kernel cells per epoch; with the bound lowered
+    # to that, it is admitted, and one cell less refuses it before any
+    # truth-side KDE is built
     built = []
     real = density_baseline._truth_side
     monkeypatch.setattr(density_baseline, "_truth_side",
                         lambda *a: built.append(1) or real(*a))
-    kept = 2 * 4 * 2 * 256 * 40
-    monkeypatch.setattr(harness, "MAX_KERNEL_CELLS", kept)
+    cells = 2 * 4 * 2 * 256 * 40
+    monkeypatch.setattr(harness, "MAX_KERNEL_CELLS", cells)
     require_trainable(SMALL_STREAM, "prelim", ExperimentConfig())
     assert len(built) == 4
-    monkeypatch.setattr(harness, "MAX_KERNEL_CELLS", kept - 1)
+    monkeypatch.setattr(harness, "MAX_KERNEL_CELLS", cells - 1)
     with pytest.raises(ConfigError, match=r"prelim: 4 truth domains x 2 features x 256 grid "
-                                          r"points x 40 generated rows keep 163,840 kernel"):
+                                          r"points x 40 generated rows compute 163,840 kernel"):
         require_trainable(SMALL_STREAM, "prelim", ExperimentConfig())
     assert len(built) == 4
     require_trainable(SMALL_STREAM, "lastdomain", ExperimentConfig())

@@ -1,11 +1,12 @@
 """References that the fused code must match bit for bit: a dense stack, the
-LSTM and the simulator's loss written with autodiff primitives only (for
-`ad.dense`, `ad.lstm_stack`, `ad.gaussian_elbo` and `ad.correlation_pull`),
-Adam as one update per parameter array (for `optim.Adam`), and the
-full-batch loop that `optim.fit` runs on `optim.train`. Also the transpose
-node that these compositions and the KDE oracles of the tests build,
-`same_bits`, the comparison they are held to, and `interior_nodes`, the
-tape count that the node-count tests pin."""
+LSTM, the simulator's loss and the density baseline's KDE-KL written with
+autodiff primitives only (for `ad.dense`, `ad.lstm_stack`,
+`ad.gaussian_elbo`, `ad.correlation_pull` and `ad.kde_kl`), Adam as one
+update per parameter array (for `optim.Adam`), and the full-batch loop that
+`optim.fit` runs on `optim.train`. Also the transpose node that these
+compositions and the KDE oracles of the tests build, `same_bits`, the
+comparison they are held to, and `interior_nodes`, the tape count that the
+node-count tests pin."""
 import numpy as np
 
 from driftsim import autodiff as ad
@@ -108,6 +109,32 @@ def objective(params, config, task, rows, noise, z=None, target=None):
         return loss
     gen = decode(params[2 * config.encoder_layers + 4:], z, task)
     return loss + regularizer(gen, target) * config.lambda_c
+
+
+def kde_kl_term(rows, column, idx, grid, bandwidth, prior, log_q):
+    """One KDE-KL term of the density baseline, as its loss composed it from
+    primitives before the term was fused."""
+    col = rows[:, column:column + 1]
+    vals = transpose(col[idx.tolist(), :])
+    diff = (grid[:, None] - vals) * (1.0 / bandwidth)
+    dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
+    p = dens * (1.0 / ad.reduce_sum(dens)) * prior
+    return ad.reduce_sum(p * (ad.log(p) - log_q))
+
+
+def kde_kl(rows, classes, grid, truth_sides):
+    """`ad.kde_kl` as a chain of the terms above: summed per domain in
+    feature-then-class order, the domain sums left to right, then scaled by
+    1 / (truth domains)."""
+    loss = None
+    for r, side in zip(rows, truth_sides, strict=True):
+        domain = None
+        for column, per_class in enumerate(side):
+            for idx, (prior, bandwidth, log_q) in zip(classes, per_class, strict=True):
+                term = kde_kl_term(r, column, idx, grid, bandwidth, prior, log_q)
+                domain = term if domain is None else domain + term
+        loss = domain if loss is None else loss + domain
+    return loss * (1.0 / len(rows))
 
 
 class PerArrayAdam:
