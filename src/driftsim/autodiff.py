@@ -1,75 +1,70 @@
 """Reverse-mode automatic differentiation over small dense float64 tensors.
 
-A `Tensor` is a value on the gradient path, and nothing else. Primitives
-take and return plain float64 ndarrays; `evaluate_with_gradients` boxes
-each parameter in a `Tensor`, and a primitive records a `Tensor` node
-(parent links and a local vector-Jacobian product) only when one of its
-inputs is a `Tensor`. So a forward-only pass, `evaluate_value` or a model
-function called on the parameter arrays themselves, records no tape.
-`backward` replays the tape in reverse topological order. The engine is
-deliberately minimal: float64 only, 0-2d arrays, numpy broadcasting on
-elementwise binaries, and exactly the primitives the models in this package
-need. No GPU.
+A `Tensor` is a value on the gradient path, and nothing else: a tape node
+with parent links and a vector-Jacobian product, with no operators.
+`evaluate_with_gradients` boxes each parameter in a `Tensor`; the model
+functions call fused nodes that take and return plain float64 ndarrays and
+record a `Tensor` node only when one of their inputs is a `Tensor`. So a
+forward-only pass, `evaluate_value` or a model function called on the
+parameter arrays themselves, records no tape. `backward` replays the tape in
+reverse topological order. Float64 only, no GPU.
 
-Five fused primitives cut the tape where the models spend their time:
-`dense` records a whole stack of `act(x @ w + b)` layers as one node,
-`lstm_stack` records a stacked LSTM over a whole sequence as one node (with
-one view node per step's output), `gaussian_elbo` records the simulator's
-negative ELBO (encoder, reparameterization, decoder, reconstruction and KL)
-as one node, `correlation_pull` records the L1 between the Pearson matrix of
-decoded prior draws and a target as one node, and `kde_kl` records the
-density baseline's whole KDE-KL, every class-conditional term of every
-truth domain, as one node over the rows generated for those domains. Every
-feed-forward layer, in `dense` and in the two simulator nodes, runs one
-stack forward and VJP (`_stack`, `_stack_vjp`, over `_layer`,
-`_layer_vjp`).  Their VJPs repeat the elementwise arithmetic of the
-unfused composition in the same order, sum the gradients of a value that
-reached several unfused nodes in the order `backward` reached those nodes,
-and list their parents in the order `backward`'s depth-first search
-reached the unfused nodes, so every gradient, and every trained parameter,
-is bit-identical to what the composition of primitives gives. `kde_kl` is
-a sum of independent terms, so it forms each term's gradient in the
-forward, right after the term's value, for the upstream gradient the loss
-root hands it, and drops the term's kernel matrix before the next; its VJP
-only scales those gradients, which is exact at the root.  No VJP writes
-into the gradient it is given.
+Each node computes a whole piece of a model's loss with a hand-written VJP:
+`dense` a stack of `act(x @ w + b)` layers; `lstm_stack` a stacked LSTM over
+a whole sequence (with one view node per step's output); `forecast_loss` the
+forecaster's Frobenius + L1 + weighted BCE over every step; `mlp_loss` the
+downstream ReLU net with its clipped BCE or squared-error mean;
+`mix_decode` the density baseline's mixing layer and output stack;
+`gaussian_elbo` the simulator's negative ELBO (encoder, reparameterization,
+decoder, reconstruction and KL), optionally plus a weighted L1 between the
+Pearson matrix of decoded prior draws and a target; and `kde_kl` the density
+baseline's whole KDE-KL, every class-conditional term of every truth
+domain, over the rows generated for those domains. Every feed-forward layer
+runs one stack forward and VJP (`_stack`, `_stack_vjp`, over `_layer`,
+`_layer_vjp`), and both BCE losses run one clipped BCE (`_bce`). The VJPs
+repeat the elementwise arithmetic of the composition of generic primitives
+in `tests/unfused.py` in the same order, sum the gradients of a value that
+reached several of its nodes in the order `backward` reached those nodes,
+and list their parents in the order `backward`'s depth-first search reached
+them, so every gradient, and every trained parameter, is bit-identical to
+what that composition gives. `kde_kl` is a sum of independent terms, so it
+forms each term's gradient in the forward, right after the term's value,
+for the upstream gradient the loss root hands it, and drops the term's
+kernel matrix before the next; its VJP only scales those gradients, which
+is exact at the root.  No VJP writes into the gradient it is given.
+
+`tanh`, `relu` and `sigmoid` name the activations that `dense`, `decode`
+and the simulator's node accept; called on an array, each is that function.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "NonFiniteLossError",
+    "CLAMP",
+    "FRO_GUARD",
     "evaluate_with_gradients",
     "evaluate_value",
     "backward",
-    "matmul",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
     "tanh",
-    "sigmoid",
-    "exp",
-    "log",
-    "sqrt",
     "relu",
-    "absolute",
-    "clip",
-    "reduce_sum",
-    "reduce_mean",
-    "concat",
+    "sigmoid",
     "dense",
     "lstm_stack",
+    "forecast_loss",
+    "mlp_loss",
+    "mix_decode",
     "decode",
     "gaussian_elbo",
-    "correlation_pull",
     "kde_kl",
 ]
+
+CLAMP = 1e-6  # probabilities are clipped to [CLAMP, 1 - CLAMP] before a log
+FRO_GUARD = 1e-24  # keeps the Frobenius norm's sqrt differentiable at zero
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -86,51 +81,12 @@ class Tensor:
     """
 
     __slots__ = ("value", "grad", "_parents", "_vjp")
-    __array_ufunc__ = None  # so `array op tensor` calls the reflected operators below
 
     def __init__(self, value, parents: tuple = (), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = parents
         self._vjp = vjp
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return _getitem(self, key)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
@@ -172,62 +128,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-# -- primitive operations ------------------------------------------------
-
-def add(a, b):
-    av, bv = _val(a), _val(b)
-
-    def vjp(g):
-        _accumulate(a, _unbroadcast(g, av.shape))
-        _accumulate(b, _unbroadcast(g, bv.shape))
-
-    return _node(av + bv, (a, b), vjp)
-
-
-def sub(a, b):
-    av, bv = _val(a), _val(b)
-
-    def vjp(g):
-        _accumulate(a, _unbroadcast(g, av.shape))
-        if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(-g, bv.shape))
-
-    return _node(av - bv, (a, b), vjp)
-
-
-def mul(a, b):
-    av, bv = _val(a), _val(b)
-
-    def vjp(g):
-        if isinstance(a, Tensor):
-            _accumulate(a, _unbroadcast(g * bv, av.shape))
-        if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(g * av, bv.shape))
-
-    return _node(av * bv, (a, b), vjp)
-
-
-def div(a, b):
-    av, bv = _val(a), _val(b)
-
-    def vjp(g):
-        if isinstance(a, Tensor):
-            _accumulate(a, _unbroadcast(g / bv, av.shape))
-        if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
-
-    return _node(av / bv, (a, b), vjp)
-
-
-def neg(a):
-    av = _val(a)
-
-    def vjp(g):
-        _accumulate(a, -g)
-
-    return _node(-av, (a,), vjp)
-
-
 def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
@@ -235,141 +135,21 @@ def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
 
-def matmul(a, b):
-    av, bv = _val(a), _val(b)
-    _check_matmul(av, bv)
+# -- activations -----------------------------------------------------------
 
-    def vjp(g):
-        _accumulate(a, g @ bv.T)
-        _accumulate(b, av.T @ g)
-
-    return _node(av @ bv, (a, b), vjp)
+def tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(x)
 
 
-def tanh(a):
-    out = np.tanh(_val(a))
-
-    def vjp(g):
-        _accumulate(a, g * (1.0 - out * out))
-
-    return _node(out, (a,), vjp)
+def relu(x: np.ndarray) -> np.ndarray:
+    return x * (x > 0.0)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def sigmoid(a):
-    out = _sigmoid(_val(a))
-
-    def vjp(g):
-        _accumulate(a, g * out * (1.0 - out))
-
-    return _node(out, (a,), vjp)
-
-
-def exp(a):
-    out = np.exp(_val(a))
-
-    def vjp(g):
-        _accumulate(a, g * out)
-
-    return _node(out, (a,), vjp)
-
-
-def log(a):
-    av = _val(a)
-
-    def vjp(g):
-        _accumulate(a, g / av)
-
-    return _node(np.log(av), (a,), vjp)
-
-
-def sqrt(a):
-    out = np.sqrt(_val(a))
-
-    def vjp(g):
-        _accumulate(a, g * 0.5 / out)
-
-    return _node(out, (a,), vjp)
-
-
-def relu(a):
-    av = _val(a)
-    mask = av > 0.0
-
-    def vjp(g):
-        _accumulate(a, g * mask)
-
-    return _node(av * mask, (a,), vjp)
-
-
-def absolute(a):
-    # subgradient 0 at the kink
-    av = _val(a)
-    s = np.sign(av)
-
-    def vjp(g):
-        _accumulate(a, g * s)
-
-    return _node(np.abs(av), (a,), vjp)
-
-
-def clip(a, lo: float, hi: float):
-    """Clamp with zero gradient outside [lo, hi]."""
-    av = _val(a)
-    mask = (av >= lo) & (av <= hi)
-
-    def vjp(g):
-        _accumulate(a, g * mask)
-
-    return _node(np.clip(av, lo, hi), (a,), vjp)
-
-
-def reduce_sum(a, axis: int | None = None, keepdims: bool = False):
-    av = _val(a)
-
-    def vjp(g):
-        g = np.asarray(g, dtype=np.float64)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, av.shape))
-
-    return _node(av.sum(axis=axis, keepdims=keepdims), (a,), vjp)
-
-
-def reduce_mean(a, axis: int | None = None, keepdims: bool = False):
-    av = _val(a)
-    n = av.size if axis is None else av.shape[axis]
-    return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def concat(tensors: Sequence, axis: int = 0):
-    values = [_val(t) for t in tensors]
-    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
-
-    def vjp(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
-
-    return _node(np.concatenate(values, axis=axis), tuple(tensors), vjp)
-
-
-def _getitem(a: Tensor, key) -> Tensor:
-    out = a.value[key]
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        np.add.at(full, key, g)  # a repeated index receives every gradient
-        _accumulate(a, full)
-
-    return _node(out.copy(), (a,), vjp)
-
-
-# -- fused primitives ------------------------------------------------------
+# -- fused nodes -----------------------------------------------------------
 
 def _layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, act) -> np.ndarray:
     """`act(x @ w + b)` with `act` None (linear), `tanh` or `relu`: the bias
@@ -415,8 +195,8 @@ def lstm_stack(params, rows) -> list:
     layer 0 (another input width) beside them. Each step's output is a view
     node on the grid, or, when no param or row is a Tensor, a plain view.
 
-    The VJP repeats the arithmetic of `dense`, `concat` and the per-cell
-    sigmoid/tanh composition (`tests/unfused.py`): every h and c sums its at
+    The VJP repeats the arithmetic of the per-cell composition of matmul,
+    concat, sigmoid and tanh nodes (`tests/unfused.py`): every h and c sums its at
     most two gradients, each gate gradient is the zero-padded sum of its h
     and c parts, and each w_k and b_k sums its steps from the last to the
     first, the order the per-cell tape forced; accumulators start at -0.0,
@@ -605,6 +385,130 @@ def dense(params, x, act=None, last=None):
     return _node(acts[-1], (x, *params), vjp)
 
 
+def _bce(p: np.ndarray, t: np.ndarray) -> tuple:
+    """(the elementwise -(t log q + (1 - t) log(1 - q)) of probabilities `p`
+    clipped to q in [CLAMP, 1 - CLAMP] against targets `t`, its VJP: the
+    gradient of `p` given that of the values). The VJP takes the negation,
+    then log q, then log(1 - q) and the clip, as `backward` ran them."""
+    q = np.clip(p, CLAMP, 1.0 - CLAMP)
+    q_c = 1.0 - q
+    value = -(t * np.log(q) + (1.0 - t) * np.log(q_c))
+
+    def vjp(g):
+        g = -g
+        g_q = g * t / q
+        g_q = g_q + -(g * (1.0 - t) / q_c)
+        return g_q * ((p >= CLAMP) & (p <= 1.0 - CLAMP))
+
+    return value, vjp
+
+
+def forecast_loss(heads, target, m: int, lambda_ce: float):
+    """The forecaster's loss over its one-step-ahead forecasts as one node
+    over the (1, p) head outputs `heads`, the flattened upper triangles of m x
+    m matrices, against the rows of `target`: summed over the steps, the
+    Frobenius norm and the elementwise L1 of the full matrix's error (each
+    off-diagonal entry counts twice; `FRO_GUARD` under the square root),
+    plus `lambda_ce` times the clipped BCE mean over the m² entries mapped
+    from [-1, 1] to [0, 1]. The diagonal is exactly 1 on both sides, so it
+    adds nothing to the norms and one clamp constant per step to the BCE.
+
+    The forward and the VJP repeat the composition in `tests/unfused.py`
+    (the heads concatenated, then elementwise and reduction nodes) in the
+    order `backward` ran it, so the value and every gradient are
+    bit-identical to it: the error sums its gradient from its square, then
+    from its absolute value, and the stacked heads from the error, then from
+    the BCE.
+    """
+    pred = np.concatenate([_val(h) for h in heads], axis=0)
+    diff = pred - target
+    norms = np.sqrt((diff * diff).sum(axis=1) * 2.0 + FRO_GUARD)
+    bce, bce_vjp = _bce((pred + 1.0) * 0.5, (target + 1.0) * 0.5)
+    diag = -m * np.log(1.0 - CLAMP) * len(heads)
+    inv_mm = 1.0 / (m * m)
+    value = ((norms.sum() + np.abs(diff).sum() * 2.0)
+             + (bce.sum() * 2.0 + diag) * inv_mm * lambda_ce)
+
+    def vjp(g):
+        g_sq = (g * 0.5 / norms * 2.0)[:, None]
+        g_pred = g_sq * diff
+        g_pred = g_pred + g_sq * diff
+        g_pred = g_pred + g * 2.0 * np.sign(diff)
+        g_bce = np.broadcast_to(g * lambda_ce * inv_mm * 2.0, bce.shape)
+        g_pred = g_pred + bce_vjp(g_bce) * 0.5
+        for i, h in enumerate(heads):
+            _accumulate(h, g_pred[i:i + 1])
+
+    return _node(value, tuple(heads), vjp)
+
+
+def mlp_loss(params, x, y, classify: bool):
+    """The downstream model's loss as one node over the [w, b] pairs of
+    `params`: the mean, over the entries of `out = dense(params, x, relu)`,
+    of the clipped BCE of `sigmoid(out)` against the 0/1 targets `y` when
+    `classify`, else of the squared error `(out - y)²`.
+
+    The forward and the VJP repeat the composition in `tests/unfused.py`
+    (`dense`, the sigmoid and the BCE or the difference and its square, then
+    the mean) in the order `backward` ran it, so the value and every
+    gradient are bit-identical to it.
+    """
+    values = [_val(p) for p in params]
+    acts = _stack(values, _val(x), relu, None)
+    out = acts[-1]
+    inv_n = 1.0 / out.size
+    if classify:
+        prob = sigmoid(out)
+        terms, bce_vjp = _bce(prob, y)
+    else:
+        diff = out - y
+        terms = diff * diff
+    value = terms.sum() * inv_n
+
+    def vjp(g):
+        g_terms = np.broadcast_to(g * inv_n, terms.shape)
+        if classify:
+            g_out = bce_vjp(g_terms) * prob * (1.0 - prob)
+        else:  # the square reaches the difference twice
+            g_out = g_terms * diff
+            g_out = g_out + g_terms * diff
+        gx, grads = _stack_vjp(g_out, values, acts, relu, None, isinstance(x, Tensor))
+        _accumulate(x, gx)
+        for p, gp in zip(params, grads):
+            _accumulate(p, gp)
+
+    return _node(value, (x, *params), vjp)
+
+
+def mix_decode(params, state):
+    """The density baseline's decoded rows as one node: `params` is [embed,
+    w_e, w_s, b, then [w, b] pairs]; each row of `embed` is mixed with the
+    (1, hidden) `state` as `tanh(embed @ w_e + state @ w_s + b)`, and the
+    pairs map the mix as `dense(pairs, mix, last=tanh)`.
+
+    The forward and the VJP repeat the composition in `tests/unfused.py`
+    (two matmuls, two broadcasting adds, tanh, then `dense`) in the order
+    `backward` ran it, so the value and every gradient are bit-identical to
+    it.
+    """
+    values = [_val(p) for p in params]
+    embed, w_e, w_s, b = values[:4]
+    s = _val(state)
+    mix = np.tanh(embed @ w_e + s @ w_s + b)
+    acts = _stack(values[4:], mix, None, tanh)
+
+    def vjp(g):
+        g_mix, g_out = _stack_vjp(g, values[4:], acts, None, tanh, True)
+        g_mix = g_mix * (1.0 - mix * mix)
+        g_s = _unbroadcast(g_mix, (s.shape[0], w_s.shape[1]))
+        _accumulate(state, g_s @ w_s.T)
+        for p, gp in zip(params, (g_mix @ w_e.T, embed.T @ g_mix, s.T @ g_s,
+                                  _unbroadcast(g_mix, b.shape), *g_out)):
+            _accumulate(p, gp)
+
+    return _node(acts[-1], (state, *params), vjp)
+
+
 def _decode(decoder, z, label) -> tuple:
     """(the decoder stack's activations, its rows). The stack ends linear;
     each row's last column goes through `label` (`sigmoid` or `tanh`) and
@@ -615,7 +519,7 @@ def _decode(decoder, z, label) -> tuple:
     features = out[:, :-1].copy()
     np.tanh(features, out=features)
     last = out[:, -1:].copy()
-    last = _sigmoid(last) if label is sigmoid else np.tanh(last, out=last)
+    last = sigmoid(last) if label is sigmoid else np.tanh(last, out=last)
     return acts, np.concatenate([features, last], axis=1)
 
 
@@ -633,27 +537,14 @@ def decode(decoder, z, label) -> np.ndarray:
     """The rows that the decoder params `decoder` ([w, b] pairs: tanh
     layers, then a linear output) make of the latent draws `z`: the last
     column through `label` (`sigmoid` or `tanh`), the others through tanh.
-    Plain arrays in and out; the two loss nodes below decode the same way."""
+    Plain arrays in and out; `gaussian_elbo` decodes the same way."""
     return _decode([_val(p) for p in decoder], _val(z), label)[1]
 
 
-def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label):
-    """The mean negative ELBO of `rows` as one node over the params of
-    `encoder` and `decoder`: ½‖x − x̂‖²/`obs_variance` plus KL(q(z|x) ‖ N(0, I)).
-
-    `encoder` is the [w, b] pairs of a tanh trunk, then those of the mean
-    head and of the log-variance head (both linear). The latent draw is
-    `z = mu + exp(logvar * 0.5) * noise`, and x̂ is `decode(decoder, z, label)`.
-    The forward and the VJP repeat the arithmetic of the composition in
-    `tests/unfused.py` in the order `backward` ran it, so the value and every
-    gradient are bit-identical to it. Where a value reached three nodes the
-    order matters: `mu` sums its gradient from `z`, then twice from
-    `mu * mu`; `logvar` from `exp(logvar * 0.5)`, then `exp(logvar)`, then
-    the `-logvar` of the KL.
-    """
-    enc = [_val(p) for p in encoder]
-    dec = [_val(p) for p in decoder]
-    rows, noise = _val(rows), _val(noise)
+def _elbo(enc, dec, rows, noise, obs_variance: float, label) -> tuple:
+    """(the mean negative ELBO of `rows`, its VJP: the gradient of the value
+    -> (one gradient per `enc` array, one per `dec` array)); see
+    `gaussian_elbo`."""
     n = rows.shape[0]
     trunk = _stack(enc[:-4], rows, tanh, tanh)
     h = trunk[-1]
@@ -682,27 +573,24 @@ def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label):
         g_h, g_mu_w, g_mu_b = _layer_vjp(g_mu, h, enc[-4], enc[-3], mu, None)
         g_h2, g_lv_w, g_lv_b = _layer_vjp(g_logvar, h, enc[-2], enc[-1], logvar, None)
         _, g_enc = _stack_vjp(g_h + g_h2, enc[:-4], trunk, tanh, tanh, False)
-        for p, gp in zip((*encoder, *decoder),
-                         (*g_enc, g_mu_w, g_mu_b, g_lv_w, g_lv_b, *g_dec)):
-            _accumulate(p, gp)
+        return [*g_enc, g_mu_w, g_mu_b, g_lv_w, g_lv_b], g_dec
 
-    return _node(value, (*encoder, *decoder), vjp)
+    return value, vjp
 
 
-def correlation_pull(decoder, z, label, target, eps: float):
-    """The elementwise L1 between the Pearson matrix of `decode(decoder, z,
-    label)` and `target`, as one node over the params of `decoder`. Each
-    column's variance is guarded by `eps` inside the square root.
+def _correlation_pull(dec, z, label, target, eps: float) -> tuple:
+    """(the elementwise L1 between the Pearson matrix of `decode(dec, z,
+    label)` and `target`, its VJP: the gradient of the value -> one gradient
+    per `dec` array). Each column's variance is guarded by `eps` inside the
+    square root.
 
     The forward and the VJP repeat the arithmetic of the composition in
     `tests/unfused.py` (`centered = batch - mean(batch)`,
     `cov = centeredᵀ @ centered * (1 / n)`,
     `std = sqrt(mean(centered * centered) + eps)`, `cov / (stdᵀ @ std)`,
-    then `sum(abs(· - target))`) in the order `backward` ran it, so the
-    value and every gradient are bit-identical to it.
+    then `sum(abs(· - target))`) in the order `backward` ran it.
     """
-    dec = [_val(p) for p in decoder]
-    acts, batch = _decode(dec, _val(z), label)
+    acts, batch = _decode(dec, z, label)
     inv_n = 1.0 / batch.shape[0]
     centered = batch.sum(axis=0, keepdims=True)
     centered *= inv_n
@@ -745,11 +633,46 @@ def correlation_pull(decoder, z, label, target, eps: float):
         g_mean = (-g_c).sum(axis=0, keepdims=True)
         g_mean *= inv_n
         g_c += g_mean
-        _, g_dec = _decode_vjp(g_c, dec, acts, batch, label, False)
-        for p, gp in zip(decoder, g_dec):
+        return _decode_vjp(g_c, dec, acts, batch, label, False)[1]
+
+    return np.abs(diff).sum(), vjp
+
+
+def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label, pull=None):
+    """The simulator's loss as one node over the params of `encoder` and
+    `decoder`: the mean negative ELBO of `rows`, ½‖x − x̂‖²/`obs_variance`
+    plus KL(q(z|x) ‖ N(0, I)), and, when `pull` = (z, target, eps, weight)
+    is given, plus `weight` times the correlation pull: the elementwise L1
+    between the Pearson matrix of `decode(decoder, z, label)` and `target`,
+    each column's variance guarded by `eps` inside the square root.
+
+    `encoder` is the [w, b] pairs of a tanh trunk, then those of the mean
+    head and of the log-variance head (both linear). The latent draw is
+    `z = mu + exp(logvar * 0.5) * noise`, and x̂ is `decode(decoder, z, label)`.
+    The forward and the VJP repeat the arithmetic of the composition in
+    `tests/unfused.py` in the order `backward` ran it, so the value and every
+    gradient are bit-identical to it. Where a value reached three nodes the
+    order matters: `mu` sums its gradient from `z`, then twice from
+    `mu * mu`; `logvar` from `exp(logvar * 0.5)`, then `exp(logvar)`, then
+    the `-logvar` of the KL. A decoder param sums the ELBO's gradient, then
+    the pull's.
+    """
+    enc = [_val(p) for p in encoder]
+    dec = [_val(p) for p in decoder]
+    value, elbo_vjp = _elbo(enc, dec, _val(rows), _val(noise), obs_variance, label)
+    if pull is not None:
+        z, target, eps, weight = pull
+        l1, pull_vjp = _correlation_pull(dec, _val(z), label, target, eps)
+        value = value + l1 * weight
+
+    def vjp(g):
+        g_enc, g_dec = elbo_vjp(g)
+        if pull is not None:
+            g_dec = [a + b for a, b in zip(g_dec, pull_vjp(g * weight))]
+        for p, gp in zip((*encoder, *decoder), (*g_enc, *g_dec)):
             _accumulate(p, gp)
 
-    return _node(np.abs(diff).sum(), tuple(decoder), vjp)
+    return _node(value, (*encoder, *decoder), vjp)
 
 
 def _kde_kl_term(vals, grid, bandwidth: float, prior: float, log_q, g):
@@ -827,8 +750,6 @@ def kde_kl(rows, classes, grid, truth_sides):
                 if full is not None:
                     full[idx, column] = g_vals
                 domain = term if domain is None else domain + term
-        if full is not None:
-            full += 0.0  # the chain summed 2 or more disjoint term gradients: -0.0 -> +0.0
         grads.append(full)
         loss = domain if loss is None else loss + domain
     loss = loss * weight

@@ -119,9 +119,9 @@ def _init_prelim(d: int, n_rows: int, config: PrelimConfig, rng) -> list:
 
 
 def _decode_rows(params, state):
-    _, _, embed, w_e, w_s, b_mix = params[:6]
-    mix = ad.tanh(embed @ w_e + state @ w_s + b_mix)
-    return ad.dense(params[6:], mix, last=ad.tanh)
+    """The rows decoded from `state`: one `autodiff.mix_decode` node over the
+    params after the LSTM's."""
+    return ad.mix_decode(params[2:], state)
 
 
 def train_prelim(stream: DomainStream, config: PrelimConfig,

@@ -23,7 +23,7 @@ from . import density_baseline
 from .correlation import pearson_matrix
 from .datasets import (CLASSIFICATION, DomainDataset, DomainStream,
                        NormalizationStats, fit_apply_normalization)
-from .nn import bce, dense_params
+from .nn import dense_params
 from .optim import fit
 from .predictor import PredictorConfig, predict_next, train_predictor
 from .simulator import SNAPSHOT_DRAWS, SimulatorConfig, sample, train_simulator
@@ -93,11 +93,7 @@ def _forward_mlp(params, x, task):
 
 
 def _mlp_loss(params, x, y, task):
-    out = _forward_mlp(params, x, task)
-    if task == CLASSIFICATION:
-        return ad.reduce_mean(bce(out, y))
-    diff = out - y
-    return ad.reduce_mean(diff * diff)
+    return ad.mlp_loss(params, x, y, task == CLASSIFICATION)
 
 
 def train_downstream(train_data: DomainDataset, config: DownstreamConfig,

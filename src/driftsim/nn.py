@@ -1,17 +1,12 @@
-"""Layer helpers shared by the models: Glorot init, the [w, b] pairs of a
+"""Parameter init shared by the models: Glorot draws, the [w, b] pairs of a
 dense stack (run as one tape node by `autodiff.dense`) and of the LSTM stack
 that the correlation forecaster and the density baseline run (one tape node,
-`autodiff.lstm_stack`), and the clipped binary cross-entropy of the
-forecaster and the downstream model."""
+`autodiff.lstm_stack`)."""
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-
-__all__ = ["CLAMP", "glorot", "dense_params", "lstm_params", "bce"]
-
-CLAMP = 1e-6  # probabilities are clipped to [CLAMP, 1 - CLAMP] before a log
+__all__ = ["glorot", "dense_params", "lstm_params"]
 
 
 def glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -39,9 +34,3 @@ def lstm_params(rng, in_dim: int, hidden: int, layers: int) -> list:
         params += [glorot(rng, fan_in + hidden, 4 * hidden), bias]
     return params
 
-
-def bce(p, t):
-    """Elementwise -(t log q + (1 - t) log(1 - q)) of probabilities `p`
-    clipped to q in [CLAMP, 1 - CLAMP], against targets `t`."""
-    q = ad.clip(p, CLAMP, 1.0 - CLAMP)
-    return -(t * ad.log(q) + (1.0 - t) * ad.log(1.0 - q))

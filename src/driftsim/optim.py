@@ -43,9 +43,10 @@ class Adam:
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Update `theta` in place from `grad`. A gradient of the wrong size
-        or with a non-finite entry is refused before anything changes; an
-        update that overflows, before `theta` changes but after the moments
-        and `t` took the step, so the optimizer is then spent."""
+        or with a non-finite entry is refused before anything changes; a
+        gradient whose square overflows, or an update that overflows, before
+        `theta` changes but after `t` (and the first moment) took the step,
+        so the optimizer is then spent."""
         if theta.shape != self.m.shape or grad.shape != self.m.shape:
             raise ValueError(f"expected {self.m.size} entries, got {theta.size}/{grad.size}")
         if not np.isfinite(grad).all():
@@ -58,7 +59,8 @@ class Adam:
         m *= BETA1
         m += np.multiply(grad, 1.0 - BETA1, out=s)
         v *= BETA2
-        np.multiply(grad, grad, out=s)
+        with np.errstate(over="raise"):  # FloatingPointError, an ArithmeticError
+            np.multiply(grad, grad, out=s)
         s *= 1.0 - BETA2
         v += s
         with np.errstate(over="ignore", invalid="ignore"):  # refused by the check below

@@ -5,8 +5,8 @@ An embedding and `autodiff.lstm_stack` consume the strict upper triangles of
 C_1..C_{T-1} (teacher forcing: true matrices in, one-step-ahead targets out)
 and a tanh head emits the next flattened matrix. The training loss sums, over the
 steps, a Frobenius term, an elementwise-L1 term, and a binary cross-entropy
-term on entries affinely mapped from [-1, 1] to [0, 1]; it is recorded as one
-graph over the stacked head outputs of all steps.
+term on entries affinely mapped from [-1, 1] to [0, 1]; it is one
+`autodiff.forecast_loss` node over the head outputs of all steps.
 """
 from __future__ import annotations
 
@@ -16,12 +16,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .correlation import CorrelationMatrix, flatten_upper, unflatten_upper
-from .nn import CLAMP, bce, dense_params, lstm_params
+from .nn import dense_params, lstm_params
 from .optim import fit
 
 __all__ = ["PredictorConfig", "PredictorModel", "predict_next", "train_predictor"]
-
-FRO_GUARD = 1e-24  # keeps sqrt differentiable when prediction == truth
 
 
 @dataclass(frozen=True)
@@ -80,24 +78,14 @@ def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:
 
 def _sequence_loss(params, rows: list, tgt: np.ndarray, m: int,
                    config: PredictorConfig):
-    """The forecasting loss summed over the one-step-ahead forecasts, as one
-    tape graph: per step Frobenius + elementwise-L1 + lambda_ce * mean BCE.
+    """The forecasting loss summed over the one-step-ahead forecasts: per
+    step Frobenius + elementwise-L1 + lambda_ce * mean BCE, one
+    `autodiff.forecast_loss` node over the head outputs.
 
     `rows` are the flattened matrices C_1..C_{T-1}, each (1, p), and the
-    rows of `tgt` their targets C_2..C_T. The head outputs are stacked into one
-    (T-1) x p node. Off-diagonal entries appear twice in the full matrix;
-    the diagonal is exactly 1 on both sides, contributing zero to
-    Frobenius/L1 and a clamp constant per step to the BCE mean.
+    rows of `tgt` their targets C_2..C_T.
     """
-    pred = ad.concat(_forward_sequence(params, rows), axis=0)
-    diff = pred - tgt
-    # one Frobenius norm per step, then their sum
-    fro = ad.reduce_sum(ad.sqrt(ad.reduce_sum(diff * diff, axis=1) * 2.0 + FRO_GUARD))
-    l1 = ad.reduce_sum(ad.absolute(diff)) * 2.0
-    bce_off = bce((pred + 1.0) * 0.5, (tgt + 1.0) * 0.5)
-    diag_const = -m * np.log(1.0 - CLAMP) * len(rows)
-    mean_bce = (ad.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
-    return fro + l1 + mean_bce * config.lambda_ce
+    return ad.forecast_loss(_forward_sequence(params, rows), tgt, m, config.lambda_ce)
 
 
 def train_predictor(matrices: list, config: PredictorConfig,

@@ -93,9 +93,10 @@ def _split(params, config: SimulatorConfig, task: str) -> tuple:
 
 def _objective(params, config: SimulatorConfig, task: str, rows, noise,
                z=None, target=None):
-    """The simulator's one loss graph: the negative ELBO of `rows` under
-    reparameterization `noise`, plus lambda_c times the correlation pull of
-    decoded prior draws `z` toward `target` when `z` is given. The training
+    """The simulator's loss as one `autodiff.gaussian_elbo` node: the
+    negative ELBO of `rows` under reparameterization `noise`, plus lambda_c
+    times the correlation pull of decoded prior draws `z` toward `target`
+    when `z` is given. The training
     steps differentiate it on minibatches with fresh draws; `loss_snapshot`
     reads its value on the full data with frozen draws.
 
@@ -106,10 +107,8 @@ def _objective(params, config: SimulatorConfig, task: str, rows, noise,
     between the ε-guarded Pearson matrix of the decoded draws and `target`.
     """
     encoder, decoder, label = _split(params, config, task)
-    loss = ad.gaussian_elbo(encoder, decoder, rows, noise, config.obs_variance, label)
-    if z is None:
-        return loss
-    return loss + ad.correlation_pull(decoder, z, label, target, EPS_VAR) * config.lambda_c
+    pull = None if z is None else (z, target, EPS_VAR, config.lambda_c)
+    return ad.gaussian_elbo(encoder, decoder, rows, noise, config.obs_variance, label, pull)
 
 
 def snapshot_draws(n: int, config: SimulatorConfig, regularized: bool, seed: int):

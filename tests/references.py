@@ -4,12 +4,11 @@ datasets, total variation by enumerating every event, and gradients by
 central differences."""
 import numpy as np
 
-from driftsim.autodiff import LossFn, evaluate_value, evaluate_with_gradients
+from driftsim.autodiff import CLAMP, LossFn, evaluate_value, evaluate_with_gradients
 from driftsim.bounds import FiniteJointDistribution, _align
 from driftsim.datasets import CLASSIFICATION, DomainDataset
 from driftsim.density_baseline import (Q_FLOOR, _class_values, default_grid,
                                        kde_density, silverman_bandwidth)
-from driftsim.nn import CLAMP
 
 PRELIM_GRID_SIZE = 256  # the grid `prelim_loss` scores on
 

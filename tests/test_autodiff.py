@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
 import operator
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,8 +15,8 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from driftsim import autodiff as ad
-from driftsim import density_baseline, harness, nn, predictor, simulator
-from driftsim.correlation import CorrelationMatrix, flatten_upper
+from driftsim import density_baseline, harness, predictor, simulator
+from driftsim.correlation import CorrelationMatrix, flatten_upper, pearson_matrix
 from driftsim.datasets import CLASSIFICATION, REGRESSION, DomainDataset, make_moons_stream
 from driftsim.nn import dense_params, glorot, lstm_params
 from driftsim.optim import TOL, Adam, fit, flat, train
@@ -27,7 +32,7 @@ def _sq(t):
 
 
 def test_square_loss_and_grad():
-    loss_fn = lambda params: ad.reduce_sum(_sq(params[0]))
+    loss_fn = lambda params: unfused.reduce_sum(_sq(params[0]))
     loss, grad = ad.evaluate_with_gradients(loss_fn, [np.array(3.0)])
     assert loss == 9.0
     assert grad.shape == (1,) and grad[0] == pytest.approx(6.0)
@@ -35,7 +40,7 @@ def test_square_loss_and_grad():
 
 def test_sum_grad_is_ones():
     for shape in [(3,), (2, 4), ()]:
-        loss_fn = lambda params: ad.reduce_sum(params[0])
+        loss_fn = lambda params: unfused.reduce_sum(params[0])
         w = np.random.default_rng(0).normal(size=shape)
         loss, grad = ad.evaluate_with_gradients(loss_fn, [w])
         assert loss == pytest.approx(w.sum())
@@ -48,13 +53,13 @@ def test_matmul_mse_matches_finite_differences():
     a = rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2))
     c = rng.normal(size=(2, 2))
-    loss_fn = lambda params: ad.reduce_mean(_sq(params[0] @ params[1] - c))
+    loss_fn = lambda params: unfused.reduce_mean(_sq(params[0] @ params[1] - c))
     err = grad_check(loss_fn, [a, b], step=1e-6)
     assert err < 1e-5
 
 
 def test_unused_parameter_gets_zero_grad():
-    loss_fn = lambda params: ad.reduce_sum(_sq(params[0]))
+    loss_fn = lambda params: unfused.reduce_sum(_sq(params[0]))
     _, grad = ad.evaluate_with_gradients(loss_fn, [np.ones(2), np.ones(3)])
     np.testing.assert_array_equal(grad, [2.0, 2.0, 0.0, 0.0, 0.0])
 
@@ -66,7 +71,7 @@ def test_non_scalar_output_rejected():
 
 
 def test_non_finite_loss_raises():
-    loss_fn = lambda params: ad.log(params[0])
+    loss_fn = lambda params: unfused.log(params[0])
     with np.errstate(invalid="ignore"):
         with pytest.raises(ad.NonFiniteLossError):
             ad.evaluate_with_gradients(loss_fn, [np.array(-1.0)])
@@ -75,14 +80,14 @@ def test_non_finite_loss_raises():
 def test_matmul_shape_mismatch_raises():
     for a in (np.ones((2, 3)), ad.Tensor(np.ones((2, 3)))):
         with pytest.raises(ValueError):
-            ad.matmul(a, a)
+            unfused.matmul(a, a)
 
 
 def test_losses_are_deterministic():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 4))
     x = rng.normal(size=(4, 4))
-    loss_fn = lambda params: ad.reduce_mean(ad.tanh(params[0] @ x))
+    loss_fn = lambda params: unfused.reduce_mean(unfused.tanh(params[0] @ x))
     a = ad.evaluate_with_gradients(loss_fn, [w])
     b = ad.evaluate_with_gradients(loss_fn, [w])
     assert a[0] == b[0]
@@ -102,27 +107,27 @@ def test_arithmetic_primitive_gradients():
     b = rng.normal(size=(3, 4)) + 3.0  # keep divisors away from 0
     row = rng.normal(size=(1, 4))
 
-    _check(lambda p: ad.reduce_sum(p[0] + p[1]), [a, b])
-    _check(lambda p: ad.reduce_sum(p[0] - p[1]), [a, b])
-    _check(lambda p: ad.reduce_sum(p[0] * p[1]), [a, b])
-    _check(lambda p: ad.reduce_sum(p[0] / p[1]), [a, b])
-    _check(lambda p: ad.reduce_sum(-p[0]), [a])
+    _check(lambda p: unfused.reduce_sum(p[0] + p[1]), [a, b])
+    _check(lambda p: unfused.reduce_sum(p[0] - p[1]), [a, b])
+    _check(lambda p: unfused.reduce_sum(p[0] * p[1]), [a, b])
+    _check(lambda p: unfused.reduce_sum(p[0] / p[1]), [a, b])
+    _check(lambda p: unfused.reduce_sum(-p[0]), [a])
     # broadcast over rows
-    _check(lambda p: ad.reduce_sum(p[0] + p[1]), [a, row])
-    _check(lambda p: ad.reduce_sum(p[0] * p[1]), [a, row])
+    _check(lambda p: unfused.reduce_sum(p[0] + p[1]), [a, row])
+    _check(lambda p: unfused.reduce_sum(p[0] * p[1]), [a, row])
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
                                 operator.truediv])
 def test_array_on_the_left_of_a_tensor_builds_the_tensor_node(op):
-    primitive = {operator.add: ad.add, operator.sub: ad.sub, operator.mul: ad.mul,
-                 operator.truediv: ad.div}[op]
+    primitive = {operator.add: unfused.add, operator.sub: unfused.sub,
+                 operator.mul: unfused.mul, operator.truediv: unfused.div}[op]
     rng = np.random.default_rng(25)
     x, w = rng.normal(size=(3, 4)), rng.normal(size=(1, 4)) + 3.0
     assert isinstance(op(x, ad.Tensor(w)), ad.Tensor)
-    got = ad.evaluate_with_gradients(lambda p: ad.reduce_sum(_sq(op(x, p[0]))), [w])
+    got = ad.evaluate_with_gradients(lambda p: unfused.reduce_sum(_sq(op(x, p[0]))), [w])
     want = ad.evaluate_with_gradients(
-        lambda p: ad.reduce_sum(_sq(primitive(x, p[0]))), [w])
+        lambda p: unfused.reduce_sum(_sq(primitive(x, p[0]))), [w])
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
 
@@ -134,10 +139,10 @@ def test_array_matmul_tensor_is_a_type_error():
 
 def test_getitem_with_repeated_indices_sums_their_gradients():
     _, grad = ad.evaluate_with_gradients(
-        lambda p: ad.reduce_sum(p[0][[0, 0, 1]]), [np.ones(3)])
+        lambda p: unfused.reduce_sum(p[0][[0, 0, 1]]), [np.ones(3)])
     np.testing.assert_array_equal(grad, [2.0, 1.0, 0.0])
     a = np.random.default_rng(26).normal(size=(4, 3))
-    _check(lambda p: ad.reduce_sum(_sq(p[0][[2, 0, 2, 2]])), [a])
+    _check(lambda p: unfused.reduce_sum(_sq(p[0][[2, 0, 2, 2]])), [a])
 
 
 def test_structural_primitive_gradients():
@@ -146,13 +151,13 @@ def test_structural_primitive_gradients():
     b = rng.normal(size=(4, 2))
     c = rng.normal(size=(2, 4))
 
-    _check(lambda p: ad.reduce_sum(_sq(p[0] @ p[1])), [a, b])
-    _check(lambda p: ad.reduce_sum(unfused.transpose(p[0]) @ p[0]), [a])
-    _check(lambda p: ad.reduce_sum(_sq(ad.concat([p[0], p[1]], axis=0))),
+    _check(lambda p: unfused.reduce_sum(_sq(p[0] @ p[1])), [a, b])
+    _check(lambda p: unfused.reduce_sum(unfused.transpose(p[0]) @ p[0]), [a])
+    _check(lambda p: unfused.reduce_sum(_sq(unfused.concat([p[0], p[1]], axis=0))),
            [a, c])
-    _check(lambda p: ad.reduce_sum(_sq(p[0][1:3, ::2])), [a])
-    _check(lambda p: ad.reduce_sum(ad.reduce_mean(p[0], axis=0)), [a])
-    _check(lambda p: ad.reduce_sum(ad.reduce_sum(p[0], axis=1, keepdims=True) * p[0]),
+    _check(lambda p: unfused.reduce_sum(_sq(p[0][1:3, ::2])), [a])
+    _check(lambda p: unfused.reduce_sum(unfused.reduce_mean(p[0], axis=0)), [a])
+    _check(lambda p: unfused.reduce_sum(unfused.reduce_sum(p[0], axis=1, keepdims=True) * p[0]),
            [a])
 
 
@@ -161,9 +166,9 @@ def test_piecewise_primitive_gradients_away_from_kinks():
     a = rng.normal(size=(3, 4))
     a[np.abs(a) < 0.2] = 0.5  # keep clear of the kink at 0
 
-    _check(lambda p: ad.reduce_sum(ad.relu(p[0])), [a])
-    _check(lambda p: ad.reduce_sum(ad.absolute(p[0])), [a])
-    _check(lambda p: ad.reduce_sum(_sq(ad.clip(p[0], -0.9, 0.9))),
+    _check(lambda p: unfused.reduce_sum(unfused.relu(p[0])), [a])
+    _check(lambda p: unfused.reduce_sum(unfused.absolute(p[0])), [a])
+    _check(lambda p: unfused.reduce_sum(_sq(unfused.clip(p[0], -0.9, 0.9))),
            [np.clip(a, -0.7, 0.7)])
 
 
@@ -172,11 +177,11 @@ def test_transcendental_primitive_gradients():
     a = rng.normal(size=(3, 4))
     pos = np.abs(a) + 0.5
 
-    _check(lambda p: ad.reduce_sum(ad.tanh(p[0])), [a], tol=1e-4)
-    _check(lambda p: ad.reduce_sum(ad.sigmoid(p[0])), [a], tol=1e-4)
-    _check(lambda p: ad.reduce_sum(ad.exp(p[0])), [a], tol=1e-4)
-    _check(lambda p: ad.reduce_sum(ad.log(p[0])), [pos], tol=1e-4)
-    _check(lambda p: ad.reduce_sum(ad.sqrt(p[0])), [pos], tol=1e-4)
+    _check(lambda p: unfused.reduce_sum(unfused.tanh(p[0])), [a], tol=1e-4)
+    _check(lambda p: unfused.reduce_sum(unfused.sigmoid(p[0])), [a], tol=1e-4)
+    _check(lambda p: unfused.reduce_sum(unfused.exp(p[0])), [a], tol=1e-4)
+    _check(lambda p: unfused.reduce_sum(unfused.log(p[0])), [pos], tol=1e-4)
+    _check(lambda p: unfused.reduce_sum(unfused.sqrt(p[0])), [pos], tol=1e-4)
 
 
 def test_gated_recurrent_cell_gradient():
@@ -188,7 +193,7 @@ def test_gated_recurrent_cell_gradient():
 
     def build(p):
         states = ad.lstm_stack(p[:-1], [p[-1][t:t + 1, :] for t in range(3)])
-        return ad.reduce_sum(_sq(ad.concat(states, axis=0)))
+        return unfused.reduce_sum(_sq(unfused.concat(states, axis=0)))
 
     _check(build, [*params, rows], tol=1e-4)
 
@@ -232,7 +237,7 @@ def test_dense_stack_matches_glorot_draws_and_numpy():
 
 def test_returned_gradients_share_no_memory():
     # both leaves receive the same tape array from add's VJP
-    loss_fn = lambda params: ad.reduce_sum(params[0] + params[1])
+    loss_fn = lambda params: unfused.reduce_sum(params[0] + params[1])
     params = [np.ones((2, 3)), np.ones((2, 3))]
     _, grad = ad.evaluate_with_gradients(loss_fn, params)
     assert grad.shape == (12,)
@@ -293,12 +298,54 @@ def test_forward_only_paths_make_no_tensor(monkeypatch):
     flat_mats = [flatten_upper(c).reshape(1, -1) for c in mats]
     assert _same_bits_via_tensors(lambda ps: predictor._forward_sequence(ps, flat_mats)[-1],
                                   pred.params, flatten_upper(forecast))
-    assert _same_bits_via_tensors(lambda ps: harness._forward_mlp(ps, x, down.task),
+    assert _same_bits_via_tensors(lambda ps: unfused.sigmoid(ad.dense(ps, x, ad.relu)),
                                   down.params, probs)
     assert len(made) > 0
 
 
-# -- fused primitives against the compositions they replace ----------------
+GENERIC_PRIMITIVES = ("add", "sub", "mul", "div", "neg", "matmul", "exp", "log", "sqrt",
+                      "absolute", "clip", "reduce_sum", "reduce_mean", "concat")
+PROGRAM_ONLY = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    from driftsim import autodiff as ad, harness
+    from driftsim.datasets import REGRESSION, DomainDataset, DomainStream, make_moons_stream
+    from driftsim.predictor import PredictorConfig
+    from driftsim.simulator import SimulatorConfig
+    operators, primitives = json.loads(sys.argv[1])
+    assert not set(vars(ad.Tensor)) & set(operators), sorted(vars(ad.Tensor))
+    assert not any(hasattr(ad, name) for name in primitives)
+    config = harness.ExperimentConfig(
+        predictor=PredictorConfig(max_epochs=3), seeds=(0,),
+        simulator=SimulatorConfig(warmup_epochs=1, max_epochs=3, patience=3),
+        downstream=harness.DownstreamConfig(max_epochs=3))
+    stream = make_moons_stream(domains=5, n_per_domain=40)
+    for method in harness.METHODS:
+        harness.run_experiment(stream, method, config)
+    rng = np.random.default_rng(5)
+    doms = [DomainDataset(t, x, np.tanh(x @ [1.0, -0.5]), task=REGRESSION)
+            for t, x in enumerate(rng.uniform(-1, 1, (5, 40, 2)))]
+    for method in ("coda", "incfinetune"):
+        harness.run_experiment(DomainStream(doms[:-1], doms[-1]), method, config)
+""")
+
+
+def test_the_program_trains_every_method_on_tensors_without_operators():
+    # the generic primitives and the operators on Tensor are test code: in a
+    # fresh interpreter that imports no test module, Tensor has none of them,
+    # autodiff exports none of the primitives, and every method trains end
+    # to end on both tasks, so no loss in the program composes a Tensor
+    # outside a fused node
+    assert set(unfused.OPERATORS) <= set(vars(ad.Tensor))  # installed here
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    names = json.dumps([list(unfused.OPERATORS), GENERIC_PRIMITIVES])
+    done = subprocess.run([sys.executable, "-W", "error", "-c", PROGRAM_ONLY, names],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+# -- fused nodes against the compositions they replace ---------------------
 
 def _assert_same_values_and_gradients(fused, oracle, params):
     got = ad.evaluate_with_gradients(fused, params)
@@ -320,8 +367,9 @@ def test_dense_matches_composition_bit_for_bit(last, rows):
         for act in (ad.relu, ad.tanh):
             def loss(stack, x=None):
                 if x is None:  # x is the last parameter
-                    return lambda p: ad.reduce_sum(_sq(stack(p[:-1], p[-1], act, last)) * weights)
-                return lambda p: ad.reduce_sum(_sq(stack(p, x, act, last)) * weights)
+                    return lambda p: unfused.reduce_sum(
+                        _sq(stack(p[:-1], p[-1], act, last)) * weights)
+                return lambda p: unfused.reduce_sum(_sq(stack(p, x, act, last)) * weights)
 
             _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense),
                                               [*params, x])
@@ -346,11 +394,11 @@ def test_dense_matches_allocating_form_at_simulator_shapes(act, rows):
     b, weights = rng.normal(size=(1, 72)) * 0.1, rng.normal(size=(rows, 72))
 
     def loss(stack):
-        return lambda p: ad.reduce_sum(
+        return lambda p: unfused.reduce_sum(
             stack(p[1:], stack(p[1:], p[0], last=act), last=act) * weights)
 
     def twice(stack):
-        return lambda p: ad.reduce_sum(stack([*p[1:], *p[1:]], p[0], act, act) * weights)
+        return lambda p: unfused.reduce_sum(stack([*p[1:], *p[1:]], p[0], act, act) * weights)
 
     _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
     _assert_same_values_and_gradients(twice(ad.dense), loss(unfused.dense), [x, w, b])
@@ -359,7 +407,7 @@ def test_dense_matches_allocating_form_at_simulator_shapes(act, rows):
 
 def test_dense_rejects_other_activations():
     pair = [np.ones((2, 2)), np.zeros((1, 2))]
-    for act, last in ((ad.sigmoid, None), (None, ad.sigmoid), (ad.exp, ad.tanh)):
+    for act, last in ((ad.sigmoid, None), (None, ad.sigmoid), (np.exp, ad.tanh)):
         with pytest.raises(ValueError, match="must be None, tanh or relu"):
             ad.dense(pair, np.ones((1, 2)), act, last)
 
@@ -377,7 +425,8 @@ def test_dense_checks_every_layer_shape():
 def test_downstream_fits_match_the_per_layer_chain_bit_for_bit(task, monkeypatch):
     # a whole fit and an incfinetune chain (a fresh fit, then one from its
     # params at a tenth of the rate per later source): params and loss
-    # histories as the chain of per-layer nodes gives them
+    # histories as the chain of per-layer nodes and the composition of the
+    # loss give them
     rng = np.random.default_rng(31)
     sources = []
     for t in range(3):
@@ -398,6 +447,7 @@ def test_downstream_fits_match_the_per_layer_chain_bit_for_bit(task, monkeypatch
 
     got = fits()
     monkeypatch.setattr(ad, "dense", unfused.dense)
+    monkeypatch.setattr(harness, "_mlp_loss", unfused.mlp_loss)
     want = fits()
     for g, w in zip(got, want, strict=True):
         assert same_bits(g.loss_history, w.loss_history)
@@ -407,21 +457,27 @@ def test_downstream_fits_match_the_per_layer_chain_bit_for_bit(task, monkeypatch
 
 
 def test_one_dense_node_per_stack_in_a_downstream_step():
-    # classification: the stack, sigmoid, clip, two logs, 1 - q, two
-    # products, their sum, its negation, the sum and the mean's scaling
-    # (14 with one node per layer); regression: 5. The forecaster's loss
-    # keeps its 53: one node per step for the embedding and for the head
+    # a downstream step is one node for either task; the composition it
+    # replaced recorded 12 for classification (the stack, sigmoid, clip, two
+    # logs, 1 - q, two products, their sum, its negation, the sum and the
+    # mean's scaling) and 5 for regression. The forecaster's loss is 26: per
+    # step a node for the embedding and one for the head, the LSTM stack and
+    # a view of it per step, and the loss node, where its composition over
+    # the stacked heads recorded 53
     rng = np.random.default_rng(33)
     params = [ad.Tensor(p) for p in dense_params(rng, (2, 50, 50, 1))]
     x, y = rng.normal(size=(40, 2)), (rng.random((40, 1)) < 0.5).astype(float)
-    assert unfused.interior_nodes(harness._mlp_loss(params, x, y, CLASSIFICATION)) == 12
-    assert unfused.interior_nodes(harness._mlp_loss(params, x, y, REGRESSION)) == 5
+    for task, composed in ((CLASSIFICATION, 12), (REGRESSION, 5)):
+        assert unfused.interior_nodes(harness._mlp_loss(params, x, y, task)) == 1
+        assert unfused.interior_nodes(unfused.mlp_loss(params, x, y, task)) == composed
     rows = list(rng.uniform(-0.9, 0.9, size=(8, 1, 3)))  # C_1..C_8's upper triangles
     targets = rng.uniform(-0.9, 0.9, size=(8, 3))
     config = PredictorConfig()
     params = [ad.Tensor(p) for p in predictor._init_params(3, config, rng)]
     assert unfused.interior_nodes(predictor._sequence_loss(params, rows, targets, 3,
-                                                           config)) == 53
+                                                           config)) == 26
+    assert unfused.interior_nodes(unfused.sequence_loss(params, rows, targets, 3,
+                                                        config)) == 53
 
 
 def _unfused_forward_sequence(params, rows, layers, hidden):
@@ -430,9 +486,9 @@ def _unfused_forward_sequence(params, rows, layers, hidden):
     w_embed, b_embed = params[0], params[1]
     w_head, b_head = params[-2], params[-1]
     states = unfused.lstm_stack(params[2:2 + 2 * layers],
-                                [ad.matmul(row, w_embed) + b_embed for row in rows],
+                                [unfused.matmul(row, w_embed) + b_embed for row in rows],
                                 hidden)
-    return [ad.tanh(x @ w_head + b_head) for x in states]
+    return [unfused.tanh(x @ w_head + b_head) for x in states]
 
 
 @pytest.mark.parametrize("layers, in_dim, hidden, steps",
@@ -455,7 +511,7 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
         # the rows are the last parameter, so their gradient is checked too
         def loss_fn(p):
             states = stack(p[:-1], [p[-1][t:t + 1, :] for t in range(steps)])
-            return ad.reduce_sum(ad.concat(states, axis=0) * weights)
+            return unfused.reduce_sum(unfused.concat(states, axis=0) * weights)
         return loss_fn
 
     _assert_same_values_and_gradients(loss(ad.lstm_stack), loss(oracle), [*params, rows])
@@ -485,7 +541,7 @@ def test_pearson_matches_composition_bit_for_bit(rows, cols):
     target = np.corrcoef(rng.normal(size=(3 * cols, cols)), rowvar=False)
 
     def fused(p):
-        return ad.correlation_pull(p, z, ad.sigmoid, target, simulator.EPS_VAR)
+        return unfused.correlation_pull(p, z, ad.sigmoid, target, simulator.EPS_VAR)
 
     def oracle(p):
         return unfused.regularizer(unfused.decode(p, z, "classification"), target)
@@ -507,22 +563,22 @@ def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):
     monkeypatch.setattr(predictor, "_forward_sequence", lambda ps, rows:
                         _unfused_forward_sequence(ps, rows, config.layers,
                                                   config.hidden_dim))
-    unfused = ad.evaluate_with_gradients(loss_fn, params)
-    assert fused[0] == unfused[0]
-    assert np.array_equal(fused[1], unfused[1])
+    oracle = ad.evaluate_with_gradients(loss_fn, params)
+    assert fused[0] == oracle[0]
+    assert np.array_equal(fused[1], oracle[1])
 
 
 def _step_loss_oracle(pred_vec, true_vec, m, lambda_ce):
     """One step's cp_loss term on the tape, as the predictor built it per step
     before the loss was stacked."""
     diff = pred_vec - true_vec
-    fro = ad.sqrt(ad.reduce_sum(diff * diff) * 2.0 + predictor.FRO_GUARD)
-    l1 = ad.reduce_sum(ad.absolute(diff)) * 2.0
-    q = ad.clip((pred_vec + 1.0) * 0.5, nn.CLAMP, 1.0 - nn.CLAMP)
+    fro = unfused.sqrt(unfused.reduce_sum(diff * diff) * 2.0 + ad.FRO_GUARD)
+    l1 = unfused.reduce_sum(unfused.absolute(diff)) * 2.0
+    q = unfused.clip((pred_vec + 1.0) * 0.5, ad.CLAMP, 1.0 - ad.CLAMP)
     p01 = (true_vec + 1.0) * 0.5
-    bce_off = -(p01 * ad.log(q) + (1.0 - p01) * ad.log(1.0 - q))
-    diag_const = -m * np.log(1.0 - nn.CLAMP)
-    bce = (ad.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
+    bce_off = -(p01 * unfused.log(q) + (1.0 - p01) * unfused.log(1.0 - q))
+    diag_const = -m * np.log(1.0 - ad.CLAMP)
+    bce = (unfused.reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
     return fro + l1 + bce * lambda_ce
 
 
@@ -554,6 +610,97 @@ def test_stacked_sequence_loss_matches_per_step_oracle(m, lambda_ce):
         lambda ps: _per_step_sequence_loss(ps, rows, tgt, m, config), params)
     assert stacked[0] == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
     assert np.array_equal(stacked[1], oracle[1])
+
+
+@pytest.mark.parametrize("m, lambda_ce", [(3, 20.0), (3, 7.0), (5, 20.0)])
+def test_forecast_loss_matches_composition_bit_for_bit(m, lambda_ce):
+    # the loss node over the head outputs against the stacked heads and the
+    # composition of Frobenius, L1 and clipped BCE nodes, on the default
+    # architecture, with one entry saturated at 1.0 (so the clip stops its
+    # BCE gradient) and equal to its target at two steps (an L1 kink); on
+    # plain head outputs, the composition's value and no node
+    config = PredictorConfig(lambda_ce=lambda_ce)
+    p = m * (m - 1) // 2
+    rng = np.random.default_rng(34)
+    params = predictor._init_params(m, config, rng)
+    params[-1][0, 0] = 40.0
+    rows = list(rng.uniform(-0.9, 0.9, size=(8, 1, p)))
+    tgt = rng.uniform(-0.9, 0.9, size=(8, p))
+    tgt[2:4, 0] = 1.0
+    assert np.all(predictor._forward_sequence(params, rows)[2][0, 0] == 1.0)
+    _assert_same_values_and_gradients(
+        lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config),
+        lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config), params)
+    fused = ad.forecast_loss(predictor._forward_sequence(params, rows), tgt, m, lambda_ce)
+    assert not isinstance(fused, ad.Tensor)
+    assert same_bits(fused, unfused.sequence_loss(params, rows, tgt, m, config))
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_mlp_loss_matches_composition_bit_for_bit(task):
+    # the downstream loss node against `dense` and the composition of the
+    # sigmoid and clipped BCE, or of the squared error, then the mean, with x
+    # a plain array or a parameter too; a far row saturates the sigmoid, so
+    # the clip stops its gradient. On plain params: the value and no node.
+    # Away from that row, the gradient matches finite differences
+    rng = np.random.default_rng(35)
+    params = [p + 0.1 * rng.normal(size=p.shape) for p in dense_params(rng, (3, 12, 7, 1))]
+    x = rng.normal(size=(40, 3))
+    x[0] = 100.0
+    y = (rng.normal(size=(40, 1)) if task == REGRESSION
+         else (rng.random((40, 1)) < 0.5).astype(float))
+    assert abs(ad.dense(params, x, ad.relu)[0, 0]) > 15.0  # 1 - sigmoid < CLAMP
+    _assert_same_values_and_gradients(lambda p: harness._mlp_loss(p, x, y, task),
+                                      lambda p: unfused.mlp_loss(p, x, y, task), params)
+    _assert_same_values_and_gradients(lambda p: harness._mlp_loss(p[:-1], p[-1], y, task),
+                                      lambda p: unfused.mlp_loss(p[:-1], p[-1], y, task),
+                                      [*params, x])
+    fused = harness._mlp_loss(params, x, y, task)
+    assert not isinstance(fused, ad.Tensor)
+    assert same_bits(fused, unfused.mlp_loss(params, x, y, task))
+    _check(lambda p: harness._mlp_loss(p, x[1:], y[1:], task), params, tol=1e-4)
+
+
+def test_mix_decode_matches_composition_bit_for_bit():
+    # prelim's decode with the state and every param as Tensors, and with a
+    # plain state, against the mixing layer's matmul, add and tanh nodes and
+    # `dense`; on plain arrays, the value and no node; and the gradients
+    # against finite differences
+    rng = np.random.default_rng(36)
+    config = density_baseline.PrelimConfig(hidden_dim=6, embed_dim=3)
+    params = [p + 0.1 * rng.normal(size=p.shape)
+              for p in density_baseline._init_prelim(2, 10, config, rng)]
+    state, weights = rng.normal(size=(1, 6)), rng.normal(size=(10, 2))
+
+    def loss(decode, state=None):
+        if state is None:  # the state is the last parameter
+            return lambda p: unfused.reduce_sum(decode(p[:-1], p[-1]) * weights)
+        return lambda p: unfused.reduce_sum(decode(p, state) * weights)
+
+    _assert_same_values_and_gradients(loss(density_baseline._decode_rows),
+                                      loss(unfused.decode_rows), [*params, state])
+    _assert_same_values_and_gradients(loss(density_baseline._decode_rows, state),
+                                      loss(unfused.decode_rows, state), params)
+    fused = density_baseline._decode_rows(params, state)
+    assert not isinstance(fused, ad.Tensor)
+    assert same_bits(fused, unfused.decode_rows(params, state))
+    _check(loss(density_baseline._decode_rows), [*params, state], tol=1e-5)
+
+
+def test_predictor_fit_matches_the_composed_loss_bit_for_bit(monkeypatch):
+    # a whole train_predictor fit on the moons matrices with the loss node
+    # and with its composition over the stacked heads: the same kept params
+    # and loss history
+    stream = make_moons_stream(domains=6, n_per_domain=60, seed=5)
+    mats = [pearson_matrix(dom) for dom in stream.sources]
+    config = PredictorConfig(max_epochs=30, patience=30)
+    fused = predictor.train_predictor(mats, config, seed=2)
+    monkeypatch.setattr(predictor, "_sequence_loss", unfused.sequence_loss)
+    oracle = predictor.train_predictor(mats, config, seed=2)
+    assert len(fused.loss_history) == 30
+    assert same_bits(fused.loss_history, oracle.loss_history)
+    for got, want in zip(fused.params, oracle.params, strict=True):
+        assert same_bits(got, want)
 
 
 # (rows, grid points, bandwidth, class index arrays)
@@ -607,6 +754,24 @@ def test_kde_kl_matches_composition_bit_for_bit(case):
         assert np.isfinite(ad.evaluate_value(loss(ad.kde_kl), rows))
 
 
+def test_kde_kl_signed_zero_where_a_sample_has_no_kernel_mass():
+    # class 0 holds four rows on the one grid point, so its kernel mass sums
+    # to exactly 4.0 and its grid gradient is exactly +0.0; its fifth row lies
+    # 200 bandwidths right of the grid, so its one kernel underflows and its
+    # gradient's one summand is -0.0. The composition adds that gradient
+    # into zeros, +0.0, and so must the node (numpy's sums start from +0.0)
+    rows = np.array([[0.0], [0.0], [60.0], [0.0], [0.0], [0.3], [-0.4], [0.1]])
+    classes = [np.array([0, 1, 2, 3, 4]), np.array([5, 6, 7])]
+    grid = np.array([0.0])
+    side = [[(0.625, 0.3, np.log([0.4])), (0.375, 0.25, np.log([0.2]))]]
+    assert np.exp(-0.5 * (60.0 / 0.3) ** 2) == 0.0
+    fused = ad.evaluate_with_gradients(lambda p: ad.kde_kl(p, classes, grid, [side]), [rows])
+    oracle = ad.evaluate_with_gradients(
+        lambda p: unfused.kde_kl(p, classes, grid, [side]), [rows])
+    assert same_bits(fused[0], oracle[0]) and same_bits(fused[1], oracle[1])
+    assert fused[1][2] == 0.0 and not np.signbit(fused[1][2])
+
+
 def test_kde_kl_below_the_root_agrees_with_composition_up_to_rounding():
     # the VJP scales gradients formed for g = 1, so under another upstream
     # gradient it is exact only up to rounding
@@ -647,8 +812,9 @@ def test_kde_kl_zero_mass_is_non_finite_like_the_composition():
 
 
 def test_prelim_fit_matches_the_per_term_chain_bit_for_bit(monkeypatch):
-    # a whole train_prelim fit with the KL node and with the chain of
-    # per-term compositions: the same rows, kept params and loss history
+    # a whole train_prelim fit with the decode and KL nodes and with the
+    # mixing layer's composition and the chain of per-term compositions: the
+    # same rows, kept params and loss history
     stream = make_moons_stream(domains=5, n_per_domain=30, seed=4)
     config = density_baseline.PrelimConfig(hidden_dim=8, embed_dim=4, grid_size=48,
                                            max_epochs=12, patience=12)
@@ -658,6 +824,7 @@ def test_prelim_fit_matches_the_per_term_chain_bit_for_bit(monkeypatch):
                         lambda *a: runs.append(real_fit(*a)) or runs[-1])
     fused = density_baseline.train_prelim(stream, config, seed=2)
     monkeypatch.setattr(ad, "kde_kl", unfused.kde_kl)
+    monkeypatch.setattr(density_baseline, "_decode_rows", unfused.decode_rows)
     oracle = density_baseline.train_prelim(stream, config, seed=2)
     assert same_bits(fused.features, oracle.features)
     (fused_params, fused_history), (oracle_params, oracle_history) = runs
@@ -672,7 +839,7 @@ def test_broadcast_grad_matches_fd(rows, cols, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(rows, cols))
     b = rng.normal(size=(1, cols))
-    _check(lambda p: ad.reduce_sum(_sq(p[0] + p[1])), [a, b], tol=1e-5)
+    _check(lambda p: unfused.reduce_sum(_sq(p[0] + p[1])), [a, b], tol=1e-5)
 
 
 # -- Adam -----------------------------------------------------------------
@@ -746,6 +913,16 @@ def test_adam_refuses_an_update_that_leaves_params_non_finite(theta, grad, entry
     assert same_bits(theta, before)
 
 
+def test_adam_refuses_a_gradient_whose_square_overflows():
+    # finite, but its second moment would be inf, and every later update of
+    # that entry 0
+    opt = Adam(2, lr=0.1)
+    theta = np.zeros(2)
+    with pytest.raises(ArithmeticError, match="overflow"):
+        opt.step(theta, np.array([1.0, 1e200]))
+    assert same_bits(theta, np.zeros(2))
+
+
 @pytest.mark.parametrize("model", ["simulator", "predictor"])
 def test_adam_matches_per_array_updates_bit_for_bit(model):
     rng = np.random.default_rng(28)
@@ -774,7 +951,7 @@ def test_adam_matches_per_array_updates_bit_for_bit(model):
 
 def test_adam_drives_quadratic_toward_minimum():
     target = np.array([1.0, -2.0, 0.5])
-    loss_fn = lambda params: ad.reduce_sum(_sq(params[0] - target))
+    loss_fn = lambda params: unfused.reduce_sum(_sq(params[0] - target))
     theta, params = flat([np.zeros(3)])
     opt = Adam(theta.size, lr=0.05)
     losses = []
@@ -823,13 +1000,13 @@ def test_fit_refuses_a_non_finite_init_before_its_first_readout():
     calls = []
     config = SimpleNamespace(learning_rate=0.1, max_epochs=5, patience=5)
     with pytest.raises(ValueError, match="entry 2"):
-        fit(lambda ps: calls.append(1) or ad.reduce_sum(ps[0]),
+        fit(lambda ps: calls.append(1) or unfused.reduce_sum(ps[0]),
             [np.array([0.0, 1.0, np.nan])], config)
     assert calls == []
 
 
 def _quadratic(target):
-    return lambda params: ad.reduce_sum(_sq(params[0] - target))
+    return lambda params: unfused.reduce_sum(_sq(params[0] - target))
 
 
 def test_fit_returns_the_params_that_scored_min_history():

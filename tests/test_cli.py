@@ -636,6 +636,15 @@ CONFIG_KEYS = ((None, "seeds"), (None, "sample_rate"), (None, "methods"), (None,
                ("dataset", "feature_cols"), ("dataset", "task"), ("dataset", "domain_col"),
                ("dataset", "label_col"), ("dataset", "kind"), ("dataset", "path"),
                ("dataset", "mystery"), ("predictor", "layers"), ("simulator", None))
+# for coda: the keys above but a whole simulator block (its default budget
+# trains for seconds), and keys of the blocks it trains; an epoch budget set
+# here is at most 3, or it is refused
+CODA_KEYS = (*(key for key in CONFIG_KEYS if key != ("simulator", None)),
+             ("predictor", "lambda_ce"), ("predictor", "hidden_dim"),
+             ("predictor", "max_epochs"), ("simulator", "lambda_c"),
+             ("simulator", "latent_dim"), ("simulator", "obs_variance"),
+             ("simulator", "batch_size"), ("simulator", "warmup_epochs"),
+             ("simulator", "learning_rate"))
 
 
 @st.composite
@@ -670,16 +679,21 @@ def csv_texts(draw):
 
 
 @st.composite
-def run_configs(draw, method="lastdomain", hostile=st.booleans()):
-    """A `method` config on one seed and at most 5 downstream epochs, for
-    either task (prelim: classification), where `hostile` draws True with
-    one key set to a value of a wrong type, out of range or unknown."""
+def run_configs(draw, method="lastdomain", hostile=st.booleans(), keys=CONFIG_KEYS):
+    """A `method` config on one seed and at most 5 downstream epochs (coda:
+    at most 4 forecaster and 4 simulator epochs), for either task (prelim:
+    classification), where `hostile` draws True with one of `keys` set to a
+    value of a wrong type, out of range or unknown."""
     tasks = ["classification"] if method == "prelim" else ["classification", "regression"]
     config = {"dataset": {"kind": "csv", "task": draw(st.sampled_from(tasks))},
               "methods": [method], "seeds": [0],
               "downstream": {"max_epochs": draw(st.integers(1, 5)), "patience": 2}}
+    if method == "coda":
+        config["predictor"] = {"max_epochs": draw(st.integers(1, 4)), "patience": 2}
+        config["simulator"] = {"warmup_epochs": draw(st.integers(0, 2)),
+                               "max_epochs": draw(st.integers(1, 4)), "patience": 2}
     if draw(hostile):
-        block, key = draw(st.sampled_from(CONFIG_KEYS))
+        block, key = draw(st.sampled_from(keys))
         value = draw(st.sampled_from(BAD_VALUES))
         if key is None:
             config[block] = value
@@ -750,7 +764,7 @@ NEAR_GRID = repr(float(ON_GRID) + 1e-7)
 
 @st.composite
 def prelim_csv_texts(draw):
-    """A stream of 4 or 5 domains for prelim, whose first domain spans
+    """A stream of 4 or 5 domains for prelim and coda, whose first domain spans
     [-1, 1] in every feature so that min-max scaling keeps the values as
     written, with at most one hostile trait: bad cells, a constant column,
     a single-class domain, a class of one row in a domain, or a tight class
@@ -796,6 +810,32 @@ def prelim_csv_texts(draw):
 @given(text=prelim_csv_texts(),
        config=run_configs("prelim", st.sampled_from([False, False, False, True])))
 def test_prelim_run_on_hostile_csv_and_config_exits_cleanly(text, config):
+    exits_cleanly(text, config)
+
+
+# four domains of six rows, so that coda trains a forecaster on three sources
+CODA_TABLE = "t,y,a,b\n" + "".join(f"{t},{i % 2},{(0.37 * i + 0.11 * t) % 1:.3f},"
+                                   f"{(0.53 * i - 0.07 * t) % 1:.3f}\n"
+                                   for t in range(4) for i in range(6))
+CODA_EPOCHS = {"dataset": {"kind": "csv"}, "methods": ["coda"], "seeds": [0],
+               "downstream": {"max_epochs": 3}, "predictor": {"max_epochs": 2},
+               "simulator": {"warmup_epochs": 1, "max_epochs": 2}}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+# one config in three is hostile, so that most cases train the forecaster,
+# the simulator and the downstream model
+@given(text=prelim_csv_texts(),
+       config=run_configs("coda", st.sampled_from([False, False, True]), CODA_KEYS))
+# each raised before under -W error: the overflow warning of an Adam step on
+# a gradient whose square passes the float range, from the forecaster's loss
+# at lambda_ce = 1e300 and from the simulator's at lambda_c = 1e300
+@example(text=CODA_TABLE, config={**CODA_EPOCHS, "predictor": {"max_epochs": 2,
+                                                               "lambda_ce": 1e300}})
+@example(text=CODA_TABLE, config={**CODA_EPOCHS, "simulator": {
+    "warmup_epochs": 1, "max_epochs": 2, "lambda_c": 1e300}})
+@pytest.mark.filterwarnings("error")
+def test_coda_run_on_hostile_csv_and_config_exits_cleanly(text, config):
     exits_cleanly(text, config)
 
 

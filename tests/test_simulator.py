@@ -42,7 +42,7 @@ def small_decoder(m: int, draws: int, seed: int) -> tuple:
 
 def pull(decoder, z, target: np.ndarray, label=ad.tanh):
     """The correlation pull of the decoded draws toward `target`."""
-    return ad.correlation_pull(decoder, z, label, target, sm.EPS_VAR)
+    return unfused.correlation_pull(decoder, z, label, target, sm.EPS_VAR)
 
 
 def test_elbo_zero_when_decoder_reproduces_input():
@@ -164,7 +164,8 @@ def test_objective_matches_unfused_oracle_bit_for_bit(task, n, draws):
     z = None if draws is None else rng.standard_normal((draws, config.latent_dim))
     target = np.corrcoef(rng.normal(size=(9, 3)), rowvar=False)
     loss = _assert_objective_matches_oracle(params, config, task, rows, noise, z, target)
-    assert same_bits(sm._objective(params, config, task, rows, noise, z, target), loss)
+    plain = sm._objective(params, config, task, rows, noise, z, target)
+    assert not isinstance(plain, ad.Tensor) and same_bits(plain, loss)
 
 
 def test_objective_with_zero_params_matches_unfused_oracle_bit_for_bit():
@@ -183,18 +184,19 @@ def test_objective_with_zero_params_matches_unfused_oracle_bit_for_bit():
         _assert_objective_matches_oracle(params, config, task, rows, noise, draws, np.eye(3))
 
 
-def test_objective_records_four_nodes_per_step_and_one_in_warmup():
+def test_objective_records_one_node_per_step_and_in_warmup():
+    # one node over the 18 params, with the pull (it was four: the ELBO
+    # node, the pull node, the pull times lambda_c and the sum) and without
     config = SimulatorConfig()
     rng = np.random.default_rng(4)
     params = [ad.Tensor(p) for p in sm._init_params(3, config, rng)]
     rows = rng.uniform(-1, 1, (64, 3))
     noise = rng.standard_normal((64, config.latent_dim))
     z = rng.standard_normal((config.regularizer_draws, config.latent_dim))
-    # the ELBO node, the pull node, the pull times lambda_c and the sum
-    assert unfused.interior_nodes(sm._objective(params, config, CLASSIFICATION, rows,
-                                                noise, z, np.eye(3))) == 4
-    assert unfused.interior_nodes(sm._objective(params, config, CLASSIFICATION, rows,
-                                                noise)) == 1
+    for draws in (z, None):
+        loss = sm._objective(params, config, CLASSIFICATION, rows, noise, draws, np.eye(3))
+        assert unfused.interior_nodes(loss) == 1
+        assert loss._parents == tuple(params)
 
 
 @pytest.mark.parametrize("lambda_c", [0.0, 1.0])

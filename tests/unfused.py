@@ -1,16 +1,28 @@
-"""References that the fused code must match bit for bit: a dense stack, the
-LSTM, the simulator's loss and the density baseline's KDE-KL written with
-autodiff primitives only (for `ad.dense`, `ad.lstm_stack`,
-`ad.gaussian_elbo`, `ad.correlation_pull` and `ad.kde_kl`), Adam as one
-update per parameter array (for `optim.Adam`), and the full-batch loop that
-`optim.fit` runs on `optim.train`. Also the transpose node that these
-compositions and the KDE oracles of the tests build, `same_bits`, the
-comparison they are held to, and `interior_nodes`, the tape count that the
-node-count tests pin."""
+"""The generic tape language, and the references written in it that the fused
+code must match bit for bit.
+
+The language: differentiable primitives on `Tensor` nodes (`add` ...
+`concat`, slicing by `getitem`, `transpose`), with numpy broadcasting on
+the elementwise binaries, and the operators `+ - * / @`, unary `-`,
+indexing and `shape` that importing this module installs on `ad.Tensor`
+(`OPERATORS`), so that a composition reads as the maths. The program's
+`Tensor` has none of them: every loss there is a chain of fused nodes.
+
+The references, written with it: a dense stack (for `ad.dense`), the LSTM
+(for `ad.lstm_stack`), the forecaster's loss (for `ad.forecast_loss`), the
+downstream loss (for `ad.mlp_loss`), the density baseline's decode and
+KDE-KL (for `ad.mix_decode` and `ad.kde_kl`), the simulator's loss (for
+`ad.gaussian_elbo`), Adam as one update per parameter array (for
+`optim.Adam`), and the full-batch loop that `optim.fit` runs on
+`optim.train`. Also `same_bits`, the comparison they are held to, and
+`interior_nodes`, the tape count that the node-count tests pin."""
+from typing import Sequence
+
 import numpy as np
 
 from driftsim import autodiff as ad
-from driftsim.autodiff import _accumulate, _node, _val
+from driftsim import predictor
+from driftsim.autodiff import _accumulate, _node, _unbroadcast, _val
 from driftsim.datasets import CLASSIFICATION
 from driftsim.optim import BETA1, BETA2, EPS, TOL, Adam, flat
 from driftsim.simulator import EPS_VAR
@@ -34,6 +46,191 @@ def interior_nodes(out) -> int:
     return count
 
 
+# -- primitives ------------------------------------------------------------
+
+def add(a, b):
+    av, bv = _val(a), _val(b)
+
+    def vjp(g):
+        _accumulate(a, _unbroadcast(g, av.shape))
+        _accumulate(b, _unbroadcast(g, bv.shape))
+
+    return _node(av + bv, (a, b), vjp)
+
+
+def sub(a, b):
+    av, bv = _val(a), _val(b)
+
+    def vjp(g):
+        _accumulate(a, _unbroadcast(g, av.shape))
+        if isinstance(b, ad.Tensor):
+            _accumulate(b, _unbroadcast(-g, bv.shape))
+
+    return _node(av - bv, (a, b), vjp)
+
+
+def mul(a, b):
+    av, bv = _val(a), _val(b)
+
+    def vjp(g):
+        if isinstance(a, ad.Tensor):
+            _accumulate(a, _unbroadcast(g * bv, av.shape))
+        if isinstance(b, ad.Tensor):
+            _accumulate(b, _unbroadcast(g * av, bv.shape))
+
+    return _node(av * bv, (a, b), vjp)
+
+
+def div(a, b):
+    av, bv = _val(a), _val(b)
+
+    def vjp(g):
+        if isinstance(a, ad.Tensor):
+            _accumulate(a, _unbroadcast(g / bv, av.shape))
+        if isinstance(b, ad.Tensor):
+            _accumulate(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
+
+    return _node(av / bv, (a, b), vjp)
+
+
+def neg(a):
+    def vjp(g):
+        _accumulate(a, -g)
+
+    return _node(-_val(a), (a,), vjp)
+
+
+def matmul(a, b):
+    av, bv = _val(a), _val(b)
+    ad._check_matmul(av, bv)
+
+    def vjp(g):
+        _accumulate(a, g @ bv.T)
+        _accumulate(b, av.T @ g)
+
+    return _node(av @ bv, (a, b), vjp)
+
+
+def tanh(a):
+    out = np.tanh(_val(a))
+
+    def vjp(g):
+        _accumulate(a, g * (1.0 - out * out))
+
+    return _node(out, (a,), vjp)
+
+
+def sigmoid(a):
+    out = ad.sigmoid(_val(a))
+
+    def vjp(g):
+        _accumulate(a, g * out * (1.0 - out))
+
+    return _node(out, (a,), vjp)
+
+
+def exp(a):
+    out = np.exp(_val(a))
+
+    def vjp(g):
+        _accumulate(a, g * out)
+
+    return _node(out, (a,), vjp)
+
+
+def log(a):
+    av = _val(a)
+
+    def vjp(g):
+        _accumulate(a, g / av)
+
+    return _node(np.log(av), (a,), vjp)
+
+
+def sqrt(a):
+    out = np.sqrt(_val(a))
+
+    def vjp(g):
+        _accumulate(a, g * 0.5 / out)
+
+    return _node(out, (a,), vjp)
+
+
+def relu(a):
+    av = _val(a)
+    mask = av > 0.0
+
+    def vjp(g):
+        _accumulate(a, g * mask)
+
+    return _node(av * mask, (a,), vjp)
+
+
+def absolute(a):
+    # subgradient 0 at the kink
+    av = _val(a)
+    s = np.sign(av)
+
+    def vjp(g):
+        _accumulate(a, g * s)
+
+    return _node(np.abs(av), (a,), vjp)
+
+
+def clip(a, lo: float, hi: float):
+    """Clamp with zero gradient outside [lo, hi]."""
+    av = _val(a)
+    mask = (av >= lo) & (av <= hi)
+
+    def vjp(g):
+        _accumulate(a, g * mask)
+
+    return _node(np.clip(av, lo, hi), (a,), vjp)
+
+
+def reduce_sum(a, axis: int | None = None, keepdims: bool = False):
+    av = _val(a)
+
+    def vjp(g):
+        g = np.asarray(g, dtype=np.float64)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, av.shape))
+
+    return _node(av.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+
+
+def reduce_mean(a, axis: int | None = None, keepdims: bool = False):
+    av = _val(a)
+    n = av.size if axis is None else av.shape[axis]
+    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+def concat(tensors: Sequence, axis: int = 0):
+    values = [_val(t) for t in tensors]
+    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
+
+    def vjp(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            _accumulate(t, g[tuple(idx)])
+
+    return _node(np.concatenate(values, axis=axis), tuple(tensors), vjp)
+
+
+def getitem(a, key):
+    """`a[key]` as a node; a repeated index receives every gradient."""
+    out = _val(a)[key]
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        np.add.at(full, key, g)
+        _accumulate(a, full)
+
+    return _node(out.copy(), (a,), vjp)
+
+
 def transpose(a):
     """`a.T` as a tape node."""
     def vjp(g):
@@ -42,25 +239,103 @@ def transpose(a):
     return _node(_val(a).T.copy(), (a,), vjp)
 
 
+OPERATORS = {
+    "__add__": add,
+    "__radd__": lambda a, b: add(b, a),
+    "__sub__": sub,
+    "__rsub__": lambda a, b: sub(b, a),
+    "__mul__": mul,
+    "__rmul__": lambda a, b: mul(b, a),
+    "__truediv__": div,
+    "__rtruediv__": lambda a, b: div(b, a),
+    "__neg__": neg,
+    "__matmul__": matmul,
+    "__getitem__": getitem,
+    "__array_ufunc__": None,  # so `array op tensor` calls the reflected operators
+    "shape": property(lambda a: a.value.shape),
+}
+for _name, _attr in OPERATORS.items():
+    setattr(ad.Tensor, _name, _attr)
+
+# the primitive behind each activation that `ad.dense` accepts
+ACTIVATIONS = {None: None, ad.tanh: tanh, ad.relu: relu}
+
+
+# -- references ------------------------------------------------------------
+
 def dense(params, x, act=None, last=None):
     """`ad.dense` as a chain of per-layer matmul, add and activation nodes,
     each allocating its result."""
     for i in range(0, len(params), 2):
-        x = ad.matmul(x, params[i]) + params[i + 1]
-        layer_act = act if i + 2 < len(params) else last
+        x = matmul(x, params[i]) + params[i + 1]
+        layer_act = ACTIVATIONS[act if i + 2 < len(params) else last]
         if layer_act is not None:
             x = layer_act(x)
     return x
 
 
+def bce(p, t):
+    """Elementwise -(t log q + (1 - t) log(1 - q)) of probabilities `p`
+    clipped to q in [CLAMP, 1 - CLAMP], against targets `t`."""
+    q = clip(p, ad.CLAMP, 1.0 - ad.CLAMP)
+    return -(t * log(q) + (1.0 - t) * log(1.0 - q))
+
+
+def sequence_loss(params, rows, tgt, m, config):
+    """`predictor._sequence_loss` as the composition over the stacked head
+    outputs of `predictor._forward_sequence`: per step Frobenius +
+    elementwise-L1 + lambda_ce * mean BCE (for `ad.forecast_loss`)."""
+    pred = concat(predictor._forward_sequence(params, rows), axis=0)
+    diff = pred - tgt
+    # one Frobenius norm per step, then their sum
+    fro = reduce_sum(sqrt(reduce_sum(diff * diff, axis=1) * 2.0 + ad.FRO_GUARD))
+    l1 = reduce_sum(absolute(diff)) * 2.0
+    bce_off = bce((pred + 1.0) * 0.5, (tgt + 1.0) * 0.5)
+    diag_const = -m * np.log(1.0 - ad.CLAMP) * len(rows)
+    mean_bce = (reduce_sum(bce_off) * 2.0 + diag_const) * (1.0 / (m * m))
+    return fro + l1 + mean_bce * config.lambda_ce
+
+
+def mlp_loss(params, x, y, task):
+    """`harness._mlp_loss` as `ad.dense` and the composition of its loss:
+    the clipped BCE mean of the sigmoid, or the mean squared error (for
+    `ad.mlp_loss`)."""
+    out = ad.dense(params, x, ad.relu)
+    if task == CLASSIFICATION:
+        return reduce_mean(bce(sigmoid(out), y))
+    diff = out - y
+    return reduce_mean(diff * diff)
+
+
+def decode_rows(params, state):
+    """`density_baseline._decode_rows` as the mixing layer's composition,
+    then `ad.dense` (for `ad.mix_decode`)."""
+    _, _, embed, w_e, w_s, b_mix = params[:6]
+    mix = tanh(matmul(embed, w_e) + matmul(state, w_s) + b_mix)
+    return ad.dense(params[6:], mix, last=ad.tanh)
+
+
+def correlation_pull(decoder, z, label, target, eps):
+    """The pull term of `ad.gaussian_elbo` alone, as one node over the
+    decoder params, from that node's own forward and VJP."""
+    value, pull_vjp = ad._correlation_pull([_val(p) for p in decoder], _val(z), label,
+                                           target, eps)
+
+    def vjp(g):
+        for p, gp in zip(decoder, pull_vjp(g)):
+            _accumulate(p, gp)
+
+    return _node(value, tuple(decoder), vjp)
+
+
 def pearson(batch, eps):
-    """The Pearson matrix inside `ad.correlation_pull` as the composition of
+    """The Pearson matrix inside the correlation pull as the composition of
     mean, matmul, sqrt and divide nodes."""
     n = batch.shape[0]
-    centered = batch - ad.reduce_mean(batch, axis=0, keepdims=True)
+    centered = batch - reduce_mean(batch, axis=0, keepdims=True)
     cov = transpose(centered) @ centered * (1.0 / n)
-    var = ad.reduce_mean(centered * centered, axis=0, keepdims=True)
-    std = ad.sqrt(var + eps)
+    var = reduce_mean(centered * centered, axis=0, keepdims=True)
+    std = sqrt(var + eps)
     return cov / (transpose(std) @ std)
 
 
@@ -77,29 +352,29 @@ def decode(decoder, z, task):
     split by slicing nodes."""
     out = dense(decoder, z, ad.tanh)
     m = out.shape[1]
-    features = ad.tanh(out[:, 0:m - 1])
-    label = ad.sigmoid(out[:, m - 1:m]) if task == CLASSIFICATION \
-        else ad.tanh(out[:, m - 1:m])
-    return ad.concat([features, label], axis=1)
+    features = tanh(out[:, 0:m - 1])
+    label = sigmoid(out[:, m - 1:m]) if task == CLASSIFICATION else tanh(out[:, m - 1:m])
+    return concat([features, label], axis=1)
 
 
 def neg_elbo(params, config, rows, noise, task):
-    """`ad.gaussian_elbo` as elementwise, reduction and dense nodes."""
+    """The negative ELBO of `ad.gaussian_elbo` as elementwise, reduction and
+    dense nodes."""
     mu, logvar = encode(params, config, rows)
-    sigma = ad.exp(logvar * 0.5)
+    sigma = exp(logvar * 0.5)
     z = mu + sigma * noise
     recon = decode(params[2 * config.encoder_layers + 4:], z, task)
     diff = recon - rows
-    recon_term = ad.reduce_sum(diff * diff) * (0.5 / config.obs_variance)
-    kl = (ad.reduce_sum(mu * mu) + ad.reduce_sum(ad.exp(logvar))
-          - ad.reduce_sum(logvar)) * 0.5 - 0.5 * mu.shape[0] * mu.shape[1]
+    recon_term = reduce_sum(diff * diff) * (0.5 / config.obs_variance)
+    kl = (reduce_sum(mu * mu) + reduce_sum(exp(logvar))
+          - reduce_sum(logvar)) * 0.5 - 0.5 * mu.shape[0] * mu.shape[1]
     n = rows.shape[0]
     return (recon_term + kl) * (1.0 / n)
 
 
 def regularizer(batch, target):
-    """The L1 inside `ad.correlation_pull`, on a batch of rows."""
-    return ad.reduce_sum(ad.absolute(pearson(batch, EPS_VAR) - target))
+    """The L1 of the correlation pull, on a batch of rows."""
+    return reduce_sum(absolute(pearson(batch, EPS_VAR) - target))
 
 
 def objective(params, config, task, rows, noise, z=None, target=None):
@@ -117,9 +392,9 @@ def kde_kl_term(rows, column, idx, grid, bandwidth, prior, log_q):
     col = rows[:, column:column + 1]
     vals = transpose(col[idx.tolist(), :])
     diff = (grid[:, None] - vals) * (1.0 / bandwidth)
-    dens = ad.reduce_sum(ad.exp(diff * diff * (-0.5)), axis=1)
-    p = dens * (1.0 / ad.reduce_sum(dens)) * prior
-    return ad.reduce_sum(p * (ad.log(p) - log_q))
+    dens = reduce_sum(exp(diff * diff * (-0.5)), axis=1)
+    p = dens * (1.0 / reduce_sum(dens)) * prior
+    return reduce_sum(p * (log(p) - log_q))
 
 
 def kde_kl(rows, classes, grid, truth_sides):
@@ -161,12 +436,12 @@ class PerArrayAdam:
 def lstm_cell(gates, c_prev, hidden):
     """One step of a cell of `ad.lstm_stack`, as sigmoid/tanh nodes on gate
     slices; `c_prev` is None on a layer's first step."""
-    i = ad.sigmoid(gates[:, 0:hidden])
-    f = ad.sigmoid(gates[:, hidden:2 * hidden])
-    g = ad.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = ad.sigmoid(gates[:, 3 * hidden:4 * hidden])
+    i = sigmoid(gates[:, 0:hidden])
+    f = sigmoid(gates[:, hidden:2 * hidden])
+    g = tanh(gates[:, 2 * hidden:3 * hidden])
+    o = sigmoid(gates[:, 3 * hidden:4 * hidden])
     c = i * g if c_prev is None else f * c_prev + i * g
-    return o * ad.tanh(c), c
+    return o * tanh(c), c
 
 
 def lstm_stack(params, rows, hidden):
@@ -179,7 +454,7 @@ def lstm_stack(params, rows, hidden):
     for x in rows:
         for layer in range(layers):
             w, b = params[2 * layer], params[2 * layer + 1]
-            gates = ad.matmul(ad.concat([x, h_states[layer]], axis=1), w) + b
+            gates = matmul(concat([x, h_states[layer]], axis=1), w) + b
             x, c_states[layer] = lstm_cell(gates, c_states[layer], hidden)
             h_states[layer] = x
         states.append(x)
