@@ -1,40 +1,40 @@
-"""Reverse-mode automatic differentiation over small dense float64 tensors.
+"""Reverse-mode gradients of small dense float64 models, with no tape.
 
-A `Tensor` is a value on the gradient path, and nothing else: a tape node
-with parent links and a vector-Jacobian product, with no operators.
-`evaluate_with_gradients` boxes each parameter in a `Tensor`; the model
-functions call fused nodes that take and return plain float64 ndarrays and
-record a `Tensor` node only when one of their inputs is a `Tensor`. So a
-forward-only pass, `evaluate_value` or a model function called on the
-parameter arrays themselves, records no tape. `backward` replays the tape in
-reverse topological order. Float64 only, no GPU.
+Each model's loss is one value-and-VJP pair, the interface of JAX's `vjp`:
+a loss function `loss_fn(params)` returns the scalar loss and its VJP
+(vector-Jacobian product), a closure that maps the gradient of the loss to
+one gradient per parameter array, or None for a parameter the loss does not
+reach. There is no `Tensor` and no tape to replay. `evaluate_with_gradients`
+runs a loss once and `backward` writes its VJP's gradients into views of one
+flat vector laid out like `optim.flat`; `evaluate_value` leaves the VJP
+uncalled. Forward-only reads call plain forward functions on the parameter
+arrays (`dense`, `lstm_stack`, `mix_decode`, `decode`). Float64 only, no GPU.
 
-Each node computes a whole piece of a model's loss with a hand-written VJP:
-`dense` a stack of `act(x @ w + b)` layers; `lstm_stack` a stacked LSTM over
-a whole sequence (with one view node per step's output); `forecast_loss` the
-forecaster's Frobenius + L1 + weighted BCE over every step; `mlp_loss` the
-downstream ReLU net with its clipped BCE or squared-error mean;
-`mix_decode` the density baseline's mixing layer and output stack;
-`gaussian_elbo` the simulator's negative ELBO (encoder, reparameterization,
-decoder, reconstruction and KL), optionally plus a weighted L1 between the
-Pearson matrix of decoded prior draws and a target; and `kde_kl` the density
-baseline's whole KDE-KL, every class-conditional term of every truth
-domain, over the rows generated for those domains. Every feed-forward layer
-runs one stack forward and VJP (`_stack`, `_stack_vjp`, over `_layer`,
-`_layer_vjp`), and both BCE losses run one clipped BCE (`_bce`). The VJPs
-repeat the elementwise arithmetic of the composition of generic primitives
-in `tests/unfused.py` in the same order, sum the gradients of a value that
-reached several of its nodes in the order `backward` reached those nodes,
-and list their parents in the order `backward`'s depth-first search reached
-them, so every gradient, and every trained parameter, is bit-identical to
-what that composition gives. `kde_kl` is a sum of independent terms, so it
-forms each term's gradient in the forward, right after the term's value,
-for the upstream gradient the loss root hands it, and drops the term's
-kernel matrix before the next; its VJP only scales those gradients, which
-is exact at the root.  No VJP writes into the gradient it is given.
+The losses: `forecast_loss` the forecaster's (a per-step linear embedding, a
+stacked LSTM and a per-step tanh head, then the Frobenius + L1 + weighted BCE
+of every step); `mlp_loss` the downstream ReLU net with its clipped BCE or
+squared-error mean; `gaussian_elbo` the simulator's negative ELBO (encoder,
+reparameterization, decoder, reconstruction and KL), optionally plus a
+weighted L1 between the Pearson matrix of decoded prior draws and a target;
+and `prelim_loss` the density baseline's (a one-layer LSTM over per-domain
+summaries, a mixing decode per truth domain, then `kde_kl`, every
+class-conditional KDE-KL term of every truth domain). They chain forward/VJP
+pairs: `_stack`/`_stack_vjp` for every feed-forward stack (over `_layer`,
+`_layer_vjp`), `_lstm`, `_forecast`, `_mix_decode`, `_elbo`,
+`_correlation_pull`, `kde_kl` and the clipped BCE `_bce`.
+
+Each VJP repeats the elementwise arithmetic of the composition of generic
+primitives in `tests/unfused.py` in the same order, and sums the gradients
+of a value that reached several places in the order that composition's tape
+replay reached them, so every gradient, and every trained parameter, is
+bit-identical to what the tape gives. `kde_kl` is a sum of independent
+terms, so it forms each term's gradient in the forward, right after the
+term's value, and drops the term's kernel matrix before the next; its VJP
+only scales those gradients, which is exact for the gradient 1 that
+`backward` hands a loss. No VJP writes into the gradient it is given.
 
 `tanh`, `relu` and `sigmoid` name the activations that `dense`, `decode`
-and the simulator's node accept; called on an array, each is that function.
+and the simulator's loss accept; called on an array, each is that function.
 """
 from __future__ import annotations
 
@@ -43,13 +43,13 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "Tensor",
     "NonFiniteLossError",
     "CLAMP",
     "FRO_GUARD",
     "evaluate_with_gradients",
     "evaluate_value",
     "backward",
+    "views",
     "tanh",
     "relu",
     "sigmoid",
@@ -61,6 +61,7 @@ __all__ = [
     "decode",
     "gaussian_elbo",
     "kde_kl",
+    "prelim_loss",
 ]
 
 CLAMP = 1e-6  # probabilities are clipped to [CLAMP, 1 - CLAMP] before a log
@@ -71,48 +72,10 @@ class NonFiniteLossError(ArithmeticError):
     """Raised when a scalar loss evaluates to NaN or infinity."""
 
 
-class Tensor:
-    """One node of the compute tape: a value that depends on a parameter.
-
-    `value` is a C-contiguous float64 ndarray (row-major flat storage plus a
-    shape).  Interior nodes carry a `_vjp` closure that scatters the incoming
-    gradient onto their `_parents`, the inputs that are Tensors; a boxed
-    parameter has neither.
-    """
-
-    __slots__ = ("value", "grad", "_parents", "_vjp")
-
-    def __init__(self, value, parents: tuple = (), vjp=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self._parents = parents
-        self._vjp = vjp
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape})"
-
-
-def _val(x) -> np.ndarray:
-    """The array behind `x`: a Tensor's value, else `x` as float64."""
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def _node(value, parents, vjp):
-    """A tape node over the parents that are Tensors, or, with none, the
-    plain value."""
-    parents = tuple(p for p in parents if isinstance(p, Tensor))
-    return Tensor(value, parents, vjp) if parents else value
-
-
-def _accumulate(t, g: np.ndarray) -> None:
-    if not isinstance(t, Tensor):
-        return
-    # no VJP writes into a gradient and every sum below is out of place, so
-    # the first gradient can be kept without a copy
-    if t.grad is None:
-        t.grad = np.asarray(g, dtype=np.float64)
-    else:
-        t.grad = t.grad + g
+def _sums(per_place) -> list:
+    """Per param, its gradients from each place in `per_place` (one list of
+    gradients per place) summed left to right, as the tape accumulated them."""
+    return [sum(grads[1:], grads[0]) for grads in zip(*per_place)]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -149,7 +112,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# -- fused nodes -----------------------------------------------------------
+# -- forward/VJP pairs -----------------------------------------------------
 
 def _layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, act) -> np.ndarray:
     """`act(x @ w + b)` with `act` None (linear), `tanh` or `relu`: the bias
@@ -177,9 +140,10 @@ def _layer_vjp(g, x, w, b, out, act, x_grad: bool = True) -> tuple:
     return (g @ w.T if x_grad else None), x.T @ g, _unbroadcast(g, b.shape)
 
 
-def lstm_stack(params, rows) -> list:
-    """The top layer's hidden state after each row of a stacked LSTM, the
-    whole stack over the sequence recorded as one node.
+def _lstm(params, rows) -> tuple:
+    """(the top layer's hidden state after each row of a stacked LSTM, its
+    VJP: the gradients of those states -> (one gradient per param, one per
+    row)).
 
     `params` is [w1, b1, w2, b2, ...]: per layer a (input + hidden, 4 *
     hidden) weight and a (1, 4 * hidden) bias, gates laid out
@@ -188,33 +152,28 @@ def lstm_stack(params, rows) -> list:
     above. Cell (k, t) computes `concat([x, h]) @ w_k + b_k`, then
     c = f * c_prev + i * g (i * g at t = 0) and h = o * tanh(c).
 
-    The value is the grid of hidden states in wavefront order: `value[d + 1,
-    k]` is layer k's h at step d - k (zeros before a layer's first step).
-    A diagonal's cells need only the diagonal before, so the forward and
-    the VJP sweep one diagonal at a time: layers 1.. as one stacked matmul,
-    layer 0 (another input width) beside them. Each step's output is a view
-    node on the grid, or, when no param or row is a Tensor, a plain view.
+    The states live in a grid in wavefront order: `h[d + 1, k]` is layer k's
+    h at step d - k (zeros before a layer's first step), and each step's
+    output is a view of it. A diagonal's cells need only the diagonal
+    before, so the forward and the VJP sweep one diagonal at a time: layers
+    1.. as one stacked matmul, layer 0 (another input width) beside them.
 
     The VJP repeats the arithmetic of the per-cell composition of matmul,
     concat, sigmoid and tanh nodes (`tests/unfused.py`): every h and c sums its at
     most two gradients, each gate gradient is the zero-padded sum of its h
     and c parts, and each w_k and b_k sums its steps from the last to the
     first, the order the per-cell tape forced; accumulators start at -0.0,
-    the identity of IEEE addition. The rows are parents from last to first,
-    the order `backward` reached them through the per-cell tape. So the
-    gradients are bit-identical to that tape's, provided the params and the
-    rows feed nothing else.
+    the identity of IEEE addition. So the gradients are bit-identical to
+    that tape's, provided the params and the rows feed nothing else.
     """
-    values = [_val(p) for p in params]
-    row_values = [_val(r) for r in rows]
-    w = values[0::2]
-    b = np.stack(values[1::2])
+    w = params[0::2]
+    b = np.stack(params[1::2])
     layers, steps = len(w), len(rows)
     n, rest = divmod(b.shape[2], 4)
     if rest:
         raise ValueError(f"gate width {b.shape[2]} is not a multiple of 4")
     n_in = w[0].shape[0] - n
-    if any(r.shape != (1, n_in) for r in row_values):
+    if any(r.shape != (1, n_in) for r in rows):
         raise ValueError(f"lstm_stack rows must each be of shape (1, {n_in})")
     w_up = np.stack(w[1:]) if layers > 1 else None
     diagonals = steps + layers - 1
@@ -230,7 +189,7 @@ def lstm_stack(params, rows) -> list:
         up = max(lo, 1)
         z = np.empty((hi - lo + 1, 1, 4 * n))
         if lo == 0:
-            x = np.concatenate([row_values[d], h[d, 0:1]], axis=1)
+            x = np.concatenate([rows[d], h[d, 0:1]], axis=1)
             np.matmul(x, w[0], out=z[0])
         if up <= hi:
             x = np.concatenate([h[d, up - 1:hi], h[d, up:hi + 1]], axis=1)
@@ -250,9 +209,11 @@ def lstm_stack(params, rows) -> list:
         np.tanh(cd, out=tc[d, lo:hi + 1])
         np.multiply(s[:, 3 * n:], tc[d, lo:hi + 1], out=h[d + 1, lo:hi + 1])
 
-    def vjp(grad):
-        gh_all = grad.copy()
-        gc_all = np.full_like(grad, -0.0)
+    def vjp(g_outputs):
+        gh_all = np.full_like(h, -0.0)
+        for d, g_out in enumerate(g_outputs, layers - 1):
+            gh_all[d + 1, layers - 1] = g_out[0]
+        gc_all = np.full_like(h, -0.0)
         i, f, o = sig[..., :n], sig[..., n:2 * n], sig[..., 3 * n:]
         dtc = tc * tc                                    # 1 - tanh(c)^2
         np.subtract(1.0, dtc, out=dtc)
@@ -299,7 +260,7 @@ def lstm_stack(params, rows) -> list:
         t_idx = np.arange(steps)
         k_idx = np.arange(layers)[:, None]
         dz_kt = dz_all[t_idx + k_idx, k_idx]
-        x0 = np.concatenate([np.concatenate(row_values), h[t_idx, 0]], axis=1)
+        x0 = np.concatenate([np.concatenate(rows), h[t_idx, 0]], axis=1)
         gb = np.full_like(b, -0.0)
         gw = [np.full_like(w[0], -0.0)]
         if layers > 1:
@@ -312,29 +273,18 @@ def lstm_stack(params, rows) -> list:
             if layers > 1:
                 gw[1] += (x_up[:, t].reshape(layers - 1, 2 * n, 1)
                           @ dz_kt[1:, t].reshape(layers - 1, 1, 4 * n))
-        _accumulate(params[0], gw[0])
-        for k in range(layers):
-            if k:
-                _accumulate(params[2 * k], gw[1][k - 1])
-            _accumulate(params[2 * k + 1], gb[k])
-        for row, g_row in zip(rows, g_rows):
-            _accumulate(row, g_row)
+        grads = [gw[0], gb[0]]
+        for k in range(1, layers):
+            grads += [gw[1][k - 1], gb[k]]
+        return grads, g_rows
 
-    node = _node(h, (*reversed(rows), *params), vjp)
-    if not isinstance(node, Tensor):
-        return [h[d + 1, layers - 1:layers] for d in range(layers - 1, diagonals)]
+    return [h[d + 1, layers - 1:layers] for d in range(layers - 1, diagonals)], vjp
 
-    def output(t):
-        d = t + layers - 1
 
-        def out_vjp(g_out):
-            if node.grad is None:
-                node.grad = np.full_like(h, -0.0)
-            node.grad[d + 1, layers - 1] += g_out[0]
-
-        return _node(h[d + 1, layers - 1:layers], (node,), out_vjp)
-
-    return [output(t) for t in range(steps)]
+def lstm_stack(params, rows) -> list:
+    """The top layer's hidden state after each row of the stacked LSTM of
+    `params` (see `_lstm`), as (1, hidden) arrays."""
+    return _lstm(params, rows)[0]
 
 
 def _stack(params, x, act, last) -> list:
@@ -360,36 +310,20 @@ def _stack_vjp(g, params, acts, act, last, x_grad: bool) -> tuple:
     return g, grads
 
 
-def dense(params, x, act=None, last=None):
-    """The [w, b] pairs of `params` applied to `x` as one node: `act` after
-    every pair but the last, `last` after it, each None (linear), `tanh` or
-    `relu`.
-
-    The value and the gradients equal those of the chain of per-layer
-    matmul, add and activation nodes bit for bit: the VJP makes the same
-    `_layer_vjp` calls, in the order `backward` ran that chain.
-    """
+def dense(params, x, act=None, last=None) -> np.ndarray:
+    """The [w, b] pairs of `params` applied to `x`: `act` after every pair
+    but the last, `last` after it, each None (linear), `tanh` or `relu`.
+    The losses run the same `_stack` forward, with `_stack_vjp` as its VJP."""
     if act not in (None, tanh, relu) or last not in (None, tanh, relu):
         raise ValueError("dense activations must be None, tanh or relu")
-    values = [_val(p) for p in params]
-    acts = _stack(values, _val(x), act, last)
-
-    def vjp(g):
-        gx, grads = _stack_vjp(g, values, acts, act, last, isinstance(x, Tensor))
-        _accumulate(x, gx)
-        for p, gp in zip(params, grads):
-            _accumulate(p, gp)
-
-    # backward's search reaches the last b first and x last, as it did
-    # through the chain of add and matmul nodes
-    return _node(acts[-1], (x, *params), vjp)
+    return _stack(params, x, act, last)[-1]
 
 
 def _bce(p: np.ndarray, t: np.ndarray) -> tuple:
     """(the elementwise -(t log q + (1 - t) log(1 - q)) of probabilities `p`
     clipped to q in [CLAMP, 1 - CLAMP] against targets `t`, its VJP: the
     gradient of `p` given that of the values). The VJP takes the negation,
-    then log q, then log(1 - q) and the clip, as `backward` ran them."""
+    then log q, then log(1 - q) and the clip, as the tape replay ran them."""
     q = np.clip(p, CLAMP, 1.0 - CLAMP)
     q_c = 1.0 - q
     value = -(t * np.log(q) + (1.0 - t) * np.log(q_c))
@@ -403,28 +337,17 @@ def _bce(p: np.ndarray, t: np.ndarray) -> tuple:
     return value, vjp
 
 
-def forecast_loss(heads, target, m: int, lambda_ce: float):
-    """The forecaster's loss over its one-step-ahead forecasts as one node
-    over the (1, p) head outputs `heads`, the flattened upper triangles of m x
-    m matrices, against the rows of `target`: summed over the steps, the
-    Frobenius norm and the elementwise L1 of the full matrix's error (each
-    off-diagonal entry counts twice; `FRO_GUARD` under the square root),
-    plus `lambda_ce` times the clipped BCE mean over the m² entries mapped
-    from [-1, 1] to [0, 1]. The diagonal is exactly 1 on both sides, so it
-    adds nothing to the norms and one clamp constant per step to the BCE.
-
-    The forward and the VJP repeat the composition in `tests/unfused.py`
-    (the heads concatenated, then elementwise and reduction nodes) in the
-    order `backward` ran it, so the value and every gradient are
-    bit-identical to it: the error sums its gradient from its square, then
-    from its absolute value, and the stacked heads from the error, then from
-    the BCE.
-    """
-    pred = np.concatenate([_val(h) for h in heads], axis=0)
+def _forecast(pred, target, m: int, lambda_ce: float) -> tuple:
+    """(the forecaster's loss over its one-step-ahead forecasts `pred`, the
+    (steps, p) flattened upper triangles of m x m matrices, against the rows
+    of `target`, its VJP: the gradient of the value -> that of `pred`); see
+    `forecast_loss`. The VJP sums the error's gradient from its square, then
+    from its absolute value, and that of `pred` from the error, then from
+    the BCE, as the composition's tape replay did."""
     diff = pred - target
     norms = np.sqrt((diff * diff).sum(axis=1) * 2.0 + FRO_GUARD)
     bce, bce_vjp = _bce((pred + 1.0) * 0.5, (target + 1.0) * 0.5)
-    diag = -m * np.log(1.0 - CLAMP) * len(heads)
+    diag = -m * np.log(1.0 - CLAMP) * pred.shape[0]
     inv_mm = 1.0 / (m * m)
     value = ((norms.sum() + np.abs(diff).sum() * 2.0)
              + (bce.sum() * 2.0 + diag) * inv_mm * lambda_ce)
@@ -435,26 +358,65 @@ def forecast_loss(heads, target, m: int, lambda_ce: float):
         g_pred = g_pred + g_sq * diff
         g_pred = g_pred + g * 2.0 * np.sign(diff)
         g_bce = np.broadcast_to(g * lambda_ce * inv_mm * 2.0, bce.shape)
-        g_pred = g_pred + bce_vjp(g_bce) * 0.5
-        for i, h in enumerate(heads):
-            _accumulate(h, g_pred[i:i + 1])
+        return g_pred + bce_vjp(g_bce) * 0.5
 
-    return _node(value, tuple(heads), vjp)
+    return value, vjp
 
 
-def mlp_loss(params, x, y, classify: bool):
-    """The downstream model's loss as one node over the [w, b] pairs of
-    `params`: the mean, over the entries of `out = dense(params, x, relu)`,
-    of the clipped BCE of `sigmoid(out)` against the 0/1 targets `y` when
-    `classify`, else of the squared error `(out - y)²`.
+def forecast_loss(params, rows, target, m: int, lambda_ce: float) -> tuple:
+    """The forecaster's loss as one value-and-VJP pair over `params`: the
+    embedding's [w, b], the `_lstm` stack's pairs, then the head's [w, b].
+    Each (1, p) row of `rows`, the flattened upper triangle of an m x m
+    matrix, is embedded linearly, the stack runs over the embeddings, and
+    the tanh head maps each step's state to a forecast of the matching row
+    of `target`. The loss sums, over the steps, the Frobenius norm and the
+    elementwise L1 of the full matrix's error (each off-diagonal entry
+    counts twice; `FRO_GUARD` under the square root), plus `lambda_ce`
+    times the clipped BCE mean over the m² entries mapped from [-1, 1] to
+    [0, 1]. The diagonal is exactly 1 on both sides, so it adds nothing to
+    the norms and one clamp constant per step to the BCE.
+
+    The VJP runs the pieces' VJPs in the order the tape replay of their
+    composition in `tests/unfused.py` ran them: the loss's, then per step
+    the head's, the stack's, then per step the embedding's; so the head's
+    params sum their steps' gradients from the first step to the last and
+    the embedding's from the last to the first, and the value and every
+    gradient are bit-identical to that tape's.
+    """
+    embed, stack, head = params[:2], params[2:-2], params[-2:]
+    embedded = [_stack(embed, row, None, None) for row in rows]
+    states, stack_vjp = _lstm(stack, [acts[-1] for acts in embedded])
+    heads = [_stack(head, state, None, tanh) for state in states]
+    value, forecast_vjp = _forecast(np.concatenate([acts[-1] for acts in heads]), target,
+                                    m, lambda_ce)
+
+    def vjp(g):
+        g_pred = forecast_vjp(g)
+        g_states, g_head = [], []
+        for t, acts in enumerate(heads):
+            g_state, grads = _stack_vjp(g_pred[t:t + 1], head, acts, None, tanh, True)
+            g_states.append(g_state)
+            g_head.append(grads)
+        g_stack, g_rows = stack_vjp(g_states)
+        g_embed = [_stack_vjp(g_row, embed, acts, None, None, False)[1]
+                   for g_row, acts in zip(reversed(g_rows), reversed(embedded))]
+        return [*_sums(g_embed), *g_stack, *_sums(g_head)]
+
+    return value, vjp
+
+
+def mlp_loss(params, x, y, classify: bool) -> tuple:
+    """The downstream model's loss as one value-and-VJP pair over the [w, b]
+    pairs of `params`: the mean, over the entries of `out = dense(params, x,
+    relu)`, of the clipped BCE of `sigmoid(out)` against the 0/1 targets `y`
+    when `classify`, else of the squared error `(out - y)²`.
 
     The forward and the VJP repeat the composition in `tests/unfused.py`
-    (`dense`, the sigmoid and the BCE or the difference and its square, then
-    the mean) in the order `backward` ran it, so the value and every
-    gradient are bit-identical to it.
+    (the dense stack, the sigmoid and the BCE or the difference and its
+    square, then the mean) in the order its tape replay ran it, so the value
+    and every gradient are bit-identical to it.
     """
-    values = [_val(p) for p in params]
-    acts = _stack(values, _val(x), relu, None)
+    acts = _stack(params, x, relu, None)
     out = acts[-1]
     inv_n = 1.0 / out.size
     if classify:
@@ -472,41 +434,37 @@ def mlp_loss(params, x, y, classify: bool):
         else:  # the square reaches the difference twice
             g_out = g_terms * diff
             g_out = g_out + g_terms * diff
-        gx, grads = _stack_vjp(g_out, values, acts, relu, None, isinstance(x, Tensor))
-        _accumulate(x, gx)
-        for p, gp in zip(params, grads):
-            _accumulate(p, gp)
+        return _stack_vjp(g_out, params, acts, relu, None, False)[1]
 
-    return _node(value, (x, *params), vjp)
+    return value, vjp
 
 
-def mix_decode(params, state):
-    """The density baseline's decoded rows as one node: `params` is [embed,
-    w_e, w_s, b, then [w, b] pairs]; each row of `embed` is mixed with the
-    (1, hidden) `state` as `tanh(embed @ w_e + state @ w_s + b)`, and the
-    pairs map the mix as `dense(pairs, mix, last=tanh)`.
-
-    The forward and the VJP repeat the composition in `tests/unfused.py`
-    (two matmuls, two broadcasting adds, tanh, then `dense`) in the order
-    `backward` ran it, so the value and every gradient are bit-identical to
-    it.
-    """
-    values = [_val(p) for p in params]
-    embed, w_e, w_s, b = values[:4]
-    s = _val(state)
-    mix = np.tanh(embed @ w_e + s @ w_s + b)
-    acts = _stack(values[4:], mix, None, tanh)
+def _mix_decode(params, state) -> tuple:
+    """(`mix_decode(params, state)`, its VJP: the gradient of the rows ->
+    (one gradient per param, that of `state`)). The forward and the VJP
+    repeat the composition in `tests/unfused.py` (two matmuls, two
+    broadcasting adds, tanh, then the dense stack) in the order its tape
+    replay ran it, so the rows and every gradient are bit-identical to it."""
+    embed, w_e, w_s, b = params[:4]
+    mix = np.tanh(embed @ w_e + state @ w_s + b)
+    acts = _stack(params[4:], mix, None, tanh)
 
     def vjp(g):
-        g_mix, g_out = _stack_vjp(g, values[4:], acts, None, tanh, True)
+        g_mix, g_out = _stack_vjp(g, params[4:], acts, None, tanh, True)
         g_mix = g_mix * (1.0 - mix * mix)
-        g_s = _unbroadcast(g_mix, (s.shape[0], w_s.shape[1]))
-        _accumulate(state, g_s @ w_s.T)
-        for p, gp in zip(params, (g_mix @ w_e.T, embed.T @ g_mix, s.T @ g_s,
-                                  _unbroadcast(g_mix, b.shape), *g_out)):
-            _accumulate(p, gp)
+        g_s = _unbroadcast(g_mix, (state.shape[0], w_s.shape[1]))
+        return [g_mix @ w_e.T, embed.T @ g_mix, state.T @ g_s, _unbroadcast(g_mix, b.shape),
+                *g_out], g_s @ w_s.T
 
-    return _node(acts[-1], (state, *params), vjp)
+    return acts[-1], vjp
+
+
+def mix_decode(params, state) -> np.ndarray:
+    """The density baseline's decoded rows: `params` is [embed, w_e, w_s, b,
+    then [w, b] pairs]; each row of `embed` is mixed with the (1, hidden)
+    `state` as `tanh(embed @ w_e + state @ w_s + b)`, and the pairs map the
+    mix as `dense(pairs, mix, last=tanh)`."""
+    return _mix_decode(params, state)[0]
 
 
 def _decode(decoder, z, label) -> tuple:
@@ -538,7 +496,7 @@ def decode(decoder, z, label) -> np.ndarray:
     layers, then a linear output) make of the latent draws `z`: the last
     column through `label` (`sigmoid` or `tanh`), the others through tanh.
     Plain arrays in and out; `gaussian_elbo` decodes the same way."""
-    return _decode([_val(p) for p in decoder], _val(z), label)[1]
+    return _decode(decoder, z, label)[1]
 
 
 def _elbo(enc, dec, rows, noise, obs_variance: float, label) -> tuple:
@@ -588,7 +546,7 @@ def _correlation_pull(dec, z, label, target, eps: float) -> tuple:
     `tests/unfused.py` (`centered = batch - mean(batch)`,
     `cov = centeredᵀ @ centered * (1 / n)`,
     `std = sqrt(mean(centered * centered) + eps)`, `cov / (stdᵀ @ std)`,
-    then `sum(abs(· - target))`) in the order `backward` ran it.
+    then `sum(abs(· - target))`) in the order its tape replay ran it.
     """
     acts, batch = _decode(dec, z, label)
     inv_n = 1.0 / batch.shape[0]
@@ -638,9 +596,10 @@ def _correlation_pull(dec, z, label, target, eps: float) -> tuple:
     return np.abs(diff).sum(), vjp
 
 
-def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label, pull=None):
-    """The simulator's loss as one node over the params of `encoder` and
-    `decoder`: the mean negative ELBO of `rows`, ½‖x − x̂‖²/`obs_variance`
+def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label,
+                  pull=None) -> tuple:
+    """The simulator's loss as one value-and-VJP pair over the params of
+    `encoder`, then those of `decoder`: the mean negative ELBO of `rows`, ½‖x − x̂‖²/`obs_variance`
     plus KL(q(z|x) ‖ N(0, I)), and, when `pull` = (z, target, eps, weight)
     is given, plus `weight` times the correlation pull: the elementwise L1
     between the Pearson matrix of `decode(decoder, z, label)` and `target`,
@@ -650,29 +609,26 @@ def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label, pul
     head and of the log-variance head (both linear). The latent draw is
     `z = mu + exp(logvar * 0.5) * noise`, and x̂ is `decode(decoder, z, label)`.
     The forward and the VJP repeat the arithmetic of the composition in
-    `tests/unfused.py` in the order `backward` ran it, so the value and every
-    gradient are bit-identical to it. Where a value reached three nodes the
+    `tests/unfused.py` in the order its tape replay ran it, so the value and
+    every gradient are bit-identical to it. Where a value reached three nodes the
     order matters: `mu` sums its gradient from `z`, then twice from
     `mu * mu`; `logvar` from `exp(logvar * 0.5)`, then `exp(logvar)`, then
     the `-logvar` of the KL. A decoder param sums the ELBO's gradient, then
     the pull's.
     """
-    enc = [_val(p) for p in encoder]
-    dec = [_val(p) for p in decoder]
-    value, elbo_vjp = _elbo(enc, dec, _val(rows), _val(noise), obs_variance, label)
+    value, elbo_vjp = _elbo(encoder, decoder, rows, noise, obs_variance, label)
     if pull is not None:
         z, target, eps, weight = pull
-        l1, pull_vjp = _correlation_pull(dec, _val(z), label, target, eps)
+        l1, pull_vjp = _correlation_pull(decoder, z, label, target, eps)
         value = value + l1 * weight
 
     def vjp(g):
         g_enc, g_dec = elbo_vjp(g)
         if pull is not None:
             g_dec = [a + b for a, b in zip(g_dec, pull_vjp(g * weight))]
-        for p, gp in zip((*encoder, *decoder), (*g_enc, *g_dec)):
-            _accumulate(p, gp)
+        return [*g_enc, *g_dec]
 
-    return _node(value, (*encoder, *decoder), vjp)
+    return value, vjp
 
 
 def _kde_kl_term(vals, grid, bandwidth: float, prior: float, log_q, g):
@@ -715,10 +671,11 @@ def _kde_kl_term(vals, grid, bandwidth: float, prior: float, log_q, g):
     return value, buf.sum(axis=0)
 
 
-def kde_kl(rows, classes, grid, truth_sides):
-    """The density baseline's KDE-KL as one node over the rows generated
-    for every truth domain: the mean over domains t of the sum, over
-    features `column` and classes c, of `sum(p * (log p - log_q))`.
+def kde_kl(rows, classes, grid, truth_sides, grad: bool = True) -> tuple:
+    """The density baseline's KDE-KL over the rows generated for every
+    truth domain, as (value, VJP: the gradient of the value -> one gradient
+    per entry of `rows`): the mean over domains t of the sum, over features
+    `column` and classes c, of `sum(p * (log p - log_q))`.
 
     `rows[t]` holds the (n, d) rows scored against domain t, and
     `truth_sides[t][column][c]` that domain's (prior, bandwidth, log_q). `p`
@@ -729,75 +686,87 @@ def kde_kl(rows, classes, grid, truth_sides):
     order, the domain sums left to right, then scaled by `1 / len(rows)`, as
     that chain of per-term nodes and `add`s did.
 
-    Where `rows[t]` is a Tensor, each term's gradient is formed right after
-    its value, for the upstream gradient `1 / len(rows)` that the chain
-    hands every term when the loss is the root of `backward`, so no kernel
+    Each term's gradient is formed right after its value, for the gradient
+    `1 / len(rows)` that the chain hands every term of a loss, so no kernel
     matrix outlives its term; the domain keeps one (n, d) gradient. The VJP
-    scales those by the gradient it is given: at `g = 1` the value and every
-    gradient are bit-identical to the chain's, otherwise equal up to
-    rounding. Plain-array rows record no node and form no gradient.
+    scales those by the gradient it is given: at `g = 1` every gradient is
+    bit-identical to the chain's, otherwise equal up to rounding. With
+    `grad` False no term's gradient is formed and the VJP is None.
     """
     weight = 1.0 / len(rows)
     loss, grads = None, []
     for r, side in zip(rows, truth_sides, strict=True):
-        rv = _val(r)
-        full = np.zeros_like(rv) if isinstance(r, Tensor) else None
+        full = np.zeros_like(r) if grad else None
         domain = None
         for column, per_class in enumerate(side):
             for idx, (prior, bandwidth, log_q) in zip(classes, per_class, strict=True):
-                term, g_vals = _kde_kl_term(rv[idx, column], grid, bandwidth, prior,
-                                            log_q, None if full is None else weight)
-                if full is not None:
+                term, g_vals = _kde_kl_term(r[idx, column], grid, bandwidth, prior,
+                                            log_q, weight if grad else None)
+                if grad:
                     full[idx, column] = g_vals
                 domain = term if domain is None else domain + term
         grads.append(full)
         loss = domain if loss is None else loss + domain
-    loss = loss * weight
 
     def vjp(g):
-        for r, full in zip(rows, grads):
-            if full is not None:
-                _accumulate(r, full * g)
+        return [full * g for full in grads]
 
-    return _node(loss, tuple(rows), vjp)
+    return loss * weight, vjp if grad else None
 
 
-# -- tape replay ----------------------------------------------------------
+def prelim_loss(params, summaries, classes, grid, truth_sides) -> tuple:
+    """The density baseline's loss as one value-and-VJP pair over `params`:
+    a one-layer `_lstm`'s [w, b], then the decoder's (see `mix_decode`). The
+    stack runs over the (1, 2d + 1) `summaries`, and the rows decoded from
+    its state after each are scored against the matching truth domain of
+    `truth_sides` by `kde_kl`.
 
-def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar node, populating `.grad` on the tape."""
-    if loss.value.shape != ():
-        raise ValueError(f"backward expects a scalar, got shape {loss.value.shape}")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(topo):
-        if node._vjp is not None and node.grad is not None:
-            node._vjp(node.grad)
+    The VJP runs the pieces' VJPs in the order the tape replay of their
+    composition in `tests/unfused.py` ran them: the KL's, per domain the
+    decode's, then the stack's; so each decoder param sums its domains'
+    gradients from the first to the last, and the value and every gradient
+    are bit-identical to that tape's.
+    """
+    states, stack_vjp = _lstm(params[:2], summaries)
+    decodes = [_mix_decode(params[2:], state) for state in states]
+    value, kl_vjp = kde_kl([rows for rows, _ in decodes], classes, grid, truth_sides)
+
+    def vjp(g):
+        g_decoder, g_states = [], []
+        for (_, decode_vjp), g_rows in zip(decodes, kl_vjp(g)):
+            grads, g_state = decode_vjp(g_rows)
+            g_decoder.append(grads)
+            g_states.append(g_state)
+        return [*stack_vjp(g_states)[0], *_sums(g_decoder)]
+
+    return value, vjp
 
 
-# loss_fn(params) -> scalar, closing over its data as arrays. Given boxed
-# params it records a tape, given the arrays it records none; each call
+# -- evaluation ------------------------------------------------------------
+
+# loss_fn(params) -> (scalar, VJP), closing over its data as arrays; each call
 # re-runs it, so it may contain data-dependent Python control flow
-LossFn = Callable[[list], object]
+LossFn = Callable[[list], tuple]
 
 
-def _scalar(out) -> float:
-    """The loss `out` as a float, refused unless it is one finite number."""
-    value = _val(out)
+def views(vector: np.ndarray, arrays) -> list:
+    """A view into `vector` shaped like each of `arrays`, laid out in order."""
+    parts = np.split(vector, np.cumsum([np.size(a) for a in arrays])[:-1])
+    return [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
+
+
+def backward(vjp, grads) -> None:
+    """Run a loss's VJP at the loss's own gradient, 1, into `grads`, one
+    view per param: each gradient is copied into its view, and a view whose
+    gradient is None keeps what it holds."""
+    for view, g in zip(grads, vjp(1.0), strict=True):
+        if g is not None:
+            view[...] = g
+
+
+def _scalar(value) -> float:
+    """The loss `value` as a float, refused unless it is one finite number."""
+    value = np.asarray(value, dtype=np.float64)
     if value.shape != ():
         raise ValueError(f"loss output must be scalar, got shape {value.shape}")
     loss = float(value)
@@ -807,20 +776,19 @@ def _scalar(out) -> float:
 
 
 def evaluate_value(loss_fn: LossFn, params) -> float:
-    """`loss_fn(params)` as a float, with no tape: the params stay arrays.
+    """The value of `loss_fn(params)` as a float; its VJP is not called.
 
     Raises NonFiniteLossError when the loss is NaN/inf and ValueError on a
     non-scalar output; an overflow on the way is that error, not a warning.
     """
     with np.errstate(all="ignore"):
-        return _scalar(loss_fn(params))
+        return _scalar(loss_fn(params)[0])
 
 
 def evaluate_with_gradients(loss_fn: LossFn, params):
-    """Evaluate a scalar loss function on one Tensor per param and
-    return (loss, gradient), the gradient one new float64 vector laid out
-    like `optim.flat(params)`: each param's gradient in order, raveled,
-    zeros where `backward` never reached.
+    """(loss, gradient) of `loss_fn(params)`: `backward` runs its VJP once
+    into a new float64 vector laid out like `optim.flat(params)`, each
+    param's gradient in order, raveled, zeros where the VJP gives None.
 
     Raises NonFiniteLossError when the loss is NaN/inf (diverged training)
     and ValueError on a non-scalar output; an overflow on the way is that
@@ -828,12 +796,9 @@ def evaluate_with_gradients(loss_fn: LossFn, params):
     warning. The params are not checked: `optim.flat` refuses non-finite
     entries once per fit.
     """
-    boxed = [Tensor(p) for p in params]
     with np.errstate(all="ignore"):
-        out = loss_fn(boxed)
-        loss = _scalar(out)
-        if isinstance(out, Tensor):
-            backward(out)
-    grad = np.concatenate([p.grad if p.grad is not None else np.zeros(p.value.size)
-                           for p in boxed], axis=None)
+        value, vjp = loss_fn(params)
+        loss = _scalar(value)
+        grad = np.zeros(sum(np.size(p) for p in params))
+        backward(vjp, views(grad, params))
     return loss, grad

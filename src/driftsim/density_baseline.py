@@ -1,10 +1,11 @@
 """Direct distribution-forecasting baseline.
 
 Estimates each feature's class-conditional density per domain with a Gaussian
-KDE on a fixed grid, then trains a one-layer `autodiff.lstm_stack` over
-per-domain summary rows (feature means and stds, label mean) whose state
-decodes the next domain's rows wholesale, scored by the sum of per-feature
-joint KLs, averaged over the truth domains as one `autodiff.kde_kl` node.
+KDE on a fixed grid, then trains a one-layer LSTM over per-domain summary
+rows (feature means and stds, label mean) whose state decodes the next
+domain's rows wholesale, scored by the sum of per-feature joint KLs,
+averaged over the truth domains: one value-and-VJP pair,
+`autodiff.prelim_loss`, over all the params.
 The truth side of that score (class prior, bandwidth and KDE masses of
 every true domain) has no parameters, so it is built once per domain before
 training, and the rows of each class are indexed once per fit. Kept as a
@@ -118,12 +119,6 @@ def _init_prelim(d: int, n_rows: int, config: PrelimConfig, rng) -> list:
             np.zeros((1, hd)), *dense_params(rng, (hd, d))]
 
 
-def _decode_rows(params, state):
-    """The rows decoded from `state`: one `autodiff.mix_decode` node over the
-    params after the LSTM's."""
-    return ad.mix_decode(params[2:], state)
-
-
 def train_prelim(stream: DomainStream, config: PrelimConfig,
                  seed: int = 0) -> DomainDataset:
     """Fit the recurrent density forecaster and emit the synthetic next domain.
@@ -149,17 +144,13 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
     truth_sides = [_truth_side(truth, grid) for truth in sources[1:]]
     classes = [np.flatnonzero(labels == cls) for cls in (0.0, 1.0)]
 
-    def build(ps):
-        # the decode after domains 1..t is scored against domain t+1; the
-        # last source only feeds the final decode
-        states = ad.lstm_stack(ps[:2], summaries[:-1])
-        return ad.kde_kl([_decode_rows(ps, state) for state in states], classes,
-                         grid, truth_sides)
-
-    best_params, _ = fit(build, params, config)
+    # the decode after domains 1..t is scored against domain t+1; the last
+    # source only feeds the final decode
+    best_params, _ = fit(lambda ps: ad.prelim_loss(ps, summaries[:-1], classes, grid,
+                                                   truth_sides), params, config)
 
     state = ad.lstm_stack(best_params[:2], summaries)[-1]
-    rows = _decode_rows(best_params, state)
+    rows = ad.mix_decode(best_params[2:], state)
     return DomainDataset(domain_index=last.domain_index + 1, features=rows,
                          labels=labels, task=CLASSIFICATION,
                          feature_names=last.feature_names)

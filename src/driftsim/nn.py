@@ -1,7 +1,7 @@
 """Parameter init shared by the models: Glorot draws, the [w, b] pairs of a
-dense stack (run as one tape node by `autodiff.dense`) and of the LSTM stack
-that the correlation forecaster and the density baseline run (one tape node,
-`autodiff.lstm_stack`)."""
+dense stack (`autodiff.dense`, and inside every loss) and of the LSTM stack
+that the correlation forecaster and the density baseline run
+(`autodiff.lstm_stack`, and inside their losses)."""
 from __future__ import annotations
 
 import numpy as np

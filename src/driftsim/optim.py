@@ -22,8 +22,7 @@ def flat(arrays) -> tuple:
     theta = np.concatenate(arrays, axis=None, dtype=np.float64)
     if not np.isfinite(theta).all():
         raise ValueError(f"non-finite parameter at entry {np.argmin(np.isfinite(theta))}")
-    parts = np.split(theta, np.cumsum([np.size(a) for a in arrays])[:-1])
-    return theta, [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
+    return theta, ad.views(theta, arrays)
 
 
 class Adam:
@@ -42,27 +41,27 @@ class Adam:
         self._u, self._s = np.empty(size), np.empty(size)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        """Update `theta` in place from `grad`. A gradient of the wrong size
-        or with a non-finite entry is refused before anything changes; a
-        gradient whose square overflows, or an update that overflows, before
-        `theta` changes but after `t` (and the first moment) took the step,
-        so the optimizer is then spent."""
+        """Update `theta` in place from `grad`. A gradient of the wrong size,
+        with a non-finite entry or whose square overflows is refused before
+        anything changes. An update that overflows is refused before `theta`
+        changes but after `t` and both moments took the step, so the
+        optimizer is then spent."""
         if theta.shape != self.m.shape or grad.shape != self.m.shape:
             raise ValueError(f"expected {self.m.size} entries, got {theta.size}/{grad.size}")
         if not np.isfinite(grad).all():
             raise ArithmeticError(
                 f"non-finite gradient at entry {np.argmin(np.isfinite(grad))}")
+        m, v, u, s = self.m, self.v, self._u, self._s
+        with np.errstate(over="raise"):  # FloatingPointError, an ArithmeticError
+            np.multiply(grad, grad, out=u)
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        m, v, u, s = self.m, self.v, self._u, self._s
         m *= BETA1
         m += np.multiply(grad, 1.0 - BETA1, out=s)
         v *= BETA2
-        with np.errstate(over="raise"):  # FloatingPointError, an ArithmeticError
-            np.multiply(grad, grad, out=s)
-        s *= 1.0 - BETA2
-        v += s
+        u *= 1.0 - BETA2
+        v += u
         with np.errstate(over="ignore", invalid="ignore"):  # refused by the check below
             np.divide(m, c1, out=u)          # m_hat, then the update
             u *= self.lr

@@ -1,12 +1,14 @@
 """Forecasting the next domain's correlation matrix from the history of
 per-domain matrices.
 
-An embedding and `autodiff.lstm_stack` consume the strict upper triangles of
+A linear embedding and a stacked LSTM consume the strict upper triangles of
 C_1..C_{T-1} (teacher forcing: true matrices in, one-step-ahead targets out)
 and a tanh head emits the next flattened matrix. The training loss sums, over the
 steps, a Frobenius term, an elementwise-L1 term, and a binary cross-entropy
 term on entries affinely mapped from [-1, 1] to [0, 1]; it is one
-`autodiff.forecast_loss` node over the head outputs of all steps.
+value-and-VJP pair, `autodiff.forecast_loss`, over all the params, and a
+forecast runs the same forward with plain `autodiff.dense` and
+`autodiff.lstm_stack` calls.
 """
 from __future__ import annotations
 
@@ -78,14 +80,14 @@ def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:
 
 def _sequence_loss(params, rows: list, tgt: np.ndarray, m: int,
                    config: PredictorConfig):
-    """The forecasting loss summed over the one-step-ahead forecasts: per
-    step Frobenius + elementwise-L1 + lambda_ce * mean BCE, one
-    `autodiff.forecast_loss` node over the head outputs.
+    """The forecasting loss summed over the one-step-ahead forecasts, as
+    (value, VJP): per step Frobenius + elementwise-L1 + lambda_ce * mean
+    BCE, `autodiff.forecast_loss`.
 
     `rows` are the flattened matrices C_1..C_{T-1}, each (1, p), and the
     rows of `tgt` their targets C_2..C_T.
     """
-    return ad.forecast_loss(_forward_sequence(params, rows), tgt, m, config.lambda_ce)
+    return ad.forecast_loss(params, rows, tgt, m, config.lambda_ce)
 
 
 def train_predictor(matrices: list, config: PredictorConfig,

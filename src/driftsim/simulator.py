@@ -93,10 +93,10 @@ def _split(params, config: SimulatorConfig, task: str) -> tuple:
 
 def _objective(params, config: SimulatorConfig, task: str, rows, noise,
                z=None, target=None):
-    """The simulator's loss as one `autodiff.gaussian_elbo` node: the
-    negative ELBO of `rows` under reparameterization `noise`, plus lambda_c
-    times the correlation pull of decoded prior draws `z` toward `target`
-    when `z` is given. The training
+    """The simulator's loss as one value-and-VJP pair,
+    `autodiff.gaussian_elbo`: the negative ELBO of `rows` under
+    reparameterization `noise`, plus lambda_c times the correlation pull of
+    decoded prior draws `z` toward `target` when `z` is given. The training
     steps differentiate it on minibatches with fresh draws; `loss_snapshot`
     reads its value on the full data with frozen draws.
 

@@ -32,7 +32,7 @@ def _sq(t):
 
 
 def test_square_loss_and_grad():
-    loss_fn = lambda params: unfused.reduce_sum(_sq(params[0]))
+    loss_fn = unfused.taped(lambda params: unfused.reduce_sum(_sq(params[0])))
     loss, grad = ad.evaluate_with_gradients(loss_fn, [np.array(3.0)])
     assert loss == 9.0
     assert grad.shape == (1,) and grad[0] == pytest.approx(6.0)
@@ -40,7 +40,7 @@ def test_square_loss_and_grad():
 
 def test_sum_grad_is_ones():
     for shape in [(3,), (2, 4), ()]:
-        loss_fn = lambda params: unfused.reduce_sum(params[0])
+        loss_fn = unfused.taped(lambda params: unfused.reduce_sum(params[0]))
         w = np.random.default_rng(0).normal(size=shape)
         loss, grad = ad.evaluate_with_gradients(loss_fn, [w])
         assert loss == pytest.approx(w.sum())
@@ -53,32 +53,32 @@ def test_matmul_mse_matches_finite_differences():
     a = rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2))
     c = rng.normal(size=(2, 2))
-    loss_fn = lambda params: unfused.reduce_mean(_sq(params[0] @ params[1] - c))
+    loss_fn = unfused.taped(lambda params: unfused.reduce_mean(_sq(params[0] @ params[1] - c)))
     err = grad_check(loss_fn, [a, b], step=1e-6)
     assert err < 1e-5
 
 
 def test_unused_parameter_gets_zero_grad():
-    loss_fn = lambda params: unfused.reduce_sum(_sq(params[0]))
+    loss_fn = unfused.taped(lambda params: unfused.reduce_sum(_sq(params[0])))
     _, grad = ad.evaluate_with_gradients(loss_fn, [np.ones(2), np.ones(3)])
     np.testing.assert_array_equal(grad, [2.0, 2.0, 0.0, 0.0, 0.0])
 
 
 def test_non_scalar_output_rejected():
-    loss_fn = lambda params: params[0] + 1.0
+    loss_fn = unfused.taped(lambda params: params[0] + 1.0)
     with pytest.raises(ValueError):
         ad.evaluate_with_gradients(loss_fn, [np.ones(3)])
 
 
 def test_non_finite_loss_raises():
-    loss_fn = lambda params: unfused.log(params[0])
+    loss_fn = unfused.taped(lambda params: unfused.log(params[0]))
     with np.errstate(invalid="ignore"):
         with pytest.raises(ad.NonFiniteLossError):
             ad.evaluate_with_gradients(loss_fn, [np.array(-1.0)])
 
 
 def test_matmul_shape_mismatch_raises():
-    for a in (np.ones((2, 3)), ad.Tensor(np.ones((2, 3)))):
+    for a in (np.ones((2, 3)), unfused.Tensor(np.ones((2, 3)))):
         with pytest.raises(ValueError):
             unfused.matmul(a, a)
 
@@ -87,7 +87,7 @@ def test_losses_are_deterministic():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 4))
     x = rng.normal(size=(4, 4))
-    loss_fn = lambda params: unfused.reduce_mean(unfused.tanh(params[0] @ x))
+    loss_fn = unfused.taped(lambda params: unfused.reduce_mean(unfused.tanh(params[0] @ x)))
     a = ad.evaluate_with_gradients(loss_fn, [w])
     b = ad.evaluate_with_gradients(loss_fn, [w])
     assert a[0] == b[0]
@@ -97,7 +97,7 @@ def test_losses_are_deterministic():
 # -- per-primitive gradient checks ----------------------------------------
 
 def _check(build, params, tol=1e-6, step=1e-6):
-    err = grad_check(build, list(params), step=step)
+    err = grad_check(unfused.taped(build), list(params), step=step)
     assert err < tol, f"max relative error {err}"
 
 
@@ -124,22 +124,23 @@ def test_array_on_the_left_of_a_tensor_builds_the_tensor_node(op):
                  operator.mul: unfused.mul, operator.truediv: unfused.div}[op]
     rng = np.random.default_rng(25)
     x, w = rng.normal(size=(3, 4)), rng.normal(size=(1, 4)) + 3.0
-    assert isinstance(op(x, ad.Tensor(w)), ad.Tensor)
-    got = ad.evaluate_with_gradients(lambda p: unfused.reduce_sum(_sq(op(x, p[0]))), [w])
+    assert isinstance(op(x, unfused.Tensor(w)), unfused.Tensor)
+    got = ad.evaluate_with_gradients(
+        unfused.taped(lambda p: unfused.reduce_sum(_sq(op(x, p[0])))), [w])
     want = ad.evaluate_with_gradients(
-        lambda p: unfused.reduce_sum(_sq(primitive(x, p[0]))), [w])
+        unfused.taped(lambda p: unfused.reduce_sum(_sq(primitive(x, p[0])))), [w])
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
 
 
 def test_array_matmul_tensor_is_a_type_error():
     with pytest.raises(TypeError):
-        np.ones((2, 2)) @ ad.Tensor(np.ones((2, 2)))
+        np.ones((2, 2)) @ unfused.Tensor(np.ones((2, 2)))
 
 
 def test_getitem_with_repeated_indices_sums_their_gradients():
     _, grad = ad.evaluate_with_gradients(
-        lambda p: unfused.reduce_sum(p[0][[0, 0, 1]]), [np.ones(3)])
+        unfused.taped(lambda p: unfused.reduce_sum(p[0][[0, 0, 1]])), [np.ones(3)])
     np.testing.assert_array_equal(grad, [2.0, 1.0, 0.0])
     a = np.random.default_rng(26).normal(size=(4, 3))
     _check(lambda p: unfused.reduce_sum(_sq(p[0][[2, 0, 2, 2]])), [a])
@@ -192,7 +193,7 @@ def test_gated_recurrent_cell_gradient():
     rows = rng.normal(size=(3, 3))
 
     def build(p):
-        states = ad.lstm_stack(p[:-1], [p[-1][t:t + 1, :] for t in range(3)])
+        states = unfused.lstm_node(p[:-1], [p[-1][t:t + 1, :] for t in range(3)])
         return unfused.reduce_sum(_sq(unfused.concat(states, axis=0)))
 
     _check(build, [*params, rows], tol=1e-4)
@@ -231,13 +232,12 @@ def test_dense_stack_matches_glorot_draws_and_numpy():
     params[1] += 0.5  # nonzero bias, so the bias term is checked too
     out = ad.dense(params, x, ad.tanh)
     want = np.tanh(x @ params[0] + params[1]) @ params[2] + params[3]
-    assert not isinstance(out, ad.Tensor)
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-15)
 
 
 def test_returned_gradients_share_no_memory():
     # both leaves receive the same tape array from add's VJP
-    loss_fn = lambda params: unfused.reduce_sum(params[0] + params[1])
+    loss_fn = unfused.taped(lambda params: unfused.reduce_sum(params[0] + params[1]))
     params = [np.ones((2, 3)), np.ones((2, 3))]
     _, grad = ad.evaluate_with_gradients(loss_fn, params)
     assert grad.shape == (12,)
@@ -246,22 +246,89 @@ def test_returned_gradients_share_no_memory():
     np.testing.assert_array_equal(grad[6:], np.ones(6))
 
 
-# -- forward-only passes ---------------------------------------------------
+# -- one VJP call per gradient evaluation, none on a forward-only read -----
 
-def _count_tensors(monkeypatch) -> list:
-    """A list that gains one entry per `Tensor` made from here on."""
-    made, init = [], ad.Tensor.__init__
-    monkeypatch.setattr(ad.Tensor, "__init__",
-                        lambda self, *args: made.append(1) or init(self, *args))
-    return made
+MODEL_LOSSES = ("forecast_loss", "mlp_loss", "gaussian_elbo", "prelim_loss")
+LOSSES = (*MODEL_LOSSES, "kde_kl")
+VJPS = ("backward", "_stack_vjp", "_layer_vjp", "_kde_kl_term")
+
+
+def _record_calls(monkeypatch, names) -> list:
+    """A list that gains the name of each `autodiff` function in `names`
+    called from here on, and "vjp" for each call of a VJP that a model's
+    loss among them returned."""
+    calls = []
+
+    def wrap(name, real):
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            out = real(*args, **kwargs)
+            if name not in MODEL_LOSSES:
+                return out
+            return out[0], lambda g: calls.append("vjp") or out[1](g)
+        return recorded
+
+    for name in names:
+        monkeypatch.setattr(ad, name, wrap(name, getattr(ad, name)))
+    return calls
+
+
+def _model_losses(rng) -> dict:
+    """Per model, (its loss function, its params) on small inputs."""
+    rows = list(rng.uniform(-0.9, 0.9, size=(4, 1, 3)))
+    targets = rng.uniform(-0.9, 0.9, size=(4, 3))
+    pred_cfg = PredictorConfig(layers=2, latent_dim=3, hidden_dim=4)
+    sim_cfg = simulator.SimulatorConfig(encoder_dim=6, decoder_dim=5, latent_dim=3,
+                                        regularizer_draws=8)
+    data = rng.uniform(-0.9, 0.9, size=(12, 3))
+    noise, z = rng.standard_normal((12, 3)), rng.standard_normal((8, 3))
+    x, y = rng.normal(size=(7, 2)), (rng.random((7, 1)) < 0.5).astype(float)
+    stream = make_moons_stream(domains=4, n_per_domain=20, seed=1)
+    prelim_cfg = density_baseline.PrelimConfig(hidden_dim=6, embed_dim=3, grid_size=16)
+    grid = density_baseline.default_grid(16)
+    sides = [density_baseline._truth_side(t, grid) for t in stream.sources[1:]]
+    classes = [np.arange(10), np.arange(10, 20)]
+    summaries = density_baseline._summaries(stream.sources)[:-1]
+    return {
+        "forecast_loss": (lambda ps: predictor._sequence_loss(ps, rows, targets, 3, pred_cfg),
+                          predictor._init_params(3, pred_cfg, rng)),
+        "mlp_loss": (lambda ps: harness._mlp_loss(ps, x, y, CLASSIFICATION),
+                     dense_params(rng, (2, 5, 1))),
+        "gaussian_elbo": (lambda ps: simulator._objective(ps, sim_cfg, CLASSIFICATION, data,
+                                                          noise, z, np.eye(3)),
+                          simulator._init_params(3, sim_cfg, rng)),
+        "prelim_loss": (lambda ps: ad.prelim_loss(ps, summaries, classes, grid, sides),
+                        density_baseline._init_prelim(2, 20, prelim_cfg, rng)),
+    }
+
+
+def test_one_vjp_call_per_gradient_evaluation_and_none_per_value_read(monkeypatch):
+    # every model's loss is one value-and-VJP pair: a gradient evaluation
+    # calls the loss once and its VJP once, through one `backward`, and a
+    # value read calls the loss once and no VJP
+    losses = _model_losses(np.random.default_rng(29))
+    calls = _record_calls(monkeypatch, ("backward", *LOSSES))
+    for name, (loss_fn, params) in losses.items():
+        del calls[:]
+        ad.evaluate_with_gradients(loss_fn, params)
+        want = [name, "kde_kl"] if name == "prelim_loss" else [name]
+        assert calls == [*want, "backward", "vjp"], name
+        del calls[:]
+        ad.evaluate_value(loss_fn, params)
+        assert calls == want, name
 
 
 def _same_bits_via_tensors(forward, params, got):
     """`forward` run on Tensor leaves gives the entries of `got` bit for bit."""
-    return same_bits(np.ravel(got), forward([ad.Tensor(p) for p in params]).value.ravel())
+    out = forward([unfused.Tensor(p) for p in params])
+    return same_bits(np.ravel(got), out.value.ravel())
 
 
-def test_forward_only_paths_make_no_tensor(monkeypatch):
+def test_forward_only_paths_call_no_loss_and_no_vjp(monkeypatch):
+    # a forecast, a downstream prediction, simulator draws and prelim's final
+    # decode run plain forward functions: no loss, no VJP, no KDE term. The
+    # snapshot readout reads the simulator's loss and calls no VJP. Each
+    # gives the values of the tape's composition bit for bit
     rng = np.random.default_rng(29)
     sim_cfg = simulator.SimulatorConfig(encoder_dim=6, decoder_dim=5, latent_dim=3,
                                         regularizer_draws=8)
@@ -279,32 +346,41 @@ def test_forward_only_paths_make_no_tensor(monkeypatch):
     down = harness.DownstreamModel(task="classification", config=harness.DownstreamConfig(),
                                    params=dense_params(rng, (2, 5, 1)), loss_history=[])
     x = rng.normal(size=(7, 2))
+    stream = make_moons_stream(domains=4, n_per_domain=20, seed=1)
+    prelim_cfg = density_baseline.PrelimConfig(hidden_dim=6, embed_dim=3, grid_size=16)
+    monkeypatch.setattr(density_baseline, "fit", lambda loss_fn, params, config: (params, []))
 
     frozen = simulator.snapshot_draws(12, sim_cfg, True, 0)
-    made = _count_tensors(monkeypatch)
-    snapshot = simulator.loss_snapshot(sim_params, data, target, sim_cfg, sim.task, frozen)
+    calls = _record_calls(monkeypatch, (*LOSSES, *VJPS))
     rows = simulator.sample(sim, 6, seed=1)
     forecast = predictor.predict_next(pred, mats)
     probs = down.predict(x)
-    assert len(made) == 0
-    # the same model functions on Tensor leaves record a tape, with the same values
+    decoded = density_baseline.train_prelim(stream, prelim_cfg, seed=0)
+    assert calls == []
+    snapshot = simulator.loss_snapshot(sim_params, data, target, sim_cfg, sim.task, frozen)
+    assert calls == ["gaussian_elbo"]
+
     noise, z = frozen
-    assert _same_bits_via_tensors(lambda ps: simulator._objective(
+    assert _same_bits_via_tensors(lambda ps: unfused.objective(
         ps, sim_cfg, sim.task, data, noise, z, target.entries), sim_params, snapshot)
     z = np.random.default_rng(1).standard_normal((6, 3))
     decoder = slice(2 * sim_cfg.encoder_layers + 4, None)
     assert _same_bits_via_tensors(lambda ps: unfused.decode(ps[decoder], z, sim.task)[:, :2],
                                   sim_params, rows.features)
     flat_mats = [flatten_upper(c).reshape(1, -1) for c in mats]
-    assert _same_bits_via_tensors(lambda ps: predictor._forward_sequence(ps, flat_mats)[-1],
+    assert _same_bits_via_tensors(lambda ps: unfused.forward_sequence(ps, flat_mats)[-1],
                                   pred.params, flatten_upper(forecast))
-    assert _same_bits_via_tensors(lambda ps: unfused.sigmoid(ad.dense(ps, x, ad.relu)),
+    assert _same_bits_via_tensors(lambda ps: unfused.sigmoid(unfused.dense(ps, x, ad.relu)),
                                   down.params, probs)
-    assert len(made) > 0
+    init = density_baseline._init_prelim(2, 20, prelim_cfg, np.random.default_rng(0))
+    summaries = density_baseline._summaries(stream.sources)
+    assert _same_bits_via_tensors(lambda ps: unfused.decode_rows(
+        ps, unfused.lstm_stack(ps[:2], summaries, 6)[-1]), init, decoded.features)
 
 
 GENERIC_PRIMITIVES = ("add", "sub", "mul", "div", "neg", "matmul", "exp", "log", "sqrt",
                       "absolute", "clip", "reduce_sum", "reduce_mean", "concat")
+TAPE = ("Tensor", "_node", "_accumulate", "_val")
 PROGRAM_ONLY = textwrap.dedent("""
     import json, sys
     import numpy as np
@@ -312,9 +388,8 @@ PROGRAM_ONLY = textwrap.dedent("""
     from driftsim.datasets import REGRESSION, DomainDataset, DomainStream, make_moons_stream
     from driftsim.predictor import PredictorConfig
     from driftsim.simulator import SimulatorConfig
-    operators, primitives = json.loads(sys.argv[1])
-    assert not set(vars(ad.Tensor)) & set(operators), sorted(vars(ad.Tensor))
-    assert not any(hasattr(ad, name) for name in primitives)
+    tape, primitives = json.loads(sys.argv[1])
+    assert not any(hasattr(ad, name) for name in tape + primitives)
     config = harness.ExperimentConfig(
         predictor=PredictorConfig(max_epochs=3), seeds=(0,),
         simulator=SimulatorConfig(warmup_epochs=1, max_epochs=3, patience=3),
@@ -331,21 +406,24 @@ PROGRAM_ONLY = textwrap.dedent("""
 
 
 def test_the_program_trains_every_method_on_tensors_without_operators():
-    # the generic primitives and the operators on Tensor are test code: in a
-    # fresh interpreter that imports no test module, Tensor has none of them,
-    # autodiff exports none of the primitives, and every method trains end
-    # to end on both tasks, so no loss in the program composes a Tensor
-    # outside a fused node
-    assert set(unfused.OPERATORS) <= set(vars(ad.Tensor))  # installed here
+    # the tape (Tensor, its nodes and their replay), the generic primitives
+    # and the operators are test code: in a fresh interpreter that imports no
+    # test module, autodiff defines none of them, and every method trains
+    # end to end on both tasks, each loss one value-and-VJP pair
+    assert not any(hasattr(ad, name) for name in TAPE)
+    assert set(unfused.OPERATORS) <= set(vars(unfused.Tensor))  # installed in tests only
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    names = json.dumps([list(unfused.OPERATORS), GENERIC_PRIMITIVES])
+    names = json.dumps([list(TAPE), list(GENERIC_PRIMITIVES)])
     done = subprocess.run([sys.executable, "-W", "error", "-c", PROGRAM_ONLY, names],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
 
 
-# -- fused nodes against the compositions they replace ---------------------
+# -- the losses and their pieces against the tape --------------------------
+
+taped = unfused.taped
+
 
 def _assert_same_values_and_gradients(fused, oracle, params):
     got = ad.evaluate_with_gradients(fused, params)
@@ -357,9 +435,10 @@ def _assert_same_values_and_gradients(fused, oracle, params):
 @pytest.mark.parametrize("last", [None, ad.tanh, ad.relu])
 @pytest.mark.parametrize("rows", [1, 5])
 def test_dense_matches_composition_bit_for_bit(last, rows):
-    # stacks of 1-3 [w, b] pairs with relu or tanh hidden layers, against the
-    # chain of per-layer matmul, add and activation nodes; x is a parameter
-    # too (its gradient is checked) or a plain array (none is computed)
+    # stacks of 1-3 [w, b] pairs with relu or tanh hidden layers, as one node
+    # from `_stack` and `_stack_vjp`, against the chain of per-layer matmul,
+    # add and activation nodes; x is a parameter too (its gradient is
+    # checked) or a plain array (none is computed)
     rng = np.random.default_rng(19)
     for widths in ((3, 4), (3, 5, 4), (3, 6, 5, 4)):
         params = [rng.normal(size=p.shape) for p in dense_params(rng, widths)]
@@ -371,15 +450,13 @@ def test_dense_matches_composition_bit_for_bit(last, rows):
                         _sq(stack(p[:-1], p[-1], act, last)) * weights)
                 return lambda p: unfused.reduce_sum(_sq(stack(p, x, act, last)) * weights)
 
-            _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense),
-                                              [*params, x])
-            _assert_same_values_and_gradients(loss(ad.dense, x), loss(unfused.dense, x),
-                                              params)
-            fused = ad.dense(params, x, act, last)
-            assert not isinstance(fused, ad.Tensor)
-            assert same_bits(fused, unfused.dense(params, x, act, last))
+            _assert_same_values_and_gradients(taped(loss(unfused.dense_node)),
+                                              taped(loss(unfused.dense)), [*params, x])
+            _assert_same_values_and_gradients(taped(loss(unfused.dense_node, x)),
+                                              taped(loss(unfused.dense, x)), params)
+            assert same_bits(ad.dense(params, x, act, last), unfused.dense(params, x, act, last))
             if len(widths) == 2:
-                _check(loss(ad.dense), [*params, x], step=1e-5)
+                _check(loss(unfused.dense_node), [*params, x], step=1e-5)
 
 
 @pytest.mark.parametrize("act", [None, ad.tanh, ad.relu], ids=["linear", "tanh", "relu"])
@@ -394,14 +471,15 @@ def test_dense_matches_allocating_form_at_simulator_shapes(act, rows):
     b, weights = rng.normal(size=(1, 72)) * 0.1, rng.normal(size=(rows, 72))
 
     def loss(stack):
-        return lambda p: unfused.reduce_sum(
-            stack(p[1:], stack(p[1:], p[0], last=act), last=act) * weights)
+        return taped(lambda p: unfused.reduce_sum(
+            stack(p[1:], stack(p[1:], p[0], last=act), last=act) * weights))
 
     def twice(stack):
-        return lambda p: unfused.reduce_sum(stack([*p[1:], *p[1:]], p[0], act, act) * weights)
+        return taped(lambda p: unfused.reduce_sum(
+            stack([*p[1:], *p[1:]], p[0], act, act) * weights))
 
-    _assert_same_values_and_gradients(loss(ad.dense), loss(unfused.dense), [x, w, b])
-    _assert_same_values_and_gradients(twice(ad.dense), loss(unfused.dense), [x, w, b])
+    _assert_same_values_and_gradients(loss(unfused.dense_node), loss(unfused.dense), [x, w, b])
+    _assert_same_values_and_gradients(twice(unfused.dense_node), loss(unfused.dense), [x, w, b])
     assert same_bits(ad.dense([w, b], x, last=act), unfused.dense([w, b], x, last=act))
 
 
@@ -421,12 +499,16 @@ def test_dense_checks_every_layer_shape():
         ad.dense(pair, np.ones(2))
 
 
+def _taped_mlp_loss(params, x, y, task):
+    return taped(lambda p: unfused.mlp_loss(p, x, y, task))(params)
+
+
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
 def test_downstream_fits_match_the_per_layer_chain_bit_for_bit(task, monkeypatch):
     # a whole fit and an incfinetune chain (a fresh fit, then one from its
     # params at a tenth of the rate per later source): params and loss
-    # histories as the chain of per-layer nodes and the composition of the
-    # loss give them
+    # histories as the tape of the per-layer chain and the composition of
+    # the loss give them
     rng = np.random.default_rng(31)
     sources = []
     for t in range(3):
@@ -446,49 +528,13 @@ def test_downstream_fits_match_the_per_layer_chain_bit_for_bit(task, monkeypatch
         return models
 
     got = fits()
-    monkeypatch.setattr(ad, "dense", unfused.dense)
-    monkeypatch.setattr(harness, "_mlp_loss", unfused.mlp_loss)
+    monkeypatch.setattr(harness, "_mlp_loss", _taped_mlp_loss)
     want = fits()
     for g, w in zip(got, want, strict=True):
         assert same_bits(g.loss_history, w.loss_history)
         assert len(g.params) == len(w.params) == 6
         assert all(same_bits(a, b) for a, b in zip(g.params, w.params, strict=True))
     assert len(got[0].loss_history) > 20
-
-
-def test_one_dense_node_per_stack_in_a_downstream_step():
-    # a downstream step is one node for either task; the composition it
-    # replaced recorded 12 for classification (the stack, sigmoid, clip, two
-    # logs, 1 - q, two products, their sum, its negation, the sum and the
-    # mean's scaling) and 5 for regression. The forecaster's loss is 26: per
-    # step a node for the embedding and one for the head, the LSTM stack and
-    # a view of it per step, and the loss node, where its composition over
-    # the stacked heads recorded 53
-    rng = np.random.default_rng(33)
-    params = [ad.Tensor(p) for p in dense_params(rng, (2, 50, 50, 1))]
-    x, y = rng.normal(size=(40, 2)), (rng.random((40, 1)) < 0.5).astype(float)
-    for task, composed in ((CLASSIFICATION, 12), (REGRESSION, 5)):
-        assert unfused.interior_nodes(harness._mlp_loss(params, x, y, task)) == 1
-        assert unfused.interior_nodes(unfused.mlp_loss(params, x, y, task)) == composed
-    rows = list(rng.uniform(-0.9, 0.9, size=(8, 1, 3)))  # C_1..C_8's upper triangles
-    targets = rng.uniform(-0.9, 0.9, size=(8, 3))
-    config = PredictorConfig()
-    params = [ad.Tensor(p) for p in predictor._init_params(3, config, rng)]
-    assert unfused.interior_nodes(predictor._sequence_loss(params, rows, targets, 3,
-                                                           config)) == 26
-    assert unfused.interior_nodes(unfused.sequence_loss(params, rows, targets, 3,
-                                                        config)) == 53
-
-
-def _unfused_forward_sequence(params, rows, layers, hidden):
-    """The predictor's forward pass written with primitives only, told the
-    sizes that `predictor._forward_sequence` reads off the weights."""
-    w_embed, b_embed = params[0], params[1]
-    w_head, b_head = params[-2], params[-1]
-    states = unfused.lstm_stack(params[2:2 + 2 * layers],
-                                [unfused.matmul(row, w_embed) + b_embed for row in rows],
-                                hidden)
-    return [unfused.tanh(x @ w_head + b_head) for x in states]
 
 
 @pytest.mark.parametrize("layers, in_dim, hidden, steps",
@@ -498,6 +544,7 @@ def _unfused_forward_sequence(params, rows, layers, hidden):
                               "density baseline training", "one step",
                               "more layers than steps"])
 def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, steps):
+    # `_lstm` as one node with a view per step, against the per-cell tape
     rng = np.random.default_rng(23)
     params = lstm_params(rng, in_dim, hidden, layers)
     params[1] += rng.normal(size=params[1].shape) * 0.1
@@ -509,26 +556,16 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
 
     def loss(stack):
         # the rows are the last parameter, so their gradient is checked too
-        def loss_fn(p):
+        def build(p):
             states = stack(p[:-1], [p[-1][t:t + 1, :] for t in range(steps)])
             return unfused.reduce_sum(unfused.concat(states, axis=0) * weights)
-        return loss_fn
+        return taped(build)
 
-    _assert_same_values_and_gradients(loss(ad.lstm_stack), loss(oracle), [*params, rows])
+    _assert_same_values_and_gradients(loss(unfused.lstm_node), loss(oracle), [*params, rows])
     row_list = [rows[t:t + 1, :] for t in range(steps)]
     for got, want in zip(ad.lstm_stack(params, row_list), oracle(params, row_list),
                          strict=True):
         assert same_bits(got, want)
-        assert not isinstance(got, ad.Tensor)
-
-
-def test_lstm_stack_records_one_node_and_one_view_per_step():
-    rng = np.random.default_rng(26)
-    params = [ad.Tensor(p) for p in lstm_params(rng, 3, 4, 8)]
-    states = ad.lstm_stack(params, [rng.normal(size=(1, 3)) for _ in range(9)])
-    (node,) = {s._parents[0] for s in states}
-    assert all(s._parents == (node,) for s in states)
-    assert node._parents[-16:] == tuple(params)
 
 
 @pytest.mark.parametrize("rows, cols", [(512, 3), (2048, 3), (64, 5)])
@@ -546,24 +583,23 @@ def test_pearson_matches_composition_bit_for_bit(rows, cols):
     def oracle(p):
         return unfused.regularizer(unfused.decode(p, z, "classification"), target)
 
-    _assert_same_values_and_gradients(fused, oracle, decoder)
-    got = fused(decoder)
-    assert same_bits(got, oracle(decoder))
-    assert not isinstance(got, ad.Tensor)
+    _assert_same_values_and_gradients(taped(fused), taped(oracle), decoder)
+    assert same_bits(fused(decoder), oracle(decoder))
 
 
-def test_sequence_loss_gradients_match_unfused_forward(monkeypatch):
+def test_sequence_loss_gradients_match_unfused_forward():
+    # the forecaster's loss against the same loss composed on the forward
+    # written with primitives only (per-step embedding and head nodes and
+    # the per-cell LSTM)
     m, config = 3, PredictorConfig()
     rng = np.random.default_rng(21)
     params = predictor._init_params(m, config, rng)
     rows = list(rng.uniform(-0.9, 0.9, size=(5, 1, 3)))
     tgt = rng.uniform(-0.9, 0.9, size=(5, 3))
-    loss_fn = lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config)
-    fused = ad.evaluate_with_gradients(loss_fn, params)
-    monkeypatch.setattr(predictor, "_forward_sequence", lambda ps, rows:
-                        _unfused_forward_sequence(ps, rows, config.layers,
-                                                  config.hidden_dim))
-    oracle = ad.evaluate_with_gradients(loss_fn, params)
+    fused = ad.evaluate_with_gradients(
+        lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config), params)
+    oracle = ad.evaluate_with_gradients(
+        taped(lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config)), params)
     assert fused[0] == oracle[0]
     assert np.array_equal(fused[1], oracle[1])
 
@@ -583,7 +619,7 @@ def _step_loss_oracle(pred_vec, true_vec, m, lambda_ce):
 
 
 def _per_step_sequence_loss(params, rows, tgt, m, config):
-    outs = predictor._forward_sequence(params, rows)
+    outs = unfused.forward_sequence(params, rows)
     loss = None
     for s, out in enumerate(outs):
         term = _step_loss_oracle(out, tgt[s:s + 1, :], m, config.lambda_ce)
@@ -607,18 +643,17 @@ def test_stacked_sequence_loss_matches_per_step_oracle(m, lambda_ce):
     stacked = ad.evaluate_with_gradients(
         lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config), params)
     oracle = ad.evaluate_with_gradients(
-        lambda ps: _per_step_sequence_loss(ps, rows, tgt, m, config), params)
+        taped(lambda ps: _per_step_sequence_loss(ps, rows, tgt, m, config)), params)
     assert stacked[0] == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
     assert np.array_equal(stacked[1], oracle[1])
 
 
 @pytest.mark.parametrize("m, lambda_ce", [(3, 20.0), (3, 7.0), (5, 20.0)])
 def test_forecast_loss_matches_composition_bit_for_bit(m, lambda_ce):
-    # the loss node over the head outputs against the stacked heads and the
-    # composition of Frobenius, L1 and clipped BCE nodes, on the default
+    # the forecaster's loss against its tape composition, on the default
     # architecture, with one entry saturated at 1.0 (so the clip stops its
     # BCE gradient) and equal to its target at two steps (an L1 kink); on
-    # plain head outputs, the composition's value and no node
+    # plain arrays the composition gives the loss's value
     config = PredictorConfig(lambda_ce=lambda_ce)
     p = m * (m - 1) // 2
     rng = np.random.default_rng(34)
@@ -630,18 +665,35 @@ def test_forecast_loss_matches_composition_bit_for_bit(m, lambda_ce):
     assert np.all(predictor._forward_sequence(params, rows)[2][0, 0] == 1.0)
     _assert_same_values_and_gradients(
         lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config),
-        lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config), params)
-    fused = ad.forecast_loss(predictor._forward_sequence(params, rows), tgt, m, lambda_ce)
-    assert not isinstance(fused, ad.Tensor)
-    assert same_bits(fused, unfused.sequence_loss(params, rows, tgt, m, config))
+        taped(lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config)), params)
+    assert same_bits(predictor._sequence_loss(params, rows, tgt, m, config)[0],
+                     unfused.sequence_loss(params, rows, tgt, m, config))
+
+
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("layers", [1, 8])
+def test_forecast_loss_matches_the_tape_bit_for_bit(m, layers):
+    # the whole loss, one value-and-VJP pair, against the tape of its
+    # composition of primitives (per step the embedding's and the head's
+    # nodes, the per-cell LSTM, the loss over the stacked heads), with
+    # nonzero biases: the value and the flat gradient
+    config = PredictorConfig(layers=layers)
+    p = m * (m - 1) // 2
+    rng = np.random.default_rng(37)
+    params = [w + 0.1 * rng.normal(size=w.shape) for w in predictor._init_params(m, config, rng)]
+    rows = list(rng.uniform(-0.9, 0.9, size=(9, 1, p)))
+    tgt = rng.uniform(-0.9, 0.9, size=(9, p))
+    _assert_same_values_and_gradients(
+        lambda ps: ad.forecast_loss(ps, rows, tgt, m, config.lambda_ce),
+        taped(lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config)), params)
 
 
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
 def test_mlp_loss_matches_composition_bit_for_bit(task):
-    # the downstream loss node against `dense` and the composition of the
-    # sigmoid and clipped BCE, or of the squared error, then the mean, with x
-    # a plain array or a parameter too; a far row saturates the sigmoid, so
-    # the clip stops its gradient. On plain params: the value and no node.
+    # the downstream loss against the tape of the per-layer chain and the
+    # composition of the sigmoid and clipped BCE, or of the squared error,
+    # then the mean; a far row saturates the sigmoid, so the clip stops its
+    # gradient. On plain arrays the composition gives the loss's value.
     # Away from that row, the gradient matches finite differences
     rng = np.random.default_rng(35)
     params = [p + 0.1 * rng.normal(size=p.shape) for p in dense_params(rng, (3, 12, 7, 1))]
@@ -651,51 +703,52 @@ def test_mlp_loss_matches_composition_bit_for_bit(task):
          else (rng.random((40, 1)) < 0.5).astype(float))
     assert abs(ad.dense(params, x, ad.relu)[0, 0]) > 15.0  # 1 - sigmoid < CLAMP
     _assert_same_values_and_gradients(lambda p: harness._mlp_loss(p, x, y, task),
-                                      lambda p: unfused.mlp_loss(p, x, y, task), params)
-    _assert_same_values_and_gradients(lambda p: harness._mlp_loss(p[:-1], p[-1], y, task),
-                                      lambda p: unfused.mlp_loss(p[:-1], p[-1], y, task),
-                                      [*params, x])
-    fused = harness._mlp_loss(params, x, y, task)
-    assert not isinstance(fused, ad.Tensor)
-    assert same_bits(fused, unfused.mlp_loss(params, x, y, task))
-    _check(lambda p: harness._mlp_loss(p, x[1:], y[1:], task), params, tol=1e-4)
+                                      lambda p: _taped_mlp_loss(p, x, y, task), params)
+    assert same_bits(harness._mlp_loss(params, x, y, task)[0],
+                     unfused.mlp_loss(params, x, y, task))
+    assert grad_check(lambda p: harness._mlp_loss(p, x[1:], y[1:], task), params) < 1e-4
 
 
 def test_mix_decode_matches_composition_bit_for_bit():
-    # prelim's decode with the state and every param as Tensors, and with a
-    # plain state, against the mixing layer's matmul, add and tanh nodes and
-    # `dense`; on plain arrays, the value and no node; and the gradients
-    # against finite differences
+    # prelim's decode as one node from `_mix_decode`, with the state a param
+    # too and plain, against the mixing layer's matmul, add and tanh nodes
+    # and the per-layer chain; `mix_decode` gives the composition's rows;
+    # and the gradients against finite differences
     rng = np.random.default_rng(36)
     config = density_baseline.PrelimConfig(hidden_dim=6, embed_dim=3)
     params = [p + 0.1 * rng.normal(size=p.shape)
               for p in density_baseline._init_prelim(2, 10, config, rng)]
     state, weights = rng.normal(size=(1, 6)), rng.normal(size=(10, 2))
 
+    def node(ps, s):
+        return unfused.mix_decode_node(ps[2:], s)
+
     def loss(decode, state=None):
         if state is None:  # the state is the last parameter
             return lambda p: unfused.reduce_sum(decode(p[:-1], p[-1]) * weights)
         return lambda p: unfused.reduce_sum(decode(p, state) * weights)
 
-    _assert_same_values_and_gradients(loss(density_baseline._decode_rows),
-                                      loss(unfused.decode_rows), [*params, state])
-    _assert_same_values_and_gradients(loss(density_baseline._decode_rows, state),
-                                      loss(unfused.decode_rows, state), params)
-    fused = density_baseline._decode_rows(params, state)
-    assert not isinstance(fused, ad.Tensor)
-    assert same_bits(fused, unfused.decode_rows(params, state))
-    _check(loss(density_baseline._decode_rows), [*params, state], tol=1e-5)
+    _assert_same_values_and_gradients(taped(loss(node)), taped(loss(unfused.decode_rows)),
+                                      [*params, state])
+    _assert_same_values_and_gradients(taped(loss(node, state)),
+                                      taped(loss(unfused.decode_rows, state)), params)
+    assert same_bits(ad.mix_decode(params[2:], state), unfused.decode_rows(params, state))
+    _check(loss(node), [*params, state], tol=1e-5)
+
+
+def _taped_sequence_loss(params, rows, tgt, m, config):
+    return taped(lambda p: unfused.sequence_loss(p, rows, tgt, m, config))(params)
 
 
 def test_predictor_fit_matches_the_composed_loss_bit_for_bit(monkeypatch):
-    # a whole train_predictor fit on the moons matrices with the loss node
-    # and with its composition over the stacked heads: the same kept params
-    # and loss history
+    # a whole train_predictor fit on the moons matrices with the loss pair
+    # and with the tape of its composition: the same kept params and loss
+    # history
     stream = make_moons_stream(domains=6, n_per_domain=60, seed=5)
     mats = [pearson_matrix(dom) for dom in stream.sources]
     config = PredictorConfig(max_epochs=30, patience=30)
     fused = predictor.train_predictor(mats, config, seed=2)
-    monkeypatch.setattr(predictor, "_sequence_loss", unfused.sequence_loss)
+    monkeypatch.setattr(predictor, "_sequence_loss", _taped_sequence_loss)
     oracle = predictor.train_predictor(mats, config, seed=2)
     assert len(fused.loss_history) == 30
     assert same_bits(fused.loss_history, oracle.loss_history)
@@ -733,20 +786,23 @@ def _kde_kl_inputs(case, domains=3):
 
 @pytest.mark.parametrize("case", sorted(KDE_KL_CASES))
 def test_kde_kl_matches_composition_bit_for_bit(case):
-    # the node over three truth domains against the chain of per-term
-    # compositions, their per-domain and cross-domain adds and the scale, with
-    # every domain's rows a param and with only the middle one
+    # the KL over three truth domains, as a loss and as one node, against the
+    # chain of per-term compositions, their per-domain and cross-domain adds
+    # and the scale, with every domain's rows a param and with only the
+    # middle one
     classes = KDE_KL_CASES[case][3]
     rows, grid, sides = _kde_kl_inputs(case)
 
     def loss(kl, fixed=()):
         return lambda p: kl([*fixed[:1], *p, *fixed[1:]], classes, grid, sides)
 
-    _assert_same_values_and_gradients(loss(ad.kde_kl), loss(unfused.kde_kl), rows)
+    _assert_same_values_and_gradients(loss(ad.kde_kl), taped(loss(unfused.kde_kl)), rows)
+    _assert_same_values_and_gradients(taped(loss(unfused.kde_kl_node)),
+                                      taped(loss(unfused.kde_kl)), rows)
     fixed = (rows[0], rows[2])
-    _assert_same_values_and_gradients(loss(ad.kde_kl, fixed), loss(unfused.kde_kl, fixed),
-                                      rows[1:2])
-    _check(loss(ad.kde_kl), rows)
+    _assert_same_values_and_gradients(taped(loss(unfused.kde_kl_node, fixed)),
+                                      taped(loss(unfused.kde_kl, fixed)), rows[1:2])
+    assert grad_check(loss(ad.kde_kl), rows) < 1e-6
     if case == "underflowing kernels":
         bandwidth = sides[0][0][0][1]
         kernels = np.exp(-0.5 * ((grid[:, None] - rows[0][classes[0], 0]) / bandwidth) ** 2)
@@ -759,7 +815,7 @@ def test_kde_kl_signed_zero_where_a_sample_has_no_kernel_mass():
     # to exactly 4.0 and its grid gradient is exactly +0.0; its fifth row lies
     # 200 bandwidths right of the grid, so its one kernel underflows and its
     # gradient's one summand is -0.0. The composition adds that gradient
-    # into zeros, +0.0, and so must the node (numpy's sums start from +0.0)
+    # into zeros, +0.0, and so must the KL (numpy's sums start from +0.0)
     rows = np.array([[0.0], [0.0], [60.0], [0.0], [0.0], [0.3], [-0.4], [0.1]])
     classes = [np.array([0, 1, 2, 3, 4]), np.array([5, 6, 7])]
     grid = np.array([0.0])
@@ -767,7 +823,7 @@ def test_kde_kl_signed_zero_where_a_sample_has_no_kernel_mass():
     assert np.exp(-0.5 * (60.0 / 0.3) ** 2) == 0.0
     fused = ad.evaluate_with_gradients(lambda p: ad.kde_kl(p, classes, grid, [side]), [rows])
     oracle = ad.evaluate_with_gradients(
-        lambda p: unfused.kde_kl(p, classes, grid, [side]), [rows])
+        taped(lambda p: unfused.kde_kl(p, classes, grid, [side])), [rows])
     assert same_bits(fused[0], oracle[0]) and same_bits(fused[1], oracle[1])
     assert fused[1][2] == 0.0 and not np.signbit(fused[1][2])
 
@@ -778,24 +834,25 @@ def test_kde_kl_below_the_root_agrees_with_composition_up_to_rounding():
     rows, grid, sides = _kde_kl_inputs("odd class sizes")
     classes = KDE_KL_CASES["odd class sizes"][3]
     fused = ad.evaluate_with_gradients(
-        lambda p: ad.kde_kl(p, classes, grid, sides) * 3.7, rows)
+        taped(lambda p: unfused.kde_kl_node(p, classes, grid, sides) * 3.7), rows)
     oracle = ad.evaluate_with_gradients(
-        lambda p: unfused.kde_kl(p, classes, grid, sides) * 3.7, rows)
+        taped(lambda p: unfused.kde_kl(p, classes, grid, sides) * 3.7), rows)
     assert same_bits(fused[0], oracle[0])
     np.testing.assert_allclose(fused[1], oracle[1], rtol=1e-13, atol=1e-300)
 
 
 def test_kde_kl_constant_rows_record_no_parents(monkeypatch):
-    # plain-array rows: the composition's value, no node and no gradient formed
+    # a forward-only read: the composition's value, no VJP and no term's
+    # gradient formed
     rows, grid, sides = _kde_kl_inputs("sample outside the grid", domains=2)
     classes = KDE_KL_CASES["sample outside the grid"][3]
     upstream = []
     real = ad._kde_kl_term
     monkeypatch.setattr(ad, "_kde_kl_term",
                         lambda *a: upstream.append(a[-1]) or real(*a))
-    fused = ad.kde_kl(rows, classes, grid, sides)
+    fused, vjp = ad.kde_kl(rows, classes, grid, sides, grad=False)
     assert same_bits(fused, unfused.kde_kl(rows, classes, grid, sides))
-    assert not isinstance(fused, ad.Tensor)
+    assert vjp is None
     assert upstream == [None] * 8
 
 
@@ -804,17 +861,45 @@ def test_kde_kl_zero_mass_is_non_finite_like_the_composition():
     # domain: its kernel mass is 0
     rows, classes = [np.array([[-1.0], [0.5]]), np.array([[0.9], [1.0]])], [np.array([0, 1])]
     grid, side = np.linspace(-1.2, 1.2, 8), [[(0.5, 0.02, np.zeros(8))]]
-    for kl in (ad.kde_kl, unfused.kde_kl):
-        loss_fn = lambda p: kl(p, classes, grid, [side, side])
+    for loss_fn in (lambda p: ad.kde_kl(p, classes, grid, [side, side]),
+                    taped(lambda p: unfused.kde_kl(p, classes, grid, [side, side]))):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ad.NonFiniteLossError):
                 ad.evaluate_with_gradients(loss_fn, rows)
 
 
+@pytest.mark.parametrize("domains", [3, 10])
+def test_prelim_loss_matches_the_tape_bit_for_bit(domains):
+    # the whole loss, one value-and-VJP pair, against the tape of its
+    # composition (the per-cell LSTM over the summaries, the mixing layer's
+    # composition and the per-layer chain per truth domain, the chain of
+    # per-term KDE-KL compositions), with 13 rows in each class and nonzero
+    # biases: the value and the flat gradient
+    rng = np.random.default_rng(38)
+    stream = make_moons_stream(domains=domains, n_per_domain=26, seed=6)
+    doms = [*stream.sources, stream.target]
+    grid = density_baseline.default_grid(64)
+    sides = [density_baseline._truth_side(t, grid) for t in doms[1:]]
+    summaries = density_baseline._summaries(doms[:-1])
+    classes = [np.arange(0, 26, 2), np.arange(1, 26, 2)]
+    config = density_baseline.PrelimConfig(hidden_dim=8, embed_dim=4)
+    params = [w + 0.1 * rng.normal(size=w.shape)
+              for w in density_baseline._init_prelim(2, 26, config, rng)]
+    assert len(sides) == domains - 1
+    _assert_same_values_and_gradients(
+        lambda ps: ad.prelim_loss(ps, summaries, classes, grid, sides),
+        taped(lambda ps: unfused.prelim_loss(ps, summaries, classes, grid, sides)), params)
+
+
+def _taped_prelim_loss(params, *args):
+    return taped(lambda p: unfused.prelim_loss(p, *args))(params)
+
+
 def test_prelim_fit_matches_the_per_term_chain_bit_for_bit(monkeypatch):
-    # a whole train_prelim fit with the decode and KL nodes and with the
-    # mixing layer's composition and the chain of per-term compositions: the
-    # same rows, kept params and loss history
+    # a whole train_prelim fit with the loss pair and with the tape of its
+    # composition (the per-cell LSTM, the mixing layer's composition and the
+    # chain of per-term compositions): the same rows, kept params and loss
+    # history
     stream = make_moons_stream(domains=5, n_per_domain=30, seed=4)
     config = density_baseline.PrelimConfig(hidden_dim=8, embed_dim=4, grid_size=48,
                                            max_epochs=12, patience=12)
@@ -823,8 +908,7 @@ def test_prelim_fit_matches_the_per_term_chain_bit_for_bit(monkeypatch):
     monkeypatch.setattr(density_baseline, "fit",
                         lambda *a: runs.append(real_fit(*a)) or runs[-1])
     fused = density_baseline.train_prelim(stream, config, seed=2)
-    monkeypatch.setattr(ad, "kde_kl", unfused.kde_kl)
-    monkeypatch.setattr(density_baseline, "_decode_rows", unfused.decode_rows)
+    monkeypatch.setattr(ad, "prelim_loss", _taped_prelim_loss)
     oracle = density_baseline.train_prelim(stream, config, seed=2)
     assert same_bits(fused.features, oracle.features)
     (fused_params, fused_history), (oracle_params, oracle_history) = runs
@@ -881,7 +965,7 @@ def test_adam_rejects_shape_mismatch():
         opt.step(np.zeros(2), np.zeros(3))
 
 
-@pytest.mark.parametrize("fault", ["shape", "nan"])
+@pytest.mark.parametrize("fault", ["shape", "nan", "overflow"])
 def test_adam_refused_step_changes_nothing(fault):
     opt = Adam(4, lr=0.1)
     theta = np.array([0.0, 0.0, 1.0, 1.0])
@@ -889,8 +973,10 @@ def test_adam_refused_step_changes_nothing(fault):
     before = (theta.copy(), opt.m.copy(), opt.v.copy(), opt.t)
     if fault == "shape":
         grad, error, match = np.ones(5), ValueError, "expected 4 entries, got 4/5"
-    else:
+    elif fault == "nan":
         grad, error, match = np.array([1.0, 1.0, 1.0, np.nan]), ArithmeticError, "entry 3"
+    else:  # finite, but its square is not
+        grad, error, match = np.array([1.0, 1.0, 1.0, 1e200]), ArithmeticError, "overflow"
     with pytest.raises(error, match=match):
         opt.step(theta, grad)
     assert same_bits(theta, before[0])
@@ -951,7 +1037,7 @@ def test_adam_matches_per_array_updates_bit_for_bit(model):
 
 def test_adam_drives_quadratic_toward_minimum():
     target = np.array([1.0, -2.0, 0.5])
-    loss_fn = lambda params: unfused.reduce_sum(_sq(params[0] - target))
+    loss_fn = _quadratic(target)
     theta, params = flat([np.zeros(3)])
     opt = Adam(theta.size, lr=0.05)
     losses = []
@@ -1000,13 +1086,13 @@ def test_fit_refuses_a_non_finite_init_before_its_first_readout():
     calls = []
     config = SimpleNamespace(learning_rate=0.1, max_epochs=5, patience=5)
     with pytest.raises(ValueError, match="entry 2"):
-        fit(lambda ps: calls.append(1) or unfused.reduce_sum(ps[0]),
+        fit(lambda ps: calls.append(1) or (ps[0].sum(), None),
             [np.array([0.0, 1.0, np.nan])], config)
     assert calls == []
 
 
 def _quadratic(target):
-    return lambda params: unfused.reduce_sum(_sq(params[0] - target))
+    return unfused.taped(lambda params: unfused.reduce_sum(_sq(params[0] - target)))
 
 
 def test_fit_returns_the_params_that_scored_min_history():

@@ -205,51 +205,41 @@ def test_training_loss_matches_per_epoch_truth_side(monkeypatch):
                                     SMALL_PRELIM.hidden_dim)
         loss = None
         for t in range(len(sources) - 1):
-            rows = density_baseline._decode_rows(ps, states[t])
+            rows = unfused.decode_rows(ps, states[t])
             term = per_epoch_joint_kl(rows, labels, sources[t + 1], grid)
             loss = term if loss is None else loss + term
         return loss * (1.0 / (len(sources) - 1))
 
     loss, grad = ad.evaluate_with_gradients(build, params)
-    want_loss, want_grad = ad.evaluate_with_gradients(oracle, params)
+    want_loss, want_grad = ad.evaluate_with_gradients(unfused.taped(oracle), params)
     assert loss == want_loss
     assert np.array_equal(grad, want_grad)
 
 
-def tape_nodes(*outputs) -> list:
-    """The nodes `backward` visits from `outputs`."""
-    seen, stack = {}, list(outputs)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    return list(seen.values())
+def test_kde_term_gradients_form_once_per_epoch_and_only_in_its_vjp_call(monkeypatch):
+    # each epoch is one gradient evaluation: one VJP run, by one `backward`,
+    # and every KDE term's gradient formed once, for the gradient that the
+    # loss hands its terms; the final decode after the fit forms none
+    stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
+    calls = []
+    real_term, real_backward = ad._kde_kl_term, ad.backward
+    monkeypatch.setattr(ad, "_kde_kl_term", lambda *a: calls.append(a[-1]) or real_term(*a))
+    monkeypatch.setattr(ad, "backward", lambda *a: calls.append("backward")
+                        or real_backward(*a))
+    at_fit_end = []
+    real_fit = density_baseline.fit
 
+    def fit(*args):
+        out = real_fit(*args)
+        at_fit_end.append(len(calls))
+        return out
 
-def test_one_tape_node_for_the_whole_kl(monkeypatch):
-    build, params = captured_loss(monkeypatch, make_moons_stream())
-    loss = build([ad.Tensor(p) for p in params])
-    visited = tape_nodes(loss)
-    (kl,) = [node for node in visited if node._vjp is not None
-             and node._vjp.__qualname__.startswith("kde_kl.")]
-    # the loss is the KL node itself; its parents are the rows decoded for
-    # the 8 truth domains, each the output of one decode node
-    assert kl is loss
-    assert len(kl._parents) == 8 and len({id(rows) for rows in kl._parents}) == 8
-    assert all(rows._vjp.__qualname__.startswith("mix_decode.") for rows in kl._parents)
-    assert len(visited) - len(tape_nodes(*kl._parents)) == 1
-
-
-def test_tape_nodes_per_epoch_on_ten_domain_moons(monkeypatch):
-    build, params = captured_loss(monkeypatch, make_moons_stream())
-    # 8 parameter leaves; one LSTM stack node and a view of it per scored
-    # step (8); per scored step one decode node; one KL node. The decode's
-    # composition (two matmuls, two adds, tanh and the output layer) made 6
-    # nodes per scored step, 66 in all
-    assert len(tape_nodes(build([ad.Tensor(p) for p in params]))) == 26
-    monkeypatch.setattr(density_baseline, "_decode_rows", unfused.decode_rows)
-    assert len(tape_nodes(build([ad.Tensor(p) for p in params]))) == 66
+    monkeypatch.setattr(density_baseline, "fit", fit)
+    train_prelim(stream, SMALL_PRELIM, seed=0)
+    # 5 epochs of 2 truth domains x 2 features x 2 classes, each scaled by 1/2
+    epoch = [0.5] * 8 + ["backward"]
+    assert calls == epoch * 5
+    assert at_fit_end == [len(calls)]
 
 
 def test_one_gradient_evaluation_on_moons_peaks_below_4_mib(monkeypatch):
@@ -269,10 +259,9 @@ def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):
     stream = make_moons_stream()
     build, params = captured_loss(monkeypatch, stream)
     fed = []
-    real = ad.lstm_stack
-    monkeypatch.setattr(ad, "lstm_stack",
-                        lambda ps, rows: fed.append(rows) or real(ps, rows))
-    build([ad.Tensor(p) for p in params])
+    real = ad._lstm
+    monkeypatch.setattr(ad, "_lstm", lambda ps, rows: fed.append(rows) or real(ps, rows))
+    build(params)
     (rows,) = fed
     assert len(rows) == len(stream.sources) - 1
     want = density_baseline._summaries(stream.sources)

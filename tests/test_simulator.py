@@ -111,7 +111,7 @@ def test_regularizer_two_correlated_columns_against_identity():
 
 def test_regularizer_gradient_matches_finite_differences():
     decoder, z = small_decoder(3, 12, 5)
-    worst = grad_check(lambda ps: pull(ps, z, np.eye(3), ad.sigmoid), decoder)
+    worst = grad_check(unfused.taped(lambda ps: pull(ps, z, np.eye(3), ad.sigmoid)), decoder)
     assert worst < 1e-4
 
 
@@ -142,7 +142,8 @@ def _assert_objective_matches_oracle(params, config, task, rows, noise, z, targe
     fused = ad.evaluate_with_gradients(
         lambda ps: sm._objective(ps, config, task, rows, noise, z, target), params)
     oracle = ad.evaluate_with_gradients(
-        lambda ps: unfused.objective(ps, config, task, rows, noise, z, target), params)
+        unfused.taped(lambda ps: unfused.objective(ps, config, task, rows, noise, z, target)),
+        params)
     assert same_bits(fused[0], oracle[0])
     assert same_bits(fused[1], oracle[1])
     return fused[0]
@@ -164,8 +165,8 @@ def test_objective_matches_unfused_oracle_bit_for_bit(task, n, draws):
     z = None if draws is None else rng.standard_normal((draws, config.latent_dim))
     target = np.corrcoef(rng.normal(size=(9, 3)), rowvar=False)
     loss = _assert_objective_matches_oracle(params, config, task, rows, noise, z, target)
-    plain = sm._objective(params, config, task, rows, noise, z, target)
-    assert not isinstance(plain, ad.Tensor) and same_bits(plain, loss)
+    plain = sm._objective(params, config, task, rows, noise, z, target)[0]
+    assert same_bits(plain, loss)
 
 
 def test_objective_with_zero_params_matches_unfused_oracle_bit_for_bit():
@@ -184,19 +185,21 @@ def test_objective_with_zero_params_matches_unfused_oracle_bit_for_bit():
         _assert_objective_matches_oracle(params, config, task, rows, noise, draws, np.eye(3))
 
 
-def test_objective_records_one_node_per_step_and_in_warmup():
-    # one node over the 18 params, with the pull (it was four: the ELBO
-    # node, the pull node, the pull times lambda_c and the sum) and without
+def test_objective_vjp_gives_each_param_its_gradient_per_step_and_in_warmup():
+    # one value-and-VJP pair over the 18 params, with the pull and without:
+    # the VJP gives one gradient per param, shaped like it, and every param
+    # is reached
     config = SimulatorConfig()
     rng = np.random.default_rng(4)
-    params = [ad.Tensor(p) for p in sm._init_params(3, config, rng)]
+    params = sm._init_params(3, config, rng)
     rows = rng.uniform(-1, 1, (64, 3))
     noise = rng.standard_normal((64, config.latent_dim))
     z = rng.standard_normal((config.regularizer_draws, config.latent_dim))
     for draws in (z, None):
-        loss = sm._objective(params, config, CLASSIFICATION, rows, noise, draws, np.eye(3))
-        assert unfused.interior_nodes(loss) == 1
-        assert loss._parents == tuple(params)
+        _, vjp = sm._objective(params, config, CLASSIFICATION, rows, noise, draws, np.eye(3))
+        grads = vjp(1.0)
+        assert len(grads) == len(params) == 18
+        assert all(g.shape == p.shape and np.any(g != 0.0) for g, p in zip(grads, params))
 
 
 @pytest.mark.parametrize("lambda_c", [0.0, 1.0])
@@ -212,7 +215,8 @@ def test_train_simulator_matches_unfused_oracle_bit_for_bit(lambda_c, monkeypatc
 
     fused = train_simulator(dom, target, config, seed=3)
     assert len(fused.loss_history) == 41
-    monkeypatch.setattr(sm, "_objective", unfused.objective)
+    monkeypatch.setattr(sm, "_objective", lambda ps, *args: unfused.taped(
+        lambda p: unfused.objective(p, *args))(ps))
     assert same_bits(bits(fused), bits(train_simulator(dom, target, config, seed=3)))
 
 
@@ -229,7 +233,7 @@ def _two_call_snapshot(params, data, target, config, task, seed):
     rng = np.random.default_rng([seed, 104729])
     noise = rng.standard_normal((data.shape[0], config.latent_dim))
     encoder, decoder, label = sm._split(params, config, task)
-    loss = ad.gaussian_elbo(encoder, decoder, data, noise, config.obs_variance, label)
+    loss = ad.gaussian_elbo(encoder, decoder, data, noise, config.obs_variance, label)[0]
     if config.lambda_c > 0 and target is not None:
         draws = max(sm.SNAPSHOT_DRAWS, config.regularizer_draws)
         z = rng.standard_normal((draws, config.latent_dim))

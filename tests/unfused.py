@@ -1,28 +1,38 @@
-"""The generic tape language, and the references written in it that the fused
-code must match bit for bit.
+"""The reverse-mode tape, the generic language written on it, and the
+references written in that language that the program's losses must match
+bit for bit.
+
+The tape: `Tensor`, a node with parent links and a vector-Jacobian product
+(VJP); `_node`, which records one over the parents that are Tensors, or
+gives the plain value when none is; `_accumulate`, which sums the gradients
+that reach a node; and `backward`, which replays the tape in reverse
+topological order from a scalar. `taped(build)` turns a composition on it
+into a loss of the program's protocol, `(value, VJP)`, so that
+`ad.evaluate_with_gradients` runs it like any loss, and `node` records one
+of the program's forward/VJP pairs as one tape node (`dense_node`,
+`lstm_node`, `mix_decode_node`, `kde_kl_node`, `correlation_pull`).
 
 The language: differentiable primitives on `Tensor` nodes (`add` ...
 `concat`, slicing by `getitem`, `transpose`), with numpy broadcasting on
 the elementwise binaries, and the operators `+ - * / @`, unary `-`,
-indexing and `shape` that importing this module installs on `ad.Tensor`
-(`OPERATORS`), so that a composition reads as the maths. The program's
-`Tensor` has none of them: every loss there is a chain of fused nodes.
+indexing and `shape` installed on `Tensor` (`OPERATORS`), so that a
+composition reads as the maths. The program has no `Tensor`: every loss
+there is one value-and-VJP pair.
 
 The references, written with it: a dense stack (for `ad.dense`), the LSTM
-(for `ad.lstm_stack`), the forecaster's loss (for `ad.forecast_loss`), the
-downstream loss (for `ad.mlp_loss`), the density baseline's decode and
-KDE-KL (for `ad.mix_decode` and `ad.kde_kl`), the simulator's loss (for
-`ad.gaussian_elbo`), Adam as one update per parameter array (for
-`optim.Adam`), and the full-batch loop that `optim.fit` runs on
-`optim.train`. Also `same_bits`, the comparison they are held to, and
-`interior_nodes`, the tape count that the node-count tests pin."""
+(for `ad.lstm_stack`), the forecaster's forward and loss (for
+`ad.forecast_loss`), the downstream loss (for `ad.mlp_loss`), the density
+baseline's decode, KDE-KL and loss (for `ad.mix_decode`, `ad.kde_kl` and
+`ad.prelim_loss`), the simulator's loss (for `ad.gaussian_elbo`), Adam as
+one update per parameter array (for `optim.Adam`), and the full-batch loop
+that `optim.fit` runs on `optim.train`. Also `same_bits`, the comparison
+they are held to."""
 from typing import Sequence
 
 import numpy as np
 
 from driftsim import autodiff as ad
-from driftsim import predictor
-from driftsim.autodiff import _accumulate, _node, _unbroadcast, _val
+from driftsim.autodiff import _unbroadcast
 from driftsim.datasets import CLASSIFICATION
 from driftsim.optim import BETA1, BETA2, EPS, TOL, Adam, flat
 from driftsim.simulator import EPS_VAR
@@ -34,16 +44,160 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def interior_nodes(out) -> int:
-    """The tape nodes behind `out` that have parents, `out` included."""
-    seen, stack, count = set(), [out], 0
+# -- the tape --------------------------------------------------------------
+
+class Tensor:
+    """One node of the compute tape: a value that depends on a parameter.
+
+    `value` is a C-contiguous float64 ndarray (row-major flat storage plus a
+    shape).  Interior nodes carry a `_vjp` closure that scatters the incoming
+    gradient onto their `_parents`, the inputs that are Tensors; a boxed
+    parameter has neither.
+    """
+
+    __slots__ = ("value", "grad", "_parents", "_vjp")
+
+    def __init__(self, value, parents: tuple = (), vjp=None):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.grad = None
+        self._parents = parents
+        self._vjp = vjp
+
+    def __repr__(self):
+        return f"Tensor(shape={self.value.shape})"
+
+
+def _val(x) -> np.ndarray:
+    """The array behind `x`: a Tensor's value, else `x` as float64."""
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _node(value, parents, vjp):
+    """A tape node over the parents that are Tensors, or, with none, the
+    plain value."""
+    parents = tuple(p for p in parents if isinstance(p, Tensor))
+    return Tensor(value, parents, vjp) if parents else value
+
+
+def _accumulate(t, g: np.ndarray) -> None:
+    if not isinstance(t, Tensor):
+        return
+    # no VJP writes into a gradient and every sum below is out of place, so
+    # the first gradient can be kept without a copy
+    if t.grad is None:
+        t.grad = np.asarray(g, dtype=np.float64)
+    else:
+        t.grad = t.grad + g
+
+
+def backward(loss: Tensor, g=1.0) -> None:
+    """Backpropagate `g` from a scalar node, populating `.grad` on the tape."""
+    if loss.value.shape != ():
+        raise ValueError(f"backward expects a scalar, got shape {loss.value.shape}")
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            count += bool(node._parents)
-            stack.extend(node._parents)
-    return count
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    loss.grad = np.asarray(g, dtype=np.float64)
+    for node in reversed(topo):
+        if node._vjp is not None and node.grad is not None:
+            node._vjp(node.grad)
+
+
+def taped(build):
+    """`build(params)`, a composition on the tape, as a loss function of the
+    program's protocol: it boxes each param in a Tensor and returns the
+    output's value and a VJP that replays the tape from the output and gives
+    each param's gradient (None where the replay never reached)."""
+    def loss_fn(params):
+        boxed = [Tensor(p) for p in params]
+        out = build(boxed)
+
+        def vjp(g):
+            if isinstance(out, Tensor):
+                backward(out, g)
+            return [p.grad for p in boxed]
+
+        return _val(out), vjp
+
+    return loss_fn
+
+
+def node(value, vjp, parents):
+    """A forward/VJP pair of the program as one tape node over `parents`:
+    `vjp(g)` gives one gradient per parent, in order (None for none), and
+    the replay reaches the parents in that order."""
+    def tape_vjp(g):
+        for p, gp in zip(parents, vjp(g), strict=True):
+            _accumulate(p, gp)
+
+    return _node(value, parents, tape_vjp)
+
+
+def dense_node(params, x, act=None, last=None):
+    """`ad.dense` as one node over x, then the params, from `ad._stack` and
+    `ad._stack_vjp`."""
+    values = [_val(p) for p in params]
+    acts = ad._stack(values, _val(x), act, last)
+
+    def vjp(g):
+        gx, grads = ad._stack_vjp(g, values, acts, act, last, isinstance(x, Tensor))
+        return [gx, *grads]
+
+    return node(acts[-1], vjp, (x, *params))
+
+
+def lstm_node(params, rows):
+    """`ad.lstm_stack` as one node over the rows from last to first, then the
+    params, from `ad._lstm`, with one view node per step's output."""
+    outputs, lstm_vjp = ad._lstm([_val(p) for p in params], [_val(r) for r in rows])
+
+    def vjp(g):
+        grads, g_rows = lstm_vjp(list(g))
+        return [*reversed(g_rows), *grads]
+
+    stack = node(np.stack(outputs), vjp, (*reversed(rows), *params))
+    if not isinstance(stack, Tensor):
+        return outputs
+
+    def view(t):
+        def out_vjp(g_out):
+            padded = np.full_like(stack.value, -0.0)
+            padded[t] = g_out
+            _accumulate(stack, padded)
+
+        return _node(outputs[t], (stack,), out_vjp)
+
+    return [view(t) for t in range(len(rows))]
+
+
+def mix_decode_node(params, state):
+    """`ad.mix_decode` as one node over the state, then the params, from
+    `ad._mix_decode`."""
+    rows, decode_vjp = ad._mix_decode([_val(p) for p in params], _val(state))
+
+    def vjp(g):
+        grads, g_state = decode_vjp(g)
+        return [g_state, *grads]
+
+    return node(rows, vjp, (state, *params))
+
+
+def kde_kl_node(rows, classes, grid, truth_sides):
+    """`ad.kde_kl` as one node over the rows of every truth domain."""
+    value, vjp = ad.kde_kl([_val(r) for r in rows], classes, grid, truth_sides)
+    return node(value, vjp, tuple(rows))
 
 
 # -- primitives ------------------------------------------------------------
@@ -63,7 +217,7 @@ def sub(a, b):
 
     def vjp(g):
         _accumulate(a, _unbroadcast(g, av.shape))
-        if isinstance(b, ad.Tensor):
+        if isinstance(b, Tensor):
             _accumulate(b, _unbroadcast(-g, bv.shape))
 
     return _node(av - bv, (a, b), vjp)
@@ -73,9 +227,9 @@ def mul(a, b):
     av, bv = _val(a), _val(b)
 
     def vjp(g):
-        if isinstance(a, ad.Tensor):
+        if isinstance(a, Tensor):
             _accumulate(a, _unbroadcast(g * bv, av.shape))
-        if isinstance(b, ad.Tensor):
+        if isinstance(b, Tensor):
             _accumulate(b, _unbroadcast(g * av, bv.shape))
 
     return _node(av * bv, (a, b), vjp)
@@ -85,9 +239,9 @@ def div(a, b):
     av, bv = _val(a), _val(b)
 
     def vjp(g):
-        if isinstance(a, ad.Tensor):
+        if isinstance(a, Tensor):
             _accumulate(a, _unbroadcast(g / bv, av.shape))
-        if isinstance(b, ad.Tensor):
+        if isinstance(b, Tensor):
             _accumulate(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
 
     return _node(av / bv, (a, b), vjp)
@@ -255,7 +409,7 @@ OPERATORS = {
     "shape": property(lambda a: a.value.shape),
 }
 for _name, _attr in OPERATORS.items():
-    setattr(ad.Tensor, _name, _attr)
+    setattr(Tensor, _name, _attr)
 
 # the primitive behind each activation that `ad.dense` accepts
 ACTIVATIONS = {None: None, ad.tanh: tanh, ad.relu: relu}
@@ -281,11 +435,21 @@ def bce(p, t):
     return -(t * log(q) + (1.0 - t) * log(1.0 - q))
 
 
+def forward_sequence(params, rows):
+    """`predictor._forward_sequence` written with primitives only: the
+    embedding's matmul and add, `lstm_stack` below, and the head's matmul,
+    add and tanh, per step."""
+    w_embed, b_embed, w_head, b_head = params[0], params[1], params[-2], params[-1]
+    states = lstm_stack(params[2:-2], [matmul(row, w_embed) + b_embed for row in rows],
+                        _val(params[3]).shape[1] // 4)
+    return [tanh(x @ w_head + b_head) for x in states]
+
+
 def sequence_loss(params, rows, tgt, m, config):
     """`predictor._sequence_loss` as the composition over the stacked head
-    outputs of `predictor._forward_sequence`: per step Frobenius +
-    elementwise-L1 + lambda_ce * mean BCE (for `ad.forecast_loss`)."""
-    pred = concat(predictor._forward_sequence(params, rows), axis=0)
+    outputs of `forward_sequence`: per step Frobenius + elementwise-L1 +
+    lambda_ce * mean BCE (for `ad.forecast_loss`)."""
+    pred = concat(forward_sequence(params, rows), axis=0)
     diff = pred - tgt
     # one Frobenius norm per step, then their sum
     fro = reduce_sum(sqrt(reduce_sum(diff * diff, axis=1) * 2.0 + ad.FRO_GUARD))
@@ -297,10 +461,10 @@ def sequence_loss(params, rows, tgt, m, config):
 
 
 def mlp_loss(params, x, y, task):
-    """`harness._mlp_loss` as `ad.dense` and the composition of its loss:
-    the clipped BCE mean of the sigmoid, or the mean squared error (for
+    """`harness._mlp_loss` as `dense` and the composition of its loss: the
+    clipped BCE mean of the sigmoid, or the mean squared error (for
     `ad.mlp_loss`)."""
-    out = ad.dense(params, x, ad.relu)
+    out = dense(params, x, ad.relu)
     if task == CLASSIFICATION:
         return reduce_mean(bce(sigmoid(out), y))
     diff = out - y
@@ -308,11 +472,12 @@ def mlp_loss(params, x, y, task):
 
 
 def decode_rows(params, state):
-    """`density_baseline._decode_rows` as the mixing layer's composition,
-    then `ad.dense` (for `ad.mix_decode`)."""
+    """The rows that prelim decodes from `state`, given all its params (the
+    LSTM's, then the decoder's), as the mixing layer's composition, then
+    `dense` (for `ad.mix_decode`)."""
     _, _, embed, w_e, w_s, b_mix = params[:6]
     mix = tanh(matmul(embed, w_e) + matmul(state, w_s) + b_mix)
-    return ad.dense(params[6:], mix, last=ad.tanh)
+    return dense(params[6:], mix, last=ad.tanh)
 
 
 def correlation_pull(decoder, z, label, target, eps):
@@ -320,12 +485,7 @@ def correlation_pull(decoder, z, label, target, eps):
     decoder params, from that node's own forward and VJP."""
     value, pull_vjp = ad._correlation_pull([_val(p) for p in decoder], _val(z), label,
                                            target, eps)
-
-    def vjp(g):
-        for p, gp in zip(decoder, pull_vjp(g)):
-            _accumulate(p, gp)
-
-    return _node(value, tuple(decoder), vjp)
+    return node(value, pull_vjp, tuple(decoder))
 
 
 def pearson(batch, eps):
@@ -410,6 +570,13 @@ def kde_kl(rows, classes, grid, truth_sides):
                 domain = term if domain is None else domain + term
         loss = domain if loss is None else loss + domain
     return loss * (1.0 / len(rows))
+
+
+def prelim_loss(params, summaries, classes, grid, truth_sides):
+    """`ad.prelim_loss` as `lstm_stack` over the summaries, `decode_rows` of
+    each state and `kde_kl` of them."""
+    states = lstm_stack(params[:2], summaries, _val(params[1]).shape[1] // 4)
+    return kde_kl([decode_rows(params, s) for s in states], classes, grid, truth_sides)
 
 
 class PerArrayAdam:
