@@ -6,9 +6,11 @@ a loss function `loss_fn(params)` returns the scalar loss and its VJP
 one gradient per parameter array, or None for a parameter the loss does not
 reach. There is no `Tensor` and no tape to replay. `evaluate_with_gradients`
 runs a loss once and `backward` writes its VJP's gradients into views of one
-flat vector laid out like `optim.flat`; `evaluate_value` leaves the VJP
-uncalled. Forward-only reads call plain forward functions on the parameter
-arrays (`dense`, `lstm_stack`, `mix_decode`, `decode`). Float64 only, no GPU.
+flat vector laid out like `optim.flat`, which a trainer allocates once per
+fit; `evaluate_value` leaves the VJP uncalled. Forward-only reads call plain
+forward functions on the parameter arrays (`dense`, `forecast`,
+`prelim_decode`, `decode`), which run the forward of the matching loss.
+Float64 only, no GPU.
 
 The losses: `forecast_loss` the forecaster's (a per-step linear embedding, a
 stacked LSTM and a per-step tanh head, then the Frobenius + L1 + weighted BCE
@@ -18,10 +20,12 @@ reparameterization, decoder, reconstruction and KL), optionally plus a
 weighted L1 between the Pearson matrix of decoded prior draws and a target;
 and `prelim_loss` the density baseline's (a one-layer LSTM over per-domain
 summaries, a mixing decode per truth domain, then `kde_kl`, every
-class-conditional KDE-KL term of every truth domain). They chain forward/VJP
-pairs: `_stack`/`_stack_vjp` for every feed-forward stack (over `_layer`,
-`_layer_vjp`), `_lstm`, `_forecast`, `_mix_decode`, `_elbo`,
-`_correlation_pull`, `kde_kl` and the clipped BCE `_bce`.
+class-conditional KDE-KL term of every truth domain). A model's parameter
+layout is its own module's: the forecaster's and prelim's losses take their
+parameter groups already split. They chain forward/VJP pairs:
+`_stack`/`_stack_vjp` for every feed-forward stack (over `_layer`,
+`_layer_vjp`), `_lstm`, `_forecast`, `_forecast_error`, `_mix_decode`,
+`_elbo`, `_correlation_pull`, `kde_kl` and the clipped BCE `_bce`.
 
 Each VJP repeats the elementwise arithmetic of the composition of generic
 primitives in `tests/unfused.py` in the same order, and sums the gradients
@@ -54,13 +58,13 @@ __all__ = [
     "relu",
     "sigmoid",
     "dense",
-    "lstm_stack",
+    "forecast",
     "forecast_loss",
     "mlp_loss",
-    "mix_decode",
     "decode",
     "gaussian_elbo",
     "kde_kl",
+    "prelim_decode",
     "prelim_loss",
 ]
 
@@ -174,7 +178,7 @@ def _lstm(params, rows) -> tuple:
         raise ValueError(f"gate width {b.shape[2]} is not a multiple of 4")
     n_in = w[0].shape[0] - n
     if any(r.shape != (1, n_in) for r in rows):
-        raise ValueError(f"lstm_stack rows must each be of shape (1, {n_in})")
+        raise ValueError(f"LSTM rows must each be of shape (1, {n_in})")
     w_up = np.stack(w[1:]) if layers > 1 else None
     diagonals = steps + layers - 1
     spans = [(max(0, d - steps + 1), min(layers - 1, d)) for d in range(diagonals)]
@@ -281,12 +285,6 @@ def _lstm(params, rows) -> tuple:
     return [h[d + 1, layers - 1:layers] for d in range(layers - 1, diagonals)], vjp
 
 
-def lstm_stack(params, rows) -> list:
-    """The top layer's hidden state after each row of the stacked LSTM of
-    `params` (see `_lstm`), as (1, hidden) arrays."""
-    return _lstm(params, rows)[0]
-
-
 def _stack(params, x, act, last) -> list:
     """The input and each layer's output of the [w, b] pairs of `params`
     applied to `x`: `act` after every pair but the last, `last` after it."""
@@ -337,7 +335,7 @@ def _bce(p: np.ndarray, t: np.ndarray) -> tuple:
     return value, vjp
 
 
-def _forecast(pred, target, m: int, lambda_ce: float) -> tuple:
+def _forecast_error(pred, target, m: int, lambda_ce: float) -> tuple:
     """(the forecaster's loss over its one-step-ahead forecasts `pred`, the
     (steps, p) flattened upper triangles of m x m matrices, against the rows
     of `target`, its VJP: the gradient of the value -> that of `pred`); see
@@ -363,35 +361,21 @@ def _forecast(pred, target, m: int, lambda_ce: float) -> tuple:
     return value, vjp
 
 
-def forecast_loss(params, rows, target, m: int, lambda_ce: float) -> tuple:
-    """The forecaster's loss as one value-and-VJP pair over `params`: the
-    embedding's [w, b], the `_lstm` stack's pairs, then the head's [w, b].
-    Each (1, p) row of `rows`, the flattened upper triangle of an m x m
-    matrix, is embedded linearly, the stack runs over the embeddings, and
-    the tanh head maps each step's state to a forecast of the matching row
-    of `target`. The loss sums, over the steps, the Frobenius norm and the
-    elementwise L1 of the full matrix's error (each off-diagonal entry
-    counts twice; `FRO_GUARD` under the square root), plus `lambda_ce`
-    times the clipped BCE mean over the m² entries mapped from [-1, 1] to
-    [0, 1]. The diagonal is exactly 1 on both sides, so it adds nothing to
-    the norms and one clamp constant per step to the BCE.
+def _forecast(embed, stack, head, rows) -> tuple:
+    """(`forecast(embed, stack, head, rows)`, its VJP: the gradient of the
+    forecasts -> one gradient per array of `embed`, `stack`, then `head`).
 
     The VJP runs the pieces' VJPs in the order the tape replay of their
-    composition in `tests/unfused.py` ran them: the loss's, then per step
-    the head's, the stack's, then per step the embedding's; so the head's
-    params sum their steps' gradients from the first step to the last and
-    the embedding's from the last to the first, and the value and every
-    gradient are bit-identical to that tape's.
+    composition in `tests/unfused.py` ran them: per step the head's, the
+    stack's, then per step the embedding's; so the head's params sum their
+    steps' gradients from the first step to the last and the embedding's
+    from the last to the first, bit-identical to that tape's.
     """
-    embed, stack, head = params[:2], params[2:-2], params[-2:]
     embedded = [_stack(embed, row, None, None) for row in rows]
     states, stack_vjp = _lstm(stack, [acts[-1] for acts in embedded])
     heads = [_stack(head, state, None, tanh) for state in states]
-    value, forecast_vjp = _forecast(np.concatenate([acts[-1] for acts in heads]), target,
-                                    m, lambda_ce)
 
-    def vjp(g):
-        g_pred = forecast_vjp(g)
+    def vjp(g_pred):
         g_states, g_head = [], []
         for t, acts in enumerate(heads):
             g_state, grads = _stack_vjp(g_pred[t:t + 1], head, acts, None, tanh, True)
@@ -402,7 +386,33 @@ def forecast_loss(params, rows, target, m: int, lambda_ce: float) -> tuple:
                    for g_row, acts in zip(reversed(g_rows), reversed(embedded))]
         return [*_sums(g_embed), *g_stack, *_sums(g_head)]
 
-    return value, vjp
+    return np.concatenate([acts[-1] for acts in heads]), vjp
+
+
+def forecast(embed, stack, head, rows) -> np.ndarray:
+    """The forecaster's (steps, p) one-step-ahead forecasts: each (1, p) row
+    of `rows`, the flattened upper triangle of an m x m matrix, is embedded
+    by the [w, b] of `embed`, the `_lstm` of `stack`'s pairs runs over the
+    embeddings, and the tanh [w, b] of `head` maps each step's state to the
+    forecast of the next row. `forecast_loss` runs the same forward."""
+    return _forecast(embed, stack, head, rows)[0]
+
+
+def forecast_loss(embed, stack, head, rows, target, m: int, lambda_ce: float) -> tuple:
+    """The forecaster's loss as one value-and-VJP pair over the arrays of
+    `embed`, `stack`, then `head` (see `forecast`), against the matching
+    rows of `target`. The loss sums, over the steps, the Frobenius norm and
+    the elementwise L1 of the full matrix's error (each off-diagonal entry
+    counts twice; `FRO_GUARD` under the square root), plus `lambda_ce` times
+    the clipped BCE mean over the m² entries mapped from [-1, 1] to [0, 1].
+    The diagonal is exactly 1 on both sides, so it adds nothing to the
+    norms and one clamp constant per step to the BCE. The value and every
+    gradient are bit-identical to the tape of the composition in
+    `tests/unfused.py`.
+    """
+    pred, forecast_vjp = _forecast(embed, stack, head, rows)
+    value, error_vjp = _forecast_error(pred, target, m, lambda_ce)
+    return value, lambda g: forecast_vjp(error_vjp(g))
 
 
 def mlp_loss(params, x, y, classify: bool) -> tuple:
@@ -440,9 +450,12 @@ def mlp_loss(params, x, y, classify: bool) -> tuple:
 
 
 def _mix_decode(params, state) -> tuple:
-    """(`mix_decode(params, state)`, its VJP: the gradient of the rows ->
-    (one gradient per param, that of `state`)). The forward and the VJP
-    repeat the composition in `tests/unfused.py` (two matmuls, two
+    """(the density baseline's decoded rows, their VJP: the gradient of the
+    rows -> (one gradient per param, that of `state`)). `params` is [embed,
+    w_e, w_s, b, then [w, b] pairs]; each row of `embed` is mixed with the
+    (1, hidden) `state` as `tanh(embed @ w_e + state @ w_s + b)`, and the
+    pairs map the mix as `dense(pairs, mix, last=tanh)`. The forward and the
+    VJP repeat the composition in `tests/unfused.py` (two matmuls, two
     broadcasting adds, tanh, then the dense stack) in the order its tape
     replay ran it, so the rows and every gradient are bit-identical to it."""
     embed, w_e, w_s, b = params[:4]
@@ -457,14 +470,6 @@ def _mix_decode(params, state) -> tuple:
                 *g_out], g_s @ w_s.T
 
     return acts[-1], vjp
-
-
-def mix_decode(params, state) -> np.ndarray:
-    """The density baseline's decoded rows: `params` is [embed, w_e, w_s, b,
-    then [w, b] pairs]; each row of `embed` is mixed with the (1, hidden)
-    `state` as `tanh(embed @ w_e + state @ w_s + b)`, and the pairs map the
-    mix as `dense(pairs, mix, last=tanh)`."""
-    return _mix_decode(params, state)[0]
 
 
 def _decode(decoder, z, label) -> tuple:
@@ -633,10 +638,9 @@ def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label,
 
 def _kde_kl_term(vals, grid, bandwidth: float, prior: float, log_q, g):
     """(`sum(p * (log p - log_q))`, its gradient with respect to `vals` given
-    the upstream gradient `g`, or None without one). `p` is `prior` times
-    the Gaussian-kernel masses of the samples `vals` on `grid`, normalized
-    to sum 1; `diff` and the kernel matrix `e` (grid × samples) live only
-    in this call."""
+    the upstream gradient `g`). `p` is `prior` times the Gaussian-kernel
+    masses of the samples `vals` on `grid`, normalized to sum 1; `diff` and
+    the kernel matrix `e` (grid × samples) live only in this call."""
     scale = 1.0 / bandwidth
     diff = np.subtract(grid[:, None], vals)
     diff *= scale
@@ -651,8 +655,6 @@ def _kde_kl_term(vals, grid, bandwidth: float, prior: float, log_q, g):
     r = np.log(p)
     r -= log_q
     value = (p * r).sum()
-    if g is None:
-        return value, None
     # p: through the product, then through log(p)
     gp = g * r
     via_log = g * p
@@ -671,7 +673,7 @@ def _kde_kl_term(vals, grid, bandwidth: float, prior: float, log_q, g):
     return value, buf.sum(axis=0)
 
 
-def kde_kl(rows, classes, grid, truth_sides, grad: bool = True) -> tuple:
+def kde_kl(rows, classes, grid, truth_sides) -> tuple:
     """The density baseline's KDE-KL over the rows generated for every
     truth domain, as (value, VJP: the gradient of the value -> one gradient
     per entry of `rows`): the mean over domains t of the sum, over features
@@ -690,20 +692,17 @@ def kde_kl(rows, classes, grid, truth_sides, grad: bool = True) -> tuple:
     `1 / len(rows)` that the chain hands every term of a loss, so no kernel
     matrix outlives its term; the domain keeps one (n, d) gradient. The VJP
     scales those by the gradient it is given: at `g = 1` every gradient is
-    bit-identical to the chain's, otherwise equal up to rounding. With
-    `grad` False no term's gradient is formed and the VJP is None.
+    bit-identical to the chain's, otherwise equal up to rounding.
     """
     weight = 1.0 / len(rows)
     loss, grads = None, []
     for r, side in zip(rows, truth_sides, strict=True):
-        full = np.zeros_like(r) if grad else None
+        full = np.zeros_like(r)
         domain = None
         for column, per_class in enumerate(side):
             for idx, (prior, bandwidth, log_q) in zip(classes, per_class, strict=True):
-                term, g_vals = _kde_kl_term(r[idx, column], grid, bandwidth, prior,
-                                            log_q, weight if grad else None)
-                if grad:
-                    full[idx, column] = g_vals
+                term, full[idx, column] = _kde_kl_term(r[idx, column], grid, bandwidth,
+                                                       prior, log_q, weight)
                 domain = term if domain is None else domain + term
         grads.append(full)
         loss = domain if loss is None else loss + domain
@@ -711,14 +710,21 @@ def kde_kl(rows, classes, grid, truth_sides, grad: bool = True) -> tuple:
     def vjp(g):
         return [full * g for full in grads]
 
-    return loss * weight, vjp if grad else None
+    return loss * weight, vjp
 
 
-def prelim_loss(params, summaries, classes, grid, truth_sides) -> tuple:
-    """The density baseline's loss as one value-and-VJP pair over `params`:
-    a one-layer `_lstm`'s [w, b], then the decoder's (see `mix_decode`). The
-    stack runs over the (1, 2d + 1) `summaries`, and the rows decoded from
-    its state after each are scored against the matching truth domain of
+def prelim_decode(lstm, decoder, summaries) -> np.ndarray:
+    """The rows the density baseline decodes after the last of its
+    (1, 2d + 1) `summaries`: the one-layer `_lstm` of `lstm`'s [w, b] runs
+    over them, and `_mix_decode` of `decoder`'s params decodes its last
+    state. `prelim_loss` decodes after each summary the same way."""
+    return _mix_decode(decoder, _lstm(lstm, summaries)[0][-1])[0]
+
+
+def prelim_loss(lstm, decoder, summaries, classes, grid, truth_sides) -> tuple:
+    """The density baseline's loss as one value-and-VJP pair over the arrays
+    of `lstm`, then `decoder` (see `prelim_decode`): the rows decoded after
+    each of `summaries` are scored against the matching truth domain of
     `truth_sides` by `kde_kl`.
 
     The VJP runs the pieces' VJPs in the order the tape replay of their
@@ -727,8 +733,8 @@ def prelim_loss(params, summaries, classes, grid, truth_sides) -> tuple:
     gradients from the first to the last, and the value and every gradient
     are bit-identical to that tape's.
     """
-    states, stack_vjp = _lstm(params[:2], summaries)
-    decodes = [_mix_decode(params[2:], state) for state in states]
+    states, stack_vjp = _lstm(lstm, summaries)
+    decodes = [_mix_decode(decoder, state) for state in states]
     value, kl_vjp = kde_kl([rows for rows, _ in decodes], classes, grid, truth_sides)
 
     def vjp(g):
@@ -758,10 +764,9 @@ def views(vector: np.ndarray, arrays) -> list:
 def backward(vjp, grads) -> None:
     """Run a loss's VJP at the loss's own gradient, 1, into `grads`, one
     view per param: each gradient is copied into its view, and a view whose
-    gradient is None keeps what it holds."""
+    gradient is None is zeroed."""
     for view, g in zip(grads, vjp(1.0), strict=True):
-        if g is not None:
-            view[...] = g
+        view[...] = 0.0 if g is None else g
 
 
 def _scalar(value) -> float:
@@ -785,10 +790,12 @@ def evaluate_value(loss_fn: LossFn, params) -> float:
         return _scalar(loss_fn(params)[0])
 
 
-def evaluate_with_gradients(loss_fn: LossFn, params):
-    """(loss, gradient) of `loss_fn(params)`: `backward` runs its VJP once
-    into a new float64 vector laid out like `optim.flat(params)`, each
-    param's gradient in order, raveled, zeros where the VJP gives None.
+def evaluate_with_gradients(loss_fn: LossFn, params, grads) -> float:
+    """The value of `loss_fn(params)` as a float; `backward` runs its VJP
+    once into `grads`, one view per param into a float64 vector laid out
+    like `optim.flat(params)` (`views` makes them), so that vector holds the
+    gradient, zeros where the VJP gives None. A trainer makes the vector and
+    its views once per fit.
 
     Raises NonFiniteLossError when the loss is NaN/inf (diverged training)
     and ValueError on a non-scalar output; an overflow on the way is that
@@ -799,6 +806,5 @@ def evaluate_with_gradients(loss_fn: LossFn, params):
     with np.errstate(all="ignore"):
         value, vjp = loss_fn(params)
         loss = _scalar(value)
-        grad = np.zeros(sum(np.size(p) for p in params))
-        backward(vjp, views(grad, params))
-    return loss, grad
+        backward(vjp, grads)
+    return loss

@@ -5,7 +5,8 @@ KDE on a fixed grid, then trains a one-layer LSTM over per-domain summary
 rows (feature means and stds, label mean) whose state decodes the next
 domain's rows wholesale, scored by the sum of per-feature joint KLs,
 averaged over the truth domains: one value-and-VJP pair,
-`autodiff.prelim_loss`, over all the params.
+`autodiff.prelim_loss`, over all the params; the final decode runs the same
+forward, `autodiff.prelim_decode`.
 The truth side of that score (class prior, bandwidth and KDE masses of
 every true domain) has no parameters, so it is built once per domain before
 training, and the rows of each class are indexed once per fit. Kept as a
@@ -111,12 +112,18 @@ def _summaries(domains) -> list:
 
 
 def _init_prelim(d: int, n_rows: int, config: PrelimConfig, rng) -> list:
-    """The one-layer LSTM's [w, b], then the decoder's, drawn in that order."""
+    """The one-layer LSTM's [w, b], then the decoder's, drawn in that order
+    (`_split` parts them)."""
     hd = config.hidden_dim
     return [*lstm_params(rng, 2 * d + 1, hd, 1),
             rng.standard_normal((n_rows, config.embed_dim)),
             glorot(rng, config.embed_dim, hd), glorot(rng, hd, hd),
             np.zeros((1, hd)), *dense_params(rng, (hd, d))]
+
+
+def _split(params: list) -> tuple:
+    """The one-layer LSTM's [w, b] and the decoder's params."""
+    return params[:2], params[2:]
 
 
 def train_prelim(stream: DomainStream, config: PrelimConfig,
@@ -146,11 +153,9 @@ def train_prelim(stream: DomainStream, config: PrelimConfig,
 
     # the decode after domains 1..t is scored against domain t+1; the last
     # source only feeds the final decode
-    best_params, _ = fit(lambda ps: ad.prelim_loss(ps, summaries[:-1], classes, grid,
-                                                   truth_sides), params, config)
-
-    state = ad.lstm_stack(best_params[:2], summaries)[-1]
-    rows = ad.mix_decode(best_params[2:], state)
+    best_params, _ = fit(lambda ps: ad.prelim_loss(*_split(ps), summaries[:-1], classes,
+                                                   grid, truth_sides), params, config)
+    rows = ad.prelim_decode(*_split(best_params), summaries)
     return DomainDataset(domain_index=last.domain_index + 1, features=rows,
                          labels=labels, task=CLASSIFICATION,
                          feature_names=last.feature_names)

@@ -1,7 +1,7 @@
 """Parameter init shared by the models: Glorot draws, the [w, b] pairs of a
 dense stack (`autodiff.dense`, and inside every loss) and of the LSTM stack
 that the correlation forecaster and the density baseline run
-(`autodiff.lstm_stack`, and inside their losses)."""
+(`autodiff.forecast`, `autodiff.prelim_decode`, and inside their losses)."""
 from __future__ import annotations
 
 import numpy as np
@@ -25,7 +25,7 @@ def dense_params(rng, dims) -> list:
 
 
 def lstm_params(rng, in_dim: int, hidden: int, layers: int) -> list:
-    """[w1, b1, w2, b2, ...] for `autodiff.lstm_stack`: per layer one Glorot draw of
+    """[w1, b1, w2, b2, ...] for an LSTM stack: per layer one Glorot draw of
     shape (input + hidden, 4 * hidden) and a zero bias but for a +1 forget gate."""
     params = []
     for fan_in in [in_dim] + [hidden] * (layers - 1):

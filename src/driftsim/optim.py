@@ -129,16 +129,15 @@ def train(theta: np.ndarray, epoch, readout, config, epochs: int, warmup: int = 
 
 def fit(loss_fn, params: list, config):
     """Full-batch `train` on `loss_fn` of a copy of `params`; returns (kept
-    params, every readout). Each readout scores the params and keeps their
-    gradient, and each epoch is one Adam step on it, so `config.max_epochs`
-    readouts take one step fewer."""
+    params, every readout). Each readout scores the params and writes their
+    gradient into the fit's one gradient vector, and each epoch is one Adam
+    step on it, so `config.max_epochs` readouts take one step fewer."""
     theta, views = flat(params)
-    grad = None
+    grad = np.empty_like(theta)
+    grads = ad.views(grad, params)
 
     def readout():
-        nonlocal grad
-        loss, grad = ad.evaluate_with_gradients(loss_fn, views)
-        return loss
+        return ad.evaluate_with_gradients(loss_fn, views, grads)
 
     history = train(theta, lambda e, opt: opt.step(theta, grad), readout, config,
                     config.max_epochs - 1)

@@ -7,8 +7,8 @@ and a tanh head emits the next flattened matrix. The training loss sums, over th
 steps, a Frobenius term, an elementwise-L1 term, and a binary cross-entropy
 term on entries affinely mapped from [-1, 1] to [0, 1]; it is one
 value-and-VJP pair, `autodiff.forecast_loss`, over all the params, and a
-forecast runs the same forward with plain `autodiff.dense` and
-`autodiff.lstm_stack` calls.
+forecast runs the same forward, `autodiff.forecast`. This module alone
+knows the parameter layout (`_init_params`, `_groups`).
 """
 from __future__ import annotations
 
@@ -61,10 +61,9 @@ def _init_params(m: int, config: PredictorConfig, rng) -> list:
             + dense_params(rng, (h, p)))
 
 
-def _forward_sequence(params: list, rows: list) -> list:
-    """Head outputs (pre-unflatten, post-tanh) for every step of the sequence."""
-    states = ad.lstm_stack(params[2:-2], [ad.dense(params[:2], row) for row in rows])
-    return [ad.dense(params[-2:], h, last=ad.tanh) for h in states]
+def _groups(params: list) -> tuple:
+    """The embedding's [w, b], the LSTM stack's pairs and the head's [w, b]."""
+    return params[:2], params[2:-2], params[-2:]
 
 
 def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:
@@ -74,8 +73,7 @@ def predict_next(model: PredictorModel, sequence: list) -> CorrelationMatrix:
     if any(c.dim != model.m for c in sequence):
         raise ValueError(f"matrix dim does not match model dim {model.m}")
     rows = [flatten_upper(c).reshape(1, -1) for c in sequence]
-    out = _forward_sequence(model.params, rows)[-1]
-    return unflatten_upper(out.ravel(), model.m)
+    return unflatten_upper(ad.forecast(*_groups(model.params), rows)[-1], model.m)
 
 
 def _sequence_loss(params, rows: list, tgt: np.ndarray, m: int,
@@ -87,7 +85,7 @@ def _sequence_loss(params, rows: list, tgt: np.ndarray, m: int,
     `rows` are the flattened matrices C_1..C_{T-1}, each (1, p), and the
     rows of `tgt` their targets C_2..C_T.
     """
-    return ad.forecast_loss(params, rows, tgt, m, config.lambda_ce)
+    return ad.forecast_loss(*_groups(params), rows, tgt, m, config.lambda_ce)
 
 
 def train_predictor(matrices: list, config: PredictorConfig,

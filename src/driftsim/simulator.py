@@ -173,6 +173,8 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
     data = np.column_stack([last_domain.features, last_domain.labels])
     rng = np.random.default_rng(seed)
     theta, params = flat(_init_params(m, config, rng))
+    grad = np.empty_like(theta)
+    grads = ad.views(grad, params)
     use_reg = config.lambda_c > 0
     warmup = config.warmup_epochs if use_reg else 0
     target = target_corr.entries if use_reg else None
@@ -186,8 +188,8 @@ def train_simulator(last_domain: DomainDataset, target_corr: CorrelationMatrix |
             noise = rng.standard_normal((rows.shape[0], config.latent_dim))
             z = (rng.standard_normal((config.regularizer_draws, config.latent_dim))
                  if reg_on else None)
-            _, grad = ad.evaluate_with_gradients(lambda ps: _objective(
-                ps, config, last_domain.task, rows, noise, z, target), params)
+            ad.evaluate_with_gradients(lambda ps: _objective(
+                ps, config, last_domain.task, rows, noise, z, target), params, grads)
             opt.step(theta, grad)
 
     def readout():

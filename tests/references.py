@@ -1,10 +1,10 @@
 """Numpy references that tests score the package against: the forecasting
 loss on finished matrices, the density baseline's joint KL between two
-datasets, total variation by enumerating every event, and gradients by
-central differences."""
+datasets, total variation by enumerating every event, gradients by central
+differences, and one loss's value and flat gradient (`value_and_grad`)."""
 import numpy as np
 
-from driftsim.autodiff import CLAMP, LossFn, evaluate_value, evaluate_with_gradients
+from driftsim.autodiff import CLAMP, LossFn, evaluate_value, evaluate_with_gradients, views
 from driftsim.bounds import FiniteJointDistribution, _align
 from driftsim.datasets import CLASSIFICATION, DomainDataset
 from driftsim.density_baseline import (Q_FLOOR, _class_values, default_grid,
@@ -94,6 +94,13 @@ def tv_dual_exhaustive(p: FiniteJointDistribution, q: FiniteJointDistribution) -
     return float(np.abs(gaps).max())
 
 
+def value_and_grad(loss_fn: LossFn, params) -> tuple:
+    """(loss, gradient) of `loss_fn(params)`: `evaluate_with_gradients` into a
+    new vector laid out like `optim.flat(params)`."""
+    grad = np.empty(sum(np.size(p) for p in params))
+    return evaluate_with_gradients(loss_fn, params, views(grad, params)), grad
+
+
 def grad_check(loss_fn: LossFn, params, step: float = 1e-6) -> float:
     """Max relative error between tape gradients and central differences.
 
@@ -103,7 +110,7 @@ def grad_check(loss_fn: LossFn, params, step: float = 1e-6) -> float:
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     params = [np.asarray(p, dtype=np.float64) for p in params]
-    _, grad = evaluate_with_gradients(loss_fn, params)
+    _, grad = value_and_grad(loss_fn, params)
     worst, offset = 0.0, 0
     for i, p in enumerate(params):
         flat = p.ravel()

@@ -25,7 +25,7 @@ from driftsim.predictor import PredictorConfig
 from driftsim.simulator import SimulatorConfig, sample
 
 import unfused
-from references import grad_check, tv_dual_exhaustive
+from references import grad_check, tv_dual_exhaustive, value_and_grad
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -162,8 +162,7 @@ GRAD_FLOOR = 1e-3
 
 def _predictor_grad_instance(rng) -> float:
     from driftsim.correlation import flatten_upper
-    from driftsim.predictor import (_forward_sequence, _init_params,
-                                    _sequence_loss)
+    from driftsim.predictor import _groups, _init_params, _sequence_loss
     for _ in range(400):
         m = int(rng.integers(2, 5))
         t_len = int(rng.integers(3, 6))
@@ -190,12 +189,10 @@ def _predictor_grad_instance(rng) -> float:
 
         # finite differences straddle the L1 kink when a prediction sits on
         # its target; only accept instances with clearance
-        outs = _forward_sequence(params, rows)
-        gap = min(np.min(np.abs(out - targets[s:s + 1, :]))
-                  for s, out in enumerate(outs))
+        gap = np.min(np.abs(ad.forecast(*_groups(params), rows) - targets))
         if gap < KINK_GAP:
             continue
-        _, grad = ad.evaluate_with_gradients(build, params)
+        _, grad = value_and_grad(build, params)
         if np.min(np.abs(grad)) < GRAD_FLOOR:
             continue
         return grad_check(build, params)

@@ -23,7 +23,7 @@ from driftsim.optim import TOL, Adam, fit, flat, train
 from driftsim.predictor import PredictorConfig
 
 import unfused
-from references import grad_check
+from references import grad_check, value_and_grad
 from unfused import same_bits
 
 
@@ -33,7 +33,7 @@ def _sq(t):
 
 def test_square_loss_and_grad():
     loss_fn = unfused.taped(lambda params: unfused.reduce_sum(_sq(params[0])))
-    loss, grad = ad.evaluate_with_gradients(loss_fn, [np.array(3.0)])
+    loss, grad = value_and_grad(loss_fn, [np.array(3.0)])
     assert loss == 9.0
     assert grad.shape == (1,) and grad[0] == pytest.approx(6.0)
 
@@ -42,7 +42,7 @@ def test_sum_grad_is_ones():
     for shape in [(3,), (2, 4), ()]:
         loss_fn = unfused.taped(lambda params: unfused.reduce_sum(params[0]))
         w = np.random.default_rng(0).normal(size=shape)
-        loss, grad = ad.evaluate_with_gradients(loss_fn, [w])
+        loss, grad = value_and_grad(loss_fn, [w])
         assert loss == pytest.approx(w.sum())
         assert grad.dtype == np.float64 and grad.shape == (w.size,)
         np.testing.assert_array_equal(grad, np.ones(w.size))
@@ -59,22 +59,27 @@ def test_matmul_mse_matches_finite_differences():
 
 
 def test_unused_parameter_gets_zero_grad():
+    # the gradient is written into views of a vector that a trainer reuses
+    # every step: a param the loss does not reach reads zeros, not the last
+    # step's entries
     loss_fn = unfused.taped(lambda params: unfused.reduce_sum(_sq(params[0])))
-    _, grad = ad.evaluate_with_gradients(loss_fn, [np.ones(2), np.ones(3)])
+    params = [np.ones(2), np.ones(3)]
+    grad = np.full(5, np.nan)
+    assert ad.evaluate_with_gradients(loss_fn, params, ad.views(grad, params)) == 2.0
     np.testing.assert_array_equal(grad, [2.0, 2.0, 0.0, 0.0, 0.0])
 
 
 def test_non_scalar_output_rejected():
     loss_fn = unfused.taped(lambda params: params[0] + 1.0)
     with pytest.raises(ValueError):
-        ad.evaluate_with_gradients(loss_fn, [np.ones(3)])
+        value_and_grad(loss_fn, [np.ones(3)])
 
 
 def test_non_finite_loss_raises():
     loss_fn = unfused.taped(lambda params: unfused.log(params[0]))
     with np.errstate(invalid="ignore"):
         with pytest.raises(ad.NonFiniteLossError):
-            ad.evaluate_with_gradients(loss_fn, [np.array(-1.0)])
+            value_and_grad(loss_fn, [np.array(-1.0)])
 
 
 def test_matmul_shape_mismatch_raises():
@@ -88,8 +93,8 @@ def test_losses_are_deterministic():
     w = rng.normal(size=(4, 4))
     x = rng.normal(size=(4, 4))
     loss_fn = unfused.taped(lambda params: unfused.reduce_mean(unfused.tanh(params[0] @ x)))
-    a = ad.evaluate_with_gradients(loss_fn, [w])
-    b = ad.evaluate_with_gradients(loss_fn, [w])
+    a = value_and_grad(loss_fn, [w])
+    b = value_and_grad(loss_fn, [w])
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -125,9 +130,9 @@ def test_array_on_the_left_of_a_tensor_builds_the_tensor_node(op):
     rng = np.random.default_rng(25)
     x, w = rng.normal(size=(3, 4)), rng.normal(size=(1, 4)) + 3.0
     assert isinstance(op(x, unfused.Tensor(w)), unfused.Tensor)
-    got = ad.evaluate_with_gradients(
+    got = value_and_grad(
         unfused.taped(lambda p: unfused.reduce_sum(_sq(op(x, p[0])))), [w])
-    want = ad.evaluate_with_gradients(
+    want = value_and_grad(
         unfused.taped(lambda p: unfused.reduce_sum(_sq(primitive(x, p[0])))), [w])
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
@@ -139,7 +144,7 @@ def test_array_matmul_tensor_is_a_type_error():
 
 
 def test_getitem_with_repeated_indices_sums_their_gradients():
-    _, grad = ad.evaluate_with_gradients(
+    _, grad = value_and_grad(
         unfused.taped(lambda p: unfused.reduce_sum(p[0][[0, 0, 1]])), [np.ones(3)])
     np.testing.assert_array_equal(grad, [2.0, 1.0, 0.0])
     a = np.random.default_rng(26).normal(size=(4, 3))
@@ -204,7 +209,7 @@ def test_lstm_cell_first_step_is_zero_cell_state():
     rng = np.random.default_rng(16)
     w, b = rng.normal(size=(5, 12)), rng.normal(size=(1, 12))
     x = rng.normal(size=(1, 2))
-    (h0,) = ad.lstm_stack([w, b], [x])
+    (h0,), _ = ad._lstm([w, b], [x])
     gates = np.concatenate([x, np.zeros((1, 3))], axis=1) @ w + b
     h1, _ = unfused.lstm_cell(gates, np.zeros((1, 3)), 3)
     assert h0.shape == (1, 3)  # a quarter of the gate width
@@ -213,12 +218,12 @@ def test_lstm_cell_first_step_is_zero_cell_state():
 
 def test_lstm_cell_rejects_a_gate_width_not_a_multiple_of_4():
     with pytest.raises(ValueError, match="multiple of 4"):
-        ad.lstm_stack([np.zeros((4, 10)), np.zeros((1, 10))], [np.zeros((1, 2))])
+        ad._lstm([np.zeros((4, 10)), np.zeros((1, 10))], [np.zeros((1, 2))])
     # the stack's state is one row, so each input is one row of the input width
     w, b = np.zeros((5, 12)), np.zeros((1, 12))
     for row in (np.zeros((2, 2)), np.zeros((1, 3))):
         with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
-            ad.lstm_stack([w, b], [np.zeros((1, 2)), row])
+            ad._lstm([w, b], [np.zeros((1, 2)), row])
 
 
 def test_dense_stack_matches_glorot_draws_and_numpy():
@@ -239,7 +244,7 @@ def test_returned_gradients_share_no_memory():
     # both leaves receive the same tape array from add's VJP
     loss_fn = unfused.taped(lambda params: unfused.reduce_sum(params[0] + params[1]))
     params = [np.ones((2, 3)), np.ones((2, 3))]
-    _, grad = ad.evaluate_with_gradients(loss_fn, params)
+    _, grad = value_and_grad(loss_fn, params)
     assert grad.shape == (12,)
     assert not any(np.shares_memory(grad, p) for p in params)
     grad[0] = 5.0
@@ -297,7 +302,8 @@ def _model_losses(rng) -> dict:
         "gaussian_elbo": (lambda ps: simulator._objective(ps, sim_cfg, CLASSIFICATION, data,
                                                           noise, z, np.eye(3)),
                           simulator._init_params(3, sim_cfg, rng)),
-        "prelim_loss": (lambda ps: ad.prelim_loss(ps, summaries, classes, grid, sides),
+        "prelim_loss": (lambda ps: ad.prelim_loss(*density_baseline._split(ps), summaries,
+                                                  classes, grid, sides),
                         density_baseline._init_prelim(2, 20, prelim_cfg, rng)),
     }
 
@@ -310,12 +316,33 @@ def test_one_vjp_call_per_gradient_evaluation_and_none_per_value_read(monkeypatc
     calls = _record_calls(monkeypatch, ("backward", *LOSSES))
     for name, (loss_fn, params) in losses.items():
         del calls[:]
-        ad.evaluate_with_gradients(loss_fn, params)
+        value_and_grad(loss_fn, params)
         want = [name, "kde_kl"] if name == "prelim_loss" else [name]
         assert calls == [*want, "backward", "vjp"], name
         del calls[:]
         ad.evaluate_value(loss_fn, params)
         assert calls == want, name
+
+
+def test_a_fit_makes_its_gradient_vector_once(monkeypatch):
+    # every gradient evaluation of a fit writes into the same views of one
+    # vector, made when the fit starts: a downstream fit's 3 readouts, then
+    # a simulator fit's 2 epochs of 2 minibatch steps
+    seen = []
+    real = ad.evaluate_with_gradients
+    monkeypatch.setattr(ad, "evaluate_with_gradients",
+                        lambda fn, ps, grads: seen.append(grads) or real(fn, ps, grads))
+    rng = np.random.default_rng(30)
+    data = DomainDataset(0, rng.uniform(-1, 1, (16, 2)), (rng.random(16) < 0.5).astype(float))
+    harness.train_downstream(data, harness.DownstreamConfig(hidden_dims=(4,), max_epochs=3))
+    simulator.train_simulator(data, None, simulator.SimulatorConfig(
+        encoder_dim=6, decoder_dim=5, latent_dim=3, lambda_c=0.0, batch_size=8,
+        max_epochs=2))
+    assert [id(g) for g in seen] == [id(seen[0])] * 3 + [id(seen[3])] * 4
+    for grads in (seen[0], seen[3]):
+        vector = grads[0].base
+        assert all(view.base is vector for view in grads)
+        assert sum(view.size for view in grads) == vector.size
 
 
 def _same_bits_via_tensors(forward, params, got):
@@ -426,8 +453,8 @@ taped = unfused.taped
 
 
 def _assert_same_values_and_gradients(fused, oracle, params):
-    got = ad.evaluate_with_gradients(fused, params)
-    want = ad.evaluate_with_gradients(oracle, params)
+    got = value_and_grad(fused, params)
+    want = value_and_grad(oracle, params)
     assert same_bits(got[0], want[0])
     assert same_bits(got[1], want[1])
 
@@ -551,7 +578,7 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
     rows = rng.normal(size=(steps, in_dim))
     weights = rng.normal(size=(steps, hidden))
 
-    def oracle(ps, rs):  # told the hidden width that lstm_stack reads off its bias
+    def oracle(ps, rs):  # told the hidden width that `_lstm` reads off its bias
         return unfused.lstm_stack(ps, rs, hidden)
 
     def loss(stack):
@@ -563,7 +590,7 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
 
     _assert_same_values_and_gradients(loss(unfused.lstm_node), loss(oracle), [*params, rows])
     row_list = [rows[t:t + 1, :] for t in range(steps)]
-    for got, want in zip(ad.lstm_stack(params, row_list), oracle(params, row_list),
+    for got, want in zip(ad._lstm(params, row_list)[0], oracle(params, row_list),
                          strict=True):
         assert same_bits(got, want)
 
@@ -596,9 +623,9 @@ def test_sequence_loss_gradients_match_unfused_forward():
     params = predictor._init_params(m, config, rng)
     rows = list(rng.uniform(-0.9, 0.9, size=(5, 1, 3)))
     tgt = rng.uniform(-0.9, 0.9, size=(5, 3))
-    fused = ad.evaluate_with_gradients(
+    fused = value_and_grad(
         lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config), params)
-    oracle = ad.evaluate_with_gradients(
+    oracle = value_and_grad(
         taped(lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config)), params)
     assert fused[0] == oracle[0]
     assert np.array_equal(fused[1], oracle[1])
@@ -640,9 +667,9 @@ def test_stacked_sequence_loss_matches_per_step_oracle(m, lambda_ce):
     params = predictor._init_params(m, config, rng)
     rows = list(rng.uniform(-0.9, 0.9, size=(9, 1, p)))
     tgt = rng.uniform(-0.9, 0.9, size=(9, p))
-    stacked = ad.evaluate_with_gradients(
+    stacked = value_and_grad(
         lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config), params)
-    oracle = ad.evaluate_with_gradients(
+    oracle = value_and_grad(
         taped(lambda ps: _per_step_sequence_loss(ps, rows, tgt, m, config)), params)
     assert stacked[0] == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
     assert np.array_equal(stacked[1], oracle[1])
@@ -662,7 +689,7 @@ def test_forecast_loss_matches_composition_bit_for_bit(m, lambda_ce):
     rows = list(rng.uniform(-0.9, 0.9, size=(8, 1, p)))
     tgt = rng.uniform(-0.9, 0.9, size=(8, p))
     tgt[2:4, 0] = 1.0
-    assert np.all(predictor._forward_sequence(params, rows)[2][0, 0] == 1.0)
+    assert ad.forecast(*predictor._groups(params), rows)[2, 0] == 1.0
     _assert_same_values_and_gradients(
         lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config),
         taped(lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config)), params)
@@ -684,7 +711,7 @@ def test_forecast_loss_matches_the_tape_bit_for_bit(m, layers):
     rows = list(rng.uniform(-0.9, 0.9, size=(9, 1, p)))
     tgt = rng.uniform(-0.9, 0.9, size=(9, p))
     _assert_same_values_and_gradients(
-        lambda ps: ad.forecast_loss(ps, rows, tgt, m, config.lambda_ce),
+        lambda ps: ad.forecast_loss(*predictor._groups(ps), rows, tgt, m, config.lambda_ce),
         taped(lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config)), params)
 
 
@@ -712,7 +739,7 @@ def test_mlp_loss_matches_composition_bit_for_bit(task):
 def test_mix_decode_matches_composition_bit_for_bit():
     # prelim's decode as one node from `_mix_decode`, with the state a param
     # too and plain, against the mixing layer's matmul, add and tanh nodes
-    # and the per-layer chain; `mix_decode` gives the composition's rows;
+    # and the per-layer chain; its plain rows are the composition's;
     # and the gradients against finite differences
     rng = np.random.default_rng(36)
     config = density_baseline.PrelimConfig(hidden_dim=6, embed_dim=3)
@@ -732,7 +759,7 @@ def test_mix_decode_matches_composition_bit_for_bit():
                                       [*params, state])
     _assert_same_values_and_gradients(taped(loss(node, state)),
                                       taped(loss(unfused.decode_rows, state)), params)
-    assert same_bits(ad.mix_decode(params[2:], state), unfused.decode_rows(params, state))
+    assert same_bits(ad._mix_decode(params[2:], state)[0], unfused.decode_rows(params, state))
     _check(loss(node), [*params, state], tol=1e-5)
 
 
@@ -821,8 +848,8 @@ def test_kde_kl_signed_zero_where_a_sample_has_no_kernel_mass():
     grid = np.array([0.0])
     side = [[(0.625, 0.3, np.log([0.4])), (0.375, 0.25, np.log([0.2]))]]
     assert np.exp(-0.5 * (60.0 / 0.3) ** 2) == 0.0
-    fused = ad.evaluate_with_gradients(lambda p: ad.kde_kl(p, classes, grid, [side]), [rows])
-    oracle = ad.evaluate_with_gradients(
+    fused = value_and_grad(lambda p: ad.kde_kl(p, classes, grid, [side]), [rows])
+    oracle = value_and_grad(
         taped(lambda p: unfused.kde_kl(p, classes, grid, [side])), [rows])
     assert same_bits(fused[0], oracle[0]) and same_bits(fused[1], oracle[1])
     assert fused[1][2] == 0.0 and not np.signbit(fused[1][2])
@@ -833,27 +860,23 @@ def test_kde_kl_below_the_root_agrees_with_composition_up_to_rounding():
     # gradient it is exact only up to rounding
     rows, grid, sides = _kde_kl_inputs("odd class sizes")
     classes = KDE_KL_CASES["odd class sizes"][3]
-    fused = ad.evaluate_with_gradients(
+    fused = value_and_grad(
         taped(lambda p: unfused.kde_kl_node(p, classes, grid, sides) * 3.7), rows)
-    oracle = ad.evaluate_with_gradients(
+    oracle = value_and_grad(
         taped(lambda p: unfused.kde_kl(p, classes, grid, sides) * 3.7), rows)
     assert same_bits(fused[0], oracle[0])
     np.testing.assert_allclose(fused[1], oracle[1], rtol=1e-13, atol=1e-300)
 
 
-def test_kde_kl_constant_rows_record_no_parents(monkeypatch):
-    # a forward-only read: the composition's value, no VJP and no term's
-    # gradient formed
+def test_kde_kl_constant_rows_record_no_parents():
+    # on plain rows the KL's tape node records nothing: its adapter gives
+    # the pair's plain value, which is the composition's bit for bit
     rows, grid, sides = _kde_kl_inputs("sample outside the grid", domains=2)
     classes = KDE_KL_CASES["sample outside the grid"][3]
-    upstream = []
-    real = ad._kde_kl_term
-    monkeypatch.setattr(ad, "_kde_kl_term",
-                        lambda *a: upstream.append(a[-1]) or real(*a))
-    fused, vjp = ad.kde_kl(rows, classes, grid, sides, grad=False)
-    assert same_bits(fused, unfused.kde_kl(rows, classes, grid, sides))
-    assert vjp is None
-    assert upstream == [None] * 8
+    value = unfused.kde_kl_node(rows, classes, grid, sides)
+    assert not isinstance(value, unfused.Tensor)
+    assert same_bits(value, ad.kde_kl(rows, classes, grid, sides)[0])
+    assert same_bits(value, unfused.kde_kl(rows, classes, grid, sides))
 
 
 def test_kde_kl_zero_mass_is_non_finite_like_the_composition():
@@ -865,7 +888,7 @@ def test_kde_kl_zero_mass_is_non_finite_like_the_composition():
                     taped(lambda p: unfused.kde_kl(p, classes, grid, [side, side]))):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ad.NonFiniteLossError):
-                ad.evaluate_with_gradients(loss_fn, rows)
+                value_and_grad(loss_fn, rows)
 
 
 @pytest.mark.parametrize("domains", [3, 10])
@@ -887,12 +910,12 @@ def test_prelim_loss_matches_the_tape_bit_for_bit(domains):
               for w in density_baseline._init_prelim(2, 26, config, rng)]
     assert len(sides) == domains - 1
     _assert_same_values_and_gradients(
-        lambda ps: ad.prelim_loss(ps, summaries, classes, grid, sides),
+        lambda ps: ad.prelim_loss(*density_baseline._split(ps), summaries, classes, grid, sides),
         taped(lambda ps: unfused.prelim_loss(ps, summaries, classes, grid, sides)), params)
 
 
-def _taped_prelim_loss(params, *args):
-    return taped(lambda p: unfused.prelim_loss(p, *args))(params)
+def _taped_prelim_loss(lstm, decoder, *args):
+    return taped(lambda p: unfused.prelim_loss(p, *args))([*lstm, *decoder])
 
 
 def test_prelim_fit_matches_the_per_term_chain_bit_for_bit(monkeypatch):
@@ -1042,7 +1065,7 @@ def test_adam_drives_quadratic_toward_minimum():
     opt = Adam(theta.size, lr=0.05)
     losses = []
     for _ in range(400):
-        loss, grad = ad.evaluate_with_gradients(loss_fn, params)
+        loss, grad = value_and_grad(loss_fn, params)
         losses.append(loss)
         opt.step(theta, grad)
     assert losses[-1] < 1e-3

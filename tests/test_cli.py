@@ -359,9 +359,11 @@ def test_run_non_finite_gradient_is_numeric_failure(tmp_path, monkeypatch,
                                                    capsys):
     real = autodiff.evaluate_with_gradients
 
-    def nan_grads(loss_fn, params):
-        loss, grad = real(loss_fn, params)
-        return loss, np.full_like(grad, np.nan)
+    def nan_grads(loss_fn, params, grads):
+        loss = real(loss_fn, params, grads)
+        for view in grads:
+            view.fill(np.nan)
+        return loss
 
     monkeypatch.setattr(autodiff, "evaluate_with_gradients", nan_grads)
     # three seeds run in forked workers where two CPUs are usable; the

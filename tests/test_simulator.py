@@ -15,7 +15,7 @@ from driftsim.simulator import (SimulatorConfig, loss_snapshot, sample,
                                 train_simulator)
 
 import unfused
-from references import grad_check
+from references import grad_check, value_and_grad
 from unfused import same_bits
 
 TINY = SimulatorConfig(encoder_dim=4, encoder_layers=1, decoder_dim=4,
@@ -139,9 +139,9 @@ def test_training_objective_gradient_matches_finite_differences():
 def _assert_objective_matches_oracle(params, config, task, rows, noise, z, target):
     """The fused objective's loss and gradient have the bits of the
     composition's in tests/unfused.py; returns the loss."""
-    fused = ad.evaluate_with_gradients(
+    fused = value_and_grad(
         lambda ps: sm._objective(ps, config, task, rows, noise, z, target), params)
-    oracle = ad.evaluate_with_gradients(
+    oracle = value_and_grad(
         unfused.taped(lambda ps: unfused.objective(ps, config, task, rows, noise, z, target)),
         params)
     assert same_bits(fused[0], oracle[0])

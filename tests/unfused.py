@@ -20,9 +20,9 @@ composition reads as the maths. The program has no `Tensor`: every loss
 there is one value-and-VJP pair.
 
 The references, written with it: a dense stack (for `ad.dense`), the LSTM
-(for `ad.lstm_stack`), the forecaster's forward and loss (for
+(for `ad._lstm`), the forecaster's forward and loss (for `ad.forecast` and
 `ad.forecast_loss`), the downstream loss (for `ad.mlp_loss`), the density
-baseline's decode, KDE-KL and loss (for `ad.mix_decode`, `ad.kde_kl` and
+baseline's decode, KDE-KL and loss (for `ad._mix_decode`, `ad.kde_kl` and
 `ad.prelim_loss`), the simulator's loss (for `ad.gaussian_elbo`), Adam as
 one update per parameter array (for `optim.Adam`), and the full-batch loop
 that `optim.fit` runs on `optim.train`. Also `same_bits`, the comparison
@@ -159,8 +159,8 @@ def dense_node(params, x, act=None, last=None):
 
 
 def lstm_node(params, rows):
-    """`ad.lstm_stack` as one node over the rows from last to first, then the
-    params, from `ad._lstm`, with one view node per step's output."""
+    """`ad._lstm` as one node over the rows from last to first, then the
+    params, with one view node per step's output."""
     outputs, lstm_vjp = ad._lstm([_val(p) for p in params], [_val(r) for r in rows])
 
     def vjp(g):
@@ -183,8 +183,7 @@ def lstm_node(params, rows):
 
 
 def mix_decode_node(params, state):
-    """`ad.mix_decode` as one node over the state, then the params, from
-    `ad._mix_decode`."""
+    """`ad._mix_decode` as one node over the state, then the params."""
     rows, decode_vjp = ad._mix_decode([_val(p) for p in params], _val(state))
 
     def vjp(g):
@@ -436,9 +435,9 @@ def bce(p, t):
 
 
 def forward_sequence(params, rows):
-    """`predictor._forward_sequence` written with primitives only: the
-    embedding's matmul and add, `lstm_stack` below, and the head's matmul,
-    add and tanh, per step."""
+    """`ad.forecast` written with primitives only, on the forecaster's flat
+    params: the embedding's matmul and add, `lstm_stack` below, and the
+    head's matmul, add and tanh, per step."""
     w_embed, b_embed, w_head, b_head = params[0], params[1], params[-2], params[-1]
     states = lstm_stack(params[2:-2], [matmul(row, w_embed) + b_embed for row in rows],
                         _val(params[3]).shape[1] // 4)
@@ -474,7 +473,7 @@ def mlp_loss(params, x, y, task):
 def decode_rows(params, state):
     """The rows that prelim decodes from `state`, given all its params (the
     LSTM's, then the decoder's), as the mixing layer's composition, then
-    `dense` (for `ad.mix_decode`)."""
+    `dense` (for `ad._mix_decode`)."""
     _, _, embed, w_e, w_s, b_mix = params[:6]
     mix = tanh(matmul(embed, w_e) + matmul(state, w_s) + b_mix)
     return dense(params[6:], mix, last=ad.tanh)
@@ -573,8 +572,8 @@ def kde_kl(rows, classes, grid, truth_sides):
 
 
 def prelim_loss(params, summaries, classes, grid, truth_sides):
-    """`ad.prelim_loss` as `lstm_stack` over the summaries, `decode_rows` of
-    each state and `kde_kl` of them."""
+    """`ad.prelim_loss` on prelim's flat params, as `lstm_stack` over the
+    summaries, `decode_rows` of each state and `kde_kl` of them."""
     states = lstm_stack(params[:2], summaries, _val(params[1]).shape[1] // 4)
     return kde_kl([decode_rows(params, s) for s in states], classes, grid, truth_sides)
 
@@ -601,7 +600,7 @@ class PerArrayAdam:
 
 
 def lstm_cell(gates, c_prev, hidden):
-    """One step of a cell of `ad.lstm_stack`, as sigmoid/tanh nodes on gate
+    """One step of a cell of `ad._lstm`, as sigmoid/tanh nodes on gate
     slices; `c_prev` is None on a layer's first step."""
     i = sigmoid(gates[:, 0:hidden])
     f = sigmoid(gates[:, hidden:2 * hidden])
@@ -612,7 +611,7 @@ def lstm_cell(gates, c_prev, hidden):
 
 
 def lstm_stack(params, rows, hidden):
-    """`ad.lstm_stack` cell by cell, each step's gates as
+    """`ad._lstm` cell by cell, each step's gates as
     `concat([x, h]) @ w + b` and its cell as `lstm_cell` above."""
     layers = len(params) // 2
     h_states = [np.zeros((1, hidden))] * layers
@@ -632,13 +631,15 @@ def fit(loss_fn, params, config):
     """`optim.fit` as its own loop: score, keep a copy on a record, step. It
     also takes a last step after the final readout, which nothing reads."""
     theta, params = flat(params)
+    grad = np.empty_like(theta)
+    grads = ad.views(grad, params)
     opt = Adam(theta.size, lr=config.learning_rate)
     best_loss = np.inf
     best = theta.copy()
     stale = 0
     history = []
     for _ in range(config.max_epochs):
-        loss, grad = ad.evaluate_with_gradients(loss_fn, params)
+        loss = ad.evaluate_with_gradients(loss_fn, params, grads)
         history.append(loss)
         if loss < best_loss - TOL:
             best_loss, best, stale = loss, theta.copy(), 0
