@@ -1,44 +1,32 @@
-"""Reverse-mode gradients of small dense float64 models, with no tape.
+"""Reverse-mode gradients of small dense float64 models, with no tape: the
+forward/VJP pairs that two or more models' losses share, and the path that
+evaluates a loss.
 
-Each model's loss is one value-and-VJP pair, the interface of JAX's `vjp`:
-a loss function `loss_fn(params)` returns the scalar loss and its VJP
+A loss function `loss_fn(params)` returns the scalar loss and its VJP
 (vector-Jacobian product), a closure that maps the gradient of the loss to
 one gradient per parameter array, or None for a parameter the loss does not
-reach. There is no `Tensor` and no tape to replay. `evaluate_with_gradients`
-runs a loss once and `backward` writes its VJP's gradients into views of one
-flat vector laid out like `optim.flat`, which a trainer allocates once per
-fit; `evaluate_value` leaves the VJP uncalled. Forward-only reads call plain
-forward functions on the parameter arrays (`dense`, `forecast`,
-`prelim_decode`, `decode`), which run the forward of the matching loss.
-Float64 only, no GPU.
+reach: the interface of JAX's `vjp`. Each model's loss is one such pair in
+the model's own module, beside its parameter layout (`predictor`,
+`simulator`, `density_baseline`, `harness`), chained from the pairs here:
+`stack`/`stack_vjp` for every feed-forward stack (over `layer`/`layer_vjp`),
+`lstm` for a stacked LSTM and `bce` for the clipped BCE. `dense` is a
+stack's plain forward, `sums` adds a param's gradients from the places it
+reached, and `unbroadcast` inverts numpy broadcasting.
 
-The losses: `forecast_loss` the forecaster's (a per-step linear embedding, a
-stacked LSTM and a per-step tanh head, then the Frobenius + L1 + weighted BCE
-of every step); `mlp_loss` the downstream ReLU net with its clipped BCE or
-squared-error mean; `gaussian_elbo` the simulator's negative ELBO (encoder,
-reparameterization, decoder, reconstruction and KL), optionally plus a
-weighted L1 between the Pearson matrix of decoded prior draws and a target;
-and `prelim_loss` the density baseline's (a one-layer LSTM over per-domain
-summaries, a mixing decode per truth domain, then `kde_kl`, every
-class-conditional KDE-KL term of every truth domain). A model's parameter
-layout is its own module's: the forecaster's and prelim's losses take their
-parameter groups already split. They chain forward/VJP pairs:
-`_stack`/`_stack_vjp` for every feed-forward stack (over `_layer`,
-`_layer_vjp`), `_lstm`, `_forecast`, `_forecast_error`, `_mix_decode`,
-`_elbo`, `_correlation_pull`, `kde_kl` and the clipped BCE `_bce`.
+`evaluate_with_gradients` runs a loss once and `backward` writes its VJP's
+gradients into views of one flat vector laid out like `optim.flat` (`views`
+makes them), which a trainer allocates once per fit; `evaluate_value` leaves
+the VJP uncalled. Float64 only, no GPU.
 
 Each VJP repeats the elementwise arithmetic of the composition of generic
 primitives in `tests/unfused.py` in the same order, and sums the gradients
 of a value that reached several places in the order that composition's tape
 replay reached them, so every gradient, and every trained parameter, is
-bit-identical to what the tape gives. `kde_kl` is a sum of independent
-terms, so it forms each term's gradient in the forward, right after the
-term's value, and drops the term's kernel matrix before the next; its VJP
-only scales those gradients, which is exact for the gradient 1 that
-`backward` hands a loss. No VJP writes into the gradient it is given.
+bit-identical to what the tape gives. No VJP writes into the gradient it is
+given.
 
-`tanh`, `relu` and `sigmoid` name the activations that `dense`, `decode`
-and the simulator's loss accept; called on an array, each is that function.
+`tanh`, `relu` and `sigmoid` name the activations that the stacks and the
+simulator's decode accept; called on an array, each is that function.
 """
 from __future__ import annotations
 
@@ -49,7 +37,6 @@ import numpy as np
 __all__ = [
     "NonFiniteLossError",
     "CLAMP",
-    "FRO_GUARD",
     "evaluate_with_gradients",
     "evaluate_value",
     "backward",
@@ -57,32 +44,31 @@ __all__ = [
     "tanh",
     "relu",
     "sigmoid",
+    "layer",
+    "layer_vjp",
+    "lstm",
+    "stack",
+    "stack_vjp",
     "dense",
-    "forecast",
-    "forecast_loss",
-    "mlp_loss",
-    "decode",
-    "gaussian_elbo",
-    "kde_kl",
-    "prelim_decode",
-    "prelim_loss",
+    "bce",
+    "sums",
+    "unbroadcast",
 ]
 
 CLAMP = 1e-6  # probabilities are clipped to [CLAMP, 1 - CLAMP] before a log
-FRO_GUARD = 1e-24  # keeps the Frobenius norm's sqrt differentiable at zero
 
 
 class NonFiniteLossError(ArithmeticError):
     """Raised when a scalar loss evaluates to NaN or infinity."""
 
 
-def _sums(per_place) -> list:
+def sums(per_place) -> list:
     """Per param, its gradients from each place in `per_place` (one list of
     gradients per place) summed left to right, as the tape accumulated them."""
     return [sum(grads[1:], grads[0]) for grads in zip(*per_place)]
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `g` down to `shape`, inverting numpy broadcasting."""
     if g.shape == shape:
         return g
@@ -118,7 +104,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 # -- forward/VJP pairs -----------------------------------------------------
 
-def _layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, act) -> np.ndarray:
+def layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, act) -> np.ndarray:
     """`act(x @ w + b)` with `act` None (linear), `tanh` or `relu`: the bias
     is added and the activation applied in place on the fresh product."""
     out = x @ w
@@ -130,8 +116,8 @@ def _layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, act) -> np.ndarray:
     return out
 
 
-def _layer_vjp(g, x, w, b, out, act, x_grad: bool = True) -> tuple:
-    """(x, w, b) gradients of `out = _layer(x, w, b, act)` given `g`: the
+def layer_vjp(g, x, w, b, out, act, x_grad: bool = True) -> tuple:
+    """(x, w, b) gradients of `out = layer(x, w, b, act)` given `g`: the
     activation's derivative in one new buffer, then the `add` and `matmul`
     VJPs, so each equals the three-node composition's bit for bit. The x
     gradient is None unless `x_grad`."""
@@ -141,10 +127,10 @@ def _layer_vjp(g, x, w, b, out, act, x_grad: bool = True) -> tuple:
         g = np.multiply(d, g, out=d)
     elif act is relu:
         g = g * (out > 0.0)  # where x @ w + b > 0: relu keeps exactly those
-    return (g @ w.T if x_grad else None), x.T @ g, _unbroadcast(g, b.shape)
+    return (g @ w.T if x_grad else None), x.T @ g, unbroadcast(g, b.shape)
 
 
-def _lstm(params, rows) -> tuple:
+def lstm(params, rows) -> tuple:
     """(the top layer's hidden state after each row of a stacked LSTM, its
     VJP: the gradients of those states -> (one gradient per param, one per
     row)).
@@ -285,39 +271,39 @@ def _lstm(params, rows) -> tuple:
     return [h[d + 1, layers - 1:layers] for d in range(layers - 1, diagonals)], vjp
 
 
-def _stack(params, x, act, last) -> list:
+def stack(params, x, act, last) -> list:
     """The input and each layer's output of the [w, b] pairs of `params`
     applied to `x`: `act` after every pair but the last, `last` after it."""
     acts = [x]
     for i in range(0, len(params), 2):
         _check_matmul(acts[-1], params[i])
-        acts.append(_layer(acts[-1], params[i], params[i + 1],
-                           act if i + 2 < len(params) else last))
+        acts.append(layer(acts[-1], params[i], params[i + 1],
+                          act if i + 2 < len(params) else last))
     return acts
 
 
-def _stack_vjp(g, params, acts, act, last, x_grad: bool) -> tuple:
-    """(input gradient or None, one gradient per param) of `_stack`, given
-    the gradient `g` of its last output: `_layer_vjp` from the top layer down."""
+def stack_vjp(g, params, acts, act, last, x_grad: bool) -> tuple:
+    """(input gradient or None, one gradient per param) of `stack`, given
+    the gradient `g` of its last output: `layer_vjp` from the top layer down."""
     grads = [None] * len(params)
     for i in reversed(range(0, len(params), 2)):
-        g, grads[i], grads[i + 1] = _layer_vjp(g, acts[i // 2], params[i], params[i + 1],
-                                               acts[i // 2 + 1],
-                                               act if i + 2 < len(params) else last,
-                                               x_grad or i > 0)
+        g, grads[i], grads[i + 1] = layer_vjp(g, acts[i // 2], params[i], params[i + 1],
+                                              acts[i // 2 + 1],
+                                              act if i + 2 < len(params) else last,
+                                              x_grad or i > 0)
     return g, grads
 
 
 def dense(params, x, act=None, last=None) -> np.ndarray:
     """The [w, b] pairs of `params` applied to `x`: `act` after every pair
     but the last, `last` after it, each None (linear), `tanh` or `relu`.
-    The losses run the same `_stack` forward, with `_stack_vjp` as its VJP."""
+    The losses run the same `stack` forward, with `stack_vjp` as its VJP."""
     if act not in (None, tanh, relu) or last not in (None, tanh, relu):
         raise ValueError("dense activations must be None, tanh or relu")
-    return _stack(params, x, act, last)[-1]
+    return stack(params, x, act, last)[-1]
 
 
-def _bce(p: np.ndarray, t: np.ndarray) -> tuple:
+def bce(p: np.ndarray, t: np.ndarray) -> tuple:
     """(the elementwise -(t log q + (1 - t) log(1 - q)) of probabilities `p`
     clipped to q in [CLAMP, 1 - CLAMP] against targets `t`, its VJP: the
     gradient of `p` given that of the values). The VJP takes the negation,
@@ -331,419 +317,6 @@ def _bce(p: np.ndarray, t: np.ndarray) -> tuple:
         g_q = g * t / q
         g_q = g_q + -(g * (1.0 - t) / q_c)
         return g_q * ((p >= CLAMP) & (p <= 1.0 - CLAMP))
-
-    return value, vjp
-
-
-def _forecast_error(pred, target, m: int, lambda_ce: float) -> tuple:
-    """(the forecaster's loss over its one-step-ahead forecasts `pred`, the
-    (steps, p) flattened upper triangles of m x m matrices, against the rows
-    of `target`, its VJP: the gradient of the value -> that of `pred`); see
-    `forecast_loss`. The VJP sums the error's gradient from its square, then
-    from its absolute value, and that of `pred` from the error, then from
-    the BCE, as the composition's tape replay did."""
-    diff = pred - target
-    norms = np.sqrt((diff * diff).sum(axis=1) * 2.0 + FRO_GUARD)
-    bce, bce_vjp = _bce((pred + 1.0) * 0.5, (target + 1.0) * 0.5)
-    diag = -m * np.log(1.0 - CLAMP) * pred.shape[0]
-    inv_mm = 1.0 / (m * m)
-    value = ((norms.sum() + np.abs(diff).sum() * 2.0)
-             + (bce.sum() * 2.0 + diag) * inv_mm * lambda_ce)
-
-    def vjp(g):
-        g_sq = (g * 0.5 / norms * 2.0)[:, None]
-        g_pred = g_sq * diff
-        g_pred = g_pred + g_sq * diff
-        g_pred = g_pred + g * 2.0 * np.sign(diff)
-        g_bce = np.broadcast_to(g * lambda_ce * inv_mm * 2.0, bce.shape)
-        return g_pred + bce_vjp(g_bce) * 0.5
-
-    return value, vjp
-
-
-def _forecast(embed, stack, head, rows) -> tuple:
-    """(`forecast(embed, stack, head, rows)`, its VJP: the gradient of the
-    forecasts -> one gradient per array of `embed`, `stack`, then `head`).
-
-    The VJP runs the pieces' VJPs in the order the tape replay of their
-    composition in `tests/unfused.py` ran them: per step the head's, the
-    stack's, then per step the embedding's; so the head's params sum their
-    steps' gradients from the first step to the last and the embedding's
-    from the last to the first, bit-identical to that tape's.
-    """
-    embedded = [_stack(embed, row, None, None) for row in rows]
-    states, stack_vjp = _lstm(stack, [acts[-1] for acts in embedded])
-    heads = [_stack(head, state, None, tanh) for state in states]
-
-    def vjp(g_pred):
-        g_states, g_head = [], []
-        for t, acts in enumerate(heads):
-            g_state, grads = _stack_vjp(g_pred[t:t + 1], head, acts, None, tanh, True)
-            g_states.append(g_state)
-            g_head.append(grads)
-        g_stack, g_rows = stack_vjp(g_states)
-        g_embed = [_stack_vjp(g_row, embed, acts, None, None, False)[1]
-                   for g_row, acts in zip(reversed(g_rows), reversed(embedded))]
-        return [*_sums(g_embed), *g_stack, *_sums(g_head)]
-
-    return np.concatenate([acts[-1] for acts in heads]), vjp
-
-
-def forecast(embed, stack, head, rows) -> np.ndarray:
-    """The forecaster's (steps, p) one-step-ahead forecasts: each (1, p) row
-    of `rows`, the flattened upper triangle of an m x m matrix, is embedded
-    by the [w, b] of `embed`, the `_lstm` of `stack`'s pairs runs over the
-    embeddings, and the tanh [w, b] of `head` maps each step's state to the
-    forecast of the next row. `forecast_loss` runs the same forward."""
-    return _forecast(embed, stack, head, rows)[0]
-
-
-def forecast_loss(embed, stack, head, rows, target, m: int, lambda_ce: float) -> tuple:
-    """The forecaster's loss as one value-and-VJP pair over the arrays of
-    `embed`, `stack`, then `head` (see `forecast`), against the matching
-    rows of `target`. The loss sums, over the steps, the Frobenius norm and
-    the elementwise L1 of the full matrix's error (each off-diagonal entry
-    counts twice; `FRO_GUARD` under the square root), plus `lambda_ce` times
-    the clipped BCE mean over the m² entries mapped from [-1, 1] to [0, 1].
-    The diagonal is exactly 1 on both sides, so it adds nothing to the
-    norms and one clamp constant per step to the BCE. The value and every
-    gradient are bit-identical to the tape of the composition in
-    `tests/unfused.py`.
-    """
-    pred, forecast_vjp = _forecast(embed, stack, head, rows)
-    value, error_vjp = _forecast_error(pred, target, m, lambda_ce)
-    return value, lambda g: forecast_vjp(error_vjp(g))
-
-
-def mlp_loss(params, x, y, classify: bool) -> tuple:
-    """The downstream model's loss as one value-and-VJP pair over the [w, b]
-    pairs of `params`: the mean, over the entries of `out = dense(params, x,
-    relu)`, of the clipped BCE of `sigmoid(out)` against the 0/1 targets `y`
-    when `classify`, else of the squared error `(out - y)²`.
-
-    The forward and the VJP repeat the composition in `tests/unfused.py`
-    (the dense stack, the sigmoid and the BCE or the difference and its
-    square, then the mean) in the order its tape replay ran it, so the value
-    and every gradient are bit-identical to it.
-    """
-    acts = _stack(params, x, relu, None)
-    out = acts[-1]
-    inv_n = 1.0 / out.size
-    if classify:
-        prob = sigmoid(out)
-        terms, bce_vjp = _bce(prob, y)
-    else:
-        diff = out - y
-        terms = diff * diff
-    value = terms.sum() * inv_n
-
-    def vjp(g):
-        g_terms = np.broadcast_to(g * inv_n, terms.shape)
-        if classify:
-            g_out = bce_vjp(g_terms) * prob * (1.0 - prob)
-        else:  # the square reaches the difference twice
-            g_out = g_terms * diff
-            g_out = g_out + g_terms * diff
-        return _stack_vjp(g_out, params, acts, relu, None, False)[1]
-
-    return value, vjp
-
-
-def _mix_decode(params, state) -> tuple:
-    """(the density baseline's decoded rows, their VJP: the gradient of the
-    rows -> (one gradient per param, that of `state`)). `params` is [embed,
-    w_e, w_s, b, then [w, b] pairs]; each row of `embed` is mixed with the
-    (1, hidden) `state` as `tanh(embed @ w_e + state @ w_s + b)`, and the
-    pairs map the mix as `dense(pairs, mix, last=tanh)`. The forward and the
-    VJP repeat the composition in `tests/unfused.py` (two matmuls, two
-    broadcasting adds, tanh, then the dense stack) in the order its tape
-    replay ran it, so the rows and every gradient are bit-identical to it."""
-    embed, w_e, w_s, b = params[:4]
-    mix = np.tanh(embed @ w_e + state @ w_s + b)
-    acts = _stack(params[4:], mix, None, tanh)
-
-    def vjp(g):
-        g_mix, g_out = _stack_vjp(g, params[4:], acts, None, tanh, True)
-        g_mix = g_mix * (1.0 - mix * mix)
-        g_s = _unbroadcast(g_mix, (state.shape[0], w_s.shape[1]))
-        return [g_mix @ w_e.T, embed.T @ g_mix, state.T @ g_s, _unbroadcast(g_mix, b.shape),
-                *g_out], g_s @ w_s.T
-
-    return acts[-1], vjp
-
-
-def _decode(decoder, z, label) -> tuple:
-    """(the decoder stack's activations, its rows). The stack ends linear;
-    each row's last column goes through `label` (`sigmoid` or `tanh`) and
-    the others through `tanh`, each part from a copy of its columns, as the
-    slicing node made it."""
-    acts = _stack(decoder, z, tanh, None)
-    out = acts[-1]
-    features = out[:, :-1].copy()
-    np.tanh(features, out=features)
-    last = out[:, -1:].copy()
-    last = sigmoid(last) if label is sigmoid else np.tanh(last, out=last)
-    return acts, np.concatenate([features, last], axis=1)
-
-
-def _decode_vjp(g, decoder, acts, rows, label, z_grad: bool) -> tuple:
-    """`_stack_vjp` of `_decode` given the gradient `g` of its rows."""
-    features, last = rows[:, :-1], rows[:, -1:]
-    g_out = np.concatenate([g[:, :-1] * (1.0 - features * features),
-                            g[:, -1:] * last * (1.0 - last) if label is sigmoid
-                            else g[:, -1:] * (1.0 - last * last)], axis=1)
-    g_out += 0.0  # the slicing nodes' zero padding: -0.0 -> +0.0
-    return _stack_vjp(g_out, decoder, acts, tanh, None, z_grad)
-
-
-def decode(decoder, z, label) -> np.ndarray:
-    """The rows that the decoder params `decoder` ([w, b] pairs: tanh
-    layers, then a linear output) make of the latent draws `z`: the last
-    column through `label` (`sigmoid` or `tanh`), the others through tanh.
-    Plain arrays in and out; `gaussian_elbo` decodes the same way."""
-    return _decode(decoder, z, label)[1]
-
-
-def _elbo(enc, dec, rows, noise, obs_variance: float, label) -> tuple:
-    """(the mean negative ELBO of `rows`, its VJP: the gradient of the value
-    -> (one gradient per `enc` array, one per `dec` array)); see
-    `gaussian_elbo`."""
-    n = rows.shape[0]
-    trunk = _stack(enc[:-4], rows, tanh, tanh)
-    h = trunk[-1]
-    mu = _layer(h, enc[-4], enc[-3], None)
-    logvar = _layer(h, enc[-2], enc[-1], None)
-    sigma = np.exp(logvar * 0.5)
-    z = mu + sigma * noise
-    acts, recon = _decode(dec, z, label)
-    diff = recon - rows
-    scale = 0.5 / obs_variance
-    var = np.exp(logvar)
-    kl = ((mu * mu).sum() + var.sum() - logvar.sum()) * 0.5 - 0.5 * mu.shape[0] * mu.shape[1]
-    value = ((diff * diff).sum() * scale + kl) * (1.0 / n)
-
-    def vjp(g):
-        g = g * (1.0 / n)                # reaches the reconstruction and the KL
-        g_diff = (g * scale) * diff      # diff * diff reaches diff twice
-        g_diff += g_diff
-        g_z, g_dec = _decode_vjp(g_diff, dec, acts, recon, label, True)
-        g_kl = g * 0.5
-        g_mu = g_kl * mu
-        g_mu = (g_z + g_mu) + g_mu
-        g_logvar = ((g_z * noise) * sigma) * 0.5
-        g_logvar += g_kl * var
-        g_logvar += -g_kl
-        g_h, g_mu_w, g_mu_b = _layer_vjp(g_mu, h, enc[-4], enc[-3], mu, None)
-        g_h2, g_lv_w, g_lv_b = _layer_vjp(g_logvar, h, enc[-2], enc[-1], logvar, None)
-        _, g_enc = _stack_vjp(g_h + g_h2, enc[:-4], trunk, tanh, tanh, False)
-        return [*g_enc, g_mu_w, g_mu_b, g_lv_w, g_lv_b], g_dec
-
-    return value, vjp
-
-
-def _correlation_pull(dec, z, label, target, eps: float) -> tuple:
-    """(the elementwise L1 between the Pearson matrix of `decode(dec, z,
-    label)` and `target`, its VJP: the gradient of the value -> one gradient
-    per `dec` array). Each column's variance is guarded by `eps` inside the
-    square root.
-
-    The forward and the VJP repeat the arithmetic of the composition in
-    `tests/unfused.py` (`centered = batch - mean(batch)`,
-    `cov = centeredᵀ @ centered * (1 / n)`,
-    `std = sqrt(mean(centered * centered) + eps)`, `cov / (stdᵀ @ std)`,
-    then `sum(abs(· - target))`) in the order its tape replay ran it.
-    """
-    acts, batch = _decode(dec, z, label)
-    inv_n = 1.0 / batch.shape[0]
-    centered = batch.sum(axis=0, keepdims=True)
-    centered *= inv_n
-    centered = np.subtract(batch, centered)
-    centered_t = centered.T.copy()
-    cov = centered_t @ centered
-    cov *= inv_n
-    sq = centered * centered
-    std = sq.sum(axis=0, keepdims=True)
-    std *= inv_n
-    std += eps
-    np.sqrt(std, out=std)
-    std_t = std.T.copy()
-    den = std_t @ std
-    diff = cov / den
-    diff -= target
-
-    def vjp(g):
-        g = g * np.sign(diff)
-        # pearson = cov / den
-        g_cov = g / den
-        g_den = -g * cov
-        g_den /= den * den
-        # den = std_t @ std, then std_t = transpose(std)
-        g_std = std_t.T @ g_den
-        g_std += (g_den @ std.T).T
-        # std = sqrt(mean(centered * centered) + eps)
-        g_std *= 0.5
-        g_std /= std
-        g_std *= inv_n
-        # cov = (centered_t @ centered) * inv_n, then centered_t = transpose(centered)
-        g_cov *= inv_n
-        g_c = centered_t.T @ g_cov
-        g_c += (g_cov @ centered.T).T
-        # centered * centered reaches centered twice
-        via_sq = g_std * centered
-        g_c += via_sq
-        g_c += via_sq
-        # centered = batch - mean(batch)
-        g_mean = (-g_c).sum(axis=0, keepdims=True)
-        g_mean *= inv_n
-        g_c += g_mean
-        return _decode_vjp(g_c, dec, acts, batch, label, False)[1]
-
-    return np.abs(diff).sum(), vjp
-
-
-def gaussian_elbo(encoder, decoder, rows, noise, obs_variance: float, label,
-                  pull=None) -> tuple:
-    """The simulator's loss as one value-and-VJP pair over the params of
-    `encoder`, then those of `decoder`: the mean negative ELBO of `rows`, ½‖x − x̂‖²/`obs_variance`
-    plus KL(q(z|x) ‖ N(0, I)), and, when `pull` = (z, target, eps, weight)
-    is given, plus `weight` times the correlation pull: the elementwise L1
-    between the Pearson matrix of `decode(decoder, z, label)` and `target`,
-    each column's variance guarded by `eps` inside the square root.
-
-    `encoder` is the [w, b] pairs of a tanh trunk, then those of the mean
-    head and of the log-variance head (both linear). The latent draw is
-    `z = mu + exp(logvar * 0.5) * noise`, and x̂ is `decode(decoder, z, label)`.
-    The forward and the VJP repeat the arithmetic of the composition in
-    `tests/unfused.py` in the order its tape replay ran it, so the value and
-    every gradient are bit-identical to it. Where a value reached three nodes the
-    order matters: `mu` sums its gradient from `z`, then twice from
-    `mu * mu`; `logvar` from `exp(logvar * 0.5)`, then `exp(logvar)`, then
-    the `-logvar` of the KL. A decoder param sums the ELBO's gradient, then
-    the pull's.
-    """
-    value, elbo_vjp = _elbo(encoder, decoder, rows, noise, obs_variance, label)
-    if pull is not None:
-        z, target, eps, weight = pull
-        l1, pull_vjp = _correlation_pull(decoder, z, label, target, eps)
-        value = value + l1 * weight
-
-    def vjp(g):
-        g_enc, g_dec = elbo_vjp(g)
-        if pull is not None:
-            g_dec = [a + b for a, b in zip(g_dec, pull_vjp(g * weight))]
-        return [*g_enc, *g_dec]
-
-    return value, vjp
-
-
-def _kde_kl_term(vals, grid, bandwidth: float, prior: float, log_q, g):
-    """(`sum(p * (log p - log_q))`, its gradient with respect to `vals` given
-    the upstream gradient `g`). `p` is `prior` times the Gaussian-kernel
-    masses of the samples `vals` on `grid`, normalized to sum 1; `diff` and
-    the kernel matrix `e` (grid × samples) live only in this call."""
-    scale = 1.0 / bandwidth
-    diff = np.subtract(grid[:, None], vals)
-    diff *= scale
-    e = diff * diff
-    e *= -0.5
-    np.exp(e, out=e)
-    dens = e.sum(axis=1)
-    total = dens.sum()
-    inv = 1.0 / total
-    p = dens * inv
-    p *= prior
-    r = np.log(p)
-    r -= log_q
-    value = (p * r).sum()
-    # p: through the product, then through log(p)
-    gp = g * r
-    via_log = g * p
-    via_log /= p
-    gp += via_log
-    gp *= prior
-    # dens: through dens * inv, then through inv = 1 / sum(dens)
-    gdens = gp * inv
-    gdens += -(gp * dens).sum() / (total * total)
-    buf = np.multiply(gdens[:, None], e, out=e)
-    buf *= -0.5
-    buf *= diff
-    buf += buf      # diff * diff reaches diff twice
-    buf *= scale
-    np.negative(buf, out=buf)
-    return value, buf.sum(axis=0)
-
-
-def kde_kl(rows, classes, grid, truth_sides) -> tuple:
-    """The density baseline's KDE-KL over the rows generated for every
-    truth domain, as (value, VJP: the gradient of the value -> one gradient
-    per entry of `rows`): the mean over domains t of the sum, over features
-    `column` and classes c, of `sum(p * (log p - log_q))`.
-
-    `rows[t]` holds the (n, d) rows scored against domain t, and
-    `truth_sides[t][column][c]` that domain's (prior, bandwidth, log_q). `p`
-    is `prior` times the Gaussian-kernel masses of `rows[t][classes[c],
-    column]` (`classes` are disjoint arrays of distinct row indices) on
-    `grid`, normalized to sum 1. Each term repeats the composition in
-    `tests/unfused.py`; the terms are summed per domain in feature-then-class
-    order, the domain sums left to right, then scaled by `1 / len(rows)`, as
-    that chain of per-term nodes and `add`s did.
-
-    Each term's gradient is formed right after its value, for the gradient
-    `1 / len(rows)` that the chain hands every term of a loss, so no kernel
-    matrix outlives its term; the domain keeps one (n, d) gradient. The VJP
-    scales those by the gradient it is given: at `g = 1` every gradient is
-    bit-identical to the chain's, otherwise equal up to rounding.
-    """
-    weight = 1.0 / len(rows)
-    loss, grads = None, []
-    for r, side in zip(rows, truth_sides, strict=True):
-        full = np.zeros_like(r)
-        domain = None
-        for column, per_class in enumerate(side):
-            for idx, (prior, bandwidth, log_q) in zip(classes, per_class, strict=True):
-                term, full[idx, column] = _kde_kl_term(r[idx, column], grid, bandwidth,
-                                                       prior, log_q, weight)
-                domain = term if domain is None else domain + term
-        grads.append(full)
-        loss = domain if loss is None else loss + domain
-
-    def vjp(g):
-        return [full * g for full in grads]
-
-    return loss * weight, vjp
-
-
-def prelim_decode(lstm, decoder, summaries) -> np.ndarray:
-    """The rows the density baseline decodes after the last of its
-    (1, 2d + 1) `summaries`: the one-layer `_lstm` of `lstm`'s [w, b] runs
-    over them, and `_mix_decode` of `decoder`'s params decodes its last
-    state. `prelim_loss` decodes after each summary the same way."""
-    return _mix_decode(decoder, _lstm(lstm, summaries)[0][-1])[0]
-
-
-def prelim_loss(lstm, decoder, summaries, classes, grid, truth_sides) -> tuple:
-    """The density baseline's loss as one value-and-VJP pair over the arrays
-    of `lstm`, then `decoder` (see `prelim_decode`): the rows decoded after
-    each of `summaries` are scored against the matching truth domain of
-    `truth_sides` by `kde_kl`.
-
-    The VJP runs the pieces' VJPs in the order the tape replay of their
-    composition in `tests/unfused.py` ran them: the KL's, per domain the
-    decode's, then the stack's; so each decoder param sums its domains'
-    gradients from the first to the last, and the value and every gradient
-    are bit-identical to that tape's.
-    """
-    states, stack_vjp = _lstm(lstm, summaries)
-    decodes = [_mix_decode(decoder, state) for state in states]
-    value, kl_vjp = kde_kl([rows for rows, _ in decodes], classes, grid, truth_sides)
-
-    def vjp(g):
-        g_decoder, g_states = [], []
-        for (_, decode_vjp), g_rows in zip(decodes, kl_vjp(g)):
-            grads, g_state = decode_vjp(g_rows)
-            g_decoder.append(grads)
-            g_states.append(g_state)
-        return [*stack_vjp(g_states)[0], *_sums(g_decoder)]
 
     return value, vjp
 

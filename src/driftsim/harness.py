@@ -30,7 +30,7 @@ from .simulator import SNAPSHOT_DRAWS, SimulatorConfig, sample, train_simulator
 
 __all__ = ["ConfigError", "DownstreamConfig", "DownstreamModel", "ExperimentConfig",
            "ExperimentReport", "SweepPoint", "METHODS", "SWEEP_PARAMETERS",
-           "require_trainable", "require_sweepable", "train_downstream",
+           "require_trainable", "require_sweepable", "mlp_loss", "train_downstream",
            "evaluate", "run_experiment", "sweep"]
 
 METHODS = ("coda", "coda-without-C", "lastdomain", "offline", "incfinetune",
@@ -92,8 +92,39 @@ def _forward_mlp(params, x, task):
     return ad.sigmoid(out) if task == CLASSIFICATION else out
 
 
-def _mlp_loss(params, x, y, task):
-    return ad.mlp_loss(params, x, y, task == CLASSIFICATION)
+def mlp_loss(params, x, y, task) -> tuple:
+    """The downstream model's loss as one value-and-VJP pair over the [w, b]
+    pairs of `params`: the mean, over the entries of `out = dense(params, x,
+    relu)`, of the clipped BCE of `sigmoid(out)` against the 0/1 targets `y`
+    on a classification `task`, else of the squared error `(out - y)²`.
+
+    The forward and the VJP repeat the composition in `tests/unfused.py`
+    (the dense stack, the sigmoid and the BCE or the difference and its
+    square, then the mean) in the order its tape replay ran it, so the value
+    and every gradient are bit-identical to it.
+    """
+    classify = task == CLASSIFICATION
+    acts = ad.stack(params, x, ad.relu, None)
+    out = acts[-1]
+    inv_n = 1.0 / out.size
+    if classify:
+        prob = ad.sigmoid(out)
+        terms, bce_vjp = ad.bce(prob, y)
+    else:
+        diff = out - y
+        terms = diff * diff
+    value = terms.sum() * inv_n
+
+    def vjp(g):
+        g_terms = np.broadcast_to(g * inv_n, terms.shape)
+        if classify:
+            g_out = bce_vjp(g_terms) * prob * (1.0 - prob)
+        else:  # the square reaches the difference twice
+            g_out = g_terms * diff
+            g_out = g_out + g_terms * diff
+        return ad.stack_vjp(g_out, params, acts, ad.relu, None, False)[1]
+
+    return value, vjp
 
 
 def train_downstream(train_data: DomainDataset, config: DownstreamConfig,
@@ -105,7 +136,7 @@ def train_downstream(train_data: DomainDataset, config: DownstreamConfig,
         init_params = dense_params(np.random.default_rng(seed),
                                    (train_data.d, *config.hidden_dims, 1))
     x, y, task = train_data.features, train_data.labels.reshape(-1, 1), train_data.task
-    params, history = fit(lambda ps: _mlp_loss(ps, x, y, task), init_params, config)
+    params, history = fit(lambda ps: mlp_loss(ps, x, y, task), init_params, config)
     return DownstreamModel(task=train_data.task, config=config, params=params,
                            loss_history=history)
 
@@ -252,7 +283,7 @@ def require_trainable(stream: DomainStream, method: str,
                                   f"makes more than {MAX_KERNEL_CELLS:,} kernel cells")
         try:
             for truth in sources[1:]:
-                density_baseline._truth_side(truth, grid)  # raises on a class without a KDE
+                density_baseline.truth_side(truth, grid)  # raises on a class without a KDE
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -1,7 +1,7 @@
 """Parameter init shared by the models: Glorot draws, the [w, b] pairs of a
-dense stack (`autodiff.dense`, and inside every loss) and of the LSTM stack
+dense stack (`autodiff.stack`, which every model runs) and of the LSTM stack
 that the correlation forecaster and the density baseline run
-(`autodiff.forecast`, `autodiff.prelim_decode`, and inside their losses)."""
+(`autodiff.lstm`)."""
 from __future__ import annotations
 
 import numpy as np

@@ -91,24 +91,167 @@ def _split(params, config: SimulatorConfig, task: str) -> tuple:
     return params[:k], params[k:], ad.sigmoid if task == CLASSIFICATION else ad.tanh
 
 
+def _decode(decoder, z, label) -> tuple:
+    """(the decoder stack's activations, the rows that the decoder params
+    `decoder` ([w, b] pairs: tanh layers, then a linear output) make of the
+    latent draws `z`). Each row's last column goes through `label`
+    (`ad.sigmoid` or `ad.tanh`) and the others through tanh, each part from
+    a copy of its columns, as the slicing node made it."""
+    acts = ad.stack(decoder, z, ad.tanh, None)
+    out = acts[-1]
+    features = out[:, :-1].copy()
+    np.tanh(features, out=features)
+    last = out[:, -1:].copy()
+    last = ad.sigmoid(last) if label is ad.sigmoid else np.tanh(last, out=last)
+    return acts, np.concatenate([features, last], axis=1)
+
+
+def _decode_vjp(g, decoder, acts, rows, label, z_grad: bool) -> tuple:
+    """`autodiff.stack_vjp` of `_decode` given the gradient `g` of its rows."""
+    features, last = rows[:, :-1], rows[:, -1:]
+    g_out = np.concatenate([g[:, :-1] * (1.0 - features * features),
+                            g[:, -1:] * last * (1.0 - last) if label is ad.sigmoid
+                            else g[:, -1:] * (1.0 - last * last)], axis=1)
+    g_out += 0.0  # the slicing nodes' zero padding: -0.0 -> +0.0
+    return ad.stack_vjp(g_out, decoder, acts, ad.tanh, None, z_grad)
+
+
+def _elbo(enc, dec, rows, noise, obs_variance: float, label) -> tuple:
+    """(the mean negative ELBO of `rows`, its VJP: the gradient of the value
+    -> (one gradient per `enc` array, one per `dec` array)); see
+    `_objective`."""
+    n = rows.shape[0]
+    trunk = ad.stack(enc[:-4], rows, ad.tanh, ad.tanh)
+    h = trunk[-1]
+    mu = ad.layer(h, enc[-4], enc[-3], None)
+    logvar = ad.layer(h, enc[-2], enc[-1], None)
+    sigma = np.exp(logvar * 0.5)
+    z = mu + sigma * noise
+    acts, recon = _decode(dec, z, label)
+    diff = recon - rows
+    scale = 0.5 / obs_variance
+    var = np.exp(logvar)
+    kl = ((mu * mu).sum() + var.sum() - logvar.sum()) * 0.5 - 0.5 * mu.shape[0] * mu.shape[1]
+    value = ((diff * diff).sum() * scale + kl) * (1.0 / n)
+
+    def vjp(g):
+        g = g * (1.0 / n)                # reaches the reconstruction and the KL
+        g_diff = (g * scale) * diff      # diff * diff reaches diff twice
+        g_diff += g_diff
+        g_z, g_dec = _decode_vjp(g_diff, dec, acts, recon, label, True)
+        g_kl = g * 0.5
+        g_mu = g_kl * mu
+        g_mu = (g_z + g_mu) + g_mu
+        g_logvar = ((g_z * noise) * sigma) * 0.5
+        g_logvar += g_kl * var
+        g_logvar += -g_kl
+        g_h, g_mu_w, g_mu_b = ad.layer_vjp(g_mu, h, enc[-4], enc[-3], mu, None)
+        g_h2, g_lv_w, g_lv_b = ad.layer_vjp(g_logvar, h, enc[-2], enc[-1], logvar, None)
+        _, g_enc = ad.stack_vjp(g_h + g_h2, enc[:-4], trunk, ad.tanh, ad.tanh, False)
+        return [*g_enc, g_mu_w, g_mu_b, g_lv_w, g_lv_b], g_dec
+
+    return value, vjp
+
+
+def _correlation_pull(dec, z, label, target, eps: float) -> tuple:
+    """(the elementwise L1 between the Pearson matrix of the rows
+    `_decode(dec, z, label)` and `target`, its VJP: the gradient of the
+    value -> one gradient per `dec` array). Each column's variance is
+    guarded by `eps` inside the square root.
+
+    The forward and the VJP repeat the arithmetic of the composition in
+    `tests/unfused.py` (`centered = batch - mean(batch)`,
+    `cov = centeredᵀ @ centered * (1 / n)`,
+    `std = sqrt(mean(centered * centered) + eps)`, `cov / (stdᵀ @ std)`,
+    then `sum(abs(· - target))`) in the order its tape replay ran it.
+    """
+    acts, batch = _decode(dec, z, label)
+    inv_n = 1.0 / batch.shape[0]
+    centered = batch.sum(axis=0, keepdims=True)
+    centered *= inv_n
+    centered = np.subtract(batch, centered)
+    centered_t = centered.T.copy()
+    cov = centered_t @ centered
+    cov *= inv_n
+    sq = centered * centered
+    std = sq.sum(axis=0, keepdims=True)
+    std *= inv_n
+    std += eps
+    np.sqrt(std, out=std)
+    std_t = std.T.copy()
+    den = std_t @ std
+    diff = cov / den
+    diff -= target
+
+    def vjp(g):
+        g = g * np.sign(diff)
+        # pearson = cov / den
+        g_cov = g / den
+        g_den = -g * cov
+        g_den /= den * den
+        # den = std_t @ std, then std_t = transpose(std)
+        g_std = std_t.T @ g_den
+        g_std += (g_den @ std.T).T
+        # std = sqrt(mean(centered * centered) + eps)
+        g_std *= 0.5
+        g_std /= std
+        g_std *= inv_n
+        # cov = (centered_t @ centered) * inv_n, then centered_t = transpose(centered)
+        g_cov *= inv_n
+        g_c = centered_t.T @ g_cov
+        g_c += (g_cov @ centered.T).T
+        # centered * centered reaches centered twice
+        via_sq = g_std * centered
+        g_c += via_sq
+        g_c += via_sq
+        # centered = batch - mean(batch)
+        g_mean = (-g_c).sum(axis=0, keepdims=True)
+        g_mean *= inv_n
+        g_c += g_mean
+        return _decode_vjp(g_c, dec, acts, batch, label, False)[1]
+
+    return np.abs(diff).sum(), vjp
+
+
 def _objective(params, config: SimulatorConfig, task: str, rows, noise,
                z=None, target=None):
-    """The simulator's loss as one value-and-VJP pair,
-    `autodiff.gaussian_elbo`: the negative ELBO of `rows` under
-    reparameterization `noise`, plus lambda_c times the correlation pull of
-    decoded prior draws `z` toward `target` when `z` is given. The training
-    steps differentiate it on minibatches with fresh draws; `loss_snapshot`
-    reads its value on the full data with frozen draws.
+    """The simulator's loss as one value-and-VJP pair over all the params:
+    the negative ELBO of `rows` under reparameterization `noise`, plus
+    lambda_c times the correlation pull of decoded prior draws `z` toward
+    `target` when `z` is given. The training steps differentiate it on
+    minibatches with fresh draws; `loss_snapshot` reads its value on the
+    full data with frozen draws.
 
     The ELBO is the batch mean of ½‖x − x̂‖²/σ₀² + KL(q(z|x) ‖ N(0, I)), σ₀²
     the fixed observation variance. On [-1, 1]-scaled columns it must sit
     well below 1, or encoding information can never repay its KL cost and
-    the posterior collapses onto the prior. The pull is the elementwise L1
-    between the ε-guarded Pearson matrix of the decoded draws and `target`.
+    the posterior collapses onto the prior. The encoder is a tanh trunk,
+    then a linear mean head and a linear log-variance head; the latent draw
+    is `z = mu + exp(logvar * 0.5) * noise`, and x̂ is its `_decode`. The
+    pull is the elementwise L1 between the `EPS_VAR`-guarded Pearson matrix
+    of the decoded draws and `target`.
+
+    The forward and the VJP repeat the arithmetic of the composition in
+    `tests/unfused.py` in the order its tape replay ran it, so the value and
+    every gradient are bit-identical to it. Where a value reached three
+    nodes the order matters: `mu` sums its gradient from `z`, then twice
+    from `mu * mu`; `logvar` from `exp(logvar * 0.5)`, then `exp(logvar)`,
+    then the `-logvar` of the KL. A decoder param sums the ELBO's gradient,
+    then the pull's.
     """
     encoder, decoder, label = _split(params, config, task)
-    pull = None if z is None else (z, target, EPS_VAR, config.lambda_c)
-    return ad.gaussian_elbo(encoder, decoder, rows, noise, config.obs_variance, label, pull)
+    value, elbo_vjp = _elbo(encoder, decoder, rows, noise, config.obs_variance, label)
+    if z is not None:
+        l1, pull_vjp = _correlation_pull(decoder, z, label, target, EPS_VAR)
+        value = value + l1 * config.lambda_c
+
+    def vjp(g):
+        g_enc, g_dec = elbo_vjp(g)
+        if z is not None:
+            g_dec = [a + b for a, b in zip(g_dec, pull_vjp(g * config.lambda_c))]
+        return [*g_enc, *g_dec]
+
+    return value, vjp
 
 
 def snapshot_draws(n: int, config: SimulatorConfig, regularized: bool, seed: int):
@@ -208,7 +351,7 @@ def sample(model: SimulatorModel, n: int, seed: int) -> DomainDataset:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.config.latent_dim))
     _, decoder, label = _split(model.params, model.config, model.task)
-    rows = ad.decode(decoder, z, label)
+    _, rows = _decode(decoder, z, label)
     features = rows[:, :model.d]
     label_col = rows[:, model.d]
     labels = (label_col >= 0.5).astype(np.float64) if model.task == CLASSIFICATION \

@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftsim import autodiff as ad
 from driftsim import simulator as sm
 from driftsim.bounds import (FiniteJointDistribution, check_moment_deltas,
                              random_distribution_pair, tv_exact, verify_bound)
@@ -162,7 +161,7 @@ GRAD_FLOOR = 1e-3
 
 def _predictor_grad_instance(rng) -> float:
     from driftsim.correlation import flatten_upper
-    from driftsim.predictor import _groups, _init_params, _sequence_loss
+    from driftsim.predictor import _forecast, _init_params, _sequence_loss
     for _ in range(400):
         m = int(rng.integers(2, 5))
         t_len = int(rng.integers(3, 6))
@@ -189,7 +188,7 @@ def _predictor_grad_instance(rng) -> float:
 
         # finite differences straddle the L1 kink when a prediction sits on
         # its target; only accept instances with clearance
-        gap = np.min(np.abs(ad.forecast(*_groups(params), rows) - targets))
+        gap = np.min(np.abs(_forecast(params, rows)[0] - targets))
         if gap < KINK_GAP:
             continue
         _, grad = value_and_grad(build, params)
@@ -220,7 +219,7 @@ def _simulator_grad_instance(rng) -> float:
             return sm._objective(ps, config, CLASSIFICATION, rows, noise, z, target)
 
         _, decoder, label = sm._split(params, config, CLASSIFICATION)
-        corr = unfused.pearson(ad.decode(decoder, z, label), sm.EPS_VAR)
+        corr = unfused.pearson(sm._decode(decoder, z, label)[1], sm.EPS_VAR)
         # the diagonal of both matrices is pinned at one, so its difference
         # is always ~0; only off-diagonal entries can straddle the kink
         off = ~np.eye(m, dtype=bool)

@@ -209,7 +209,7 @@ def test_lstm_cell_first_step_is_zero_cell_state():
     rng = np.random.default_rng(16)
     w, b = rng.normal(size=(5, 12)), rng.normal(size=(1, 12))
     x = rng.normal(size=(1, 2))
-    (h0,), _ = ad._lstm([w, b], [x])
+    (h0,), _ = ad.lstm([w, b], [x])
     gates = np.concatenate([x, np.zeros((1, 3))], axis=1) @ w + b
     h1, _ = unfused.lstm_cell(gates, np.zeros((1, 3)), 3)
     assert h0.shape == (1, 3)  # a quarter of the gate width
@@ -218,12 +218,12 @@ def test_lstm_cell_first_step_is_zero_cell_state():
 
 def test_lstm_cell_rejects_a_gate_width_not_a_multiple_of_4():
     with pytest.raises(ValueError, match="multiple of 4"):
-        ad._lstm([np.zeros((4, 10)), np.zeros((1, 10))], [np.zeros((1, 2))])
+        ad.lstm([np.zeros((4, 10)), np.zeros((1, 10))], [np.zeros((1, 2))])
     # the stack's state is one row, so each input is one row of the input width
     w, b = np.zeros((5, 12)), np.zeros((1, 12))
     for row in (np.zeros((2, 2)), np.zeros((1, 3))):
         with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
-            ad._lstm([w, b], [np.zeros((1, 2)), row])
+            ad.lstm([w, b], [np.zeros((1, 2)), row])
 
 
 def test_dense_stack_matches_glorot_draws_and_numpy():
@@ -253,28 +253,30 @@ def test_returned_gradients_share_no_memory():
 
 # -- one VJP call per gradient evaluation, none on a forward-only read -----
 
-MODEL_LOSSES = ("forecast_loss", "mlp_loss", "gaussian_elbo", "prelim_loss")
-LOSSES = (*MODEL_LOSSES, "kde_kl")
-VJPS = ("backward", "_stack_vjp", "_layer_vjp", "_kde_kl_term")
+MODEL_LOSSES = ((predictor, "_sequence_loss"), (harness, "mlp_loss"),
+                (simulator, "_objective"), (density_baseline, "prelim_loss"))
+LOSSES = (*MODEL_LOSSES, (density_baseline, "kde_kl"))
+VJPS = ((ad, "backward"), (ad, "stack_vjp"), (ad, "layer_vjp"),
+        (density_baseline, "_kde_kl_term"))
 
 
-def _record_calls(monkeypatch, names) -> list:
-    """A list that gains the name of each `autodiff` function in `names`
-    called from here on, and "vjp" for each call of a VJP that a model's
-    loss among them returned."""
+def _record_calls(monkeypatch, functions) -> list:
+    """A list that gains the name of each function of `functions`, (module,
+    name) pairs, called from here on, and "vjp" for each call of a VJP that
+    a model's loss among them returned."""
     calls = []
 
-    def wrap(name, real):
+    def wrap(module, name, real):
         def recorded(*args, **kwargs):
             calls.append(name)
             out = real(*args, **kwargs)
-            if name not in MODEL_LOSSES:
+            if (module, name) not in MODEL_LOSSES:
                 return out
             return out[0], lambda g: calls.append("vjp") or out[1](g)
         return recorded
 
-    for name in names:
-        monkeypatch.setattr(ad, name, wrap(name, getattr(ad, name)))
+    for module, name in functions:
+        monkeypatch.setattr(module, name, wrap(module, name, getattr(module, name)))
     return calls
 
 
@@ -291,19 +293,19 @@ def _model_losses(rng) -> dict:
     stream = make_moons_stream(domains=4, n_per_domain=20, seed=1)
     prelim_cfg = density_baseline.PrelimConfig(hidden_dim=6, embed_dim=3, grid_size=16)
     grid = density_baseline.default_grid(16)
-    sides = [density_baseline._truth_side(t, grid) for t in stream.sources[1:]]
+    sides = [density_baseline.truth_side(t, grid) for t in stream.sources[1:]]
     classes = [np.arange(10), np.arange(10, 20)]
     summaries = density_baseline._summaries(stream.sources)[:-1]
     return {
-        "forecast_loss": (lambda ps: predictor._sequence_loss(ps, rows, targets, 3, pred_cfg),
-                          predictor._init_params(3, pred_cfg, rng)),
-        "mlp_loss": (lambda ps: harness._mlp_loss(ps, x, y, CLASSIFICATION),
+        "_sequence_loss": (lambda ps: predictor._sequence_loss(ps, rows, targets, 3, pred_cfg),
+                           predictor._init_params(3, pred_cfg, rng)),
+        "mlp_loss": (lambda ps: harness.mlp_loss(ps, x, y, CLASSIFICATION),
                      dense_params(rng, (2, 5, 1))),
-        "gaussian_elbo": (lambda ps: simulator._objective(ps, sim_cfg, CLASSIFICATION, data,
-                                                          noise, z, np.eye(3)),
-                          simulator._init_params(3, sim_cfg, rng)),
-        "prelim_loss": (lambda ps: ad.prelim_loss(*density_baseline._split(ps), summaries,
-                                                  classes, grid, sides),
+        "_objective": (lambda ps: simulator._objective(ps, sim_cfg, CLASSIFICATION, data,
+                                                       noise, z, np.eye(3)),
+                       simulator._init_params(3, sim_cfg, rng)),
+        "prelim_loss": (lambda ps: density_baseline.prelim_loss(ps, summaries, classes,
+                                                                grid, sides),
                         density_baseline._init_prelim(2, 20, prelim_cfg, rng)),
     }
 
@@ -313,7 +315,7 @@ def test_one_vjp_call_per_gradient_evaluation_and_none_per_value_read(monkeypatc
     # calls the loss once and its VJP once, through one `backward`, and a
     # value read calls the loss once and no VJP
     losses = _model_losses(np.random.default_rng(29))
-    calls = _record_calls(monkeypatch, ("backward", *LOSSES))
+    calls = _record_calls(monkeypatch, ((ad, "backward"), *LOSSES))
     for name, (loss_fn, params) in losses.items():
         del calls[:]
         value_and_grad(loss_fn, params)
@@ -385,7 +387,7 @@ def test_forward_only_paths_call_no_loss_and_no_vjp(monkeypatch):
     decoded = density_baseline.train_prelim(stream, prelim_cfg, seed=0)
     assert calls == []
     snapshot = simulator.loss_snapshot(sim_params, data, target, sim_cfg, sim.task, frozen)
-    assert calls == ["gaussian_elbo"]
+    assert calls == ["_objective"]
 
     noise, z = frozen
     assert _same_bits_via_tensors(lambda ps: unfused.objective(
@@ -555,7 +557,7 @@ def test_downstream_fits_match_the_per_layer_chain_bit_for_bit(task, monkeypatch
         return models
 
     got = fits()
-    monkeypatch.setattr(harness, "_mlp_loss", _taped_mlp_loss)
+    monkeypatch.setattr(harness, "mlp_loss", _taped_mlp_loss)
     want = fits()
     for g, w in zip(got, want, strict=True):
         assert same_bits(g.loss_history, w.loss_history)
@@ -590,7 +592,7 @@ def test_lstm_stack_matches_unfused_oracle_bit_for_bit(layers, in_dim, hidden, s
 
     _assert_same_values_and_gradients(loss(unfused.lstm_node), loss(oracle), [*params, rows])
     row_list = [rows[t:t + 1, :] for t in range(steps)]
-    for got, want in zip(ad._lstm(params, row_list)[0], oracle(params, row_list),
+    for got, want in zip(ad.lstm(params, row_list)[0], oracle(params, row_list),
                          strict=True):
         assert same_bits(got, want)
 
@@ -635,7 +637,7 @@ def _step_loss_oracle(pred_vec, true_vec, m, lambda_ce):
     """One step's cp_loss term on the tape, as the predictor built it per step
     before the loss was stacked."""
     diff = pred_vec - true_vec
-    fro = unfused.sqrt(unfused.reduce_sum(diff * diff) * 2.0 + ad.FRO_GUARD)
+    fro = unfused.sqrt(unfused.reduce_sum(diff * diff) * 2.0 + predictor.FRO_GUARD)
     l1 = unfused.reduce_sum(unfused.absolute(diff)) * 2.0
     q = unfused.clip((pred_vec + 1.0) * 0.5, ad.CLAMP, 1.0 - ad.CLAMP)
     p01 = (true_vec + 1.0) * 0.5
@@ -689,7 +691,7 @@ def test_forecast_loss_matches_composition_bit_for_bit(m, lambda_ce):
     rows = list(rng.uniform(-0.9, 0.9, size=(8, 1, p)))
     tgt = rng.uniform(-0.9, 0.9, size=(8, p))
     tgt[2:4, 0] = 1.0
-    assert ad.forecast(*predictor._groups(params), rows)[2, 0] == 1.0
+    assert predictor._forecast(params, rows)[0][2, 0] == 1.0
     _assert_same_values_and_gradients(
         lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config),
         taped(lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config)), params)
@@ -711,7 +713,7 @@ def test_forecast_loss_matches_the_tape_bit_for_bit(m, layers):
     rows = list(rng.uniform(-0.9, 0.9, size=(9, 1, p)))
     tgt = rng.uniform(-0.9, 0.9, size=(9, p))
     _assert_same_values_and_gradients(
-        lambda ps: ad.forecast_loss(*predictor._groups(ps), rows, tgt, m, config.lambda_ce),
+        lambda ps: predictor._sequence_loss(ps, rows, tgt, m, config),
         taped(lambda ps: unfused.sequence_loss(ps, rows, tgt, m, config)), params)
 
 
@@ -729,11 +731,11 @@ def test_mlp_loss_matches_composition_bit_for_bit(task):
     y = (rng.normal(size=(40, 1)) if task == REGRESSION
          else (rng.random((40, 1)) < 0.5).astype(float))
     assert abs(ad.dense(params, x, ad.relu)[0, 0]) > 15.0  # 1 - sigmoid < CLAMP
-    _assert_same_values_and_gradients(lambda p: harness._mlp_loss(p, x, y, task),
+    _assert_same_values_and_gradients(lambda p: harness.mlp_loss(p, x, y, task),
                                       lambda p: _taped_mlp_loss(p, x, y, task), params)
-    assert same_bits(harness._mlp_loss(params, x, y, task)[0],
+    assert same_bits(harness.mlp_loss(params, x, y, task)[0],
                      unfused.mlp_loss(params, x, y, task))
-    assert grad_check(lambda p: harness._mlp_loss(p, x[1:], y[1:], task), params) < 1e-4
+    assert grad_check(lambda p: harness.mlp_loss(p, x[1:], y[1:], task), params) < 1e-4
 
 
 def test_mix_decode_matches_composition_bit_for_bit():
@@ -759,7 +761,7 @@ def test_mix_decode_matches_composition_bit_for_bit():
                                       [*params, state])
     _assert_same_values_and_gradients(taped(loss(node, state)),
                                       taped(loss(unfused.decode_rows, state)), params)
-    assert same_bits(ad._mix_decode(params[2:], state)[0], unfused.decode_rows(params, state))
+    assert same_bits(density_baseline._mix_decode(params[2:], state)[0], unfused.decode_rows(params, state))
     _check(loss(node), [*params, state], tol=1e-5)
 
 
@@ -823,18 +825,18 @@ def test_kde_kl_matches_composition_bit_for_bit(case):
     def loss(kl, fixed=()):
         return lambda p: kl([*fixed[:1], *p, *fixed[1:]], classes, grid, sides)
 
-    _assert_same_values_and_gradients(loss(ad.kde_kl), taped(loss(unfused.kde_kl)), rows)
+    _assert_same_values_and_gradients(loss(density_baseline.kde_kl), taped(loss(unfused.kde_kl)), rows)
     _assert_same_values_and_gradients(taped(loss(unfused.kde_kl_node)),
                                       taped(loss(unfused.kde_kl)), rows)
     fixed = (rows[0], rows[2])
     _assert_same_values_and_gradients(taped(loss(unfused.kde_kl_node, fixed)),
                                       taped(loss(unfused.kde_kl, fixed)), rows[1:2])
-    assert grad_check(loss(ad.kde_kl), rows) < 1e-6
+    assert grad_check(loss(density_baseline.kde_kl), rows) < 1e-6
     if case == "underflowing kernels":
         bandwidth = sides[0][0][0][1]
         kernels = np.exp(-0.5 * ((grid[:, None] - rows[0][classes[0], 0]) / bandwidth) ** 2)
         assert np.any(kernels == 0.0) and np.all(kernels.sum(axis=1) > 0.0)
-        assert np.isfinite(ad.evaluate_value(loss(ad.kde_kl), rows))
+        assert np.isfinite(ad.evaluate_value(loss(density_baseline.kde_kl), rows))
 
 
 def test_kde_kl_signed_zero_where_a_sample_has_no_kernel_mass():
@@ -848,7 +850,7 @@ def test_kde_kl_signed_zero_where_a_sample_has_no_kernel_mass():
     grid = np.array([0.0])
     side = [[(0.625, 0.3, np.log([0.4])), (0.375, 0.25, np.log([0.2]))]]
     assert np.exp(-0.5 * (60.0 / 0.3) ** 2) == 0.0
-    fused = value_and_grad(lambda p: ad.kde_kl(p, classes, grid, [side]), [rows])
+    fused = value_and_grad(lambda p: density_baseline.kde_kl(p, classes, grid, [side]), [rows])
     oracle = value_and_grad(
         taped(lambda p: unfused.kde_kl(p, classes, grid, [side])), [rows])
     assert same_bits(fused[0], oracle[0]) and same_bits(fused[1], oracle[1])
@@ -875,7 +877,7 @@ def test_kde_kl_constant_rows_record_no_parents():
     classes = KDE_KL_CASES["sample outside the grid"][3]
     value = unfused.kde_kl_node(rows, classes, grid, sides)
     assert not isinstance(value, unfused.Tensor)
-    assert same_bits(value, ad.kde_kl(rows, classes, grid, sides)[0])
+    assert same_bits(value, density_baseline.kde_kl(rows, classes, grid, sides)[0])
     assert same_bits(value, unfused.kde_kl(rows, classes, grid, sides))
 
 
@@ -884,7 +886,7 @@ def test_kde_kl_zero_mass_is_non_finite_like_the_composition():
     # domain: its kernel mass is 0
     rows, classes = [np.array([[-1.0], [0.5]]), np.array([[0.9], [1.0]])], [np.array([0, 1])]
     grid, side = np.linspace(-1.2, 1.2, 8), [[(0.5, 0.02, np.zeros(8))]]
-    for loss_fn in (lambda p: ad.kde_kl(p, classes, grid, [side, side]),
+    for loss_fn in (lambda p: density_baseline.kde_kl(p, classes, grid, [side, side]),
                     taped(lambda p: unfused.kde_kl(p, classes, grid, [side, side]))):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ad.NonFiniteLossError):
@@ -902,7 +904,7 @@ def test_prelim_loss_matches_the_tape_bit_for_bit(domains):
     stream = make_moons_stream(domains=domains, n_per_domain=26, seed=6)
     doms = [*stream.sources, stream.target]
     grid = density_baseline.default_grid(64)
-    sides = [density_baseline._truth_side(t, grid) for t in doms[1:]]
+    sides = [density_baseline.truth_side(t, grid) for t in doms[1:]]
     summaries = density_baseline._summaries(doms[:-1])
     classes = [np.arange(0, 26, 2), np.arange(1, 26, 2)]
     config = density_baseline.PrelimConfig(hidden_dim=8, embed_dim=4)
@@ -910,12 +912,12 @@ def test_prelim_loss_matches_the_tape_bit_for_bit(domains):
               for w in density_baseline._init_prelim(2, 26, config, rng)]
     assert len(sides) == domains - 1
     _assert_same_values_and_gradients(
-        lambda ps: ad.prelim_loss(*density_baseline._split(ps), summaries, classes, grid, sides),
+        lambda ps: density_baseline.prelim_loss(ps, summaries, classes, grid, sides),
         taped(lambda ps: unfused.prelim_loss(ps, summaries, classes, grid, sides)), params)
 
 
-def _taped_prelim_loss(lstm, decoder, *args):
-    return taped(lambda p: unfused.prelim_loss(p, *args))([*lstm, *decoder])
+def _taped_prelim_loss(params, *args):
+    return taped(lambda p: unfused.prelim_loss(p, *args))(params)
 
 
 def test_prelim_fit_matches_the_per_term_chain_bit_for_bit(monkeypatch):
@@ -931,7 +933,7 @@ def test_prelim_fit_matches_the_per_term_chain_bit_for_bit(monkeypatch):
     monkeypatch.setattr(density_baseline, "fit",
                         lambda *a: runs.append(real_fit(*a)) or runs[-1])
     fused = density_baseline.train_prelim(stream, config, seed=2)
-    monkeypatch.setattr(ad, "prelim_loss", _taped_prelim_loss)
+    monkeypatch.setattr(density_baseline, "prelim_loss", _taped_prelim_loss)
     oracle = density_baseline.train_prelim(stream, config, seed=2)
     assert same_bits(fused.features, oracle.features)
     (fused_params, fused_history), (oracle_params, oracle_history) = runs

@@ -180,7 +180,7 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
         "kind": "moons", "domains": 5, "n_per_domain": 8000}})
     out = tmp_path / "prelim-out"
     with monkeypatch.context() as patch:
-        patch.setattr(density_baseline, "_truth_side", lambda *a: built.append(a))
+        patch.setattr(density_baseline, "truth_side", lambda *a: built.append(a))
         assert usage_error_in_one_line(
             capsys, ["run", "--config", huge_prelim, "--out", str(out)],
             "prelim: 3 truth domains x 2 features x 256 grid points x 8000 generated rows "

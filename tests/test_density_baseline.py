@@ -222,8 +222,8 @@ def test_kde_term_gradients_form_once_per_epoch_and_only_in_its_vjp_call(monkeyp
     # loss hands its terms; the final decode after the fit forms none
     stream = make_moons_stream(domains=4, n_per_domain=40, seed=0)
     calls = []
-    real_term, real_backward = ad._kde_kl_term, ad.backward
-    monkeypatch.setattr(ad, "_kde_kl_term", lambda *a: calls.append(a[-1]) or real_term(*a))
+    real_term, real_backward = density_baseline._kde_kl_term, ad.backward
+    monkeypatch.setattr(density_baseline, "_kde_kl_term", lambda *a: calls.append(a[-1]) or real_term(*a))
     monkeypatch.setattr(ad, "backward", lambda *a: calls.append("backward")
                         or real_backward(*a))
     at_fit_end = []
@@ -259,8 +259,8 @@ def test_loss_runs_the_stack_over_all_but_the_last_source(monkeypatch):
     stream = make_moons_stream()
     build, params = captured_loss(monkeypatch, stream)
     fed = []
-    real = ad._lstm
-    monkeypatch.setattr(ad, "_lstm", lambda ps, rows: fed.append(rows) or real(ps, rows))
+    real = ad.lstm
+    monkeypatch.setattr(ad, "lstm", lambda ps, rows: fed.append(rows) or real(ps, rows))
     build(params)
     (rows,) = fed
     assert len(rows) == len(stream.sources) - 1

@@ -381,8 +381,8 @@ def test_prelim_past_the_kernel_bound_is_refused_before_its_truth_side(monkeypat
     # to that, it is admitted, and one cell less refuses it before any
     # truth-side KDE is built
     built = []
-    real = density_baseline._truth_side
-    monkeypatch.setattr(density_baseline, "_truth_side",
+    real = density_baseline.truth_side
+    monkeypatch.setattr(density_baseline, "truth_side",
                         lambda *a: built.append(1) or real(*a))
     cells = 2 * 4 * 2 * 256 * 40
     monkeypatch.setattr(harness, "MAX_KERNEL_CELLS", cells)

@@ -192,6 +192,10 @@ def test_config_validation():
         PredictorConfig(lambda_ce=-1.0)
     with pytest.raises(ValueError):
         PredictorConfig(patience=0)
+    with pytest.raises(ValueError, match="lambda_ce must be finite"):
+        PredictorConfig(lambda_ce=float("nan"))
+    with pytest.raises(ValueError, match="lambda_ce must be finite"):
+        PredictorConfig(lambda_ce=float("inf"))
 
 
 def test_moons_prediction_beats_persistence():

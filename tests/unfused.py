@@ -20,10 +20,12 @@ composition reads as the maths. The program has no `Tensor`: every loss
 there is one value-and-VJP pair.
 
 The references, written with it: a dense stack (for `ad.dense`), the LSTM
-(for `ad._lstm`), the forecaster's forward and loss (for `ad.forecast` and
-`ad.forecast_loss`), the downstream loss (for `ad.mlp_loss`), the density
-baseline's decode, KDE-KL and loss (for `ad._mix_decode`, `ad.kde_kl` and
-`ad.prelim_loss`), the simulator's loss (for `ad.gaussian_elbo`), Adam as
+(for `ad.lstm`), the forecaster's forward and loss (for `predictor._forecast`
+and `predictor._sequence_loss`), the downstream loss (for `harness.mlp_loss`),
+the density baseline's decode, KDE-KL and loss (for
+`density_baseline._mix_decode`, `density_baseline.kde_kl` and
+`density_baseline.prelim_loss`), the simulator's loss (for
+`simulator._objective`), Adam as
 one update per parameter array (for `optim.Adam`), and the full-batch loop
 that `optim.fit` runs on `optim.train`. Also `same_bits`, the comparison
 they are held to."""
@@ -32,9 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from driftsim import autodiff as ad
-from driftsim.autodiff import _unbroadcast
+from driftsim import density_baseline, simulator
+from driftsim.autodiff import unbroadcast
 from driftsim.datasets import CLASSIFICATION
 from driftsim.optim import BETA1, BETA2, EPS, TOL, Adam, flat
+from driftsim.predictor import FRO_GUARD
 from driftsim.simulator import EPS_VAR
 
 
@@ -146,22 +150,22 @@ def node(value, vjp, parents):
 
 
 def dense_node(params, x, act=None, last=None):
-    """`ad.dense` as one node over x, then the params, from `ad._stack` and
-    `ad._stack_vjp`."""
+    """`ad.dense` as one node over x, then the params, from `ad.stack` and
+    `ad.stack_vjp`."""
     values = [_val(p) for p in params]
-    acts = ad._stack(values, _val(x), act, last)
+    acts = ad.stack(values, _val(x), act, last)
 
     def vjp(g):
-        gx, grads = ad._stack_vjp(g, values, acts, act, last, isinstance(x, Tensor))
+        gx, grads = ad.stack_vjp(g, values, acts, act, last, isinstance(x, Tensor))
         return [gx, *grads]
 
     return node(acts[-1], vjp, (x, *params))
 
 
 def lstm_node(params, rows):
-    """`ad._lstm` as one node over the rows from last to first, then the
+    """`ad.lstm` as one node over the rows from last to first, then the
     params, with one view node per step's output."""
-    outputs, lstm_vjp = ad._lstm([_val(p) for p in params], [_val(r) for r in rows])
+    outputs, lstm_vjp = ad.lstm([_val(p) for p in params], [_val(r) for r in rows])
 
     def vjp(g):
         grads, g_rows = lstm_vjp(list(g))
@@ -183,8 +187,9 @@ def lstm_node(params, rows):
 
 
 def mix_decode_node(params, state):
-    """`ad._mix_decode` as one node over the state, then the params."""
-    rows, decode_vjp = ad._mix_decode([_val(p) for p in params], _val(state))
+    """`density_baseline._mix_decode` as one node over the state, then the
+    params."""
+    rows, decode_vjp = density_baseline._mix_decode([_val(p) for p in params], _val(state))
 
     def vjp(g):
         grads, g_state = decode_vjp(g)
@@ -194,8 +199,9 @@ def mix_decode_node(params, state):
 
 
 def kde_kl_node(rows, classes, grid, truth_sides):
-    """`ad.kde_kl` as one node over the rows of every truth domain."""
-    value, vjp = ad.kde_kl([_val(r) for r in rows], classes, grid, truth_sides)
+    """`density_baseline.kde_kl` as one node over the rows of every truth
+    domain."""
+    value, vjp = density_baseline.kde_kl([_val(r) for r in rows], classes, grid, truth_sides)
     return node(value, vjp, tuple(rows))
 
 
@@ -205,8 +211,8 @@ def add(a, b):
     av, bv = _val(a), _val(b)
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g, av.shape))
-        _accumulate(b, _unbroadcast(g, bv.shape))
+        _accumulate(a, unbroadcast(g, av.shape))
+        _accumulate(b, unbroadcast(g, bv.shape))
 
     return _node(av + bv, (a, b), vjp)
 
@@ -215,9 +221,9 @@ def sub(a, b):
     av, bv = _val(a), _val(b)
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g, av.shape))
+        _accumulate(a, unbroadcast(g, av.shape))
         if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(-g, bv.shape))
+            _accumulate(b, unbroadcast(-g, bv.shape))
 
     return _node(av - bv, (a, b), vjp)
 
@@ -227,9 +233,9 @@ def mul(a, b):
 
     def vjp(g):
         if isinstance(a, Tensor):
-            _accumulate(a, _unbroadcast(g * bv, av.shape))
+            _accumulate(a, unbroadcast(g * bv, av.shape))
         if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(g * av, bv.shape))
+            _accumulate(b, unbroadcast(g * av, bv.shape))
 
     return _node(av * bv, (a, b), vjp)
 
@@ -239,9 +245,9 @@ def div(a, b):
 
     def vjp(g):
         if isinstance(a, Tensor):
-            _accumulate(a, _unbroadcast(g / bv, av.shape))
+            _accumulate(a, unbroadcast(g / bv, av.shape))
         if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
+            _accumulate(b, unbroadcast(-g * av / (bv * bv), bv.shape))
 
     return _node(av / bv, (a, b), vjp)
 
@@ -435,9 +441,9 @@ def bce(p, t):
 
 
 def forward_sequence(params, rows):
-    """`ad.forecast` written with primitives only, on the forecaster's flat
-    params: the embedding's matmul and add, `lstm_stack` below, and the
-    head's matmul, add and tanh, per step."""
+    """`predictor._forecast` written with primitives only, on the
+    forecaster's flat params: the embedding's matmul and add, `lstm_stack`
+    below, and the head's matmul, add and tanh, per step."""
     w_embed, b_embed, w_head, b_head = params[0], params[1], params[-2], params[-1]
     states = lstm_stack(params[2:-2], [matmul(row, w_embed) + b_embed for row in rows],
                         _val(params[3]).shape[1] // 4)
@@ -447,11 +453,11 @@ def forward_sequence(params, rows):
 def sequence_loss(params, rows, tgt, m, config):
     """`predictor._sequence_loss` as the composition over the stacked head
     outputs of `forward_sequence`: per step Frobenius + elementwise-L1 +
-    lambda_ce * mean BCE (for `ad.forecast_loss`)."""
+    lambda_ce * mean BCE."""
     pred = concat(forward_sequence(params, rows), axis=0)
     diff = pred - tgt
     # one Frobenius norm per step, then their sum
-    fro = reduce_sum(sqrt(reduce_sum(diff * diff, axis=1) * 2.0 + ad.FRO_GUARD))
+    fro = reduce_sum(sqrt(reduce_sum(diff * diff, axis=1) * 2.0 + FRO_GUARD))
     l1 = reduce_sum(absolute(diff)) * 2.0
     bce_off = bce((pred + 1.0) * 0.5, (tgt + 1.0) * 0.5)
     diag_const = -m * np.log(1.0 - ad.CLAMP) * len(rows)
@@ -460,9 +466,8 @@ def sequence_loss(params, rows, tgt, m, config):
 
 
 def mlp_loss(params, x, y, task):
-    """`harness._mlp_loss` as `dense` and the composition of its loss: the
-    clipped BCE mean of the sigmoid, or the mean squared error (for
-    `ad.mlp_loss`)."""
+    """`harness.mlp_loss` as `dense` and the composition of its loss: the
+    clipped BCE mean of the sigmoid, or the mean squared error."""
     out = dense(params, x, ad.relu)
     if task == CLASSIFICATION:
         return reduce_mean(bce(sigmoid(out), y))
@@ -473,17 +478,17 @@ def mlp_loss(params, x, y, task):
 def decode_rows(params, state):
     """The rows that prelim decodes from `state`, given all its params (the
     LSTM's, then the decoder's), as the mixing layer's composition, then
-    `dense` (for `ad._mix_decode`)."""
+    `dense` (for `density_baseline._mix_decode`)."""
     _, _, embed, w_e, w_s, b_mix = params[:6]
     mix = tanh(matmul(embed, w_e) + matmul(state, w_s) + b_mix)
     return dense(params[6:], mix, last=ad.tanh)
 
 
 def correlation_pull(decoder, z, label, target, eps):
-    """The pull term of `ad.gaussian_elbo` alone, as one node over the
-    decoder params, from that node's own forward and VJP."""
-    value, pull_vjp = ad._correlation_pull([_val(p) for p in decoder], _val(z), label,
-                                           target, eps)
+    """The pull term of `simulator._objective` alone, as one node over the
+    decoder params, from its own forward and VJP, `simulator._correlation_pull`."""
+    value, pull_vjp = simulator._correlation_pull([_val(p) for p in decoder], _val(z),
+                                                  label, target, eps)
     return node(value, pull_vjp, tuple(decoder))
 
 
@@ -517,8 +522,8 @@ def decode(decoder, z, task):
 
 
 def neg_elbo(params, config, rows, noise, task):
-    """The negative ELBO of `ad.gaussian_elbo` as elementwise, reduction and
-    dense nodes."""
+    """The negative ELBO of `simulator._objective` as elementwise,
+    reduction and dense nodes."""
     mu, logvar = encode(params, config, rows)
     sigma = exp(logvar * 0.5)
     z = mu + sigma * noise
@@ -557,9 +562,9 @@ def kde_kl_term(rows, column, idx, grid, bandwidth, prior, log_q):
 
 
 def kde_kl(rows, classes, grid, truth_sides):
-    """`ad.kde_kl` as a chain of the terms above: summed per domain in
-    feature-then-class order, the domain sums left to right, then scaled by
-    1 / (truth domains)."""
+    """`density_baseline.kde_kl` as a chain of the terms above: summed per
+    domain in feature-then-class order, the domain sums left to right, then
+    scaled by 1 / (truth domains)."""
     loss = None
     for r, side in zip(rows, truth_sides, strict=True):
         domain = None
@@ -572,8 +577,8 @@ def kde_kl(rows, classes, grid, truth_sides):
 
 
 def prelim_loss(params, summaries, classes, grid, truth_sides):
-    """`ad.prelim_loss` on prelim's flat params, as `lstm_stack` over the
-    summaries, `decode_rows` of each state and `kde_kl` of them."""
+    """`density_baseline.prelim_loss` as `lstm_stack` over the summaries,
+    `decode_rows` of each state and `kde_kl` of them."""
     states = lstm_stack(params[:2], summaries, _val(params[1]).shape[1] // 4)
     return kde_kl([decode_rows(params, s) for s in states], classes, grid, truth_sides)
 
@@ -600,7 +605,7 @@ class PerArrayAdam:
 
 
 def lstm_cell(gates, c_prev, hidden):
-    """One step of a cell of `ad._lstm`, as sigmoid/tanh nodes on gate
+    """One step of a cell of `ad.lstm`, as sigmoid/tanh nodes on gate
     slices; `c_prev` is None on a layer's first step."""
     i = sigmoid(gates[:, 0:hidden])
     f = sigmoid(gates[:, hidden:2 * hidden])
@@ -611,7 +616,7 @@ def lstm_cell(gates, c_prev, hidden):
 
 
 def lstm_stack(params, rows, hidden):
-    """`ad._lstm` cell by cell, each step's gates as
+    """`ad.lstm` cell by cell, each step's gates as
     `concat([x, h]) @ w + b` and its cell as `lstm_cell` above."""
     layers = len(params) // 2
     h_states = [np.zeros((1, hidden))] * layers
