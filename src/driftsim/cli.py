@@ -26,13 +26,12 @@ from .bounds import check_moment_deltas, random_distribution_pair, verify_bound
 from .correlation import pearson_matrix
 from .datasets import (CLASSIFICATION, DomainStream, load_csv_stream,
                        make_moons_stream, save_domain_csv, fit_apply_normalization)
-from .harness import (SWEEP_PARAMETERS, ConfigError, ExperimentConfig,
+from .harness import (STAGES, SWEEP_PARAMETERS, ConfigError, ExperimentConfig,
                       ExperimentReport, require_sweepable, require_trainable,
                       run_experiment, sweep)
 
 __all__ = ["main", "load_run_config"]
 
-GENERATIVE = ("coda", "coda-without-C", "prelim")
 # a dataset block holds its kind's function's keyword arguments, and the
 # gen-moons flags are the moons keys, with its defaults
 DATASETS = {"moons": make_moons_stream, "csv": load_csv_stream}
@@ -233,12 +232,10 @@ def cmd_gen_moons(args) -> int:
 
 def _dump_artifacts(stream, report: ExperimentReport, config: ExperimentConfig,
                     out: str) -> list:
-    """Generated-data CSV for the first configured seed, plus a correlation
-    CSV when the run made a forecast, taken from the models the run already
-    trained."""
+    """Generated-data CSV for the first configured seed of a method that
+    trains a model before the MLP, plus a correlation CSV when the run made a
+    forecast, taken from the models the run already trained."""
     method, seed = report.method, config.seeds[0]
-    if method not in GENERATIVE:
-        return []
     train_set, extra = report.train_sets[0], report.extras[0]
     normalized, stats = fit_apply_normalization(stream)
     written = []
@@ -247,11 +244,9 @@ def _dump_artifacts(stream, report: ExperimentReport, config: ExperimentConfig,
         mats = [(f"C{s.domain_index}", pearson_matrix(s))
                 for s in normalized.sources]
         mats.append(("predicted", extra["predicted_corr"]))
-        for name, mat in mats:
-            m = mat.entries
-            for i in range(mat.dim):
-                for j in range(mat.dim):
-                    lines.append(f"{name},{i},{j},{m[i, j]!r}")
+        for name, mat in mats:  # Python floats: a numpy scalar's repr is not a number
+            for i, row in enumerate(mat.entries.tolist()):
+                lines += [f"{name},{i},{j},{value!r}" for j, value in enumerate(row)]
         corr_path = os.path.join(out, "correlations.csv")
         _write_text(corr_path, "\n".join(lines) + "\n")
         written.append(corr_path)
@@ -279,7 +274,7 @@ def cmd_run(args) -> int:
         _say(f"{method:16s} {report.metric:12s} "
              f"mean={report.mean:8.3f}  std={report.std:7.3f}  "
              f"seeds={[round(v, 3) for v in report.seed_values]}")
-        if args.artifacts:
+        if args.artifacts and STAGES[method]:  # the rest generate no rows
             artifacts += _dump_artifacts(stream, report, config, out)
     report_path = os.path.join(out, "report.json")
     _write_json(report_path, {"reports": reports, "artifacts": artifacts})

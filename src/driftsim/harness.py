@@ -5,8 +5,10 @@ Methods: "coda" (simulate the next domain with the correlation forecast),
 "coda-without-C" (coda at lambda_c = 0, so no correlation pull),
 "lastdomain" (train on the final source), "offline" (train on all sources
 pooled), "incfinetune" (sequential fine-tuning across sources at reduced
-learning rate), "prelim" (the density-forecasting baseline). The target
-domain is only ever touched by the final scoring call; its row count alone
+learning rate), "prelim" (the density-forecasting baseline). The models a
+method trains first are declared in `STAGES`; coda, coda-without-C and
+prelim train one and fit the downstream model on the rows it generates. The
+target domain is only touched by the final scoring call; its row count alone
 feeds the sample-size choice. A run refused before it trains is a ConfigError.
 """
 from __future__ import annotations
@@ -29,12 +31,16 @@ from .predictor import PredictorConfig, predict_next, train_predictor
 from .simulator import SNAPSHOT_DRAWS, SimulatorConfig, sample, train_simulator
 
 __all__ = ["ConfigError", "DownstreamConfig", "DownstreamModel", "ExperimentConfig",
-           "ExperimentReport", "SweepPoint", "METHODS", "SWEEP_PARAMETERS",
+           "ExperimentReport", "SweepPoint", "STAGES", "METHODS", "SWEEP_PARAMETERS",
            "require_trainable", "require_sweepable", "mlp_loss", "train_downstream",
            "evaluate", "run_experiment", "sweep"]
 
-METHODS = ("coda", "coda-without-C", "lastdomain", "offline", "incfinetune",
-           "prelim")
+# the models each method trains before the downstream model, in order; names,
+# not functions, so that a wrapper installed on a trainer sees its call
+STAGES = {"coda": ("predictor", "simulator"), "coda-without-C": ("simulator",),
+          "lastdomain": (), "offline": (), "incfinetune": (), "prelim": ("prelim",)}
+METHODS = tuple(STAGES)
+PRELIM_CONFIG = density_baseline.PrelimConfig()  # no config block reaches prelim
 # generated rows per target row; larger values ask for more rows than memory holds
 MAX_SAMPLE_RATE = 100.0
 # weights and biases in one model: a simulator of width 1,575 (9.98 M) took
@@ -84,12 +90,8 @@ class DownstreamModel:
         Features far past the training range may overflow to inf or NaN,
         which are returned, not warned about."""
         with np.errstate(all="ignore"):
-            return _forward_mlp(self.params, features, self.task).ravel()
-
-
-def _forward_mlp(params, x, task):
-    out = ad.dense(params, x, ad.relu)
-    return ad.sigmoid(out) if task == CLASSIFICATION else out
+            out = ad.dense(self.params, features, ad.relu)
+            return (ad.sigmoid(out) if self.task == CLASSIFICATION else out).ravel()
 
 
 def mlp_loss(params, x, y, task) -> tuple:
@@ -180,8 +182,7 @@ class ExperimentReport:
     std: float
     config_snapshot: dict
     wall_clock_s: float
-    # per seed: the set the downstream model trained on last and method
-    # artifacts ("predicted_corr", "simulator")
+    # per seed: the set the downstream model fit last and _run_single's extras
     train_sets: tuple = field(default=(), repr=False, compare=False)
     extras: tuple = field(default=(), repr=False, compare=False)
 
@@ -192,25 +193,30 @@ class ExperimentReport:
                 "wall_clock_s": self.wall_clock_s}
 
 
+def _stages(method: str, config: ExperimentConfig) -> tuple:
+    """`method`'s STAGES entry; at lambda_c = 0 no pull reads a forecast."""
+    return tuple(stage for stage in STAGES[method]
+                 if stage != "predictor" or config.simulator.lambda_c > 0)
+
+
 def _parameter_counts(m: int, method: str, config: ExperimentConfig, rows: int) -> dict:
     """Parameters of each model `method` trains on m - 1 features and a label,
-    by config block (prelim's is its default `PrelimConfig`, which embeds
-    each of the `rows` rows of the last source), counted without a layer list
-    as long as a layer count."""
+    by config block (prelim's embeds each of the `rows` rows of the last
+    source), counted without a layer list as long as a layer count."""
+    stages = _stages(method, config)
     dims = (m - 1, *config.downstream.hidden_dims, 1)
     counts = {"downstream": sum((a + 1) * b for a, b in zip(dims, dims[1:]))}
-    if method == "prelim":  # LSTM, row embedding, mixing layer, output layer
-        pre = density_baseline.PrelimConfig()
-        h, d = pre.hidden_dim, m - 1
-        counts["prelim"] = (4 * h * (2 * d + 2 + h) + rows * pre.embed_dim
-                            + (pre.embed_dim + h + 1) * h + (h + 1) * d)
+    if "prelim" in stages:  # LSTM, row embedding, mixing layer, output layer
+        h, e, d = PRELIM_CONFIG.hidden_dim, PRELIM_CONFIG.embed_dim, m - 1
+        counts["prelim"] = (4 * h * (2 * d + 2 + h) + rows * e
+                            + (e + h + 1) * h + (h + 1) * d)
     sim, pred = config.simulator, config.predictor
-    if method in ("coda", "coda-without-C"):  # encoder trunk, two heads, decoder
+    if "simulator" in stages:  # encoder trunk, two heads, decoder
         e, d, lat = sim.encoder_dim, sim.decoder_dim, sim.latent_dim
         counts["simulator"] = ((m + 1 + 2 * lat + (sim.encoder_layers - 1) * (e + 1)) * e
                                + (lat + 1 + m + (sim.decoder_layers - 1) * (d + 1)) * d
                                + 2 * lat + m)
-    if method == "coda" and sim.lambda_c > 0:  # embedding, LSTM stack, head
+    if "predictor" in stages:  # embedding, LSTM stack, head
         p, h, lat = m * (m - 1) // 2, pred.hidden_dim, pred.latent_dim
         counts["predictor"] = ((p + 1) * lat + (h + 1) * p + 4 * h * (lat + h + 1)
                                + (pred.layers - 1) * 4 * h * (2 * h + 1))
@@ -223,7 +229,7 @@ def require_trainable(stream: DomainStream, method: str,
     a stream that `method` cannot train on under `config`: a single-class
     classification domain (no correlation matrix, an error rate that says
     nothing), fewer than 3 sources for a sequence model (coda's forecaster,
-    trained only at lambda_c > 0, and prelim), prelim on regression, sources
+    trained only at lambda_c > 0, or prelim), prelim on regression, sources
     on which every feature or a regression label is constant, a source
     without a correlation matrix for the forecaster, a prelim truth domain
     without a KDE, a model of more than MAX_PARAMETERS parameters, for
@@ -238,11 +244,12 @@ def require_trainable(stream: DomainStream, method: str,
             if np.unique(dom.labels).size < 2:
                 raise ConfigError(f"domain {dom.domain_index} holds a single class; "
                                   "every classification domain needs both labels")
-    forecasts = method == "coda" and config.simulator.lambda_c > 0
-    if (forecasts or method == "prelim") and len(stream.sources) < 3:
+    stages = _stages(method, config)
+    forecasts, prelim = "predictor" in stages, "prelim" in stages
+    if (forecasts or prelim) and len(stream.sources) < 3:
         raise ConfigError(f"{method} needs at least 3 source domains, "
                           f"got {len(stream.sources)}")
-    if method == "prelim" and stream.task != CLASSIFICATION:
+    if prelim and stream.task != CLASSIFICATION:
         raise ConfigError("prelim is defined for classification streams only")
     try:  # the library's own refusals, with their messages
         normalized, _ = fit_apply_normalization(stream)
@@ -254,7 +261,7 @@ def require_trainable(stream: DomainStream, method: str,
     sources, d = normalized.sources, normalized.d
     for block, count in _parameter_counts(d + 1, method, config, sources[-1].n).items():
         if count > MAX_PARAMETERS:
-            cfg = getattr(config, block, density_baseline.PrelimConfig())
+            cfg = getattr(config, block, PRELIM_CONFIG)
             sizes = ", ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)
                               if f.name.endswith(("_dim", "_dims", "layers")))
             rows = f" and {sources[-1].n} rows" if block == "prelim" else ""
@@ -267,8 +274,8 @@ def require_trainable(stream: DomainStream, method: str,
                           f"{SNAPSHOT_DRAWS:,} for the snapshot) x decoder_dim="
                           f"{sim.decoder_dim} make more than {MAX_DRAW_CELLS:,} "
                           "activations in one layer")
-    if method == "prelim":
-        grid = density_baseline.default_grid(density_baseline.PrelimConfig().grid_size)
+    if prelim:
+        grid = density_baseline.default_grid(PRELIM_CONFIG.grid_size)
         cells = 2 * grid.size * sources[-1].n * d * (len(sources) - 1)
         if cells > MAX_KERNEL_CELLS:
             raise ConfigError(f"prelim: {len(sources) - 1} truth domains x {d} features x "
@@ -293,33 +300,31 @@ def _run_single(stream: DomainStream, method: str, config: ExperimentConfig,
     """(score, last training set, extras) for one seed: one downstream model
     fits the method's training sets in turn, after the first at a tenth of
     the learning rate. Incfinetune gives every source, every other method
-    one set; coda's extras hold its simulator and, when lambda_c > 0, the
-    forecast it was pulled toward ("predicted_corr")."""
+    one set; the extras hold any simulator trained and any forecast it was
+    pulled toward ("predicted_corr")."""
     normalized, stats = fit_apply_normalization(stream)
     sources, extra = normalized.sources, {}
-    if method == "coda":
-        if config.simulator.lambda_c > 0:  # train_simulator reads no target at 0
-            mats = [pearson_matrix(s) for s in sources]
-            forecaster = train_predictor(mats, config.predictor, seed=seed)
-            extra["predicted_corr"] = predict_next(forecaster, mats)
+    stages = _stages(method, config)
+    if "predictor" in stages:  # without it, train_simulator reads no target
+        mats = [pearson_matrix(s) for s in sources]
+        forecaster = train_predictor(mats, config.predictor, seed=seed)
+        extra["predicted_corr"] = predict_next(forecaster, mats)
+    if "simulator" in stages:
         sim = extra["simulator"] = train_simulator(
             sources[-1], extra.get("predicted_corr"), config.simulator, seed=seed)
         n = max(8, round(normalized.target.n * config.sample_rate))
         train_sets = [sample(sim, n, seed=seed + 101)]
+    elif "prelim" in stages:
+        # a module attribute, so a wrapper installed on it (bench/run.py) sees the call
+        train_sets = [density_baseline.train_prelim(normalized, PRELIM_CONFIG, seed=seed)]
     elif method == "offline":
         train_sets = [DomainDataset(
             domain_index=sources[-1].domain_index,
             features=np.vstack([s.features for s in sources]),
             labels=np.concatenate([s.labels for s in sources]),
             task=normalized.task, feature_names=sources[0].feature_names)]
-    elif method == "prelim":
-        # a module attribute, so a wrapper installed on it (bench/run.py) sees the call
-        train_sets = [density_baseline.train_prelim(
-            normalized, density_baseline.PrelimConfig(), seed=seed)]
-    elif method in ("lastdomain", "incfinetune"):
+    else:  # lastdomain fits the last source, incfinetune every source in turn
         train_sets = list(sources[-1:] if method == "lastdomain" else sources)
-    else:  # coda-without-C is resolved to coda by run_experiment
-        raise ValueError(f"unknown method {method!r}")
     down_cfg = config.downstream
     model = train_downstream(train_sets[0], down_cfg, seed=seed)
     slow = replace(down_cfg, learning_rate=0.1 * down_cfg.learning_rate)
@@ -400,16 +405,14 @@ def run_experiment(stream: DomainStream, method: str,
     The seeds may run in parallel (see `_run_seeds`), so `wall_clock_s` is
     the wall time of the whole parallel run, and criterion 1's 600 s gate
     reads that. Every other field is the same at any worker count.
-    Coda-without-C runs as coda at lambda_c = 0, and its `config_snapshot`
-    records that lambda_c.
+    Coda-without-C runs at lambda_c = 0, and its `config_snapshot` records
+    that lambda_c.
     """
     require_trainable(stream, method, config)
-    runner = method
     if method == "coda-without-C":
-        runner, config = "coda", replace(
-            config, simulator=replace(config.simulator, lambda_c=0.0))
+        config = replace(config, simulator=replace(config.simulator, lambda_c=0.0))
     t0 = time.perf_counter()
-    runs = _run_seeds(stream, runner, config)
+    runs = _run_seeds(stream, method, config)
     values, train_sets, extras = zip(*runs)
     metric = "mce_percent" if stream.task == CLASSIFICATION else "mae"
     arr = np.array(values)
@@ -428,15 +431,16 @@ class SweepPoint:
     validation: ExperimentReport | None = None
 
 
-# the methods that read each sweep parameter; any other curve would be flat
-SWEEP_PARAMETERS = {"lambda_c": ("coda",), "sample_rate": ("coda", "coda-without-C")}
+# the model a method must train to read each sweep parameter, else a flat curve
+SWEEP_PARAMETERS = {"lambda_c": "predictor", "sample_rate": "simulator"}
 
 
 def require_sweepable(method: str, parameter: str) -> None:
     """Reject an unknown sweep parameter or one that `method` never reads."""
-    readers = SWEEP_PARAMETERS.get(parameter)
-    if readers is None:
+    stage = SWEEP_PARAMETERS.get(parameter)
+    if stage is None:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    readers = [name for name, stages in STAGES.items() if stage in stages]
     if method not in readers:
         raise ConfigError(f"{method} never reads {parameter}; "
                           f"only {' and '.join(readers)} do")

@@ -110,6 +110,23 @@ def test_run_artifacts_for_generative_method(tmp_path):
     assert len(gen) == 1 + 40
 
 
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_run_artifacts_only_for_methods_that_generate_rows(tmp_path, method):
+    # one seed, short epochs; prelim keeps its default 300 epochs on 40 rows
+    cfg = write_cfg(tmp_path, {**PIPELINE_CFG, "methods": [method]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--artifacts"]) == 0
+    generated = {f"generated_{method}_seed0.csv"}
+    want = {"coda": {"correlations.csv", *generated}, "coda-without-C": generated,
+            "prelim": generated}.get(method, set())
+    assert set(os.listdir(out)) == {"report.json", *want}
+    written = json.loads((out / "report.json").read_text())["artifacts"]
+    assert sorted(os.path.basename(path) for path in written) == sorted(want)
+    if method == "coda":  # every correlation is a plain number
+        for line in (out / "correlations.csv").read_text().splitlines()[1:]:
+            assert np.isfinite(float(line.split(",")[-1]))
+
+
 def usage_error_in_one_line(capsys, argv, naming: str = "") -> bool:
     capsys.readouterr()
     code = main(argv)
@@ -160,7 +177,10 @@ def test_run_exit_codes_for_bad_configs(tmp_path, capsys, monkeypatch):
                        ("predictor", {"seed": 5}), ("simulator", {"seed": 5}),
                        ("downstream", {"seed": 5}),
                        # the output directory comes from --out or DRIFTSIM_OUT
-                       ("output_dir", 5), ("output_dir", str(tmp_path / "cfg-out"))):
+                       ("output_dir", 5), ("output_dir", str(tmp_path / "cfg-out")),
+                       # a method entry that is not a name, hashable or not
+                       ("methods", [["coda"]]), ("methods", [{}]), ("methods", [5]),
+                       ("methods", [None])):
         bad_value = write_cfg(tmp_path, {**TINY_CFG, key: value})
         assert usage_error_in_one_line(capsys, ["run", "--config", bad_value])
     bool_seed = write_cfg(tmp_path, {**TINY_CFG, "dataset": {"kind": "moons", "seed": True}})

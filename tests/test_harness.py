@@ -342,7 +342,9 @@ def test_parameter_counts_match_the_models_built():
     for method, config, blocks in (("coda", no_pull, {"downstream", "simulator"}),
                                    ("coda-without-C", TINY_PIPELINE, {"downstream", "simulator"}),
                                    ("prelim", TINY_PIPELINE, {"downstream", "prelim"}),
-                                   ("lastdomain", TINY_PIPELINE, {"downstream"})):
+                                   ("lastdomain", TINY_PIPELINE, {"downstream"}),
+                                   ("offline", TINY_PIPELINE, {"downstream"}),
+                                   ("incfinetune", TINY_PIPELINE, {"downstream"})):
         assert set(harness._parameter_counts(3, method, config, 40)) == blocks
 
 
